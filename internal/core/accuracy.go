@@ -29,22 +29,16 @@ type DistanceRange struct {
 // (0, 1]; the structures on typical terrains support up to roughly the
 // Fig. 8 plateau.
 func (s *Session) DistanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64, sched Schedule) (DistanceRange, error) {
-	return s.DistanceWithAccuracyCtx(nil, a, b, accuracy, sched)
-}
-
-// DistanceWithAccuracyCtx is DistanceWithAccuracy bounded by a per-call
-// context: ctx cancels or deadlines this query only (nil selects the
-// session's default context).
-func (s *Session) DistanceWithAccuracyCtx(ctx context.Context, a, b mesh.SurfacePoint, accuracy float64, sched Schedule) (DistanceRange, error) {
-	out, _, err := s.DistanceWithAccuracyCostCtx(ctx, a, b, accuracy, sched)
+	out, _, err := s.DistanceWithAccuracyCostCtx(nil, a, b, accuracy, sched)
 	return out, err
 }
 
-// DistanceWithAccuracyCostCtx is DistanceWithAccuracyCtx returning, in
-// addition, the query's Result shell — no neighbours, but the per-phase
-// Cost, Trace and Epoch the plain form discards. The EXPLAIN path needs
-// those numbers; the DistanceRange itself is bit-identical to what the
-// plain form returns.
+// DistanceWithAccuracyCostCtx is DistanceWithAccuracy bounded by a per-call
+// context — ctx cancels or deadlines this query only (nil selects the
+// session's default context) — returning, in addition, the query's Result
+// shell: no neighbours, but the per-phase Cost, Trace and Epoch the plain
+// form discards. The EXPLAIN path needs those numbers; the DistanceRange
+// itself is bit-identical to what the plain form returns.
 func (s *Session) DistanceWithAccuracyCostCtx(ctx context.Context, a, b mesh.SurfacePoint, accuracy float64, sched Schedule) (DistanceRange, Result, error) {
 	if accuracy <= 0 || accuracy > 1 || math.IsNaN(accuracy) {
 		return DistanceRange{}, Result{}, fmt.Errorf("core: accuracy %g outside (0,1]", accuracy)

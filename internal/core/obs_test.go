@@ -289,8 +289,8 @@ func TestPerCallContextOverride(t *testing.T) {
 	if _, err := s.SurfaceRangeCtx(cancelled, q, 100, S1, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SurfaceRangeCtx with cancelled ctx: err = %v", err)
 	}
-	if _, err := s.DistanceWithAccuracyCtx(cancelled, q, db.Objects()[0].Point, 0.7, S2); !errors.Is(err, context.Canceled) {
-		t.Errorf("DistanceWithAccuracyCtx with cancelled ctx: err = %v", err)
+	if _, _, err := s.DistanceWithAccuracyCostCtx(cancelled, q, db.Objects()[0].Point, 0.7, S2); !errors.Is(err, context.Canceled) {
+		t.Errorf("DistanceWithAccuracyCostCtx with cancelled ctx: err = %v", err)
 	}
 	if _, _, err := s.ClosestPairCtx(cancelled, S3, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("ClosestPairCtx with cancelled ctx: err = %v", err)

@@ -121,65 +121,6 @@ func TestDijkstraMultiTarget(t *testing.T) {
 	}
 }
 
-func TestAStarMatchesDijkstra(t *testing.T) {
-	// Random geometric-ish graph with Euclidean heuristic via embedding on
-	// a line (admissible because weights >= coordinate gaps).
-	rng := rand.New(rand.NewSource(1))
-	n := 200
-	coord := make([]float64, n)
-	for i := range coord {
-		coord[i] = rng.Float64() * 100
-	}
-	g := New(n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < 4; k++ {
-			j := rng.Intn(n)
-			if j == i {
-				continue
-			}
-			w := math.Abs(coord[i]-coord[j]) + rng.Float64()
-			g.AddEdge(i, j, w)
-		}
-	}
-	dst := n - 1
-	h := func(v int) float64 { return math.Abs(coord[v] - coord[dst]) }
-	for src := 0; src < 20; src++ {
-		want, _ := DijkstraTarget(g, src, dst)
-		got, path := AStar(g, src, dst, h)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("AStar(%d) = %v, Dijkstra = %v", src, got, want)
-		}
-		if want < math.Inf(1) {
-			if len(path) == 0 || path[0] != src || path[len(path)-1] != dst {
-				t.Fatalf("bad path endpoints: %v", path)
-			}
-			// Path length must equal reported distance.
-			var sum float64
-			for i := 1; i < len(path); i++ {
-				best := math.Inf(1)
-				for _, a := range g.Arcs(path[i-1]) {
-					if int(a.To) == path[i] && a.W < best {
-						best = a.W
-					}
-				}
-				sum += best
-			}
-			if math.Abs(sum-got) > 1e-9 {
-				t.Fatalf("path length %v != dist %v", sum, got)
-			}
-		}
-	}
-}
-
-func TestAStarUnreachable(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	d, path := AStar(g, 0, 2, func(int) float64 { return 0 })
-	if !math.IsInf(d, 1) || path != nil {
-		t.Errorf("unreachable AStar: %v %v", d, path)
-	}
-}
-
 // Property: Dijkstra distances satisfy the triangle inequality over edges —
 // for every edge (u,v,w): d[v] <= d[u] + w.
 func TestDijkstraRelaxationInvariant(t *testing.T) {
@@ -225,42 +166,5 @@ func TestHeapOrdering(t *testing.T) {
 	h.reset()
 	if h.len() != 0 {
 		t.Error("reset should empty the heap")
-	}
-}
-
-func TestBidirectionalMatchesDijkstra(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 10; trial++ {
-		n := 100 + rng.Intn(200)
-		g := New(n)
-		for i := 0; i < n*4; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(u, v, rng.Float64()*10+0.1)
-			}
-		}
-		for q := 0; q < 10; q++ {
-			src, dst := rng.Intn(n), rng.Intn(n)
-			want, _ := DijkstraTarget(g, src, dst)
-			got := BidirectionalDijkstra(g, src, dst)
-			if math.IsInf(want, 1) != math.IsInf(got, 1) {
-				t.Fatalf("reachability mismatch: %v vs %v", got, want)
-			}
-			if !math.IsInf(want, 1) && math.Abs(got-want) > 1e-9 {
-				t.Fatalf("bidirectional %v != dijkstra %v (src=%d dst=%d)", got, want, src, dst)
-			}
-		}
-	}
-	// Same vertex.
-	g := lineGraph(3)
-	if d := BidirectionalDijkstra(g, 1, 1); d != 0 {
-		t.Errorf("self distance = %v", d)
-	}
-	// Disconnected.
-	g2 := New(4)
-	g2.AddEdge(0, 1, 1)
-	g2.AddEdge(2, 3, 1)
-	if d := BidirectionalDijkstra(g2, 0, 3); !math.IsInf(d, 1) {
-		t.Errorf("disconnected distance = %v", d)
 	}
 }

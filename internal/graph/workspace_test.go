@@ -199,25 +199,6 @@ func TestDijkstraBoundedNegativeBound(t *testing.T) {
 	}
 }
 
-func TestReconstructExactSize(t *testing.T) {
-	// reconstruct must size its result from the prev chain, not append-grow.
-	prev := []int32{-1, 0, 1, 2}
-	path := reconstruct(prev, 0, 3)
-	if len(path) != cap(path) {
-		t.Errorf("reconstruct over-allocated: len %d cap %d", len(path), cap(path))
-	}
-	want := []int{0, 1, 2, 3}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	// Degenerate: src == dst.
-	if p := reconstruct(prev, 2, 2); len(p) != 1 || p[0] != 2 || cap(p) != 1 {
-		t.Errorf("src==dst path = %v (cap %d), want [2] cap 1", p, cap(p))
-	}
-}
-
 func TestWorkspaceWarmRunsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")

@@ -191,33 +191,6 @@ func TestDuplicatePositions(t *testing.T) {
 	}
 }
 
-func TestNearestIter(t *testing.T) {
-	items := randomItems(500, 11)
-	tr := Bulk(items)
-	q := geom.Vec2{X: 333, Y: 444}
-	next := tr.NearestIter(q, nil)
-	brute := bruteKNN(items, q, len(items))
-	for i := 0; i < len(items); i++ {
-		it, d, ok := next()
-		if !ok {
-			t.Fatalf("iterator exhausted at %d of %d", i, len(items))
-		}
-		if want := brute[i].P.Dist(q); d != want {
-			t.Fatalf("item %d: dist %v, want %v", i, d, want)
-		}
-		if got := it.P.Dist(q); got != d {
-			t.Fatalf("item %d: reported dist %v != actual %v", i, d, got)
-		}
-	}
-	if _, _, ok := next(); ok {
-		t.Error("iterator should be exhausted")
-	}
-	// Empty tree yields nothing.
-	if _, _, ok := New().NearestIter(q, nil)(); ok {
-		t.Error("empty tree iterator should yield nothing")
-	}
-}
-
 func TestKNNFunc(t *testing.T) {
 	items := randomItems(800, 11)
 	tr := Bulk(items)

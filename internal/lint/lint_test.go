@@ -36,14 +36,18 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := loader.LoadDir(root, dir)
+			// Recursive: a path-scoped rule's fixture reproduces the
+			// directory shape it scopes on below the fixture root.
+			pkgs, err := loader.Load(root, dir+"/...")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(p.TypeErrors) > 0 {
-				t.Fatalf("fixture does not type-check: %v", p.TypeErrors)
+			for _, p := range pkgs {
+				if len(p.TypeErrors) > 0 {
+					t.Fatalf("fixture does not type-check: %v", p.TypeErrors)
+				}
 			}
-			diags := Run([]*Package{p}, AllRules())
+			diags := Run(pkgs, AllRules())
 			var got strings.Builder
 			for _, d := range diags {
 				fmt.Fprintf(&got, "%s:%d:%d: %s: %s\n",

@@ -7,7 +7,7 @@ import (
 )
 
 // ctxBackground forbids minting root contexts inside the HTTP serving layer
-// (any package named "server"). A handler that reaches for
+// (internal/server and everything below it). A handler that reaches for
 // context.Background() or context.TODO() detaches the query it runs from
 // the request: the client can disconnect, the per-request deadline can
 // fire, the server can drain for shutdown — and the query keeps burning a
@@ -16,10 +16,9 @@ import (
 // context.WithTimeout / WithCancel / WithDeadline), so cancellation
 // propagates end to end.
 //
-// The rule keys on the package name rather than the import path so the
-// fixture under testdata can exercise it; main packages (skserve's
-// signal.NotifyContext root) and the engine's nil-context conveniences are
-// untouched.
+// The rule scopes on the import path (see underDir); main packages
+// (skserve's signal.NotifyContext root) and the engine's nil-context
+// conveniences are untouched.
 type ctxBackground struct{}
 
 func (ctxBackground) Name() string { return "ctx-background" }
@@ -28,7 +27,7 @@ func (ctxBackground) Doc() string {
 }
 
 func (ctxBackground) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
-	if p.Pkg == nil || p.Pkg.Name() != "server" {
+	if !underDir(p.ImportPath, "internal/server") {
 		return
 	}
 	for _, f := range p.Files {

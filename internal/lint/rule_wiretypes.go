@@ -4,19 +4,28 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// wireTypes forbids ad-hoc JSON shapes in the HTTP serving layer (any
-// package named "server" or "shard"): marshaling a map literal or an
+// underDir reports whether a package's import path lies at or below the
+// module-relative directory dir ("internal/server" matches
+// surfknn/internal/server and surfknn/internal/server/front, not
+// surfknn/internal/serverless). The serving-layer rules scope on it rather
+// than on the package name, so a new package under the layer cannot escape
+// them by being called something else; their fixtures reproduce the
+// directory shape under testdata.
+func underDir(importPath, dir string) bool {
+	return strings.Contains(importPath+"/", "/"+dir+"/")
+}
+
+// wireTypes forbids ad-hoc JSON shapes in the HTTP serving layer
+// (internal/server and everything below it, and internal/shard): marshaling a map literal or an
 // anonymous struct mints a wire shape that exists nowhere in the importable
 // contract. Every byte the service emits must round-trip through a named
 // type in internal/server/api — that is what makes the client, the
 // coordinator and the tests provably speak the same schema, and what the
 // api:"v1" tags version. A handler that reaches for
 // json.Marshal(map[string]any{...}) is defining wire format by accident.
-//
-// Like ctx-background, the rule keys on the package name rather than the
-// import path so the fixture under testdata can exercise it.
 type wireTypes struct{}
 
 func (wireTypes) Name() string { return "wire-types" }
@@ -25,7 +34,7 @@ func (wireTypes) Doc() string {
 }
 
 func (wireTypes) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
-	if p.Pkg == nil || (p.Pkg.Name() != "server" && p.Pkg.Name() != "shard") {
+	if !underDir(p.ImportPath, "internal/server") && !underDir(p.ImportPath, "internal/shard") {
 		return
 	}
 	for _, f := range p.Files {

@@ -1,5 +1,6 @@
-// Package server is the ctx-background fixture: the rule keys on the
-// package name, so this fixture stands in for internal/server. Handlers
+// Package server is the ctx-background fixture: the rule scopes on the
+// import path, so this directory (…/ctxbackground/internal/server) stands
+// in for internal/server. Handlers
 // must derive every context from the request; minting a root context
 // detaches the query from client disconnects, deadlines and drain.
 package server

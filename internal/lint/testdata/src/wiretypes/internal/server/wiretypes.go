@@ -1,6 +1,6 @@
-// Package server is the wire-types fixture: the rule keys on the package
-// name, so this fixture stands in for internal/server and internal/shard.
-// Every JSON shape the serving layer emits must be a named type from the
+// Package server is the wire-types fixture: the rule scopes on the import
+// path, so this directory (…/wiretypes/internal/server) stands in for
+// internal/server and internal/shard. Every JSON shape the serving layer emits must be a named type from the
 // importable api package; maps and anonymous structs mint accidental wire
 // formats no client can depend on.
 package server

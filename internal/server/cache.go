@@ -18,11 +18,11 @@ import (
 // response body — a hit replays the original bytes, including the
 // original cost numbers, marked by the X-Cache header.
 //
-// Keys are built by the handlers from every result-affecting parameter
-// (epoch for object-dependent endpoints, coordinates as exact float bits,
-// k/radius/accuracy, schedule, options) and exclude execution-only
-// parameters (timeout). Surface-distance keys omit the epoch: distances
-// depend only on the terrain.
+// Keys are the front's route shape plus the plan's canonical statement —
+// every result-affecting parameter in shortest round-trip spelling, and no
+// execution-only one (timeout) — prefixed here with the epoch (see
+// Execute). Surface-distance keys omit the epoch: distances depend only on
+// the terrain.
 //
 // A single mutex guards the map and the recency list; the critical section
 // is a few pointer moves, so contention is negligible next to a query.

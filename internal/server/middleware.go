@@ -7,7 +7,7 @@ import (
 	"strconv"
 	"time"
 
-	"surfknn/internal/server/api"
+	"surfknn/internal/server/front"
 )
 
 // statusRecorder captures the status code and body size the handler wrote,
@@ -79,8 +79,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 						reg.QueriesFailed.Add(1)
 					}
 					if rec.status == 0 {
-						writeError(rec, http.StatusInternalServerError, api.CodeInternal,
-							"internal error (recovered panic)")
+						front.WriteError(rec, front.Internal("internal error (recovered panic)"))
 					}
 				}
 			}()

@@ -12,6 +12,7 @@ import (
 	"surfknn/internal/dem"
 	"surfknn/internal/mesh"
 	"surfknn/internal/server/api"
+	"surfknn/internal/server/front"
 	"surfknn/internal/workload"
 )
 
@@ -169,7 +170,7 @@ func TestUpdateValidation(t *testing.T) {
 	// Oversized batches are rejected in both directions.
 	var sb strings.Builder
 	sb.WriteString(`{"objects":[`)
-	for i := 0; i <= maxUpdateBatch; i++ {
+	for i := 0; i <= front.MaxUpdateBatch; i++ {
 		if i > 0 {
 			sb.WriteString(",")
 		}

@@ -1,6 +1,8 @@
-// Package server is the HTTP serving layer over one core.TerrainDB: a
-// long-lived, multi-tenant query service built only on the standard
-// library (net/http, encoding/json).
+// Package server is the single-node back end of the surfknn HTTP service:
+// the engine over one core.TerrainDB behind the shared front
+// (internal/server/front), which owns routing, validation and the wire
+// contract and hands this package compiled plans. Built only on the
+// standard library.
 //
 // The engine below was shaped for exactly this sitting-on-top: the
 // terrain structures are immutable and the object set is versioned by an
@@ -10,19 +12,20 @@
 // completion), each query pinning one object epoch for its whole run; the
 // request context — client disconnect plus a per-request or
 // server-default deadline — is threaded through the *Ctx query variants.
-// Object updates arrive over HTTP too (POST/DELETE /v1/objects, see
-// objects.go), each accepted batch publishing a new epoch; every response
-// carries the epoch it was served against in the X-Epoch header.
+// Object updates arrive over HTTP too (POST/DELETE /v1/objects), each
+// accepted batch publishing a new epoch; every response carries the epoch
+// it was served against in the X-Epoch header.
 //
-// Around the handlers sit the robustness pieces a real service needs:
+// Around the executor (exec.go) sit the robustness pieces a real service
+// needs:
 //
 //   - admission control: a semaphore bounds concurrent query execution, a
 //     bounded wait queue absorbs short bursts, and everything beyond that
 //     is shed immediately with 429 + Retry-After (see admission.go);
-//   - an LRU result cache keyed by (epoch, canonical query): within one
-//     epoch a query maps to one answer forever, and an update makes stale
-//     entries unreachable rather than requiring a purge (see cache.go);
-//   - typed JSON error envelopes with correct status codes (errors.go);
+//   - an LRU result cache keyed by (epoch, route shape, canonical query):
+//     within one epoch a query maps to one answer forever, and an update
+//     makes stale entries unreachable rather than requiring a purge (see
+//     cache.go);
 //   - panic recovery, request metrics and JSON access logging
 //     (middleware.go);
 //   - graceful lifecycle: Shutdown stops accepting and drains in-flight
@@ -34,8 +37,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"expvar"
 	"io"
 	"net"
 	"net/http"
@@ -46,7 +47,8 @@ import (
 	"surfknn/internal/continuous"
 	"surfknn/internal/core"
 	"surfknn/internal/obs"
-	"surfknn/internal/server/api"
+	"surfknn/internal/server/front"
+	"surfknn/internal/sklang"
 )
 
 // Config tunes the server. The zero value is production-ready for a small
@@ -134,6 +136,9 @@ type Server struct {
 	adm   *admission
 	cache *resultCache
 	mon   *continuous.Monitor // continuous-query subsystem; nil without an object store
+	// terrain is the planner catalog's immutable part (face count, extent
+	// area); Catalog adds the live object count.
+	terrain sklang.Catalog
 
 	handler http.Handler
 
@@ -150,9 +155,10 @@ type Server struct {
 func New(db *core.TerrainDB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		db:    db,
-		cfg:   cfg,
-		stats: cfg.Stats,
+		db:      db,
+		cfg:     cfg,
+		stats:   cfg.Stats,
+		terrain: sklang.Catalog{Faces: db.Mesh.NumFaces(), Area: db.Mesh.Extent().Area()},
 	}
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.QueueWait, s.stats)
 	s.cache = newResultCache(cfg.CacheEntries, s.stats)
@@ -167,30 +173,22 @@ func New(db *core.TerrainDB, cfg Config) *Server {
 		s.mon = mon
 	}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query", s.handleQuery)
-	mux.HandleFunc("POST /v1/explain", s.handleExplain)
-	mux.HandleFunc("GET /debug/explain", s.handleExplainConsole)
-	mux.HandleFunc("POST /v1/knn", s.handleKNN)
-	mux.HandleFunc("POST /v1/range", s.handleRange)
-	mux.HandleFunc("POST /v1/distance", s.handleDistance)
-	mux.HandleFunc("POST /v1/objects", s.handleUpsertObjects)
-	mux.HandleFunc("DELETE /v1/objects", s.handleDeleteObjects)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("POST /v1/subscribe", s.handleSubscribe)
-	mux.HandleFunc("POST /v1/subscribe/{id}/move", s.handleMove)
-	mux.HandleFunc("DELETE /v1/subscribe/{id}", s.handleUnsubscribe)
-	mux.HandleFunc("POST /v1/shard/knn2d", s.handleShardKNN2D)
-	mux.HandleFunc("POST /v1/shard/range2d", s.handleShardRange2D)
-	mux.HandleFunc("POST /v1/shard/rank", s.handleShardRank)
-	mux.HandleFunc("POST /v1/shard/ea", s.handleShardEA)
-	mux.HandleFunc("POST /v1/shard/range", s.handleShardRange)
-	mux.HandleFunc("POST /v1/shard/objects", s.handleShardObjects)
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "no such endpoint %s %s", r.Method, r.URL.Path)
-	})
-	s.handler = s.instrument(mux)
+	s.handler = s.instrument(front.Handler(s,
+		front.Counters{
+			BadRequests: &s.stats.BadRequests,
+			TimedOut:    &s.stats.TimedOut,
+			Rejected:    &s.stats.Rejected,
+		},
+		map[string]front.HandlerFunc{
+			"POST /v1/subscribe/{id}/move": s.handleMove,
+			"DELETE /v1/subscribe/{id}":    s.handleUnsubscribe,
+			"POST /v1/shard/knn2d":         s.handleShardKNN2D,
+			"POST /v1/shard/range2d":       s.handleShardRange2D,
+			"POST /v1/shard/rank":          s.handleShardRank,
+			"POST /v1/shard/ea":            s.handleShardEA,
+			"POST /v1/shard/range":         s.handleShardRange,
+			"POST /v1/shard/objects":       s.handleShardObjects,
+		}))
 	return s
 }
 
@@ -207,8 +205,8 @@ func (s *Server) ContinuousStats() *obs.ContinuousStats { return s.cfg.Continuou
 
 // Serve accepts connections on ln until Shutdown (which makes it return
 // http.ErrServerClosed) or a listener error. ReadHeaderTimeout bounds
-// slow-loris header dribbling; request bodies are bounded by the JSON
-// decoder's field validation plus MaxBytesReader in the handlers.
+// slow-loris header dribbling; request bodies are bounded by the front's
+// per-route MaxBytesReader.
 func (s *Server) Serve(ln net.Listener) error {
 	hs := &http.Server{
 		Handler:           s.handler,
@@ -232,40 +230,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	return hs.Shutdown(ctx)
-}
-
-// requestContext derives the query's controlling context from the request:
-// the client-supplied timeout (clamped to MaxTimeout) or the server
-// default, layered over the request context so a disconnected client also
-// cancels the query.
-func (s *Server) requestContext(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if timeout > 0 {
-		d = timeout
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
-// writeJSON emits body (already-marshalled JSON) with the given X-Cache
-// disposition.
-func writeJSON(w http.ResponseWriter, body []byte, cache string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", cache)
-	w.WriteHeader(http.StatusOK)
-	// A failed write means the client is gone; the query already ran.
-	//lint:ignore dropped-error a client gone mid-reply is not a server failure
-	_, _ = w.Write(body)
-}
-
-// marshalBody renders a response value to the exact bytes that are both
-// sent and cached, newline-terminated like json.Encoder output.
-func marshalBody(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

@@ -14,19 +14,34 @@ package server
 // caching, and it caches per assembled answer, not per fragment.
 
 import (
+	"context"
 	"math"
 	"net/http"
 	"time"
 
+	"surfknn/internal/core"
 	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
 	"surfknn/internal/server/api"
+	"surfknn/internal/server/front"
+	"surfknn/internal/sklang/skexec"
 	"surfknn/internal/workload"
 )
 
-// toCandidates maps an object slice onto the wire, carrying the exact
+// tuning resolves a request's schedule number and wire options onto the
+// engine's values.
+func tuning(sched int, o *api.Options) (core.Schedule, core.Options, error) {
+	if err := front.CheckTuning(sched, o); err != nil {
+		return core.Schedule{}, core.Options{}, err
+	}
+	s, _ := skexec.Schedule(sched) // vetted above
+	opt, err := skexec.CoreOptions(o)
+	return s, opt, err
+}
+
+// candidatesReply maps an object slice onto the wire, carrying the exact
 // surface point including the mesh face (see api.Candidate).
-func toCandidates(objs []workload.Object) []api.Candidate {
+func candidatesReply(objs []workload.Object, epoch uint64) front.Reply {
 	out := make([]api.Candidate, len(objs))
 	for i, o := range objs {
 		out[i] = api.Candidate{
@@ -37,18 +52,17 @@ func toCandidates(objs []workload.Object) []api.Candidate {
 			Face: int32(o.Point.Face),
 		}
 	}
-	return out
+	return front.Reply{Value: api.CandidatesResponse{Epoch: epoch, Candidates: out}, Epoch: epoch}
 }
 
 // candidateObjects validates and maps wire candidates back onto engine
-// objects, writing the 400 itself on a face id outside the local mesh.
-func (s *Server) candidateObjects(w http.ResponseWriter, cands []api.Candidate) ([]workload.Object, bool) {
+// objects; a face id outside the local mesh is a 400.
+func (s *Server) candidateObjects(cands []api.Candidate) ([]workload.Object, error) {
 	nf := s.db.Mesh.NumFaces()
 	objs := make([]workload.Object, len(cands))
 	for i, c := range cands {
 		if c.Face < 0 || int(c.Face) >= nf {
-			s.badRequest(w, "candidates[%d]: face %d outside mesh (%d faces)", i, c.Face, nf)
-			return nil, false
+			return nil, front.BadRequest("candidates[%d]: face %d outside mesh (%d faces)", i, c.Face, nf)
 		}
 		objs[i] = workload.Object{
 			ID: c.ID,
@@ -58,107 +72,101 @@ func (s *Server) candidateObjects(w http.ResponseWriter, cands []api.Candidate) 
 			},
 		}
 	}
-	return objs, true
+	return objs, nil
+}
+
+// rankOnSession runs one ranking primitive under admission control on a
+// pooled session and maps its result onto the wire before the session (whose
+// scratch the result aliases) is released.
+func (s *Server) rankOnSession(r *http.Request, timeout api.Duration, run func(context.Context, *core.Session) (core.Result, error)) (front.Reply, error) {
+	ctx, cancel := s.requestContext(r.Context(), time.Duration(timeout))
+	defer cancel()
+	if err := s.admit(ctx); err != nil {
+		return front.Reply{}, err
+	}
+	defer s.adm.release()
+	sess := s.db.AcquireSession()
+	defer s.db.Release(sess)
+	res, err := run(ctx, sess)
+	if err != nil {
+		return front.Reply{}, err
+	}
+	wire := toResponse(res)
+	return front.Reply{
+		Value: api.ShardResult{Epoch: res.Epoch, Neighbors: wire.Neighbors, Cost: wire.Cost},
+		Epoch: res.Epoch,
+	}, nil
 }
 
 // --- POST /v1/shard/knn2d ---
 
-func (s *Server) handleShardKNN2D(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleShardKNN2D(r *http.Request) (front.Reply, error) {
 	var req api.ShardKNN2DRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := front.Decode(r, &req); err != nil {
+		return front.Reply{}, err
 	}
-	if req.K < 1 || req.K > maxK {
-		s.badRequest(w, "k must be in [1, %d], got %d", maxK, req.K)
-		return
+	if err := front.CheckK(req.K); err != nil {
+		return front.Reply{}, err
 	}
-	objs, epoch := s.db.KNN2D(geom.Vec2{X: req.X, Y: req.Y}, req.K)
-	setEpoch(w, epoch)
-	writeBody(w, api.CandidatesResponse{Epoch: epoch, Candidates: toCandidates(objs)})
+	return candidatesReply(s.db.KNN2D(geom.Vec2{X: req.X, Y: req.Y}, req.K)), nil
 }
 
 // --- POST /v1/shard/range2d ---
 
-func (s *Server) handleShardRange2D(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleShardRange2D(r *http.Request) (front.Reply, error) {
 	var req api.ShardRange2DRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := front.Decode(r, &req); err != nil {
+		return front.Reply{}, err
 	}
 	// Radius zero is legal here (unlike the public range route): the
 	// coordinator forwards MR3's k-th upper bound verbatim, and a query
 	// point sitting exactly on an object yields a zero bound.
 	if !(req.Radius >= 0) || math.IsInf(req.Radius, 1) {
-		s.badRequest(w, "radius must be a non-negative finite distance, got %g", req.Radius)
-		return
+		return front.Reply{}, front.BadRequest("radius must be a non-negative finite distance, got %g", req.Radius)
 	}
-	objs, epoch := s.db.Range2D(geom.Vec2{X: req.X, Y: req.Y}, req.Radius)
-	setEpoch(w, epoch)
-	writeBody(w, api.CandidatesResponse{Epoch: epoch, Candidates: toCandidates(objs)})
+	return candidatesReply(s.db.Range2D(geom.Vec2{X: req.X, Y: req.Y}, req.Radius)), nil
 }
 
 // --- POST /v1/shard/rank ---
 
-func (s *Server) handleShardRank(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleShardRank(r *http.Request) (front.Reply, error) {
 	var req api.ShardRankRequest
-	if !s.decodeLimited(w, r, &req, maxShardBodyBytes) {
-		return
+	if err := front.Decode(r, &req); err != nil {
+		return front.Reply{}, err
 	}
-	if req.K < 1 || req.K > maxK {
-		s.badRequest(w, "k must be in [1, %d], got %d", maxK, req.K)
-		return
+	if err := front.CheckK(req.K); err != nil {
+		return front.Reply{}, err
 	}
-	sched, ok := schedFor(req.Sched)
-	if !ok {
-		s.badRequest(w, "sched must be 1, 2 or 3, got %d", req.Sched)
-		return
-	}
-	opt, err := coreOptions(req.Options)
+	sched, opt, err := tuning(req.Sched, req.Options)
 	if err != nil {
-		s.badRequest(w, "invalid options: %v", err)
-		return
+		return front.Reply{}, err
 	}
-	q, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
-	}
-	objs, ok := s.candidateObjects(w, req.Candidates)
-	if !ok {
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.adm.release()
-	sess := s.db.AcquireSession()
-	defer s.db.Release(sess)
-
-	res, err := sess.RankCandidatesCtx(ctx, q, objs, req.K, sched, opt, req.Tighten)
+	q, err := s.surfacePoint(req.X, req.Y)
 	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
+		return front.Reply{}, err
 	}
-	setEpoch(w, res.Epoch)
-	wire := toResponse(res)
-	writeBody(w, api.ShardResult{Epoch: res.Epoch, Neighbors: wire.Neighbors, Cost: wire.Cost})
+	objs, err := s.candidateObjects(req.Candidates)
+	if err != nil {
+		return front.Reply{}, err
+	}
+	return s.rankOnSession(r, req.Timeout, func(ctx context.Context, sess *core.Session) (core.Result, error) {
+		return sess.RankCandidatesCtx(ctx, q, objs, req.K, sched, opt, req.Tighten)
+	})
 }
 
 // --- POST /v1/shard/ea ---
 
-func (s *Server) handleShardEA(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleShardEA(r *http.Request) (front.Reply, error) {
 	var req api.ShardEARequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := front.Decode(r, &req); err != nil {
+		return front.Reply{}, err
 	}
-	if req.K < 1 || req.K > maxK {
-		s.badRequest(w, "k must be in [1, %d], got %d", maxK, req.K)
-		return
+	if err := front.CheckK(req.K); err != nil {
+		return front.Reply{}, err
 	}
-	q, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
+	q, err := s.surfacePoint(req.X, req.Y)
+	if err != nil {
+		return front.Reply{}, err
 	}
 	// Clamp k to this shard's live object count: a shard owning fewer than
 	// k objects contributes them all, and the coordinator merges per-shard
@@ -169,73 +177,34 @@ func (s *Server) handleShardEA(w http.ResponseWriter, r *http.Request) {
 	}
 	if k == 0 {
 		epoch := s.db.CurrentEpoch()
-		setEpoch(w, epoch)
-		writeBody(w, api.ShardResult{Epoch: epoch, Neighbors: []api.Neighbor{}})
-		return
+		return front.Reply{Value: api.ShardResult{Epoch: epoch, Neighbors: []api.Neighbor{}}, Epoch: epoch}, nil
 	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.adm.release()
-	sess := s.db.AcquireSession()
-	defer s.db.Release(sess)
-
-	res, err := sess.EACtx(ctx, q, k)
-	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
-	}
-	setEpoch(w, res.Epoch)
-	wire := toResponse(res)
-	writeBody(w, api.ShardResult{Epoch: res.Epoch, Neighbors: wire.Neighbors, Cost: wire.Cost})
+	return s.rankOnSession(r, req.Timeout, func(ctx context.Context, sess *core.Session) (core.Result, error) {
+		return sess.EACtx(ctx, q, k)
+	})
 }
 
 // --- POST /v1/shard/range ---
 
-func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleShardRange(r *http.Request) (front.Reply, error) {
 	var req api.ShardRangeRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := front.Decode(r, &req); err != nil {
+		return front.Reply{}, err
 	}
-	if !(req.Radius > 0) || math.IsInf(req.Radius, 1) {
-		s.badRequest(w, "radius must be a positive finite distance, got %g", req.Radius)
-		return
+	if err := front.CheckRadius(req.Radius); err != nil {
+		return front.Reply{}, err
 	}
-	sched, ok := schedFor(req.Sched)
-	if !ok {
-		s.badRequest(w, "sched must be 1, 2 or 3, got %d", req.Sched)
-		return
-	}
-	opt, err := coreOptions(req.Options)
+	sched, opt, err := tuning(req.Sched, req.Options)
 	if err != nil {
-		s.badRequest(w, "invalid options: %v", err)
-		return
+		return front.Reply{}, err
 	}
-	q, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.adm.release()
-	sess := s.db.AcquireSession()
-	defer s.db.Release(sess)
-
-	res, err := sess.SurfaceRangeCtx(ctx, q, req.Radius, sched, opt)
+	q, err := s.surfacePoint(req.X, req.Y)
 	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
+		return front.Reply{}, err
 	}
-	setEpoch(w, res.Epoch)
-	wire := toResponse(res)
-	writeBody(w, api.ShardResult{Epoch: res.Epoch, Neighbors: wire.Neighbors, Cost: wire.Cost})
+	return s.rankOnSession(r, req.Timeout, func(ctx context.Context, sess *core.Session) (core.Result, error) {
+		return sess.SurfaceRangeCtx(ctx, q, req.Radius, sched, opt)
+	})
 }
 
 // --- POST /v1/shard/objects ---
@@ -244,31 +213,25 @@ func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
 // coordinator-assigned epoch (see objstore.ApplyAt). Empty batches are
 // legal — a shard owning none of the touched objects still publishes, so
 // every shard's epoch advances in lockstep — and replays are idempotent.
-func (s *Server) handleShardObjects(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleShardObjects(r *http.Request) (front.Reply, error) {
 	var req api.ShardObjectsRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := front.Decode(r, &req); err != nil {
+		return front.Reply{}, err
 	}
 	if req.Epoch == 0 {
-		s.badRequest(w, "epoch must be positive")
-		return
+		return front.Reply{}, front.BadRequest("epoch must be positive")
 	}
-	if len(req.Objects) > maxUpdateBatch || len(req.DeleteIDs) > maxUpdateBatch {
-		s.badRequest(w, "batch exceeds the limit of %d", maxUpdateBatch)
-		return
+	if len(req.Objects) > front.MaxUpdateBatch || len(req.DeleteIDs) > front.MaxUpdateBatch {
+		return front.Reply{}, front.BadRequest("batch exceeds the limit of %d", front.MaxUpdateBatch)
 	}
 	store := s.db.ObjectStore()
 	if store == nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal,
-			"database has no object store installed")
-		return
+		return front.Reply{}, errNoStore
 	}
-	batch, ok := s.upsertBatch(w, req.Objects)
-	if !ok {
-		return
+	batch, err := s.upsertBatch(req.Objects)
+	if err != nil {
+		return front.Reply{}, err
 	}
-
 	epoch, applied := store.ApplyAt(batch, req.DeleteIDs, req.Epoch)
-	setEpoch(w, epoch)
-	writeBody(w, api.ShardObjectsResponse{Epoch: epoch, Applied: applied})
+	return front.Reply{Value: api.ShardObjectsResponse{Epoch: epoch, Applied: applied}, Epoch: epoch}, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -9,35 +10,20 @@ import (
 	"surfknn/internal/core"
 	"surfknn/internal/geom"
 	"surfknn/internal/server/api"
+	"surfknn/internal/server/front"
 )
 
-// The continuous-query routes. A subscription is server-side state (the
+// The subscription-id routes. A subscription is server-side state (the
 // cached top-k, its safe region, its epoch stamp — see internal/continuous),
 // so unlike the stateless query routes these are keyed by a subscription id
-// in the path. Every move answer carries an X-Safe-Region header: "hit"
-// when it was served from the safe region without engine work, "miss" when
-// it re-evaluated.
+// in the path and exist only on a server. Registration is a plan like any
+// other query (POST /v1/subscribe, SUBSCRIBE — see Execute). Every move
+// answer carries an X-Safe-Region header: "hit" when it was served from
+// the safe region without engine work, "miss" when it re-evaluated.
 
-// safeRegionHeader is the response header reporting the move disposition.
-const safeRegionHeader = "X-Safe-Region"
-
-func setSafeRegion(w http.ResponseWriter, hit bool) {
-	if hit {
-		w.Header().Set(safeRegionHeader, "hit")
-	} else {
-		w.Header().Set(safeRegionHeader, "miss")
-	}
-}
-
-// monitor returns the continuous monitor, writing the 500 when the server
-// was built without one (a database lacking an object store).
-func (s *Server) monitor(w http.ResponseWriter) (*continuous.Monitor, bool) {
-	if s.mon == nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "continuous queries unavailable: no object store")
-		return nil, false
-	}
-	return s.mon, true
-}
+// errNoMonitor answers the continuous routes on a server built without a
+// monitor (a database lacking an object store).
+var errNoMonitor = front.Internal("continuous queries unavailable: no object store")
 
 func subscribeResponse(id uint64, res core.Result, sr core.SafeRegion) api.SubscribeResponse {
 	return api.SubscribeResponse{
@@ -50,123 +36,78 @@ func subscribeResponse(id uint64, res core.Result, sr core.SafeRegion) api.Subsc
 	}
 }
 
-// --- POST /v1/subscribe ---
-
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	mon, ok := s.monitor(w)
-	if !ok {
-		return
-	}
-	var req api.SubscribeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if req.K < 1 || req.K > maxK {
-		s.badRequest(w, "k must be in [1, %d], got %d", maxK, req.K)
-		return
-	}
-	sched, ok := schedFor(req.Sched)
-	if !ok {
-		s.badRequest(w, "sched must be 1, 2 or 3, got %d", req.Sched)
-		return
-	}
-	opt, err := coreOptions(req.Options)
+// subscriptionID parses the {id} path segment.
+func subscriptionID(r *http.Request) (uint64, error) {
+	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		s.badRequest(w, "invalid options: %v", err)
-		return
+		return 0, front.BadRequest("invalid subscription id %q", r.PathValue("id"))
 	}
-	q, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.adm.release()
-
-	id, res, sr, err := mon.Subscribe(ctx, q, req.K, sched, opt)
-	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
-	}
-	setEpoch(w, res.Epoch)
-	setSafeRegion(w, false)
-	writeBody(w, subscribeResponse(id, res, sr))
+	return id, nil
 }
 
 // --- POST /v1/subscribe/{id}/move ---
 
-func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
-	mon, ok := s.monitor(w)
-	if !ok {
-		return
+func (s *Server) handleMove(r *http.Request) (front.Reply, error) {
+	if s.mon == nil {
+		return front.Reply{}, errNoMonitor
 	}
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
+	id, err := subscriptionID(r)
 	if err != nil {
-		s.badRequest(w, "invalid subscription id %q", r.PathValue("id"))
-		return
+		return front.Reply{}, err
 	}
 	var req api.MoveRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := front.Decode(r, &req); err != nil {
+		return front.Reply{}, err
 	}
 	p := geom.Vec2{X: req.X, Y: req.Y}
+	reply := func(res core.Result, sr core.SafeRegion, region string) front.Reply {
+		return front.Reply{Value: subscribeResponse(id, res, sr), Epoch: res.Epoch, SafeRegion: region}
+	}
 
 	// The safe-region fast path: no admission slot, no session, no engine.
 	// Serving a cached, epoch-current answer is cheaper than the admission
 	// bookkeeping it would queue behind.
-	if res, sr, hit := mon.TryMove(id, p); hit {
-		setEpoch(w, res.Epoch)
-		setSafeRegion(w, true)
-		writeBody(w, subscribeResponse(id, res, sr))
-		return
+	if res, sr, hit := s.mon.TryMove(id, p); hit {
+		return reply(res, sr, "hit"), nil
 	}
 
 	// Validate the target before spending an admission slot: a move off the
 	// terrain is the addressed location not existing, a 404.
-	if _, ok := s.surfacePoint(w, req.X, req.Y); !ok {
-		return
+	if _, err := s.surfacePoint(req.X, req.Y); err != nil {
+		return front.Reply{}, err
 	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
+	ctx, cancel := s.requestContext(r.Context(), time.Duration(req.Timeout))
 	defer cancel()
-	if !s.admit(ctx, w) {
-		return
+	if err := s.admit(ctx); err != nil {
+		return front.Reply{}, err
 	}
 	defer s.adm.release()
 
-	res, sr, hit, err := mon.Move(ctx, id, p)
-	if err == continuous.ErrUnknownSubscription {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "no subscription %d", id)
-		return
+	res, sr, hit, err := s.mon.Move(ctx, id, p)
+	if errors.Is(err, continuous.ErrUnknownSubscription) {
+		return front.Reply{}, front.NotFound("no subscription %d", id)
 	}
 	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
+		return front.Reply{}, err
 	}
-	setEpoch(w, res.Epoch)
-	setSafeRegion(w, hit)
-	writeBody(w, subscribeResponse(id, res, sr))
+	if hit {
+		return reply(res, sr, "hit"), nil
+	}
+	return reply(res, sr, "miss"), nil
 }
 
 // --- DELETE /v1/subscribe/{id} ---
 
-func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
-	mon, ok := s.monitor(w)
-	if !ok {
-		return
+func (s *Server) handleUnsubscribe(r *http.Request) (front.Reply, error) {
+	if s.mon == nil {
+		return front.Reply{}, errNoMonitor
 	}
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
+	id, err := subscriptionID(r)
 	if err != nil {
-		s.badRequest(w, "invalid subscription id %q", r.PathValue("id"))
-		return
+		return front.Reply{}, err
 	}
-	if !mon.Unsubscribe(id) {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "no subscription %d", id)
-		return
+	if !s.mon.Unsubscribe(id) {
+		return front.Reply{}, front.NotFound("no subscription %d", id)
 	}
-	writeBody(w, api.UnsubscribeResponse{Removed: true})
+	return front.Reply{Value: api.UnsubscribeResponse{Removed: true}, Epoch: s.db.CurrentEpoch()}, nil
 }

@@ -15,6 +15,8 @@ import (
 	"surfknn/internal/obs"
 	"surfknn/internal/server/api"
 	"surfknn/internal/server/client"
+	"surfknn/internal/server/front"
+	"surfknn/internal/sklang"
 )
 
 // Config tunes a Coordinator.
@@ -168,11 +170,14 @@ func (c *Coordinator) tileIDs(idx []int) []string {
 }
 
 // DegradedError reports a scatter that could not assemble a complete
-// answer: which shards failed and why. The HTTP layer maps it to 503 with
-// the per-shard detail in the error envelope.
+// answer: which shards failed and why.
 type DegradedError struct {
 	Shards []api.ShardError
 }
+
+// Unwrap gives the error its place in the wire contract: 503
+// shard_unavailable with the per-shard detail in the envelope.
+func (e *DegradedError) Unwrap() error { return front.Unavailable(e.Shards) }
 
 func (e *DegradedError) Error() string {
 	ids := make([]string, len(e.Shards))
@@ -207,14 +212,30 @@ func (c *Coordinator) reachableShards(q geom.Vec2, radius float64) []int {
 	return idx
 }
 
+// refusal returns the error to relay when a shard refused the request
+// itself (status < 500: bad parameters, an off-terrain point). That is the
+// answer, not an outage — every shard would refuse identically — so it
+// keeps its status and code instead of degrading to a retryable 503.
+func refusal(err error) *front.Error {
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status >= http.StatusInternalServerError {
+		return nil
+	}
+	return &front.Error{Status: apiErr.Status, Body: api.ErrorBody{
+		Code: apiErr.Code, Message: apiErr.Message, Shards: apiErr.Shards,
+		Line: apiErr.Line, Col: apiErr.Col, Token: apiErr.Token,
+	}}
+}
+
 // scatter fans call out to the given shards concurrently, each under its
-// own ShardTimeout slice of ctx, and gathers failures into a
-// *DegradedError. A zero-length failure list means complete success.
+// own ShardTimeout slice of ctx. A shard's refusal of the request is
+// relayed as is; any other failures are gathered into a *DegradedError.
 func (c *Coordinator) scatter(ctx context.Context, targets []int, call func(ctx context.Context, i int, sc *shardConn) error) error {
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []api.ShardError
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		errs    []api.ShardError
+		refused *front.Error
 	)
 	for _, i := range targets {
 		wg.Add(1)
@@ -226,12 +247,18 @@ func (c *Coordinator) scatter(ctx context.Context, targets []int, call func(ctx 
 			if err := call(callCtx, i, &c.shards[i]); err != nil {
 				c.stats.ShardErrors.Add(1)
 				mu.Lock()
+				if ref := refusal(err); ref != nil {
+					refused = ref
+				}
 				errs = append(errs, api.ShardError{Shard: c.shards[i].meta.ID, Error: err.Error()})
 				mu.Unlock()
 			}
 		}(i)
 	}
 	wg.Wait()
+	if refused != nil {
+		return refused
+	}
 	if len(errs) > 0 {
 		sort.Slice(errs, func(a, b int) bool { return errs[a].Shard < errs[b].Shard })
 		return &DegradedError{Shards: errs}
@@ -327,18 +354,13 @@ func (c *Coordinator) rankShard(q geom.Vec2) int {
 	return iy*c.tiling.NX + ix
 }
 
-// KNN answers a surface k-NN query over the fleet, bit-identical to the
-// unsharded engine: scatter step 1, rank the gathered C1 on one shard to
-// obtain the k-th upper bound, scatter step 3 to the shards within that
-// radius, rank the gathered C2. Returns the result and the merged epoch.
-func (c *Coordinator) KNN(ctx context.Context, req api.KNNRequest) (api.Result, uint64, error) {
-	return c.knn(ctx, req, nil)
-}
-
-// knn is KNN with an optional execution trace for EXPLAIN (nil records
-// nothing).
-func (c *Coordinator) knn(ctx context.Context, req api.KNNRequest, tr *queryTrace) (api.Result, uint64, error) {
-	q := geom.Vec2{X: req.X, Y: req.Y}
+// knn answers an MR3 plan over the fleet, bit-identical to the unsharded
+// engine: scatter step 1, rank the gathered C1 on one shard to obtain the
+// k-th upper bound, scatter step 3 to the shards within that radius, rank
+// the gathered C2. Returns the result and the merged epoch; tr records the
+// execution for EXPLAIN (nil records nothing).
+func (c *Coordinator) knn(ctx context.Context, p *sklang.Plan, timeout api.Duration, tr *queryTrace) (api.Result, uint64, error) {
+	q := geom.Vec2{X: p.X, Y: p.Y}
 	var (
 		ep    epochs
 		cost  costs
@@ -348,7 +370,7 @@ func (c *Coordinator) knn(ctx context.Context, req api.KNNRequest, tr *queryTrac
 	// bound exists yet to prune with.
 	tr.touch(traceStep1, c.tileIDs(c.allShards()))
 	err := c.scatter(ctx, c.allShards(), func(ctx context.Context, i int, sc *shardConn) error {
-		res, _, err := sc.cli.ShardKNN2D(ctx, api.ShardKNN2DRequest{X: req.X, Y: req.Y, K: req.K})
+		res, _, err := sc.cli.ShardKNN2D(ctx, api.ShardKNN2DRequest{X: p.X, Y: p.Y, K: p.K})
 		if err != nil {
 			return err
 		}
@@ -360,39 +382,43 @@ func (c *Coordinator) knn(ctx context.Context, req api.KNNRequest, tr *queryTrac
 		return api.Result{}, 0, err
 	}
 	c1 := mergeCandidates(q, lists)
-	if len(c1) > req.K {
-		c1 = c1[:req.K]
+	if len(c1) > p.K {
+		c1 = c1[:p.K]
 	}
 
-	// Step 2: rank C1 with tightening on the query tile's shard.
+	// Steps 2 and 4 rank a gathered candidate set on the query tile's shard.
 	rank := c.rankShard(q)
-	tr.touch(traceRankC1, c.tileIDs([]int{rank}))
-	rankReq := api.ShardRankRequest{
-		X: req.X, Y: req.Y, K: req.K,
-		Sched: req.Sched, Options: req.Options, Timeout: req.Timeout,
-		Tighten: true, Candidates: c1,
-	}
-	var ranked api.ShardResult
-	err = c.scatter(ctx, []int{rank}, func(ctx context.Context, i int, sc *shardConn) error {
-		res, _, err := sc.cli.ShardRank(ctx, rankReq)
-		if err != nil {
+	rankOn := func(step string, tighten bool, cands []api.Candidate) (api.ShardResult, error) {
+		tr.touch(step, c.tileIDs([]int{rank}))
+		var out api.ShardResult
+		err := c.scatter(ctx, []int{rank}, func(ctx context.Context, _ int, sc *shardConn) error {
+			var err error
+			out, _, err = sc.cli.ShardRank(ctx, api.ShardRankRequest{
+				X: p.X, Y: p.Y, K: p.K,
+				Sched: p.Sched, Options: p.Options, Timeout: timeout,
+				Tighten: tighten, Candidates: cands,
+			})
 			return err
+		})
+		if err == nil {
+			ep.observe(out.Epoch)
+			cost.add(out.Cost)
+			tr.charge(step, out.Cost)
 		}
-		ranked = res
-		return nil
-	})
+		return out, err
+	}
+
+	// Step 2: rank C1 with tightening, for the k-th upper bound.
+	ranked, err := rankOn(traceRankC1, true, c1)
 	if err != nil {
 		return api.Result{}, 0, err
 	}
-	ep.observe(ranked.Epoch)
-	cost.add(ranked.Cost)
-	tr.charge(traceRankC1, ranked.Cost)
 	if len(ranked.Neighbors) == 0 {
 		return api.Result{}, 0, errors.New("shard: no candidate objects on the fleet")
 	}
 	kth := len(ranked.Neighbors)
-	if req.K < kth {
-		kth = req.K
+	if p.K < kth {
+		kth = p.K
 	}
 	radius := float64(ranked.Neighbors[kth-1].UB)
 	if math.IsInf(radius, 1) {
@@ -406,7 +432,7 @@ func (c *Coordinator) knn(ctx context.Context, req api.KNNRequest, tr *queryTrac
 	tr.touch(traceStep3, c.tileIDs(reach))
 	tr.bound(radius)
 	err = c.scatter(ctx, reach, func(ctx context.Context, i int, sc *shardConn) error {
-		res, _, err := sc.cli.ShardRange2D(ctx, api.ShardRange2DRequest{X: req.X, Y: req.Y, Radius: radius})
+		res, _, err := sc.cli.ShardRange2D(ctx, api.ShardRange2DRequest{X: p.X, Y: p.Y, Radius: radius})
 		if err != nil {
 			return err
 		}
@@ -419,49 +445,31 @@ func (c *Coordinator) knn(ctx context.Context, req api.KNNRequest, tr *queryTrac
 	}
 	c2 := mergeCandidates(q, lists)
 
-	// Step 4: settle the k-set over C2, again on the query tile's shard.
-	tr.touch(traceRankC2, c.tileIDs([]int{rank}))
-	rankReq.Tighten = false
-	rankReq.Candidates = c2
-	var final api.ShardResult
-	err = c.scatter(ctx, []int{rank}, func(ctx context.Context, i int, sc *shardConn) error {
-		res, _, err := sc.cli.ShardRank(ctx, rankReq)
-		if err != nil {
-			return err
-		}
-		final = res
-		return nil
-	})
+	// Step 4: settle the k-set over C2.
+	final, err := rankOn(traceRankC2, false, c2)
 	if err != nil {
 		return api.Result{}, 0, err
 	}
-	ep.observe(final.Epoch)
-	cost.add(final.Cost)
-	tr.charge(traceRankC2, final.Cost)
 	return api.Result{Neighbors: final.Neighbors, Cost: cost.sum}, ep.merged(), nil
 }
 
-// Range answers a surface range query: per-candidate classification
+// rangeQuery answers a surface range plan: per-candidate classification
 // against a fixed radius is independent of every other candidate, so each
 // shard answers over its own partition and the coordinator concatenates,
 // ordering by upper bound exactly like the engine.
-func (c *Coordinator) Range(ctx context.Context, req api.RangeRequest) (api.Result, uint64, error) {
-	return c.rangeQuery(ctx, req, nil)
-}
-
-func (c *Coordinator) rangeQuery(ctx context.Context, req api.RangeRequest, tr *queryTrace) (api.Result, uint64, error) {
-	q := geom.Vec2{X: req.X, Y: req.Y}
+func (c *Coordinator) rangeQuery(ctx context.Context, p *sklang.Plan, timeout api.Duration, tr *queryTrace) (api.Result, uint64, error) {
+	q := geom.Vec2{X: p.X, Y: p.Y}
 	var (
 		ep    epochs
 		cost  costs
 		lists = make([][]api.Neighbor, len(c.shards))
 	)
-	reach := c.reachableShards(q, req.Radius)
+	reach := c.reachableShards(q, p.Radius)
 	tr.touch(traceScatter, c.tileIDs(reach))
 	err := c.scatter(ctx, reach, func(ctx context.Context, i int, sc *shardConn) error {
 		res, _, err := sc.cli.ShardRange(ctx, api.ShardRangeRequest{
-			X: req.X, Y: req.Y, Radius: req.Radius,
-			Sched: req.Sched, Options: req.Options, Timeout: req.Timeout,
+			X: p.X, Y: p.Y, Radius: p.Radius,
+			Sched: p.Sched, Options: p.Options, Timeout: timeout,
 		})
 		if err != nil {
 			return err
@@ -487,15 +495,10 @@ func (c *Coordinator) rangeQuery(ctx context.Context, req api.RangeRequest, tr *
 	return api.Result{Neighbors: merged, Cost: cost.sum}, ep.merged(), nil
 }
 
-// EA answers the Enhanced Approximation benchmark: every shard returns its
-// local top-k with exact distances and the coordinator keeps the global
-// best k. No pruning bound exists before the scatter, so every shard is
-// consulted.
-func (c *Coordinator) EA(ctx context.Context, req api.KNNRequest) (api.Result, uint64, error) {
-	return c.ea(ctx, req, nil)
-}
-
-func (c *Coordinator) ea(ctx context.Context, req api.KNNRequest, tr *queryTrace) (api.Result, uint64, error) {
+// ea answers an Enhanced Approximation plan: every shard returns its local
+// top-k with exact distances and the coordinator keeps the global best k.
+// No pruning bound exists before the scatter, so every shard is consulted.
+func (c *Coordinator) ea(ctx context.Context, p *sklang.Plan, timeout api.Duration, tr *queryTrace) (api.Result, uint64, error) {
 	var (
 		ep    epochs
 		cost  costs
@@ -503,7 +506,7 @@ func (c *Coordinator) ea(ctx context.Context, req api.KNNRequest, tr *queryTrace
 	)
 	tr.touch(traceScatter, c.tileIDs(c.allShards()))
 	err := c.scatter(ctx, c.allShards(), func(ctx context.Context, i int, sc *shardConn) error {
-		res, _, err := sc.cli.ShardEA(ctx, api.ShardEARequest{X: req.X, Y: req.Y, K: req.K, Timeout: req.Timeout})
+		res, _, err := sc.cli.ShardEA(ctx, api.ShardEARequest{X: p.X, Y: p.Y, K: p.K, Timeout: timeout})
 		if err != nil {
 			return err
 		}
@@ -516,7 +519,7 @@ func (c *Coordinator) ea(ctx context.Context, req api.KNNRequest, tr *queryTrace
 	if err != nil {
 		return api.Result{}, 0, err
 	}
-	merged := mergeNeighbors(geom.Vec2{X: req.X, Y: req.Y}, lists, req.K)
+	merged := mergeNeighbors(geom.Vec2{X: p.X, Y: p.Y}, lists, p.K)
 	return api.Result{Neighbors: merged, Cost: cost.sum}, ep.merged(), nil
 }
 
@@ -554,14 +557,14 @@ func mergeNeighbors(q geom.Vec2, lists [][]api.Neighbor, k int) []api.Neighbor {
 	return all
 }
 
-// Distance answers a point-to-point surface distance query. The terrain is
+// distance answers a point-to-point surface distance plan. The terrain is
 // replicated on every shard, so any one can answer; the query tile's shard
 // is asked first and the rest serve as fallbacks.
-func (c *Coordinator) Distance(ctx context.Context, req api.DistanceRequest) (api.DistanceResponse, uint64, error) {
-	return c.distance(ctx, req, nil)
-}
-
-func (c *Coordinator) distance(ctx context.Context, req api.DistanceRequest, tr *queryTrace) (api.DistanceResponse, uint64, error) {
+func (c *Coordinator) distance(ctx context.Context, p *sklang.Plan, timeout api.Duration, tr *queryTrace) (api.DistanceResponse, uint64, error) {
+	req := api.DistanceRequest{
+		X: p.X, Y: p.Y, X2: p.X2, Y2: p.Y2,
+		Accuracy: p.Accuracy, Sched: p.Sched, Timeout: timeout,
+	}
 	order := []int{c.rankShard(geom.Vec2{X: req.X, Y: req.Y})}
 	for i := range c.shards {
 		if i != order[0] {
@@ -580,11 +583,8 @@ func (c *Coordinator) distance(ctx context.Context, req api.DistanceRequest, tr 
 			return res, meta.Epoch, nil
 		}
 		c.stats.ShardErrors.Add(1)
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Status < http.StatusInternalServerError {
-			// A 4xx is the answer (bad point, off-terrain), not an outage:
-			// every shard would refuse identically.
-			return api.DistanceResponse{}, 0, err
+		if ref := refusal(err); ref != nil {
+			return api.DistanceResponse{}, 0, ref
 		}
 		errs = append(errs, api.ShardError{Shard: sc.meta.ID, Error: err.Error()})
 	}
@@ -597,13 +597,9 @@ func (c *Coordinator) distance(ctx context.Context, req api.DistanceRequest, tr 
 // tile boundary never ends up live twice. All shards apply (and publish)
 // the same epoch; failure of any shard leaves the fleet degraded and is
 // reported as such — replaying the same objects is safe because ApplyAt is
-// idempotent and later epochs subsume earlier ones.
+// idempotent and later epochs subsume earlier ones. The front has already
+// vetted the batch (non-empty, bounded, every object carrying an id).
 func (c *Coordinator) Upsert(ctx context.Context, req api.UpsertRequest) (api.UpdateResponse, error) {
-	for i, o := range req.Objects {
-		if o.ID == nil {
-			return api.UpdateResponse{}, &badRequestError{fmt.Sprintf("objects[%d]: missing id", i)}
-		}
-	}
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
 	epoch := c.epoch + 1
@@ -716,9 +712,3 @@ func (c *Coordinator) Healthz(ctx context.Context) (api.Healthz, error) {
 	out.Epoch = ep.merged()
 	return out, nil
 }
-
-// badRequestError marks a validation failure the HTTP layer should map to
-// 400 rather than 503.
-type badRequestError struct{ msg string }
-
-func (e *badRequestError) Error() string { return e.msg }

@@ -1,242 +1,33 @@
 package shard
 
-// The coordinator's HTTP surface: the same public API a standalone server
-// exposes (POST /v1/knn, /v1/range, /v1/distance, POST/DELETE /v1/objects,
-// GET /v1/healthz), answered by scatter-gather over the fleet. Clients do
-// not need to know whether they talk to a server or a coordinator — same
-// routes, same bodies, same envelopes, same X-Epoch header. The one
-// addition is the failure mode only a distributed deployment has: when a
-// required shard is down the coordinator answers 503 with code
-// "shard_unavailable" and the per-shard failure detail, never a silently
-// partial result.
+// The coordinator's HTTP surface is the shared front (internal/server/front)
+// over the coordinator as its executor: the same public routes, bodies,
+// validation, envelopes and X-Epoch header a standalone server exposes,
+// answered by scatter-gather over the fleet, so clients do not need to know
+// which one they talk to. The one addition is the failure mode only a
+// distributed deployment has: when a required shard is down the answer is
+// 503 "shard_unavailable" with the per-shard failure detail, never a
+// silently partial result. The routes that need per-process state
+// (subscriptions, the shard fabric) are not offered.
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"math"
 	"net/http"
-	"strconv"
 	"time"
 
-	"surfknn/internal/server/api"
-	"surfknn/internal/server/client"
+	"surfknn/internal/server/front"
 )
-
-// maxK mirrors the shard servers' request bound.
-const maxK = 1 << 20
-
-// maxBodyBytes bounds public request bodies at the coordinator.
-const maxBodyBytes = 1 << 20
-
-// maxUpdateBatch mirrors the shard servers' update batch bound.
-const maxUpdateBatch = 4096
 
 // Handler returns the coordinator's public HTTP surface.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query", c.handleQuery)
-	mux.HandleFunc("POST /v1/explain", c.handleExplain)
-	mux.HandleFunc("GET /debug/explain", c.handleExplainConsole)
-	mux.HandleFunc("POST /v1/knn", c.handleKNN)
-	mux.HandleFunc("POST /v1/range", c.handleRange)
-	mux.HandleFunc("POST /v1/distance", c.handleDistance)
-	mux.HandleFunc("POST /v1/objects", c.handleUpsert)
-	mux.HandleFunc("DELETE /v1/objects", c.handleDelete)
-	mux.HandleFunc("GET /v1/healthz", c.handleHealthz)
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		c.writeError(w, http.StatusNotFound, api.CodeNotFound, nil, "no such endpoint %s %s", r.Method, r.URL.Path)
-	})
-	return c.instrument(mux)
-}
-
-// instrument wraps the mux with request counting and latency observation.
-func (c *Coordinator) instrument(next http.Handler) http.Handler {
+	next := front.Handler(c, front.Counters{
+		BadRequests: &c.stats.BadRequests,
+		Degraded:    &c.stats.Degraded,
+		Queries:     &c.stats.Queries,
+	}, nil)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		c.stats.Requests.Add(1)
 		next.ServeHTTP(w, r)
 		c.stats.RequestLatency().Observe(time.Since(start))
 	})
-}
-
-// decode mirrors the server's body discipline: bounded, unknown fields
-// rejected, trailing data rejected.
-func (c *Coordinator) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		c.badRequest(w, "invalid request body: %v", err)
-		return false
-	}
-	if dec.More() {
-		c.badRequest(w, "trailing data after request body")
-		return false
-	}
-	return true
-}
-
-func (c *Coordinator) badRequest(w http.ResponseWriter, format string, args ...any) {
-	c.stats.BadRequests.Add(1)
-	c.writeError(w, http.StatusBadRequest, api.CodeBadRequest, nil, format, args...)
-}
-
-// writeError emits the typed envelope, with per-shard detail when present.
-func (c *Coordinator) writeError(w http.ResponseWriter, status int, code string, shards []api.ShardError, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	//lint:ignore dropped-error the reply path has no caller to surface a write error to
-	_ = enc.Encode(api.ErrorEnvelope{Error: api.ErrorBody{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-		Shards:  shards,
-	}})
-}
-
-// writeQueryError maps a coordinator-path failure onto the wire: degraded
-// scatters become 503 shard_unavailable with detail, relayed shard
-// refusals keep their status and code, timeouts are 408.
-func (c *Coordinator) writeQueryError(w http.ResponseWriter, err error) {
-	var deg *DegradedError
-	if errors.As(err, &deg) {
-		c.stats.Degraded.Add(1)
-		w.Header().Set("Retry-After", "1")
-		c.writeError(w, http.StatusServiceUnavailable, api.CodeShardUnavailable, deg.Shards,
-			"%d shard(s) unavailable; the answer would be partial", len(deg.Shards))
-		return
-	}
-	var bad *badRequestError
-	if errors.As(err, &bad) {
-		c.badRequest(w, "%s", bad.msg)
-		return
-	}
-	var apiErr *client.APIError
-	if errors.As(err, &apiErr) {
-		// A shard refused the request itself (bad parameters, off-terrain
-		// point): relay its verdict unchanged.
-		c.writeError(w, apiErr.Status, apiErr.Code, apiErr.Shards, "%s", apiErr.Message)
-		return
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		c.writeError(w, http.StatusRequestTimeout, api.CodeTimeout, nil, "query aborted: %v", err)
-		return
-	}
-	c.writeError(w, http.StatusInternalServerError, api.CodeInternal, nil, "query failed: %v", err)
-}
-
-// writeResult emits a merged answer with its fleet epoch.
-func (c *Coordinator) writeResult(w http.ResponseWriter, epoch uint64, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		c.writeError(w, http.StatusInternalServerError, api.CodeInternal, nil, "encoding response: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Epoch", strconv.FormatUint(epoch, 10))
-	//lint:ignore dropped-error a client gone mid-reply is not a server failure
-	_, _ = w.Write(append(body, '\n'))
-}
-
-func (c *Coordinator) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req api.KNNRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	if req.K < 1 || req.K > maxK {
-		c.badRequest(w, "k must be in [1, %d], got %d", maxK, req.K)
-		return
-	}
-	res, epoch, err := c.KNN(r.Context(), req)
-	if err != nil {
-		c.writeQueryError(w, err)
-		return
-	}
-	c.stats.Queries.Add(1)
-	c.writeResult(w, epoch, res)
-}
-
-func (c *Coordinator) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req api.RangeRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	if !(req.Radius > 0) || math.IsInf(req.Radius, 1) {
-		c.badRequest(w, "radius must be a positive finite distance, got %g", req.Radius)
-		return
-	}
-	res, epoch, err := c.Range(r.Context(), req)
-	if err != nil {
-		c.writeQueryError(w, err)
-		return
-	}
-	c.stats.Queries.Add(1)
-	c.writeResult(w, epoch, res)
-}
-
-func (c *Coordinator) handleDistance(w http.ResponseWriter, r *http.Request) {
-	var req api.DistanceRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	res, epoch, err := c.Distance(r.Context(), req)
-	if err != nil {
-		c.writeQueryError(w, err)
-		return
-	}
-	c.stats.Queries.Add(1)
-	c.writeResult(w, epoch, res)
-}
-
-func (c *Coordinator) handleUpsert(w http.ResponseWriter, r *http.Request) {
-	var req api.UpsertRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	if len(req.Objects) == 0 {
-		c.badRequest(w, "objects must contain at least one object")
-		return
-	}
-	if len(req.Objects) > maxUpdateBatch {
-		c.badRequest(w, "batch of %d objects exceeds the limit of %d", len(req.Objects), maxUpdateBatch)
-		return
-	}
-	res, err := c.Upsert(r.Context(), req)
-	if err != nil {
-		c.writeQueryError(w, err)
-		return
-	}
-	c.writeResult(w, res.Epoch, res)
-}
-
-func (c *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req api.DeleteRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	if len(req.IDs) == 0 {
-		c.badRequest(w, "ids must contain at least one object id")
-		return
-	}
-	if len(req.IDs) > maxUpdateBatch {
-		c.badRequest(w, "batch of %d ids exceeds the limit of %d", len(req.IDs), maxUpdateBatch)
-		return
-	}
-	res, err := c.Delete(r.Context(), req)
-	if err != nil {
-		c.writeQueryError(w, err)
-		return
-	}
-	c.writeResult(w, res.Epoch, res)
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	hz, err := c.Healthz(r.Context())
-	if err != nil {
-		c.writeError(w, http.StatusInternalServerError, api.CodeInternal, nil, "health check failed: %v", err)
-		return
-	}
-	c.writeResult(w, hz.Epoch, hz)
 }

@@ -1,8 +1,8 @@
 package shard
 
-// The coordinator's SKQL surface: POST /v1/query and POST /v1/explain,
-// compiled by the same sklang planner the single-node server uses and
-// executed by the scatter-gather primitives, so a statement answers
+// The coordinator as a plan executor: the shared front compiles every query
+// route to the same sklang.Plan the single-node server runs, and Execute
+// carries it out with the scatter-gather primitives, so a query answers
 // bit-identically whether it reaches a server or a coordinator. The
 // EXPLAIN answer differs on purpose: a coordinator rewrites each engine
 // cost phase into the distributed step that carries it out — "scatter:*"
@@ -10,13 +10,12 @@ package shard
 // execution actually touched and the shard-reported costs.
 
 import (
-	"encoding/json"
-	"errors"
-	"net/http"
+	"context"
 	"strconv"
 	"sync"
 
 	"surfknn/internal/server/api"
+	"surfknn/internal/server/front"
 	"surfknn/internal/sklang"
 )
 
@@ -77,10 +76,10 @@ func (t *queryTrace) bound(r float64) {
 	t.mu.Unlock()
 }
 
-// catalog snapshots what the planner needs to know about the fleet: the
+// Catalog snapshots what the planner needs to know about the fleet: the
 // manifest's object counts and extent, plus the face count learned in
 // Verify.
-func (c *Coordinator) catalog() sklang.Catalog {
+func (c *Coordinator) Catalog() sklang.Catalog {
 	objects := 0
 	for _, m := range c.cfg.Manifest.Shards {
 		objects += m.Objects
@@ -95,99 +94,47 @@ func (c *Coordinator) catalog() sklang.Catalog {
 	}
 }
 
-// langError maps a parse/plan diagnostic onto the 400 envelope with the
-// offending position, mirroring the single-node server's contract.
-func (c *Coordinator) langError(w http.ResponseWriter, err error) {
-	var le *sklang.Error
-	if !errors.As(err, &le) {
-		c.badRequest(w, "%v", err)
-		return
+// Execute scatters one compiled plan and returns the merged answer — the
+// coordinator's front.Executor. An explained plan records the tiles and
+// shard costs of each step and answers with the distributed plan tree.
+func (c *Coordinator) Execute(ctx context.Context, req front.Request) (front.Reply, error) {
+	plan, timeout := req.Plan, api.Duration(req.Timeout)
+	var tr *queryTrace
+	if req.Explain {
+		tr = &queryTrace{}
 	}
-	c.stats.BadRequests.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
-	enc := json.NewEncoder(w)
-	//lint:ignore dropped-error the reply path has no caller to surface a write error to
-	_ = enc.Encode(api.ErrorEnvelope{Error: api.ErrorBody{
-		Code:    api.CodeBadRequest,
-		Message: le.Error(),
-		Line:    le.Pos.Line,
-		Col:     le.Pos.Col,
-		Token:   le.Tok,
-	}})
-}
-
-// compile parses and plans a statement against the fleet catalog, writing
-// the 400 itself on failure.
-func (c *Coordinator) compile(w http.ResponseWriter, q string) (*sklang.Plan, bool) {
-	plan, err := sklang.Compile(q, c.catalog())
-	if err != nil {
-		c.langError(w, err)
-		return nil, false
-	}
-	if plan.K > maxK {
-		c.badRequest(w, "k must be in [1, %d], got %d", maxK, plan.K)
-		return nil, false
-	}
-	if plan.Algo == sklang.AlgoContinuous {
-		c.badRequest(w, "SUBSCRIBE needs per-session state; connect to a shard server for subscriptions")
-		return nil, false
-	}
-	return plan, true
-}
-
-// execPlan scatters a compiled plan and returns the merged answer. The
-// trace records tiles and shard costs for EXPLAIN.
-func (c *Coordinator) execPlan(r *http.Request, plan *sklang.Plan, timeout api.Duration, tr *queryTrace) (api.QueryResponse, uint64, error) {
-	ctx := r.Context()
-	resp := api.QueryResponse{Form: plan.Form, Algorithm: string(plan.Algo)}
+	var (
+		ans front.Answer
+		err error
+	)
 	switch plan.Algo {
 	case sklang.AlgoMR3:
-		res, epoch, err := c.knn(ctx, api.KNNRequest{
-			X: plan.X, Y: plan.Y, K: plan.K,
-			Sched: plan.Sched, Options: plan.Options, Timeout: timeout,
-		}, tr)
-		if err != nil {
-			return resp, 0, err
-		}
+		ans.Query.Result, ans.Epoch, err = c.knn(ctx, plan, timeout, tr)
 		if plan.HasFilter {
-			res.Neighbors = filterNeighbors(res.Neighbors, plan.Radius)
+			ans.Query.Result.Neighbors = filterNeighbors(ans.Query.Result.Neighbors, plan.Radius)
 		}
-		resp.Result = res
-		return resp, epoch, nil
 	case sklang.AlgoEA:
-		res, epoch, err := c.ea(ctx, api.KNNRequest{
-			X: plan.X, Y: plan.Y, K: plan.K, Timeout: timeout,
-		}, tr)
-		if err != nil {
-			return resp, 0, err
-		}
-		resp.Result = res
-		return resp, epoch, nil
+		ans.Query.Result, ans.Epoch, err = c.ea(ctx, plan, timeout, tr)
 	case sklang.AlgoRange:
-		res, epoch, err := c.rangeQuery(ctx, api.RangeRequest{
-			X: plan.X, Y: plan.Y, Radius: plan.Radius,
-			Sched: plan.Sched, Options: plan.Options, Timeout: timeout,
-		}, tr)
-		if err != nil {
-			return resp, 0, err
-		}
-		resp.Result = res
-		return resp, epoch, nil
+		ans.Query.Result, ans.Epoch, err = c.rangeQuery(ctx, plan, timeout, tr)
 	case sklang.AlgoDistance:
-		res, epoch, err := c.distance(ctx, api.DistanceRequest{
-			X: plan.X, Y: plan.Y, X2: plan.X2, Y2: plan.Y2,
-			Accuracy: plan.Accuracy, Sched: plan.Sched, Timeout: timeout,
-		}, tr)
-		if err != nil {
-			return resp, 0, err
-		}
-		resp.Result = api.Result{Neighbors: []api.Neighbor{}}
-		resp.Distance = &res
-		return resp, epoch, nil
+		var d api.DistanceResponse
+		d, ans.Epoch, err = c.distance(ctx, plan, timeout, tr)
+		ans.Query.Result = api.Result{Neighbors: []api.Neighbor{}}
+		ans.Query.Distance = &d
+	case sklang.AlgoContinuous:
+		err = front.BadRequest("SUBSCRIBE needs per-session state; connect to a shard server for subscriptions")
 	default:
-		return resp, 0, &badRequestError{"statement form not executable on a coordinator"}
+		err = front.BadRequest("statement form not executable on a coordinator")
 	}
+	if err != nil {
+		return front.Reply{}, err
+	}
+	if req.Explain {
+		ans.Plan = coordPlanNode(plan, tr)
+	}
+	body, err := req.Encode(&ans)
+	return front.Reply{Body: body, Epoch: ans.Epoch}, err
 }
 
 // filterNeighbors keeps the prefix-closed subsequence with UB ≤ radius —
@@ -203,61 +150,6 @@ func filterNeighbors(ns []api.Neighbor, radius float64) []api.Neighbor {
 		out = []api.Neighbor{}
 	}
 	return out
-}
-
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req api.QueryRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	plan, ok := c.compile(w, req.Q)
-	if !ok {
-		return
-	}
-	if plan.Explain {
-		c.badRequest(w, "EXPLAIN statements are answered by POST /v1/explain")
-		return
-	}
-	resp, epoch, err := c.execPlan(r, plan, req.Timeout, nil)
-	if err != nil {
-		c.writeQueryError(w, err)
-		return
-	}
-	c.stats.Queries.Add(1)
-	c.writeResult(w, epoch, resp)
-}
-
-func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req api.ExplainRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	plan, ok := c.compile(w, req.Q)
-	if !ok {
-		return
-	}
-	tr := &queryTrace{}
-	_, epoch, err := c.execPlan(r, plan, req.Timeout, tr)
-	if err != nil {
-		c.writeQueryError(w, err)
-		return
-	}
-	root := coordPlanNode(plan, tr)
-	c.stats.Queries.Add(1)
-	c.writeResult(w, epoch, api.ExplainResponse{
-		Query:     plan.Canonical,
-		Form:      plan.Form,
-		Algorithm: string(plan.Algo),
-		Plan:      root,
-		Text:      sklang.RenderNode(root),
-		Epoch:     epoch,
-	})
-}
-
-func (c *Coordinator) handleExplainConsole(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	//lint:ignore dropped-error a client gone mid-reply is not a server failure
-	_, _ = w.Write([]byte(sklang.ExplainHTML))
 }
 
 // coordPlanNode rewrites a compiled plan into the distributed plan the

@@ -2,10 +2,13 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,6 +19,8 @@ import (
 	"surfknn/internal/server"
 	"surfknn/internal/server/api"
 	"surfknn/internal/server/client"
+	"surfknn/internal/server/front"
+	"surfknn/internal/sklang"
 	"surfknn/internal/workload"
 )
 
@@ -74,6 +79,22 @@ func startFleet(t *testing.T, db *core.TerrainDB, nx, ny int) *fleet {
 		t.Fatalf("verify: %v", err)
 	}
 	return f
+}
+
+// runStatement compiles one SKQL statement against the fleet catalog and
+// executes the plan on the coordinator directly (no HTTP), returning the
+// merged result and epoch.
+func runStatement(ctx context.Context, c *Coordinator, q string) (api.Result, uint64, error) {
+	plan, err := sklang.Compile(q, c.Catalog())
+	if err != nil {
+		return api.Result{}, 0, err
+	}
+	var ans front.Answer
+	_, err = c.Execute(ctx, front.Request{Plan: plan, Encode: func(a *front.Answer) ([]byte, error) {
+		ans = *a
+		return nil, nil
+	}})
+	return ans.Query.Result, ans.Epoch, err
 }
 
 // wireNeighbors converts an engine result to wire form for bitwise
@@ -212,7 +233,7 @@ func TestShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, epoch, err := f.coord.KNN(ctx, api.KNNRequest{X: qc.x, Y: qc.y, K: qc.k})
+			res, epoch, err := runStatement(ctx, f.coord, fmt.Sprintf("SELECT k=%d NEAREST (%g, %g)", qc.k, qc.x, qc.y))
 			if err != nil {
 				t.Fatalf("%s: coordinator knn(%g,%g,k=%d): %v", stage, qc.x, qc.y, qc.k, err)
 			}
@@ -226,7 +247,7 @@ func TestShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eaRes, eaEpoch, err := f.coord.EA(ctx, api.KNNRequest{X: qc.x, Y: qc.y, K: qc.k})
+			eaRes, eaEpoch, err := runStatement(ctx, f.coord, fmt.Sprintf("SELECT k=%d NEAREST (%g, %g) ACCURACY 1", qc.k, qc.x, qc.y))
 			if err != nil {
 				t.Fatalf("%s: coordinator ea: %v", stage, err)
 			}
@@ -244,7 +265,8 @@ func TestShardedEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rr, rEpoch, err := f.coord.Range(ctx, api.RangeRequest{X: qc.x, Y: qc.y, Radius: radius})
+					rr, rEpoch, err := runStatement(ctx, f.coord, fmt.Sprintf("RANGE (%g, %g) WITHIN %s", qc.x, qc.y,
+						strconv.FormatFloat(radius, 'g', -1, 64)))
 					if err != nil {
 						t.Fatalf("%s: coordinator range: %v", stage, err)
 					}
@@ -480,4 +502,73 @@ func TestVerifyRejectsMismatchedTopology(t *testing.T) {
 
 func asAPIError(err error, target **client.APIError) bool {
 	return errors.As(err, target)
+}
+
+// TestContractParity pins that a client error is the same client error on
+// both surfaces: every refusal answers with the identical status, code and
+// SKQL position from a standalone server and from a coordinator — never a
+// retryable 503 — and the ones decided by validation cost no shard call.
+func TestContractParity(t *testing.T) {
+	db := buildSourceDB(t)
+	f := startFleet(t, db, 2, 2)
+	surfaces := map[string]http.Handler{
+		"server":      server.New(db, server.Config{}).Handler(),
+		"coordinator": f.coord.Handler(),
+	}
+	var oversized strings.Builder
+	oversized.WriteString(`{"objects":[`)
+	for i := 0; i <= front.MaxUpdateBatch; i++ {
+		fmt.Fprintf(&oversized, `{"id":%d,"x":800,"y":800},`, i)
+	}
+	batch := strings.TrimSuffix(oversized.String(), ",") + `]}`
+
+	cases := []struct {
+		name, path, body string
+		status           int
+		line, col        int
+		token            string
+	}{
+		{"bad sched", "/v1/knn", `{"x":800,"y":800,"k":3,"sched":7}`, 400, 0, 0, ""},
+		{"bad option fraction", "/v1/knn", `{"x":800,"y":800,"k":3,"options":{"step2_accuracy":1.5}}`, 400, 0, 0, ""},
+		{"off-terrain point", "/v1/knn", `{"x":-800000,"y":800,"k":3}`, 404, 0, 0, ""},
+		{"bad range sched", "/v1/range", `{"x":800,"y":800,"radius":500,"sched":9}`, 400, 0, 0, ""},
+		{"off-terrain statement", "/v1/query", `{"q":"SELECT k=3 NEAREST (-800000, 800)"}`, 404, 0, 0, ""},
+		{"off-terrain distance", "/v1/distance", `{"x":-800000,"y":800,"x2":200,"y2":300}`, 404, 0, 0, ""},
+		{"k=0", "/v1/knn", `{"x":800,"y":800,"k":0}`, 400, 0, 0, ""},
+		{"radius 0", "/v1/range", `{"x":800,"y":800,"radius":0}`, 400, 0, 0, ""},
+		{"negative radius", "/v1/range", `{"x":800,"y":800,"radius":-5}`, 400, 0, 0, ""},
+		{"accuracy 2", "/v1/distance", `{"x":800,"y":800,"x2":200,"y2":300,"accuracy":2}`, 400, 0, 0, ""},
+		{"unknown field", "/v1/knn", `{"x":800,"y":800,"k":3,"radius":5}`, 400, 0, 0, ""},
+		{"trailing data", "/v1/knn", `{"x":800,"y":800,"k":3}{"again":1}`, 400, 0, 0, ""},
+		{"oversized update batch", "/v1/objects", batch, 400, 0, 0, ""},
+		{"parse error position", "/v1/query", `{"q":"SELECT k=5 NEAREST (800 800)"}`, 400, 1, 25, "800"},
+		{"explain on /v1/query", "/v1/query", `{"q":"EXPLAIN RANGE (800, 800) WITHIN 5"}`, 400, 0, 0, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code := map[int]string{400: api.CodeBadRequest, 404: api.CodeNotFound}[tc.status]
+			for name, h := range surfaces {
+				calls := f.coord.Stats().ShardCalls.Value()
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+				var env api.ErrorEnvelope
+				if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+					t.Fatalf("%s: body is not an envelope: %v\n%s", name, err, w.Body.String())
+				}
+				e := env.Error
+				if w.Code != tc.status || e.Code != code {
+					t.Errorf("%s: %d %q, want %d %q\n%s", name, w.Code, e.Code, tc.status, code, w.Body.String())
+				}
+				if e.Line != tc.line || e.Col != tc.col || e.Token != tc.token {
+					t.Errorf("%s: position %d:%d %q, want %d:%d %q", name, e.Line, e.Col, e.Token, tc.line, tc.col, tc.token)
+				}
+				if w.Header().Get("Retry-After") != "" {
+					t.Errorf("%s: a client error carries Retry-After", name)
+				}
+				if delta := f.coord.Stats().ShardCalls.Value() - calls; tc.status == 400 && delta != 0 {
+					t.Errorf("%s: a validation refusal cost %d shard call(s)", name, delta)
+				}
+			}
+		})
+	}
 }

@@ -180,13 +180,13 @@ func TestEquivalenceRange(t *testing.T) {
 }
 
 // TestEquivalenceDistance pins the DISTANCE form against
-// DistanceWithAccuracyCtx: identical bound bits and iteration count.
+// DistanceWithAccuracy: identical bound bits and iteration count.
 func TestEquivalenceDistance(t *testing.T) {
 	db := getDB(t)
 	out := run(t, db, "DISTANCE (100, 100) TO (1400, 1400) ACCURACY 0.9")
 	a := surfacePoint(t, db, 100, 100)
 	b := surfacePoint(t, db, 1400, 1400)
-	want, err := db.NewSession(nil).DistanceWithAccuracyCtx(nil, a, b, 0.9, core.S1)
+	want, err := db.NewSession(nil).DistanceWithAccuracy(a, b, 0.9, core.S1)
 	if err != nil {
 		t.Fatal(err)
 	}

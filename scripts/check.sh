@@ -41,9 +41,10 @@ fi
 
 echo "== sklint self-test (negative fixtures must fail) =="
 # Each fixture package contains known findings; sklint exiting 0 on one
-# would mean a rule silently stopped detecting anything.
+# would mean a rule silently stopped detecting anything. Recursive: the
+# path-scoped rules' fixtures nest the directory shape they scope on.
 for fixture in internal/lint/testdata/src/*/; do
-    if go run ./cmd/sklint "./$fixture" >/dev/null 2>&1; then
+    if go run ./cmd/sklint "./${fixture}..." >/dev/null 2>&1; then
         echo "sklint reported no findings on negative fixture $fixture" >&2
         exit 1
     fi
@@ -291,6 +292,17 @@ if ! printf '%s' "$knn" | grep -q '"neighbors"'; then
     echo "coordinator /v1/knn returned no neighbors: $knn" >&2
     exit 1
 fi
+# Error parity: a client error is the same 400 from a shard server and from
+# the coordinator (one shared front validates both), never a retryable 503.
+for target in "$shard0_addr" "$coord_addr"; do
+    bad=$(curl -sS -w ' status=%{http_code}' -X POST "http://$target/v1/knn" \
+        -d '{"x":800,"y":800,"k":3,"sched":7}')
+    if ! printf '%s' "$bad" | grep -q '"code":"bad_request"' ||
+        ! printf '%s' "$bad" | grep -q ' status=400$'; then
+        echo "$target: POST /v1/knn sched=7 is not a 400 bad_request: $bad" >&2
+        exit 1
+    fi
+done
 # SKQL through the coordinator: /v1/query must scatter-gather to the
 # same byte-identical neighbors as the typed route, and /v1/explain must
 # render the distributed plan — the root names the algorithm and the
