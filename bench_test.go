@@ -110,6 +110,43 @@ func BenchmarkFig8LowerBound(b *testing.B) {
 	}
 }
 
+// BenchmarkLowerBoundChain measures one MSDN lower bound over a warm Scratch
+// at 25/50/100 % resolution (all on the ladder, so the chain reads the
+// shared level tables): over the whole terrain, as bench/probes.go asks for
+// it, and clipped to the pair's search ellipse, as the ranking loop does
+// once an upper bound exists. pairs/op is the number of layer transitions
+// the kernel evaluated in full per bound — against the all-pairs product it
+// is the prune ratio as a number.
+func BenchmarkLowerBoundChain(b *testing.B) {
+	f := getFixture(b)
+	// Terrain centre to a corner: half a diagonal, so the ellipse MBR (upper
+	// bound 15 % above the Euclidean distance) clips about half the terrain.
+	a, o := f.q.Pos, f.b.Pos
+	regions := []struct {
+		name string
+		mbr  geom.MBR
+	}{
+		{"whole", f.db.Extent},
+		{"ellipse", geom.NewEllipse(a.XY(), o.XY(), 1.15*a.Dist(o)).MBR()},
+	}
+	for _, pct := range []int{25, 50, 100} {
+		res := float64(pct) / 100
+		for _, r := range regions {
+			b.Run(fmt.Sprintf("%d/%s", pct, r.name), func(b *testing.B) {
+				var sc sdn.Scratch
+				f.db.MSDN.LowerBoundScratch(&sc, a, o, r.mbr, res) // warm the arena
+				before := sc.Pairs()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f.db.MSDN.LowerBoundScratch(&sc, a, o, r.mbr, res)
+				}
+				b.ReportMetric(float64(sc.Pairs()-before)/float64(b.N), "pairs/op")
+			})
+		}
+	}
+}
+
 // --- Figure 9: integrated I/O regions on/off ---
 
 func BenchmarkFig9IntegrationOn(b *testing.B) {
@@ -291,7 +328,9 @@ func TestObsOverheadGuard(t *testing.T) {
 	plain, inst := getFixture(t), getObsFixture(t)
 	measure := func(f *fixture) time.Duration {
 		s := f.db.NewSession(nil)
-		const queries = 16
+		// Enough queries for a ~200 ms sample: a shorter one lets a single
+		// scheduler hiccup on a loaded machine read as several percent.
+		const queries = 40
 		if _, err := s.MR3(f.q, 5, core.S2, core.Options{}); err != nil { // warm the pool
 			t.Fatal(err)
 		}

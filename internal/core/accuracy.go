@@ -59,7 +59,7 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 		LB: a.Pos.Dist(b.Pos),
 		UB: math.Inf(1),
 	}
-	ext := db.Mesh.Extent()
+	ext := db.Extent
 	for it := 0; it < sched.Steps(); it++ {
 		if err := s.interrupted(); err != nil {
 			return out, err

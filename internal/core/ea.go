@@ -91,7 +91,7 @@ func (e *eaState) push(o workload.Object, d float64, k int) float64 {
 // let an unpaid I/O bill produce a distance that looks valid.
 func (s *Session) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound float64, fullLevel int32) (float64, error) {
 	db := s.db
-	region := db.Mesh.Extent()
+	region := db.Extent
 	if !math.IsInf(bound, 1) {
 		if m := geom.NewEllipse(q.XY(), o.Point.XY(), bound).MBR(); !m.IsEmpty() {
 			region = m
@@ -205,7 +205,7 @@ func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 		if idIn(e.seen, o.ID) {
 			continue
 		}
-		region := db.Mesh.Extent()
+		region := db.Extent
 		if m := geom.NewEllipse(q.XY(), o.Point.XY(), kth).MBR(); !m.IsEmpty() {
 			region = m
 		}

@@ -79,6 +79,12 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(full[:16])
 	f.Add([]byte("SKNNDB03"))
 	f.Add([]byte{})
+	// Checksum-valid snapshots with a forged MSDN (unsorted points, duplicate
+	// rank): the loader must refuse them, and mutations start next to the
+	// MSDN validation paths.
+	for _, forged := range forgedMSDNSnapshots(f, db) {
+		f.Add(forged)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := Load(bytes.NewReader(data), Config{})
@@ -91,6 +97,9 @@ func FuzzLoadSnapshot(f *testing.F) {
 		}
 		if err := db.Tree.Validate(); err != nil {
 			t.Fatalf("accepted snapshot fails tree validation: %v", err)
+		}
+		if err := db.MSDN.Validate(); err != nil {
+			t.Fatalf("accepted snapshot fails MSDN validation: %v", err)
 		}
 	})
 }

@@ -486,6 +486,9 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 			ms.YLines = lines
 		}
 	}
+	if err := ms.Validate(); err != nil {
+		return nil, fmt.Errorf("core: load: %w: %v", ErrBadSnapshot, err)
+	}
 
 	// Objects.
 	epoch := pr.u64()

@@ -251,6 +251,54 @@ func TestLoadRejectsBitFlips(t *testing.T) {
 	}
 }
 
+// forgedMSDNSnapshots saves db with its MSDN corrupted in ways the checksum
+// cannot see (Save stamps a valid CRC over whatever it is given): a line
+// whose points run backwards, and a line with a repeated rank. The MSDN is
+// restored before returning.
+func forgedMSDNSnapshots(tb testing.TB, db *TerrainDB) map[string][]byte {
+	tb.Helper()
+	cl := db.MSDN.XLines[0]
+	save := func() []byte {
+		var buf bytes.Buffer
+		if err := db.Save(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	out := make(map[string][]byte)
+	mid := len(cl.Pts) / 2
+	cl.Pts[mid], cl.Pts[mid+1] = cl.Pts[mid+1], cl.Pts[mid]
+	out["unsorted points"] = save()
+	cl.Pts[mid], cl.Pts[mid+1] = cl.Pts[mid+1], cl.Pts[mid]
+	r := cl.Rank[mid]
+	cl.Rank[mid] = cl.Rank[mid+1]
+	out["duplicate rank"] = save()
+	cl.Rank[mid] = r
+	return out
+}
+
+// TestLoadRejectsForgedMSDN pins MSDN.Validate on the load path: the lower
+// bound binary-searches each line's segment bounds, so an unsorted line
+// would not crash — it would silently return an unsound bound.
+func TestLoadRejectsForgedMSDN(t *testing.T) {
+	db := buildDB(t, dem.BH, 8, 10, 99)
+	if err := db.MSDN.Validate(); err != nil {
+		t.Fatalf("freshly built MSDN fails validation: %v", err)
+	}
+	for name, raw := range forgedMSDNSnapshots(t, db) {
+		if _, err := Load(bytes.NewReader(raw), Config{}); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf, Config{}); err != nil {
+		t.Fatalf("restored snapshot rejected: %v", err)
+	}
+}
+
 func TestLoadWithoutObjects(t *testing.T) {
 	// A database saved before SetObjects loads fine and reports no objects.
 	g := dem.Synthesize(dem.EP, 8, 10, 5)

@@ -310,7 +310,7 @@ func (r *ranker) regionOf(c *candidate) geom.MBR {
 	if c.regionOK {
 		return c.region
 	}
-	m := r.s.db.Mesh.Extent()
+	m := r.s.db.Extent
 	if !math.IsInf(c.ub, 1) {
 		if e := geom.NewEllipse(r.q.XY(), c.obj.Point.XY(), c.ub).MBR(); !e.IsEmpty() {
 			m = e

@@ -62,6 +62,10 @@ type TerrainDB struct {
 	Path *pathnet.Pathnet
 	MSDN *sdn.MSDN
 	Pool *storage.BufferPool
+	// Extent is the terrain's (x,y) bounding rectangle, computed once at
+	// assembly: the initial I/O region of every candidate, so the query path
+	// must not rescan the vertices for it.
+	Extent geom.MBR
 
 	cfg           Config
 	reg           *obs.Registry // process-wide counters; nil when uninstrumented
@@ -128,6 +132,8 @@ func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pa
 		Pool: storage.NewBufferPool(storage.NewMemFile(), cfg.PoolPages),
 		cfg:  cfg,
 
+		Extent: m.Extent(),
+
 		formatVersion: 4,
 	}
 	var err error
@@ -149,25 +155,25 @@ func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pa
 		return nil, fmt.Errorf("core: storing DMTM: %w", err)
 	}
 
-	// Persist the SDN segments, one materialised set per ladder level
-	// ("line segments with extra information to record their resolution
-	// level and to which plane they belong to", §3.3).
+	// Materialise the SDN segments, one set per ladder level ("line segments
+	// with extra information to record their resolution level and to which
+	// plane they belong to", §3.3). The one pass feeds both consumers: the
+	// tables stay on the MSDN for the lower-bound kernel, and each segment's
+	// footprint becomes a paged record.
+	db.MSDN.Materialize(SDNLadder)
 	var srecs []storage.ClusterRecord
-	id := uint64(0)
-	for level, res := range SDNLadder {
-		for _, fam := range [][]*sdn.CrossLine{db.MSDN.XLines, db.MSDN.YLines} {
-			for _, cl := range fam {
-				for _, seg := range cl.Segments(res, m.Extent()) {
-					srecs = append(srecs, storage.ClusterRecord{
-						ID:   id,
-						MBR:  seg.Box.XY(),
-						From: int32(level),
-						To:   int32(level) + 1,
-					})
-					id++
-				}
+	for level := range SDNLadder {
+		db.MSDN.Footprints(level, func(box geom.MBR) {
+			if !box.Intersects(db.Extent) {
+				return
 			}
-		}
+			srecs = append(srecs, storage.ClusterRecord{
+				ID:   uint64(len(srecs)),
+				MBR:  box,
+				From: int32(level),
+				To:   int32(level) + 1,
+			})
+		})
 	}
 	db.sdnStore, err = storage.BuildClustered(db.Pool, srecs)
 	if err != nil {

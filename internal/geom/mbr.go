@@ -148,8 +148,8 @@ func (m MBR) DistToMBR(o MBR) float64 {
 	if m.IsEmpty() || o.IsEmpty() {
 		return math.Inf(1)
 	}
-	dx := rangeGap(m.MinX, m.MaxX, o.MinX, o.MaxX)
-	dy := rangeGap(m.MinY, m.MaxY, o.MinY, o.MaxY)
+	dx := RangeGap(m.MinX, m.MaxX, o.MinX, o.MaxX)
+	dy := RangeGap(m.MinY, m.MaxY, o.MinY, o.MaxY)
 	return math.Hypot(dx, dy)
 }
 
@@ -179,7 +179,9 @@ func axisGap(v, lo, hi float64) float64 {
 	}
 }
 
-func rangeGap(alo, ahi, blo, bhi float64) float64 {
+// RangeGap returns the distance between the intervals [alo, ahi] and
+// [blo, bhi] (0 when they meet): one axis of a box-to-box distance.
+func RangeGap(alo, ahi, blo, bhi float64) float64 {
 	switch {
 	case ahi < blo:
 		return blo - ahi
@@ -259,9 +261,9 @@ func (b Box3) DistToBox(o Box3) float64 {
 	if b.IsEmpty() || o.IsEmpty() {
 		return math.Inf(1)
 	}
-	dx := rangeGap(b.Min.X, b.Max.X, o.Min.X, o.Max.X)
-	dy := rangeGap(b.Min.Y, b.Max.Y, o.Min.Y, o.Max.Y)
-	dz := rangeGap(b.Min.Z, b.Max.Z, o.Min.Z, o.Max.Z)
+	dx := RangeGap(b.Min.X, b.Max.X, o.Min.X, o.Max.X)
+	dy := RangeGap(b.Min.Y, b.Max.Y, o.Min.Y, o.Max.Y)
+	dz := RangeGap(b.Min.Z, b.Max.Z, o.Min.Z, o.Max.Z)
 	return math.Sqrt(dx*dx + dy*dy + dz*dz)
 }
 

@@ -188,24 +188,8 @@ func (cl *CrossLine) Retained(resolution float64) []int {
 	if n == 0 {
 		return nil
 	}
-	return cl.retainedInto(resolution, make([]int, 0, n))
-}
-
-// retainedInto is Retained filling dst (truncated first) — the warm query
-// path reuses one index buffer across lines instead of allocating per call.
-func (cl *CrossLine) retainedInto(resolution float64, dst []int) []int {
-	idx := dst[:0]
-	n := len(cl.Pts)
-	if n == 0 {
-		return idx
-	}
-	keep := int(float64(n)*resolution + 0.5)
-	if keep < 2 {
-		keep = 2
-	}
-	if keep > n {
-		keep = n
-	}
+	keep := keepCount(n, resolution)
+	idx := make([]int, 0, keep)
 	for i, r := range cl.Rank {
 		if r < keep {
 			idx = append(idx, i)
@@ -223,27 +207,18 @@ type Segment struct {
 }
 
 // Segments returns the SDN nodes of the line at the given resolution whose
-// boxes intersect the (x,y) region.
+// boxes intersect the (x,y) region. It materialises a fresh table per call;
+// the lower-bound estimator reads the MSDN's shared tables instead.
 func (cl *CrossLine) Segments(resolution float64, region geom.MBR) []Segment {
-	segs, _ := cl.segmentsInto(resolution, region, nil, make([]Segment, 0, len(cl.Pts)))
-	return segs
-}
-
-// segmentsInto is Segments appending into dst, with idx as the retained-index
-// scratch; it returns both (possibly grown) buffers so the caller can retain
-// them for the next line.
-func (cl *CrossLine) segmentsInto(resolution float64, region geom.MBR, idx []int, dst []Segment) ([]Segment, []int) {
-	idx = cl.retainedInto(resolution, idx)
-	for k := 0; k+1 < len(idx); k++ {
-		i, j := idx[k], idx[k+1]
-		box := geom.EmptyBox3()
-		for p := i; p <= j; p++ {
-			box = box.ExtendPoint(cl.Pts[p])
-		}
+	var t lineTable
+	t.build(cl, resolution)
+	segs := make([]Segment, 0, t.len())
+	for k := 0; k < t.len(); k++ {
+		box := t.box(k, cl.Axis)
 		if !box.XY().Intersects(region) {
 			continue
 		}
-		dst = append(dst, Segment{Line: cl, I: i, J: j, Box: box})
+		segs = append(segs, Segment{Line: cl, I: int(t.span[k]), J: int(t.span[k+1]), Box: box})
 	}
-	return dst, idx
+	return segs
 }

@@ -1,0 +1,158 @@
+package sdn
+
+import (
+	"math"
+
+	"surfknn/internal/geom"
+)
+
+// The chain kernel: the two inner loops of the lower-bound DP, written over
+// the flat table arrays. Its results are bit-identical to the plain
+// all-pairs DP (min over every source of dist + box distance, first index
+// on ties; kept as the test reference in reference_test.go) because pruning
+// only ever discards a source that provably cannot reach the minimum:
+//
+//   - Every value compared against the bound is a floating-point LOWER bound
+//     of the pair's full value dist[j] + sqrt(gx²+gy²+gz²): dropping
+//     non-negative terms under the root and rounding are both monotone, and
+//     sqrt(g·g) == g exactly in binary floating point, so
+//     fl(dist[j] + g) <= fl(dist[j] + sqrt(g² + …)) for any single axis gap g
+//     (squares of gaps below 1e-154 would underflow; coordinate differences
+//     are never that small without being zero).
+//   - The bound is always a value some source actually attains, so the
+//     minimum is at most the bound, and a source is skipped only when its
+//     lower bound is STRICTLY above it. Every source that attains the
+//     minimum therefore survives, survivors are evaluated in index order
+//     under the same strict <, and the first-index tie rule picks the same
+//     argmin as the all-pairs loop.
+
+// norm3 is the length of the gap vector, summed in (x, y, z) order as
+// geom.Box3.DistToBox and DistToPoint sum it.
+func norm3(gf, gp, gz float64, useX bool) float64 {
+	gx, gy := gf, gp
+	if useX {
+		gx, gy = gp, gf
+	}
+	return math.Sqrt(gx*gx + gy*gy + gz*gz)
+}
+
+// pointDist is the distance from p to segment k's box, evaluated exactly as
+// geom.Box3.DistToPoint on the reassembled box.
+func pointDist(t *lineTable, k int, useX bool, p geom.Vec3) float64 {
+	pp, pf := p.Y, p.X
+	if useX {
+		pp, pf = p.X, p.Y
+	}
+	return norm3(
+		geom.RangeGap(t.fLo[k], t.fHi[k], pf, pf),
+		geom.RangeGap(t.pLo[k], t.pHi[k], pp, pp),
+		geom.RangeGap(t.zLo[k], t.zHi[k], p.Z, p.Z),
+		useX)
+}
+
+// first seeds the chain: the distance from a to every entry of the first
+// kept layer.
+//
+//sklint:hotpath
+func (sc *Scratch) first(l *layer, useX bool, a geom.Vec3) {
+	dist := sc.dist[l.base : l.base+l.hi-l.lo]
+	prev := sc.prev[l.base : l.base+l.hi-l.lo]
+	for i := range dist {
+		prev[i] = -1
+		if l.masked && math.IsInf(dist[i], 1) {
+			continue
+		}
+		dist[i] = pointDist(l.tab, l.lo+i, useX, a)
+	}
+}
+
+// transition computes dist/prev of layer t from the previous kept layer s:
+// dist[p] = min over j of dist[j] + boxdist(j, p), prev[p] the first j
+// attaining it. See the note at the top of the file for why the pruning
+// below leaves that result unchanged.
+//
+//sklint:hotpath
+func (sc *Scratch) transition(s, t *layer, useX bool) {
+	sn, tn := s.hi-s.lo, t.hi-t.lo
+	sdist := sc.dist[s.base : s.base+sn]
+	sfLo, sfHi := s.tab.fLo[s.lo:s.hi], s.tab.fHi[s.lo:s.hi]
+	spLo, spHi := s.tab.pLo[s.lo:s.hi], s.tab.pHi[s.lo:s.hi]
+	szLo, szHi := s.tab.zLo[s.lo:s.hi], s.tab.zHi[s.lo:s.hi]
+	tdist := sc.dist[t.base : t.base+tn]
+	tprev := sc.prev[t.base : t.base+tn]
+	tfLo, tfHi := t.tab.fLo[t.lo:t.hi], t.tab.fHi[t.lo:t.hi]
+	tpLo, tpHi := t.tab.pLo[t.lo:t.hi], t.tab.pHi[t.lo:t.hi]
+	tzLo, tzHi := t.tab.zLo[t.lo:t.hi], t.tab.zHi[t.lo:t.hi]
+
+	// The plane-axis gap between the two lines bounds every pair's from below.
+	planeGap := geom.RangeGap(s.tab.pMin, s.tab.pMax, t.tab.pMin, t.tab.pMax)
+	// The layer's smallest dist: the outward scan's stopping value, and the
+	// first target's seed.
+	seed := 0
+	for j, d := range sdist {
+		if d < sdist[seed] {
+			seed = j
+		}
+	}
+	minDist := sdist[seed]
+
+	pairs := 0
+	for p := 0; p < tn; p++ {
+		if t.masked && math.IsInf(tdist[p], 1) {
+			tprev[p] = -1
+			continue
+		}
+		fl, fh := tfLo[p], tfHi[p]
+		pl, ph := tpLo[p], tpHi[p]
+		zl, zh := tzLo[p], tzHi[p]
+
+		// Seed the bound with an attained value: the pair with the previous
+		// target's argmin, which is almost always this target's too.
+		bound := sdist[seed] + norm3(
+			geom.RangeGap(sfLo[seed], sfHi[seed], fl, fh),
+			geom.RangeGap(spLo[seed], spHi[seed], pl, ph),
+			geom.RangeGap(szLo[seed], szHi[seed], zl, zh),
+			useX)
+		pairs++
+
+		// Window: free-axis gaps only grow away from the target and no dist
+		// is below minDist, so once minDist + gap passes the bound every
+		// source further out is out of reach.
+		wlo, whi := seed, seed
+		for wlo > 0 && minDist+(fl-sfHi[wlo-1]) <= bound {
+			wlo--
+		}
+		for whi+1 < sn && minDist+(sfLo[whi+1]-fh) <= bound {
+			whi++
+		}
+
+		best := math.Inf(1)
+		bestJ := -1
+		for j := wlo; j <= whi; j++ {
+			dj := sdist[j]
+			if dj+planeGap > bound {
+				continue
+			}
+			gf := geom.RangeGap(sfLo[j], sfHi[j], fl, fh)
+			if dj+gf > bound {
+				continue
+			}
+			gp := geom.RangeGap(spLo[j], spHi[j], pl, ph)
+			gz := geom.RangeGap(szLo[j], szHi[j], zl, zh)
+			pairs++
+			if d := dj + norm3(gf, gp, gz, useX); d < best {
+				best = d
+				bestJ = j
+				if d < bound {
+					bound = d
+				}
+			}
+		}
+		tdist[p] = best
+		tprev[p] = int32(s.base + bestJ)
+		if bestJ >= 0 {
+			seed = bestJ
+		}
+	}
+	sc.pairs += int64(pairs)
+}

@@ -19,22 +19,44 @@ type LowerEstimate struct {
 	Segments int
 }
 
+// layer is one crossing line's contribution to a chain: a contiguous run of
+// a segment table (shared on the MSDN, or built into the Scratch) and where
+// its dist/prev entries sit in the arena.
+type layer struct {
+	line   *CrossLine
+	tab    *lineTable
+	lo, hi int // run [lo, hi) of tab
+	base   int // arena index of tab entry lo
+	// masked: some entries inside the run are not part of the layer (outside
+	// the region on the plane axis, or outside the envelope); their dist is
+	// +Inf, which no transition can select.
+	masked bool
+}
+
 // Scratch holds the reusable buffers of the lower-bound estimator, so a warm
 // estimation allocates nothing. The layered chain DP runs over one arena:
-// every kept layer's segments are appended to segs, with dist/prev parallel
-// to it (prev holds absolute arena indices, -1 on the first layer), instead
-// of one segs/dist/prev triple allocated per layer. A Scratch is owned by a
-// single goroutine; zero value is ready to use.
+// every kept layer's run is appended to dist/prev (prev holds absolute arena
+// indices, -1 on the first layer). Segment geometry is not copied — layers
+// point into the MSDN's shared, immutable level tables; only a resolution
+// that was not materialised builds its tables here, in own. A Scratch is
+// owned by a single goroutine; zero value is ready to use.
 type Scratch struct {
-	between  []*CrossLine
+	between  []int32 // indices into the chosen family's lines, a's side first
 	envBoxes []geom.MBR
-	idx      []int
-	segs     []Segment
+	layers   []layer
+	own      []lineTable // per-call tables of an off-ladder resolution, one per plane
 	dist     []float64
 	prev     []int32
 	path     []Segment
 	pathAlt  []Segment // parks the first family's path in LowerBoundBothScratch
+	pairs    int64
 }
+
+// Pairs returns the number of layer-transition pairs this scratch has fully
+// evaluated (box distance and square root computed) since it was created —
+// the work the kernel's pruning leaves, against the all-pairs product of
+// consecutive layer sizes.
+func (sc *Scratch) Pairs() int64 { return sc.pairs }
 
 // LowerBound estimates a lower bound on the surface distance between a and
 // b at the given SDN resolution, restricted to region (pass the search
@@ -67,15 +89,15 @@ func (ms *MSDN) LowerBoundBoth(a, b geom.Vec3, region geom.MBR, resolution float
 
 // LowerBoundBothScratch is LowerBoundBoth running over reusable scratch.
 func (ms *MSDN) LowerBoundBothScratch(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64) LowerEstimate {
-	first := ms.lowerBound(sc, a, b, region, resolution, nil, 0)
+	useX := prefersX(a, b)
+	step := planeStepFor(resolution)
+	first := ms.chain(sc, useX, a, b, region, resolution, step, nil, 0)
 	if len(first.Path) > 0 {
 		// The second run rebuilds sc.path; park the first family's path.
 		sc.pathAlt = append(sc.pathAlt[:0], first.Path...)
 		first.Path = sc.pathAlt
 	}
-	// Evaluate the family the heuristic did NOT choose by swapping the
-	// dominant axis: temporarily flip the comparison via a mirrored call.
-	other := ms.lowerBoundFamily(sc, a, b, region, resolution, !ms.prefersX(a, b))
+	other := ms.chain(sc, !useX, a, b, region, resolution, step, nil, 0)
 	if other.LB > first.LB {
 		other.Segments += first.Segments
 		return other
@@ -84,28 +106,12 @@ func (ms *MSDN) LowerBoundBothScratch(sc *Scratch, a, b geom.Vec3, region geom.M
 	return first
 }
 
-// prefersX reports which family the 45° heuristic would choose.
-func (ms *MSDN) prefersX(a, b geom.Vec3) bool {
+// prefersX applies the paper's heuristic: when the (x,y) direction between
+// the points makes an angle below 45° with the x-axis, travel is mostly
+// along x, so y-perpendicular planes (XAxis family) separate them best;
+// otherwise use YAxis planes.
+func prefersX(a, b geom.Vec3) bool {
 	return math.Abs(b.X-a.X) >= math.Abs(b.Y-a.Y)
-}
-
-// lowerBoundFamily runs the chain over an explicit family choice.
-func (ms *MSDN) lowerBoundFamily(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64, useX bool) LowerEstimate {
-	euclid := a.Dist(b)
-	var lines []*CrossLine
-	var lo, hi float64
-	if useX {
-		lines = ms.XLines
-		lo, hi = math.Min(a.X, b.X), math.Max(a.X, b.X)
-	} else {
-		lines = ms.YLines
-		lo, hi = math.Min(a.Y, b.Y), math.Max(a.Y, b.Y)
-	}
-	sc.between = linesBetweenInto(lines, lo, hi, planeStepFor(resolution), sc.between)
-	if len(sc.between) == 0 {
-		return LowerEstimate{LB: euclid}
-	}
-	return ms.chainOver(sc, a, b, region, resolution, nil, 0)
 }
 
 // LowerBoundEnvelope is the paper's "dummy lower bound" (§4.2.2): it
@@ -121,113 +127,115 @@ func (ms *MSDN) LowerBoundEnvelope(a, b geom.Vec3, region geom.MBR, resolution f
 
 // LowerBoundEnvelopeScratch is LowerBoundEnvelope running over reusable
 // scratch. prev must not alias sc's own path buffers (pass a caller-owned
-// copy of the previous path).
+// copy of the previous path). An empty prev is the full computation.
 func (ms *MSDN) LowerBoundEnvelopeScratch(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64, prev []Segment, margin float64) LowerEstimate {
-	if len(prev) == 0 {
-		return ms.lowerBound(sc, a, b, region, resolution, nil, 0)
-	}
 	return ms.lowerBound(sc, a, b, region, resolution, prev, margin)
 }
 
 func (ms *MSDN) lowerBound(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64, envelope []Segment, margin float64) LowerEstimate {
-	return ms.lowerBoundFixed(sc, a, b, region, resolution, planeStepFor(resolution), envelope, margin)
+	return ms.chain(sc, prefersX(a, b), a, b, region, resolution, planeStepFor(resolution), envelope, margin)
 }
 
-// lowerBoundFixed runs the estimation with an explicit plane-thinning step.
-// For a FIXED step the bound is monotone in the point resolution (boxes only
-// shrink); across different steps the bound is still always valid but need
-// not be pointwise monotone, which is why MR3 keeps the running maximum.
-func (ms *MSDN) lowerBoundFixed(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64, step int, envelope []Segment, margin float64) LowerEstimate {
-	lines, lo, hi := ms.chooseFamily(a, b)
-	sc.between = linesBetweenInto(lines, lo, hi, step, sc.between)
-	if len(sc.between) == 0 {
-		return LowerEstimate{LB: a.Dist(b)}
-	}
-	return ms.chainOver(sc, a, b, region, resolution, envelope, margin)
-}
-
-// chainOver runs the layered chain DP over the ordered plane family subset
-// in sc.between. All per-layer state lives in sc's arena buffers.
-func (ms *MSDN) chainOver(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64, envelope []Segment, margin float64) LowerEstimate {
-	between := sc.between
+// chain runs the layered chain DP over one plane family with an explicit
+// plane-thinning step. For a FIXED step the bound is monotone in the point
+// resolution (boxes only shrink); across different steps the bound is still
+// always valid but need not be pointwise monotone, which is why MR3 keeps
+// the running maximum. All per-layer state lives in sc's arena buffers.
+func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, envelope []Segment, margin float64) LowerEstimate {
 	euclid := a.Dist(b)
-	// Order the planes from a's side to b's side.
-	var aCoord float64
-	if between[0].Axis == XAxis {
-		aCoord = a.X
-	} else {
-		aCoord = a.Y
+	// Axis roles for this family: "plane" is the coordinate the cutting
+	// planes fix, "free" the one their crossing lines run along.
+	lines := ms.YLines
+	aPlane, bPlane := a.Y, b.Y
+	minF, maxF, minP, maxP := region.MinX, region.MaxX, region.MinY, region.MaxY
+	if useX {
+		lines = ms.XLines
+		aPlane, bPlane = a.X, b.X
+		minF, maxF, minP, maxP = minP, maxP, minF, maxF
 	}
-	if math.Abs(between[0].Coord-aCoord) > math.Abs(between[len(between)-1].Coord-aCoord) {
-		reverse(between)
+	sc.between = linesBetweenInto(lines, math.Min(aPlane, bPlane), math.Max(aPlane, bPlane), step, sc.between)
+	between := sc.between
+	if len(between) == 0 || region.IsEmpty() {
+		// No plane separates the points, or the region cuts every line.
+		return LowerEstimate{LB: euclid}
+	}
+	// Order the planes from a's side to b's side.
+	if math.Abs(lines[between[0]].Coord-aPlane) > math.Abs(lines[between[len(between)-1]].Coord-aPlane) {
+		for i, j := 0, len(between)-1; i < j; i, j = i+1, j-1 {
+			between[i], between[j] = between[j], between[i]
+		}
 	}
 
-	hasEnv := len(envelope) > 0
 	sc.envBoxes = sc.envBoxes[:0]
 	for _, s := range envelope {
 		sc.envBoxes = append(sc.envBoxes, s.Box.XY().Expand(margin))
 	}
+	shared := ms.tables(useX, resolution)
+	if shared == nil && len(sc.own) < len(between) {
+		// Grown before any layer points into it: the per-call tables must not
+		// move while the chain runs.
+		sc.own = append(sc.own, make([]lineTable, len(between)-len(sc.own))...)
+	}
 
 	// Layered dynamic program: dist[k] = shortest chain from a to arena
-	// segment k. Each kept layer occupies a contiguous arena span; prev
-	// holds absolute indices into the previous span (-1 on the first).
+	// entry k. Each kept layer occupies a contiguous arena span; prev holds
+	// absolute indices into the previous span (-1 on the first).
 	est := LowerEstimate{}
-	sc.segs = sc.segs[:0]
-	prevStart := -1 // arena start of the previous kept layer
-	for _, cl := range between {
-		segStart := len(sc.segs)
-		sc.segs, sc.idx = cl.segmentsInto(resolution, region, sc.idx, sc.segs)
-		if hasEnv {
-			kept := segStart
-			for p := segStart; p < len(sc.segs); p++ {
-				if envIntersects(sc.envBoxes, sc.segs[p]) {
-					sc.segs[kept] = sc.segs[p]
-					kept++
-				}
-			}
-			sc.segs = sc.segs[:kept]
+	sc.layers = sc.layers[:0]
+	end := 0 // arena length
+	for bi, li := range between {
+		cl := lines[li]
+		var tab *lineTable
+		if shared != nil {
+			tab = &shared[li]
+		} else {
+			tab = &sc.own[bi]
+			tab.build(cl, resolution)
 		}
-		est.Segments += len(sc.segs) - segStart
-		if len(sc.segs) == segStart {
+		lo, hi := tab.run(minF, maxF)
+		if lo == hi {
 			// The region cut this line entirely; a path could still cross
 			// it outside the clipped area, so skip the layer (weakens but
 			// never invalidates the bound).
 			continue
 		}
-		end := len(sc.segs)
-		sc.dist = growF64(sc.dist, end)
-		sc.prev = growI32(sc.prev, end)
-		if prevStart < 0 {
-			for p := segStart; p < end; p++ {
-				sc.dist[p] = sc.segs[p].Box.DistToPoint(a)
-				sc.prev[p] = -1
-			}
-		} else {
-			for p := segStart; p < end; p++ {
-				best := math.Inf(1)
-				bestJ := int32(-1)
-				for j := prevStart; j < segStart; j++ {
-					if d := sc.dist[j] + sc.segs[j].Box.DistToBox(sc.segs[p].Box); d < best {
-						best = d
-						bestJ = int32(j)
-					}
-				}
-				sc.dist[p] = best
-				sc.prev[p] = bestJ
-			}
+		l := layer{line: cl, tab: tab, lo: lo, hi: hi, base: end}
+		n := hi - lo
+		sc.dist = growF64(sc.dist, end+n)
+		sc.prev = growI32(sc.prev, end+n)
+		kept := n
+		if len(envelope) > 0 || !(minP <= tab.pMin && tab.pMax <= maxP) {
+			var first int
+			kept, first, n = mask(sc.dist[end:end+n], &l, sc.envBoxes, minP, maxP)
+			// Trim the run to the span of kept entries; what is still
+			// dropped inside it stays in the arena at +Inf.
+			copy(sc.dist[end:end+n], sc.dist[end+first:])
+			l.lo, l.hi = lo+first, lo+first+n
+			l.masked = kept < n
 		}
-		prevStart = segStart
+		est.Segments += kept
+		if kept == 0 {
+			continue
+		}
+		if len(sc.layers) == 0 {
+			sc.first(&l, useX, a)
+		} else {
+			sc.transition(&sc.layers[len(sc.layers)-1], &l, useX)
+		}
+		sc.layers = append(sc.layers, l)
+		end += n
 	}
-	if prevStart < 0 {
+	if len(sc.layers) == 0 {
 		return LowerEstimate{LB: euclid, Segments: est.Segments}
 	}
 	// Close the chain at b over the last kept layer.
+	last := &sc.layers[len(sc.layers)-1]
 	best := math.Inf(1)
 	bestK := -1
-	for k := prevStart; k < len(sc.segs); k++ {
-		if d := sc.dist[k] + sc.segs[k].Box.DistToPoint(b); d < best {
+	for k := last.lo; k < last.hi; k++ {
+		if d := sc.dist[last.base+k-last.lo] + pointDist(last.tab, k, useX, b); d < best {
 			best = d
-			bestK = k
+			bestK = last.base + k - last.lo
 		}
 	}
 	if bestK < 0 {
@@ -239,19 +247,54 @@ func (ms *MSDN) chainOver(sc *Scratch, a, b geom.Vec3, region geom.MBR, resoluti
 	// Reconstruct the path for the envelope optimisation: the prev chain
 	// walks one layer back per step and ends at -1 on the first layer.
 	sc.path = sc.path[:0]
-	for k := bestK; k >= 0; k = int(sc.prev[k]) {
-		sc.path = append(sc.path, sc.segs[k])
+	for li, k := len(sc.layers)-1, bestK; k >= 0; li, k = li-1, int(sc.prev[k]) {
+		l := &sc.layers[li]
+		e := l.lo + k - l.base
+		sc.path = append(sc.path, Segment{
+			Line: l.line,
+			I:    int(l.tab.span[e]),
+			J:    int(l.tab.span[e+1]),
+			Box:  l.tab.box(e, l.line.Axis),
+		})
 	}
-	reverseSegs(sc.path)
+	for i, j := 0, len(sc.path)-1; i < j; i, j = i+1, j-1 {
+		sc.path[i], sc.path[j] = sc.path[j], sc.path[i]
+	}
 	est.Path = sc.path
 	return est
 }
 
-// envIntersects reports whether the segment's footprint touches any envelope
-// box. A function rather than a closure: the chain DP calls it statically
-// and nothing escapes.
-func envIntersects(env []geom.MBR, s Segment) bool {
-	xy := s.Box.XY()
+// mask marks which entries of the layer's run belong to the layer — inside
+// the region on the plane axis and, with an envelope, touching one of its
+// boxes — writing 0 into dist for those and +Inf for the rest. It returns
+// the number kept and the span (first index, length) from the first kept
+// entry to the last.
+func mask(dist []float64, l *layer, env []geom.MBR, minP, maxP float64) (kept, first, span int) {
+	last := -1
+	for i := range dist {
+		k := l.lo + i
+		ok := l.tab.pLo[k] <= maxP && minP <= l.tab.pHi[k]
+		if ok && len(env) > 0 {
+			ok = envIntersects(env, l.tab.box(k, l.line.Axis).XY())
+		}
+		if !ok {
+			dist[i] = math.Inf(1)
+			continue
+		}
+		dist[i] = 0
+		if kept == 0 {
+			first = i
+		}
+		kept++
+		last = i
+	}
+	return kept, first, last + 1 - first
+}
+
+// envIntersects reports whether the footprint touches any envelope box. A
+// function rather than a closure: the chain DP calls it statically and
+// nothing escapes.
+func envIntersects(env []geom.MBR, xy geom.MBR) bool {
 	for _, e := range env {
 		if e.Intersects(xy) {
 			return true
@@ -279,16 +322,4 @@ func growI32(s []int32, n int) []int32 {
 	ns := make([]int32, n, n+n/2)
 	copy(ns, s)
 	return ns
-}
-
-func reverse(s []*CrossLine) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-func reverseSegs(s []Segment) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }

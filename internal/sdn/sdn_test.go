@@ -189,7 +189,7 @@ func TestLowerBoundMonotoneNested(t *testing.T) {
 		prev := 0.0
 		var sc Scratch
 		for _, res := range ladder {
-			est := ms.lowerBoundFixed(&sc, a.Pos, b.Pos, ext, res, 1, nil, 0)
+			est := ms.chain(&sc, prefersX(a.Pos, b.Pos), a.Pos, b.Pos, ext, res, 1, nil, 0)
 			if est.LB < prev-1e-9 {
 				t.Fatalf("lb not monotone at res %v: %v < %v", res, est.LB, prev)
 			}
@@ -252,15 +252,11 @@ func TestPlaneStep(t *testing.T) {
 
 func TestFamilyChoice(t *testing.T) {
 	t.Parallel()
-	m := rugged(8, 31)
-	ms := BuildMSDN(m, 0)
 	// Mostly-horizontal pair → XAxis planes (perpendicular to travel).
-	lines, _, _ := ms.chooseFamily(geom.Vec3{X: 0, Y: 40}, geom.Vec3{X: 80, Y: 42})
-	if len(lines) > 0 && lines[0].Axis != XAxis {
+	if !prefersX(geom.Vec3{X: 0, Y: 40}, geom.Vec3{X: 80, Y: 42}) {
 		t.Error("horizontal travel should use x-planes")
 	}
-	lines, _, _ = ms.chooseFamily(geom.Vec3{X: 40, Y: 0}, geom.Vec3{X: 42, Y: 80})
-	if len(lines) > 0 && lines[0].Axis != YAxis {
+	if prefersX(geom.Vec3{X: 40, Y: 0}, geom.Vec3{X: 42, Y: 80}) {
 		t.Error("vertical travel should use y-planes")
 	}
 }
@@ -290,6 +286,33 @@ func TestLowerBoundBothNeverWorse(t *testing.T) {
 		exact := solver.Distance(a, b)
 		if both.LB > exact+1e-6 {
 			t.Fatalf("both-families lb %v exceeds exact %v", both.LB, exact)
+		}
+	}
+}
+
+func TestValidate(t *testing.T) {
+	t.Parallel()
+	build := func() *MSDN { return BuildMSDN(rugged(8, 7), 0) }
+	if err := build().Validate(); err != nil {
+		t.Fatalf("built MSDN fails validation: %v", err)
+	}
+	for name, corrupt := range map[string]func(ms *MSDN){
+		"short line":      func(ms *MSDN) { ms.XLines[0].Pts, ms.XLines[0].Rank = ms.XLines[0].Pts[:1], ms.XLines[0].Rank[:1] },
+		"rank count":      func(ms *MSDN) { ms.YLines[0].Rank = ms.YLines[0].Rank[1:] },
+		"duplicate rank":  func(ms *MSDN) { ms.XLines[1].Rank[2] = ms.XLines[1].Rank[3] },
+		"rank range":      func(ms *MSDN) { ms.XLines[1].Rank[2] = len(ms.XLines[1].Rank) },
+		"endpoint rank":   func(ms *MSDN) { r := ms.YLines[1].Rank; r[0], r[2] = r[2], r[0] },
+		"unsorted points": func(ms *MSDN) { p := ms.XLines[2].Pts; p[3], p[4] = p[4], p[3] },
+		"NaN point":       func(ms *MSDN) { ms.YLines[2].Pts[1].Z = math.NaN() },
+		"infinite point":  func(ms *MSDN) { ms.YLines[2].Pts[1].Z = math.Inf(1) },
+		"line order":      func(ms *MSDN) { ms.XLines[0], ms.XLines[1] = ms.XLines[1], ms.XLines[0] },
+		"wrong family":    func(ms *MSDN) { ms.XLines[0].Axis = YAxis },
+		"NaN coord":       func(ms *MSDN) { ms.YLines[0].Coord = math.NaN() },
+	} {
+		ms := build()
+		corrupt(ms)
+		if err := ms.Validate(); err == nil {
+			t.Errorf("%s: validation passed", name)
 		}
 	}
 }
