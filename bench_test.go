@@ -326,19 +326,27 @@ func TestObsOverheadGuard(t *testing.T) {
 		t.Skip("timing-sensitive guard")
 	}
 	plain, inst := getFixture(t), getObsFixture(t)
-	measure := func(f *fixture) time.Duration {
-		s := f.db.NewSession(nil)
-		// Enough queries for a ~200 ms sample: a shorter one lets a single
-		// scheduler hiccup on a loaded machine read as several percent.
-		const queries = 40
-		if _, err := s.MR3(f.q, 5, core.S2, core.Options{}); err != nil { // warm the pool
+	run := func(s *core.Session, f *fixture) {
+		if _, err := s.MR3(f.q, 5, core.S2, core.Options{}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A round is as many queries as fill 200 ms on the plain side, counted
+	// once and used for every round on both sides: a shorter sample lets a
+	// single scheduler hiccup on a loaded machine read as several percent,
+	// and a fixed count shrinks the sample whenever the query gets faster.
+	queries := 0
+	calib := plain.db.NewSession(nil)
+	run(calib, plain) // warm the pool
+	for start := time.Now(); time.Since(start) < 200*time.Millisecond; queries++ {
+		run(calib, plain)
+	}
+	measure := func(f *fixture) time.Duration {
+		s := f.db.NewSession(nil)
+		run(s, f) // warm the pool
 		start := time.Now()
 		for i := 0; i < queries; i++ {
-			if _, err := s.MR3(f.q, 5, core.S2, core.Options{}); err != nil {
-				t.Fatal(err)
-			}
+			run(s, f)
 		}
 		return time.Since(start)
 	}
@@ -348,13 +356,20 @@ func TestObsOverheadGuard(t *testing.T) {
 		}
 		return cur
 	}
+	// Noise only ever adds time, so each side's best round converges on its
+	// true cost from above. Five rounds settle it on a quiet machine; when
+	// the rest of `go test ./...` is competing for the cores and one side
+	// has not had a quiet round yet, up to ten more are taken before the
+	// budget is called exceeded. A real overhead stays above it however
+	// many rounds run.
 	var bestPlain, bestInst time.Duration
-	for round := 0; round < 5; round++ {
+	ratio := 0.0
+	for round := 0; round < 15 && (round < 5 || ratio > 1.05); round++ {
 		bestPlain = best(bestPlain, measure(plain))
 		bestInst = best(bestInst, measure(inst))
+		ratio = float64(bestInst) / float64(bestPlain)
 	}
-	ratio := float64(bestInst) / float64(bestPlain)
-	t.Logf("plain %v, instrumented %v, overhead %+.2f%%", bestPlain, bestInst, 100*(ratio-1))
+	t.Logf("%d queries a round: plain %v, instrumented %v, overhead %+.2f%%", queries, bestPlain, bestInst, 100*(ratio-1))
 	if ratio > 1.05 {
 		t.Errorf("instrumentation overhead %.2f%% exceeds the 5%% budget (plain %v, instrumented %v)",
 			100*(ratio-1), bestPlain, bestInst)
@@ -451,6 +466,45 @@ func BenchmarkDijkstraCSR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Dijkstra(g, i%f.m.NumVerts())
+	}
+}
+
+// BenchmarkSharedSource ranks one query point against 32 objects on the
+// pathnet both ways: one shared-source search advanced target by target
+// (what a session does per query) and one point-to-point search per target.
+// relax/op is the arcs relaxed per 32-target set; the distances are the
+// same bits either way.
+func BenchmarkSharedSource(b *testing.B) {
+	f := getFixture(b)
+	objs := f.db.Objects()[:32]
+	modes := []struct {
+		name  string
+		serve func(q *pathnet.Querier)
+	}{
+		{"shared", func(q *pathnet.Querier) {
+			q.ForgetSource()
+			for _, o := range objs {
+				q.FromSource(f.q, o.Point)
+			}
+		}},
+		{"per-target", func(q *pathnet.Querier) {
+			for _, o := range objs {
+				q.DistanceValue(f.q, o.Point)
+			}
+		}},
+	}
+	for _, mode := range modes {
+		b.Run(mode.name, func(b *testing.B) {
+			q := f.db.Path.NewQuerier()
+			mode.serve(q) // warm the frontier
+			before := q.Relaxations()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mode.serve(q)
+			}
+			b.ReportMetric(float64(q.Relaxations()-before)/float64(b.N), "relax/op")
+		})
 	}
 }
 

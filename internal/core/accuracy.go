@@ -100,14 +100,13 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 			}
 		} else {
 			tm := db.Tree.TimeForResolution(dmRes)
-			ids, err := s.fetchDMTM(region, tm)
-			if err != nil {
+			if err := s.fetchDMTM(region, tm); err != nil {
 				s.endSpan(span)
 				return out, err
 			}
 			e := s.est
 			e.Begin(tm)
-			for _, id := range ids {
+			for _, id := range s.edges.IDs {
 				e.AddEdge(int32(id))
 			}
 			est := e.UpperBound(db.Mesh, a, b)
@@ -121,7 +120,7 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 			if m := geom.NewEllipse(a.XY(), b.XY(), out.UB).MBR(); !m.IsEmpty() {
 				region = m
 			}
-			if _, err := s.fetchSDN(region, SDNLevel(sdnRes)); err != nil {
+			if err := s.touchSDN(region, SDNLevel(sdnRes)); err != nil {
 				s.endSpan(span)
 				return out, err
 			}

@@ -97,24 +97,18 @@ func (s *Session) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound float
 			region = m
 		}
 	}
-	if _, err := s.fetchDMTM(region, 0); err != nil {
+	if err := s.touchDMTM(region, 0); err != nil {
 		//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
 		return 0, fmt.Errorf("core: EA terrain fetch: %w", err)
 	}
-	if _, err := s.fetchSDN(region, fullLevel); err != nil {
+	if err := s.touchSDN(region, fullLevel); err != nil {
 		//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
 		return 0, fmt.Errorf("core: EA SDN fetch: %w", err)
 	}
 	s.curPhase().UpperBounds++
-	d := s.path.DistanceWithin(q, o.Point, region)
-	if math.IsInf(d, 1) {
-		// The ellipse clipped every path; retry on the unclipped network
-		// (value-only: the polyline is not needed). If no path exists at
-		// all, the +Inf distance propagates to the bound check at the call
-		// site instead of masquerading as a finite bound.
-		d = s.path.DistanceValue(q, o.Point)
-	}
-	return d, nil
+	// If no path exists at all, the +Inf distance propagates to the bound
+	// check at the call site instead of masquerading as a finite bound.
+	return s.settleDistance(q, o.Point, bound, region), nil
 }
 
 // sortObjsByDist2 orders the candidates by squared 3-D distance to q with a
@@ -211,7 +205,7 @@ func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 		}
 		s.curPhase().LowerBounds++
 		lb := db.MSDN.LowerBoundScratch(&s.sdnSc, q.Pos, o.Point.Pos, region, 1.0)
-		if _, err := s.fetchSDN(region, fullLevel); err != nil {
+		if err := s.touchSDN(region, fullLevel); err != nil {
 			//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
 			return nil, fmt.Errorf("core: EA SDN fetch: %w", err)
 		}

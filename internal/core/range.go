@@ -77,7 +77,9 @@ func (s *Session) surfaceRange(q mesh.SurfacePoint, radius float64, sched Schedu
 		r.pc.Iterations++
 		dmRes, sdnRes := sched.At(it)
 		span := r.iterSpan(it, dmRes, sdnRes, len(targets))
-		err := r.iterateRange(targets, dmRes, sdnRes, radius)
+		// For range queries the dummy-lower-bound test is against the
+		// radius: it is the exclusion threshold.
+		err := r.iterate(targets, dmRes, sdnRes, radius)
 		s.endSpan(span)
 		if err != nil {
 			return nil, err
@@ -95,13 +97,9 @@ func (s *Session) surfaceRange(q mesh.SurfacePoint, radius float64, sched Schedu
 		case c.lb > radius:
 			// excluded
 		default:
-			d := s.path.DistanceWithin(q, c.obj.Point, r.regionOf(c))
-			if math.IsInf(d, 1) {
-				// Region clipped every path; retry unclipped (value-only:
-				// the polyline is not needed) — a genuinely unreachable
-				// object keeps d = +Inf and fails the d <= radius test.
-				d = s.path.DistanceValue(q, c.obj.Point)
-			}
+			// A genuinely unreachable object keeps d = +Inf and fails the
+			// d <= radius test.
+			d := s.settleDistance(q, c.obj.Point, c.ub, r.regionOf(c))
 			s.curPhase().UpperBounds++
 			if d <= radius {
 				out = append(out, Neighbor{Object: c.obj, LB: d, UB: d})
@@ -131,38 +129,6 @@ func sortNeighborsByUB(a []Neighbor) {
 // fresh throwaway session.
 func (db *TerrainDB) SurfaceRange(q mesh.SurfacePoint, radius float64, sched Schedule, opt Options) (Result, error) {
 	return db.NewSession(nil).SurfaceRange(q, radius, sched, opt)
-}
-
-// iterateRange is the range-query variant of one refinement iteration: the
-// classification target is the fixed radius rather than the k-th bound. A
-// fetch failure aborts the query — partial terrain data would corrupt the
-// bound ladder.
-func (r *ranker) iterateRange(targets []*candidate, dmRes, sdnRes, radius float64) error {
-	numGroups := r.groupRegions(targets)
-	level := SDNLevel(sdnRes)
-	for gi := 0; gi < numGroups; gi++ {
-		tm := int32(0)
-		if dmRes < PathnetResolution {
-			tm = r.s.db.Tree.TimeForResolution(dmRes)
-		}
-		edgeIDs, err := r.s.fetchDMTM(r.groupRegion[gi], tm)
-		if err != nil {
-			return fmt.Errorf("core: fetching DMTM records: %w", err)
-		}
-		if _, err := r.s.fetchSDN(r.groupRegion[gi], level); err != nil {
-			return fmt.Errorf("core: fetching SDN records: %w", err)
-		}
-		for ti, c := range targets {
-			if r.groupOf[ti] != int32(gi) {
-				continue
-			}
-			r.updateUB(c, dmRes, tm, edgeIDs)
-			// For range queries the dummy-lower-bound test is against the
-			// radius: pass it as the exclusion threshold.
-			r.updateLB(c, sdnRes, radius)
-		}
-	}
-	return nil
 }
 
 // rangeUndecided fills the target scratch with the candidates whose bound

@@ -10,6 +10,7 @@ import (
 	"surfknn/internal/obs"
 	"surfknn/internal/sdn"
 	"surfknn/internal/stats"
+	"surfknn/internal/storage"
 	"surfknn/internal/workload"
 )
 
@@ -213,7 +214,7 @@ func (r *ranker) run() error {
 		r.pc.Iterations++
 		dmRes, sdnRes := r.sched.At(it)
 		span := r.iterSpan(it, dmRes, sdnRes, len(targets))
-		err := r.iterate(targets, dmRes, sdnRes)
+		err := r.iterate(targets, dmRes, sdnRes, r.kthSmallestUB())
 		r.s.endSpan(span)
 		if err != nil {
 			return err
@@ -233,13 +234,9 @@ func (r *ranker) run() error {
 		if c.ub-c.lb < 1e-9*(1+c.ub) {
 			continue
 		}
-		d := r.s.path.DistanceWithin(r.q, c.obj.Point, r.regionOf(c))
-		if math.IsInf(d, 1) {
-			// Region clipped every path; retry unclipped (value-only: the
-			// polyline is not needed here) — an unreachable candidate keeps
-			// ub = +Inf and can never displace a finite neighbour.
-			d = r.s.path.DistanceValue(r.q, c.obj.Point)
-		}
+		// An unreachable candidate keeps ub = +Inf and can never displace a
+		// finite neighbour.
+		d := r.s.settleDistance(r.q, c.obj.Point, c.ub, r.regionOf(c))
 		r.pc.UpperBounds++
 		c.setUB(d)
 		c.lb = d
@@ -354,26 +351,35 @@ func (r *ranker) groupRegions(targets []*candidate) int {
 	return len(r.groupRegion)
 }
 
-// iterate performs one resolution iteration over the targets. A fetch
-// failure aborts the iteration: continuing with partial terrain data would
-// produce bounds that violate the ladder's monotonicity guarantee.
-func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes float64) error {
+// iterate performs one resolution iteration over the targets; exclude is
+// the bound a lower bound must exceed to rule its candidate out (the k-th
+// upper bound for k-NN, the radius for a range query). A fetch failure
+// aborts the iteration: continuing with partial terrain data would produce
+// bounds that violate the ladder's monotonicity guarantee.
+func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes, exclude float64) error {
 	numGroups := r.groupRegions(targets)
 	level := SDNLevel(sdnRes)
-	kthUB := r.kthSmallestUB()
+	// At the pathnet level the upper bound comes from the in-memory
+	// pathnet, so the DMTM pages are owed but their records are not read.
+	pathnetLevel := dmRes >= PathnetResolution
+	tm := int32(0)
+	if !pathnetLevel {
+		tm = r.s.db.Tree.TimeForResolution(dmRes)
+	}
 	for gi := 0; gi < numGroups; gi++ {
 		// One fetch per integrated I/O region: DMTM connectivity at this
 		// LOD plus the SDN segments of this level.
-		tm := int32(0)
-		if dmRes < PathnetResolution {
-			tm = r.s.db.Tree.TimeForResolution(dmRes)
+		var err error
+		if pathnetLevel {
+			err = r.s.touchDMTM(r.groupRegion[gi], tm)
+		} else {
+			err = r.s.fetchDMTM(r.groupRegion[gi], tm)
 		}
-		edgeIDs, err := r.s.fetchDMTM(r.groupRegion[gi], tm)
 		if err != nil {
 			//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
 			return fmt.Errorf("core: fetching DMTM records: %w", err)
 		}
-		if _, err := r.s.fetchSDN(r.groupRegion[gi], level); err != nil {
+		if err := r.s.touchSDN(r.groupRegion[gi], level); err != nil {
 			//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
 			return fmt.Errorf("core: fetching SDN records: %w", err)
 		}
@@ -382,8 +388,8 @@ func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes float64) error {
 			if r.groupOf[ti] != int32(gi) {
 				continue
 			}
-			r.updateUB(c, dmRes, tm, edgeIDs)
-			r.updateLB(c, sdnRes, kthUB)
+			r.updateUB(c, dmRes, tm)
+			r.updateLB(c, sdnRes, exclude)
 		}
 	}
 	return nil
@@ -392,11 +398,13 @@ func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes float64) error {
 // updateUB refines the candidate's upper bound at the given DMTM level
 // (§4.2.1). The bound is kept as the running minimum, so a failed or looser
 // estimate never hurts correctness.
-func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32, edgeIDs []uint64) {
+func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32) {
 	r.pc.UpperBounds++
 	region := r.regionOf(c)
 	if dmRes >= PathnetResolution {
-		d := r.s.path.DistanceWithin(r.q, c.obj.Point, region)
+		// No unclipped retry here: a region that clips every path leaves
+		// the bound as it is.
+		d := r.s.clippedDistance(r.q, c.obj.Point, c.ub, region)
 		if d < c.ub {
 			c.setUB(d)
 			// At the pathnet level the network distance IS the reference
@@ -411,16 +419,16 @@ func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32, edgeIDs []uint6
 	// Refined search region: the descendants of the previous upper-bound
 	// path, represented by those nodes' subtree MBRs (Fig. 6(b)).
 	refined := r.refinedRegions(c)
-	est := r.tryUpperBound(c, tm, edgeIDs, region, refined)
+	est := r.tryUpperBound(c, tm, region, refined)
 	if math.IsInf(est.UB, 1) && len(refined) > 0 {
 		// "If it is too narrow to compute the shortest network path, its
 		// area will be expanded by double each vertex's MBR."
 		for i := range refined {
 			refined[i] = refined[i].Expand(math.Max(refined[i].Width(), refined[i].Height()) / 2)
 		}
-		est = r.tryUpperBound(c, tm, edgeIDs, region, refined)
+		est = r.tryUpperBound(c, tm, region, refined)
 		if math.IsInf(est.UB, 1) {
-			est = r.tryUpperBound(c, tm, edgeIDs, region, nil)
+			est = r.tryUpperBound(c, tm, region, nil)
 		}
 	}
 	if est.UB < c.ub {
@@ -431,35 +439,60 @@ func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32, edgeIDs []uint6
 	}
 }
 
-// tryUpperBound runs one upper-bound estimation over the fetched edges,
-// applying the search-region and refined-region filters inline while
-// staging edges into the session's reusable network estimator (the
-// allocation-free replacement for materialising a Network per estimate).
-func (r *ranker) tryUpperBound(c *candidate, tm int32, edgeIDs []uint64, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
-	tree := r.s.db.Tree
+// tryUpperBound runs one upper-bound estimation over the group's fetched
+// edge batch, staging the edges that pass the search-region and
+// refined-region filters into the session's reusable network estimator.
+func (r *ranker) tryUpperBound(c *candidate, tm int32, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
 	e := r.s.est
 	e.Begin(tm)
-	for _, id := range edgeIDs {
-		minX, minY, maxX, maxY := tree.EdgeMBR(tree.Edges[id])
-		em := geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
-		if !em.Intersects(region) {
+	stageEdges(e, &r.s.edges, region, refined)
+	return e.UpperBound(r.s.db.Mesh, r.q, c.obj.Point)
+}
+
+// stageEdges offers to e every batch edge whose rectangle intersects region
+// and — when refined is not empty — at least one refined rectangle. Edges
+// are offered in batch order, which fixes the estimator's vertex numbering,
+// its CSR arc order and with them the Dijkstra's tie-breaks. The tests are
+// MBR.Intersects spelled out on the batch columns: a batch rectangle is
+// never empty (the fetch kept it because it intersects something), region's
+// emptiness is tested once, and a refined rectangle's only after the
+// comparisons passed.
+//
+//sklint:hotpath
+func stageEdges(e *multires.Estimator, b *storage.Batch, region geom.MBR, refined []geom.MBR) {
+	if region.IsEmpty() {
+		return
+	}
+	// An edge that reaches a refined rectangle reaches their common bounds,
+	// so each side of region is first pulled in to them: one four-way test
+	// then stands for "intersects region and the bounds" (the sides may
+	// cross — an edge can reach region at one end and the bounds at the
+	// other), and only its survivors pay for the any-of scan.
+	box := region
+	if len(refined) > 0 {
+		u := geom.EmptyMBR()
+		for _, m := range refined {
+			u = u.Union(m) // skips an empty rectangle
+		}
+		box.MinX, box.MinY = math.Max(box.MinX, u.MinX), math.Max(box.MinY, u.MinY)
+		box.MaxX, box.MaxY = math.Min(box.MaxX, u.MaxX), math.Min(box.MaxY, u.MaxY)
+	}
+	n := len(b.IDs)
+	minX, minY, maxX, maxY := b.MinX[:n], b.MinY[:n], b.MaxX[:n], b.MaxY[:n]
+	for i, id := range b.IDs {
+		x0, y0, x1, y1 := minX[i], minY[i], maxX[i], maxY[i]
+		if !(x0 <= box.MaxX && box.MinX <= x1 && y0 <= box.MaxY && box.MinY <= y1) {
 			continue
 		}
-		if len(refined) > 0 {
-			hit := false
-			for _, m := range refined {
-				if m.Intersects(em) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
+		hit := len(refined) == 0
+		for j := 0; j < len(refined) && !hit; j++ {
+			m := &refined[j]
+			hit = m.MinX <= x1 && x0 <= m.MaxX && m.MinY <= y1 && y0 <= m.MaxY && !m.IsEmpty()
 		}
-		e.AddEdge(int32(id))
+		if hit {
+			e.AddEdge(int32(id))
+		}
 	}
-	return e.UpperBound(r.s.db.Mesh, r.q, c.obj.Point)
 }
 
 // refinedRegions converts the previous upper-bound path into its
@@ -539,10 +572,11 @@ func sortCandsByUB(a []*candidate) {
 }
 
 // kthCand returns the candidate holding the k-th smallest upper bound
-// among non-out candidates, or nil when fewer than k remain.
+// among non-out candidates, or nil when fewer than k remain — or when k was
+// clamped to 0 by an empty candidate set (every object deleted).
 func (r *ranker) kthCand() *candidate {
 	alive := r.aliveCands()
-	if len(alive) < r.k {
+	if r.k < 1 || len(alive) < r.k {
 		return nil
 	}
 	sortCandsByUB(alive)

@@ -1,0 +1,708 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"surfknn/internal/dem"
+	"surfknn/internal/geom"
+	"surfknn/internal/index"
+	"surfknn/internal/mesh"
+	"surfknn/internal/multires"
+	"surfknn/internal/stats"
+	"surfknn/internal/workload"
+)
+
+// The upper-bound path as it ran before the resolved edge batch and the
+// shared-source search, kept as the reference the query engine is held to:
+//
+//   - a DMTM fetch yields edge ids only, and every upper-bound estimation
+//     re-derives each edge's rectangle through Tree.EdgeMBR and filters it
+//     with MBR.Intersects;
+//   - every pathnet distance is its own clipped DistanceWithin from the
+//     query point, retried unclipped with DistanceValue where the settle
+//     steps did so;
+//   - the pathnet-level iteration and EA fetch their DMTM records like any
+//     other step.
+//
+// Everything the two paths share (classification, grouping, lower bounds,
+// the 2-D filters, cost phases) is the session's own code, so a difference
+// in any answer, bound or page count is a difference in the upper-bound
+// path. The record decode itself is held to its old form in
+// internal/storage (TestBatchFetchMatchesReference); here the ids come out
+// of the batch and the rectangles are not used.
+type refEngine struct {
+	s   *Session
+	ids []uint64
+}
+
+func (e *refEngine) fetchDMTM(region geom.MBR, tm int32) ([]uint64, error) {
+	err := e.s.fetchDMTM(region, tm)
+	e.ids = append(e.ids[:0], e.s.edges.IDs...)
+	return e.ids, err
+}
+
+// settle is the settle steps' "clipped distance, retry unclipped on +Inf".
+func (e *refEngine) settle(q, o mesh.SurfacePoint, region geom.MBR) float64 {
+	d := e.s.path.DistanceWithin(q, o, region)
+	if math.IsInf(d, 1) {
+		d = e.s.path.DistanceValue(q, o)
+	}
+	return d
+}
+
+func (e *refEngine) rank(q mesh.SurfacePoint, objs []workload.Object, k int, sched Schedule, opt Options, tighten bool) ([]Neighbor, error) {
+	opt = opt.withDefaults()
+	if k > len(objs) {
+		k = len(objs)
+	}
+	r := &e.s.rk
+	r.begin(e.s, q, k, sched, opt, tighten)
+	for _, o := range objs {
+		r.addCand(o)
+	}
+	r.pc.Candidates += len(objs)
+	if err := e.run(r); err != nil {
+		return nil, err
+	}
+	return r.results(), nil
+}
+
+func (e *refEngine) run(r *ranker) error {
+	steps := r.sched.Steps()
+	for it := 0; it < steps; it++ {
+		if r.classify() && !r.needTightening() {
+			return nil
+		}
+		targets := r.refinementTargets()
+		if len(targets) == 0 {
+			return nil
+		}
+		r.pc.Iterations++
+		dmRes, sdnRes := r.sched.At(it)
+		if err := e.iterate(r, targets, dmRes, sdnRes, r.kthSmallestUB()); err != nil {
+			return err
+		}
+	}
+	if r.classify() && !r.needTightening() {
+		return nil
+	}
+	for i := range r.cands {
+		c := &r.cands[i]
+		if c.state == candOut {
+			continue
+		}
+		if c.ub-c.lb < 1e-9*(1+c.ub) {
+			continue
+		}
+		d := e.settle(r.q, c.obj.Point, r.regionOf(c))
+		r.pc.UpperBounds++
+		c.setUB(d)
+		c.lb = d
+	}
+	r.classify()
+	return nil
+}
+
+func (e *refEngine) iterate(r *ranker, targets []*candidate, dmRes, sdnRes, exclude float64) error {
+	numGroups := r.groupRegions(targets)
+	level := SDNLevel(sdnRes)
+	for gi := 0; gi < numGroups; gi++ {
+		tm := int32(0)
+		if dmRes < PathnetResolution {
+			tm = r.s.db.Tree.TimeForResolution(dmRes)
+		}
+		edgeIDs, err := e.fetchDMTM(r.groupRegion[gi], tm)
+		if err != nil {
+			return err
+		}
+		if err := e.s.touchSDN(r.groupRegion[gi], level); err != nil {
+			return err
+		}
+		for ti, c := range targets {
+			if r.groupOf[ti] != int32(gi) {
+				continue
+			}
+			e.updateUB(r, c, dmRes, tm, edgeIDs)
+			r.updateLB(c, sdnRes, exclude)
+		}
+	}
+	return nil
+}
+
+func (e *refEngine) updateUB(r *ranker, c *candidate, dmRes float64, tm int32, edgeIDs []uint64) {
+	r.pc.UpperBounds++
+	region := r.regionOf(c)
+	if dmRes >= PathnetResolution {
+		d := r.s.path.DistanceWithin(r.q, c.obj.Point, region)
+		if d < c.ub {
+			c.setUB(d)
+			if d > c.lb {
+				c.lb = d
+			}
+		}
+		return
+	}
+	refined := r.refinedRegions(c)
+	est := e.tryUpperBound(r, c, tm, edgeIDs, region, refined)
+	if math.IsInf(est.UB, 1) && len(refined) > 0 {
+		for i := range refined {
+			refined[i] = refined[i].Expand(math.Max(refined[i].Width(), refined[i].Height()) / 2)
+		}
+		est = e.tryUpperBound(r, c, tm, edgeIDs, region, refined)
+		if math.IsInf(est.UB, 1) {
+			est = e.tryUpperBound(r, c, tm, edgeIDs, region, nil)
+		}
+	}
+	if est.UB < c.ub {
+		c.setUB(est.UB)
+		c.ubPath = append(c.ubPath[:0], est.Path...)
+	}
+}
+
+func (e *refEngine) tryUpperBound(r *ranker, c *candidate, tm int32, edgeIDs []uint64, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
+	est := r.s.est
+	est.Begin(tm)
+	refStageEdges(est, r.s.db.Tree, edgeIDs, region, refined)
+	return est.UpperBound(r.s.db.Mesh, r.q, c.obj.Point)
+}
+
+// refStageEdges is the edge filter of the reference path: every edge's
+// rectangle re-derived from the tree, then MBR.Intersects.
+func refStageEdges(est *multires.Estimator, tree *multires.Tree, edgeIDs []uint64, region geom.MBR, refined []geom.MBR) {
+	for _, id := range edgeIDs {
+		minX, minY, maxX, maxY := tree.EdgeMBR(tree.Edges[id])
+		em := geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
+		if !em.Intersects(region) {
+			continue
+		}
+		if len(refined) > 0 {
+			hit := false
+			for _, m := range refined {
+				if m.Intersects(em) {
+					hit = true
+					break
+				}
+			}
+			if !hit {
+				continue
+			}
+		}
+		est.AddEdge(int32(id))
+	}
+}
+
+// MR3 is Session.MR3Ctx over the reference path.
+func (e *refEngine) MR3(q mesh.SurfacePoint, k int, sched Schedule, opt Options) (Result, error) {
+	s := e.s
+	s.beginQuery(nil, algoMR3)
+	ns, err := func() ([]Neighbor, error) {
+		s.beginPhase(stats.PhaseKNN2D)
+		s.items = s.view.KNNInto(q.XY(), k, &s.dxyVisits, &s.knnSc, s.items[:0])
+		index.SortByDist(s.items, q.XY())
+		s.objs = s.viewObjectsInto(s.items, s.objs)
+
+		s.beginPhase(stats.PhaseRankC1)
+		ranked, err := e.rank(q, s.objs, k, sched, opt, true)
+		if err != nil {
+			return nil, err
+		}
+		radius := kthUB(ranked, k)
+		if math.IsInf(radius, 1) {
+			return nil, fmt.Errorf("core: could not bound the %d-th neighbour", k)
+		}
+
+		s.beginPhase(stats.PhaseRange2D)
+		s.items = s.view.WithinDistInto(q.XY(), radius, &s.dxyVisits, s.items[:0])
+		index.SortByDist(s.items, q.XY())
+		s.objs = s.viewObjectsInto(s.items, s.objs)
+
+		s.beginPhase(stats.PhaseRankC2)
+		return e.rank(q, s.objs, k, sched, opt, false)
+	}()
+	return s.endQuery(algoMR3, k, ns, err)
+}
+
+// RankCandidates is Session.RankCandidatesCtx over the reference path.
+func (e *refEngine) RankCandidates(q mesh.SurfacePoint, objs []workload.Object, k int, sched Schedule, opt Options, tighten bool) (Result, error) {
+	s := e.s
+	s.beginQuery(nil, algoRank)
+	s.ensureScratch(len(objs))
+	phase := stats.PhaseRankC2
+	if tighten {
+		phase = stats.PhaseRankC1
+	}
+	s.beginPhase(phase)
+	ns, err := e.rank(q, objs, k, sched, opt, tighten)
+	return s.endQuery(algoRank, k, ns, err)
+}
+
+// SurfaceRange is Session.SurfaceRangeCtx over the reference path.
+func (e *refEngine) SurfaceRange(q mesh.SurfacePoint, radius float64, sched Schedule, opt Options) (Result, error) {
+	s := e.s
+	s.beginQuery(nil, algoRange)
+	ns, err := func() ([]Neighbor, error) {
+		opt = opt.withDefaults()
+		s.beginPhase(stats.PhaseRange2D)
+		s.items = s.view.WithinDistInto(q.XY(), radius, &s.dxyVisits, s.items[:0])
+		index.SortByDist(s.items, q.XY())
+		s.objs = s.viewObjectsInto(s.items, s.objs)
+		s.curPhase().Candidates += len(s.objs)
+
+		s.beginPhase(stats.PhaseRefine)
+		r := &s.rk
+		r.begin(s, q, len(s.objs), sched, opt, false)
+		for _, o := range s.objs {
+			r.addCand(o)
+		}
+		for it := 0; it < sched.Steps(); it++ {
+			targets := r.rangeUndecided(radius)
+			if len(targets) == 0 {
+				break
+			}
+			r.pc.Iterations++
+			dmRes, sdnRes := sched.At(it)
+			if err := e.iterate(r, targets, dmRes, sdnRes, radius); err != nil {
+				return nil, err
+			}
+		}
+
+		s.beginPhase(stats.PhaseSettle)
+		out := r.resultsBuf[:0]
+		for i := range r.cands {
+			c := &r.cands[i]
+			switch {
+			case c.ub <= radius:
+				out = append(out, Neighbor{Object: c.obj, LB: c.lb, UB: c.ub})
+			case c.lb > radius:
+			default:
+				d := e.settle(q, c.obj.Point, r.regionOf(c))
+				s.curPhase().UpperBounds++
+				if d <= radius {
+					out = append(out, Neighbor{Object: c.obj, LB: d, UB: d})
+				}
+			}
+		}
+		sortNeighborsByUB(out)
+		return out, nil
+	}()
+	return s.endQuery(algoRange, 0, ns, err)
+}
+
+func (e *refEngine) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound float64, fullLevel int32) (float64, error) {
+	s := e.s
+	region := s.db.Extent
+	if !math.IsInf(bound, 1) {
+		if m := geom.NewEllipse(q.XY(), o.Point.XY(), bound).MBR(); !m.IsEmpty() {
+			region = m
+		}
+	}
+	if _, err := e.fetchDMTM(region, 0); err != nil {
+		return 0, err
+	}
+	if err := s.touchSDN(region, fullLevel); err != nil {
+		return 0, err
+	}
+	s.curPhase().UpperBounds++
+	return e.settle(q, o.Point, region), nil
+}
+
+// EA is Session.EACtx over the reference path.
+func (e *refEngine) EA(q mesh.SurfacePoint, k int) (Result, error) {
+	s := e.s
+	s.beginQuery(nil, algoEA)
+	s.eaSc.ensure(k)
+	ns, err := func() ([]Neighbor, error) {
+		db := s.db
+		fullLevel := SDNLevel(1.0)
+		top := &s.eaSc
+		top.top = top.top[:0]
+
+		s.beginPhase(stats.PhaseKNN2D)
+		s.items = s.view.KNNInto(q.XY(), k, &s.dxyVisits, &s.knnSc, s.items[:0])
+		s.objs = s.viewObjectsInto(s.items, s.objs)
+		s.curPhase().Candidates += len(s.objs)
+
+		s.beginPhase(stats.PhaseRankC1)
+		kth := math.Inf(1)
+		for _, o := range s.objs {
+			d, err := e.eaDistFull(q, o, kth, fullLevel)
+			if err != nil {
+				return nil, err
+			}
+			kth = top.push(o, d, k)
+		}
+		if math.IsInf(kth, 1) {
+			return nil, fmt.Errorf("core: could not bound the %d-th neighbour", k)
+		}
+
+		s.beginPhase(stats.PhaseRange2D)
+		s.items = s.view.WithinDistInto(q.XY(), kth, &s.dxyVisits, s.items[:0])
+		s.objs = s.viewObjectsInto(s.items, s.objs)
+		s.curPhase().Candidates += len(s.objs)
+
+		s.beginPhase(stats.PhaseRankC2)
+		sortObjsByDist2(q, s.objs)
+		top.seen = top.seen[:0]
+		for _, sc := range top.top {
+			top.seen = append(top.seen, sc.obj.ID)
+		}
+		for _, o := range s.objs {
+			if idIn(top.seen, o.ID) {
+				continue
+			}
+			region := db.Extent
+			if m := geom.NewEllipse(q.XY(), o.Point.XY(), kth).MBR(); !m.IsEmpty() {
+				region = m
+			}
+			s.curPhase().LowerBounds++
+			lb := db.MSDN.LowerBoundScratch(&s.sdnSc, q.Pos, o.Point.Pos, region, 1.0)
+			if err := s.touchSDN(region, fullLevel); err != nil {
+				return nil, err
+			}
+			if lb.LB > kth {
+				continue
+			}
+			d, err := e.eaDistFull(q, o, kth, fullLevel)
+			if err != nil {
+				return nil, err
+			}
+			kth = top.push(o, d, k)
+		}
+		out := s.rk.resultsBuf[:len(top.top)]
+		for i, sc := range top.top {
+			out[i] = Neighbor{Object: sc.obj, LB: sc.d, UB: sc.d}
+		}
+		return out, nil
+	}()
+	return s.endQuery(algoEA, k, ns, err)
+}
+
+// refFixture is one terrain built twice, identically: the engine answers on
+// one database and the reference on the other, so the two buffer pools go
+// through the same hit/miss/eviction history and per-phase hit and miss
+// counts can be compared, not just their sum.
+type refFixture struct {
+	name    string
+	db, ref *TerrainDB
+	qs      []mesh.SurfacePoint
+	radius  float64
+}
+
+func refFixtures(t *testing.T) []refFixture {
+	t.Helper()
+	build := func(name string, m *mesh.Mesh, pool int, place func(db *TerrainDB) ([]workload.Object, []mesh.SurfacePoint)) refFixture {
+		f := refFixture{name: name, radius: m.Extent().Width() / 4}
+		for _, dst := range []**TerrainDB{&f.db, &f.ref} {
+			db, err := BuildTerrainDB(m, Config{PoolPages: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var objs []workload.Object
+			objs, f.qs = place(db)
+			db.SetObjects(objs)
+			*dst = db
+		}
+		return f
+	}
+	random := func(db *TerrainDB) ([]workload.Object, []mesh.SurfacePoint) {
+		objs, err := workload.RandomObjects(db.Mesh, db.Loc, 60, 2007)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return objs, queryPoints(t, db, 3, 77)
+	}
+	return []refFixture{
+		// A pool far smaller than the data: most fetches miss and evict.
+		build("BH", mesh.FromGrid(dem.Synthesize(dem.BH, 16, 10, 2006)), 24, random),
+		build("EP", mesh.FromGrid(dem.Synthesize(dem.EP, 16, 10, 2006)), 0, random),
+		// Flat ground with objects and query points on grid vertices: along
+		// a grid line or diagonal the mesh network already realises the
+		// straight line, so the upper bound reaches the pathnet distance
+		// before the pathnet level does — the case the clipped-distance
+		// guard hands back to the clipped search.
+		build("FLAT", mesh.FromGrid(dem.NewGrid(17, 17, 10)), 0, latticePlacement(t)),
+	}
+}
+
+// latticePlacement puts an object on every third grid vertex of the 17×17
+// flat grid and adds a few off-lattice ones; the query points are a vertex
+// that shares rows, columns and diagonals with objects, a vertex that holds
+// an object, and an off-lattice point.
+func latticePlacement(t *testing.T) func(db *TerrainDB) ([]workload.Object, []mesh.SurfacePoint) {
+	return func(db *TerrainDB) ([]workload.Object, []mesh.SurfacePoint) {
+		at := func(x, y float64) mesh.SurfacePoint {
+			sp, err := db.SurfacePointAt(geom.Vec2{X: x, Y: y})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sp
+		}
+		var objs []workload.Object
+		for col := 1; col < 17; col += 3 {
+			for row := 1; row < 17; row += 3 {
+				objs = append(objs, workload.Object{ID: int64(len(objs)), Point: at(float64(col)*10, float64(row)*10)})
+			}
+		}
+		extra, err := workload.RandomObjects(db.Mesh, db.Loc, 10, 2007)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range extra {
+			o.ID = int64(len(objs))
+			objs = append(objs, o)
+		}
+		return objs, []mesh.SurfacePoint{at(70, 40), at(100, 100), at(83.5, 61.25)}
+	}
+}
+
+// TestClippedDistanceGuard pins both sides of the guard on flat ground,
+// where a grid-aligned pair's pathnet distance is the straight line. With
+// the upper bound already equal to that distance the search ellipse is the
+// segment itself, its rectangle has no interior for rounding to spare, and
+// clippedDistance must run the clipped search — seen as fresh relaxations,
+// because the shared search has by then nothing left to relax for this
+// target. With a bound visibly above the distance it must answer from the
+// shared search and relax nothing.
+func TestClippedDistanceGuard(t *testing.T) {
+	m := mesh.FromGrid(dem.NewGrid(17, 17, 10))
+	db, err := BuildTerrainDB(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(x, y float64) mesh.SurfacePoint {
+		sp, err := db.SurfacePointAt(geom.Vec2{X: x, Y: y})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	s := db.NewSession(nil)
+	for _, pair := range [][2]mesh.SurfacePoint{
+		{at(20, 40), at(130, 40)},  // along a grid row
+		{at(40, 20), at(40, 130)},  // along a grid column
+		{at(30, 30), at(120, 120)}, // along the cells' diagonal
+	} {
+		q, o := pair[0], pair[1]
+		straight := q.Pos.Dist(o.Pos)
+		s.path.ForgetSource()
+		if d := s.path.FromSource(q, o); d != straight {
+			t.Fatalf("pathnet distance %v, straight line %v: the pair is not grid-aligned", d, straight)
+		}
+		before := s.path.Relaxations()
+		s.path.FromSource(q, o)
+		if got := s.path.Relaxations(); got != before {
+			t.Fatalf("repeating a shared-source target relaxed %d arcs", got-before)
+		}
+
+		// ub == distance: the guard must hand the pair to the clipped search.
+		region := geom.NewEllipse(q.XY(), o.XY(), straight).MBR()
+		want := s.path.DistanceWithin(q, o, region)
+		before = s.path.Relaxations()
+		got := s.clippedDistance(q, o, straight, region)
+		if s.path.Relaxations() == before {
+			t.Fatal("ub equal to the distance was answered from the shared search")
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("clippedDistance %v, DistanceWithin %v", got, want)
+		}
+		if d := s.settleDistance(q, o, straight, region); d != straight {
+			t.Fatalf("settleDistance %v, want the straight line %v", d, straight)
+		}
+
+		// ub clearly above the distance: the shared value, no new search.
+		ub := straight * 1.001
+		region = geom.NewEllipse(q.XY(), o.XY(), ub).MBR()
+		want = s.path.DistanceWithin(q, o, region)
+		before = s.path.Relaxations()
+		got = s.clippedDistance(q, o, ub, region)
+		if n := s.path.Relaxations() - before; n != 0 {
+			t.Fatalf("ub above the distance relaxed %d arcs", n)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("clippedDistance %v, DistanceWithin %v", got, want)
+		}
+	}
+}
+
+// sameResult compares two answers bit for bit: neighbour ids in order, LB
+// and UB bits, the page count, and every phase's pool hits, pool misses,
+// R-tree visits and candidate/bound/iteration counters.
+func sameResult(t *testing.T, what string, got, want Result) {
+	t.Helper()
+	if len(got.Neighbors) != len(want.Neighbors) {
+		t.Fatalf("%s: %d neighbours, reference %d", what, len(got.Neighbors), len(want.Neighbors))
+	}
+	for i, g := range got.Neighbors {
+		w := want.Neighbors[i]
+		if g.Object.ID != w.Object.ID || math.Float64bits(g.LB) != math.Float64bits(w.LB) ||
+			math.Float64bits(g.UB) != math.Float64bits(w.UB) {
+			t.Fatalf("%s neighbour %d: (%d, [%v, %v]), reference (%d, [%v, %v])",
+				what, i, g.Object.ID, g.LB, g.UB, w.Object.ID, w.LB, w.UB)
+		}
+	}
+	if got.Cost.Pages() != want.Cost.Pages() {
+		t.Fatalf("%s: %d pages, reference %d", what, got.Cost.Pages(), want.Cost.Pages())
+	}
+	if len(got.Cost.Phases) != len(want.Cost.Phases) {
+		t.Fatalf("%s: %d phases, reference %d", what, len(got.Cost.Phases), len(want.Cost.Phases))
+	}
+	for i, g := range got.Cost.Phases {
+		w := want.Cost.Phases[i]
+		g.Wall, w.Wall = 0, 0
+		// The one intended difference: one shared search relaxes other arcs
+		// than a clipped search per candidate does.
+		g.Relaxations, w.Relaxations = 0, 0
+		if g != w {
+			t.Fatalf("%s phase %s:\n got       %+v\n reference %+v", what, g.Phase, g, w)
+		}
+	}
+}
+
+// TestUpperBoundPathMatchesReference runs every query form that reaches the
+// upper-bound path — MR3, RankCandidatesCtx, SurfaceRange, EA — through the
+// engine and through the reference path above, on a rugged, a smooth and a
+// flat terrain, under every schedule and k in {1, 5, 10}, one warm session
+// each, and requires identical answers and identical I/O phase by phase.
+func TestUpperBoundPathMatchesReference(t *testing.T) {
+	for _, f := range refFixtures(t) {
+		t.Run(f.name, func(t *testing.T) {
+			s := f.db.NewSession(nil)
+			ref := &refEngine{s: f.ref.NewSession(nil)}
+			cands := f.db.Objects()
+			for _, sched := range []Schedule{S1, S2, S3} {
+				for _, k := range []int{1, 5, 10} {
+					for qi, q := range f.qs {
+						what := fmt.Sprintf("sched %v k %d q %d", sched, k, qi)
+						got, err := s.MR3(q, k, sched, Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := ref.MR3(q, k, sched, Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameResult(t, "MR3 "+what, got, want)
+
+						for _, tighten := range []bool{true, false} {
+							got, err = s.RankCandidatesCtx(nil, q, cands[:30], k, sched, Options{}, tighten)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, err = ref.RankCandidates(q, cands[:30], k, sched, Options{}, tighten)
+							if err != nil {
+								t.Fatal(err)
+							}
+							sameResult(t, fmt.Sprintf("RankCandidates tighten=%v %s", tighten, what), got, want)
+						}
+					}
+				}
+				for qi, q := range f.qs {
+					got, err := s.SurfaceRange(q, f.radius, sched, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ref.SurfaceRange(q, f.radius, sched, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, fmt.Sprintf("SurfaceRange sched %v q %d", sched, qi), got, want)
+				}
+			}
+			for _, k := range []int{1, 5, 10} {
+				for qi, q := range f.qs {
+					got, err := s.EA(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ref.EA(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, fmt.Sprintf("EA k %d q %d", k, qi), got, want)
+				}
+			}
+			for _, db := range []*TerrainDB{f.db, f.ref} {
+				if n := db.Pool.PinnedCount(); n != 0 {
+					t.Fatalf("%d frames left pinned", n)
+				}
+			}
+			if f.db.Pool.Stats() != f.ref.Pool.Stats() {
+				t.Fatalf("pool counters: engine %+v, reference %+v", f.db.Pool.Stats(), f.ref.Pool.Stats())
+			}
+		})
+	}
+}
+
+// BenchmarkUpperBoundFilter times the edge filter of one upper-bound
+// estimation as a refinement step runs it: a 25 % estimate over the whole
+// terrain gives the pair's bound and path, the 50 % fetch covers a group
+// region around the bound's ellipse rectangle, and the batch is filtered by
+// that rectangle and the path's refined regions — by the kernel over the
+// batch columns, and by the reference filter over the same ids. edges/op is
+// the batch size, kept/op what the filter stages.
+func BenchmarkUpperBoundFilter(b *testing.B) {
+	m := mesh.FromGrid(dem.Synthesize(dem.BH, 32, 50, 2006))
+	db, err := BuildTerrainDB(m, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ext := db.Extent
+	q, _ := db.SurfacePointAt(ext.Center())
+	o, _ := db.SurfacePointAt(geom.Vec2{X: ext.MaxX - 90, Y: ext.MaxY - 110})
+	s := db.NewSession(nil)
+
+	tm := db.Tree.TimeForResolution(0.25)
+	if err := s.fetchDMTM(ext, tm); err != nil {
+		b.Fatal(err)
+	}
+	s.est.Begin(tm)
+	stageEdges(s.est, &s.edges, ext, nil)
+	coarse := s.est.UpperBound(db.Mesh, q, o)
+	if math.IsInf(coarse.UB, 1) || len(coarse.Path) == 0 {
+		b.Fatal("no coarse estimate to refine")
+	}
+	region := geom.NewEllipse(q.XY(), o.XY(), coarse.UB).MBR()
+	refined := make([]geom.MBR, len(coarse.Path))
+	for i, v := range coarse.Path {
+		refined[i] = db.Tree.Nodes[v].MBR
+	}
+
+	tm = db.Tree.TimeForResolution(0.5)
+	if err := s.fetchDMTM(region.Expand(region.Width()/4), tm); err != nil {
+		b.Fatal(err)
+	}
+	kept := 0
+	for i := range s.edges.IDs {
+		em := geom.MBR{MinX: s.edges.MinX[i], MinY: s.edges.MinY[i], MaxX: s.edges.MaxX[i], MaxY: s.edges.MaxY[i]}
+		if !em.Intersects(region) {
+			continue
+		}
+		for _, r := range refined {
+			if r.Intersects(em) {
+				kept++
+				break
+			}
+		}
+	}
+	b.Run("batch", func(b *testing.B) {
+		s.est.Begin(tm)
+		stageEdges(s.est, &s.edges, region, refined) // warm the estimator's staging slices
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.est.Begin(tm)
+			stageEdges(s.est, &s.edges, region, refined)
+		}
+		b.ReportMetric(float64(len(s.edges.IDs)), "edges/op")
+		b.ReportMetric(float64(kept), "kept/op")
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.est.Begin(tm)
+			refStageEdges(s.est, db.Tree, s.edges.IDs, region, refined)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"time"
 
 	"surfknn/internal/geom"
@@ -70,7 +71,7 @@ type Session struct {
 	items []index.Item        // 2-D index results
 	objs  []workload.Object   // resolved candidate objects
 	knnSc index.Scratch       // R-tree best-first traversal heaps
-	ids   []uint64            // fetched DMTM edge ids
+	edges storage.Batch       // fetched DMTM edges: ids + rectangles
 	est   *multires.Estimator // reusable upper-bound network builder
 	sdnSc sdn.Scratch         // lower-bound chain DP scratch
 	eaSc  eaState             // EA benchmark top-k scratch
@@ -116,6 +117,7 @@ func (s *Session) beginQuery(ctx context.Context, algo string) {
 	s.io = storage.IOAccount{}
 	s.dxyVisits = 0
 	s.step3Radius = 0
+	s.path.ForgetSource()
 	s.releaseView() // defensive: a panicked query may have left a pin
 	if s.db.store != nil {
 		s.view = s.db.store.Pin()
@@ -242,21 +244,58 @@ func (s *Session) pagesAccessed() int64 {
 func (s *Session) interrupted() error { return s.ctx.Err() }
 
 // fetchDMTM reads the DDM edge records valid at collapse time tm inside
-// region through the buffer pool — charged to this session's account — and
-// returns their edge indices. The returned slice is session scratch, valid
-// until the next fetch.
-func (s *Session) fetchDMTM(region geom.MBR, tm int32) ([]uint64, error) {
-	var err error
-	s.ids, err = s.db.dmtmStore.FetchIDs(region, tm, &s.io, s.ids[:0])
-	return s.ids, err
+// region through the buffer pool — charged to this session's account —
+// into s.edges, which holds them until the next fetch.
+func (s *Session) fetchDMTM(region geom.MBR, tm int32) error {
+	return s.db.dmtmStore.FetchBatch(region, tm, &s.io, &s.edges)
 }
 
-// fetchSDN reads the SDN segment records of the given ladder level inside
-// region. The record payloads mirror the in-memory MSDN (which the lower-
-// bound computation uses directly); the fetch exists to account the I/O the
-// paper measures.
-func (s *Session) fetchSDN(region geom.MBR, level int32) (int, error) {
-	return s.db.sdnStore.FetchCount(region, level, &s.io)
+// touchDMTM pays for the pages fetchDMTM reads without decoding them, for
+// the steps that take the full-resolution network from the in-memory
+// pathnet. s.edges is left alone.
+func (s *Session) touchDMTM(region geom.MBR, tm int32) error {
+	return s.db.dmtmStore.Touch(region, tm, &s.io)
+}
+
+// touchSDN pays for the SDN segment records of the given ladder level
+// inside region. The record payloads mirror the in-memory MSDN (which the
+// lower-bound computation uses directly); the read exists to account the
+// I/O the paper measures.
+func (s *Session) touchSDN(region geom.MBR, level int32) error {
+	return s.db.sdnStore.Touch(region, level, &s.io)
+}
+
+// clippedDistance returns the pathnet distance from q to o over the network
+// vertices inside region — bit for bit what s.path.DistanceWithin(q, o,
+// region) returns — where region is the candidate's I/O region for the
+// upper bound ub: the MBR of the ellipse with foci q, o and constant ub, or
+// the whole terrain when there is no such rectangle yet.
+//
+// It asks the query's shared-source search first. Any q→o path of length at
+// most ub keeps every vertex p at |qp|+|po| <= ub in the plane, inside the
+// ellipse and so inside region; when the unrestricted distance is below ub,
+// the path that realises it therefore survives the clipping, clipping only
+// ever removes paths, and the clipped minimum is the same float. The 1e-9
+// guard keeps the boundary case — ub already equal to the pathnet distance
+// on flat ground, where a vertex can sit on the rectangle's rounded edge —
+// on the clipped search. With ub = +Inf region is the terrain's extent,
+// which contains every network vertex.
+func (s *Session) clippedDistance(q, o mesh.SurfacePoint, ub float64, region geom.MBR) float64 {
+	if d := s.path.FromSource(q, o); math.IsInf(ub, 1) || d*(1+1e-9) < ub {
+		return d
+	}
+	return s.path.DistanceWithin(q, o, region)
+}
+
+// settleDistance is clippedDistance for the steps that settle a candidate
+// with the reference distance: a region that clips every path yields the
+// unrestricted distance instead of +Inf.
+func (s *Session) settleDistance(q, o mesh.SurfacePoint, ub float64, region geom.MBR) float64 {
+	d := s.clippedDistance(q, o, ub, region)
+	if math.IsInf(d, 1) {
+		d = s.path.FromSource(q, o)
+	}
+	return d
 }
 
 // referenceDistance is ReferenceDistance evaluated through the session's

@@ -23,5 +23,9 @@ func (f *Frontier) Pop() (v int32, prio float64) {
 	return it.v, it.prio
 }
 
+// MinPrio returns the smallest queued priority without removing its entry.
+// The frontier must not be empty.
+func (f *Frontier) MinPrio() float64 { return f.h.items[0].prio }
+
 // Reset empties the frontier for reuse.
 func (f *Frontier) Reset() { f.h.reset() }

@@ -29,9 +29,20 @@ type Querier struct {
 	cur   uint32
 	pq    *graph.Frontier
 	// relaxed counts successful arc relaxations across the querier's
-	// lifetime; sessions difference it around a query to report the
-	// Dijkstra work that query performed.
+	// lifetime, the shared-source search's included; sessions difference it
+	// around a query to report the Dijkstra work that query performed.
 	relaxed int64
+
+	// The shared-source search (FromSource): one unrestricted Dijkstra from
+	// src, advanced only as far as each target needs and kept — labels and
+	// frontier — for the next one. It has its own arrays because the
+	// point-to-point searches above run between its calls.
+	src    mesh.SurfacePoint
+	srcOK  bool
+	sdist  []float64
+	sstamp []uint32
+	scur   uint32
+	sfront *graph.Frontier
 }
 
 // Relaxations returns the lifetime count of successful arc relaxations.
@@ -45,30 +56,39 @@ func (q *Querier) Relaxations() int64 { return q.relaxed }
 func (p *Pathnet) NewQuerier() *Querier {
 	n := len(p.Pos)
 	return &Querier{
-		p:     p,
-		dist:  make([]float64, n),
-		prev:  make([]int32, n),
-		stamp: make([]uint32, n),
-		pq:    graph.NewFrontier(),
+		p:      p,
+		dist:   make([]float64, n),
+		prev:   make([]int32, n),
+		stamp:  make([]uint32, n),
+		pq:     graph.NewFrontier(),
+		sdist:  make([]float64, n),
+		sstamp: make([]uint32, n),
+		sfront: graph.NewFrontier(),
 	}
 }
 
 // begin opens a new query epoch: entries stamped by earlier queries become
 // logically Inf without clearing the arrays.
 func (q *Querier) begin() {
-	if len(q.dist) < len(q.p.Pos) {
+	q.cur = q.nextEpoch(q.stamp, q.cur)
+	q.pq.Reset()
+}
+
+// nextEpoch returns the epoch after cur for the given stamp array.
+func (q *Querier) nextEpoch(stamp []uint32, cur uint32) uint32 {
+	if len(stamp) < len(q.p.Pos) {
 		// Embed grew the pathnet after this querier was created; queriers
 		// are for the immutable shared network only.
 		panic("pathnet: querier older than the pathnet's last Embed")
 	}
-	q.cur++
-	if q.cur == 0 { // epoch counter wrapped: old stamps are ambiguous, clear
-		for i := range q.stamp {
-			q.stamp[i] = 0
+	cur++
+	if cur == 0 { // epoch counter wrapped: old stamps are ambiguous, clear
+		for i := range stamp {
+			stamp[i] = 0
 		}
-		q.cur = 1
+		cur = 1
 	}
-	q.pq.Reset()
+	return cur
 }
 
 func (q *Querier) distAt(v int32) float64 {
@@ -196,3 +216,87 @@ func (q *Querier) search(a, b mesh.SurfacePoint, region *geom.MBR) (float64, int
 func (q *Querier) inside(v int32, region *geom.MBR) bool {
 	return region == nil || region.Contains(q.p.Pos[v].XY())
 }
+
+// FromSource returns DistanceValue(a, b) — the same bits — from a search
+// that is shared by every call with the same a: the first call seeds an
+// unrestricted Dijkstra at a, each call settles it only until b's distance
+// is decided, and the labels and frontier stay for the next b. Ranking many
+// targets against one query point this way costs one propagation out to the
+// farthest target instead of one search per target.
+//
+// The value is the same because a Dijkstra label, once settled, is the
+// minimum over all paths of their left-to-right float sums — float addition
+// of a non-negative weight is monotone and non-decreasing, which is all the
+// label-setting argument needs — and so does not depend on the order in
+// which vertices were popped or on how many other targets were served
+// first. The answer for b is the minimum over b's facet boundary points of
+// settled label plus in-face leg, exactly what search proposes; a boundary
+// point still unsettled when the frontier's minimum reaches that answer
+// has a label no smaller, so it cannot lower it.
+//
+// The shared search lives until the source changes or ForgetSource is
+// called; its relaxations count into Relaxations.
+//
+//sklint:hotpath
+func (q *Querier) FromSource(a, b mesh.SurfacePoint) float64 {
+	if a.Face == b.Face {
+		return a.Pos.Dist(b.Pos)
+	}
+	p := q.p
+	if !q.srcOK || q.src != a {
+		q.scur = q.nextEpoch(q.sstamp, q.scur)
+		q.sfront.Reset()
+		q.src, q.srcOK = a, true
+		for _, w := range p.FacePoints(a.Face) {
+			if d := a.Pos.Dist(p.Pos[w]); d < q.srcDist(w) {
+				q.sstamp[w], q.sdist[w] = q.scur, d
+				q.sfront.Push(w, d)
+			}
+		}
+	}
+	// Labels are lengths of real paths even before they are settled, so the
+	// ones b's facet already carries give a valid first proposal; the loop
+	// below stops only once no unsettled label can undercut the best.
+	targets := p.FacePoints(b.Face)
+	best := graph.Inf
+	for _, w := range targets {
+		if c := q.srcDist(w) + b.Pos.Dist(p.Pos[w]); c < best {
+			best = c
+		}
+	}
+	for q.sfront.Len() > 0 && q.sfront.MinPrio() < best {
+		v, d := q.sfront.Pop()
+		if d > q.sdist[v] {
+			continue // stale frontier entry
+		}
+		for _, w := range targets {
+			if w == v {
+				if c := d + b.Pos.Dist(p.Pos[w]); c < best {
+					best = c
+				}
+				break
+			}
+		}
+		for _, arc := range p.G.Arcs(int(v)) {
+			if nd := d + arc.W; nd < q.srcDist(arc.To) {
+				q.relaxed++
+				q.sstamp[arc.To], q.sdist[arc.To] = q.scur, nd
+				q.sfront.Push(arc.To, nd)
+			}
+		}
+	}
+	return best
+}
+
+// srcDist is distAt for the shared-source search's labels.
+func (q *Querier) srcDist(v int32) float64 {
+	if q.sstamp[v] != q.scur {
+		return graph.Inf
+	}
+	return q.sdist[v]
+}
+
+// ForgetSource drops the shared-source search, so the next FromSource seeds
+// afresh even from the same point. Sessions call it at query open: what one
+// query costs then never depends on the query before it.
+func (q *Querier) ForgetSource() { q.srcOK = false }

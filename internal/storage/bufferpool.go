@@ -102,10 +102,12 @@ func (bp *BufferPool) Alloc() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bp.makeRoom(); err != nil {
+	fr, err := bp.admit(id)
+	if err != nil {
 		return nil, err
 	}
-	fr := &Frame{ID: id, Data: make([]byte, PageSize), pins: 1, dirty: true}
+	clear(fr.Data) // a reused buffer still holds the evicted page
+	fr.dirty = true
 	bp.frames[id] = fr
 	return fr, nil
 }
@@ -138,11 +140,17 @@ func (bp *BufferPool) Get(id PageID, acct *IOAccount) (*Frame, error) {
 	if bp.reg != nil {
 		bp.reg.PoolMisses.Add(1)
 	}
-	if err := bp.makeRoom(); err != nil {
+	fr, err := bp.admit(id)
+	if err != nil {
 		return nil, err
 	}
-	fr := &Frame{ID: id, Data: make([]byte, PageSize), pins: 1}
 	if err := bp.file.ReadPage(id, fr.Data); err != nil {
+		if fr.elem != nil {
+			// An evicted frame that got no page: it is in no table, so it
+			// must not stay in the LRU list either.
+			bp.lru.Remove(fr.elem)
+			fr.elem = nil
+		}
 		return nil, err
 	}
 	bp.frames[id] = fr
@@ -169,38 +177,44 @@ func (bp *BufferPool) Unpin(fr *Frame, dirty bool) {
 	}
 }
 
-// makeRoom evicts the least recently used unpinned frame if the pool is at
-// capacity. Callers must hold bp.mu.
-func (bp *BufferPool) makeRoom() error {
-	for len(bp.frames) >= bp.capacity {
-		// Walk from the cold end, skipping frames that are pinned (they
-		// stay in the list across pin cycles) — the first unpinned frame is
-		// the least recently unpinned one, exactly the old victim choice.
-		var victim *Frame
-		for e := bp.lru.Back(); e != nil; e = e.Prev() {
-			if f := e.Value.(*Frame); f.pins == 0 {
-				victim = f
-				break
-			}
-		}
-		if victim == nil {
-			return fmt.Errorf("%w: all %d pages pinned", ErrPoolExhausted, len(bp.frames))
-		}
-		bp.lru.Remove(victim.elem)
-		victim.elem = nil
-		if victim.dirty {
-			if err := bp.file.WritePage(victim.ID, victim.Data); err != nil {
-				return err
-			}
-			bp.stats.Writes++
-		}
-		delete(bp.frames, victim.ID)
-		bp.stats.Evictions++
-		if bp.reg != nil {
-			bp.reg.PoolEvictions.Add(1)
+// admit returns a frame for page id, pinned once and not yet in the frame
+// table. Below capacity that is a new frame; at capacity the least recently
+// used unpinned frame is evicted and the frame itself — page buffer and LRU
+// element included — is handed to the new page, so a miss in a full pool
+// allocates nothing. The buffer still holds the evicted page's bytes.
+// Callers must hold bp.mu.
+func (bp *BufferPool) admit(id PageID) (*Frame, error) {
+	if len(bp.frames) < bp.capacity {
+		return &Frame{ID: id, Data: make([]byte, PageSize), pins: 1}, nil
+	}
+	// Walk from the cold end, skipping frames that are pinned (they stay in
+	// the list across pin cycles) — the first unpinned frame is the least
+	// recently unpinned one.
+	var fr *Frame
+	for e := bp.lru.Back(); e != nil; e = e.Prev() {
+		if f := e.Value.(*Frame); f.pins == 0 {
+			fr = f
+			break
 		}
 	}
-	return nil
+	if fr == nil {
+		return nil, fmt.Errorf("%w: all %d pages pinned", ErrPoolExhausted, len(bp.frames))
+	}
+	if fr.dirty {
+		if err := bp.file.WritePage(fr.ID, fr.Data); err != nil {
+			return nil, err
+		}
+		bp.stats.Writes++
+	}
+	delete(bp.frames, fr.ID)
+	bp.stats.Evictions++
+	if bp.reg != nil {
+		bp.reg.PoolEvictions.Add(1)
+	}
+	// The frame keeps its LRU element: a pinned frame's position in the
+	// list is never consulted, and Unpin moves it to the front.
+	fr.ID, fr.pins, fr.dirty = id, 1, false
+	return fr, nil
 }
 
 // Flush writes every dirty cached page back to the file.

@@ -92,117 +92,112 @@ func (c *Clustered) Len() int { return c.n }
 // NumPages returns the number of data pages.
 func (c *Clustered) NumPages() int { return len(c.dir) }
 
-// Fetch reads every record valid at level (From <= level < To) whose MBR
-// intersects region, going through the buffer pool page by page (each data
-// page touched counts as one access, charged to acct when non-nil — the
-// per-query account of the session issuing the fetch). The page directory
-// itself is assumed cached (as a DBMS keeps index upper levels hot) and is
-// not counted. The store is immutable after BuildClustered, so concurrent
-// fetches from different sessions are safe.
-func (c *Clustered) Fetch(region geom.MBR, level int32, acct *IOAccount, fn func(ClusterRecord)) error {
-	for _, meta := range c.dir {
-		if meta.minFrom > level || meta.maxTo <= level {
-			continue
+// Batch is the decoded result of one FetchBatch: the matching records' IDs
+// and rectangles as parallel slices, in page order then slot order. Callers
+// keep one per query session so the slices are reused fetch after fetch.
+type Batch struct {
+	IDs                    []uint64
+	MinX, MinY, MaxX, MaxY []float64
+}
+
+// room resizes every column to length k+n, keeping the first k records;
+// the entries past k are stale until written.
+func (b *Batch) room(k, n int) {
+	b.IDs = growTo(b.IDs, k+n)
+	b.MinX = growTo(b.MinX, k+n)
+	b.MinY = growTo(b.MinY, k+n)
+	b.MaxX = growTo(b.MaxX, k+n)
+	b.MaxY = growTo(b.MaxY, k+n)
+}
+
+func (b *Batch) truncate(k int) {
+	b.IDs, b.MinX, b.MinY, b.MaxX, b.MaxY = b.IDs[:k], b.MinX[:k], b.MinY[:k], b.MaxX[:k], b.MaxY[:k]
+}
+
+// growTo returns s at length n, keeping its contents, allocating only when
+// the capacity is short.
+func growTo[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	ns := make([]T, n, n+n/2)
+	copy(ns, s)
+	return ns
+}
+
+// nextPage returns the index of the first directory entry at or after i
+// whose page may hold a record valid at level (From <= level < To) inside
+// region, or len(c.dir) when none is left. It is the one directory walk
+// every paged read shares, so they all touch the same pages in the same
+// order. The directory itself is assumed cached (as a DBMS keeps index
+// upper levels hot) and is not counted as an access.
+func (c *Clustered) nextPage(i int, region geom.MBR, level int32) int {
+	for ; i < len(c.dir); i++ {
+		meta := &c.dir[i]
+		if meta.minFrom <= level && level < meta.maxTo && meta.mbr.Intersects(region) {
+			break
 		}
-		if !meta.mbr.Intersects(region) {
-			continue
-		}
-		if err := c.fetchPage(meta.id, region, level, acct, fn); err != nil {
+	}
+	return i
+}
+
+// FetchBatch reads every record valid at level (From <= level < To) whose
+// MBR intersects region into dst (truncated first), going through the
+// buffer pool page by page: each data page touched counts as one access,
+// charged to acct when non-nil — the per-query account of the session
+// issuing the fetch. A record's validity interval is tested on its two
+// int32s before its rectangle is decoded. The store is immutable after
+// BuildClustered, so concurrent fetches from different sessions are safe.
+func (c *Clustered) FetchBatch(region geom.MBR, level int32, acct *IOAccount, dst *Batch) error {
+	k := 0 // records kept so far
+	for i := c.nextPage(0, region, level); i < len(c.dir); i = c.nextPage(i+1, region, level) {
+		fr, err := c.pool.Get(c.dir[i].id, acct)
+		if err != nil {
+			dst.truncate(k)
 			return err
 		}
-	}
-	return nil
-}
-
-// fetchPage pins one data page for the duration of the record scan. The
-// unpin is deferred: fn is caller code, and a panic there must not leak
-// the pin — a permanently pinned frame is never evictable and walks the
-// pool toward ErrPoolExhausted.
-func (c *Clustered) fetchPage(id PageID, region geom.MBR, level int32, acct *IOAccount, fn func(ClusterRecord)) error {
-	fr, err := c.pool.Get(id, acct)
-	if err != nil {
-		return err
-	}
-	defer c.pool.Unpin(fr, false)
-	n := count(fr.Data)
-	for i := 0; i < n; i++ {
-		rec := readClusterRec(fr.Data[hdrSize+i*clusterRecSize:])
-		if rec.From <= level && level < rec.To && rec.MBR.Intersects(region) {
-			fn(rec)
-		}
-	}
-	return nil
-}
-
-// FetchIDs is Fetch collecting just the record IDs into dst (reuse a
-// buffer across queries to avoid allocation: the warm query path calls this
-// instead of passing a collector closure into Fetch). Page accounting is
-// identical to Fetch.
-func (c *Clustered) FetchIDs(region geom.MBR, level int32, acct *IOAccount, dst []uint64) ([]uint64, error) {
-	for _, meta := range c.dir {
-		if meta.minFrom > level || meta.maxTo <= level {
-			continue
-		}
-		if !meta.mbr.Intersects(region) {
-			continue
-		}
-		fr, err := c.pool.Get(meta.id, acct)
-		if err != nil {
-			return dst, err
-		}
 		n := count(fr.Data)
-		for i := 0; i < n; i++ {
-			rec := readClusterRec(fr.Data[hdrSize+i*clusterRecSize:])
-			if rec.From <= level && level < rec.To && rec.MBR.Intersects(region) {
-				dst = append(dst, rec.ID)
+		dst.room(k, n)
+		for p := fr.Data[hdrSize : hdrSize+n*clusterRecSize]; len(p) >= clusterRecSize; p = p[clusterRecSize:] {
+			if from := int32(binary.LittleEndian.Uint32(p[40:])); from > level {
+				continue
 			}
+			if to := int32(binary.LittleEndian.Uint32(p[44:])); level >= to {
+				continue
+			}
+			minX := math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
+			minY := math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
+			maxX := math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
+			maxY := math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
+			// MBR.Intersects(region); region is not empty, or nextPage
+			// would not have offered this page.
+			if !(minX <= maxX && minY <= maxY &&
+				minX <= region.MaxX && region.MinX <= maxX && minY <= region.MaxY && region.MinY <= maxY) {
+				continue
+			}
+			dst.IDs[k] = binary.LittleEndian.Uint64(p[0:])
+			dst.MinX[k], dst.MinY[k], dst.MaxX[k], dst.MaxY[k] = minX, minY, maxX, maxY
+			k++
 		}
 		c.pool.Unpin(fr, false)
 	}
-	return dst, nil
+	dst.truncate(k)
+	return nil
 }
 
-// FetchCount is Fetch that only counts matching records — the warm-path
-// replacement for the counting closures the SDN cost accounting used. Page
-// accounting is identical to Fetch.
-func (c *Clustered) FetchCount(region geom.MBR, level int32, acct *IOAccount) (int, error) {
-	total := 0
-	for _, meta := range c.dir {
-		if meta.minFrom > level || meta.maxTo <= level {
-			continue
-		}
-		if !meta.mbr.Intersects(region) {
-			continue
-		}
-		fr, err := c.pool.Get(meta.id, acct)
+// Touch pins and unpins the pages FetchBatch(region, level) reads, in the
+// same order and with the same accounting, without decoding a record — for
+// callers that owe the I/O the paper measures but take the data from an
+// in-memory structure.
+func (c *Clustered) Touch(region geom.MBR, level int32, acct *IOAccount) error {
+	for i := c.nextPage(0, region, level); i < len(c.dir); i = c.nextPage(i+1, region, level) {
+		fr, err := c.pool.Get(c.dir[i].id, acct)
 		if err != nil {
-			return total, err
-		}
-		n := count(fr.Data)
-		for i := 0; i < n; i++ {
-			rec := readClusterRec(fr.Data[hdrSize+i*clusterRecSize:])
-			if rec.From <= level && level < rec.To && rec.MBR.Intersects(region) {
-				total++
-			}
+			return err
 		}
 		c.pool.Unpin(fr, false)
 	}
-	return total, nil
-}
-
-// PagesFor reports how many data pages a Fetch of (region, level) would
-// touch, without touching them (planning aid for I/O-region integration).
-func (c *Clustered) PagesFor(region geom.MBR, level int32) int {
-	n := 0
-	for _, meta := range c.dir {
-		if meta.minFrom > level || meta.maxTo <= level {
-			continue
-		}
-		if meta.mbr.Intersects(region) {
-			n++
-		}
-	}
-	return n
+	return nil
 }
 
 func writeClusterRec(p []byte, r ClusterRecord) {
@@ -213,20 +208,6 @@ func writeClusterRec(p []byte, r ClusterRecord) {
 	binary.LittleEndian.PutUint64(p[32:], math.Float64bits(r.MBR.MaxY))
 	binary.LittleEndian.PutUint32(p[40:], uint32(r.From))
 	binary.LittleEndian.PutUint32(p[44:], uint32(r.To))
-}
-
-func readClusterRec(p []byte) ClusterRecord {
-	return ClusterRecord{
-		ID: binary.LittleEndian.Uint64(p[0:]),
-		MBR: geom.MBR{
-			MinX: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
-			MinY: math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
-			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(p[24:])),
-			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(p[32:])),
-		},
-		From: int32(binary.LittleEndian.Uint32(p[40:])),
-		To:   int32(binary.LittleEndian.Uint32(p[44:])),
-	}
 }
 
 // zOrder interleaves the bits of the quantised coordinates, giving the
