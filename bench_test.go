@@ -9,6 +9,7 @@ package surfknn
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -153,7 +154,7 @@ func BenchmarkFig9IntegrationOn(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.db.MR3(f.q, 10, core.S2, core.Options{}); err != nil {
+		if _, err := f.db.NewSession().MR3Ctx(context.Background(), f.q, 10, core.S2, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +164,7 @@ func BenchmarkFig9IntegrationOff(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.db.MR3(f.q, 10, core.S2, core.Options{DisableIOIntegration: true}); err != nil {
+		if _, err := f.db.NewSession().MR3Ctx(context.Background(), f.q, 10, core.S2, core.Options{DisableIOIntegration: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,7 +176,7 @@ func benchMR3(b *testing.B, sched core.Schedule, k int) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.db.MR3(f.q, k, sched, core.Options{}); err != nil {
+		if _, err := f.db.NewSession().MR3Ctx(context.Background(), f.q, k, sched, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +190,7 @@ func BenchmarkFig10EA(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.db.EA(f.q, 10); err != nil {
+		if _, err := f.db.NewSession().EACtx(context.Background(), f.q, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -210,7 +211,7 @@ func benchDensity(b *testing.B, n int) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.db.MR3(f.q, 5, core.S2, core.Options{}); err != nil {
+		if _, err := f.db.NewSession().MR3Ctx(context.Background(), f.q, 5, core.S2, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,7 +227,7 @@ func BenchmarkAblationDummyLBOff(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.db.MR3(f.q, 10, core.S1, core.Options{DisableDummyLB: true}); err != nil {
+		if _, err := f.db.NewSession().MR3Ctx(context.Background(), f.q, 10, core.S1, core.Options{DisableDummyLB: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -273,19 +274,19 @@ func benchQueryPoints(b *testing.B, f *fixture, n int) []mesh.SurfacePoint {
 func BenchmarkSequentialKNN(b *testing.B) {
 	f := getFixture(b)
 	qs := benchQueryPoints(b, f, 16)
-	s := f.db.NewSession(nil)
+	s := f.db.NewSession()
 	// Warm the session scratch to its high-water mark so the reported
 	// allocs/op reflect the steady state (0) rather than cold growth
 	// amortised over b.N.
 	for _, q := range qs {
-		if _, err := s.MR3(q, 5, core.S2, core.Options{}); err != nil {
+		if _, err := s.MR3Ctx(context.Background(), q, 5, core.S2, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.MR3(qs[i%len(qs)], 5, core.S2, core.Options{}); err != nil {
+		if _, err := s.MR3Ctx(context.Background(), qs[i%len(qs)], 5, core.S2, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -299,10 +300,10 @@ func BenchmarkSequentialKNN(b *testing.B) {
 func BenchmarkSequentialKNNObs(b *testing.B) {
 	f := getObsFixture(b)
 	qs := benchQueryPoints(b, f, 16)
-	s := f.db.NewSession(nil)
+	s := f.db.NewSession()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.MR3(qs[i%len(qs)], 5, core.S2, core.Options{}); err != nil {
+		if _, err := s.MR3Ctx(context.Background(), qs[i%len(qs)], 5, core.S2, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,7 +328,7 @@ func TestObsOverheadGuard(t *testing.T) {
 	}
 	plain, inst := getFixture(t), getObsFixture(t)
 	run := func(s *core.Session, f *fixture) {
-		if _, err := s.MR3(f.q, 5, core.S2, core.Options{}); err != nil {
+		if _, err := s.MR3Ctx(context.Background(), f.q, 5, core.S2, core.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,13 +337,13 @@ func TestObsOverheadGuard(t *testing.T) {
 	// single scheduler hiccup on a loaded machine read as several percent,
 	// and a fixed count shrinks the sample whenever the query gets faster.
 	queries := 0
-	calib := plain.db.NewSession(nil)
+	calib := plain.db.NewSession()
 	run(calib, plain) // warm the pool
 	for start := time.Now(); time.Since(start) < 200*time.Millisecond; queries++ {
 		run(calib, plain)
 	}
 	measure := func(f *fixture) time.Duration {
-		s := f.db.NewSession(nil)
+		s := f.db.NewSession()
 		run(s, f) // warm the pool
 		start := time.Now()
 		for i := 0; i < queries; i++ {
@@ -411,10 +412,10 @@ func BenchmarkParallelKNN(b *testing.B) {
 	qs := benchQueryPoints(b, f, 16)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		s := f.db.NewSession(nil)
+		s := f.db.NewSession()
 		i := 0
 		for pb.Next() {
-			if _, err := s.MR3(qs[i%len(qs)], 5, core.S2, core.Options{}); err != nil {
+			if _, err := s.MR3Ctx(context.Background(), qs[i%len(qs)], 5, core.S2, core.Options{}); err != nil {
 				b.Error(err)
 				return
 			}
@@ -515,9 +516,11 @@ func BenchmarkRTreeKNN(b *testing.B) {
 		items[i] = index.Item{P: geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, ID: int64(i)}
 	}
 	tr := index.Bulk(items)
+	var sc index.Scratch
+	var dst []index.Item
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.KNN(geom.Vec2{X: 500, Y: 500}, 10, nil)
+		dst = tr.KNNInto(geom.Vec2{X: 500, Y: 500}, 10, nil, nil, &sc, dst[:0])
 	}
 }
 
@@ -563,7 +566,7 @@ func BenchmarkSurfaceRange(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.db.SurfaceRange(f.q, 500, core.S2, core.Options{}); err != nil {
+		if _, err := f.db.NewSession().SurfaceRangeCtx(context.Background(), f.q, 500, core.S2, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -574,7 +577,7 @@ func BenchmarkAblationBothFamiliesOn(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.db.MR3(f.q, 10, core.S1, core.Options{BothFamilyLB: true}); err != nil {
+		if _, err := f.db.NewSession().MR3Ctx(context.Background(), f.q, 10, core.S1, core.Options{BothFamilyLB: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -644,7 +647,7 @@ func BenchmarkKNNUnderUpdates(b *testing.B) {
 		b.Fatal(err)
 	}
 	store := db.ObjectStore()
-	s := db.NewSession(nil)
+	s := db.NewSession()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Drain update ops until the mix yields a query, then time it.
@@ -664,7 +667,7 @@ func BenchmarkKNNUnderUpdates(b *testing.B) {
 			}
 		}
 		b.StartTimer()
-		if _, err := s.MR3(q, 5, core.S2, core.Options{}); err != nil {
+		if _, err := s.MR3Ctx(context.Background(), q, 5, core.S2, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

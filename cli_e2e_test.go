@@ -247,7 +247,7 @@ func TestSkserveEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := db.MR3(q, 5, core.S1, core.Options{})
+	direct, err := db.NewSession().MR3Ctx(context.Background(), q, 5, core.S1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,23 +211,23 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	sess := db.NewSession(ctx)
+	sess := db.NewSession()
 	sess.SetTracing(*trace)
 
 	var res core.Result
 	switch strings.ToLower(*algo) {
 	case "mr3":
-		res, err = sess.MR3(q, *k, s, core.Options{})
+		res, err = sess.MR3Ctx(ctx, q, *k, s, core.Options{})
 	case "ea":
-		res, err = sess.EA(q, *k)
+		res, err = sess.EACtx(ctx, q, *k)
 	case "brute":
 		res.Neighbors = sess.BruteForce(q, *k)
 	case "range":
-		res, err = sess.SurfaceRange(q, *radius, s, core.Options{})
+		res, err = sess.SurfaceRangeCtx(ctx, q, *radius, s, core.Options{})
 		fmt.Printf("objects within %.0f m of surface travel:\n", *radius)
 	case "masked":
 		var ns []core.Neighbor
-		ns, err = sess.MaskedKNN(q, *k, core.SlopeMask(m, *slope))
+		ns, err = sess.MaskedKNNCtx(ctx, q, *k, core.SlopeMask(m, *slope))
 		res.Neighbors = ns
 		fmt.Printf("k-NN over faces with slope ≤ %.0f°:\n", *slope)
 	default:
@@ -450,7 +450,7 @@ func localSKQL(db *core.TerrainDB, timeout time.Duration, trace bool) stmtExec {
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		sess := db.NewSession(ctx)
+		sess := db.NewSession()
 		sess.SetTracing(trace)
 		out, err := skexec.Run(ctx, sess, plan)
 		if err != nil {

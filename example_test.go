@@ -1,13 +1,14 @@
 package surfknn_test
 
 import (
+	"context"
 	"fmt"
 
 	"surfknn"
 )
 
-// ExampleTerrainDB_MR3 runs the canonical surface k-NN query end to end.
-func ExampleTerrainDB_MR3() {
+// ExampleSession_MR3Ctx runs the canonical surface k-NN query end to end.
+func ExampleSession_MR3Ctx() {
 	grid := surfknn.Synthesize(surfknn.BH, 16, 50, 42)
 	surface := surfknn.FromGrid(grid)
 	db, err := surfknn.BuildTerrainDB(surface, surfknn.Config{})
@@ -24,7 +25,7 @@ func ExampleTerrainDB_MR3() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := db.MR3(q, 3, surfknn.S1, surfknn.Options{})
+	res, err := db.NewSession().MR3Ctx(context.Background(), q, 3, surfknn.S1, surfknn.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -37,8 +38,8 @@ func ExampleTerrainDB_MR3() {
 	// Output: 3 neighbours found
 }
 
-// ExampleTerrainDB_SurfaceRange finds every object within a travel budget.
-func ExampleTerrainDB_SurfaceRange() {
+// ExampleSession_SurfaceRangeCtx finds every object within a travel budget.
+func ExampleSession_SurfaceRangeCtx() {
 	grid := surfknn.Synthesize(surfknn.EP, 16, 50, 1)
 	surface := surfknn.FromGrid(grid)
 	db, err := surfknn.BuildTerrainDB(surface, surfknn.Config{})
@@ -55,7 +56,7 @@ func ExampleTerrainDB_SurfaceRange() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := db.SurfaceRange(q, 1e9, surfknn.S2, surfknn.Options{})
+	res, err := db.NewSession().SurfaceRangeCtx(context.Background(), q, 1e9, surfknn.S2, surfknn.Options{})
 	if err != nil {
 		panic(err)
 	}

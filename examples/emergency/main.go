@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -47,11 +48,16 @@ func main() {
 	fmt.Printf("fire reported at (%.0f, %.0f), elevation %.0f m; %d crews in the field\n",
 		fire.Pos.X, fire.Pos.Y, fire.Pos.Z, len(crews))
 
-	// (a) The three crews nearest by ground travel.
-	res, err := db.MR3(fire, 3, core.S1, core.Options{})
+	// (a) The three crews nearest by ground travel. A Result aliases its
+	// session's buffers until the session's next query, so what is needed
+	// later is copied out first.
+	ctx := context.Background()
+	sess := db.NewSession()
+	res, err := sess.MR3Ctx(ctx, fire, 3, core.S1, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	nearest := res.Neighbors[0]
 	fmt.Println("\nnearest crews by surface distance:")
 	for i, n := range res.Neighbors {
 		straight := fire.Pos.Dist(n.Object.Point.Pos)
@@ -61,7 +67,7 @@ func main() {
 
 	// (b) Response budget: crews within 800 m of travel.
 	budget := 800.0
-	within, err := db.SurfaceRange(fire, budget, core.S2, core.Options{})
+	within, err := sess.SurfaceRangeCtx(ctx, fire, budget, core.S2, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,9 +90,6 @@ func main() {
 	fmt.Printf("highest point in the zone: %.0f m elevation, %.0f m of travel away\n", maxZ, maxD)
 
 	// Line-of-sight vs ground travel: the ratio commanders must plan for.
-	if len(res.Neighbors) > 0 {
-		n := res.Neighbors[0]
-		ratio := n.UB / fire.Pos.Dist(n.Object.Point.Pos)
-		fmt.Printf("\nground travel to the nearest crew is %.1f× the line-of-sight distance\n", ratio)
-	}
+	ratio := nearest.UB / fire.Pos.Dist(nearest.Object.Point.Pos)
+	fmt.Printf("\nground travel to the nearest crew is %.1f× the line-of-sight distance\n", ratio)
 }

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,8 +46,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 5. The surface 5-NN query, using the s=1 resolution schedule.
-	res, err := db.MR3(q, 5, core.S1, core.Options{})
+	// 5. The surface 5-NN query, using the s=1 resolution schedule. Queries
+	//    run through a session (one per goroutine, reusable); the context
+	//    cancels or deadlines this one query.
+	sess := db.NewSession()
+	res, err := sess.MR3Ctx(context.Background(), q, 5, core.S1, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -44,7 +45,9 @@ func main() {
 		lander.Pos.X, lander.Pos.Y, lander.Pos.Z, len(targets))
 
 	k := 5
-	res, err := db.MR3(lander, k, core.S1, core.Options{})
+	ctx := context.Background()
+	sess := db.NewSession()
+	res, err := sess.MR3Ctx(ctx, lander, k, core.S1, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,7 +104,7 @@ func main() {
 
 	// Energy budget: which targets are reachable within a 1.2 km traverse?
 	budget := 1200.0
-	within, err := db.SurfaceRange(lander, budget, core.S2, core.Options{})
+	within, err := sess.SurfaceRangeCtx(ctx, lander, budget, core.S2, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func main() {
 	for !core.SlopeMask(surface, maxSlope)(lander.Face) {
 		maxSlope += 5
 	}
-	stable, err := db.MaskedKNN(lander, k, core.SlopeMask(surface, maxSlope))
+	stable, err := sess.MaskedKNNCtx(ctx, lander, k, core.SlopeMask(surface, maxSlope))
 	if err != nil {
 		log.Fatal(err)
 	}

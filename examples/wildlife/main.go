@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -65,7 +66,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.MR3(sighting, 3, core.S1, core.Options{})
+	ctx := context.Background()
+	sess := db.NewSession()
+	res, err := sess.MR3Ctx(ctx, sighting, 3, core.S1, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,14 +109,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rangeRes, err := db.SurfaceRange(den, 1500, core.S2, core.Options{})
+	rangeRes, err := sess.SurfaceRangeCtx(ctx, den, 1500, core.S2, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%d sightings within 1.5 km of travel from group 0's den\n", len(rangeRes.Neighbors))
 
 	// Closest pair of sightings overall (inter-group corridor analysis).
-	a, b, err := db.ClosestPair(core.S2, core.Options{})
+	a, b, err := sess.ClosestPairCtx(ctx, core.S2, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package continuous
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -133,7 +134,7 @@ func TestMonitorHitMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := db.MR3(qp, 3, core.S1, core.Options{})
+	fresh, err := db.NewSession().MR3Ctx(context.Background(), qp, 3, core.S1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestStripeCoalescing(t *testing.T) {
 			t.Fatalf("member %d: %v", i, outs[i].err)
 		}
 		q, _ := db.SurfacePointAt(c)
-		fresh, err := db.MR3(q, 2, core.S1, core.Options{})
+		fresh, err := db.NewSession().MR3Ctx(context.Background(), q, 2, core.S1, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

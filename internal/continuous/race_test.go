@@ -1,6 +1,7 @@
 package continuous
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -48,7 +49,7 @@ func TestConcurrentMoversAndWriter(t *testing.T) {
 			t.Errorf("anchor %v left the surface: %v", sr.Center, err)
 			return
 		}
-		fresh, err := db.MR3(qp, k, core.S1, core.Options{})
+		fresh, err := db.NewSession().MR3Ctx(context.Background(), qp, k, core.S1, core.Options{})
 		if err != nil {
 			t.Errorf("fresh query at %v: %v", sr.Center, err)
 			return

@@ -21,25 +21,18 @@ type DistanceRange struct {
 	Iterations int
 }
 
-// DistanceWithAccuracy answers the paper's §5.3 query — "what is the
+// DistanceWithAccuracyCtx answers the paper's §5.3 query — "what is the
 // surface distance between a and b within accuracy X%" — directly from the
 // multiresolution structures: it walks the schedule, tightening [lb, ub],
 // and stops as soon as lb/ub ≥ accuracy (or the ladder is exhausted, in
 // which case the best achieved range is returned). accuracy must be in
 // (0, 1]; the structures on typical terrains support up to roughly the
-// Fig. 8 plateau.
-func (s *Session) DistanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64, sched Schedule) (DistanceRange, error) {
-	out, _, err := s.DistanceWithAccuracyCostCtx(nil, a, b, accuracy, sched)
-	return out, err
-}
-
-// DistanceWithAccuracyCostCtx is DistanceWithAccuracy bounded by a per-call
-// context — ctx cancels or deadlines this query only (nil selects the
-// session's default context) — returning, in addition, the query's Result
-// shell: no neighbours, but the per-phase Cost, Trace and Epoch the plain
-// form discards. The EXPLAIN path needs those numbers; the DistanceRange
-// itself is bit-identical to what the plain form returns.
-func (s *Session) DistanceWithAccuracyCostCtx(ctx context.Context, a, b mesh.SurfacePoint, accuracy float64, sched Schedule) (DistanceRange, Result, error) {
+// Fig. 8 plateau. ctx cancels or deadlines this query only.
+//
+// Beside the range it returns the query's Result shell: no neighbours, but
+// the per-phase Cost, Trace and Epoch (the EXPLAIN path needs those
+// numbers).
+func (s *Session) DistanceWithAccuracyCtx(ctx context.Context, a, b mesh.SurfacePoint, accuracy float64, sched Schedule) (DistanceRange, Result, error) {
 	if accuracy <= 0 || accuracy > 1 || math.IsNaN(accuracy) {
 		return DistanceRange{}, Result{}, fmt.Errorf("core: accuracy %g outside (0,1]", accuracy)
 	}
@@ -143,10 +136,4 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 		return out, fmt.Errorf("core: points are not connected on the surface")
 	}
 	return out, nil
-}
-
-// DistanceWithAccuracy is the one-shot convenience form: it runs the query
-// in a fresh throwaway session.
-func (db *TerrainDB) DistanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64, sched Schedule) (DistanceRange, error) {
-	return db.NewSession(nil).DistanceWithAccuracy(a, b, accuracy, sched)
 }

@@ -17,17 +17,17 @@ func TestWarmSessionKNNAllocFree(t *testing.T) {
 	}
 	db := buildDB(t, dem.BH, 16, 60, 2006)
 	qs := queryPoints(t, db, 4, 77)
-	s := db.NewSession(nil)
+	s := db.NewSession()
 	// Warm-up: let every retained buffer (candidate slab, CSR scratch,
 	// SDN chain DP, fetch id lists, phase slice) reach its final size.
 	for _, q := range qs {
-		if _, err := s.MR3(q, 5, S2, Options{}); err != nil {
+		if _, err := s.MR3Ctx(bg, q, 5, S2, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	qi := 0
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := s.MR3(qs[qi%len(qs)], 5, S2, Options{}); err != nil {
+		if _, err := s.MR3Ctx(bg, qs[qi%len(qs)], 5, S2, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		qi++
@@ -44,16 +44,16 @@ func TestWarmSessionRangeAllocFree(t *testing.T) {
 	}
 	db := buildDB(t, dem.BH, 16, 60, 2006)
 	qs := queryPoints(t, db, 4, 77)
-	s := db.NewSession(nil)
+	s := db.NewSession()
 	radius := 250.0
 	for _, q := range qs {
-		if _, err := s.SurfaceRange(q, radius, S2, Options{}); err != nil {
+		if _, err := s.SurfaceRangeCtx(bg, q, radius, S2, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	qi := 0
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := s.SurfaceRange(qs[qi%len(qs)], radius, S2, Options{}); err != nil {
+		if _, err := s.SurfaceRangeCtx(bg, qs[qi%len(qs)], radius, S2, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		qi++

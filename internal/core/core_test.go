@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,9 @@ import (
 	"surfknn/internal/mesh"
 	"surfknn/internal/workload"
 )
+
+// bg is the context of every test query that exercises no cancellation.
+var bg = context.Background()
 
 // testDB builds a small terrain database with objects, shared across tests
 // via subtests to amortise construction.
@@ -48,7 +52,7 @@ func idsOf(ns []Neighbor) map[int64]bool {
 // distance (within tolerance).
 func sameKSet(t *testing.T, db *TerrainDB, q mesh.SurfacePoint, got []Neighbor, k int) {
 	t.Helper()
-	want := db.BruteForce(q, k)
+	want := db.NewSession().BruteForce(q, k)
 	if len(got) != len(want) {
 		t.Fatalf("got %d neighbours, want %d", len(got), len(want))
 	}
@@ -73,7 +77,7 @@ func TestMR3MatchesBruteForce(t *testing.T) {
 	for _, sched := range []Schedule{S1, S2, S3} {
 		for _, k := range []int{1, 3, 8} {
 			for qi, q := range qs {
-				res, err := db.MR3(q, k, sched, Options{})
+				res, err := db.NewSession().MR3Ctx(bg, q, k, sched, Options{})
 				if err != nil {
 					t.Fatalf("%s k=%d q%d: %v", sched.Name, k, qi, err)
 				}
@@ -98,7 +102,7 @@ func TestEAMatchesBruteForce(t *testing.T) {
 	qs := queryPoints(t, db, 3, 56)
 	for _, k := range []int{1, 5} {
 		for qi, q := range qs {
-			res, err := db.EA(q, k)
+			res, err := db.NewSession().EACtx(bg, q, k)
 			if err != nil {
 				t.Fatalf("k=%d q%d: %v", k, qi, err)
 			}
@@ -114,11 +118,11 @@ func TestMR3AndEAAgree(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 40, 303)
 	q := queryPoints(t, db, 1, 57)[0]
 	k := 5
-	mr3, err := db.MR3(q, k, S2, Options{})
+	mr3, err := db.NewSession().MR3Ctx(bg, q, k, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea, err := db.EA(q, k)
+	ea, err := db.NewSession().EACtx(bg, q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +144,7 @@ func TestMR3AndEAAgree(t *testing.T) {
 func TestMR3MetricsPopulated(t *testing.T) {
 	db := buildDB(t, dem.EP, 16, 40, 404)
 	q := queryPoints(t, db, 1, 58)[0]
-	res, err := db.MR3(q, 5, S1, Options{})
+	res, err := db.NewSession().MR3Ctx(bg, q, 5, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +161,11 @@ func TestIOIntegrationReducesPages(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 80, 505)
 	q := queryPoints(t, db, 1, 59)[0]
 	k := 10
-	on, err := db.MR3(q, k, S2, Options{})
+	on, err := db.NewSession().MR3Ctx(bg, q, k, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := db.MR3(q, k, S2, Options{DisableIOIntegration: true})
+	off, err := db.NewSession().MR3Ctx(bg, q, k, S2, Options{DisableIOIntegration: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +182,11 @@ func TestDummyLBSameAnswer(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 60, 606)
 	q := queryPoints(t, db, 1, 60)[0]
 	k := 6
-	with, err := db.MR3(q, k, S1, Options{})
+	with, err := db.NewSession().MR3Ctx(bg, q, k, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := db.MR3(q, k, S1, Options{DisableDummyLB: true})
+	without, err := db.NewSession().MR3Ctx(bg, q, k, S1, Options{DisableDummyLB: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +222,14 @@ func TestMR3ErrorsWithoutObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := db.SurfacePointAt(m.Extent().Center())
-	if _, err := db.MR3(q, 3, S1, Options{}); err == nil {
+	if _, err := db.NewSession().MR3Ctx(bg, q, 3, S1, Options{}); err == nil {
 		t.Error("MR3 without objects should error")
 	}
-	if _, err := db.EA(q, 3); err == nil {
+	if _, err := db.NewSession().EACtx(bg, q, 3); err == nil {
 		t.Error("EA without objects should error")
 	}
 	db.SetObjects(nil)
-	if _, err := db.MR3(q, 0, S1, Options{}); err == nil {
+	if _, err := db.NewSession().MR3Ctx(bg, q, 0, S1, Options{}); err == nil {
 		t.Error("k=0 should error")
 	}
 }
@@ -233,7 +237,7 @@ func TestMR3ErrorsWithoutObjects(t *testing.T) {
 func TestKLargerThanObjects(t *testing.T) {
 	db := buildDB(t, dem.EP, 8, 5, 707)
 	q := queryPoints(t, db, 1, 61)[0]
-	res, err := db.MR3(q, 10, S2, Options{})
+	res, err := db.NewSession().MR3Ctx(bg, q, 10, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +253,7 @@ func TestBothFamilyLBSameAnswer(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 50, 1414)
 	q := queryPoints(t, db, 1, 65)[0]
 	k := 5
-	res, err := db.MR3(q, k, S2, Options{BothFamilyLB: true})
+	res, err := db.NewSession().MR3Ctx(bg, q, k, S2, Options{BothFamilyLB: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestConcurrentReadersUnderUpdates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess := db.NewSession(nil)
+			sess := db.NewSession()
 			var lastEpoch uint64
 			for {
 				select {
@@ -49,7 +49,7 @@ func TestConcurrentReadersUnderUpdates(t *testing.T) {
 					return
 				default:
 				}
-				res, err := sess.MR3(q, 3, S2, Options{})
+				res, err := sess.MR3Ctx(bg, q, 3, S2, Options{})
 				if err != nil {
 					t.Errorf("reader MR3: %v", err)
 					return
@@ -186,15 +186,15 @@ func FuzzObjstoreEquivalence(f *testing.F) {
 		survivors := dyn.Objects()
 		ref.SetObjects(survivors)
 		if len(survivors) == 0 {
-			if _, err := dyn.MR3(q, 1, S2, Options{}); err == nil {
+			if _, err := dyn.NewSession().MR3Ctx(bg, q, 1, S2, Options{}); err == nil {
 				t.Fatal("MR3 over an emptied store should fail to bound")
 			}
 			return
 		}
 		k := 1 + int(kraw)%len(survivors)
 
-		resDyn, errDyn := dyn.MR3(q, k, S2, Options{})
-		resRef, errRef := ref.MR3(q, k, S2, Options{})
+		resDyn, errDyn := dyn.NewSession().MR3Ctx(bg, q, k, S2, Options{})
+		resRef, errRef := ref.NewSession().MR3Ctx(bg, q, k, S2, Options{})
 		if (errDyn == nil) != (errRef == nil) {
 			t.Fatalf("error divergence: dynamic %v vs rebuilt %v", errDyn, errRef)
 		}

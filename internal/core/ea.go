@@ -12,20 +12,15 @@ import (
 	"surfknn/internal/workload"
 )
 
-// EA answers the query with the Enhanced Approximation benchmark of §5.2
-// under the session's default context: the same filter pipeline as MR3
-// (2-D k-NN → range query → ranking) and the same search-region techniques,
-// but every surface distance is computed at full resolution — original mesh
-// plus pathnet for the distance itself, the 100% SDN for the lower-bound
-// filter. Lacking the multiresolution ladder, it fetches fine terrain data
-// over large regions and runs the Kanai–Suzuki computation per candidate,
-// which is what Figs. 10–11 show blowing up against MR3.
-func (s *Session) EA(q mesh.SurfacePoint, k int) (Result, error) {
-	return s.EACtx(nil, q, k)
-}
-
-// EACtx is EA bounded by a per-call context: ctx cancels or deadlines this
-// query only (nil selects the session's default context).
+// EACtx answers the query with the Enhanced Approximation benchmark of
+// §5.2: the same filter pipeline as MR3 (2-D k-NN → range query → ranking)
+// and the same search-region techniques, but every surface distance is
+// computed at full resolution — original mesh plus pathnet for the distance
+// itself, the 100% SDN for the lower-bound filter. Lacking the
+// multiresolution ladder, it fetches fine terrain data over large regions
+// and runs the Kanai–Suzuki computation per candidate, which is what Figs.
+// 10–11 show blowing up against MR3. ctx cancels or deadlines this query
+// only.
 func (s *Session) EACtx(ctx context.Context, q mesh.SurfacePoint, k int) (Result, error) {
 	if s.db.store == nil {
 		return Result{}, fmt.Errorf("core: no objects installed (call SetObjects)")
@@ -226,12 +221,6 @@ func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 	return out, nil
 }
 
-// EA is the one-shot convenience form: it runs the benchmark query in a
-// fresh throwaway session.
-func (db *TerrainDB) EA(q mesh.SurfacePoint, k int) (Result, error) {
-	return db.NewSession(nil).EA(q, k)
-}
-
 // BruteForce ranks every object by the reference surface distance — the
 // oracle used by tests and, on small inputs, sanity checks. It bypasses the
 // paged stores (no page accounting) but still pins one epoch so the scan
@@ -261,9 +250,4 @@ func (s *Session) BruteForce(q mesh.SurfacePoint, k int) []Neighbor {
 		out[i] = Neighbor{Object: all[i].obj, LB: all[i].d, UB: all[i].d}
 	}
 	return out
-}
-
-// BruteForce is the one-shot convenience form over a throwaway session.
-func (db *TerrainDB) BruteForce(q mesh.SurfacePoint, k int) []Neighbor {
-	return db.NewSession(nil).BruteForce(q, k)
 }

@@ -85,6 +85,10 @@ func FuzzLoadSnapshot(f *testing.F) {
 	for _, forged := range forgedMSDNSnapshots(f, db) {
 		f.Add(forged)
 	}
+	// Likewise for a Dxy index whose nodes form a cycle or overrun a slab.
+	for _, forged := range forgedIndexSnapshots(f, db) {
+		f.Add(forged)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := Load(bytes.NewReader(data), Config{})
@@ -101,6 +105,10 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if err := db.MSDN.Validate(); err != nil {
 			t.Fatalf("accepted snapshot fails MSDN validation: %v", err)
 		}
+		// Both Dxy searches must terminate on whatever index was accepted.
+		c := db.Extent.Center()
+		db.KNN2D(c, 3)
+		db.Range2D(c, db.Extent.Width()+db.Extent.Height())
 	})
 }
 
@@ -122,7 +130,7 @@ func FuzzMR3Invariants(f *testing.F) {
 		}
 		n := len(db.Objects())
 		k := 1 + int(kraw)%n
-		res, err := db.MR3(q, k, S2, Options{})
+		res, err := db.NewSession().MR3Ctx(bg, q, k, S2, Options{})
 		if err != nil {
 			t.Fatalf("MR3(%v, k=%d): %v", q.Pos, k, err)
 		}
@@ -162,7 +170,7 @@ func FuzzDistanceRangeInvariants(f *testing.F) {
 			t.Skip("NaN accuracy is rejected by validation")
 		}
 		accuracy := 0.05 + 0.9*clamp01(acc)
-		out, err := db.DistanceWithAccuracy(a, b, accuracy, S2)
+		out, _, err := db.NewSession().DistanceWithAccuracyCtx(bg, a, b, accuracy, S2)
 		if err != nil {
 			return // disconnected points are a legal error outcome
 		}

@@ -62,7 +62,7 @@ func TestMR3RandomisedRobustness(t *testing.T) {
 		}
 		k := 1 + rng.Intn(nObj)
 		sched := scheds[rng.Intn(len(scheds))]
-		res, err := db.MR3(q, k, sched, Options{})
+		res, err := db.NewSession().MR3Ctx(bg, q, k, sched, Options{})
 		if err != nil {
 			t.Fatalf("trial %d (%s size=%d n=%d k=%d %s): %v",
 				trial, preset.Name, size, nObj, k, sched.Name, err)

@@ -58,7 +58,7 @@ func TestGoldenQuiescedMatchesStaticPath(t *testing.T) {
 		t.Fatalf("query Y bits = %#x, want %#x (fixture drifted; golden values invalid)", got, want)
 	}
 
-	mr3, err := db.MR3(q, 5, S2, Options{})
+	mr3, err := db.NewSession().MR3Ctx(bg, q, 5, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestGoldenQuiescedMatchesStaticPath(t *testing.T) {
 		{15, 0x4043b3b92d299617, 0x4043b3b92d299617},
 	})
 
-	ea, err := db.EA(q, 5)
+	ea, err := db.NewSession().EACtx(bg, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestGoldenQuiescedMatchesStaticPath(t *testing.T) {
 	if got, want := math.Float64bits(radius), uint64(0x4044000000000000); got != want {
 		t.Fatalf("radius bits = %#x, want %#x", got, want)
 	}
-	rng, err := db.SurfaceRange(q, radius, S1, Options{})
+	rng, err := db.NewSession().SurfaceRangeCtx(bg, q, radius, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 // Neighbors and Cost.Phases alias buffers owned by the answering Session:
 // they are valid until the next query on that session (or its release to a
 // pool). Callers that keep a Result across queries must copy those slices
-// first — every in-tree consumer either uses a one-shot session or consumes
-// the Result before reusing the session.
+// first — every in-tree consumer consumes the Result before reusing the
+// session.
 type Result struct {
 	Neighbors []Neighbor
 	// Cost is the structured per-phase cost breakdown: wall time per MR3
@@ -37,8 +37,8 @@ type Result struct {
 // pre-Cost API reported in a Metrics field.
 func (r Result) Metrics() stats.Metrics { return r.Cost.Metrics() }
 
-// MR3 answers the surface k-NN query with Multi-Resolution Range Ranking
-// (§4.1) under the session's default context:
+// MR3Ctx answers the surface k-NN query with Multi-Resolution Range Ranking
+// (§4.1); ctx cancels or deadlines this query only:
 //
 //  1. 2-D k-NN: find the k objects nearest to q's (x,y) projection.
 //  2. Surface-distance ranking of those k to obtain a tight upper bound
@@ -49,12 +49,6 @@ func (r Result) Metrics() stats.Metrics { return r.Cost.Metrics() }
 //  4. Surface-distance ranking of the collected candidates until the k-th
 //     neighbour's upper bound is no greater than the (k+1)-th's lower
 //     bound.
-func (s *Session) MR3(q mesh.SurfacePoint, k int, sched Schedule, opt Options) (Result, error) {
-	return s.MR3Ctx(nil, q, k, sched, opt)
-}
-
-// MR3Ctx is MR3 bounded by a per-call context: ctx cancels or deadlines
-// this query only (nil selects the session's default context).
 func (s *Session) MR3Ctx(ctx context.Context, q mesh.SurfacePoint, k int, sched Schedule, opt Options) (Result, error) {
 	if s.db.store == nil {
 		return Result{}, fmt.Errorf("core: no objects installed (call SetObjects)")
@@ -116,13 +110,6 @@ func (s *Session) mr3(q mesh.SurfacePoint, k int, sched Schedule, opt Options) (
 		return nil, err
 	}
 	return final, nil
-}
-
-// MR3 is the one-shot convenience form: it runs the query in a fresh
-// throwaway session. Callers issuing many queries — or wanting
-// cancellation — create a Session once and query through it.
-func (db *TerrainDB) MR3(q mesh.SurfacePoint, k int, sched Schedule, opt Options) (Result, error) {
-	return db.NewSession(nil).MR3(q, k, sched, opt)
 }
 
 // kthUB returns the k-th neighbour's upper bound from a ranked result.

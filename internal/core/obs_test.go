@@ -33,15 +33,15 @@ func TestInstrumentedConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := db.NewSession(context.Background())
+			s := db.NewSession()
 			sum := &totals[w]
 			for i, q := range qs {
 				var res Result
 				var err error
 				if (w+i)%2 == 0 {
-					res, err = s.MR3(q, k, S1, Options{})
+					res, err = s.MR3Ctx(bg, q, k, S1, Options{})
 				} else {
-					res, err = s.SurfaceRange(q, db.Mesh.Extent().Width()/4, S2, Options{})
+					res, err = s.SurfaceRangeCtx(bg, q, db.Mesh.Extent().Width()/4, S2, Options{})
 				}
 				if err != nil {
 					t.Errorf("worker %d query %d: %v", w, i, err)
@@ -108,16 +108,16 @@ func TestInstrumentedConcurrentSessions(t *testing.T) {
 func TestObsNoopKeepsPagesIdentical(t *testing.T) {
 	base := buildDB(t, dem.BH, 16, 50, 7)
 	q := queryPoints(t, base, 1, 11)[0]
-	plain, err := base.MR3(q, 4, S1, Options{})
+	plain, err := base.NewSession().MR3Ctx(bg, q, 4, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	instr := buildDB(t, dem.BH, 16, 50, 7)
 	instr.Instrument(obs.NewRegistry())
-	s := instr.NewSession(nil)
+	s := instr.NewSession()
 	s.SetTracing(true)
-	traced, err := s.MR3(q, 4, S1, Options{})
+	traced, err := s.MR3Ctx(bg, q, 4, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestObsNoopKeepsPagesIdentical(t *testing.T) {
 func TestPhaseBreakdown(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 50, 7)
 	q := queryPoints(t, db, 1, 5)[0]
-	res, err := db.MR3(q, 4, S1, Options{})
+	res, err := db.NewSession().MR3Ctx(bg, q, 4, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +178,9 @@ func TestPhaseBreakdown(t *testing.T) {
 func TestTraceRecordsPhasesAndIterations(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 50, 7)
 	q := queryPoints(t, db, 1, 5)[0]
-	s := db.NewSession(nil)
+	s := db.NewSession()
 	s.SetTracing(true)
-	res, err := s.MR3(q, 4, S1, Options{})
+	res, err := s.MR3Ctx(bg, q, 4, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTraceRecordsPhasesAndIterations(t *testing.T) {
 
 	// Tracing off: no trace, and no spans leak between queries.
 	s.SetTracing(false)
-	res2, err := s.MR3(q, 4, S1, Options{})
+	res2, err := s.MR3Ctx(bg, q, 4, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSlowQueryLogCapturesTrace(t *testing.T) {
 	reg.SetSlowLog(obs.NewSlowQueryLog(&buf, 0))
 	db.Instrument(reg)
 	q := queryPoints(t, db, 1, 5)[0]
-	res, err := db.NewSession(nil).MR3(q, 3, S1, Options{})
+	res, err := db.NewSession().MR3Ctx(bg, q, 3, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,15 +261,15 @@ func TestSlowQueryLogCapturesTrace(t *testing.T) {
 	}
 }
 
-// TestPerCallContextOverride: a cancelled per-call context fails only that
-// call; the session's default context keeps working afterwards, and the
-// registry classifies the cancellation.
-func TestPerCallContextOverride(t *testing.T) {
+// TestPerCallContext: a cancelled context fails only the call it was passed
+// to; the session keeps working afterwards, and the registry classifies the
+// cancellation.
+func TestPerCallContext(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 30, 9)
 	reg := obs.NewRegistry()
 	db.Instrument(reg)
 	q := queryPoints(t, db, 1, 13)[0]
-	s := db.NewSession(context.Background())
+	s := db.NewSession()
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -279,8 +279,8 @@ func TestPerCallContextOverride(t *testing.T) {
 	if got := reg.QueriesCancelled.Value(); got != 1 {
 		t.Errorf("QueriesCancelled = %d, want 1", got)
 	}
-	// The override must not stick: the next default-context query succeeds.
-	if _, err := s.MR3(q, 3, S1, Options{}); err != nil {
+	// The context must not stick: the next query succeeds.
+	if _, err := s.MR3Ctx(bg, q, 3, S1, Options{}); err != nil {
 		t.Fatalf("MR3 after per-call cancellation: %v", err)
 	}
 	if _, err := s.EACtx(cancelled, q, 3); !errors.Is(err, context.Canceled) {
@@ -289,14 +289,14 @@ func TestPerCallContextOverride(t *testing.T) {
 	if _, err := s.SurfaceRangeCtx(cancelled, q, 100, S1, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SurfaceRangeCtx with cancelled ctx: err = %v", err)
 	}
-	if _, _, err := s.DistanceWithAccuracyCostCtx(cancelled, q, db.Objects()[0].Point, 0.7, S2); !errors.Is(err, context.Canceled) {
-		t.Errorf("DistanceWithAccuracyCostCtx with cancelled ctx: err = %v", err)
+	if _, _, err := s.DistanceWithAccuracyCtx(cancelled, q, db.Objects()[0].Point, 0.7, S2); !errors.Is(err, context.Canceled) {
+		t.Errorf("DistanceWithAccuracyCtx with cancelled ctx: err = %v", err)
 	}
 	if _, _, err := s.ClosestPairCtx(cancelled, S3, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("ClosestPairCtx with cancelled ctx: err = %v", err)
 	}
-	if _, err := s.MR3(q, 3, S1, Options{}); err != nil {
-		t.Fatalf("MR3 after all overrides: %v", err)
+	if _, err := s.MR3Ctx(bg, q, 3, S1, Options{}); err != nil {
+		t.Fatalf("MR3 after all cancellations: %v", err)
 	}
 }
 
@@ -325,11 +325,11 @@ func TestOptionConstructors(t *testing.T) {
 	// Constructor form answers identically to the sentinel struct form.
 	db := buildDB(t, dem.BH, 16, 40, 3)
 	q := queryPoints(t, db, 1, 5)[0]
-	viaStruct, err := db.MR3(q, 4, S1, Options{Step2Accuracy: -1, OverlapThreshold: -1})
+	viaStruct, err := db.NewSession().MR3Ctx(bg, q, 4, S1, Options{Step2Accuracy: -1, OverlapThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaOpts, err := db.MR3(q, 4, S1, NewOptions(WithStep2Accuracy(0), WithOverlapThreshold(0)))
+	viaOpts, err := db.NewSession().MR3Ctx(bg, q, 4, S1, NewOptions(WithStep2Accuracy(0), WithOverlapThreshold(0)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,8 @@ var ErrBadSnapshot = errors.New("bad snapshot")
 // vertex positions, face-point lists) and the object Dxy R-tree (node and
 // item slabs) — so loading is a straight read into the SoA layout instead of
 // re-running the Steiner subdivision and the STR bulk pack. v3 (which
-// rebuilt both) is still readable; the paged stores remain deterministic
-// derivations rebuilt on every load.
+// rebuilt both) is still readable but no longer written; the paged stores
+// remain deterministic derivations rebuilt on every load.
 
 // Format v3 added the object-store epoch number to the objects section, so
 // a restarted server resumes the version sequence where the snapshot left
@@ -159,7 +159,7 @@ func clampCap(n int) int {
 // objects, if any) to w in the current (v4) format.
 func (db *TerrainDB) Save(w io.Writer) error {
 	objs, epoch, dxy := db.snapshotObjects()
-	return db.save(w, true, objs, epoch, dxy)
+	return db.save(w, objs, epoch, dxy)
 }
 
 // SaveWithObjects writes a v4 snapshot whose object section holds exactly
@@ -174,15 +174,7 @@ func (db *TerrainDB) SaveWithObjects(w io.Writer, objs []workload.Object, epoch 
 	for i, o := range objs {
 		items[i] = index.Item{P: o.Point.XY(), ID: o.ID}
 	}
-	return db.save(w, true, objs, epoch, index.Bulk(items).Flatten())
-}
-
-// saveV3 writes the previous snapshot format, which omits the flat query
-// buffers. Kept (unexported) so the backward-compatibility test exercises
-// the v3 reader against a genuine v3 byte stream.
-func (db *TerrainDB) saveV3(w io.Writer) error {
-	objs, epoch, dxy := db.snapshotObjects()
-	return db.save(w, false, objs, epoch, dxy)
+	return db.save(w, objs, epoch, index.Bulk(items).Flatten())
 }
 
 // snapshotObjects captures the installed object set — epoch number, table
@@ -200,13 +192,9 @@ func (db *TerrainDB) snapshotObjects() ([]workload.Object, uint64, index.Flat) {
 	return objs, epoch, dxy
 }
 
-func (db *TerrainDB) save(w io.Writer, v4 bool, objs []workload.Object, epoch uint64, dxy index.Flat) error {
+func (db *TerrainDB) save(w io.Writer, objs []workload.Object, epoch uint64, dxy index.Flat) error {
 	pw := &persistWriter{w: bufio.NewWriter(w)}
-	if v4 {
-		pw.write(dbMagic[:])
-	} else {
-		pw.write(dbMagicV3[:])
-	}
+	pw.write(dbMagic[:])
 
 	// Mesh.
 	m := db.Mesh
@@ -262,8 +250,8 @@ func (db *TerrainDB) save(w io.Writer, v4 bool, objs []workload.Object, epoch ui
 		}
 	}
 
-	// Objects: the epoch number, table and (v4) Dxy index buffers supplied
-	// by the caller (Save/SaveWithObjects).
+	// Objects: the epoch number and table supplied by the caller
+	// (Save/SaveWithObjects); their Dxy index buffers follow the pathnet.
 	pw.u64(epoch)
 	pw.u32(uint32(len(objs)))
 	for _, o := range objs {
@@ -272,52 +260,50 @@ func (db *TerrainDB) save(w io.Writer, v4 bool, objs []workload.Object, epoch ui
 		pw.i32(int32(o.Point.Face))
 	}
 
-	if v4 {
-		// Pathnet flat buffers: CSR offsets and arcs, vertex positions, the
-		// Steiner level and the face→point CSR pair.
-		pf := db.Path.Flatten()
-		pw.u32(uint32(len(pf.Off)))
-		for _, v := range pf.Off {
-			pw.i32(v)
-		}
-		pw.u32(uint32(len(pf.Arcs)))
-		for _, a := range pf.Arcs {
-			pw.i32(a.To)
-			pw.f64(a.W)
-		}
-		pw.u32(uint32(len(pf.Pos)))
-		for _, v := range pf.Pos {
-			pw.vec3(v)
-		}
-		pw.u32(uint32(pf.Steiner))
-		pw.u32(uint32(len(pf.FaceOff)))
-		for _, v := range pf.FaceOff {
-			pw.i32(v)
-		}
-		pw.u32(uint32(len(pf.FacePts)))
-		for _, v := range pf.FacePts {
-			pw.i32(v)
-		}
+	// Pathnet flat buffers: CSR offsets and arcs, vertex positions, the
+	// Steiner level and the face→point CSR pair.
+	pf := db.Path.Flatten()
+	pw.u32(uint32(len(pf.Off)))
+	for _, v := range pf.Off {
+		pw.i32(v)
+	}
+	pw.u32(uint32(len(pf.Arcs)))
+	for _, a := range pf.Arcs {
+		pw.i32(a.To)
+		pw.f64(a.W)
+	}
+	pw.u32(uint32(len(pf.Pos)))
+	for _, v := range pf.Pos {
+		pw.vec3(v)
+	}
+	pw.u32(uint32(pf.Steiner))
+	pw.u32(uint32(len(pf.FaceOff)))
+	for _, v := range pf.FaceOff {
+		pw.i32(v)
+	}
+	pw.u32(uint32(len(pf.FacePts)))
+	for _, v := range pf.FacePts {
+		pw.i32(v)
+	}
 
-		// Dxy R-tree flat buffers: the four node-parallel arrays interleaved
-		// per node, then the item slab. Empty when no objects are installed.
-		pw.u32(uint32(len(dxy.Leaf)))
-		for i := range dxy.Leaf {
-			var leaf uint8
-			if dxy.Leaf[i] {
-				leaf = 1
-			}
-			pw.u8(leaf)
-			pw.mbr(dxy.MBR[i])
-			pw.i32(dxy.Start[i])
-			pw.i32(dxy.Count[i])
+	// Dxy R-tree flat buffers: the four node-parallel arrays interleaved
+	// per node, then the item slab. Empty when no objects are installed.
+	pw.u32(uint32(len(dxy.Leaf)))
+	for i := range dxy.Leaf {
+		var leaf uint8
+		if dxy.Leaf[i] {
+			leaf = 1
 		}
-		pw.u32(uint32(len(dxy.Items)))
-		for _, it := range dxy.Items {
-			pw.f64(it.P.X)
-			pw.f64(it.P.Y)
-			pw.u64(uint64(it.ID))
-		}
+		pw.u8(leaf)
+		pw.mbr(dxy.MBR[i])
+		pw.i32(dxy.Start[i])
+		pw.i32(dxy.Count[i])
+	}
+	pw.u32(uint32(len(dxy.Items)))
+	for _, it := range dxy.Items {
+		pw.f64(it.P.X)
+		pw.f64(it.P.Y)
+		pw.u64(uint64(it.ID))
 	}
 
 	if pw.err != nil {
@@ -519,7 +505,7 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 	// v4 tail: the pathnet and Dxy flat buffers.
 	var (
 		path *pathnet.Pathnet
-		dxy  index.Flat
+		dxy  *index.RTree
 	)
 	if v4 {
 		var pf pathnet.Flat
@@ -679,17 +665,18 @@ func loadPathnetFlat(pr *persistReader, nf int) (pathnet.Flat, error) {
 	return pf, nil
 }
 
-// loadIndexFlat reads the v4 Dxy R-tree section. nObj is the object count
-// read earlier; the item slab must index exactly that set.
-func loadIndexFlat(pr *persistReader, nObj int) (index.Flat, error) {
+// loadIndexFlat reads the v4 Dxy R-tree section into a tree. nObj is the
+// object count read earlier; the item slab must index exactly that set. The
+// node layout itself is index.FromFlat's to judge.
+func loadIndexFlat(pr *persistReader, nObj int) (*index.RTree, error) {
 	var f index.Flat
-	bad := func(format string, args ...any) (index.Flat, error) {
-		return f, fmt.Errorf("core: load: %w: "+format, append([]any{ErrBadSnapshot}, args...)...)
+	bad := func(format string, args ...any) (*index.RTree, error) {
+		return nil, fmt.Errorf("core: load: %w: "+format, append([]any{ErrBadSnapshot}, args...)...)
 	}
 
 	nNodes := int(pr.u32())
 	if pr.err != nil {
-		return f, fmt.Errorf("core: load: index header: %w", pr.err)
+		return nil, fmt.Errorf("core: load: index header: %w", pr.err)
 	}
 	if nNodes < 0 || nNodes > 1<<28 {
 		return bad("implausible index node count %d", nNodes)
@@ -704,12 +691,12 @@ func loadIndexFlat(pr *persistReader, nObj int) (index.Flat, error) {
 		f.Start = append(f.Start, pr.i32())
 		f.Count = append(f.Count, pr.i32())
 		if pr.err != nil {
-			return f, fmt.Errorf("core: load: index nodes: %w", pr.err)
+			return nil, fmt.Errorf("core: load: index nodes: %w", pr.err)
 		}
 	}
 	nItems := int(pr.u32())
 	if pr.err != nil {
-		return f, fmt.Errorf("core: load: index item count: %w", pr.err)
+		return nil, fmt.Errorf("core: load: index item count: %w", pr.err)
 	}
 	if nItems != nObj {
 		return bad("index holds %d items for %d objects", nItems, nObj)
@@ -721,25 +708,14 @@ func loadIndexFlat(pr *persistReader, nObj int) (index.Flat, error) {
 			ID: int64(pr.u64()),
 		})
 		if pr.err != nil {
-			return f, fmt.Errorf("core: load: index items: %w", pr.err)
+			return nil, fmt.Errorf("core: load: index items: %w", pr.err)
 		}
 	}
-	if nItems > 0 && nNodes == 0 {
-		return bad("index has items but no nodes")
+	t, err := index.FromFlat(f)
+	if err != nil {
+		return bad("%v", err)
 	}
-	// Every node's child/item range must stay inside the slab it points into
-	// (children for internal nodes, items for leaves).
-	for i := 0; i < nNodes; i++ {
-		start, count := int(f.Start[i]), int(f.Count[i])
-		limit := nNodes
-		if f.Leaf[i] {
-			limit = nItems
-		}
-		if start < 0 || count < 0 || start+count > limit {
-			return bad("index node %d range [%d,%d) outside slab of %d", i, start, start+count, limit)
-		}
-	}
-	return f, nil
+	return t, nil
 }
 
 // SaveFile writes the snapshot to the named file.

@@ -5,17 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"surfknn/internal/dem"
+	"surfknn/internal/geom"
+	"surfknn/internal/index"
 	"surfknn/internal/workload"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 40, 1212)
 	q := queryPoints(t, db, 1, 64)[0]
-	want, err := db.MR3(q, 5, S2, Options{})
+	want, err := db.NewSession().MR3Ctx(bg, q, 5, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db2.MR3(q2, 5, S2, Options{})
+	got, err := db2.NewSession().MR3Ctx(bg, q2, 5, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,25 +90,42 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// TestSnapshotV3BackwardCompat pins the v3 reader: a genuine v3 byte stream
-// (no flat-buffer tail) still loads, rebuilding the pathnet and the Dxy
-// pack, and answers queries exactly as the database that saved it.
-func TestSnapshotV3BackwardCompat(t *testing.T) {
-	db := buildDB(t, dem.BH, 16, 40, 1212)
-	q := queryPoints(t, db, 1, 64)[0]
-	want, err := db.MR3(q, 5, S2, Options{})
+// goldenV3 is a genuine v3 byte stream (no flat-buffer tail): the 15,772-byte
+// file the last v3 writer (commit 9498584) saved for buildDB(t, dem.BH, 4,
+// 40, 1212) — 25 vertices, 32 faces, and 40 objects, just past one R-tree
+// leaf, so loading it exercises both v3 rebuilds (Steiner subdivision and
+// the multi-leaf STR re-pack). The writer is gone; the reader is pinned
+// against this file.
+const goldenV3 = "testdata/snapshot_v3.skdb"
+
+// loadGoldenV3 loads the golden and returns, beside it, the database the
+// file was saved from, rebuilt fresh.
+func loadGoldenV3(t *testing.T) (fresh, loaded *TerrainDB) {
+	t.Helper()
+	raw, err := os.ReadFile(goldenV3)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	if err := db.saveV3(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(buf.Bytes()[:8]); got != "SKNNDB03" {
+	if got := string(raw[:8]); got != "SKNNDB03" {
 		t.Fatalf("v3 magic = %q", got)
 	}
-	db2, err := Load(&buf, Config{})
+	loaded, err = Load(bytes.NewReader(raw), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.FormatVersion(); got != 3 {
+		t.Fatalf("FormatVersion = %d, want 3", got)
+	}
+	return buildDB(t, dem.BH, 4, 40, 1212), loaded
+}
+
+// TestSnapshotV3BackwardCompat pins the v3 reader: a genuine v3 byte stream
+// still loads, rebuilding the pathnet and the Dxy pack, and answers queries
+// exactly as the database that saved it.
+func TestSnapshotV3BackwardCompat(t *testing.T) {
+	db, db2 := loadGoldenV3(t)
+	q := queryPoints(t, db, 1, 64)[0]
+	want, err := db.NewSession().MR3Ctx(bg, q, 5, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +133,7 @@ func TestSnapshotV3BackwardCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db2.MR3(q2, 5, S2, Options{})
+	got, err := db2.NewSession().MR3Ctx(bg, q2, 5, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,22 +146,15 @@ func TestSnapshotV3BackwardCompat(t *testing.T) {
 // that answer MR3, EA and range queries bit-identically, page counts
 // included.
 func TestSnapshotV4Equivalence(t *testing.T) {
-	db := buildDB(t, dem.BH, 16, 60, 2006)
+	db, db3 := loadGoldenV3(t)
 	qs := queryPoints(t, db, 3, 77)
 
-	var b3, b4 bytes.Buffer
-	if err := db.saveV3(&b3); err != nil {
-		t.Fatal(err)
-	}
+	var b4 bytes.Buffer
 	if err := db.Save(&b4); err != nil {
 		t.Fatal(err)
 	}
 	if got := string(b4.Bytes()[:8]); got != "SKNNDB04" {
 		t.Fatalf("v4 magic = %q", got)
-	}
-	db3, err := Load(&b3, Config{})
-	if err != nil {
-		t.Fatal(err)
 	}
 	db4, err := Load(&b4, Config{})
 	if err != nil {
@@ -157,31 +170,31 @@ func TestSnapshotV4Equivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := db3.MR3(q3, 5, S2, Options{})
+		want, err := db3.NewSession().MR3Ctx(bg, q3, 5, S2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db4.MR3(q4, 5, S2, Options{})
+		got, err := db4.NewSession().MR3Ctx(bg, q4, 5, S2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		compareResults(t, fmt.Sprintf("q%d MR3", qi), got, want)
 
-		want, err = db3.EA(q3, 5)
+		want, err = db3.NewSession().EACtx(bg, q3, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = db4.EA(q4, 5)
+		got, err = db4.NewSession().EACtx(bg, q4, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		compareResults(t, fmt.Sprintf("q%d EA", qi), got, want)
 
-		want, err = db3.SurfaceRange(q3, 250.0, S2, Options{})
+		want, err = db3.NewSession().SurfaceRangeCtx(bg, q3, 250.0, S2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = db4.SurfaceRange(q4, 250.0, S2, Options{})
+		got, err = db4.NewSession().SurfaceRangeCtx(bg, q4, 250.0, S2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,6 +309,48 @@ func TestLoadRejectsForgedMSDN(t *testing.T) {
 	}
 	if _, err := Load(&buf, Config{}); err != nil {
 		t.Fatalf("restored snapshot rejected: %v", err)
+	}
+}
+
+// forgedIndexSnapshots saves db with its Dxy index replaced by flat buffers
+// that stay inside their slabs (all the loader used to check) yet are no
+// tree: the searches would recurse, or grow the k-NN heap, without end. Save
+// stamps a valid CRC over each, so only the layout check can refuse them.
+func forgedIndexSnapshots(tb testing.TB, db *TerrainDB) map[string][]byte {
+	tb.Helper()
+	objs, epoch, dxy := db.snapshotObjects()
+	box := dxy.MBR[0]
+	out := make(map[string][]byte)
+	for name, f := range map[string]index.Flat{
+		"one-node cycle": {
+			Leaf: []bool{false}, MBR: []geom.MBR{box}, Start: []int32{0}, Count: []int32{1},
+		},
+		"two-node back-edge": {
+			Leaf: []bool{false, false}, MBR: []geom.MBR{box, box}, Start: []int32{1, 0}, Count: []int32{1, 1},
+		},
+		"leaf range past the item slab": {
+			Leaf: []bool{true}, MBR: []geom.MBR{box}, Start: []int32{0}, Count: []int32{int32(len(objs)) + 1},
+		},
+	} {
+		f.Items = dxy.Items
+		var buf bytes.Buffer
+		if err := db.save(&buf, objs, epoch, f); err != nil {
+			tb.Fatal(err)
+		}
+		out[name] = buf.Bytes()
+	}
+	return out
+}
+
+// TestLoadRejectsForgedIndex pins index.FromFlat on the load path: a
+// CRC-valid snapshot whose R-tree nodes point at themselves or an ancestor
+// used to load fine and then kill the first query's stack.
+func TestLoadRejectsForgedIndex(t *testing.T) {
+	db := buildDB(t, dem.BH, 8, 10, 99)
+	for name, raw := range forgedIndexSnapshots(t, db) {
+		if _, err := Load(bytes.NewReader(raw), Config{}); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
+		}
 	}
 }
 

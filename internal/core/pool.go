@@ -19,9 +19,8 @@ type sessionPool struct {
 }
 
 // AcquireSession checks an idle session out of the database's session pool,
-// creating a fresh one when the pool is empty. The session's default
-// context is context.Background(); per-request deadlines belong in the
-// *Ctx query variants, not stored in the session. Pair every acquire with
+// creating a fresh one when the pool is empty. Per-request deadlines are
+// passed to each query, not stored in the session. Pair every acquire with
 // Release — an unreleased session is not leaked (it is just garbage), but
 // its scratch allocations are lost to future requests.
 //
@@ -38,7 +37,7 @@ func (db *TerrainDB) AcquireSession() *Session {
 		return s
 	}
 	p.mu.Unlock()
-	return db.NewSession(nil)
+	return db.NewSession()
 }
 
 // Release returns a session obtained from AcquireSession to the pool. The

@@ -24,12 +24,12 @@ func TestPooledSessionMatchesOneShot(t *testing.T) {
 	}
 
 	for i, q := range qs {
-		oneShot, err := db.MR3(q, 3, S2, Options{})
+		oneShot, err := db.NewSession().MR3Ctx(bg, q, 3, S2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := db.AcquireSession()
-		pooled, err := s.MR3(q, 3, S2, Options{})
+		pooled, err := s.MR3Ctx(bg, q, 3, S2, Options{})
 		db.Release(s)
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func TestPoolReleaseResetsTracing(t *testing.T) {
 	db.Release(s)
 	s2 := db.AcquireSession()
 	defer db.Release(s2)
-	res, err := s2.MR3(q, 3, S1, Options{})
+	res, err := s2.MR3Ctx(bg, q, 3, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPoolReleaseResetsTracing(t *testing.T) {
 func TestPoolConcurrentCheckout(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 40, 3)
 	q := queryPoints(t, db, 1, 5)[0]
-	want, err := db.MR3(q, 4, S1, Options{})
+	want, err := db.NewSession().MR3Ctx(bg, q, 4, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				s := db.AcquireSession()
-				res, err := s.MR3(q, 4, S1, Options{})
+				res, err := s.MR3Ctx(bg, q, 4, S1, Options{})
 				db.Release(s)
 				if err != nil {
 					t.Error(err)

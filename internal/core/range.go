@@ -17,18 +17,13 @@ import (
 // range queries and closest pair queries". This file implements both on the
 // same multiresolution machinery.
 
-// SurfaceRange returns every object whose surface distance to q is at most
-// radius, with final distance ranges, under the session's default context.
-// It uses the same filter-and-refine strategy as MR3: a 2-D circular range
-// query collects candidates (valid because dE <= dS), then iterative bound
-// refinement classifies each candidate against the radius, falling back to
-// the reference distance only for ranges straddling it.
-func (s *Session) SurfaceRange(q mesh.SurfacePoint, radius float64, sched Schedule, opt Options) (Result, error) {
-	return s.SurfaceRangeCtx(nil, q, radius, sched, opt)
-}
-
-// SurfaceRangeCtx is SurfaceRange bounded by a per-call context: ctx cancels
-// or deadlines this query only (nil selects the session's default context).
+// SurfaceRangeCtx returns every object whose surface distance to q is at
+// most radius, with final distance ranges. It uses the same
+// filter-and-refine strategy as MR3: a 2-D circular range query collects
+// candidates (valid because dE <= dS), then iterative bound refinement
+// classifies each candidate against the radius, falling back to the
+// reference distance only for ranges straddling it. ctx cancels or
+// deadlines this query only.
 func (s *Session) SurfaceRangeCtx(ctx context.Context, q mesh.SurfacePoint, radius float64, sched Schedule, opt Options) (Result, error) {
 	if s.db.store == nil {
 		return Result{}, fmt.Errorf("core: no objects installed (call SetObjects)")
@@ -125,12 +120,6 @@ func sortNeighborsByUB(a []Neighbor) {
 	}
 }
 
-// SurfaceRange is the one-shot convenience form: it runs the query in a
-// fresh throwaway session.
-func (db *TerrainDB) SurfaceRange(q mesh.SurfacePoint, radius float64, sched Schedule, opt Options) (Result, error) {
-	return db.NewSession(nil).SurfaceRange(q, radius, sched, opt)
-}
-
 // rangeUndecided fills the target scratch with the candidates whose bound
 // range still straddles the radius.
 func (r *ranker) rangeUndecided(radius float64) []*candidate {
@@ -147,20 +136,17 @@ func (r *ranker) rangeUndecided(radius float64) []*candidate {
 	return out
 }
 
-// ClosestPair returns the pair of objects with the smallest surface
+// ClosestPairCtx returns the pair of objects with the smallest surface
 // distance between them, found by running a 1-NN query from each object
 // against the remainder, cheapest (by 2-D nearest-neighbour distance)
 // first, with the running best distance pruning later sources. For larger
 // object sets this beats the naive all-pairs reference computation by
 // orders of magnitude while returning the same pair.
-func (s *Session) ClosestPair(sched Schedule, opt Options) (a, b Neighbor, err error) {
-	return s.ClosestPairCtx(nil, sched, opt)
-}
-
-// ClosestPairCtx is ClosestPair bounded by a per-call context (nil selects
-// the session default). It drives one nested MR3 query per source object, so
-// it opens no query recording of its own — each nested query reports its own
-// Cost and registry observation; ctx threads through to every one of them.
+//
+// It drives one nested MR3 query per source object, so it opens no query
+// recording of its own — each nested query reports its own Cost and
+// registry observation, and each checks ctx on entry, which is what cancels
+// the scan between sources.
 func (s *Session) ClosestPairCtx(ctx context.Context, sched Schedule, opt Options) (a, b Neighbor, err error) {
 	db := s.db
 	if db.store == nil {
@@ -175,10 +161,6 @@ func (s *Session) ClosestPairCtx(ctx context.Context, sched Schedule, opt Option
 	if len(table) < 2 {
 		return a, b, fmt.Errorf("core: closest pair needs at least two objects")
 	}
-	if ctx == nil {
-		ctx = s.base
-	}
-	s.ctx = ctx
 	// Order the sources by their 2-D 1-NN distance: pairs that are close
 	// in the plane are the best candidates for the surface closest pair.
 	type src struct {
@@ -186,8 +168,9 @@ func (s *Session) ClosestPairCtx(ctx context.Context, sched Schedule, opt Option
 		d2  float64
 	}
 	srcs := make([]src, 0, len(table))
+	var nn []index.Item
 	for i, o := range table {
-		nn := view.KNN(o.Point.XY(), 2, nil) // first hit is the object itself
+		nn = view.KNNInto(o.Point.XY(), 2, nil, &s.knnSc, nn[:0]) // first hit is the object itself
 		d := math.Inf(1)
 		if len(nn) == 2 {
 			d = nn[1].P.Dist(o.Point.XY())
@@ -198,9 +181,6 @@ func (s *Session) ClosestPairCtx(ctx context.Context, sched Schedule, opt Option
 
 	best := math.Inf(1)
 	for _, sc := range srcs {
-		if cerr := ctx.Err(); cerr != nil {
-			return a, b, cerr
-		}
 		// The 2-D NN distance lower-bounds this source's surface NN
 		// distance; once it exceeds the best pair found, no later source
 		// can win.
@@ -226,12 +206,6 @@ func (s *Session) ClosestPairCtx(ctx context.Context, sched Schedule, opt Option
 		return a, b, fmt.Errorf("core: no pair found")
 	}
 	return a, b, nil
-}
-
-// ClosestPair is the one-shot convenience form: it runs the query in a
-// fresh throwaway session.
-func (db *TerrainDB) ClosestPair(sched Schedule, opt Options) (a, b Neighbor, err error) {
-	return db.NewSession(nil).ClosestPair(sched, opt)
 }
 
 // knnExcluding runs a 1-NN query from an object's location, excluding the

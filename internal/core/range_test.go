@@ -12,9 +12,9 @@ func TestSurfaceRangeMatchesBruteForce(t *testing.T) {
 	q := queryPoints(t, db, 1, 62)[0]
 	// Pick a radius that catches a handful of objects: the brute-force
 	// 5th-nearest distance.
-	bf := db.BruteForce(q, 5)
+	bf := db.NewSession().BruteForce(q, 5)
 	radius := bf[4].UB * 1.001
-	res, err := db.SurfaceRange(q, radius, S2, Options{})
+	res, err := db.NewSession().SurfaceRangeCtx(bg, q, radius, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSurfaceRangeEdgeCases(t *testing.T) {
 	db := buildDB(t, dem.EP, 8, 10, 909)
 	q := queryPoints(t, db, 1, 63)[0]
 	// Zero radius: at most an object exactly at q (none here).
-	res, err := db.SurfaceRange(q, 0, S3, Options{})
+	res, err := db.NewSession().SurfaceRangeCtx(bg, q, 0, S3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSurfaceRangeEdgeCases(t *testing.T) {
 		t.Errorf("zero radius returned %d objects", len(res.Neighbors))
 	}
 	// Huge radius: everything.
-	res, err = db.SurfaceRange(q, 1e9, S3, Options{})
+	res, err = db.NewSession().SurfaceRangeCtx(bg, q, 1e9, S3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,17 +76,17 @@ func TestSurfaceRangeEdgeCases(t *testing.T) {
 		t.Errorf("huge radius returned %d of %d objects", len(res.Neighbors), len(db.Objects()))
 	}
 	// Invalid radius.
-	if _, err := db.SurfaceRange(q, math.NaN(), S3, Options{}); err == nil {
+	if _, err := db.NewSession().SurfaceRangeCtx(bg, q, math.NaN(), S3, Options{}); err == nil {
 		t.Error("NaN radius should error")
 	}
-	if _, err := db.SurfaceRange(q, -1, S3, Options{}); err == nil {
+	if _, err := db.NewSession().SurfaceRangeCtx(bg, q, -1, S3, Options{}); err == nil {
 		t.Error("negative radius should error")
 	}
 }
 
 func TestClosestPairMatchesBruteForce(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 25, 1010)
-	a, b, err := db.ClosestPair(S2, Options{})
+	a, b, err := db.NewSession().ClosestPairCtx(bg, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestClosestPairMatchesBruteForce(t *testing.T) {
 
 func TestClosestPairErrors(t *testing.T) {
 	db := buildDB(t, dem.EP, 8, 1, 1111)
-	if _, _, err := db.ClosestPair(S2, Options{}); err == nil {
+	if _, _, err := db.NewSession().ClosestPairCtx(bg, S2, Options{}); err == nil {
 		t.Error("single object should error")
 	}
 }

@@ -478,7 +478,7 @@ func TestClippedDistanceGuard(t *testing.T) {
 		}
 		return sp
 	}
-	s := db.NewSession(nil)
+	s := db.NewSession()
 	for _, pair := range [][2]mesh.SurfacePoint{
 		{at(20, 40), at(130, 40)},  // along a grid row
 		{at(40, 20), at(40, 130)},  // along a grid column
@@ -568,14 +568,14 @@ func sameResult(t *testing.T, what string, got, want Result) {
 func TestUpperBoundPathMatchesReference(t *testing.T) {
 	for _, f := range refFixtures(t) {
 		t.Run(f.name, func(t *testing.T) {
-			s := f.db.NewSession(nil)
-			ref := &refEngine{s: f.ref.NewSession(nil)}
+			s := f.db.NewSession()
+			ref := &refEngine{s: f.ref.NewSession()}
 			cands := f.db.Objects()
 			for _, sched := range []Schedule{S1, S2, S3} {
 				for _, k := range []int{1, 5, 10} {
 					for qi, q := range f.qs {
 						what := fmt.Sprintf("sched %v k %d q %d", sched, k, qi)
-						got, err := s.MR3(q, k, sched, Options{})
+						got, err := s.MR3Ctx(bg, q, k, sched, Options{})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -599,7 +599,7 @@ func TestUpperBoundPathMatchesReference(t *testing.T) {
 					}
 				}
 				for qi, q := range f.qs {
-					got, err := s.SurfaceRange(q, f.radius, sched, Options{})
+					got, err := s.SurfaceRangeCtx(bg, q, f.radius, sched, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -612,7 +612,7 @@ func TestUpperBoundPathMatchesReference(t *testing.T) {
 			}
 			for _, k := range []int{1, 5, 10} {
 				for qi, q := range f.qs {
-					got, err := s.EA(q, k)
+					got, err := s.EACtx(bg, q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -651,7 +651,7 @@ func BenchmarkUpperBoundFilter(b *testing.B) {
 	ext := db.Extent
 	q, _ := db.SurfacePointAt(ext.Center())
 	o, _ := db.SurfacePointAt(geom.Vec2{X: ext.MaxX - 90, Y: ext.MaxY - 110})
-	s := db.NewSession(nil)
+	s := db.NewSession()
 
 	tm := db.Tree.TimeForResolution(0.25)
 	if err := s.fetchDMTM(ext, tm); err != nil {

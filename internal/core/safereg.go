@@ -67,12 +67,6 @@ func (sr SafeRegion) GuardMBR() geom.MBR {
 	}
 }
 
-// MR3Safe is MR3 plus the safe-region computation, under the session's
-// default context.
-func (s *Session) MR3Safe(q mesh.SurfacePoint, k int, sched Schedule, opt Options) (Result, SafeRegion, error) {
-	return s.MR3SafeCtx(nil, q, k, sched, opt)
-}
-
 // MR3SafeCtx answers the surface k-NN query exactly like MR3Ctx — the
 // Result is bit-identical to what MR3Ctx returns for the same inputs at the
 // same epoch — and additionally derives the answer's SafeRegion from the

@@ -17,7 +17,7 @@ func TestSafeRegionInvariant(t *testing.T) {
 	for _, preset := range []dem.Preset{dem.EP, dem.BH} {
 		db := buildDB(t, preset, 16, 60, 7)
 		qs := queryPoints(t, db, 12, 99)
-		sess := db.NewSession(nil)
+		sess := db.NewSession()
 
 		positive := 0
 		var relaxations int64
@@ -44,7 +44,7 @@ func TestSafeRegionInvariant(t *testing.T) {
 
 				// The baseline answer must be bit-identical to plain MR3 at
 				// the same epoch — MR3Safe is MR3 plus read-only geometry.
-				plain, err := db.MR3(q, k, S1, Options{})
+				plain, err := db.NewSession().MR3Ctx(bg, q, k, S1, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,7 +66,7 @@ func TestSafeRegionInvariant(t *testing.T) {
 							// so the perturbed point must stay on the surface.
 							t.Fatalf("perturbed point %v left the surface: %v", p, err)
 						}
-						re, err := db.MR3(qp, k, S1, Options{})
+						re, err := db.NewSession().MR3Ctx(bg, qp, k, S1, Options{})
 						if err != nil {
 							t.Fatalf("re-query at %v: %v", p, err)
 						}
@@ -101,7 +101,7 @@ func requireSameRanking(t *testing.T, want, got []Neighbor, what string) {
 func TestSafeRegionGuard(t *testing.T) {
 	db := buildDB(t, dem.EP, 8, 40, 3)
 	q := queryPoints(t, db, 1, 5)[0]
-	_, sr, err := db.NewSession(nil).MR3Safe(q, 3, S1, Options{})
+	_, sr, err := db.NewSession().MR3SafeCtx(bg, q, 3, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,18 +34,16 @@ import (
 //   - the per-query cost recorder and (when enabled) phase trace.
 //
 // Cancellation follows the Go context guidance: a context is not stored
-// across queries but passed per call — every query method has a *Ctx
-// variant (MR3Ctx, EACtx, ...) taking the controlling context explicitly.
-// The context given to NewSession is kept only as the session's default,
-// used by the legacy no-context methods; a nil ctx in a *Ctx call selects
-// that default.
+// across queries but passed per call — every query method (MR3Ctx, EACtx,
+// SurfaceRangeCtx, ...) takes the context that cancels or deadlines that
+// one query as its first argument; nil means context.Background().
 //
 // A Session is owned by one goroutine at a time (it is not internally
 // synchronised) but may be reused for any number of consecutive queries.
-// Create one per worker with TerrainDB.NewSession.
+// Create one per worker with TerrainDB.NewSession, or check one out per
+// unit of work with AcquireSession/Release.
 type Session struct {
 	db   *TerrainDB
-	base context.Context // session-default context (NewSession argument)
 	ctx  context.Context // context of the query in flight; set by beginQuery
 	path *pathnet.Querier
 
@@ -77,14 +75,9 @@ type Session struct {
 	eaSc  eaState             // EA benchmark top-k scratch
 }
 
-// NewSession creates a query context over the database. ctx is the
-// session's default context, bounding every query issued without a per-call
-// override (nil means context.Background()).
-func (db *TerrainDB) NewSession(ctx context.Context) *Session {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s := &Session{db: db, base: ctx, ctx: ctx, path: db.Path.NewQuerier()}
+// NewSession creates a query context over the database.
+func (db *TerrainDB) NewSession() *Session {
+	s := &Session{db: db, path: db.Path.NewQuerier()}
 	if db.Tree != nil {
 		s.est = multires.NewEstimator(db.Tree)
 		// The refined-region buffer is bounded by the node count of the
@@ -105,13 +98,14 @@ func (s *Session) DB() *TerrainDB { return s.db }
 func (s *Session) SetTracing(on bool) { s.tracing = on }
 
 // beginQuery resets the per-query accounting and opens the query's cost
-// recorder. ctx is the per-call override; nil selects the session default.
+// recorder. ctx bounds this query; nil means context.Background() — the one
+// place that default is applied, every query method funnels through here.
 // Each top-level query method calls it on entry, so a session reused for
 // several queries reports each query's cost in isolation — the same numbers
 // the paper's one-query-at-a-time harness measured with global counters.
 func (s *Session) beginQuery(ctx context.Context, algo string) {
 	if ctx == nil {
-		ctx = s.base
+		ctx = context.Background()
 	}
 	s.ctx = ctx
 	s.io = storage.IOAccount{}
@@ -173,15 +167,10 @@ func (s *Session) ensureScratch(n int) {
 	s.rk.ensure(n)
 }
 
-// viewObjects resolves R-tree items to objects through the pinned epoch —
-// every candidate a query ranks comes from the one version it pinned.
-func (s *Session) viewObjects(items []index.Item) []workload.Object {
-	return s.viewObjectsInto(items, make([]workload.Object, 0, len(items)))
-}
-
-// viewObjectsInto is viewObjects filling dst (truncated first). dst must
-// have capacity for every resolved item; the query path passes s.objs,
-// sized by ensureScratch.
+// viewObjectsInto resolves R-tree items to objects through the pinned
+// epoch — every candidate a query ranks comes from the one version it
+// pinned — filling dst (truncated first). dst must have capacity for every
+// resolved item; the query path passes s.objs, sized by ensureScratch.
 func (s *Session) viewObjectsInto(items []index.Item, dst []workload.Object) []workload.Object {
 	out := dst[:0]
 	for _, it := range items {
@@ -304,15 +293,9 @@ func (s *Session) referenceDistance(a, b mesh.SurfacePoint) float64 {
 	return s.path.DistanceValue(a, b)
 }
 
-// MaskedKNN answers the constrained k-NN query (see TerrainDB.MaskedKNN)
-// under the session's default context.
-func (s *Session) MaskedKNN(q mesh.SurfacePoint, k int, mask FaceMask) ([]Neighbor, error) {
-	return s.MaskedKNNCtx(nil, q, k, mask)
-}
-
-// MaskedKNNCtx is MaskedKNN bounded by a per-call context (nil selects the
-// session default). The computation builds private per-query structures, so
-// the session contributes only cancellation and lifecycle accounting.
+// MaskedKNNCtx answers the constrained k-NN query (see maskedKNN) bounded by
+// ctx. The computation builds private per-query structures, so the session
+// contributes only cancellation and lifecycle accounting.
 func (s *Session) MaskedKNNCtx(ctx context.Context, q mesh.SurfacePoint, k int, mask FaceMask) ([]Neighbor, error) {
 	s.beginQuery(ctx, algoMasked)
 	var ns []Neighbor

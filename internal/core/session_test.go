@@ -1,12 +1,15 @@
 package core
 
 import (
-	"surfknn/internal/dem"
-
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
+
+	"surfknn/internal/dem"
+	"surfknn/internal/mesh"
+	"surfknn/internal/workload"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -33,7 +36,7 @@ func TestLiteralZeroOptionsRun(t *testing.T) {
 	// any intersecting I/O regions.
 	db := buildDB(t, dem.BH, 16, 40, 3)
 	q := queryPoints(t, db, 1, 5)[0]
-	res, err := db.MR3(q, 4, S1, Options{Step2Accuracy: -1, OverlapThreshold: -1})
+	res, err := db.NewSession().MR3Ctx(bg, q, 4, S1, Options{Step2Accuracy: -1, OverlapThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,13 +49,13 @@ func TestSessionReuseMatchesOneShot(t *testing.T) {
 	// sequential harness semantics).
 	db := buildDB(t, dem.BH, 16, 50, 7)
 	qs := queryPoints(t, db, 4, 11)
-	s := db.NewSession(context.Background())
+	s := db.NewSession()
 	for i, q := range qs {
-		oneShot, err := db.MR3(q, 3, S2, Options{})
+		oneShot, err := db.NewSession().MR3Ctx(bg, q, 3, S2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused, err := s.MR3(q, 3, S2, Options{})
+		reused, err := s.MR3Ctx(bg, q, 3, S2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,20 +74,93 @@ func TestSessionReuseMatchesOneShot(t *testing.T) {
 	}
 }
 
-func TestSessionCancellation(t *testing.T) {
+// TestCancelledQueryLeavesSessionClean covers every Session query method: an
+// already-cancelled ctx returns context.Canceled, leaves nothing pinned —
+// neither an object epoch (an update published afterwards must leave exactly
+// one live epoch) nor a buffer-pool page — and the session answers its next
+// query bit-identically to a fresh session.
+func TestCancelledQueryLeavesSessionClean(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 30, 9)
 	q := queryPoints(t, db, 1, 13)[0]
-	ctx, cancel := context.WithCancel(context.Background())
+	other := db.Objects()[0]
+	all := func(mesh.FaceID) bool { return true }
+	cancelled, cancel := context.WithCancel(bg)
 	cancel()
-	s := db.NewSession(ctx)
-	if _, err := s.MR3(q, 3, S1, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("MR3 on cancelled context: err = %v, want context.Canceled", err)
+
+	// answer is everything a query returns, detached from session buffers.
+	type answer struct {
+		ns    []Neighbor
+		pages int64
+		dr    DistanceRange
+		sr    SafeRegion
 	}
-	if _, err := s.SurfaceRange(q, 100, S1, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("SurfaceRange on cancelled context: err = %v", err)
+	of := func(res Result) answer {
+		return answer{ns: append([]Neighbor(nil), res.Neighbors...), pages: res.Cost.Pages()}
 	}
-	if _, err := s.EA(q, 3); !errors.Is(err, context.Canceled) {
-		t.Errorf("EA on cancelled context: err = %v", err)
+	queries := []struct {
+		name string
+		run  func(ctx context.Context, s *Session) (answer, error)
+	}{
+		{"MR3Ctx", func(ctx context.Context, s *Session) (answer, error) {
+			res, err := s.MR3Ctx(ctx, q, 3, S1, Options{})
+			return of(res), err
+		}},
+		{"EACtx", func(ctx context.Context, s *Session) (answer, error) {
+			res, err := s.EACtx(ctx, q, 3)
+			return of(res), err
+		}},
+		{"SurfaceRangeCtx", func(ctx context.Context, s *Session) (answer, error) {
+			res, err := s.SurfaceRangeCtx(ctx, q, 100, S1, Options{})
+			return of(res), err
+		}},
+		{"ClosestPairCtx", func(ctx context.Context, s *Session) (answer, error) {
+			a, b, err := s.ClosestPairCtx(ctx, S3, Options{})
+			return answer{ns: []Neighbor{a, b}}, err
+		}},
+		{"MR3SafeCtx", func(ctx context.Context, s *Session) (answer, error) {
+			res, sr, err := s.MR3SafeCtx(ctx, q, 3, S1, Options{})
+			ans := of(res)
+			ans.sr = sr
+			return ans, err
+		}},
+		{"MaskedKNNCtx", func(ctx context.Context, s *Session) (answer, error) {
+			ns, err := s.MaskedKNNCtx(ctx, q, 3, all)
+			return answer{ns: ns}, err
+		}},
+		{"DistanceWithAccuracyCtx", func(ctx context.Context, s *Session) (answer, error) {
+			dr, res, err := s.DistanceWithAccuracyCtx(ctx, q, other.Point, 0.7, S2)
+			ans := of(res)
+			ans.dr = dr
+			return ans, err
+		}},
+	}
+	for _, qr := range queries {
+		t.Run(qr.name, func(t *testing.T) {
+			s := db.NewSession()
+			if _, err := qr.run(cancelled, s); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
+			}
+			// Retire the epoch the cancelled query read: a leaked pin would
+			// keep it live beside the new one.
+			db.ObjectStore().Upsert([]workload.Object{other})
+			if n := db.ObjectStore().LiveEpochs(); n != 1 {
+				t.Errorf("LiveEpochs = %d after a cancelled query, want 1", n)
+			}
+			if n := db.Pool.PinnedCount(); n != 0 {
+				t.Errorf("PinnedCount = %d after a cancelled query, want 0", n)
+			}
+			got, err := qr.run(bg, s)
+			if err != nil {
+				t.Fatalf("query after cancellation: %v", err)
+			}
+			want, err := qr.run(bg, db.NewSession())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("reused session answers %+v, fresh session %+v", got, want)
+			}
+		})
 	}
 }
 
@@ -108,7 +184,7 @@ func TestConcurrentQueries(t *testing.T) {
 	rangeWant := make([]knnTruth, len(qs))
 	accWant := make([]DistanceRange, len(qs))
 	for i, q := range qs {
-		res, err := db.MR3(q, k, S1, Options{})
+		res, err := db.NewSession().MR3Ctx(bg, q, k, S1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +193,7 @@ func TestConcurrentQueries(t *testing.T) {
 		}
 		knnWant[i].pages = res.Metrics().Pages
 
-		rres, err := db.SurfaceRange(q, radius, S2, Options{})
+		rres, err := db.NewSession().SurfaceRangeCtx(bg, q, radius, S2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +202,7 @@ func TestConcurrentQueries(t *testing.T) {
 		}
 		rangeWant[i].pages = rres.Metrics().Pages
 
-		dr, err := db.DistanceWithAccuracy(q, db.Objects()[i].Point, 0.7, S2)
+		dr, _, err := db.NewSession().DistanceWithAccuracyCtx(bg, q, db.Objects()[i].Point, 0.7, S2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +215,11 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := db.NewSession(context.Background())
+			s := db.NewSession()
 			for i, q := range qs {
 				switch (w + i) % 3 {
 				case 0:
-					res, err := s.MR3(q, k, S1, Options{})
+					res, err := s.MR3Ctx(bg, q, k, S1, Options{})
 					if err != nil {
 						t.Errorf("worker %d MR3 %d: %v", w, i, err)
 						return
@@ -159,7 +235,7 @@ func TestConcurrentQueries(t *testing.T) {
 						}
 					}
 				case 1:
-					res, err := s.SurfaceRange(q, radius, S2, Options{})
+					res, err := s.SurfaceRangeCtx(bg, q, radius, S2, Options{})
 					if err != nil {
 						t.Errorf("worker %d range %d: %v", w, i, err)
 						return
@@ -179,7 +255,7 @@ func TestConcurrentQueries(t *testing.T) {
 						}
 					}
 				default:
-					dr, err := s.DistanceWithAccuracy(q, db.Objects()[i].Point, 0.7, S2)
+					dr, _, err := s.DistanceWithAccuracyCtx(bg, q, db.Objects()[i].Point, 0.7, S2)
 					if err != nil {
 						t.Errorf("worker %d accuracy %d: %v", w, i, err)
 						return

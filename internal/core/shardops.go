@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"surfknn/internal/geom"
+	"surfknn/internal/index"
 	"surfknn/internal/mesh"
 	"surfknn/internal/stats"
 	"surfknn/internal/workload"
@@ -32,8 +33,7 @@ func (db *TerrainDB) KNN2D(q geom.Vec2, k int) ([]workload.Object, uint64) {
 	}
 	e := db.store.Pin()
 	defer e.Release()
-	var visits int64
-	items := e.KNN(q, k, &visits)
+	items := e.KNNInto(q, k, nil, new(index.Scratch), nil)
 	out := make([]workload.Object, 0, len(items))
 	for _, it := range items {
 		if o, ok := e.Object(it.ID); ok {
@@ -52,8 +52,7 @@ func (db *TerrainDB) Range2D(q geom.Vec2, radius float64) ([]workload.Object, ui
 	}
 	e := db.store.Pin()
 	defer e.Release()
-	var visits int64
-	items := e.WithinDist(q, radius, &visits)
+	items := e.WithinDistInto(q, radius, nil, nil)
 	out := make([]workload.Object, 0, len(items))
 	for _, it := range items {
 		if o, ok := e.Object(it.ID); ok {

@@ -78,7 +78,7 @@ type TerrainDB struct {
 
 // FormatVersion reports the snapshot format version this database was loaded
 // from (4 for the current format, 3 for legacy); a freshly built database
-// reports the current format it would save as. Serving layers expose it in
+// reports the current format, the only one Save writes. Serving layers expose it in
 // healthz so a coordinator can verify topology.
 func (db *TerrainDB) FormatVersion() int { return db.formatVersion }
 

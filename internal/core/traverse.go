@@ -75,26 +75,16 @@ func clampUnit(v float64) float64 {
 	return v
 }
 
-// MaskedKNN answers the surface k-NN query over the traversable
-// sub-surface: the distance to each object is the shortest path that stays
-// on faces admitted by mask. Objects standing on blocked faces, or
-// unreachable from q without crossing blocked faces, are excluded (the
-// result may therefore hold fewer than k entries).
+// maskedKNN answers the surface k-NN query over the traversable
+// sub-surface, reading objects from view, the caller's pinned epoch (nil
+// when no objects are installed): the distance to each object is the
+// shortest path that stays on faces admitted by mask. Objects standing on
+// blocked faces, or unreachable from q without crossing blocked faces, are
+// excluded (the result may therefore hold fewer than k entries).
 //
 // Unlike MR3 this runs at a single (pathnet) resolution — the
 // multiresolution structures are built for the unconstrained surface; a
 // masked DMTM is future work here exactly as it was for the paper.
-func (db *TerrainDB) MaskedKNN(q mesh.SurfacePoint, k int, mask FaceMask) ([]Neighbor, error) {
-	var view *objstore.Epoch
-	if db.store != nil {
-		view = db.store.Pin()
-		defer view.Release()
-	}
-	return db.maskedKNN(view, q, k, mask)
-}
-
-// maskedKNN is MaskedKNN over an already-pinned epoch (nil when no objects
-// are installed); Session.MaskedKNNCtx passes its per-query view.
 func (db *TerrainDB) maskedKNN(view *objstore.Epoch, q mesh.SurfacePoint, k int, mask FaceMask) ([]Neighbor, error) {
 	if view == nil {
 		return nil, fmt.Errorf("core: no objects installed (call SetObjects)")

@@ -15,7 +15,7 @@ func TestMaskedKNNUnconstrainedMatchesMR3Set(t *testing.T) {
 	q := queryPoints(t, db, 1, 66)[0]
 	k := 5
 	all := func(mesh.FaceID) bool { return true }
-	masked, err := db.MaskedKNN(q, k, all)
+	masked, err := db.NewSession().MaskedKNNCtx(bg, q, k, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestMaskedKNNObstacleForcesDetour(t *testing.T) {
 	obj := workload.Object{ID: 1, Point: mk(140, 80)}
 	db.SetObjects([]workload.Object{obj})
 
-	free, err := db.MaskedKNN(q, 1, func(mesh.FaceID) bool { return true })
+	free, err := db.NewSession().MaskedKNNCtx(bg, q, 1, func(mesh.FaceID) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestMaskedKNNObstacleForcesDetour(t *testing.T) {
 	// every crossed cell are masked) with a gap at the bottom.
 	wall := geom.MBR{MinX: 65, MinY: 20, MaxX: 95, MaxY: 170}
 	mask := RegionMask(m, []geom.MBR{wall})
-	detour, err := db.MaskedKNN(q, 1, mask)
+	detour, err := db.NewSession().MaskedKNNCtx(bg, q, 1, mask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMaskedKNNObstacleForcesDetour(t *testing.T) {
 	}
 	// Sealing the object off entirely: unreachable → excluded.
 	sealed := RegionMask(m, []geom.MBR{{MinX: 65, MinY: -10, MaxX: 95, MaxY: 170}})
-	none, err := db.MaskedKNN(q, 1, sealed)
+	none, err := db.NewSession().MaskedKNNCtx(bg, q, 1, sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,17 +109,17 @@ func TestSlopeMask(t *testing.T) {
 func TestMaskedKNNErrors(t *testing.T) {
 	db := buildDB(t, dem.EP, 8, 10, 1616)
 	q := queryPoints(t, db, 1, 67)[0]
-	if _, err := db.MaskedKNN(q, 3, nil); err == nil {
+	if _, err := db.NewSession().MaskedKNNCtx(bg, q, 3, nil); err == nil {
 		t.Error("nil mask should error")
 	}
-	if _, err := db.MaskedKNN(q, 0, func(mesh.FaceID) bool { return true }); err == nil {
+	if _, err := db.NewSession().MaskedKNNCtx(bg, q, 0, func(mesh.FaceID) bool { return true }); err == nil {
 		t.Error("k=0 should error")
 	}
-	if _, err := db.MaskedKNN(q, 3, func(mesh.FaceID) bool { return false }); err == nil {
+	if _, err := db.NewSession().MaskedKNNCtx(bg, q, 3, func(mesh.FaceID) bool { return false }); err == nil {
 		t.Error("all-blocked mask should error")
 	}
 	blockQ := func(f mesh.FaceID) bool { return f != q.Face }
-	if _, err := db.MaskedKNN(q, 3, blockQ); err == nil {
+	if _, err := db.NewSession().MaskedKNNCtx(bg, q, 3, blockQ); err == nil {
 		t.Error("blocked query face should error")
 	}
 }
@@ -144,7 +144,7 @@ func TestDistanceWithAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := db.DistanceWithAccuracy(a, b, 0.5, S1)
+	r, _, err := db.NewSession().DistanceWithAccuracyCtx(bg, a, b, 0.5, S1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestDistanceWithAccuracy(t *testing.T) {
 	}
 	// Requesting full accuracy runs the whole ladder and collapses at the
 	// pathnet level.
-	r2, err := db.DistanceWithAccuracy(a, b, 1.0, S1)
+	r2, _, err := db.NewSession().DistanceWithAccuracyCtx(bg, a, b, 1.0, S1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +168,10 @@ func TestDistanceWithAccuracy(t *testing.T) {
 		t.Errorf("collapsed UB %v != reference %v", r2.UB, truth)
 	}
 	// Invalid accuracy.
-	if _, err := db.DistanceWithAccuracy(a, b, 0, S1); err == nil {
+	if _, _, err := db.NewSession().DistanceWithAccuracyCtx(bg, a, b, 0, S1); err == nil {
 		t.Error("accuracy 0 should error")
 	}
-	if _, err := db.DistanceWithAccuracy(a, b, 1.5, S1); err == nil {
+	if _, _, err := db.NewSession().DistanceWithAccuracyCtx(bg, a, b, 1.5, S1); err == nil {
 		t.Error("accuracy >1 should error")
 	}
 }

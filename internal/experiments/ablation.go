@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"surfknn/internal/core"
 	"surfknn/internal/dem"
 	"surfknn/internal/stats"
@@ -34,11 +35,11 @@ func Ablation(p Params) (Figure, error) {
 	cpu := stats.Series{Label: "cpu ms"}
 	pages := stats.Series{Label: "pages"}
 	lbs := stats.Series{Label: "lb calcs"}
-	sess := db.NewSession(nil)
+	sess := db.NewSession()
 	for vi, v := range variants {
 		var agg stats.Metrics
 		for _, q := range qs {
-			r, err := sess.MR3(q, k, core.S1, v.opt)
+			r, err := sess.MR3Ctx(context.Background(), q, k, core.S1, v.opt)
 			if err != nil {
 				return Figure{}, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"surfknn/internal/core"
@@ -66,12 +67,12 @@ func Fig10(p Params) ([]Figure, error) {
 // mrAndEA builds the four benchmarked algorithms over a shared query batch.
 // The whole batch runs through one Session: the harness is sequential, and
 // per-query accounting makes a reused session report the same page counts
-// as one-shot queries (the paper's numbers stay bit-identical).
+// as a fresh session per query (the paper's numbers stay bit-identical).
 func mrAndEA(db *core.TerrainDB, queries []mesh.SurfacePoint) []algoRun {
-	sess := db.NewSession(nil)
+	sess := db.NewSession()
 	mk := func(s core.Schedule) func(int, int) (stats.Metrics, error) {
 		return func(qi, k int) (stats.Metrics, error) {
-			r, err := sess.MR3(queries[qi], k, s, core.Options{})
+			r, err := sess.MR3Ctx(context.Background(), queries[qi], k, s, core.Options{})
 			return r.Metrics(), err
 		}
 	}
@@ -80,7 +81,7 @@ func mrAndEA(db *core.TerrainDB, queries []mesh.SurfacePoint) []algoRun {
 		{"MR3 s=2", mk(core.S2)},
 		{"MR3 s=3", mk(core.S3)},
 		{"EA", func(qi, k int) (stats.Metrics, error) {
-			r, err := sess.EA(queries[qi], k)
+			r, err := sess.EACtx(context.Background(), queries[qi], k)
 			return r.Metrics(), err
 		}},
 	}

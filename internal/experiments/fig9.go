@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"surfknn/internal/core"
 	"surfknn/internal/dem"
 	"surfknn/internal/stats"
@@ -17,16 +18,16 @@ func Fig9(p Params) (Figure, error) {
 	}
 	on := stats.Series{Label: "integration on"}
 	off := stats.Series{Label: "integration off"}
-	sess := db.NewSession(nil)
+	sess := db.NewSession()
 	for _, k := range kLadder(len(db.Objects())) {
 		var pagesOn, pagesOff int64
 		for _, q := range qs {
-			r1, err := sess.MR3(q, k, core.S2, core.Options{})
+			r1, err := sess.MR3Ctx(context.Background(), q, k, core.S2, core.Options{})
 			if err != nil {
 				return Figure{}, err
 			}
 			pagesOn += r1.Metrics().Pages
-			r2, err := sess.MR3(q, k, core.S2, core.Options{DisableIOIntegration: true})
+			r2, err := sess.MR3Ctx(context.Background(), q, k, core.S2, core.Options{DisableIOIntegration: true})
 			if err != nil {
 				return Figure{}, err
 			}

@@ -1,8 +1,11 @@
 package index
 
 import (
+	"bytes"
 	"container/heap"
+	"encoding/binary"
 	"math/rand"
+	"os"
 	"testing"
 
 	"surfknn/internal/geom"
@@ -27,7 +30,7 @@ func (h *refHeap) Pop() interface{} {
 }
 
 func refKNN(t *RTree, q geom.Vec2, k int, visits *int64) []Item {
-	if k <= 0 || t.size == 0 {
+	if k <= 0 || t.Len() == 0 {
 		return nil
 	}
 	pq := &refHeap{}
@@ -72,7 +75,7 @@ func TestConcreteHeapMatchesContainerHeap(t *testing.T) {
 		k := 1 + rng.Intn(40)
 		var vWant, vGot int64
 		want := refKNN(tr, q, k, &vWant)
-		got := tr.KNN(q, k, &vGot)
+		got := knn(tr, q, k, &vGot, nil)
 		if vWant != vGot {
 			t.Fatalf("trial %d: visits %d != reference %d", trial, vGot, vWant)
 		}
@@ -91,7 +94,10 @@ func TestConcreteHeapMatchesContainerHeap(t *testing.T) {
 func TestFlatRoundTrip(t *testing.T) {
 	items := randomItems(2000, 21)
 	tr := Bulk(items)
-	loaded := FromFlat(tr.Flatten())
+	loaded, err := FromFlat(tr.Flatten())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if loaded.Len() != tr.Len() {
 		t.Fatalf("Len = %d, want %d", loaded.Len(), tr.Len())
 	}
@@ -102,8 +108,8 @@ func TestFlatRoundTrip(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 		var v1, v2 int64
-		a := tr.KNN(q, 10, &v1)
-		b := loaded.KNN(q, 10, &v2)
+		a := knn(tr, q, 10, &v1, nil)
+		b := knn(loaded, q, 10, &v2, nil)
 		if v1 != v2 || len(a) != len(b) {
 			t.Fatalf("loaded tree diverged: visits %d/%d lens %d/%d", v1, v2, len(a), len(b))
 		}
@@ -113,30 +119,88 @@ func TestFlatRoundTrip(t *testing.T) {
 			}
 		}
 		region := geom.MBR{MinX: q.X, MinY: q.Y, MaxX: q.X + 150, MaxY: q.Y + 150}
-		ra, rb := tr.Range(region, nil), loaded.Range(region, nil)
+		ra, rb := tr.RangeInto(region, nil, nil), loaded.RangeInto(region, nil, nil)
 		if len(ra) != len(rb) {
 			t.Fatalf("range diverged: %d vs %d", len(ra), len(rb))
 		}
 	}
-	// Empty round-trips.
-	if FromFlat(Bulk(nil).Flatten()).Len() != 0 {
-		t.Error("empty flat round-trip")
+	// Empty round-trips, from the empty tree's own buffers and from none.
+	for _, f := range []Flat{Bulk(nil).Flatten(), {}} {
+		if empty, err := FromFlat(f); err != nil || empty.Len() != 0 {
+			t.Errorf("empty flat round-trip: %v", err)
+		}
 	}
 }
 
-func TestInsertAfterFromFlat(t *testing.T) {
-	items := randomItems(300, 23)
-	loaded := FromFlat(Bulk(items).Flatten())
-	loaded.Insert(Item{P: geom.Vec2{X: 1234, Y: -7}, ID: 9999})
-	if loaded.Len() != 301 {
-		t.Fatalf("Len = %d", loaded.Len())
+// TestBulkGolden pins Bulk's output arrays byte for byte against the
+// packing captured at commit 9498584 (when Bulk still shared its pointer
+// tree with Insert) for one fixed item set: 1100 items, so 35 leaves under
+// 2 internal nodes under the root — every strPack/strPackNodes branch.
+func TestBulkGolden(t *testing.T) {
+	f := Bulk(randomItems(1100, 31)).Flatten()
+	var got bytes.Buffer
+	put := func(v any) {
+		if err := binary.Write(&got, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := loaded.Validate(); err != nil {
+	put(uint32(len(f.Leaf)))
+	for i := range f.Leaf {
+		put(f.Leaf[i])
+		put([4]float64{f.MBR[i].MinX, f.MBR[i].MinY, f.MBR[i].MaxX, f.MBR[i].MaxY})
+		put(f.Start[i])
+		put(f.Count[i])
+	}
+	put(uint32(len(f.Items)))
+	for _, it := range f.Items {
+		put([2]float64{it.P.X, it.P.Y})
+		put(it.ID)
+	}
+	want, err := os.ReadFile("testdata/bulk_1100_31.flat")
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := loaded.KNN(geom.Vec2{X: 1234, Y: -7}, 1, nil)
-	if len(got) != 1 || got[0].ID != 9999 {
-		t.Fatalf("inserted item not findable: %v", got)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Bulk packing drifted from the golden (%d bytes vs %d)", got.Len(), len(want))
+	}
+}
+
+// TestFromFlatRejectsBadLayout: the searches follow start/count blindly, so
+// FromFlat must refuse every shape that is not a breadth-first tree.
+func TestFromFlatRejectsBadLayout(t *testing.T) {
+	box := geom.MBR{MaxX: 1, MaxY: 1}
+	items := []Item{{ID: 1}, {ID: 2}}
+	for name, f := range map[string]Flat{
+		"one-node cycle": {
+			Leaf: []bool{false}, MBR: []geom.MBR{box}, Start: []int32{0}, Count: []int32{1},
+		},
+		"two-node back-edge": {
+			Leaf: []bool{false, false}, MBR: []geom.MBR{box, box}, Start: []int32{1, 0}, Count: []int32{1, 1},
+		},
+		"shared child": {
+			Leaf: []bool{false, false, true}, MBR: []geom.MBR{box, box, box},
+			Start: []int32{1, 2, 0}, Count: []int32{2, 1, 2}, Items: items,
+		},
+		"unreachable node": {
+			Leaf: []bool{true, true}, MBR: []geom.MBR{box, box}, Start: []int32{0, 0}, Count: []int32{1, 1}, Items: items,
+		},
+		"children past the node array": {
+			Leaf: []bool{false, true}, MBR: []geom.MBR{box, box}, Start: []int32{1, 0}, Count: []int32{2, 2}, Items: items,
+		},
+		"leaf range past the item slab": {
+			Leaf: []bool{true}, MBR: []geom.MBR{box}, Start: []int32{1}, Count: []int32{2}, Items: items,
+		},
+		"negative count": {
+			Leaf: []bool{true}, MBR: []geom.MBR{box}, Start: []int32{0}, Count: []int32{-1}, Items: items,
+		},
+		"ragged arrays": {
+			Leaf: []bool{true}, MBR: []geom.MBR{box}, Start: []int32{0}, Items: items,
+		},
+		"items without nodes": {Items: items},
+	} {
+		if _, err := FromFlat(f); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -63,36 +63,25 @@ func khPop(h []knnEntry) ([]knnEntry, knnEntry) {
 	return h[:n], e
 }
 
-// KNN returns the k items nearest to q in ascending distance order
-// (fewer when the tree holds fewer than k items), using the classic
-// best-first traversal [Hjaltason & Samet]. Node visits are charged to
-// visits (nil to skip counting).
-func (t *RTree) KNN(q geom.Vec2, k int, visits *int64) []Item {
-	return t.KNNFunc(q, k, visits, nil)
-}
-
-// KNNFunc is KNN with a keep predicate applied as leaf items are
-// discovered: rejected items never enter the candidate queue, so the
-// traversal yields the k nearest *kept* items rather than a post-filtered
-// (and possibly short) prefix. Node visits are charged exactly as in KNN —
-// with a nil or all-true keep the control flow is identical, which is what
-// lets a quiesced objstore epoch reproduce the static path's page counts.
-func (t *RTree) KNNFunc(q geom.Vec2, k int, visits *int64, keep func(Item) bool) []Item {
-	var sc Scratch
-	out := t.KNNInto(q, k, visits, keep, &sc, nil)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// KNNInto is KNNFunc running on caller-owned scratch and appending results
-// into dst — the warm-query form: with sc and dst at their high-water
-// capacity a search performs no allocation.
+// KNNInto appends the k items nearest to q, in ascending distance order
+// (fewer when the tree holds fewer than k kept items), to dst, using the
+// classic best-first traversal [Hjaltason & Samet]. Node visits are charged
+// to visits (nil to skip counting).
+//
+// keep, when non-nil, is applied as leaf items are discovered: rejected
+// items never enter the candidate queue, so the traversal yields the k
+// nearest *kept* items rather than a post-filtered (and possibly short)
+// prefix. With a nil or all-true keep the control flow — and so the visit
+// count — is identical, which is what lets an objstore epoch that suppresses
+// nothing reproduce the static path's page counts.
+//
+// The search runs on caller-owned scratch: with sc and dst at their
+// high-water capacity it performs no allocation; a zero Scratch and a nil
+// dst is the allocating call.
 //
 //sklint:hotpath
 func (t *RTree) KNNInto(q geom.Vec2, k int, visits *int64, keep func(Item) bool, sc *Scratch, dst []Item) []Item {
-	if k <= 0 || t.size == 0 {
+	if k <= 0 || len(t.items) == 0 {
 		return dst
 	}
 	pq := sc.kh[:0]

@@ -17,15 +17,11 @@ type Item struct {
 	ID int64
 }
 
-const (
-	maxEntries = 32 // entries per node (≈ a 4 KiB page of point records)
-	minEntries = maxEntries * 2 / 5
-)
+const maxEntries = 32 // entries per node (≈ a 4 KiB page of point records)
 
-// node is the build-time representation: a conventional pointer tree that
-// Bulk and Insert manipulate. Queries never touch it — every mutation
-// re-packs the tree into the flat SoA arrays below, which are the only
-// structures searches read.
+// node is Bulk's build step: STR packing assembles a conventional pointer
+// tree bottom-up, then flatten numbers it breadth-first into the SoA arrays
+// below. Nothing outlives Bulk in this form.
 type node struct {
 	leaf     bool
 	mbr      geom.MBR
@@ -33,25 +29,22 @@ type node struct {
 	items    []Item
 }
 
-// RTree is a dynamic R-tree over 2-D points.
-// Not safe for concurrent mutation; once built it is immutable at query
-// time, so concurrent searches are safe. Queries take a visits counter
-// (nil to skip) instead of mutating shared state: each node visited adds
-// one — the R-tree's page-access proxy (one node ≈ one page) — charged to
-// the per-query account of whoever issued the search.
+// RTree is a bulk-packed, immutable R-tree over 2-D points: Bulk (or
+// FromFlat, for a snapshot) is the only way to make one, and a changed
+// object set gets a new tree (objstore packs one per compaction), so
+// concurrent searches are always safe. Queries take a visits counter (nil
+// to skip) instead of mutating shared state: each node visited adds one —
+// the R-tree's page-access proxy (one node ≈ one page) — charged to the
+// per-query account of whoever issued the search.
 //
-// At query time the tree is four flat arrays indexed by node number plus
-// one packed item slab (an index-linked structure-of-arrays layout): node
-// i's MBR is mbr[i], and start[i]/count[i] delimit either its child-node
-// index range (internal) or its item range in the items slab (leaf). Node 0
-// is the root; a node's children occupy consecutive indices. The layout is
-// pointer-free, so it serialises verbatim into snapshots (see Flat) and is
-// mmap-ready.
+// The tree is four flat arrays indexed by node number plus one packed item
+// slab (an index-linked structure-of-arrays layout): node i's MBR is
+// mbr[i], and start[i]/count[i] delimit either its child-node index range
+// (internal) or its item range in the items slab (leaf). Node 0 is the
+// root; nodes are numbered breadth-first, so a node's children occupy
+// consecutive indices after its own. The layout is pointer-free, so it
+// serialises verbatim into snapshots (see Flat) and is mmap-ready.
 type RTree struct {
-	root *node // build-time form; nil for snapshot-loaded trees until mutated
-	size int
-
-	// Flat query-time form (always valid).
 	leaf  []bool
 	mbr   []geom.MBR
 	start []int32
@@ -70,208 +63,67 @@ func visit(visits *int64) {
 	}
 }
 
-// New returns an empty tree.
-func New() *RTree {
-	t := &RTree{root: &node{leaf: true, mbr: geom.EmptyMBR()}}
-	t.flatten()
-	return t
-}
-
 // Bulk builds a tree from items using STR (sort-tile-recursive) packing,
-// which yields well-clustered leaves for static object sets.
+// which yields well-clustered leaves for static object sets. An empty item
+// set yields the empty tree: one childless leaf.
 func Bulk(items []Item) *RTree {
-	t := New()
 	if len(items) == 0 {
-		return t
+		return flatten(&node{leaf: true, mbr: geom.EmptyMBR()})
 	}
-	t.root = bulkRoot(items)
-	t.size = len(items)
-	t.flatten()
-	return t
-}
-
-func bulkRoot(items []Item) *node {
-	leaves := strPack(items)
-	for {
-		if len(leaves) == 1 {
-			return leaves[0]
-		}
-		leaves = strPackNodes(leaves)
-	}
-}
-
-func strPack(items []Item) []*node {
-	its := make([]Item, len(items))
-	copy(its, items)
-	sort.Slice(its, func(i, j int) bool { return its[i].P.X < its[j].P.X })
-	nLeaves := (len(its) + maxEntries - 1) / maxEntries
-	nSlices := int(math.Ceil(math.Sqrt(float64(nLeaves))))
-	sliceSize := nSlices * maxEntries
-	var leaves []*node
-	for s := 0; s < len(its); s += sliceSize {
-		e := s + sliceSize
-		if e > len(its) {
-			e = len(its)
-		}
-		slice := its[s:e]
-		sort.Slice(slice, func(i, j int) bool { return slice[i].P.Y < slice[j].P.Y })
-		for o := 0; o < len(slice); o += maxEntries {
-			oe := o + maxEntries
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			n := &node{leaf: true, mbr: geom.EmptyMBR()}
-			n.items = append(n.items, slice[o:oe]...)
-			for _, it := range n.items {
+	level := strTile(append([]Item(nil), items...),
+		func(it Item) geom.Vec2 { return it.P },
+		func(run []Item) *node {
+			n := &node{leaf: true, mbr: geom.EmptyMBR(), items: run}
+			for _, it := range run {
 				n.mbr = n.mbr.ExtendPoint(it.P)
 			}
-			leaves = append(leaves, n)
-		}
+			return n
+		})
+	for len(level) > 1 {
+		level = strTile(level,
+			func(c *node) geom.Vec2 { return c.mbr.Center() },
+			func(run []*node) *node {
+				p := &node{mbr: geom.EmptyMBR(), children: run}
+				for _, c := range run {
+					p.mbr = p.mbr.Union(c.mbr)
+				}
+				return p
+			})
 	}
-	return leaves
+	return flatten(level[0])
 }
 
-func strPackNodes(ns []*node) []*node {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].mbr.Center().X < ns[j].mbr.Center().X })
-	nParents := (len(ns) + maxEntries - 1) / maxEntries
-	nSlices := int(math.Ceil(math.Sqrt(float64(nParents))))
-	sliceSize := nSlices * maxEntries
-	var parents []*node
-	for s := 0; s < len(ns); s += sliceSize {
-		e := s + sliceSize
-		if e > len(ns) {
-			e = len(ns)
-		}
-		slice := append([]*node(nil), ns[s:e]...)
-		sort.Slice(slice, func(i, j int) bool { return slice[i].mbr.Center().Y < slice[j].mbr.Center().Y })
+// strTile packs one level: sort xs by x, cut them into ⌈√n⌉ vertical slices
+// (n the number of nodes this level needs), sort each slice by y, and pack
+// every run of maxEntries into a node. xs is reordered in place and the
+// nodes alias it.
+func strTile[T any](xs []T, at func(T) geom.Vec2, pack func(run []T) *node) []*node {
+	sort.Slice(xs, func(i, j int) bool { return at(xs[i]).X < at(xs[j]).X })
+	nNodes := (len(xs) + maxEntries - 1) / maxEntries
+	sliceSize := int(math.Ceil(math.Sqrt(float64(nNodes)))) * maxEntries
+	var nodes []*node
+	for s := 0; s < len(xs); s += sliceSize {
+		slice := xs[s:min(s+sliceSize, len(xs))]
+		sort.Slice(slice, func(i, j int) bool { return at(slice[i]).Y < at(slice[j]).Y })
 		for o := 0; o < len(slice); o += maxEntries {
-			oe := o + maxEntries
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			p := &node{mbr: geom.EmptyMBR()}
-			p.children = append(p.children, slice[o:oe]...)
-			for _, c := range p.children {
-				p.mbr = p.mbr.Union(c.mbr)
-			}
-			parents = append(parents, p)
+			nodes = append(nodes, pack(slice[o:min(o+maxEntries, len(slice))]))
 		}
 	}
-	return parents
+	return nodes
 }
 
 // Len returns the number of indexed items.
-func (t *RTree) Len() int { return t.size }
+func (t *RTree) Len() int { return len(t.items) }
 
-// Insert adds an item. Insert is a build-time operation: it updates the
-// pointer tree and re-packs the flat arrays, so inserting n items one by
-// one costs O(n) packing work per insert — batch loads should use Bulk.
-func (t *RTree) Insert(it Item) {
-	if t.root == nil {
-		// Snapshot-loaded trees carry only the flat form; rebuild a pointer
-		// tree from the item slab before the first mutation.
-		t.root = bulkRoot(t.items)
-	}
-	t.size++
-	split := t.insert(t.root, it)
-	if split != nil {
-		newRoot := &node{mbr: t.root.mbr.Union(split.mbr)}
-		newRoot.children = []*node{t.root, split}
-		t.root = newRoot
-	}
-	t.flatten()
-}
-
-func (t *RTree) insert(n *node, it Item) *node {
-	n.mbr = n.mbr.ExtendPoint(it.P)
-	if n.leaf {
-		n.items = append(n.items, it)
-		if len(n.items) > maxEntries {
-			return splitLeaf(n)
-		}
-		return nil
-	}
-	best := chooseSubtree(n, it.P)
-	split := t.insert(best, it)
-	if split == nil {
-		return nil
-	}
-	n.children = append(n.children, split)
-	if len(n.children) > maxEntries {
-		return splitInternal(n)
-	}
-	return nil
-}
-
-func chooseSubtree(n *node, p geom.Vec2) *node {
-	var best *node
-	bestGrow := math.Inf(1)
-	bestArea := math.Inf(1)
-	for _, c := range n.children {
-		grown := c.mbr.ExtendPoint(p)
-		grow := grown.Area() - c.mbr.Area()
-		//lint:ignore float-eq exact tie-break between identical growth values keeps subtree choice deterministic; an epsilon would blur distinct areas
-		if grow < bestGrow || (grow == bestGrow && c.mbr.Area() < bestArea) {
-			best, bestGrow, bestArea = c, grow, c.mbr.Area()
-		}
-	}
-	return best
-}
-
-func splitLeaf(n *node) *node {
-	// Split along the axis with the greater spread, at the median.
-	its := n.items
-	if n.mbr.Width() >= n.mbr.Height() {
-		sort.Slice(its, func(i, j int) bool { return its[i].P.X < its[j].P.X })
-	} else {
-		sort.Slice(its, func(i, j int) bool { return its[i].P.Y < its[j].P.Y })
-	}
-	mid := len(its) / 2
-	right := &node{leaf: true, mbr: geom.EmptyMBR()}
-	right.items = append(right.items, its[mid:]...)
-	n.items = its[:mid]
-	n.mbr = geom.EmptyMBR()
-	for _, it := range n.items {
-		n.mbr = n.mbr.ExtendPoint(it.P)
-	}
-	for _, it := range right.items {
-		right.mbr = right.mbr.ExtendPoint(it.P)
-	}
-	return right
-}
-
-func splitInternal(n *node) *node {
-	ch := n.children
-	if n.mbr.Width() >= n.mbr.Height() {
-		sort.Slice(ch, func(i, j int) bool { return ch[i].mbr.Center().X < ch[j].mbr.Center().X })
-	} else {
-		sort.Slice(ch, func(i, j int) bool { return ch[i].mbr.Center().Y < ch[j].mbr.Center().Y })
-	}
-	mid := len(ch) / 2
-	right := &node{mbr: geom.EmptyMBR()}
-	right.children = append(right.children, ch[mid:]...)
-	n.children = ch[:mid]
-	n.mbr = geom.EmptyMBR()
-	for _, c := range n.children {
-		n.mbr = n.mbr.Union(c.mbr)
-	}
-	for _, c := range right.children {
-		right.mbr = right.mbr.Union(c.mbr)
-	}
-	return right
-}
-
-// flatten re-packs the pointer tree into the flat SoA arrays, assigning
-// node numbers in breadth-first order so every node's children occupy a
-// consecutive index range. Per-node child and item order is preserved
-// verbatim, so traversals behave identically on either form.
-func (t *RTree) flatten() {
-	t.leaf, t.mbr = t.leaf[:0], t.mbr[:0]
-	t.start, t.count = t.start[:0], t.count[:0]
-	t.items = t.items[:0]
-	queue := []*node{t.root}
-	t.leaf = append(t.leaf, t.root.leaf)
-	t.mbr = append(t.mbr, t.root.mbr)
+// flatten packs the pointer tree under root into the flat SoA arrays,
+// assigning node numbers in breadth-first order so every node's children
+// occupy a consecutive index range. Per-node child and item order is
+// preserved verbatim.
+func flatten(root *node) *RTree {
+	t := &RTree{}
+	queue := []*node{root}
+	t.leaf = append(t.leaf, root.leaf)
+	t.mbr = append(t.mbr, root.mbr)
 	t.start = append(t.start, 0)
 	t.count = append(t.count, 0)
 	for head := 0; head < len(queue); head++ {
@@ -292,6 +144,7 @@ func (t *RTree) flatten() {
 			t.count = append(t.count, 0)
 		}
 	}
+	return t
 }
 
 // pushItem is the single append site the query paths grow their result
@@ -299,18 +152,10 @@ func (t *RTree) flatten() {
 // so the append is a plain length bump.
 func pushItem(dst []Item, it Item) []Item { return append(dst, it) }
 
-// Range returns all items inside region (inclusive of the boundary),
-// charging node visits to visits (nil to skip counting).
-func (t *RTree) Range(region geom.MBR, visits *int64) []Item {
-	out := t.RangeInto(region, visits, nil)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// RangeInto is Range appending into dst (pass a reused buffer to avoid
-// allocation; the result may share dst's backing array).
+// RangeInto appends all items inside region (inclusive of the boundary) to
+// dst, charging node visits to visits (nil to skip counting). Pass a reused
+// buffer to avoid allocation — the result may share dst's backing array —
+// or nil for a fresh slice.
 //
 //sklint:hotpath
 func (t *RTree) RangeInto(region geom.MBR, visits *int64, dst []Item) []Item {
@@ -336,17 +181,9 @@ func (t *RTree) rangeScan(ni int32, region geom.MBR, visits *int64, dst []Item) 
 	return dst
 }
 
-// WithinDist returns the items within Euclidean distance r of center — the
-// circular range query of MR3's step 3 — charging node visits to visits.
-func (t *RTree) WithinDist(center geom.Vec2, r float64, visits *int64) []Item {
-	out := t.WithinDistInto(center, r, visits, nil)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// WithinDistInto is WithinDist appending into dst.
+// WithinDistInto appends the items within Euclidean distance r of center —
+// the circular range query of MR3's step 3 — to dst, charging node visits
+// to visits.
 //
 //sklint:hotpath
 func (t *RTree) WithinDistInto(center geom.Vec2, r float64, visits *int64, dst []Item) []Item {
@@ -372,8 +209,8 @@ func (t *RTree) within(ni int32, center geom.Vec2, r float64, visits *int64, dst
 	return dst
 }
 
-// Validate checks R-tree invariants (MBR containment, entry counts) on the
-// query-time flat form (and therefore on whatever built it).
+// Validate checks the R-tree invariants Bulk must establish (MBR
+// containment, entry counts).
 func (t *RTree) Validate() error {
 	return t.validateFlat(0, true)
 }

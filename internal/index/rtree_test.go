@@ -20,6 +20,11 @@ func randomItems(n int, seed int64) []Item {
 	return items
 }
 
+// knn and within are the allocating calls: a zero Scratch, a nil dst.
+func knn(t *RTree, q geom.Vec2, k int, visits *int64, keep func(Item) bool) []Item {
+	return t.KNNInto(q, k, visits, keep, new(Scratch), nil)
+}
+
 func bruteKNN(items []Item, q geom.Vec2, k int) []Item {
 	s := append([]Item(nil), items...)
 	sort.Slice(s, func(i, j int) bool { return s[i].P.Dist2(q) < s[j].P.Dist2(q) })
@@ -27,20 +32,6 @@ func bruteKNN(items []Item, q geom.Vec2, k int) []Item {
 		k = len(s)
 	}
 	return s[:k]
-}
-
-func TestInsertAndValidate(t *testing.T) {
-	tr := New()
-	items := randomItems(500, 1)
-	for _, it := range items {
-		tr.Insert(it)
-	}
-	if tr.Len() != 500 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBulkLoad(t *testing.T) {
@@ -53,7 +44,7 @@ func TestBulkLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All items findable by range over the whole area.
-	all := tr.Range(geom.MBR{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, nil)
+	all := tr.RangeInto(geom.MBR{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, nil, nil)
 	if len(all) != 2000 {
 		t.Errorf("full range = %d items", len(all))
 	}
@@ -65,53 +56,41 @@ func TestBulkLoad(t *testing.T) {
 
 func TestKNNAgainstBruteForce(t *testing.T) {
 	items := randomItems(1000, 3)
-	for _, build := range []func() *RTree{
-		func() *RTree { return Bulk(items) },
-		func() *RTree {
-			tr := New()
-			for _, it := range items {
-				tr.Insert(it)
+	tr := Bulk(items)
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 20; trial++ {
+		q := geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+		k := 1 + rng.Intn(20)
+		got := knn(tr, q, k, nil, nil)
+		want := bruteKNN(items, q, k)
+		if len(got) != len(want) {
+			t.Fatalf("KNN returned %d items, want %d", len(got), len(want))
+		}
+		for i := range got {
+			// Compare distances (ties may permute IDs).
+			if gd, wd := got[i].P.Dist(q), want[i].P.Dist(q); gd != wd {
+				t.Fatalf("k=%d item %d: dist %v, want %v", k, i, gd, wd)
 			}
-			return tr
-		},
-	} {
-		tr := build()
-		rng := rand.New(rand.NewSource(4))
-		for trial := 0; trial < 20; trial++ {
-			q := geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-			k := 1 + rng.Intn(20)
-			got := tr.KNN(q, k, nil)
-			want := bruteKNN(items, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("KNN returned %d items, want %d", len(got), len(want))
-			}
-			for i := range got {
-				// Compare distances (ties may permute IDs).
-				if gd, wd := got[i].P.Dist(q), want[i].P.Dist(q); gd != wd {
-					t.Fatalf("k=%d item %d: dist %v, want %v", k, i, gd, wd)
-				}
-			}
-			// Ascending order.
-			for i := 1; i < len(got); i++ {
-				if got[i-1].P.Dist2(q) > got[i].P.Dist2(q) {
-					t.Fatal("KNN results not sorted")
-				}
+		}
+		// Ascending order.
+		for i := 1; i < len(got); i++ {
+			if got[i-1].P.Dist2(q) > got[i].P.Dist2(q) {
+				t.Fatal("KNN results not sorted")
 			}
 		}
 	}
 }
 
 func TestKNNEdgeCases(t *testing.T) {
-	tr := New()
-	if got := tr.KNN(geom.Vec2{}, 5, nil); got != nil {
+	if got := knn(Bulk(nil), geom.Vec2{}, 5, nil, nil); got != nil {
 		t.Errorf("empty tree KNN = %v", got)
 	}
-	tr.Insert(Item{P: geom.Vec2{X: 1, Y: 1}, ID: 7})
-	got := tr.KNN(geom.Vec2{}, 5, nil)
+	tr := Bulk([]Item{{P: geom.Vec2{X: 1, Y: 1}, ID: 7}})
+	got := knn(tr, geom.Vec2{}, 5, nil, nil)
 	if len(got) != 1 || got[0].ID != 7 {
 		t.Errorf("KNN on single-item tree = %v", got)
 	}
-	if got := tr.KNN(geom.Vec2{}, 0, nil); got != nil {
+	if got := knn(tr, geom.Vec2{}, 0, nil, nil); got != nil {
 		t.Errorf("k=0 should return nil, got %v", got)
 	}
 }
@@ -123,7 +102,7 @@ func TestRangeAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		x, y := rng.Float64()*900, rng.Float64()*900
 		region := geom.MBR{MinX: x, MinY: y, MaxX: x + 100, MaxY: y + 100}
-		got := tr.Range(region, nil)
+		got := tr.RangeInto(region, nil, nil)
 		want := 0
 		for _, it := range items {
 			if region.Contains(it.P) {
@@ -148,7 +127,7 @@ func TestWithinDist(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		c := geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 		r := rng.Float64() * 200
-		got := tr.WithinDist(c, r, nil)
+		got := tr.WithinDistInto(c, r, nil, nil)
 		want := 0
 		for _, it := range items {
 			if it.P.Dist(c) <= r {
@@ -165,33 +144,34 @@ func TestAccessCounting(t *testing.T) {
 	items := randomItems(5000, 9)
 	tr := Bulk(items)
 	var knnAccesses int64
-	tr.KNN(geom.Vec2{X: 500, Y: 500}, 10, &knnAccesses)
+	knn(tr, geom.Vec2{X: 500, Y: 500}, 10, &knnAccesses, nil)
 	if knnAccesses == 0 {
 		t.Fatal("KNN accesses not counted")
 	}
 	// A k-NN for small k should touch far fewer nodes than a full scan.
 	var fullScan int64
-	tr.Range(geom.MBR{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, &fullScan)
+	tr.RangeInto(geom.MBR{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, &fullScan, nil)
 	if knnAccesses*5 > fullScan {
 		t.Errorf("KNN touched %d nodes vs full scan %d; expected strong pruning", knnAccesses, fullScan)
 	}
 }
 
 func TestDuplicatePositions(t *testing.T) {
-	tr := New()
-	for i := 0; i < 100; i++ {
-		tr.Insert(Item{P: geom.Vec2{X: 5, Y: 5}, ID: int64(i)})
+	items := make([]Item, 100)
+	for i := range items {
+		items[i] = Item{P: geom.Vec2{X: 5, Y: 5}, ID: int64(i)}
 	}
+	tr := Bulk(items)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.KNN(geom.Vec2{X: 5, Y: 5}, 100, nil)
+	got := knn(tr, geom.Vec2{X: 5, Y: 5}, 100, nil, nil)
 	if len(got) != 100 {
 		t.Errorf("KNN over duplicates = %d", len(got))
 	}
 }
 
-func TestKNNFunc(t *testing.T) {
+func TestKNNKeep(t *testing.T) {
 	items := randomItems(800, 11)
 	tr := Bulk(items)
 	rng := rand.New(rand.NewSource(12))
@@ -199,30 +179,24 @@ func TestKNNFunc(t *testing.T) {
 		q := geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 		k := 1 + rng.Intn(15)
 
-		// keep == nil must be byte-for-byte KNN, including visit counts.
-		var vPlain, vNil int64
-		plain := tr.KNN(q, k, &vPlain)
-		asFunc := tr.KNNFunc(q, k, &vNil, nil)
-		if vPlain != vNil || len(plain) != len(asFunc) {
-			t.Fatalf("nil keep diverged: visits %d vs %d, len %d vs %d",
-				vPlain, vNil, len(plain), len(asFunc))
+		// An all-true keep must be byte-for-byte the nil keep, including
+		// visit counts.
+		var vPlain, vTrue int64
+		plain := knn(tr, q, k, &vPlain, nil)
+		kept := knn(tr, q, k, &vTrue, func(Item) bool { return true })
+		if vPlain != vTrue || len(plain) != len(kept) {
+			t.Fatalf("all-true keep diverged: visits %d vs %d, len %d vs %d",
+				vPlain, vTrue, len(plain), len(kept))
 		}
 		for i := range plain {
-			if plain[i] != asFunc[i] {
-				t.Fatalf("nil keep item %d: %+v vs %+v", i, plain[i], asFunc[i])
+			if plain[i] != kept[i] {
+				t.Fatalf("all-true keep item %d: %+v vs %+v", i, plain[i], kept[i])
 			}
-		}
-
-		// An all-true keep must not change visit counts either.
-		var vTrue int64
-		tr.KNNFunc(q, k, &vTrue, func(Item) bool { return true })
-		if vTrue != vPlain {
-			t.Fatalf("all-true keep changed visits: %d vs %d", vTrue, vPlain)
 		}
 
 		// Filtering odd IDs yields the k nearest even-ID items, full k.
 		even := func(it Item) bool { return it.ID%2 == 0 }
-		got := tr.KNNFunc(q, k, nil, even)
+		got := knn(tr, q, k, nil, even)
 		var evenItems []Item
 		for _, it := range items {
 			if even(it) {

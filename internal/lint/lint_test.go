@@ -111,8 +111,6 @@ func TestRuleRegistry(t *testing.T) {
 		"float-eq",
 		"unwrapped-error",
 		"panic-message",
-		"loop-goroutine-capture",
-		"lock-copy",
 		"obs-atomic",
 		"ctx-background",
 		"wire-types",

@@ -8,7 +8,7 @@ import (
 
 // ctxFlow enforces context threading: a function that already receives a
 // context.Context must pass it on, not mint a fresh root or drop it.
-// Three findings inside ctx-holding functions:
+// Two findings inside ctx-holding functions:
 //
 //   - a call to context.Background() or context.TODO(): the new root
 //     detaches the callee from the caller's deadline and cancellation.
@@ -16,83 +16,24 @@ import (
 //     `if ctx == nil { ctx = context.Background() }`, which only runs
 //     when there is no caller context to lose;
 //   - a literal nil passed where a callee declares a context.Context
-//     parameter — same detachment, one level down;
-//   - a call to a module function F when a sibling FCtx (same package,
-//     same receiver, name + "Ctx", taking a context) exists: the
-//     convenience wrapper exists precisely for callers without a ctx,
-//     and a caller holding one must use the Ctx variant.
+//     parameter — same detachment, one level down.
 //
-// The rule is module-wide because the sibling check needs the full
-// function inventory from phase 1.
+// It is a module rule only because which functions hold a ctx is a phase-1
+// fact; each function is checked on its own.
 type ctxFlow struct{}
 
 func (ctxFlow) Name() string { return "ctx-flow" }
 func (ctxFlow) Doc() string {
-	return "functions holding a ctx must thread it: no fresh Background/TODO, no nil ctx args, no non-Ctx siblings"
+	return "functions holding a ctx must thread it: no fresh Background/TODO, no nil ctx args"
 }
 
 func (ctxFlow) CheckModule(m *Module, report func(p *Package, pos token.Pos, key, format string, args ...any)) {
-	siblings := buildCtxSiblings(m)
 	for _, ff := range m.SortedFuncs() {
 		if ff.CtxParam < 0 {
 			continue
 		}
-		checkCtxFlow(m, ff, siblings, report)
+		checkCtxFlow(ff, report)
 	}
-}
-
-// ctxSiblingKey identifies a function by package, receiver type name
-// (empty for plain functions) and name, so MR3 can be paired with MR3Ctx
-// on the same receiver in the same package.
-type ctxSiblingKey struct {
-	pkg  string
-	recv string
-	name string
-}
-
-func siblingKeyFor(fn *types.Func) ctxSiblingKey {
-	k := ctxSiblingKey{name: fn.Name()}
-	if fn.Pkg() != nil {
-		k.pkg = fn.Pkg().Path()
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		k.recv = namedTypeName(sig.Recv().Type())
-	}
-	return k
-}
-
-func funcTakesCtx(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// buildCtxSiblings maps every module function F without a ctx parameter
-// to its FCtx sibling that has one.
-func buildCtxSiblings(m *Module) map[*types.Func]*types.Func {
-	byKey := make(map[ctxSiblingKey]*types.Func, len(m.Funcs))
-	for fn := range m.Funcs {
-		byKey[siblingKeyFor(fn)] = fn
-	}
-	out := make(map[*types.Func]*types.Func)
-	for fn := range m.Funcs {
-		if funcTakesCtx(fn) {
-			continue
-		}
-		k := siblingKeyFor(fn)
-		k.name += "Ctx"
-		if sib, ok := byKey[k]; ok && funcTakesCtx(sib) {
-			out[fn] = sib
-		}
-	}
-	return out
 }
 
 // ctxParamVar returns the *types.Var of fd's context parameter, nil when
@@ -156,7 +97,7 @@ func inSpans(spans [][2]token.Pos, pos token.Pos) bool {
 	return false
 }
 
-func checkCtxFlow(m *Module, ff *FuncFacts, siblings map[*types.Func]*types.Func, report func(p *Package, pos token.Pos, key, format string, args ...any)) {
+func checkCtxFlow(ff *FuncFacts, report func(p *Package, pos token.Pos, key, format string, args ...any)) {
 	p := ff.Pkg
 	guards := nilGuardRanges(p, ff.Decl.Body, ctxParamVar(p, ff.Decl))
 	ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
@@ -202,12 +143,6 @@ func checkCtxFlow(m *Module, ff *FuncFacts, siblings map[*types.Func]*types.Func
 					}
 				}
 			}
-		}
-		// Non-Ctx convenience variant called while a ctx is in hand.
-		if sib, ok := siblings[callee]; ok {
-			report(p, call.Pos(),
-				"", "%s calls %s but holds a ctx; call %s and pass it",
-				FuncID(ff.Fn), callee.Name(), sib.Name())
 		}
 		return true
 	})

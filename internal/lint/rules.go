@@ -9,8 +9,6 @@ func AllRules() []Rule {
 		floatEq{},
 		unwrappedError{},
 		panicMessage{},
-		loopGoroutineCapture{},
-		lockCopy{},
 		obsAtomic{},
 		ctxBackground{},
 		wireTypes{},

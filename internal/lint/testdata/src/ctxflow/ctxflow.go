@@ -1,14 +1,12 @@
 // Package ctxflow is the ctx-flow fixture: a function already holding a
 // context.Context must thread it — no fresh Background/TODO roots, no nil
-// context arguments, no calls to a non-Ctx convenience sibling when the
-// FCtx variant exists.
+// context arguments.
 package ctxflow
 
 import "context"
 
 type DB struct{}
 
-func (db *DB) Query(k int) int                         { return k }
 func (db *DB) QueryCtx(ctx context.Context, k int) int { return k }
 
 func helper(ctx context.Context, k int) int { return k }
@@ -27,10 +25,6 @@ func nilArg(ctx context.Context, db *DB) int {
 	return db.QueryCtx(nil, 1)
 }
 
-func wrongVariant(ctx context.Context, db *DB) int {
-	return db.Query(1) // QueryCtx exists; the ctx in hand is dropped
-}
-
 // ---- clean idioms ----
 
 func guarded(ctx context.Context, db *DB) int {
@@ -45,13 +39,13 @@ func threads(ctx context.Context, db *DB) int {
 }
 
 func noCtx(db *DB) int {
-	// Without a ctx parameter the rule does not apply: this is exactly the
-	// caller the non-Ctx convenience variant exists for.
-	return db.Query(1)
+	// Without a ctx parameter the rule does not apply: there is no caller
+	// context to lose.
+	return db.QueryCtx(context.Background(), 1)
 }
 
 // ---- suppression ----
 
 func suppressed(ctx context.Context, db *DB) int {
-	return db.Query(2) //lint:ignore ctx-flow benchmarking the non-ctx path deliberately
+	return db.QueryCtx(nil, 2) //lint:ignore ctx-flow exercising the callee's nil-ctx default deliberately
 }

@@ -16,11 +16,13 @@
 // mutex, held only for pointer-sized critical sections. Writers never wait
 // for readers; readers never block each other.
 //
-// A quiesced epoch (empty delta, no tombstones) answers KNN/WithinDist by
-// delegating directly to the base R-tree, which makes a store with zero
-// pending updates bit-identical — results, node-visit counts and therefore
-// Cost.Pages() — to the static SetObjects path this package replaced
-// (pinned by the golden test in internal/core).
+// Every epoch answers KNNInto/WithinDistInto the same way: search the base
+// R-tree, drop what the tombstones suppress, add what the overlay holds. On
+// a quiesced epoch (empty delta, no tombstones) the last two steps do
+// nothing, which makes a store with zero pending updates bit-identical —
+// results, node-visit counts and therefore Cost.Pages() — to the static
+// SetObjects path this package replaced (pinned by the golden test in
+// internal/core).
 package objstore
 
 import (
@@ -90,7 +92,7 @@ type Epoch struct {
 func (e *Epoch) Seq() uint64 { return e.seq }
 
 // quiesced reports whether this epoch has no pending delta, i.e. the base
-// layer alone is the whole truth and queries may delegate to it directly.
+// layer alone is the whole truth.
 func (e *Epoch) quiesced() bool { return len(e.delta) == 0 && len(e.dead) == 0 }
 
 // Len returns the number of live objects in this epoch.
@@ -129,71 +131,79 @@ func (e *Epoch) Table() []workload.Object {
 	return e.table
 }
 
-// KNN returns the k live objects nearest to q in ascending 2-D distance
-// order, charging R-tree node visits to visits. A quiesced epoch delegates
-// to the base tree unchanged; otherwise the base search skips tombstoned
-// items at discovery time (so it still yields k live base candidates) and
-// merges with the delta overlay by distance.
-func (e *Epoch) KNN(q geom.Vec2, k int, visits *int64) []index.Item {
-	if e.quiesced() {
-		return e.base.tree.KNN(q, k, visits)
-	}
-	fromBase := e.base.tree.KNNFunc(q, k, visits, func(it index.Item) bool {
-		_, gone := e.dead[it.ID]
-		return !gone
-	})
-	if e.overlay == nil {
-		return fromBase
-	}
-	fromDelta := e.overlay.KNN(q, k, visits)
-	return mergeByDist(q, fromBase, fromDelta, k)
+// alive is the base-tree filter of an epoch with tombstones.
+func (e *Epoch) alive(it index.Item) bool {
+	_, gone := e.dead[it.ID]
+	return !gone
 }
 
-// KNNInto is KNN running on caller-owned scratch and appending into dst —
-// the warm-query form. A quiesced epoch runs entirely on the reusable
-// buffers, so a store with no pending updates answers without allocating;
-// an epoch carrying a delta falls back to the merging path (updates are
-// rare relative to queries, and the next compaction restores the
-// allocation-free route).
+// KNNInto appends the k live objects nearest to q, in ascending 2-D
+// distance order, to dst, charging R-tree node visits to visits. The search
+// runs entirely on the caller's buffers, whatever the epoch carries (a zero
+// Scratch and a nil dst is the allocating call). The base search skips
+// tombstoned items at discovery time, so it still yields k live base
+// candidates; the overlay's k nearest are then merged in by distance, the
+// base winning exact ties. A quiesced epoch has neither tombstones nor
+// overlay, so the base search is the whole answer.
 func (e *Epoch) KNNInto(q geom.Vec2, k int, visits *int64, sc *index.Scratch, dst []index.Item) []index.Item {
-	if e.quiesced() {
-		return e.base.tree.KNNInto(q, k, visits, nil, sc, dst)
+	var keep func(index.Item) bool
+	if len(e.dead) > 0 {
+		keep = e.alive
 	}
-	return append(dst, e.KNN(q, k, visits)...)
+	lo := len(dst)
+	dst = e.base.tree.KNNInto(q, k, visits, keep, sc, dst)
+	if e.overlay == nil {
+		return dst
+	}
+	mid := len(dst)
+	dst = e.overlay.KNNInto(q, k, visits, nil, sc, dst)
+	// dst[lo:mid] and dst[mid:] are both ascending: a stable insertion of the
+	// overlay run into the base run is the merge. The overlay is smaller than
+	// the compaction threshold, which bounds the shifting.
+	for j := mid; j < len(dst); j++ {
+		it := dst[j]
+		d := it.P.Dist(q)
+		i := j
+		for ; i > lo && dst[i-1].P.Dist(q) > d; i-- {
+			dst[i] = dst[i-1]
+		}
+		if i == j {
+			break // already in place, and so is everything after it
+		}
+		dst[i] = it
+	}
+	if len(dst) > lo+k {
+		dst = dst[:lo+k]
+	}
+	return dst
 }
 
-// WithinDist returns the live objects within Euclidean distance r of
-// center, charging node visits to visits.
-func (e *Epoch) WithinDist(center geom.Vec2, r float64, visits *int64) []index.Item {
-	if e.quiesced() {
-		return e.base.tree.WithinDist(center, r, visits)
-	}
-	raw := e.base.tree.WithinDist(center, r, visits)
-	out := raw[:0:0]
-	for _, it := range raw {
-		if _, gone := e.dead[it.ID]; !gone {
-			out = append(out, it)
+// WithinDistInto appends the live objects within Euclidean distance r of
+// center to dst, charging node visits to visits: the base tree's hits minus
+// the tombstoned ones, then the overlay's.
+func (e *Epoch) WithinDistInto(center geom.Vec2, r float64, visits *int64, dst []index.Item) []index.Item {
+	lo := len(dst)
+	dst = e.base.tree.WithinDistInto(center, r, visits, dst)
+	if len(e.dead) > 0 {
+		live := dst[:lo]
+		for _, it := range dst[lo:] {
+			if e.alive(it) {
+				live = append(live, it)
+			}
 		}
+		dst = live
 	}
 	if e.overlay != nil {
-		out = append(out, e.overlay.WithinDist(center, r, visits)...)
+		dst = e.overlay.WithinDistInto(center, r, visits, dst)
 	}
-	return out
-}
-
-// WithinDistInto is WithinDist appending into dst — the warm-query
-// counterpart of KNNInto, with the same quiesced fast path.
-func (e *Epoch) WithinDistInto(center geom.Vec2, r float64, visits *int64, dst []index.Item) []index.Item {
-	if e.quiesced() {
-		return e.base.tree.WithinDistInto(center, r, visits, dst)
-	}
-	return append(dst, e.WithinDist(center, r, visits)...)
+	return dst
 }
 
 // IndexFlat returns the flat R-tree buffers over exactly this epoch's live
 // object set, packing a fresh tree when a delta is pending. Restoring with
-// NewAtWithIndex(Table(), Seq(), IndexFlat()) reproduces NewAt(Table(),
-// Seq()) bit for bit, because both pack the same items in table order.
+// NewAtWithIndex(Table(), Seq(), tree) for the tree index.FromFlat makes of
+// them reproduces NewAt(Table(), Seq()) bit for bit, because both pack the
+// same items in table order.
 func (e *Epoch) IndexFlat() index.Flat {
 	if e.quiesced() {
 		return e.base.tree.Flatten()
@@ -204,30 +214,6 @@ func (e *Epoch) IndexFlat() index.Flat {
 		items[i] = index.Item{P: o.Point.XY(), ID: o.ID}
 	}
 	return index.Bulk(items).Flatten()
-}
-
-// mergeByDist merges two distance-sorted item lists into the first k by
-// distance to q, preferring the base list on exact ties (deterministic).
-func mergeByDist(q geom.Vec2, a, b []index.Item, k int) []index.Item {
-	out := make([]index.Item, 0, k)
-	i, j := 0, 0
-	for len(out) < k && (i < len(a) || j < len(b)) {
-		switch {
-		case j >= len(b):
-			out = append(out, a[i])
-			i++
-		case i >= len(a):
-			out = append(out, b[j])
-			j++
-		case a[i].P.Dist(q) <= b[j].P.Dist(q):
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	return out
 }
 
 // Release drops one pin. Once a retired epoch's last pin is released it is
@@ -303,17 +289,17 @@ func NewAt(objs []workload.Object, epoch uint64) *Store {
 	return s
 }
 
-// NewAtWithIndex is NewAt with the base R-tree supplied as pre-packed flat
-// buffers — the snapshot-restore path: a v4 snapshot stores the packed tree
-// verbatim, so loading skips the STR bulk pack entirely. The buffers must
-// index exactly objs (see Epoch.IndexFlat).
-func NewAtWithIndex(objs []workload.Object, epoch uint64, f index.Flat) *Store {
+// NewAtWithIndex is NewAt with the base R-tree supplied pre-packed — the
+// snapshot-restore path: a v4 snapshot stores the packed tree verbatim
+// (index.FromFlat adopts it), so loading skips the STR bulk pack entirely.
+// The tree must index exactly objs (see Epoch.IndexFlat).
+func NewAtWithIndex(objs []workload.Object, epoch uint64, tree *index.RTree) *Store {
 	s := &Store{compact: DefaultCompactThreshold, live: 1}
 	b := &baseTable{objects: objs, byID: make(map[int64]workload.Object, len(objs))}
 	for _, o := range objs {
 		b.byID[o.ID] = o
 	}
-	b.tree = index.FromFlat(f)
+	b.tree = tree
 	e := &Epoch{store: s, seq: epoch, base: b}
 	s.cur.Store(e)
 	return s

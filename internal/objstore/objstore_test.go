@@ -2,11 +2,13 @@ package objstore
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 
 	"surfknn/internal/geom"
+	"surfknn/internal/index"
 	"surfknn/internal/mesh"
 	"surfknn/internal/obs"
 	"surfknn/internal/workload"
@@ -208,8 +210,9 @@ func TestCompactionPreservesContents(t *testing.T) {
 	}
 }
 
-// TestKNNMatchesBruteForce cross-checks the merged (base+delta) KNN and
-// WithinDist against linear scans over the table, across compaction states.
+// TestKNNMatchesBruteForce cross-checks the merged (base+delta) KNNInto and
+// WithinDistInto against linear scans over the table, across compaction
+// states.
 func TestKNNMatchesBruteForce(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(99))
@@ -227,7 +230,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 			table := e.Table()
 
 			k := 1 + rng.Intn(5)
-			got := e.KNN(q, k, nil)
+			got := e.KNNInto(q, k, nil, new(index.Scratch), nil)
 			wantDists := make([]float64, 0, len(table))
 			for _, o := range table {
 				wantDists = append(wantDists, o.Point.XY().Dist(q))
@@ -252,7 +255,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 					inRange[o.ID] = true
 				}
 			}
-			gotRange := e.WithinDist(q, r, nil)
+			gotRange := e.WithinDistInto(q, r, nil, nil)
 			if len(gotRange) != len(inRange) {
 				t.Fatalf("step %d: WithinDist returned %d items, want %d", step, len(gotRange), len(inRange))
 			}
@@ -262,6 +265,90 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 				}
 			}
 			e.Release()
+		}
+	}
+}
+
+// TestSearchesMatchRetiredTwinPaths pins Epoch.KNNInto/WithinDistInto — one
+// in-place path for every epoch shape — to what commit 9498584 returned
+// through its two paths (quiesced delegation; allocate-filter-merge via the
+// since-deleted KNN/WithinDist): same items in the same order, same node
+// visits. The literals were captured there. The overlay epoch carries 40
+// delta objects (an overlay tree of two leaves), two moved base objects and
+// object 300 placed exactly on base object 54, the base-wins-ties case.
+func TestSearchesMatchRetiredTwinPaths(t *testing.T) {
+	t.Parallel()
+	var add []workload.Object
+	for i := 0; i < 40; i++ {
+		add = append(add, obj(int64(200+i), float64(i%8)*12+3, float64(i/8)*17+4))
+	}
+	s := NewAt(grid(100), 0)
+	epochs := map[string]*Epoch{"quiesced": s.Pin()}
+	s.Delete([]int64{11, 12, 45, 46, 47, 90})
+	epochs["tombstones"] = s.Pin()
+	s.Upsert(add)
+	s.Upsert([]workload.Object{obj(33, 91, 3), obj(55, 41, 52), obj(300, 40, 50)})
+	epochs["overlay"] = s.Pin()
+	s2 := NewAt(grid(100), 0)
+	s2.Upsert(add)
+	epochs["delta-only"] = s2.Pin()
+	defer func() {
+		for _, e := range epochs {
+			e.Release()
+		}
+	}()
+
+	type search struct {
+		epoch  string
+		p      geom.Vec2
+		k      int     // k-NN when > 0 ...
+		r      float64 // ... else within distance r
+		ids    []int64
+		visits int64
+	}
+	for _, c := range []search{
+		{"quiesced", geom.Vec2{X: 42, Y: 51}, 6, 0, []int64{54, 55, 64, 44, 53, 65}, 3},
+		{"quiesced", geom.Vec2{X: 10, Y: 20}, 1, 0, []int64{21}, 2},
+		{"quiesced", geom.Vec2{X: 95, Y: 5}, 12, 0, []int64{9, 19, 8, 18, 29, 28, 39, 7, 17, 38, 27, 49}, 3},
+		{"quiesced", geom.Vec2{X: 42, Y: 51}, 0, 15, []int64{45, 44, 55, 53, 54, 65, 63, 64}, 3},
+		{"quiesced", geom.Vec2{X: 10, Y: 20}, 0, 0, []int64{21}, 2},
+		{"quiesced", geom.Vec2{X: 50, Y: 50}, 0, 31.5, []int64{25, 35, 34, 33, 45, 43, 44, 36, 37, 46, 47, 58, 57, 66, 67, 77, 76, 56, 55, 52, 53, 54, 65, 63, 64, 75, 73, 74, 85}, 4},
+		{"tombstones", geom.Vec2{X: 42, Y: 51}, 6, 0, []int64{54, 55, 64, 44, 53, 65}, 3},
+		{"tombstones", geom.Vec2{X: 10, Y: 20}, 1, 0, []int64{21}, 2},
+		{"tombstones", geom.Vec2{X: 95, Y: 5}, 12, 0, []int64{9, 19, 8, 18, 29, 28, 39, 7, 17, 38, 27, 49}, 3},
+		{"tombstones", geom.Vec2{X: 42, Y: 51}, 0, 15, []int64{44, 55, 53, 54, 65, 63, 64}, 3},
+		{"tombstones", geom.Vec2{X: 10, Y: 20}, 0, 0, []int64{21}, 2},
+		{"tombstones", geom.Vec2{X: 50, Y: 50}, 0, 31.5, []int64{25, 35, 34, 33, 43, 44, 36, 37, 58, 57, 66, 67, 77, 76, 56, 55, 52, 53, 54, 65, 63, 64, 75, 73, 74, 85}, 4},
+		{"delta-only", geom.Vec2{X: 42, Y: 51}, 6, 0, []int64{54, 227, 55, 64, 228, 44}, 5},
+		{"delta-only", geom.Vec2{X: 10, Y: 20}, 1, 0, []int64{21}, 4},
+		{"delta-only", geom.Vec2{X: 95, Y: 5}, 12, 0, []int64{9, 19, 207, 8, 18, 29, 215, 206, 28, 39, 7, 17}, 5},
+		{"delta-only", geom.Vec2{X: 42, Y: 51}, 0, 15, []int64{45, 44, 55, 53, 54, 65, 63, 64, 219, 227, 228}, 5},
+		{"delta-only", geom.Vec2{X: 10, Y: 20}, 0, 0, []int64{21}, 4},
+		{"delta-only", geom.Vec2{X: 50, Y: 50}, 0, 31.5, []int64{25, 35, 34, 33, 45, 43, 44, 36, 37, 46, 47, 58, 57, 66, 67, 77, 76, 56, 55, 52, 53, 54, 65, 63, 64, 75, 73, 74, 85, 212, 211, 220, 221, 219, 222, 218, 230, 227, 228, 229, 226, 236, 235, 237}, 7},
+		{"overlay", geom.Vec2{X: 42, Y: 51}, 6, 0, []int64{55, 54, 300, 227, 64, 228}, 6},
+		{"overlay", geom.Vec2{X: 10, Y: 20}, 1, 0, []int64{21}, 4},
+		{"overlay", geom.Vec2{X: 95, Y: 5}, 12, 0, []int64{33, 9, 19, 207, 8, 18, 29, 215, 206, 28, 39, 7}, 5},
+		{"overlay", geom.Vec2{X: 42, Y: 51}, 0, 15, []int64{44, 53, 54, 65, 63, 64, 219, 300, 55, 228, 227}, 6},
+		{"overlay", geom.Vec2{X: 10, Y: 20}, 0, 0, []int64{21}, 4},
+		{"overlay", geom.Vec2{X: 50, Y: 50}, 0, 31.5, []int64{25, 35, 34, 43, 44, 36, 37, 58, 57, 66, 67, 77, 76, 56, 52, 53, 54, 65, 63, 64, 75, 73, 74, 85, 212, 211, 222, 219, 221, 220, 218, 300, 55, 228, 230, 227, 229, 226, 235, 237, 236}, 7},
+	} {
+		e := epochs[c.epoch]
+		// A non-empty dst must be appended to, not merged into.
+		dst := []index.Item{{ID: -1}}
+		var visits int64
+		if c.k > 0 {
+			dst = e.KNNInto(c.p, c.k, &visits, new(index.Scratch), dst)
+		} else {
+			dst = e.WithinDistInto(c.p, c.r, &visits, dst)
+		}
+		got := make([]int64, 0, len(dst))
+		for _, it := range dst {
+			got = append(got, it.ID)
+		}
+		want := append([]int64{-1}, c.ids...)
+		if !reflect.DeepEqual(got, want) || visits != c.visits {
+			t.Errorf("%s epoch, p=%v k=%d r=%v:\n got %v, %d visits\nwant %v, %d visits",
+				c.epoch, c.p, c.k, c.r, got, visits, want, c.visits)
 		}
 	}
 }
@@ -287,7 +374,7 @@ func TestConcurrentPinRelease(t *testing.T) {
 				}
 				e := s.Pin()
 				seq := e.Seq()
-				items := e.KNN(q, 3, nil)
+				items := e.KNNInto(q, 3, nil, new(index.Scratch), nil)
 				for _, it := range items {
 					if _, ok := e.Object(it.ID); !ok {
 						t.Errorf("epoch %d: KNN item %d not in same epoch's table", seq, it.ID)

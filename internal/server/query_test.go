@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -78,7 +79,7 @@ func TestQueryEA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := db.EA(q, 5)
+	direct, err := db.NewSession().EACtx(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestCoordinatorQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := db.MR3(q, 5, core.S1, core.Options{})
+	direct, err := db.NewSession().MR3Ctx(context.Background(), q, 5, core.S1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCoordinatorQueryRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := db.SurfaceRange(q, 500, core.S1, core.Options{})
+	direct, err := db.NewSession().SurfaceRangeCtx(context.Background(), q, 500, core.S1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

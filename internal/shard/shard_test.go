@@ -229,7 +229,7 @@ func TestShardedEquivalence(t *testing.T) {
 			}
 
 			// MR3 k-NN.
-			direct, err := db.MR3(q, qc.k, core.S1, core.Options{})
+			direct, err := db.NewSession().MR3Ctx(context.Background(), q, qc.k, core.S1, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +243,7 @@ func TestShardedEquivalence(t *testing.T) {
 			}
 
 			// EA.
-			directEA, err := db.EA(q, qc.k)
+			directEA, err := db.NewSession().EACtx(context.Background(), q, qc.k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func TestShardedEquivalence(t *testing.T) {
 			if len(direct.Neighbors) > 0 {
 				radius := direct.Neighbors[len(direct.Neighbors)-1].UB * 1.1
 				if radius > 0 && !math.IsInf(radius, 1) {
-					directRange, err := db.SurfaceRange(q, radius, core.S1, core.Options{})
+					directRange, err := db.NewSession().SurfaceRangeCtx(context.Background(), q, radius, core.S1, core.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -350,7 +350,7 @@ func TestCoordinatorHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := db.MR3(q, 5, core.S1, core.Options{})
+	direct, err := db.NewSession().MR3Ctx(context.Background(), q, 5, core.S1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

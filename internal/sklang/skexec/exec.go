@@ -144,7 +144,7 @@ func Run(ctx context.Context, sess *core.Session, p *sklang.Plan) (*Outcome, err
 		if err != nil {
 			return nil, err
 		}
-		dr, res, err := sess.DistanceWithAccuracyCostCtx(ctx, a, b, p.Accuracy, sched)
+		dr, res, err := sess.DistanceWithAccuracyCtx(ctx, a, b, p.Accuracy, sched)
 		if err != nil {
 			return nil, err
 		}

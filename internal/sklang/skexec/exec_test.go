@@ -56,7 +56,7 @@ func run(t *testing.T, db *core.TerrainDB, q string) *Outcome {
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", q, err)
 	}
-	sess := db.NewSession(nil)
+	sess := db.NewSession()
 	out, err := Run(nil, sess, plan)
 	if err != nil {
 		t.Fatalf("Run(%q): %v", q, err)
@@ -108,7 +108,7 @@ func TestEquivalenceMR3(t *testing.T) {
 	gotPages := out.Result.Cost.Pages()
 
 	q := surfacePoint(t, db, 800, 800)
-	want, err := db.NewSession(nil).MR3Ctx(nil, q, 5, core.S2, core.Options{})
+	want, err := db.NewSession().MR3Ctx(nil, q, 5, core.S2, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestEquivalenceMR3Accuracy(t *testing.T) {
 	gotPages := out.Result.Cost.Pages()
 
 	q := surfacePoint(t, db, 800, 800)
-	want, err := db.NewSession(nil).MR3Ctx(nil, q, 5, core.S1, core.NewOptions(core.WithStep2Accuracy(0.5)))
+	want, err := db.NewSession().MR3Ctx(nil, q, 5, core.S1, core.NewOptions(core.WithStep2Accuracy(0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestEquivalenceEA(t *testing.T) {
 	gotPages := out.Result.Cost.Pages()
 
 	q := surfacePoint(t, db, 800, 800)
-	want, err := db.NewSession(nil).EACtx(nil, q, 5)
+	want, err := db.NewSession().EACtx(nil, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestEquivalenceEA(t *testing.T) {
 func TestEquivalenceRange(t *testing.T) {
 	db := getDB(t)
 	q := surfacePoint(t, db, 800, 800)
-	want, err := db.NewSession(nil).SurfaceRangeCtx(nil, q, 500, core.S1, core.Options{})
+	want, err := db.NewSession().SurfaceRangeCtx(nil, q, 500, core.S1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +180,13 @@ func TestEquivalenceRange(t *testing.T) {
 }
 
 // TestEquivalenceDistance pins the DISTANCE form against
-// DistanceWithAccuracy: identical bound bits and iteration count.
+// DistanceWithAccuracyCtx: identical bound bits and iteration count.
 func TestEquivalenceDistance(t *testing.T) {
 	db := getDB(t)
 	out := run(t, db, "DISTANCE (100, 100) TO (1400, 1400) ACCURACY 0.9")
 	a := surfacePoint(t, db, 100, 100)
 	b := surfacePoint(t, db, 1400, 1400)
-	want, err := db.NewSession(nil).DistanceWithAccuracy(a, b, 0.9, core.S1)
+	want, _, err := db.NewSession().DistanceWithAccuracyCtx(nil, a, b, 0.9, core.S1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestEquivalenceSubscribe(t *testing.T) {
 	got := copyNeighbors(out.Result.Neighbors)
 
 	q := surfacePoint(t, db, 800, 800)
-	want, sr, err := db.NewSession(nil).MR3SafeCtx(nil, q, 5, core.S1, core.Options{})
+	want, sr, err := db.NewSession().MR3SafeCtx(nil, q, 5, core.S1, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestOffTerrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(nil, db.NewSession(nil), plan)
+	_, err = Run(nil, db.NewSession(), plan)
 	if err == nil {
 		t.Fatal("no error for an off-terrain point")
 	}

@@ -2,7 +2,7 @@
 # check.sh — the full verification gate, exactly what CI runs.
 #
 #   build → vet → sklint (self-hosted lint) → race tests → parallel-bench
-#   smoke → debug endpoint smoke → server smoke → fuzz smoke
+#   smoke → debug endpoint smoke → server smoke → fuzz smoke → line count
 #
 # Fail-fast: the first failing stage aborts the run with its exit code.
 set -euo pipefail
@@ -369,5 +369,8 @@ for spec in \
     target=${spec#*:}
     go test "./$dir" -run '^$' -fuzz "^${target}\$" -fuzztime 5s -fuzzminimizetime=5x
 done
+
+echo "== non-test Go lines (delta vs the previous commit) =="
+./scripts/loc.sh HEAD~1
 
 echo "== all checks passed =="

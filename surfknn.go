@@ -12,20 +12,16 @@
 //	objs, _ := surfknn.RandomObjects(surface, db.Loc, 100, 7)
 //	db.SetObjects(objs)
 //	q, _    := db.SurfacePointAt(surfknn.Vec2{X: 800, Y: 800})
-//	res, _  := db.MR3(q, 5, surfknn.S1, surfknn.Options{})
+//	s       := db.NewSession()
+//	res, _  := s.MR3Ctx(ctx, q, 5, surfknn.S1, surfknn.Options{})
 //
-// The terrain itself is immutable once built, so queries always run
-// concurrently. The object set is versioned: Insert, Delete and Upsert on
-// the TerrainDB's ObjectStore publish a new immutable epoch while in-flight
-// queries keep reading the epoch they pinned — no locks on the query path,
-// no stop-the-world. For repeated, cancellable, or concurrent querying,
-// create one Session per goroutine instead of calling the one-shot forms:
-//
-//	s := db.NewSession(ctx)
-//	for _, q := range queries {
-//		res, err := s.MR3(q, 5, surfknn.S1, surfknn.Options{})
-//		...
-//	}
+// Every query runs through a Session — one per goroutine, reusable for any
+// number of consecutive queries — and takes the context that cancels or
+// deadlines that one query. The terrain itself is immutable once built, so
+// sessions always query concurrently. The object set is versioned: Insert,
+// Delete and Upsert on the TerrainDB's ObjectStore publish a new immutable
+// epoch while in-flight queries keep reading the epoch they pinned — no
+// locks on the query path, no stop-the-world.
 //
 // This file is the public facade over the implementation packages in
 // internal/; the aliases below are the supported API surface.
@@ -129,15 +125,17 @@ type (
 	Neighbor = core.Neighbor
 	// Object is an indexed data point on the surface.
 	Object = workload.Object
-	// Session is a per-query handle on a TerrainDB: it carries a
-	// context.Context for cancellation/deadlines and owns the reusable
-	// per-query scratch (candidate state, Dijkstra buffers, page
-	// accounting). The terrain is immutable and each query pins one object
-	// epoch for its whole run, so any number of sessions may query (and the
-	// object set may be updated) concurrently — one goroutine per Session.
-	// Create one with (*TerrainDB).NewSession; the query methods on
-	// TerrainDB itself are one-shot shorthands that allocate a throwaway
-	// session per call.
+	// Session is the query handle on a TerrainDB and the only way to run a
+	// query: MR3Ctx, EACtx, SurfaceRangeCtx, ClosestPairCtx, MR3SafeCtx,
+	// MaskedKNNCtx and DistanceWithAccuracyCtx each take the context that
+	// cancels or deadlines that one query (nil means context.Background()).
+	// It owns the reusable per-query scratch (candidate state, Dijkstra
+	// buffers, page accounting), so a Result's slices are valid until the
+	// session's next query. The terrain is immutable and each query pins
+	// one object epoch for its whole run, so any number of sessions may
+	// query (and the object set may be updated) concurrently — one
+	// goroutine per Session. Create one with (*TerrainDB).NewSession, or
+	// check one out per unit of work with AcquireSession/Release.
 	Session = core.Session
 )
 
