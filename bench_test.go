@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -141,6 +142,31 @@ func BenchmarkLowerBoundChain(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					f.db.MSDN.LowerBoundScratch(&sc, a, o, r.mbr, res)
+				}
+				b.ReportMetric(float64(sc.Pairs()-before)/float64(b.N), "pairs/op")
+			})
+		}
+	}
+	// The dummy bound's decision at S2's two ladder jumps, around the previous
+	// level's path: settled by the narrow envelope chain alone (a threshold
+	// nothing exceeds), and falling through to the wide one (a threshold
+	// everything exceeds).
+	region := regions[1].mbr
+	for _, tr := range [][2]float64{{0.25, 0.5}, {0.5, 1}} {
+		var sc sdn.Scratch
+		ms := f.db.MSDN
+		prev := append([]sdn.Segment(nil), ms.LowerBoundScratch(&sc, a, o, region, tr[0]).Path...)
+		for _, c := range []struct {
+			name      string
+			threshold float64
+		}{{"narrow", math.Inf(1)}, {"wide", 0}} {
+			b.Run(fmt.Sprintf("decide/%d/%s", int(100*tr[1]), c.name), func(b *testing.B) {
+				ms.EnvelopeExceeds(&sc, a, o, region, tr[1], prev, 2*ms.Spacing, 0, c.threshold) // warm the arena
+				before := sc.Pairs()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ms.EnvelopeExceeds(&sc, a, o, region, tr[1], prev, 2*ms.Spacing, 0, c.threshold)
 				}
 				b.ReportMetric(float64(sc.Pairs()-before)/float64(b.N), "pairs/op")
 			})

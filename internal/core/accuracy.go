@@ -117,10 +117,15 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 				s.endSpan(span)
 				return out, err
 			}
-			est := db.MSDN.LowerBoundScratch(&s.sdnSc, a.Pos, b.Pos, region, sdnRes)
-			pc.LowerBounds++
-			if est.LB > out.LB {
-				out.LB = est.LB
+			// A closed range (the pathnet branch above has just set LB = UB)
+			// takes no estimation: any estimate would be clamped back to UB.
+			// The SDN pages above are still owed.
+			if out.LB < out.UB {
+				est := db.MSDN.LowerBoundScratch(&s.sdnSc, a.Pos, b.Pos, region, sdnRes)
+				pc.LowerBounds++
+				if est.LB > out.LB {
+					out.LB = est.LB
+				}
 			}
 			if out.LB > out.UB {
 				out.LB = out.UB

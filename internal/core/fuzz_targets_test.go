@@ -26,7 +26,7 @@ var fuzzDB struct {
 	err  error
 }
 
-func getFuzzDB(t *testing.T) *TerrainDB {
+func getFuzzDB(t testing.TB) *TerrainDB {
 	fuzzDB.once.Do(func() {
 		m := mesh.FromGrid(dem.Synthesize(dem.BH, 8, 10, 42))
 		db, err := BuildTerrainDB(m, Config{})
@@ -122,6 +122,11 @@ func FuzzMR3Invariants(f *testing.F) {
 	f.Add(0.3, 0.7, uint8(3))
 	f.Add(0.0, 0.0, uint8(1))
 	f.Add(0.99, 0.01, uint8(12))
+	// A query that sits on an object: that candidate's range is closed at
+	// lb = ub = 0 from the first iteration on, so every later lower-bound
+	// step of its skips the estimation.
+	fx, fy := fuzzFractionsOnObject(f, getFuzzDB(f))
+	f.Add(fx, fy, uint8(4))
 	f.Fuzz(func(t *testing.T, fx, fy float64, kraw uint8) {
 		db := getFuzzDB(t)
 		q, ok := fuzzQueryPoint(db, fx, fy)
@@ -203,6 +208,20 @@ func fuzzQueryPoint(db *TerrainDB, fx, fy float64) (mesh.SurfacePoint, bool) {
 		return mesh.SurfacePoint{}, false
 	}
 	return q, true
+}
+
+// fuzzFractionsOnObject returns fuzz inputs that fuzzQueryPoint maps exactly
+// onto one of the database's objects.
+func fuzzFractionsOnObject(t testing.TB, db *TerrainDB) (fx, fy float64) {
+	ext := db.Mesh.Extent()
+	for _, o := range db.Objects() {
+		fx, fy = (o.Point.Pos.X-ext.MinX)/ext.Width(), (o.Point.Pos.Y-ext.MinY)/ext.Height()
+		if q, ok := fuzzQueryPoint(db, fx, fy); ok && q.Pos == o.Point.Pos {
+			return fx, fy
+		}
+	}
+	t.Fatal("no object's position survives the round trip through the fuzz fractions")
+	return 0, 0
 }
 
 // clamp01 folds an arbitrary finite float into [0, 1].

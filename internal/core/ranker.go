@@ -510,26 +510,41 @@ func (r *ranker) refinedRegions(c *candidate) []geom.MBR {
 }
 
 // updateLB refines the candidate's lower bound at the given SDN resolution
-// (§4.2.2), using the dummy-lower-bound envelope optimisation when enabled:
-// the cheap envelope estimate is an over-estimate of the true lower bound,
-// so if IT cannot re-rank the candidate the true bound cannot either and
-// the expensive full computation is skipped.
+// (§4.2.2). It first asks whether the estimation's outcome is already
+// determined, and runs only the chains whose result can still matter:
+//
+//   - A closed range (lb >= ub) takes no estimation. Whatever est a chain
+//     returned, applyLB would leave min(max(lb, est), ub) = ub, and lb already
+//     equals ub — the pathnet iteration's updateUB has just set both to d_N,
+//     or the query sits on the object and both are 0 — so there is nothing to
+//     write; only a rounding inversion (lb an ulp above ub) is clamped, as
+//     applyLB clamps it. ub only falls and lb only rises or is clamped to ub,
+//     so a closed range stays closed for the rest of the pass: the lbPath a
+//     skipped estimation would have stored is read by later updateLB calls on
+//     this candidate alone, and those are skipped too. The group's SDN pages
+//     were touched by iterate before this call, so the I/O is unchanged.
+//   - The dummy lower bound (the envelope estimate around the previous path)
+//     over-estimates the true bound at this resolution, so if IT cannot pass
+//     kthUB the true bound cannot re-rank the candidate either and the full
+//     computation is skipped. Only that comparison is used, and
+//     sdn.EnvelopeExceeds settles it with the cheapest chain that can (none
+//     when lb alone passes kthUB); its header carries the argument that the
+//     decision is the one the envelope's value gives.
+//
+// LowerBounds therefore counts the estimations that ran, not the calls.
 func (r *ranker) updateLB(c *candidate, sdnRes float64, kthUB float64) {
+	if c.lb >= c.ub {
+		c.lb = c.ub
+		return
+	}
 	r.pc.LowerBounds++
 	region := r.regionOf(c)
 	q3, o3 := r.q.Pos, c.obj.Point.Pos
-	if r.opt.DisableDummyLB || len(c.lbPath) == 0 {
-		r.applyLB(c, r.fullLB(q3, o3, region, sdnRes))
-		return
-	}
-	margin := 2 * r.s.db.MSDN.Spacing
-	dummy := r.s.db.MSDN.LowerBoundEnvelopeScratch(&r.s.sdnSc, q3, o3, region, sdnRes, c.lbPath, margin)
-	dummyLB := math.Max(c.lb, dummy.LB)
-	// Would the (over-estimated) dummy bound change this candidate's fate?
-	if dummyLB <= kthUB {
-		// Not even the optimistic bound can exclude it: the true bound at
-		// this resolution cannot either; skip the full computation.
-		return
+	if !r.opt.DisableDummyLB && len(c.lbPath) > 0 {
+		ms := r.s.db.MSDN
+		if !ms.EnvelopeExceeds(&r.s.sdnSc, q3, o3, region, sdnRes, c.lbPath, 2*ms.Spacing, c.lb, kthUB) {
+			return
+		}
 	}
 	r.applyLB(c, r.fullLB(q3, o3, region, sdnRes))
 }

@@ -26,15 +26,33 @@ import (
 //   - the pathnet-level iteration and EA fetch their DMTM records like any
 //     other step.
 //
-// Everything the two paths share (classification, grouping, lower bounds,
-// the 2-D filters, cost phases) is the session's own code, so a difference
-// in any answer, bound or page count is a difference in the upper-bound
-// path. The record decode itself is held to its old form in
-// internal/storage (TestBatchFetchMatchesReference); here the ids come out
-// of the batch and the rectangles are not used.
+// and the lower-bound side as it ran before the ranker asked whether an
+// estimation's outcome is already determined:
+//
+//   - every updateLB call and every step of the distance query runs its
+//     estimation, closed range or not (closed counts the calls the engine
+//     skips, which is exactly what its LowerBounds counter falls short by).
+//
+// The dummy bound goes through sdn.EnvelopeExceeds on both sides; that its
+// decision is the envelope value's is pinned in internal/sdn.
+//
+// Everything the two paths share (classification, grouping, the 2-D filters,
+// cost phases) is the session's own code, so a difference in any answer,
+// bound or page count is a difference in one of those two paths. The record
+// decode itself is held to its old form in internal/storage
+// (TestBatchFetchMatchesReference); here the ids come out of the batch and
+// the rectangles are not used.
 type refEngine struct {
-	s   *Session
-	ids []uint64
+	s      *Session
+	ids    []uint64
+	closed int // lower-bound estimations run on a closed range
+}
+
+// takeClosed returns the closed-range estimations since the last call.
+func (e *refEngine) takeClosed() int {
+	n := e.closed
+	e.closed = 0
+	return n
 }
 
 func (e *refEngine) fetchDMTM(region geom.MBR, tm int32) ([]uint64, error) {
@@ -125,7 +143,7 @@ func (e *refEngine) iterate(r *ranker, targets []*candidate, dmRes, sdnRes, excl
 				continue
 			}
 			e.updateUB(r, c, dmRes, tm, edgeIDs)
-			r.updateLB(c, sdnRes, exclude)
+			e.updateLB(r, c, sdnRes, exclude)
 		}
 	}
 	return nil
@@ -159,6 +177,23 @@ func (e *refEngine) updateUB(r *ranker, c *candidate, dmRes float64, tm int32, e
 		c.setUB(est.UB)
 		c.ubPath = append(c.ubPath[:0], est.Path...)
 	}
+}
+
+// updateLB is ranker.updateLB with every estimation run.
+func (e *refEngine) updateLB(r *ranker, c *candidate, sdnRes, kthUB float64) {
+	r.pc.LowerBounds++
+	if c.lb >= c.ub {
+		e.closed++
+	}
+	region := r.regionOf(c)
+	q3, o3 := r.q.Pos, c.obj.Point.Pos
+	if !r.opt.DisableDummyLB && len(c.lbPath) > 0 {
+		ms := r.s.db.MSDN
+		if !ms.EnvelopeExceeds(&r.s.sdnSc, q3, o3, region, sdnRes, c.lbPath, 2*ms.Spacing, c.lb, kthUB) {
+			return
+		}
+	}
+	r.applyLB(c, r.fullLB(q3, o3, region, sdnRes))
 }
 
 func (e *refEngine) tryUpperBound(r *ranker, c *candidate, tm int32, edgeIDs []uint64, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
@@ -195,6 +230,12 @@ func refStageEdges(est *multires.Estimator, tree *multires.Tree, edgeIDs []uint6
 
 // MR3 is Session.MR3Ctx over the reference path.
 func (e *refEngine) MR3(q mesh.SurfacePoint, k int, sched Schedule, opt Options) (Result, error) {
+	res, _, err := e.MR3Safe(q, k, sched, opt)
+	return res, err
+}
+
+// MR3Safe is Session.MR3SafeCtx over the reference path.
+func (e *refEngine) MR3Safe(q mesh.SurfacePoint, k int, sched Schedule, opt Options) (Result, SafeRegion, error) {
 	s := e.s
 	s.beginQuery(nil, algoMR3)
 	ns, err := func() ([]Neighbor, error) {
@@ -209,6 +250,7 @@ func (e *refEngine) MR3(q mesh.SurfacePoint, k int, sched Schedule, opt Options)
 			return nil, err
 		}
 		radius := kthUB(ranked, k)
+		s.step3Radius = radius
 		if math.IsInf(radius, 1) {
 			return nil, fmt.Errorf("core: could not bound the %d-th neighbour", k)
 		}
@@ -221,7 +263,12 @@ func (e *refEngine) MR3(q mesh.SurfacePoint, k int, sched Schedule, opt Options)
 		s.beginPhase(stats.PhaseRankC2)
 		return e.rank(q, s.objs, k, sched, opt, false)
 	}()
-	return s.endQuery(algoMR3, k, ns, err)
+	var sr SafeRegion
+	if err == nil {
+		sr = s.safeRegion(q, ns)
+	}
+	res, err := s.endQuery(algoMR3, k, ns, err)
+	return res, sr, err
 }
 
 // RankCandidates is Session.RankCandidatesCtx over the reference path.
@@ -379,6 +426,86 @@ func (e *refEngine) EA(q mesh.SurfacePoint, k int) (Result, error) {
 	return s.endQuery(algoEA, k, ns, err)
 }
 
+// DistanceWithAccuracy is Session.DistanceWithAccuracyCtx with every step's
+// lower bound estimated, the pathnet step's closed range included.
+func (e *refEngine) DistanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64, sched Schedule) (DistanceRange, Result, error) {
+	s := e.s
+	s.beginQuery(nil, algoAccuracy)
+	out, err := func() (DistanceRange, error) {
+		db := s.db
+		s.beginPhase(stats.PhaseRefine)
+		pc := s.curPhase()
+		out := DistanceRange{LB: a.Pos.Dist(b.Pos), UB: math.Inf(1)}
+		for it := 0; it < sched.Steps(); it++ {
+			out.Iterations = it + 1
+			pc.Iterations++
+			dmRes, sdnRes := sched.At(it)
+			region := db.Extent
+			if !math.IsInf(out.UB, 1) {
+				if m := geom.NewEllipse(a.XY(), b.XY(), out.UB).MBR(); !m.IsEmpty() {
+					region = m
+				}
+			}
+			if dmRes >= PathnetResolution {
+				ub := s.path.DistanceWithin(a, b, region)
+				if math.IsInf(ub, 1) {
+					ub, _ = s.path.Distance(a, b)
+				}
+				pc.UpperBounds++
+				if ub < out.UB {
+					out.UB = ub
+				}
+				if out.UB > out.LB {
+					out.LB = out.UB
+				}
+			} else {
+				tm := db.Tree.TimeForResolution(dmRes)
+				if err := s.fetchDMTM(region, tm); err != nil {
+					return out, err
+				}
+				est := s.est
+				est.Begin(tm)
+				for _, id := range s.edges.IDs {
+					est.AddEdge(int32(id))
+				}
+				pc.UpperBounds++
+				if ub := est.UpperBound(db.Mesh, a, b).UB; ub < out.UB {
+					out.UB = ub
+				}
+			}
+			if !math.IsInf(out.UB, 1) {
+				if m := geom.NewEllipse(a.XY(), b.XY(), out.UB).MBR(); !m.IsEmpty() {
+					region = m
+				}
+				if err := s.touchSDN(region, SDNLevel(sdnRes)); err != nil {
+					return out, err
+				}
+				if out.LB >= out.UB {
+					e.closed++
+				}
+				est := db.MSDN.LowerBoundScratch(&s.sdnSc, a.Pos, b.Pos, region, sdnRes)
+				pc.LowerBounds++
+				if est.LB > out.LB {
+					out.LB = est.LB
+				}
+				if out.LB > out.UB {
+					out.LB = out.UB
+				}
+			}
+			out.Accuracy = out.LB / out.UB
+			if out.Accuracy >= accuracy {
+				break
+			}
+		}
+		if math.IsInf(out.UB, 1) {
+			return out, fmt.Errorf("core: points are not connected on the surface")
+		}
+		return out, nil
+	}()
+	res, err := s.endQuery(algoAccuracy, 0, nil, err)
+	return out, res, err
+}
+
 // refFixture is one terrain built twice, identically: the engine answers on
 // one database and the reference on the other, so the two buffer pools go
 // through the same hit/miss/eviction history and per-phase hit and miss
@@ -528,8 +655,11 @@ func TestClippedDistanceGuard(t *testing.T) {
 
 // sameResult compares two answers bit for bit: neighbour ids in order, LB
 // and UB bits, the page count, and every phase's pool hits, pool misses,
-// R-tree visits and candidate/bound/iteration counters.
-func sameResult(t *testing.T, what string, got, want Result) {
+// R-tree visits and candidate/bound/iteration counters — all but the two
+// counters the engine moves on purpose, Relaxations and LowerBounds. closed
+// is the number of lower-bound estimations the reference ran on a closed
+// range: the engine runs exactly those fewer.
+func sameResult(t *testing.T, what string, got, want Result, closed int) {
 	t.Helper()
 	if len(got.Neighbors) != len(want.Neighbors) {
 		t.Fatalf("%s: %d neighbours, reference %d", what, len(got.Neighbors), len(want.Neighbors))
@@ -548,67 +678,113 @@ func sameResult(t *testing.T, what string, got, want Result) {
 	if len(got.Cost.Phases) != len(want.Cost.Phases) {
 		t.Fatalf("%s: %d phases, reference %d", what, len(got.Cost.Phases), len(want.Cost.Phases))
 	}
+	skipped := 0
 	for i, g := range got.Cost.Phases {
 		w := want.Cost.Phases[i]
 		g.Wall, w.Wall = 0, 0
-		// The one intended difference: one shared search relaxes other arcs
-		// than a clipped search per candidate does.
+		// One shared search relaxes other arcs than a clipped search per
+		// candidate does.
 		g.Relaxations, w.Relaxations = 0, 0
+		// An estimation on a closed range is not run, so not counted.
+		skipped += w.LowerBounds - g.LowerBounds
+		g.LowerBounds, w.LowerBounds = 0, 0
 		if g != w {
 			t.Fatalf("%s phase %s:\n got       %+v\n reference %+v", what, g.Phase, g, w)
 		}
 	}
+	if skipped != closed {
+		t.Fatalf("%s: engine ran %d fewer lower-bound estimations, reference ran %d on closed ranges", what, skipped, closed)
+	}
+}
+
+// refOptions crosses the two lower-bound switches; every other option is the
+// ranker's default.
+var refOptions = []struct {
+	name string
+	opt  Options
+}{
+	{"default", Options{}},
+	{"no-dummy", Options{DisableDummyLB: true}},
+	{"both", Options{BothFamilyLB: true}},
+	{"no-dummy both", Options{DisableDummyLB: true, BothFamilyLB: true}},
 }
 
 // TestUpperBoundPathMatchesReference runs every query form that reaches the
-// upper-bound path — MR3, RankCandidatesCtx, SurfaceRange, EA — through the
-// engine and through the reference path above, on a rugged, a smooth and a
-// flat terrain, under every schedule and k in {1, 5, 10}, one warm session
-// each, and requires identical answers and identical I/O phase by phase.
+// upper-bound path or the ranker's lower-bound step — MR3, MR3SafeCtx,
+// RankCandidatesCtx, SurfaceRange, EA — through the engine and through the
+// reference paths above, on a rugged, a smooth and a flat terrain, under
+// every schedule, k in {1, 5, 10} and the lower-bound options on and off, one
+// warm session each, and requires identical answers and identical I/O phase
+// by phase.
 func TestUpperBoundPathMatchesReference(t *testing.T) {
 	for _, f := range refFixtures(t) {
 		t.Run(f.name, func(t *testing.T) {
 			s := f.db.NewSession()
 			ref := &refEngine{s: f.ref.NewSession()}
 			cands := f.db.Objects()
-			for _, sched := range []Schedule{S1, S2, S3} {
-				for _, k := range []int{1, 5, 10} {
-					for qi, q := range f.qs {
-						what := fmt.Sprintf("sched %v k %d q %d", sched, k, qi)
-						got, err := s.MR3Ctx(bg, q, k, sched, Options{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := ref.MR3(q, k, sched, Options{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameResult(t, "MR3 "+what, got, want)
+			closedTotal := 0
+			same := func(what string, got, want Result) {
+				t.Helper()
+				closed := ref.takeClosed()
+				closedTotal += closed
+				sameResult(t, what, got, want, closed)
+			}
+			for _, o := range refOptions {
+				for _, sched := range []Schedule{S1, S2, S3} {
+					for _, k := range []int{1, 5, 10} {
+						for qi, q := range f.qs {
+							what := fmt.Sprintf("%s sched %v k %d q %d", o.name, sched, k, qi)
+							got, err := s.MR3Ctx(bg, q, k, sched, o.opt)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, err := ref.MR3(q, k, sched, o.opt)
+							if err != nil {
+								t.Fatal(err)
+							}
+							same("MR3 "+what, got, want)
 
-						for _, tighten := range []bool{true, false} {
-							got, err = s.RankCandidatesCtx(nil, q, cands[:30], k, sched, Options{}, tighten)
+							got, gotSR, err := s.MR3SafeCtx(bg, q, k, sched, o.opt)
 							if err != nil {
 								t.Fatal(err)
 							}
-							want, err = ref.RankCandidates(q, cands[:30], k, sched, Options{}, tighten)
+							want, wantSR, err := ref.MR3Safe(q, k, sched, o.opt)
 							if err != nil {
 								t.Fatal(err)
 							}
-							sameResult(t, fmt.Sprintf("RankCandidates tighten=%v %s", tighten, what), got, want)
+							same("MR3Safe "+what, got, want)
+							if gotSR != wantSR {
+								t.Fatalf("MR3Safe %s: safe region %+v, reference %+v", what, gotSR, wantSR)
+							}
+
+							for _, tighten := range []bool{true, false} {
+								got, err = s.RankCandidatesCtx(nil, q, cands[:30], k, sched, o.opt, tighten)
+								if err != nil {
+									t.Fatal(err)
+								}
+								want, err = ref.RankCandidates(q, cands[:30], k, sched, o.opt, tighten)
+								if err != nil {
+									t.Fatal(err)
+								}
+								same(fmt.Sprintf("RankCandidates tighten=%v %s", tighten, what), got, want)
+							}
 						}
 					}
-				}
-				for qi, q := range f.qs {
-					got, err := s.SurfaceRangeCtx(bg, q, f.radius, sched, Options{})
-					if err != nil {
-						t.Fatal(err)
+					for qi, q := range f.qs {
+						got, err := s.SurfaceRangeCtx(bg, q, f.radius, sched, o.opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := ref.SurfaceRange(q, f.radius, sched, o.opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						same(fmt.Sprintf("SurfaceRange %s sched %v q %d", o.name, sched, qi), got, want)
 					}
-					want, err := ref.SurfaceRange(q, f.radius, sched, Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResult(t, fmt.Sprintf("SurfaceRange sched %v q %d", sched, qi), got, want)
 				}
+			}
+			if closedTotal == 0 {
+				t.Fatal("no query closed a range before its last lower-bound step: the skip is never taken")
 			}
 			for _, k := range []int{1, 5, 10} {
 				for qi, q := range f.qs {
@@ -620,13 +796,58 @@ func TestUpperBoundPathMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameResult(t, fmt.Sprintf("EA k %d q %d", k, qi), got, want)
+					same(fmt.Sprintf("EA k %d q %d", k, qi), got, want)
 				}
 			}
 			for _, db := range []*TerrainDB{f.db, f.ref} {
 				if n := db.Pool.PinnedCount(); n != 0 {
 					t.Fatalf("%d frames left pinned", n)
 				}
+			}
+			if f.db.Pool.Stats() != f.ref.Pool.Stats() {
+				t.Fatalf("pool counters: engine %+v, reference %+v", f.db.Pool.Stats(), f.ref.Pool.Stats())
+			}
+		})
+	}
+}
+
+// TestDistanceQueryMatchesReference holds the distance query to the same
+// reference: between every pair of the fixtures' query points and first
+// objects, under every schedule and from a loose to a full accuracy, the
+// range (bounds, accuracy, steps consumed) and the I/O are those of the loop
+// that estimates a lower bound at every step.
+func TestDistanceQueryMatchesReference(t *testing.T) {
+	for _, f := range refFixtures(t) {
+		t.Run(f.name, func(t *testing.T) {
+			s := f.db.NewSession()
+			ref := &refEngine{s: f.ref.NewSession()}
+			closedTotal := 0
+			for _, sched := range []Schedule{S1, S2, S3} {
+				for _, accuracy := range []float64{0.5, 0.9, 1} {
+					for qi, a := range f.qs {
+						for _, o := range f.db.Objects()[:6] {
+							what := fmt.Sprintf("sched %v accuracy %v q %d obj %d", sched, accuracy, qi, o.ID)
+							got, gotRes, err := s.DistanceWithAccuracyCtx(bg, a, o.Point, accuracy, sched)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, wantRes, err := ref.DistanceWithAccuracy(a, o.Point, accuracy, sched)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if math.Float64bits(got.LB) != math.Float64bits(want.LB) || math.Float64bits(got.UB) != math.Float64bits(want.UB) ||
+								math.Float64bits(got.Accuracy) != math.Float64bits(want.Accuracy) || got.Iterations != want.Iterations {
+								t.Fatalf("%s: %+v, reference %+v", what, got, want)
+							}
+							closed := ref.takeClosed()
+							closedTotal += closed
+							sameResult(t, what, gotRes, wantRes, closed)
+						}
+					}
+				}
+			}
+			if closedTotal == 0 {
+				t.Fatal("no distance query reached its pathnet step: the skip is never taken")
 			}
 			if f.db.Pool.Stats() != f.ref.Pool.Stats() {
 				t.Fatalf("pool counters: engine %+v, reference %+v", f.db.Pool.Stats(), f.ref.Pool.Stats())

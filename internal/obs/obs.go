@@ -49,7 +49,7 @@ type Registry struct {
 	RTreeVisits         Counter // object-index node visits (Dxy)
 	DijkstraRelaxations Counter // pathnet edge relaxations
 	UpperBounds         Counter // upper-bound estimations
-	LowerBounds         Counter // lower-bound estimations
+	LowerBounds         Counter // lower-bound estimations run (closed ranges skip theirs)
 	Iterations          Counter // LOD refinement iterations
 
 	// Dynamic object-store activity (fed by objstore.Store when

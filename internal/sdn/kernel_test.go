@@ -79,17 +79,25 @@ func kernelFixtures() []kernelFixture {
 }
 
 // checkPair compares kernel and reference for one pair and region at one
-// resolution in all three estimation modes. envPrev is the path the envelope
-// run thickens (the previous level's reference path, as MR3 does); sc is
-// reused across calls so stale scratch state would show.
+// resolution in all three estimation modes, and the envelope decision with
+// the decision the reference envelope's value gives. envPrev is the path the
+// envelope run thickens (the previous level's reference path, as MR3 does);
+// sc is reused across calls so stale scratch state would show.
 func checkPair(t *testing.T, what string, ms *MSDN, sc *Scratch, a, b geom.Vec3, region geom.MBR, res float64, envPrev []Segment) LowerEstimate {
 	t.Helper()
 	want := refLowerBound(ms, a, b, region, res, nil, 0)
 	sameEstimate(t, what+" full", ms.LowerBoundScratch(sc, a, b, region, res), want)
 	margin := 2 * ms.Spacing
-	sameEstimate(t, what+" envelope",
-		ms.LowerBoundEnvelopeScratch(sc, a, b, region, res, envPrev, margin),
-		refLowerBound(ms, a, b, region, res, envPrev, margin))
+	wantEnv := refLowerBound(ms, a, b, region, res, envPrev, margin)
+	gotEnv, _ := ms.chain(sc, prefersX(a, b), a, b, region, res, planeStepFor(res), envelope{envPrev, margin, false})
+	sameEstimate(t, what+" envelope", gotEnv, wantEnv)
+	// The threshold on the reference value and one ulp to either side: the
+	// only places the narrow certificate could flip the decision.
+	for _, thr := range []float64{math.Nextafter(wantEnv.LB, 0), wantEnv.LB, math.Nextafter(wantEnv.LB, math.Inf(1))} {
+		if got := ms.EnvelopeExceeds(sc, a, b, region, res, envPrev, margin, 0, thr); got != (wantEnv.LB > thr) {
+			t.Fatalf("%s: EnvelopeExceeds(threshold %v) = %v, reference envelope %v", what, thr, got, wantEnv.LB)
+		}
+	}
 	sameEstimate(t, what+" both",
 		ms.LowerBoundBothScratch(sc, a, b, region, res),
 		refLowerBoundBoth(ms, a, b, region, res))
@@ -210,7 +218,10 @@ func TestWarmChainAllocatesNothing(t *testing.T) {
 		prev := append([]Segment(nil), full.Path...)
 		if n := testing.AllocsPerRun(20, func() {
 			f.ms.LowerBoundScratch(&sc, a, b, f.ext, res)
-			f.ms.LowerBoundEnvelopeScratch(&sc, a, b, f.ext, res, prev, 2*f.ms.Spacing)
+			// Never exceeded: the narrow chain certifies. Always exceeded (past
+			// floor): the narrow chain cannot, and the wide one runs too.
+			f.ms.EnvelopeExceeds(&sc, a, b, f.ext, res, prev, 2*f.ms.Spacing, 0, math.Inf(1))
+			f.ms.EnvelopeExceeds(&sc, a, b, f.ext, res, prev, 2*f.ms.Spacing, 0, 0)
 			f.ms.LowerBoundBothScratch(&sc, a, b, f.ext, res)
 		}); n != 0 {
 			t.Errorf("res %v: warm lower bound allocates %v times per run", res, n)

@@ -41,15 +41,16 @@ type layer struct {
 // that was not materialised builds its tables here, in own. A Scratch is
 // owned by a single goroutine; zero value is ready to use.
 type Scratch struct {
-	between  []int32 // indices into the chosen family's lines, a's side first
-	envBoxes []geom.MBR
-	layers   []layer
-	own      []lineTable // per-call tables of an off-ladder resolution, one per plane
-	dist     []float64
-	prev     []int32
-	path     []Segment
-	pathAlt  []Segment // parks the first family's path in LowerBoundBothScratch
-	pairs    int64
+	between   []int32    // indices into the chosen family's lines, a's side first
+	envBoxes  []geom.MBR // envelope boxes, margin on both axes
+	envNarrow []geom.MBR // the same boxes with the margin on the plane axis only
+	layers    []layer
+	own       []lineTable // per-call tables of an off-ladder resolution, one per plane
+	dist      []float64
+	prev      []int32
+	path      []Segment
+	pathAlt   []Segment // parks the first family's path in LowerBoundBothScratch
+	pairs     int64
 }
 
 // Pairs returns the number of layer-transition pairs this scratch has fully
@@ -68,36 +69,31 @@ func (sc *Scratch) Pairs() int64 { return sc.pairs }
 // below it.
 func (ms *MSDN) LowerBound(a, b geom.Vec3, region geom.MBR, resolution float64) LowerEstimate {
 	var sc Scratch
-	return ms.lowerBound(&sc, a, b, region, resolution, nil, 0)
+	return ms.LowerBoundScratch(&sc, a, b, region, resolution)
 }
 
 // LowerBoundScratch is LowerBound running over reusable scratch. The
 // returned Path aliases sc.
 func (ms *MSDN) LowerBoundScratch(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64) LowerEstimate {
-	return ms.lowerBound(sc, a, b, region, resolution, nil, 0)
+	est, _ := ms.chain(sc, prefersX(a, b), a, b, region, resolution, planeStepFor(resolution), envelope{})
+	return est
 }
 
-// LowerBoundBoth estimates with BOTH plane families and returns the larger
-// bound. The paper's 45° heuristic picks a single family; since each
+// LowerBoundBothScratch estimates with BOTH plane families and returns the
+// larger bound. The paper's 45° heuristic picks a single family; since each
 // family's chain is independently valid, their maximum is a strictly
 // tighter (never worse) bound at roughly twice the cost. Offered as an
 // extension; see the BenchmarkAblationBothFamilies targets.
-func (ms *MSDN) LowerBoundBoth(a, b geom.Vec3, region geom.MBR, resolution float64) LowerEstimate {
-	var sc Scratch
-	return ms.LowerBoundBothScratch(&sc, a, b, region, resolution)
-}
-
-// LowerBoundBothScratch is LowerBoundBoth running over reusable scratch.
 func (ms *MSDN) LowerBoundBothScratch(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64) LowerEstimate {
 	useX := prefersX(a, b)
 	step := planeStepFor(resolution)
-	first := ms.chain(sc, useX, a, b, region, resolution, step, nil, 0)
+	first, _ := ms.chain(sc, useX, a, b, region, resolution, step, envelope{})
 	if len(first.Path) > 0 {
 		// The second run rebuilds sc.path; park the first family's path.
 		sc.pathAlt = append(sc.pathAlt[:0], first.Path...)
 		first.Path = sc.pathAlt
 	}
-	other := ms.chain(sc, !useX, a, b, region, resolution, step, nil, 0)
+	other, _ := ms.chain(sc, !useX, a, b, region, resolution, step, envelope{})
 	if other.LB > first.LB {
 		other.Segments += first.Segments
 		return other
@@ -114,26 +110,66 @@ func prefersX(a, b geom.Vec3) bool {
 	return math.Abs(b.X-a.X) >= math.Abs(b.Y-a.Y)
 }
 
-// LowerBoundEnvelope is the paper's "dummy lower bound" (§4.2.2): it
-// restricts the SDN to an envelope around the previous bound's path
-// (thickened by margin), which can only increase the estimate. If the
-// resulting range still fails to rank the candidate, the true lower bound at
-// this resolution cannot either, so MR3 may skip straight to the next
-// resolution.
-func (ms *MSDN) LowerBoundEnvelope(a, b geom.Vec3, region geom.MBR, resolution float64, prev []Segment, margin float64) LowerEstimate {
-	var sc Scratch
-	return ms.LowerBoundEnvelopeScratch(&sc, a, b, region, resolution, prev, margin)
+// EnvelopeExceeds is the paper's "dummy lower bound" (§4.2.2) as the decision
+// MR3 takes with it. The dummy bound restricts the SDN to an envelope around
+// the previous bound's path prev (its boxes thickened by margin), which can
+// only increase the estimate; EnvelopeExceeds reports whether
+// max(floor, that bound) > threshold. When it does not, the true lower bound
+// at this resolution cannot pass threshold either and the caller skips the
+// full computation. prev is a path a lower bound returned (its boxes are not
+// empty) and must not alias sc's own path buffers — pass a caller-owned copy;
+// an empty prev makes the envelope the whole SDN.
+//
+// The value is never returned because only the comparison is used, and the
+// comparison is usually settled before the envelope chain is worth running:
+//
+//   - floor > threshold decides "exceeds" with no chain at all.
+//   - Otherwise a chain over the NARROW envelope runs first: prev's boxes
+//     thickened by margin along the plane axis only (so the planes a finer
+//     step adds between prev's are still reached) and not at all along the
+//     free axis. Every narrow box lies inside its wide box, so each layer keeps
+//     a subset of the entries the wide envelope keeps. As long as every layer
+//     the wide envelope keeps is also non-empty under the narrow one, the two
+//     chains run over the same sequence of layers, and narrow's DP is a minimum
+//     over a subset of wide's chains: by induction over the layers
+//     dist_narrow[p] >= dist_wide[p] for every entry p narrow keeps — the first
+//     layer's values are the same point distances, and fl(dist[j] + d(j,p)) is
+//     monotone in dist[j] under round-to-nearest, the box distance d(j,p)
+//     being the same float in both runs — and the closing minimum and the
+//     Euclidean floor are monotone too. Hence narrow >= wide as floats, and
+//     narrow <= threshold certifies wide <= threshold: "does not exceed".
+//   - A layer that is empty under the narrow boxes is masked again with the
+//     wide ones. Empty under both, both chains skip it. If the wide boxes
+//     keep anything, the chains no longer share their layers — narrow would
+//     skip a plane wide must cross and could come out LOWER — so the
+//     certificate is abandoned and the narrow value discarded.
+//   - Only when the narrow chain was abandoned or came out above threshold
+//     does the wide chain run, and its value decides.
+//
+// Each branch returns what max(floor, wide) > threshold would, so the
+// decision is the one the value-returning dummy bound gave.
+func (ms *MSDN) EnvelopeExceeds(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64, prev []Segment, margin, floor, threshold float64) bool {
+	if floor > threshold {
+		return true
+	}
+	useX, step := prefersX(a, b), planeStepFor(resolution)
+	if len(prev) > 0 && margin >= 0 { // a negative margin would make the narrow boxes the larger ones
+		if narrow, ok := ms.chain(sc, useX, a, b, region, resolution, step, envelope{path: prev, margin: margin, narrow: true}); ok && narrow.LB <= threshold {
+			return false
+		}
+	}
+	wide, _ := ms.chain(sc, useX, a, b, region, resolution, step, envelope{path: prev, margin: margin})
+	return wide.LB > threshold
 }
 
-// LowerBoundEnvelopeScratch is LowerBoundEnvelope running over reusable
-// scratch. prev must not alias sc's own path buffers (pass a caller-owned
-// copy of the previous path). An empty prev is the full computation.
-func (ms *MSDN) LowerBoundEnvelopeScratch(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64, prev []Segment, margin float64) LowerEstimate {
-	return ms.lowerBound(sc, a, b, region, resolution, prev, margin)
-}
-
-func (ms *MSDN) lowerBound(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64, envelope []Segment, margin float64) LowerEstimate {
-	return ms.chain(sc, prefersX(a, b), a, b, region, resolution, planeStepFor(resolution), envelope, margin)
+// envelope restricts a chain to the SDN entries near a previous bound's
+// path: those whose footprint touches one of the path's boxes thickened by
+// margin — on both axes, or with narrow set on the chain family's plane axis
+// only. The zero value is no restriction.
+type envelope struct {
+	path   []Segment
+	margin float64
+	narrow bool
 }
 
 // chain runs the layered chain DP over one plane family with an explicit
@@ -141,7 +177,10 @@ func (ms *MSDN) lowerBound(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolut
 // resolution (boxes only shrink); across different steps the bound is still
 // always valid but need not be pointwise monotone, which is why MR3 keeps
 // the running maximum. All per-layer state lives in sc's arena buffers.
-func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, envelope []Segment, margin float64) LowerEstimate {
+//
+// The boolean is false only for a narrow envelope that emptied a layer its
+// wide form keeps (see EnvelopeExceeds); the estimate is then void.
+func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, env envelope) (LowerEstimate, bool) {
 	euclid := a.Dist(b)
 	// Axis roles for this family: "plane" is the coordinate the cutting
 	// planes fix, "free" the one their crossing lines run along.
@@ -157,7 +196,7 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 	between := sc.between
 	if len(between) == 0 || region.IsEmpty() {
 		// No plane separates the points, or the region cuts every line.
-		return LowerEstimate{LB: euclid}
+		return LowerEstimate{LB: euclid}, true
 	}
 	// Order the planes from a's side to b's side.
 	if math.Abs(lines[between[0]].Coord-aPlane) > math.Abs(lines[between[len(between)-1]].Coord-aPlane) {
@@ -166,9 +205,24 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 		}
 	}
 
-	sc.envBoxes = sc.envBoxes[:0]
-	for _, s := range envelope {
-		sc.envBoxes = append(sc.envBoxes, s.Box.XY().Expand(margin))
+	sc.envBoxes, sc.envNarrow = sc.envBoxes[:0], sc.envNarrow[:0]
+	for _, s := range env.path {
+		m := s.Box.XY()
+		sc.envBoxes = append(sc.envBoxes, m.Expand(env.margin))
+		if !env.narrow {
+			continue
+		}
+		// The wide box's plane-axis sides, the footprint's own free-axis ones.
+		if useX {
+			m.MinX, m.MaxX = m.MinX-env.margin, m.MaxX+env.margin
+		} else {
+			m.MinY, m.MaxY = m.MinY-env.margin, m.MaxY+env.margin
+		}
+		sc.envNarrow = append(sc.envNarrow, m)
+	}
+	boxes := sc.envBoxes
+	if env.narrow {
+		boxes = sc.envNarrow
 	}
 	shared := ms.tables(useX, resolution)
 	if shared == nil && len(sc.own) < len(between) {
@@ -204,9 +258,14 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 		sc.dist = growF64(sc.dist, end+n)
 		sc.prev = growI32(sc.prev, end+n)
 		kept := n
-		if len(envelope) > 0 || !(minP <= tab.pMin && tab.pMax <= maxP) {
+		if len(boxes) > 0 || !(minP <= tab.pMin && tab.pMax <= maxP) {
 			var first int
-			kept, first, n = mask(sc.dist[end:end+n], &l, sc.envBoxes, minP, maxP)
+			kept, first, n = mask(sc.dist[end:end+n], &l, boxes, minP, maxP)
+			if kept == 0 && env.narrow {
+				if wide, _, _ := mask(sc.dist[end:end+hi-lo], &l, sc.envBoxes, minP, maxP); wide > 0 {
+					return LowerEstimate{}, false
+				}
+			}
 			// Trim the run to the span of kept entries; what is still
 			// dropped inside it stays in the arena at +Inf.
 			copy(sc.dist[end:end+n], sc.dist[end+first:])
@@ -226,7 +285,7 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 		end += n
 	}
 	if len(sc.layers) == 0 {
-		return LowerEstimate{LB: euclid, Segments: est.Segments}
+		return LowerEstimate{LB: euclid, Segments: est.Segments}, true
 	}
 	// Close the chain at b over the last kept layer.
 	last := &sc.layers[len(sc.layers)-1]
@@ -240,7 +299,7 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 	}
 	if bestK < 0 {
 		est.LB = euclid
-		return est
+		return est, true
 	}
 	// The Euclidean distance is always a valid floor.
 	est.LB = math.Max(best, euclid)
@@ -261,7 +320,7 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 		sc.path[i], sc.path[j] = sc.path[j], sc.path[i]
 	}
 	est.Path = sc.path
-	return est
+	return est, true
 }
 
 // mask marks which entries of the layer's run belong to the layer — inside

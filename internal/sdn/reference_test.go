@@ -30,7 +30,7 @@ func refSegments(cl *CrossLine, resolution float64, region geom.MBR, dst []Segme
 	return dst
 }
 
-// refLowerBound mirrors MSDN.lowerBound (the 45° family heuristic).
+// refLowerBound mirrors the single-family estimate (the 45° family heuristic).
 func refLowerBound(ms *MSDN, a, b geom.Vec3, region geom.MBR, resolution float64, envelope []Segment, margin float64) LowerEstimate {
 	return refChain(ms, prefersX(a, b), a, b, region, resolution, envelope, margin)
 }

@@ -189,7 +189,7 @@ func TestLowerBoundMonotoneNested(t *testing.T) {
 		prev := 0.0
 		var sc Scratch
 		for _, res := range ladder {
-			est := ms.chain(&sc, prefersX(a.Pos, b.Pos), a.Pos, b.Pos, ext, res, 1, nil, 0)
+			est, _ := ms.chain(&sc, prefersX(a.Pos, b.Pos), a.Pos, b.Pos, ext, res, 1, envelope{})
 			if est.LB < prev-1e-9 {
 				t.Fatalf("lb not monotone at res %v: %v < %v", res, est.LB, prev)
 			}
@@ -214,17 +214,28 @@ func TestLowerBoundEnvelope(t *testing.T) {
 	if len(full.Path) == 0 {
 		t.Fatal("expected a path")
 	}
-	env := ms.LowerBoundEnvelope(a, b, ext, 0.5, full.Path, ms.Spacing)
-	if env.LB < full.LB-1e-9 {
-		t.Errorf("envelope lb %v below full lb %v", env.LB, full.LB)
+	prev := append([]Segment(nil), full.Path...)
+	var sc Scratch
+	// The envelope bound is at least the full bound, so it exceeds any
+	// threshold the full bound exceeds.
+	if !ms.EnvelopeExceeds(&sc, a, b, ext, 0.5, prev, ms.Spacing, 0, full.LB-1e-9) {
+		t.Errorf("envelope bound does not exceed %v, just under the full bound", full.LB-1e-9)
 	}
+	// The floor alone decides, whatever the chains would say.
+	if !ms.EnvelopeExceeds(&sc, a, b, ext, 0.5, prev, ms.Spacing, 1, 0.5) {
+		t.Error("floor above the threshold did not decide")
+	}
+	if ms.EnvelopeExceeds(&sc, a, b, ext, 0.5, prev, ms.Spacing, 0, math.Inf(1)) {
+		t.Error("envelope bound exceeds +Inf")
+	}
+	env, _ := ms.chain(&sc, prefersX(a, b), a, b, ext, 0.5, planeStepFor(0.5), envelope{prev, ms.Spacing, false})
 	if env.Segments > full.Segments {
 		t.Errorf("envelope examined more segments (%d) than full (%d)", env.Segments, full.Segments)
 	}
 	// Empty previous path falls back to the full computation.
-	fallback := ms.LowerBoundEnvelope(a, b, ext, 0.5, nil, ms.Spacing)
-	if math.Abs(fallback.LB-full.LB) > 1e-9 {
-		t.Errorf("fallback lb %v != full %v", fallback.LB, full.LB)
+	if ms.EnvelopeExceeds(&sc, a, b, ext, 0.5, nil, ms.Spacing, 0, full.LB) ||
+		!ms.EnvelopeExceeds(&sc, a, b, ext, 0.5, nil, ms.Spacing, 0, math.Nextafter(full.LB, 0)) {
+		t.Errorf("with no previous path the decision is not the full bound's (%v)", full.LB)
 	}
 }
 
@@ -278,7 +289,8 @@ func TestLowerBoundBothNeverWorse(t *testing.T) {
 			continue
 		}
 		single := ms.LowerBound(a.Pos, b.Pos, ext, 1.0)
-		both := ms.LowerBoundBoth(a.Pos, b.Pos, ext, 1.0)
+		var sc Scratch
+		both := ms.LowerBoundBothScratch(&sc, a.Pos, b.Pos, ext, 1.0)
 		if both.LB < single.LB-1e-9 {
 			t.Fatalf("both-families lb %v below single-family %v", both.LB, single.LB)
 		}

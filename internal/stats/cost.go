@@ -34,7 +34,10 @@ type PhaseCost struct {
 	// continuous-query layer certifies its safe-region fast path.
 	Relaxations int64 `json:"relaxations"`
 
-	// Work counters (CPU-cost proxies, machine-independent).
+	// Work counters (CPU-cost proxies, machine-independent). LowerBounds
+	// counts the lower-bound estimations that ran, not the refinement steps
+	// that could have asked for one: a step on a closed range (lb = ub)
+	// skips the estimation, its outcome being determined, and is not counted.
 	UpperBounds int `json:"upper_bounds"`
 	LowerBounds int `json:"lower_bounds"`
 	Iterations  int `json:"iterations"`

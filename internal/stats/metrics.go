@@ -17,7 +17,7 @@ type Metrics struct {
 	Pages   int64         // disk pages accessed
 	// Work counters (CPU-cost proxies, machine-independent).
 	UpperBounds int // upper-bound estimations performed
-	LowerBounds int // lower-bound estimations performed
+	LowerBounds int // lower-bound estimations performed (closed ranges skip theirs)
 	Iterations  int // resolution iterations consumed
 	Candidates  int // candidates examined
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # check.sh — the full verification gate, exactly what CI runs.
 #
-#   build → vet → sklint (self-hosted lint) → race tests → parallel-bench
+#   build → vet → benchmark record → sklint (self-hosted lint) → race tests → parallel-bench
 #   smoke → debug endpoint smoke → server smoke → fuzz smoke → line count
 #
 # Fail-fast: the first failing stage aborts the run with its exit code.
@@ -14,6 +14,15 @@ go build ./...
 
 echo "== vet =="
 go vet ./...
+
+echo "== benchmark record =="
+# The ROADMAP ordering rule: every PR commits its benchmark record. The
+# newest "PR <n>" named in CHANGES.md must have results/BENCH_<n>.json.
+newest_pr=$(grep -o 'PR [0-9]\+' CHANGES.md | awk '{print $2}' | sort -n | tail -1)
+if [ -n "$newest_pr" ] && [ ! -f "results/BENCH_${newest_pr}.json" ]; then
+    echo "CHANGES.md names PR $newest_pr but results/BENCH_${newest_pr}.json is missing" >&2
+    exit 1
+fi
 
 echo "== sklint =="
 # Machine-readable diagnostics; on GitHub CI each finding is also emitted
