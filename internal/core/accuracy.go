@@ -93,16 +93,11 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 			}
 		} else {
 			tm := db.Tree.TimeForResolution(dmRes)
-			if err := s.fetchDMTM(region, tm); err != nil {
+			if err := s.touchDMTM(region, tm); err != nil {
 				s.endSpan(span)
 				return out, err
 			}
-			e := s.est
-			e.Begin(tm)
-			for _, id := range s.edges.IDs {
-				e.AddEdge(int32(id))
-			}
-			est := e.UpperBound(db.Mesh, a, b)
+			est := s.est.UpperBound(db.Mesh, a, b, tm, region, nil)
 			pc.UpperBounds++
 			if est.UB < out.UB {
 				out.UB = est.UB

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"surfknn/internal/dem"
+	"surfknn/internal/geodesic"
 	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
+	"surfknn/internal/stats"
 	"surfknn/internal/workload"
 )
 
@@ -85,7 +87,12 @@ func FuzzLoadSnapshot(f *testing.F) {
 	for _, forged := range forgedMSDNSnapshots(f, db) {
 		f.Add(forged)
 	}
-	// Likewise for a Dxy index whose nodes form a cycle or overrun a slab.
+	// Likewise for a DDM edge whose endpoint is outside the node table (the
+	// level-network builder indexes by it)...
+	for _, forged := range forgedTreeSnapshots(f, db) {
+		f.Add(forged)
+	}
+	// ...and for a Dxy index whose nodes form a cycle or overrun a slab.
 	for _, forged := range forgedIndexSnapshots(f, db) {
 		f.Add(forged)
 	}
@@ -188,6 +195,110 @@ func FuzzDistanceRangeInvariants(f *testing.F) {
 		}
 		if out.Accuracy > 1+1e-9 {
 			t.Fatalf("accuracy %v above 1", out.Accuracy)
+		}
+	})
+}
+
+// oracleTerrain is one generated terrain with its exact-geodesic solver.
+type oracleTerrain struct {
+	db     *TerrainDB
+	solver *geodesic.Solver
+}
+
+// oracleTerrains caches the 17×17-sample terrains FuzzUpperBoundOracle draws
+// from, keyed by (preset, seed): small enough that the Chen–Han oracle stays
+// in the milliseconds, built once per fuzz worker.
+var oracleTerrains struct {
+	sync.Mutex
+	m map[[2]uint8]*oracleTerrain
+}
+
+func getOracleTerrain(t testing.TB, preset, seed uint8) *oracleTerrain {
+	preset, seed = preset%3, seed%4
+	oracleTerrains.Lock()
+	defer oracleTerrains.Unlock()
+	key := [2]uint8{preset, seed}
+	if ot := oracleTerrains.m[key]; ot != nil {
+		return ot
+	}
+	var g *dem.Grid
+	switch preset {
+	case 0:
+		g = dem.Synthesize(dem.BH, 16, 10, 3000+int64(seed))
+	case 1:
+		g = dem.Synthesize(dem.EP, 16, 10, 3000+int64(seed))
+	default:
+		g = dem.NewGrid(17, 17, 10) // flat: d_S is the straight line
+	}
+	m := mesh.FromGrid(g)
+	db, err := BuildTerrainDB(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ot := &oracleTerrain{db: db, solver: geodesic.NewSolver(m)}
+	if oracleTerrains.m == nil {
+		oracleTerrains.m = make(map[[2]uint8]*oracleTerrain)
+	}
+	oracleTerrains.m[key] = ot
+	return ot
+}
+
+// FuzzUpperBoundOracle checks the upper half of the paper's guarantee,
+// d_S <= ub, against ground truth: on generated rugged, smooth and flat
+// terrains, for fuzzer-chosen pairs of surface points, every finite DMTM
+// upper bound — at every ladder level and one off-ladder level, searched
+// over the whole extent, over the ellipse rectangle of the bound so far, and
+// as ranker.updateUB runs it (that rectangle narrowed to the descendants of
+// the previous path, widened on failure) — is at least the exact Chen–Han
+// surface distance, and the running minimum the ranker keeps never rises.
+func FuzzUpperBoundOracle(f *testing.F) {
+	f.Add(uint8(0), uint8(0), 0.1, 0.2, 0.8, 0.9)
+	f.Add(uint8(1), uint8(1), 0.5, 0.5, 0.51, 0.62)
+	f.Add(uint8(2), uint8(0), 0.25, 0.25, 0.75, 0.75) // flat, along the cells' diagonal
+	f.Add(uint8(0), uint8(3), 0.02, 0.97, 0.98, 0.03)
+	levels := append(append([]float64{}, DMTMLadder[:3]...), 0.6)
+	levels = append(levels, DMTMLadder[3:]...)
+	f.Fuzz(func(t *testing.T, preset, seed uint8, ax, ay, bx, by float64) {
+		ot := getOracleTerrain(t, preset, seed)
+		db := ot.db
+		a, okA := fuzzQueryPoint(db, ax, ay)
+		b, okB := fuzzQueryPoint(db, bx, by)
+		if !okA || !okB {
+			t.Skip("degenerate positions")
+		}
+		truth := ot.solver.Distance(a, b)
+		sound := func(what string, res, ub float64) {
+			t.Helper()
+			if ub < truth*(1-1e-9) {
+				t.Fatalf("%s at %v %%: upper bound %v below the surface distance %v", what, 100*res, ub, truth)
+			}
+		}
+
+		s := db.NewSession()
+		s.beginQuery(nil, algoRank)
+		s.ensureScratch(1)
+		s.beginPhase(stats.PhaseRankC2)
+		r := &s.rk
+		r.begin(s, a, 1, S1, Options{}.withDefaults(), false)
+		r.addCand(workload.Object{ID: 1, Point: b})
+		c := &r.cands[0]
+		for _, res := range levels {
+			tm := db.Tree.TimeForResolution(res)
+			region := r.regionOf(c)
+			sound("whole extent", res, s.est.UpperBound(db.Mesh, a, b, tm, db.Extent, nil).UB)
+			sound("ellipse region", res, s.est.UpperBound(db.Mesh, a, b, tm, region, nil).UB)
+			before := c.ub
+			r.updateUB(c, res, tm)
+			if c.ub > before {
+				t.Fatalf("at %v %%: the ranker's bound rose from %v to %v", 100*res, before, c.ub)
+			}
+			sound("ranker", res, c.ub)
+		}
+		if math.IsInf(c.ub, 1) {
+			t.Fatalf("no level bounded the pair (surface distance %v)", truth)
+		}
+		if _, err := s.endQuery(algoRank, 1, nil, nil); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

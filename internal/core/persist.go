@@ -170,11 +170,7 @@ func (db *TerrainDB) Save(w io.Writer) error {
 // over objs in slice order, so loading the shard reproduces NewAt(objs,
 // epoch) bit for bit.
 func (db *TerrainDB) SaveWithObjects(w io.Writer, objs []workload.Object, epoch uint64) error {
-	items := make([]index.Item, len(objs))
-	for i, o := range objs {
-		items[i] = index.Item{P: o.Point.XY(), ID: o.ID}
-	}
-	return db.save(w, objs, epoch, index.Bulk(items).Flatten())
+	return db.save(w, objs, epoch, objstore.BulkIndex(objs).Flatten())
 }
 
 // snapshotObjects captures the installed object set — epoch number, table

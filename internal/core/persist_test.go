@@ -12,6 +12,7 @@ import (
 	"surfknn/internal/dem"
 	"surfknn/internal/geom"
 	"surfknn/internal/index"
+	"surfknn/internal/multires"
 	"surfknn/internal/workload"
 )
 
@@ -299,6 +300,51 @@ func TestLoadRejectsForgedMSDN(t *testing.T) {
 		t.Fatalf("freshly built MSDN fails validation: %v", err)
 	}
 	for name, raw := range forgedMSDNSnapshots(t, db) {
+		if _, err := Load(bytes.NewReader(raw), Config{}); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf, Config{}); err != nil {
+		t.Fatalf("restored snapshot rejected: %v", err)
+	}
+}
+
+// forgedTreeSnapshots saves db with a DDM edge record whose endpoint is no
+// node of the tree. Save stamps a valid CRC over each.
+func forgedTreeSnapshots(tb testing.TB, db *TerrainDB) map[string][]byte {
+	tb.Helper()
+	out := make(map[string][]byte)
+	e := &db.Tree.Edges[len(db.Tree.Edges)/2]
+	for name, v := range map[string]multires.NodeID{
+		"edge endpoint past the node table": multires.NodeID(len(db.Tree.Nodes)),
+		"negative edge endpoint":            -3,
+	} {
+		u, w := e.U, e.W
+		for _, end := range []*multires.NodeID{&e.U, &e.W} {
+			*end = v
+			var buf bytes.Buffer
+			if err := db.Save(&buf); err != nil {
+				tb.Fatal(err)
+			}
+			out[fmt.Sprintf("%s (%d,%d)", name, e.U, e.W)] = buf.Bytes()
+			e.U, e.W = u, w
+		}
+	}
+	return out
+}
+
+// TestLoadRejectsForgedTree pins Tree.Validate on the load path, ahead of
+// assembly: the level-network builder (multires.Tree.Materialize) counts and
+// fills its tables indexing by EdgeRec.U and EdgeRec.W unchecked, so an
+// endpoint outside the node table must be refused as a bad snapshot, not met
+// as an index panic.
+func TestLoadRejectsForgedTree(t *testing.T) {
+	db := buildDB(t, dem.BH, 8, 10, 99)
+	for name, raw := range forgedTreeSnapshots(t, db) {
 		if _, err := Load(bytes.NewReader(raw), Config{}); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"surfknn/internal/obs"
 	"surfknn/internal/sdn"
 	"surfknn/internal/stats"
-	"surfknn/internal/storage"
 	"surfknn/internal/workload"
 )
 
@@ -116,7 +115,7 @@ type ranker struct {
 	alive       []*candidate // aliveCands output; sorted in place
 	groupRegion []geom.MBR   // running merged region per I/O group
 	groupOf     []int32      // group index per target (parallel to targets)
-	refined     []geom.MBR   // refined-region scratch, sized to the DDM tree
+	refined     []geom.MBR   // refined-region scratch, sized to the longest path
 	resultsBuf  []Neighbor   // results() output; aliased by Result.Neighbors
 
 	// tighten keeps refining even after the k-set is determined, until the
@@ -359,23 +358,16 @@ func (r *ranker) groupRegions(targets []*candidate) int {
 func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes, exclude float64) error {
 	numGroups := r.groupRegions(targets)
 	level := SDNLevel(sdnRes)
-	// At the pathnet level the upper bound comes from the in-memory
-	// pathnet, so the DMTM pages are owed but their records are not read.
-	pathnetLevel := dmRes >= PathnetResolution
-	tm := int32(0)
-	if !pathnetLevel {
+	tm := int32(0) // the pathnet level owes the full-resolution pages
+	if dmRes < PathnetResolution {
 		tm = r.s.db.Tree.TimeForResolution(dmRes)
 	}
 	for gi := 0; gi < numGroups; gi++ {
 		// One fetch per integrated I/O region: DMTM connectivity at this
-		// LOD plus the SDN segments of this level.
-		var err error
-		if pathnetLevel {
-			err = r.s.touchDMTM(r.groupRegion[gi], tm)
-		} else {
-			err = r.s.fetchDMTM(r.groupRegion[gi], tm)
-		}
-		if err != nil {
+		// LOD plus the SDN segments of this level. Both are paid for page by
+		// page; the bounds read the in-memory level network, pathnet and
+		// MSDN tables the records mirror.
+		if err := r.s.touchDMTM(r.groupRegion[gi], tm); err != nil {
 			//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
 			return fmt.Errorf("core: fetching DMTM records: %w", err)
 		}
@@ -439,65 +431,16 @@ func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32) {
 	}
 }
 
-// tryUpperBound runs one upper-bound estimation over the group's fetched
-// edge batch, staging the edges that pass the search-region and
-// refined-region filters into the session's reusable network estimator.
+// tryUpperBound runs one upper-bound estimation in place on the level
+// network of time tm, under the candidate's search region and refined
+// regions.
 func (r *ranker) tryUpperBound(c *candidate, tm int32, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
-	e := r.s.est
-	e.Begin(tm)
-	stageEdges(e, &r.s.edges, region, refined)
-	return e.UpperBound(r.s.db.Mesh, r.q, c.obj.Point)
-}
-
-// stageEdges offers to e every batch edge whose rectangle intersects region
-// and — when refined is not empty — at least one refined rectangle. Edges
-// are offered in batch order, which fixes the estimator's vertex numbering,
-// its CSR arc order and with them the Dijkstra's tie-breaks. The tests are
-// MBR.Intersects spelled out on the batch columns: a batch rectangle is
-// never empty (the fetch kept it because it intersects something), region's
-// emptiness is tested once, and a refined rectangle's only after the
-// comparisons passed.
-//
-//sklint:hotpath
-func stageEdges(e *multires.Estimator, b *storage.Batch, region geom.MBR, refined []geom.MBR) {
-	if region.IsEmpty() {
-		return
-	}
-	// An edge that reaches a refined rectangle reaches their common bounds,
-	// so each side of region is first pulled in to them: one four-way test
-	// then stands for "intersects region and the bounds" (the sides may
-	// cross — an edge can reach region at one end and the bounds at the
-	// other), and only its survivors pay for the any-of scan.
-	box := region
-	if len(refined) > 0 {
-		u := geom.EmptyMBR()
-		for _, m := range refined {
-			u = u.Union(m) // skips an empty rectangle
-		}
-		box.MinX, box.MinY = math.Max(box.MinX, u.MinX), math.Max(box.MinY, u.MinY)
-		box.MaxX, box.MaxY = math.Min(box.MaxX, u.MaxX), math.Min(box.MaxY, u.MaxY)
-	}
-	n := len(b.IDs)
-	minX, minY, maxX, maxY := b.MinX[:n], b.MinY[:n], b.MaxX[:n], b.MaxY[:n]
-	for i, id := range b.IDs {
-		x0, y0, x1, y1 := minX[i], minY[i], maxX[i], maxY[i]
-		if !(x0 <= box.MaxX && box.MinX <= x1 && y0 <= box.MaxY && box.MinY <= y1) {
-			continue
-		}
-		hit := len(refined) == 0
-		for j := 0; j < len(refined) && !hit; j++ {
-			m := &refined[j]
-			hit = m.MinX <= x1 && x0 <= m.MaxX && m.MinY <= y1 && y0 <= m.MaxY && !m.IsEmpty()
-		}
-		if hit {
-			e.AddEdge(int32(id))
-		}
-	}
+	return r.s.est.UpperBound(r.s.db.Mesh, r.q, c.obj.Point, tm, region, refined)
 }
 
 // refinedRegions converts the previous upper-bound path into its
 // search-region MBRs, filling the ranker's refined scratch (sized to the
-// DDM tree's node count, which bounds any path length).
+// DDM tree's leaf count, which bounds any path length: see NewSession).
 func (r *ranker) refinedRegions(c *candidate) []geom.MBR {
 	if len(c.ubPath) == 0 {
 		return nil

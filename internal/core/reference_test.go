@@ -11,15 +11,21 @@ import (
 	"surfknn/internal/mesh"
 	"surfknn/internal/multires"
 	"surfknn/internal/stats"
+	"surfknn/internal/storage"
 	"surfknn/internal/workload"
 )
 
-// The upper-bound path as it ran before the resolved edge batch and the
-// shared-source search, kept as the reference the query engine is held to:
+// The upper-bound path as it ran before the level networks, the resolved
+// edge batch and the shared-source search, kept as the reference the query
+// engine is held to:
 //
-//   - a DMTM fetch yields edge ids only, and every upper-bound estimation
-//     re-derives each edge's rectangle through Tree.EdgeMBR and filters it
-//     with MBR.Intersects;
+//   - every refinement step below the pathnet level fetches the DMTM records
+//     of its group region — the records valid at the level whose rectangle
+//     meets the region, in storage order — and every upper-bound estimation
+//     re-derives each fetched edge's rectangle through Tree.EdgeMBR, filters
+//     it with MBR.Intersects, and materialises the survivors as a private
+//     network (NetworkFromEdgeIDs → Embed → DijkstraTarget: map-backed
+//     numbering in first-seen order, adjacency lists in edge order);
 //   - every pathnet distance is its own clipped DistanceWithin from the
 //     query point, retried unclipped with DistanceValue where the settle
 //     steps did so;
@@ -38,14 +44,27 @@ import (
 //
 // Everything the two paths share (classification, grouping, the 2-D filters,
 // cost phases) is the session's own code, so a difference in any answer,
-// bound or page count is a difference in one of those two paths. The record
-// decode itself is held to its old form in internal/storage
-// (TestBatchFetchMatchesReference); here the ids come out of the batch and
-// the rectangles are not used.
+// bound or page count is a difference in one of those two paths. The fetch
+// pays its pages through the session's touchDMTM and takes its records from
+// recs, the record slice a twin BuildClustered left in storage order; that a
+// paged read yields exactly that subsequence, page for page what Touch
+// charges, is pinned in internal/storage (TestFetchIsStorageOrder,
+// TestTouchMatchesReference).
 type refEngine struct {
 	s      *Session
-	ids    []uint64
+	recs   []storage.ClusterRecord
+	ids    []int32
 	closed int // lower-bound estimations run on a closed range
+}
+
+// newRefEngine returns the reference engine over a session of db.
+func newRefEngine(t testing.TB, db *TerrainDB) *refEngine {
+	t.Helper()
+	recs := dmtmRecords(db.Tree)
+	if _, err := storage.BuildClustered(storage.NewBufferPool(storage.NewMemFile(), 64), recs); err != nil {
+		t.Fatal(err)
+	}
+	return &refEngine{s: db.NewSession(), recs: recs}
 }
 
 // takeClosed returns the closed-range estimations since the last call.
@@ -55,9 +74,14 @@ func (e *refEngine) takeClosed() int {
 	return n
 }
 
-func (e *refEngine) fetchDMTM(region geom.MBR, tm int32) ([]uint64, error) {
-	err := e.s.fetchDMTM(region, tm)
-	e.ids = append(e.ids[:0], e.s.edges.IDs...)
+func (e *refEngine) fetchDMTM(region geom.MBR, tm int32) ([]int32, error) {
+	err := e.s.touchDMTM(region, tm)
+	e.ids = e.ids[:0]
+	for _, r := range e.recs {
+		if r.From <= tm && tm < r.To && r.MBR.Intersects(region) {
+			e.ids = append(e.ids, int32(r.ID))
+		}
+	}
 	return e.ids, err
 }
 
@@ -149,7 +173,7 @@ func (e *refEngine) iterate(r *ranker, targets []*candidate, dmRes, sdnRes, excl
 	return nil
 }
 
-func (e *refEngine) updateUB(r *ranker, c *candidate, dmRes float64, tm int32, edgeIDs []uint64) {
+func (e *refEngine) updateUB(r *ranker, c *candidate, dmRes float64, tm int32, edgeIDs []int32) {
 	r.pc.UpperBounds++
 	region := r.regionOf(c)
 	if dmRes >= PathnetResolution {
@@ -196,35 +220,27 @@ func (e *refEngine) updateLB(r *ranker, c *candidate, sdnRes, kthUB float64) {
 	r.applyLB(c, r.fullLB(q3, o3, region, sdnRes))
 }
 
-func (e *refEngine) tryUpperBound(r *ranker, c *candidate, tm int32, edgeIDs []uint64, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
-	est := r.s.est
-	est.Begin(tm)
-	refStageEdges(est, r.s.db.Tree, edgeIDs, region, refined)
-	return est.UpperBound(r.s.db.Mesh, r.q, c.obj.Point)
+func (e *refEngine) tryUpperBound(r *ranker, c *candidate, tm int32, edgeIDs []int32, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
+	tree := r.s.db.Tree
+	nw := tree.NetworkFromEdgeIDs(tm, edgeIDs, refEdgeFilter(tree, region, refined))
+	return nw.UpperBound(r.s.db.Mesh, r.q, c.obj.Point)
 }
 
-// refStageEdges is the edge filter of the reference path: every edge's
+// refEdgeFilter is the edge filter of the reference path: every edge's
 // rectangle re-derived from the tree, then MBR.Intersects.
-func refStageEdges(est *multires.Estimator, tree *multires.Tree, edgeIDs []uint64, region geom.MBR, refined []geom.MBR) {
-	for _, id := range edgeIDs {
-		minX, minY, maxX, maxY := tree.EdgeMBR(tree.Edges[id])
+func refEdgeFilter(tree *multires.Tree, region geom.MBR, refined []geom.MBR) func(multires.EdgeRec) bool {
+	return func(ed multires.EdgeRec) bool {
+		minX, minY, maxX, maxY := tree.EdgeMBR(ed)
 		em := geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
 		if !em.Intersects(region) {
-			continue
+			return false
 		}
-		if len(refined) > 0 {
-			hit := false
-			for _, m := range refined {
-				if m.Intersects(em) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
+		for _, m := range refined {
+			if m.Intersects(em) {
+				return true
 			}
 		}
-		est.AddEdge(int32(id))
+		return len(refined) == 0
 	}
 }
 
@@ -460,16 +476,12 @@ func (e *refEngine) DistanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float6
 				}
 			} else {
 				tm := db.Tree.TimeForResolution(dmRes)
-				if err := s.fetchDMTM(region, tm); err != nil {
+				ids, err := e.fetchDMTM(region, tm)
+				if err != nil {
 					return out, err
 				}
-				est := s.est
-				est.Begin(tm)
-				for _, id := range s.edges.IDs {
-					est.AddEdge(int32(id))
-				}
 				pc.UpperBounds++
-				if ub := est.UpperBound(db.Mesh, a, b).UB; ub < out.UB {
+				if ub := db.Tree.NetworkFromEdgeIDs(tm, ids, nil).UpperBound(db.Mesh, a, b).UB; ub < out.UB {
 					out.UB = ub
 				}
 			}
@@ -720,7 +732,7 @@ func TestUpperBoundPathMatchesReference(t *testing.T) {
 	for _, f := range refFixtures(t) {
 		t.Run(f.name, func(t *testing.T) {
 			s := f.db.NewSession()
-			ref := &refEngine{s: f.ref.NewSession()}
+			ref := newRefEngine(t, f.ref)
 			cands := f.db.Objects()
 			closedTotal := 0
 			same := func(what string, got, want Result) {
@@ -820,7 +832,7 @@ func TestDistanceQueryMatchesReference(t *testing.T) {
 	for _, f := range refFixtures(t) {
 		t.Run(f.name, func(t *testing.T) {
 			s := f.db.NewSession()
-			ref := &refEngine{s: f.ref.NewSession()}
+			ref := newRefEngine(t, f.ref)
 			closedTotal := 0
 			for _, sched := range []Schedule{S1, S2, S3} {
 				for _, accuracy := range []float64{0.5, 0.9, 1} {
@@ -856,14 +868,14 @@ func TestDistanceQueryMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkUpperBoundFilter times the edge filter of one upper-bound
-// estimation as a refinement step runs it: a 25 % estimate over the whole
-// terrain gives the pair's bound and path, the 50 % fetch covers a group
-// region around the bound's ellipse rectangle, and the batch is filtered by
-// that rectangle and the path's refined regions — by the kernel over the
-// batch columns, and by the reference filter over the same ids. edges/op is
-// the batch size, kept/op what the filter stages.
-func BenchmarkUpperBoundFilter(b *testing.B) {
+// BenchmarkUpperBoundNet times one upper-bound estimation as a refinement
+// step runs it, in place on the level network: a 25 % estimate over the
+// whole terrain gives the pair's bound and path, and the 50 % and 100 %
+// estimations search under that bound's ellipse rectangle — alone, and
+// narrowed to the path's refined regions. arcs/op and settled/op are the
+// estimator's work counters: arcs looked at and vertices settled per
+// estimation.
+func BenchmarkUpperBoundNet(b *testing.B) {
 	m := mesh.FromGrid(dem.Synthesize(dem.BH, 32, 50, 2006))
 	db, err := BuildTerrainDB(m, Config{})
 	if err != nil {
@@ -872,15 +884,9 @@ func BenchmarkUpperBoundFilter(b *testing.B) {
 	ext := db.Extent
 	q, _ := db.SurfacePointAt(ext.Center())
 	o, _ := db.SurfacePointAt(geom.Vec2{X: ext.MaxX - 90, Y: ext.MaxY - 110})
-	s := db.NewSession()
+	est := db.NewSession().est
 
-	tm := db.Tree.TimeForResolution(0.25)
-	if err := s.fetchDMTM(ext, tm); err != nil {
-		b.Fatal(err)
-	}
-	s.est.Begin(tm)
-	stageEdges(s.est, &s.edges, ext, nil)
-	coarse := s.est.UpperBound(db.Mesh, q, o)
+	coarse := est.UpperBound(db.Mesh, q, o, db.Tree.TimeForResolution(0.25), ext, nil)
 	if math.IsInf(coarse.UB, 1) || len(coarse.Path) == 0 {
 		b.Fatal("no coarse estimate to refine")
 	}
@@ -889,41 +895,28 @@ func BenchmarkUpperBoundFilter(b *testing.B) {
 	for i, v := range coarse.Path {
 		refined[i] = db.Tree.Nodes[v].MBR
 	}
-
-	tm = db.Tree.TimeForResolution(0.5)
-	if err := s.fetchDMTM(region.Expand(region.Width()/4), tm); err != nil {
-		b.Fatal(err)
+	for _, level := range []struct {
+		name string
+		res  float64
+	}{{"50", 0.5}, {"100", 1.0}} {
+		tm := db.Tree.TimeForResolution(level.res)
+		for _, sub := range []struct {
+			name    string
+			refined []geom.MBR
+		}{{"region", nil}, {"refined", refined}} {
+			b.Run(level.name+"/"+sub.name, func(b *testing.B) {
+				if math.IsInf(est.UpperBound(db.Mesh, q, o, tm, region, sub.refined).UB, 1) {
+					b.Fatal("the restriction disconnects the pair")
+				}
+				est.Scanned, est.Settled = 0, 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					est.UpperBound(db.Mesh, q, o, tm, region, sub.refined)
+				}
+				b.ReportMetric(float64(est.Scanned)/float64(b.N), "arcs/op")
+				b.ReportMetric(float64(est.Settled)/float64(b.N), "settled/op")
+			})
+		}
 	}
-	kept := 0
-	for i := range s.edges.IDs {
-		em := geom.MBR{MinX: s.edges.MinX[i], MinY: s.edges.MinY[i], MaxX: s.edges.MaxX[i], MaxY: s.edges.MaxY[i]}
-		if !em.Intersects(region) {
-			continue
-		}
-		for _, r := range refined {
-			if r.Intersects(em) {
-				kept++
-				break
-			}
-		}
-	}
-	b.Run("batch", func(b *testing.B) {
-		s.est.Begin(tm)
-		stageEdges(s.est, &s.edges, region, refined) // warm the estimator's staging slices
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.est.Begin(tm)
-			stageEdges(s.est, &s.edges, region, refined)
-		}
-		b.ReportMetric(float64(len(s.edges.IDs)), "edges/op")
-		b.ReportMetric(float64(kept), "kept/op")
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.est.Begin(tm)
-			refStageEdges(s.est, db.Tree, s.edges.IDs, region, refined)
-		}
-	})
 }

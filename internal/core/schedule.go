@@ -13,6 +13,13 @@ import "math"
 // "level" is an index into this ladder (§5.3 uses 25–100 %).
 var SDNLadder = []float64{0.25, 0.375, 0.5, 0.75, 1.0}
 
+// DMTMLadder lists the sub-pathnet DMTM resolutions whose level networks are
+// materialised at assembly (the paper's schedules use no other). A level is
+// keyed by its collapse time, Tree.TimeForResolution, so two rungs that
+// round to one time on a small terrain share a table; a custom Schedule may
+// name any other resolution, whose network the session builds on first use.
+var DMTMLadder = []float64{0.005, 0.25, 0.5, 0.75, 1.0}
+
 // PathnetResolution marks the DMTM ">100 %" level: the Steiner-refined
 // pathnet (the paper's "DMTM resolution 200%", where dN = dS by
 // definition).

@@ -69,8 +69,7 @@ type Session struct {
 	items []index.Item        // 2-D index results
 	objs  []workload.Object   // resolved candidate objects
 	knnSc index.Scratch       // R-tree best-first traversal heaps
-	edges storage.Batch       // fetched DMTM edges: ids + rectangles
-	est   *multires.Estimator // reusable upper-bound network builder
+	est   *multires.Estimator // upper-bound search over the level networks
 	sdnSc sdn.Scratch         // lower-bound chain DP scratch
 	eaSc  eaState             // EA benchmark top-k scratch
 }
@@ -80,9 +79,11 @@ func (db *TerrainDB) NewSession() *Session {
 	s := &Session{db: db, path: db.Path.NewQuerier()}
 	if db.Tree != nil {
 		s.est = multires.NewEstimator(db.Tree)
-		// The refined-region buffer is bounded by the node count of the
-		// (immutable) DDM tree, so it is sized once here.
-		s.rk.refined = make([]geom.MBR, len(db.Tree.Nodes))
+		// One refined rectangle per node of the previous upper-bound path. A
+		// path visits an active node at most once and the finest level has
+		// the most, one per leaf of the (immutable) DDM tree, so the buffer
+		// is sized once here.
+		s.rk.refined = make([]geom.MBR, db.Tree.NumLeaves)
 	}
 	return s
 }
@@ -232,16 +233,12 @@ func (s *Session) pagesAccessed() int64 {
 //lint:ignore hotpath-alloc interface call only: stdlib Context.Err implementations allocate nothing
 func (s *Session) interrupted() error { return s.ctx.Err() }
 
-// fetchDMTM reads the DDM edge records valid at collapse time tm inside
-// region through the buffer pool — charged to this session's account —
-// into s.edges, which holds them until the next fetch.
-func (s *Session) fetchDMTM(region geom.MBR, tm int32) error {
-	return s.db.dmtmStore.FetchBatch(region, tm, &s.io, &s.edges)
-}
-
-// touchDMTM pays for the pages fetchDMTM reads without decoding them, for
-// the steps that take the full-resolution network from the in-memory
-// pathnet. s.edges is left alone.
+// touchDMTM pays for the DDM edge records valid at collapse time tm inside
+// region, page by page through the buffer pool, charged to this session's
+// account. The record payloads mirror in-memory structures at every level —
+// the tree's level networks below 100 %, the pathnet above — which the
+// upper-bound searches read directly; the read exists to account the I/O the
+// paper measures.
 func (s *Session) touchDMTM(region geom.MBR, tm int32) error {
 	return s.db.dmtmStore.Touch(region, tm, &s.io)
 }

@@ -136,23 +136,8 @@ func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pa
 
 		formatVersion: 4,
 	}
-	var err error
-
-	// Persist the DMTM connectivity records: one record per DDM edge with
-	// its lifetime [Birth, Death) as the validity interval.
-	recs := make([]storage.ClusterRecord, 0, len(tree.Edges))
-	for i, e := range tree.Edges {
-		minX, minY, maxX, maxY := tree.EdgeMBR(e)
-		recs = append(recs, storage.ClusterRecord{
-			ID:   uint64(i),
-			MBR:  geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY},
-			From: e.Birth,
-			To:   e.Death,
-		})
-	}
-	db.dmtmStore, err = storage.BuildClustered(db.Pool, recs)
-	if err != nil {
-		return nil, fmt.Errorf("core: storing DMTM: %w", err)
+	if err := db.storeDMTM(); err != nil {
+		return nil, err
 	}
 
 	// Materialise the SDN segments, one set per ladder level ("line segments
@@ -175,11 +160,54 @@ func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pa
 			})
 		})
 	}
+	var err error
 	db.sdnStore, err = storage.BuildClustered(db.Pool, srecs)
 	if err != nil {
 		return nil, fmt.Errorf("core: storing MSDN: %w", err)
 	}
 	return db, nil
+}
+
+// dmtmRecords returns the DMTM connectivity records: one per DDM edge, with
+// its index as the ID, its representatives' rectangle and its lifetime
+// [Birth, Death) as the validity interval.
+func dmtmRecords(tree *multires.Tree) []storage.ClusterRecord {
+	recs := make([]storage.ClusterRecord, len(tree.Edges))
+	for i, e := range tree.Edges {
+		minX, minY, maxX, maxY := tree.EdgeMBR(e)
+		recs[i] = storage.ClusterRecord{
+			ID:   uint64(i),
+			MBR:  geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY},
+			From: e.Birth,
+			To:   e.Death,
+		}
+	}
+	return recs
+}
+
+// storeDMTM persists the DMTM records and materialises the tree's level
+// networks in the order the store holds them. That order is read off the
+// record slice BuildClustered sorted — its sort is not stable, so the order
+// exists nowhere else — and is what makes a search over a level network
+// relax a vertex's edges in the order a paged fetch returned them. The
+// records (48 bytes an edge) die with this frame, before the SDN pass
+// allocates its own.
+func (db *TerrainDB) storeDMTM() error {
+	recs := dmtmRecords(db.Tree)
+	var err error
+	if db.dmtmStore, err = storage.BuildClustered(db.Pool, recs); err != nil {
+		return fmt.Errorf("core: storing DMTM: %w", err)
+	}
+	order := make([]int32, len(recs))
+	for i, r := range recs {
+		order[i] = int32(r.ID)
+	}
+	times := make([]int32, len(DMTMLadder))
+	for i, res := range DMTMLadder {
+		times[i] = db.Tree.TimeForResolution(res)
+	}
+	db.Tree.Materialize(order, times)
+	return nil
 }
 
 // SetObjects installs the object dataset at epoch 0: it replaces the whole

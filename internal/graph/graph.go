@@ -115,24 +115,6 @@ func (g *Graph) CSR() (off []int32, arcs []Arc) {
 	return g.off, g.arcs
 }
 
-// SetCSR repoints g at the given CSR buffers, replacing its previous
-// content — the reuse hook for per-query network rebuilds (the multires
-// Estimator), which regenerate the buffers into reusable scratch instead of
-// allocating a fresh Graph per query. The buffers are retained, not copied.
-func (g *Graph) SetCSR(off []int32, arcs []Arc, numEdges int) {
-	if len(off) == 0 {
-		off = zeroOff
-	}
-	g.adj = nil
-	g.off, g.arcs = off, arcs
-	g.numEdges = numEdges
-	g.finalized = true
-}
-
-// zeroOff is the CSR offset array of the empty graph (shared, never
-// mutated: an empty graph has no vertex to add arcs to).
-var zeroOff = []int32{0}
-
 // definalize unpacks the CSR form back into mutable adjacency lists. Each
 // rebuilt list is a full-capacity sub-slice of the slab, so a subsequent
 // append copies it out instead of clobbering its neighbour.

@@ -1,224 +1,289 @@
 package multires
 
 import (
+	"math"
+
+	"surfknn/internal/geom"
 	"surfknn/internal/graph"
 	"surfknn/internal/mesh"
 )
 
-// Estimator is the reusable, allocation-free counterpart of the
-// NetworkFromEdgeIDs → Embed → UpperBound pipeline. MR3 builds one
-// per-candidate network per upper-bound estimation; materialising each as a
-// fresh Network (map-backed vertex numbering, adjacency-list graph) made
-// that the dominant allocation source of the query path. The Estimator
-// keeps every intermediate in scratch owned by the session:
+// Estimator runs MR3's per-candidate upper-bound estimations (§4.2.1) in
+// place on the tree's level networks: a target-stopped Dijkstra that tests
+// the candidate's search-region filter on the arcs of the vertices it
+// settles — a few hundred of a network of thousands — instead of filtering a
+// fetched batch and packing the survivors into a private graph first. Bounds
+// and paths are bit-identical to that pipeline (argument at UpperBound,
+// pinned by TestEstimatorMatchesNetwork).
 //
-//   - vertex numbering via an epoch-stamped array instead of the IdxOf map
-//     (same first-seen order, so the numbering is identical);
-//   - accepted arcs staged into flat parallel slices, then packed into a
-//     reusable CSR graph by counting sort — which preserves the per-vertex
-//     arc order the adjacency-list appends produced, so Dijkstra visits
-//     arcs in exactly the historical order;
-//   - the Dijkstra itself on an owned graph.Workspace.
-//
-// Distances, paths and visit orders are therefore bit-identical to the
-// allocating pipeline (TestEstimatorMatchesNetwork pins this).
-//
-// An Estimator is owned by a single goroutine; it is not safe for
-// concurrent use. Returned paths alias the estimator and are valid until
-// its next UpperBound call.
+// An Estimator is owned by a single goroutine. Returned paths alias it and
+// are valid until its next UpperBound call.
 type Estimator struct {
-	t  *Tree
-	ws *graph.Workspace
-	tm int32
+	t *Tree
 
-	// Epoch-stamped vertex numbering: node v is numbered this query iff
-	// idxStamp[v] == idxCur, and its graph vertex is then idxVal[v].
-	idxVal   []int32
-	idxStamp []uint32
-	idxCur   uint32
-	nodeOf   []NodeID // graph vertex -> tree node (network vertices only)
+	// Search state per tree node, the virtual target in the last slot; a
+	// slot is meaningful only while its stamp equals cur.
+	slots []slot
+	cur   uint32
+	fr    graph.Frontier
+	path  []NodeID
 
-	// Staged arcs (parallel slices): network arcs first, then embed arcs.
-	su, sw []int32
-	sd     []float64
+	// The network of the last off-ladder time asked for (a custom Schedule),
+	// from the ladder's builder, kept until the time changes.
+	own levelNet
 
-	// CSR build scratch and the packed graph.
-	deg, off, fill []int32
-	arcs           []graph.Arc
-	g              graph.Graph
-
-	path []NodeID
+	// Work counters over every UpperBound call, read by tests and
+	// benchmarks: arcs looked at, arcs that passed the admission test (asked
+	// only of arcs that would relax), vertices settled.
+	Scanned, Admitted, Settled int64
 }
 
-// NewEstimator returns an estimator over the tree. The numbering arrays are
-// sized up front (the tree is immutable); everything else grows on first
-// use and is retained.
+// slot is one vertex's tentative distance and predecessor.
+type slot struct {
+	dist  float64
+	prev  NodeID
+	stamp uint32
+}
+
+// fromSource marks, in slot.prev, a vertex relaxed by the virtual source.
+const fromSource NodeID = -2
+
+// NewEstimator returns an estimator over a materialised tree, every buffer
+// sized to what the immutable tree bounds: a path visits an active node at
+// most once, and no time has more of them than time 0's NumLeaves.
 func NewEstimator(t *Tree) *Estimator {
+	if t.order == nil && len(t.Edges) > 0 {
+		panic("multires: NewEstimator before Tree.Materialize")
+	}
 	return &Estimator{
-		t:        t,
-		ws:       graph.NewWorkspace(0),
-		idxVal:   make([]int32, len(t.Nodes)),
-		idxStamp: make([]uint32, len(t.Nodes)),
+		t:     t,
+		slots: make([]slot, len(t.Nodes)+1),
+		path:  make([]NodeID, 0, t.NumLeaves),
 	}
 }
 
-// Begin opens a new network build at resolution time tm, discarding the
-// previous one. Call it once per candidate, then AddEdge for each fetched
-// edge id, then UpperBound.
-func (e *Estimator) Begin(tm int32) {
-	e.tm = tm
-	e.idxCur++
-	if e.idxCur == 0 { // epoch counter wrapped: old stamps are ambiguous
-		for i := range e.idxStamp {
-			e.idxStamp[i] = 0
+// level returns the network of time tm: the tree's when tm is a ladder
+// time, the estimator's own otherwise, (re)built when the time changed.
+func (e *Estimator) level(tm int32) *levelNet {
+	if ln := e.t.levelAt(tm); ln != nil {
+		return ln
+	}
+	if e.own.off == nil || e.own.time != tm {
+		e.own.build(e.t, tm)
+	}
+	return &e.own
+}
+
+// admission is the per-estimation edge filter: an edge is in the network iff
+// its rectangle meets box — region with each side pulled in to the common
+// bounds of refined, one four-way test standing for "meets region and the
+// bounds" (the sides may cross: an edge can reach region at one end and the
+// bounds at the other) — and, when refined is not empty, meets one non-empty
+// refined rectangle.
+type admission struct {
+	box     geom.MBR
+	refined []geom.MBR
+}
+
+// admits tests the edge between nodes at p and q. The rectangle is
+// Tree.EdgeMBR's, the two RepPos ordered per axis. A coordinate that is NaN
+// fails every comparison it enters, so such an edge is dropped here as the
+// fetch dropped its empty rectangle.
+func (ad *admission) admits(p, q geom.Vec2) bool {
+	x0, x1 := p.X, q.X
+	if x0 > x1 {
+		x0, x1 = x1, x0
+	}
+	y0, y1 := p.Y, q.Y
+	if y0 > y1 {
+		y0, y1 = y1, y0
+	}
+	if !(x0 <= ad.box.MaxX && ad.box.MinX <= x1 && y0 <= ad.box.MaxY && ad.box.MinY <= y1) {
+		return false
+	}
+	if len(ad.refined) == 0 {
+		return true
+	}
+	for j := range ad.refined {
+		m := &ad.refined[j]
+		if m.MinX <= x1 && x0 <= m.MaxX && m.MinY <= y1 && y0 <= m.MaxY && !m.IsEmpty() {
+			return true
 		}
-		e.idxCur = 1
 	}
-	e.nodeOf = e.nodeOf[:0]
-	e.su, e.sw, e.sd = e.su[:0], e.sw[:0], e.sd[:0]
+	return false
 }
 
-// AddEdge stages the DDM edge with the given index, skipping it when not
-// alive at the build's tm (so passing a superset is safe, as with
-// NetworkFromEdgeIDs). Callers apply any further per-edge filter before
-// calling.
-func (e *Estimator) AddEdge(id int32) {
-	ed := &e.t.Edges[id]
-	if ed.Birth > e.tm || e.tm >= ed.Death {
-		return
-	}
-	// U before W: the historical idx() evaluation order, which fixes the
-	// first-seen vertex numbering.
-	u := e.vertexOf(ed.U)
-	w := e.vertexOf(ed.W)
-	e.su = append(e.su, u)
-	e.sw = append(e.sw, w)
-	e.sd = append(e.sd, ed.D)
+// embedding is a surface point's link into the network, Network.Embed's:
+// one arc per distinct active corner ancestor present in the network,
+// weighted by the on-facet leg plus the ancestor's Gather bound, in corner
+// order.
+type embedding struct {
+	n   int
+	anc [3]NodeID
+	w   [3]float64
 }
 
-// vertexOf numbers tree node v on first sight this query.
-func (e *Estimator) vertexOf(v NodeID) int32 {
-	if e.idxStamp[v] == e.idxCur {
-		return e.idxVal[v]
-	}
-	i := int32(len(e.nodeOf))
-	e.idxVal[v] = i
-	e.idxStamp[v] = e.idxCur
-	e.nodeOf = append(e.nodeOf, v)
-	return i
-}
-
-// embed stages the virtual-endpoint arcs of sp as graph vertex v, exactly
-// mirroring Network.Embed: one arc per distinct active corner ancestor
-// present in the network, weighted by the on-facet leg plus the ancestor's
-// Gather bound.
-func (e *Estimator) embed(m *mesh.Mesh, sp mesh.SurfacePoint, v int32) bool {
-	connected := false
-	var seen [3]int32
-	nseen := 0
+// embed fills em for sp. An ancestor is present iff one of its arcs is
+// admitted — the network's vertices were the endpoints of its kept edges.
+func (e *Estimator) embed(em *embedding, m *mesh.Mesh, sp mesh.SurfacePoint, ln *levelNet, ad *admission) bool {
+	em.n = 0
+	xy := e.t.xy
+corners:
 	for _, corner := range sp.Corners(m) {
-		anc := e.t.AncestorAt(NodeID(corner), e.tm)
-		if anc == NoNode || e.idxStamp[anc] != e.idxCur {
+		anc := e.t.AncestorAt(NodeID(corner), ln.time)
+		if anc == NoNode {
 			continue
 		}
-		gi := e.idxVal[anc]
-		dup := false
-		for i := 0; i < nseen; i++ {
-			if seen[i] == gi {
-				dup = true
+		for i := 0; i < em.n; i++ {
+			if em.anc[i] == anc {
+				continue corners
+			}
+		}
+		for _, a := range ln.arcs[ln.off[anc]:ln.off[anc+1]] {
+			e.Scanned++
+			if ad.admits(xy[anc], xy[a.to]) {
+				e.Admitted++
+				em.anc[em.n] = anc
+				em.w[em.n] = sp.Pos.Dist(m.Verts[corner]) + e.t.Nodes[anc].Gather
+				em.n++
 				break
 			}
 		}
-		if dup {
-			continue
-		}
-		seen[nseen] = gi
-		nseen++
-		w := sp.Pos.Dist(m.Verts[corner]) + e.t.Nodes[anc].Gather
-		e.su = append(e.su, v)
-		e.sw = append(e.sw, gi)
-		e.sd = append(e.sd, w)
-		connected = true
 	}
-	return connected
+	return em.n > 0
 }
 
-// UpperBound runs the estimation on the staged network. It may be called
-// several times after one Begin (each call embeds into the same network).
+// UpperBound estimates an upper bound on the surface distance from a to b
+// over the DDM network of collapse time tm restricted to the edges whose
+// rectangle meets region and — when refined is not empty — one of the
+// refined rectangles (Fig. 6(b): the descendants of the previous path). UB
+// is +Inf when the restriction disconnects the points; the caller widens it.
 // The returned Path aliases the estimator.
-func (e *Estimator) UpperBound(m *mesh.Mesh, a, b mesh.SurfacePoint) UpperEstimate {
+//
+// The result is the bits NetworkFromEdgeIDs(tm, fetched ids, that filter) →
+// Embed(a), Embed(b) → DijkstraTarget gave, fetch being the clustered
+// store's read of any region that contains this one:
+//
+//   - The heap orders on priority alone and never looks at a vertex id, so
+//     numbering vertices by NodeID instead of first-seen index cannot change
+//     a pop. What fixes the pops is the push sequence, i.e. each settled
+//     vertex's arc order.
+//   - That order was batch order — storage order restricted to the kept
+//     edges — with the embed arcs after the network arcs. The level network
+//     lists each node's arcs in storage order (levelNet.build), and testing
+//     the filter arc by arc keeps the same subsequence; an arc that would
+//     not relax is skipped before the test, which changes no push.
+//   - A fetched batch held the records alive at tm whose non-empty
+//     rectangle met the fetch region. region lies inside it (a candidate's
+//     region is one of those its group's region is the union of), so
+//     "alive, meets region" implies both the record- and the page-level
+//     test of the fetch: the admitted arcs are the kept edges. An empty
+//     region fetched and kept nothing, so neither point embedded.
+//   - The source popped first and relaxed its embed arcs in corner order:
+//     pushing them onto the empty heap is the same heap. A settled vertex's
+//     arc back to the source (distance 0) never relaxed. Its arc to the
+//     target came after its network arcs, as the pack placed it, and is
+//     relaxed there.
+//   - Path is the interior of the predecessor chain as NodeIDs, which is
+//     what NodePath mapped the graph path to.
+//
+//sklint:hotpath
+func (e *Estimator) UpperBound(m *mesh.Mesh, a, b mesh.SurfacePoint, tm int32, region geom.MBR, refined []geom.MBR) UpperEstimate {
 	// Same-face shortcut: the straight on-facet segment is a valid path.
 	if a.Face == b.Face {
 		return UpperEstimate{UB: a.Pos.Dist(b.Pos)}
 	}
-	n := int32(len(e.nodeOf))
-	base := len(e.su)
-	okA := e.embed(m, a, n)
-	okB := e.embed(m, b, n+1)
+	if region.IsEmpty() {
+		return UpperEstimate{UB: graph.Inf}
+	}
+	ad := admission{box: region, refined: refined}
+	if len(refined) > 0 {
+		u := geom.EmptyMBR()
+		for _, r := range refined {
+			u = u.Union(r) // skips an empty rectangle
+		}
+		ad.box.MinX, ad.box.MinY = math.Max(ad.box.MinX, u.MinX), math.Max(ad.box.MinY, u.MinY)
+		ad.box.MaxX, ad.box.MaxY = math.Min(ad.box.MaxX, u.MaxX), math.Min(ad.box.MaxY, u.MaxY)
+	}
+	ln := e.level(tm)
+	var src, dst embedding
+	okA := e.embed(&src, m, a, ln, &ad)
+	okB := e.embed(&dst, m, b, ln, &ad)
 	if !okA || !okB {
-		e.su, e.sw, e.sd = e.su[:base], e.sw[:base], e.sd[:base]
 		return UpperEstimate{UB: graph.Inf}
 	}
 
-	// Pack the staged arcs into CSR by counting sort. Walking the staged
-	// list in order and emitting both directions reproduces the per-vertex
-	// order of the historical adjacency-list appends (network arcs in edge
-	// order, then embed arcs), so traversal order is unchanged.
-	nv := int(n) + 2
-	e.deg = growInt32(e.deg, nv)
-	for i := range e.deg[:nv] {
-		e.deg[i] = 0
+	e.cur++
+	if e.cur == 0 { // the counter wrapped: old stamps would look current
+		for i := range e.slots {
+			e.slots[i].stamp = 0
+		}
+		e.cur = 1
 	}
-	for i := range e.su {
-		e.deg[e.su[i]]++
-		e.deg[e.sw[i]]++
-	}
-	e.off = growInt32(e.off, nv+1)
-	e.off[0] = 0
-	for v := 0; v < nv; v++ {
-		e.off[v+1] = e.off[v] + e.deg[v]
-	}
-	e.fill = growInt32(e.fill, nv)
-	copy(e.fill, e.off[:nv])
-	e.arcs = growArcs(e.arcs, 2*len(e.su))
-	for i := range e.su {
-		u, w, d := e.su[i], e.sw[i], e.sd[i]
-		e.arcs[e.fill[u]] = graph.Arc{To: w, W: d}
-		e.fill[u]++
-		e.arcs[e.fill[w]] = graph.Arc{To: u, W: d}
-		e.fill[w]++
-	}
-	e.g.SetCSR(e.off[:nv+1], e.arcs, len(e.su))
-	e.su, e.sw, e.sd = e.su[:base], e.sw[:base], e.sd[:base]
-
-	e.ws.Ensure(nv)
-	d, vpath := e.ws.DijkstraTarget(&e.g, int(n), int(n)+1)
-	e.path = e.path[:0]
-	for _, v := range vpath {
-		if int32(v) < n {
-			e.path = append(e.path, e.nodeOf[v])
+	cur, slots, xy, inf := e.cur, e.slots, e.t.xy, math.Inf(1)
+	target := NodeID(len(slots) - 1)
+	slots[target] = slot{dist: inf, stamp: cur}
+	e.fr.Reset()
+	for i := 0; i < src.n; i++ {
+		// The ancestors are distinct, so each is relaxed from +Inf.
+		if w := src.w[i]; w < inf {
+			slots[src.anc[i]] = slot{dist: w, prev: fromSource, stamp: cur}
+			e.fr.Push(int32(src.anc[i]), w)
 		}
 	}
-	return UpperEstimate{UB: d, Path: e.path}
-}
-
-// growInt32 resizes s to n entries, allocating only when capacity is short.
-// Contents beyond the old length are stale; callers overwrite them.
-func growInt32(s []int32, n int) []int32 {
-	if n <= cap(s) {
-		return s[:n]
+	var scanned, admitted, settled int64
+	for e.fr.Len() > 0 {
+		vi, d := e.fr.Pop()
+		v := NodeID(vi)
+		if d > slots[v].dist {
+			continue // stale entry
+		}
+		if v == target {
+			break
+		}
+		settled++
+		pv := xy[v]
+		arcs := ln.arcs[ln.off[v]:ln.off[v+1]]
+		scanned += int64(len(arcs))
+		for _, arc := range arcs {
+			nd := d + arc.w
+			s := &slots[arc.to]
+			old := inf
+			if s.stamp == cur {
+				old = s.dist
+			}
+			if !(nd < old) || !ad.admits(pv, xy[arc.to]) {
+				continue
+			}
+			admitted++
+			*s = slot{dist: nd, prev: v, stamp: cur}
+			e.fr.Push(int32(arc.to), nd)
+		}
+		for i := 0; i < dst.n; i++ {
+			if dst.anc[i] != v {
+				continue
+			}
+			if nd := d + dst.w[i]; nd < slots[target].dist {
+				slots[target] = slot{dist: nd, prev: v, stamp: cur}
+				e.fr.Push(int32(target), nd)
+			}
+		}
 	}
-	ns := make([]int32, n, n+n/2)
-	copy(ns, s)
-	return ns
-}
+	e.Scanned += scanned
+	e.Admitted += admitted
+	e.Settled += settled
 
-// growArcs is growInt32 for []graph.Arc.
-func growArcs(s []graph.Arc, n int) []graph.Arc {
-	if n <= cap(s) {
-		return s[:n]
+	ub := slots[target].dist
+	if math.IsInf(ub, 1) {
+		return UpperEstimate{UB: graph.Inf}
 	}
-	ns := make([]graph.Arc, n, n+n/2)
-	copy(ns, s)
-	return ns
+	n := 0
+	for v := slots[target].prev; v != fromSource; v = slots[v].prev {
+		n++
+	}
+	e.path = e.path[:n]
+	for v, i := slots[target].prev, n-1; i >= 0; v, i = slots[v].prev, i-1 {
+		e.path[i] = v
+	}
+	return UpperEstimate{UB: ub, Path: e.path}
 }

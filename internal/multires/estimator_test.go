@@ -8,121 +8,292 @@ import (
 	"surfknn/internal/dem"
 	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
+	"surfknn/internal/storage"
 )
 
-// TestEstimatorMatchesNetwork pins the Estimator's core guarantee: over
-// random edge subsets, resolutions and point pairs, its upper bounds and
-// node paths are bit-identical to the allocating
-// NetworkFromEdgeIDs → Embed → UpperBound pipeline it replaces.
-func TestEstimatorMatchesNetwork(t *testing.T) {
-	m, tr := buildTree(t, 16, dem.BH, 77)
-	loc := mesh.NewLocator(m)
-	ext := m.Extent()
-	rng := rand.New(rand.NewSource(78))
-	est := NewEstimator(tr)
+// dmtmLadder is core.DMTMLadder (core imports this package): the DMTM
+// resolutions whose level networks assembly materialises.
+var dmtmLadder = []float64{0.005, 0.25, 0.5, 0.75, 1.0}
 
-	allIDs := make([]int32, len(tr.Edges))
-	for i := range allIDs {
-		allIDs[i] = int32(i)
+// materialize does to tr what core's assembly does: it stores one record
+// per edge in a clustered store, reads the storage order off the sorted
+// record slice and materialises the ladder's level networks in it.
+func materialize(t testing.TB, tr *Tree) {
+	t.Helper()
+	recs := make([]storage.ClusterRecord, len(tr.Edges))
+	for i, e := range tr.Edges {
+		minX, minY, maxX, maxY := tr.EdgeMBR(e)
+		recs[i] = storage.ClusterRecord{ID: uint64(i), MBR: geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}, From: e.Birth, To: e.Death}
 	}
+	if _, err := storage.BuildClustered(storage.NewBufferPool(storage.NewMemFile(), 64), recs); err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int32, len(recs))
+	for i, r := range recs {
+		order[i] = int32(r.ID)
+	}
+	times := make([]int32, len(dmtmLadder))
+	for i, res := range dmtmLadder {
+		times[i] = tr.TimeForResolution(res)
+	}
+	tr.Materialize(order, times)
+}
 
-	for trial := 0; trial < 60; trial++ {
-		res := []float64{0.1, 0.25, 0.5, 1.0}[trial%4]
-		tm := tr.TimeForResolution(res)
+type estimatorFixture struct {
+	name string
+	m    *mesh.Mesh
+	tr   *Tree
+}
 
-		// Random edge subset (sometimes everything), preserving id order as
-		// the clustered store's fetch does.
-		ids := allIDs
-		if trial%3 == 1 {
-			ids = ids[:0:0]
-			for _, id := range allIDs {
-				if rng.Float64() < 0.7 {
-					ids = append(ids, id)
-				}
+// estimatorFixtures: a rugged, a smooth and a flat terrain, and the smallest
+// one the builder accepts (3×3 samples), on which the ladder's 0.5 % and
+// 25 % rungs round to one collapse time.
+func estimatorFixtures(t testing.TB) []estimatorFixture {
+	t.Helper()
+	meshes := []struct {
+		name string
+		m    *mesh.Mesh
+	}{
+		{"BH", mesh.FromGrid(dem.Synthesize(dem.BH, 16, 10, 77))},
+		{"EP", mesh.FromGrid(dem.Synthesize(dem.EP, 16, 10, 78))},
+		{"FLAT", mesh.FromGrid(dem.NewGrid(17, 17, 10))},
+		{"tiny", mesh.FromGrid(dem.Synthesize(dem.BH, 2, 10, 79))},
+	}
+	var out []estimatorFixture
+	for _, f := range meshes {
+		tr, err := BuildFromMesh(f.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		materialize(t, tr)
+		out = append(out, estimatorFixture{f.name, f.m, tr})
+	}
+	return out
+}
+
+// times returns the ladder's distinct collapse times and two off-ladder ones.
+func (f estimatorFixture) times() (ladder, off []int32) {
+	seen := map[int32]bool{}
+	for _, res := range dmtmLadder {
+		if tm := f.tr.TimeForResolution(res); !seen[tm] {
+			seen[tm] = true
+			ladder = append(ladder, tm)
+		}
+	}
+	for _, res := range []float64{0.1, 0.6} {
+		if tm := f.tr.TimeForResolution(res); !seen[tm] {
+			seen[tm] = true
+			off = append(off, tm)
+		}
+	}
+	return ladder, off
+}
+
+// facePoint returns a random point of face f.
+func facePoint(m *mesh.Mesh, f mesh.FaceID, rng *rand.Rand) mesh.SurfacePoint {
+	wa, wb := rng.Float64(), rng.Float64()
+	if wa+wb > 1 {
+		wa, wb = 1-wa, 1-wb
+	}
+	tri := m.Triangle(f)
+	return mesh.SurfacePoint{Pos: tri.A.Scale(wa).Add(tri.B.Scale(wb)).Add(tri.C.Scale(1 - wa - wb)), Face: f}
+}
+
+// vertexPoint returns a surface point sitting on a random mesh vertex.
+func vertexPoint(m *mesh.Mesh, rng *rand.Rand) mesh.SurfacePoint {
+	v := mesh.VertexID(rng.Intn(m.NumVerts()))
+	faces := m.FacesOfVertex(v)
+	return mesh.SurfacePoint{Pos: m.Verts[v], Face: faces[rng.Intn(len(faces))]}
+}
+
+// refUpperBound is the allocating pipeline the estimator is held to: the
+// edges, in storage order, whose rectangle (Tree.EdgeMBR) meets region and —
+// when refined is not empty — one refined rectangle, materialised as a
+// private network, both points embedded, a target-stopped Dijkstra.
+func refUpperBound(f estimatorFixture, a, b mesh.SurfacePoint, tm int32, region geom.MBR, refined []geom.MBR) UpperEstimate {
+	filter := func(e EdgeRec) bool {
+		minX, minY, maxX, maxY := f.tr.EdgeMBR(e)
+		em := geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
+		if !em.Intersects(region) {
+			return false
+		}
+		for _, r := range refined {
+			if r.Intersects(em) {
+				return true
 			}
 		}
-		// Sometimes a region filter, as MR3's refined regions apply.
-		var filter func(EdgeRec) bool
-		var region geom.MBR
-		if trial%4 == 2 {
-			cx := ext.MinX + rng.Float64()*ext.Width()
-			cy := ext.MinY + rng.Float64()*ext.Height()
-			region = geom.MBR{MinX: cx - ext.Width()/3, MinY: cy - ext.Height()/3,
-				MaxX: cx + ext.Width()/3, MaxY: cy + ext.Height()/3}
-			filter = func(e EdgeRec) bool {
-				minX, minY, maxX, maxY := tr.EdgeMBR(e)
-				return geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}.Intersects(region)
-			}
-		}
+		return len(refined) == 0
+	}
+	return f.tr.NetworkFromEdgeIDs(tm, f.tr.order, filter).UpperBound(f.m, a, b)
+}
 
-		pa := geom.Vec2{X: ext.MinX + rng.Float64()*ext.Width(), Y: ext.MinY + rng.Float64()*ext.Height()}
-		pb := geom.Vec2{X: ext.MinX + rng.Float64()*ext.Width(), Y: ext.MinY + rng.Float64()*ext.Height()}
-		a, errA := mesh.MakeSurfacePoint(m, loc, pa)
-		b, errB := mesh.MakeSurfacePoint(m, loc, pb)
-		if errA != nil || errB != nil {
-			t.Fatal(errA, errB)
-		}
-
-		nw := tr.NetworkFromEdgeIDs(tm, ids, filter)
-		want := nw.UpperBound(m, a, b)
-
-		est.Begin(tm)
-		for _, id := range ids {
-			if filter != nil && !filter(tr.Edges[id]) {
-				continue
-			}
-			est.AddEdge(id)
-		}
-		got := est.UpperBound(m, a, b)
-
-		if math.Float64bits(got.UB) != math.Float64bits(want.UB) {
-			t.Fatalf("trial %d (res %v): UB %v != %v", trial, res, got.UB, want.UB)
-		}
-		if len(got.Path) != len(want.Path) {
-			t.Fatalf("trial %d: path length %d != %d", trial, len(got.Path), len(want.Path))
-		}
-		for i := range got.Path {
-			if got.Path[i] != want.Path[i] {
-				t.Fatalf("trial %d: path[%d] = %d != %d", trial, i, got.Path[i], want.Path[i])
-			}
+func sameEstimate(t *testing.T, what string, got, want UpperEstimate) {
+	t.Helper()
+	if math.Float64bits(got.UB) != math.Float64bits(want.UB) {
+		t.Fatalf("%s: UB %v, reference %v", what, got.UB, want.UB)
+	}
+	if len(got.Path) != len(want.Path) {
+		t.Fatalf("%s: path %v, reference %v", what, got.Path, want.Path)
+	}
+	for i := range got.Path {
+		if got.Path[i] != want.Path[i] {
+			t.Fatalf("%s: path %v, reference %v", what, got.Path, want.Path)
 		}
 	}
 }
 
-// TestEstimatorReusableAfterBegin: a second Begin fully resets the build —
-// results do not depend on what the estimator computed before.
-func TestEstimatorReusableAfterBegin(t *testing.T) {
-	m, tr := buildTree(t, 8, dem.EP, 9)
-	loc := mesh.NewLocator(m)
-	ext := m.Extent()
-	a, err := mesh.MakeSurfacePoint(m, loc, geom.Vec2{X: ext.MinX + ext.Width()*0.2, Y: ext.MinY + ext.Height()*0.3})
-	if err != nil {
-		t.Fatal(err)
+// TestEstimatorMatchesNetwork pins the Estimator's guarantee: on every
+// fixture, at every ladder time and two off-ladder times, over random point
+// pairs, regions and refined regions — and the named corner cases — its
+// upper bounds and node paths are bit-identical to NetworkFromEdgeIDs(ids
+// passing the filter, in storage order) → Embed → UpperBound.
+func TestEstimatorMatchesNetwork(t *testing.T) {
+	inf := math.Inf(1)
+	everything := geom.MBR{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}
+	for _, f := range estimatorFixtures(t) {
+		t.Run(f.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(78))
+			ext := f.m.Extent()
+			est := NewEstimator(f.tr)
+			box := func(c geom.Vec2, frac float64) geom.MBR {
+				return geom.MBR{MinX: c.X - ext.Width()*frac, MinY: c.Y - ext.Height()*frac,
+					MaxX: c.X + ext.Width()*frac, MaxY: c.Y + ext.Height()*frac}
+			}
+			randomBox := func(frac float64) geom.MBR {
+				return box(geom.Vec2{X: ext.MinX + rng.Float64()*ext.Width(), Y: ext.MinY + rng.Float64()*ext.Height()}, frac)
+			}
+			ladder, off := f.times()
+			if f.name == "tiny" && len(ladder) >= len(dmtmLadder) {
+				t.Fatalf("ladder times %v: no two rungs share a collapse time", ladder)
+			}
+			finite, infinite, withPath := 0, 0, 0
+			// Off-ladder times alternate so that the estimator's own table is
+			// rebuilt, reused and rebuilt again.
+			var times []int32
+			for i, tm := range ladder {
+				times = append(times, tm)
+				if len(off) > 0 {
+					times = append(times, off[i%len(off)])
+				}
+			}
+			for _, tm := range times {
+				for trial := 0; trial < 48; trial++ {
+					a := facePoint(f.m, mesh.FaceID(rng.Intn(f.m.NumFaces())), rng)
+					b := facePoint(f.m, mesh.FaceID(rng.Intn(f.m.NumFaces())), rng)
+					switch trial % 8 {
+					case 1: // same face
+						b = facePoint(f.m, a.Face, rng)
+					case 2: // faces sharing a corner, hence a corner ancestor
+						faces := f.m.FacesOfVertex(a.Corners(f.m)[rng.Intn(3)])
+						b = facePoint(f.m, faces[rng.Intn(len(faces))], rng)
+					case 3, 4: // on mesh vertices: on flat ground many paths tie
+						// exactly, and arc order alone picks the predecessor
+						a, b = vertexPoint(f.m, rng), vertexPoint(f.m, rng)
+					}
+					var region geom.MBR
+					switch trial % 6 {
+					case 0, 1:
+						region = ext
+					case 2: // the ellipse rectangle of a loose bound
+						region = geom.NewEllipse(a.XY(), b.XY(), 1.5*a.Pos.Dist(b.Pos)).MBR()
+					case 3:
+						region = randomBox(0.3)
+					case 4: // cuts off a (or b)
+						region = box(b.XY(), 0.1)
+						if trial%12 == 4 {
+							region = box(a.XY(), 0.1)
+						}
+					case 5:
+						region = geom.EmptyMBR()
+						if trial%12 == 5 {
+							region = randomBox(0.5)
+						}
+					}
+					var refined []geom.MBR
+					switch trial % 7 {
+					case 1, 2, 3: // a few boxes, as a coarse path leaves
+						for i := 0; i <= trial%7; i++ {
+							refined = append(refined, randomBox(0.15))
+						}
+					case 4: // an empty rectangle among them
+						refined = []geom.MBR{randomBox(0.3), geom.EmptyMBR(), randomBox(0.3)}
+					case 5: // nothing but an empty rectangle
+						refined = []geom.MBR{geom.EmptyMBR()}
+					case 6: // a rectangle holding every point
+						refined = []geom.MBR{everything}
+					}
+					got := est.UpperBound(f.m, a, b, tm, region, refined)
+					want := refUpperBound(f, a, b, tm, region, refined)
+					sameEstimate(t, "", got, want)
+					switch {
+					case math.IsInf(got.UB, 1):
+						infinite++
+					case len(got.Path) > 0:
+						withPath++
+						fallthrough
+					default:
+						finite++
+					}
+				}
+			}
+			// Vertex to vertex over the whole terrain: on flat ground a few
+			// pairs in a thousand have two shortest paths of one float length,
+			// and only the arc order decides which the search reports.
+			for _, tm := range times {
+				for trial := 0; trial < 200; trial++ {
+					a, b := vertexPoint(f.m, rng), vertexPoint(f.m, rng)
+					sameEstimate(t, "vertex pair", est.UpperBound(f.m, a, b, tm, ext, nil), refUpperBound(f, a, b, tm, ext, nil))
+				}
+			}
+			if finite == 0 || infinite == 0 || withPath == 0 {
+				t.Fatalf("%d finite (%d with a path), %d disconnected estimates: a case is not exercised", finite, withPath, infinite)
+			}
+			if est.Settled == 0 || est.Admitted == 0 || est.Scanned < est.Admitted {
+				t.Fatalf("work counters: scanned %d, admitted %d, settled %d", est.Scanned, est.Admitted, est.Settled)
+			}
+		})
 	}
-	b, err := mesh.MakeSurfacePoint(m, loc, geom.Vec2{X: ext.MinX + ext.Width()*0.8, Y: ext.MinY + ext.Height()*0.7})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	run := func(e *Estimator, tm int32) UpperEstimate {
-		e.Begin(tm)
-		for i := range tr.Edges {
-			e.AddEdge(int32(i))
+// TestEstimatorReusableAcrossLevels: an estimation does not depend on what
+// the estimator ran before — other levels, other off-ladder times, failed
+// searches — and a warm estimator allocates nothing, also right after an
+// off-ladder time made it rebuild its own table.
+func TestEstimatorReusableAcrossLevels(t *testing.T) {
+	f := estimatorFixtures(t)[1]
+	rng := rand.New(rand.NewSource(9))
+	ext := f.m.Extent()
+	a := facePoint(f.m, 3, rng)
+	b := facePoint(f.m, mesh.FaceID(f.m.NumFaces()-4), rng)
+	refined := []geom.MBR{ext}
+	ladder, off := f.times()
+	all := append(append([]int32{}, ladder...), off...)
+
+	warm := NewEstimator(f.tr)
+	for _, tm := range all { // dirty the warm estimator, both off-ladder times included
+		warm.UpperBound(f.m, a, b, tm, ext, nil)
+		warm.UpperBound(f.m, b, a, tm, geom.EmptyMBR(), nil)
+	}
+	for _, tm := range all {
+		fresh := NewEstimator(f.tr).UpperBound(f.m, a, b, tm, ext, refined)
+		if math.IsInf(fresh.UB, 1) {
+			t.Fatalf("time %d: no estimate over the whole terrain", tm)
 		}
-		return e.UpperBound(m, a, b)
+		sameEstimate(t, "warm against fresh", warm.UpperBound(f.m, a, b, tm, ext, refined), fresh)
 	}
 
-	fresh := NewEstimator(tr)
-	warm := NewEstimator(tr)
-	// Dirty the warm estimator with builds at other resolutions first.
-	run(warm, tr.TimeForResolution(0.1))
-	run(warm, tr.TimeForResolution(1.0))
-	for _, res := range []float64{0.2, 0.6, 1.0} {
-		tm := tr.TimeForResolution(res)
-		w := run(fresh, tm)
-		g := run(warm, tm)
-		if math.Float64bits(g.UB) != math.Float64bits(w.UB) {
-			t.Fatalf("res %v: warm UB %v != fresh %v", res, g.UB, w.UB)
+	if raceEnabled {
+		return // allocation counts are unreliable under -race
+	}
+	for _, tm := range off {
+		warm.UpperBound(f.m, a, b, tm, ext, nil) // rebuilds the estimator's own table
+		if n := testing.AllocsPerRun(20, func() {
+			warm.UpperBound(f.m, a, b, tm, ext, refined)
+			for _, lt := range ladder {
+				warm.UpperBound(f.m, a, b, lt, ext, refined)
+			}
+		}); n != 0 {
+			t.Fatalf("warm estimator allocates %.1f times after off-ladder time %d, want 0", n, tm)
 		}
 	}
 }

@@ -23,38 +23,70 @@ type Network struct {
 func IncludeAll(NodeID) bool { return true }
 
 // ExtractNetwork materialises the network of nodes active at time tm that
-// pass the include filter. Pass IncludeAll for the whole terrain; MR3
-// passes an ROI/fetched-pages filter.
+// pass the include filter. Pass IncludeAll for the whole terrain.
 func (t *Tree) ExtractNetwork(tm int32, include func(NodeID) bool) *Network {
-	nw := &Network{
-		Time:  tm,
-		IdxOf: make(map[NodeID]int32),
-		tree:  t,
-	}
-	idx := func(v NodeID) int32 {
-		if i, ok := nw.IdxOf[v]; ok {
-			return i
+	b := networkBuilder{nw: t.newNetwork(tm)}
+	for i := range t.Edges {
+		if e := &t.Edges[i]; e.Birth <= tm && tm < e.Death && include(e.U) && include(e.W) {
+			b.add(e)
 		}
-		i := int32(len(nw.NodeOf))
-		nw.IdxOf[v] = i
-		nw.NodeOf = append(nw.NodeOf, v)
+	}
+	return b.finish()
+}
+
+// NetworkFromEdgeIDs materialises a network from an explicit list of edge
+// indices (typically the records fetched from the clustered store for an
+// I/O region), further restricted by an optional per-edge filter (MR3's
+// per-candidate refined search region). Edges not alive at tm are skipped,
+// so passing a superset is safe.
+func (t *Tree) NetworkFromEdgeIDs(tm int32, ids []int32, filter func(EdgeRec) bool) *Network {
+	b := networkBuilder{nw: t.newNetwork(tm)}
+	for _, id := range ids {
+		if e := &t.Edges[id]; e.Birth <= tm && tm < e.Death && (filter == nil || filter(*e)) {
+			b.add(e)
+		}
+	}
+	return b.finish()
+}
+
+func (t *Tree) newNetwork(tm int32) *Network {
+	return &Network{Time: tm, IdxOf: make(map[NodeID]int32), tree: t}
+}
+
+// networkBuilder collects a network's edges in the order offered: vertices
+// are numbered on first sight (U before W), and finish appends each vertex's
+// arcs in that edge order.
+type networkBuilder struct {
+	nw   *Network
+	arcs []builderArc
+}
+
+type builderArc struct {
+	u, w int32
+	d    float64
+}
+
+func (b *networkBuilder) idx(v NodeID) int32 {
+	if i, ok := b.nw.IdxOf[v]; ok {
 		return i
 	}
-	type arc struct {
-		u, w int32
-		d    float64
+	i := int32(len(b.nw.NodeOf))
+	b.nw.IdxOf[v] = i
+	b.nw.NodeOf = append(b.nw.NodeOf, v)
+	return i
+}
+
+func (b *networkBuilder) add(e *EdgeRec) {
+	u := b.idx(e.U)
+	b.arcs = append(b.arcs, builderArc{u, b.idx(e.W), e.D})
+}
+
+func (b *networkBuilder) finish() *Network {
+	b.nw.G = graph.New(len(b.nw.NodeOf))
+	for _, a := range b.arcs {
+		b.nw.G.AddEdge(int(a.u), int(a.w), a.d)
 	}
-	var arcs []arc
-	for _, e := range t.Edges {
-		if e.Birth <= tm && tm < e.Death && include(e.U) && include(e.W) {
-			arcs = append(arcs, arc{idx(e.U), idx(e.W), e.D})
-		}
-	}
-	nw.G = graph.New(len(nw.NodeOf))
-	for _, a := range arcs {
-		nw.G.AddEdge(int(a.u), int(a.w), a.d)
-	}
-	return nw
+	return b.nw
 }
 
 // Embed connects a surface point into the network as a new graph vertex.

@@ -60,9 +60,13 @@ type Tree struct {
 	Nodes     []Node
 	Edges     []EdgeRec
 	NumLeaves int
-	// edgesByTime indexes Edges sorted by Birth for extraction; see
-	// ActiveEdges.
-	maxTime int32
+	maxTime   int32
+
+	// Derived by Materialize for the upper-bound search (see levelnet.go);
+	// immutable afterwards, never persisted.
+	order  []int32     // edge indices in DMTM storage order
+	xy     []geom.Vec2 // RepPos (x,y) per node
+	levels []levelNet  // one network per distinct ladder time
 }
 
 // Root returns the root node id.
@@ -139,6 +143,23 @@ func (t *Tree) ErrorAt(tm int32) float64 {
 	}
 	// Node created by collapse i has Birth i+1 and is node NumLeaves+i.
 	return t.Nodes[t.NumLeaves+int(tm)-1].Error
+}
+
+// EdgeMBR returns the (x,y) bounding rectangle of an edge record's
+// representative endpoints (the geometry used for spatial clustering and
+// region filtering).
+func (t *Tree) EdgeMBR(e EdgeRec) (minX, minY, maxX, maxY float64) {
+	pu := t.Nodes[e.U].RepPos
+	pw := t.Nodes[e.W].RepPos
+	minX, maxX = pu.X, pw.X
+	if minX > maxX {
+		minX, maxX = maxX, minX
+	}
+	minY, maxY = pu.Y, pw.Y
+	if minY > maxY {
+		minY, maxY = maxY, minY
+	}
+	return
 }
 
 // Validate checks the structural invariants of the tree. It is used by

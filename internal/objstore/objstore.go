@@ -51,14 +51,22 @@ type baseTable struct {
 }
 
 func newBaseTable(objs []workload.Object) *baseTable {
-	b := &baseTable{objects: objs, byID: make(map[int64]workload.Object, len(objs))}
+	b := &baseTable{objects: objs, byID: make(map[int64]workload.Object, len(objs)), tree: BulkIndex(objs)}
+	for _, o := range objs {
+		b.byID[o.ID] = o
+	}
+	return b
+}
+
+// BulkIndex bulk-packs a Dxy R-tree over the objects' (x,y) projections, one
+// item per object in slice order — the one place an object becomes an index
+// item, so every tree over the same table has the same shape.
+func BulkIndex(objs []workload.Object) *index.RTree {
 	items := make([]index.Item, len(objs))
 	for i, o := range objs {
 		items[i] = index.Item{P: o.Point.XY(), ID: o.ID}
-		b.byID[o.ID] = o
 	}
-	b.tree = index.Bulk(items)
-	return b
+	return index.Bulk(items)
 }
 
 // Epoch is one immutable version of the object set. Obtain one with
@@ -208,12 +216,7 @@ func (e *Epoch) IndexFlat() index.Flat {
 	if e.quiesced() {
 		return e.base.tree.Flatten()
 	}
-	objs := e.Table()
-	items := make([]index.Item, len(objs))
-	for i, o := range objs {
-		items[i] = index.Item{P: o.Point.XY(), ID: o.ID}
-	}
-	return index.Bulk(items).Flatten()
+	return BulkIndex(e.Table()).Flatten()
 }
 
 // Release drops one pin. Once a retired epoch's last pin is released it is
@@ -635,11 +638,7 @@ func (s *Store) publishLocked(cur *Epoch, seq uint64, delta []workload.Object, d
 		next.deltaByID = deltaByID
 		next.dead = dead
 		if len(delta) > 0 {
-			items := make([]index.Item, len(delta))
-			for i, o := range delta {
-				items[i] = index.Item{P: o.Point.XY(), ID: o.ID}
-			}
-			next.overlay = index.Bulk(items)
+			next.overlay = BulkIndex(delta)
 		}
 	}
 	s.cur.Store(next)

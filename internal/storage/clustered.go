@@ -42,7 +42,11 @@ type Clustered struct {
 }
 
 // BuildClustered packs the records into pages through the pool and returns
-// the store. The input slice is reordered in place.
+// the store. The input slice is reordered in place into storage order: the
+// order the pages hold the records in, and so the order a paged read of any
+// region and level yields its matches. The sort is not stable, so the slice
+// is the only record of that order; callers that mirror the payload in
+// memory (core's DMTM level networks) read it off the slice.
 func BuildClustered(pool *BufferPool, recs []ClusterRecord) (*Clustered, error) {
 	sort.Slice(recs, func(i, j int) bool {
 		// Longevity first: records that survive to coarser resolutions are
@@ -92,39 +96,6 @@ func (c *Clustered) Len() int { return c.n }
 // NumPages returns the number of data pages.
 func (c *Clustered) NumPages() int { return len(c.dir) }
 
-// Batch is the decoded result of one FetchBatch: the matching records' IDs
-// and rectangles as parallel slices, in page order then slot order. Callers
-// keep one per query session so the slices are reused fetch after fetch.
-type Batch struct {
-	IDs                    []uint64
-	MinX, MinY, MaxX, MaxY []float64
-}
-
-// room resizes every column to length k+n, keeping the first k records;
-// the entries past k are stale until written.
-func (b *Batch) room(k, n int) {
-	b.IDs = growTo(b.IDs, k+n)
-	b.MinX = growTo(b.MinX, k+n)
-	b.MinY = growTo(b.MinY, k+n)
-	b.MaxX = growTo(b.MaxX, k+n)
-	b.MaxY = growTo(b.MaxY, k+n)
-}
-
-func (b *Batch) truncate(k int) {
-	b.IDs, b.MinX, b.MinY, b.MaxX, b.MaxY = b.IDs[:k], b.MinX[:k], b.MinY[:k], b.MaxX[:k], b.MaxY[:k]
-}
-
-// growTo returns s at length n, keeping its contents, allocating only when
-// the capacity is short.
-func growTo[T any](s []T, n int) []T {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	ns := make([]T, n, n+n/2)
-	copy(ns, s)
-	return ns
-}
-
 // nextPage returns the index of the first directory entry at or after i
 // whose page may hold a record valid at level (From <= level < To) inside
 // region, or len(c.dir) when none is left. It is the one directory walk
@@ -141,54 +112,15 @@ func (c *Clustered) nextPage(i int, region geom.MBR, level int32) int {
 	return i
 }
 
-// FetchBatch reads every record valid at level (From <= level < To) whose
-// MBR intersects region into dst (truncated first), going through the
-// buffer pool page by page: each data page touched counts as one access,
-// charged to acct when non-nil — the per-query account of the session
-// issuing the fetch. A record's validity interval is tested on its two
-// int32s before its rectangle is decoded. The store is immutable after
-// BuildClustered, so concurrent fetches from different sessions are safe.
-func (c *Clustered) FetchBatch(region geom.MBR, level int32, acct *IOAccount, dst *Batch) error {
-	k := 0 // records kept so far
-	for i := c.nextPage(0, region, level); i < len(c.dir); i = c.nextPage(i+1, region, level) {
-		fr, err := c.pool.Get(c.dir[i].id, acct)
-		if err != nil {
-			dst.truncate(k)
-			return err
-		}
-		n := count(fr.Data)
-		dst.room(k, n)
-		for p := fr.Data[hdrSize : hdrSize+n*clusterRecSize]; len(p) >= clusterRecSize; p = p[clusterRecSize:] {
-			if from := int32(binary.LittleEndian.Uint32(p[40:])); from > level {
-				continue
-			}
-			if to := int32(binary.LittleEndian.Uint32(p[44:])); level >= to {
-				continue
-			}
-			minX := math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
-			minY := math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
-			maxX := math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
-			maxY := math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
-			// MBR.Intersects(region); region is not empty, or nextPage
-			// would not have offered this page.
-			if !(minX <= maxX && minY <= maxY &&
-				minX <= region.MaxX && region.MinX <= maxX && minY <= region.MaxY && region.MinY <= maxY) {
-				continue
-			}
-			dst.IDs[k] = binary.LittleEndian.Uint64(p[0:])
-			dst.MinX[k], dst.MinY[k], dst.MaxX[k], dst.MaxY[k] = minX, minY, maxX, maxY
-			k++
-		}
-		c.pool.Unpin(fr, false)
-	}
-	dst.truncate(k)
-	return nil
-}
-
-// Touch pins and unpins the pages FetchBatch(region, level) reads, in the
-// same order and with the same accounting, without decoding a record — for
-// callers that owe the I/O the paper measures but take the data from an
-// in-memory structure.
+// Touch pins and unpins, in directory order, every page that may hold a
+// record valid at level (From <= level < To) inside region: each data page
+// touched counts as one access, charged to acct when non-nil — the per-query
+// account of the session issuing the read. No record is decoded. Both
+// stores' payloads mirror in-memory structures (the DMTM records the tree's
+// level networks and the pathnet, the SDN records the MSDN tables), which
+// the bounds read directly; the paged read exists to account the I/O the
+// paper measures. The store is immutable after BuildClustered, so concurrent
+// reads from different sessions are safe.
 func (c *Clustered) Touch(region geom.MBR, level int32, acct *IOAccount) error {
 	for i := c.nextPage(0, region, level); i < len(c.dir); i = c.nextPage(i+1, region, level) {
 		fr, err := c.pool.Get(c.dir[i].id, acct)

@@ -9,11 +9,12 @@ import (
 	"surfknn/internal/geom"
 )
 
-// The callback fetch the query path used before FetchBatch and Touch: one
-// fully decoded ClusterRecord per match, handed to caller code. It stays
-// here as the reference the batch decode and the touch-only walk are held
-// to (records, order, per-fetch page accounting), and as the read the older
-// tests in this package are written against.
+// The decoding fetch the query path used before the bounds took their data
+// from in-memory mirrors of the records: one fully decoded ClusterRecord per
+// match, handed to caller code. It stays here as the reference the touch-only
+// walk is held to (pages, order, per-read accounting), as the read that pins
+// the storage order core builds its level networks in, and as the read the
+// older tests in this package are written against.
 
 // Fetch reads every record valid at level (From <= level < To) whose MBR
 // intersects region, page by page through the buffer pool.
@@ -96,22 +97,19 @@ func refStore(t testing.TB, capacity int) (*Clustered, *BufferPool) {
 	return c, bp
 }
 
-// TestBatchFetchMatchesReference replays one random fetch sequence three
-// times over identical stores — the reference Fetch, FetchBatch and Touch —
-// with a pool under a quarter of the data, so most fetches miss and evict. Every
-// fetch must charge the same accesses and misses to its account, leave the
-// same pool-wide counters, and (FetchBatch) produce the reference's records
-// in the reference's order with bit-identical rectangles.
-func TestBatchFetchMatchesReference(t *testing.T) {
+// TestTouchMatchesReference replays one random read sequence twice over
+// identical stores — the reference Fetch and Touch — with a pool under a
+// quarter of the data, so most reads miss and evict. Every read must charge
+// the same accesses and misses to its account and leave the same pool-wide
+// counters.
+func TestTouchMatchesReference(t *testing.T) {
 	const capacity = 16
 	ref, refPool := refStore(t, capacity)
-	bat, batPool := refStore(t, capacity)
 	tch, tchPool := refStore(t, capacity)
 	if ref.NumPages() < 4*capacity {
 		t.Fatalf("store has %d pages, too few to exercise eviction", ref.NumPages())
 	}
 	rng := rand.New(rand.NewSource(15))
-	var batch Batch
 	matched := 0
 	for f := 0; f < 300; f++ {
 		x, y := rng.Float64()*1100-50, rng.Float64()*1100-50
@@ -124,68 +122,109 @@ func TestBatchFetchMatchesReference(t *testing.T) {
 		}
 		level := int32(rng.Intn(15) - 1)
 
-		var want []ClusterRecord
-		var refAcct, batAcct, tchAcct IOAccount
-		if err := ref.Fetch(region, level, &refAcct, func(r ClusterRecord) { want = append(want, r) }); err != nil {
-			t.Fatal(err)
-		}
-		if err := bat.FetchBatch(region, level, &batAcct, &batch); err != nil {
+		var refAcct, tchAcct IOAccount
+		if err := ref.Fetch(region, level, &refAcct, func(ClusterRecord) { matched++ }); err != nil {
 			t.Fatal(err)
 		}
 		if err := tch.Touch(region, level, &tchAcct); err != nil {
 			t.Fatal(err)
 		}
-		if batAcct != refAcct || tchAcct != refAcct {
-			t.Fatalf("fetch %d: account deltas: reference %+v, batch %+v, touch %+v", f, refAcct, batAcct, tchAcct)
+		if tchAcct != refAcct {
+			t.Fatalf("read %d: account deltas: reference %+v, touch %+v", f, refAcct, tchAcct)
 		}
 		if int64(ref.PagesFor(region, level)) != refAcct.Accesses {
-			t.Fatalf("fetch %d: PagesFor = %d, fetch touched %d", f, ref.PagesFor(region, level), refAcct.Accesses)
+			t.Fatalf("read %d: PagesFor = %d, fetch touched %d", f, ref.PagesFor(region, level), refAcct.Accesses)
 		}
-		if len(batch.IDs) != len(want) {
-			t.Fatalf("fetch %d: batch holds %d records, reference %d", f, len(batch.IDs), len(want))
-		}
-		for i, r := range want {
-			got := geom.MBR{MinX: batch.MinX[i], MinY: batch.MinY[i], MaxX: batch.MaxX[i], MaxY: batch.MaxY[i]}
-			if batch.IDs[i] != r.ID || got != r.MBR {
-				t.Fatalf("fetch %d record %d: batch (%d, %v), reference (%d, %v)", f, i, batch.IDs[i], got, r.ID, r.MBR)
-			}
-		}
-		matched += len(want)
 	}
 	if matched == 0 {
 		t.Fatal("no fetch matched any record")
 	}
-	if refPool.Stats() != batPool.Stats() || refPool.Stats() != tchPool.Stats() {
-		t.Fatalf("pool counters: reference %+v, batch %+v, touch %+v", refPool.Stats(), batPool.Stats(), tchPool.Stats())
+	if refPool.Stats() != tchPool.Stats() {
+		t.Fatalf("pool counters: reference %+v, touch %+v", refPool.Stats(), tchPool.Stats())
 	}
 	if st := refPool.Stats(); st.Evictions == 0 {
-		t.Fatal("the fetch sequence never evicted")
+		t.Fatal("the read sequence never evicted")
 	}
-	for _, bp := range []*BufferPool{refPool, batPool, tchPool} {
+	for _, bp := range []*BufferPool{refPool, tchPool} {
 		if n := bp.PinnedCount(); n != 0 {
 			t.Fatalf("%d frames left pinned", n)
 		}
 	}
 }
 
-// TestWarmBatchFetchAllocatesNothing: once the batch columns have reached
-// their high-water mark, a fetch through a warm pool allocates nothing.
-func TestWarmBatchFetchAllocatesNothing(t *testing.T) {
+// TestFetchIsStorageOrder pins the contract core's level-network builder
+// relies on: BuildClustered leaves recs in storage order, i.e. at every level
+// a paged fetch of the whole extent — and of a part of it — yields exactly
+// the slice's subsequence of matching records, in the slice's order. The
+// records carry many equal (To, Z-order) keys, so a stable and an unstable
+// sort disagree about the order and only the slice knows it.
+func TestFetchIsStorageOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	recs := make([]ClusterRecord, 5000)
+	for i := range recs {
+		// A coarse lattice of rectangles: many share a centre, hence a key.
+		x, y := float64(rng.Intn(12))*80, float64(rng.Intn(12))*80
+		from := int32(rng.Intn(5))
+		recs[i] = ClusterRecord{
+			ID:   uint64(i),
+			MBR:  geom.MBR{MinX: x, MinY: y, MaxX: x + 40, MaxY: y + 40},
+			From: from,
+			To:   from + 1 + int32(rng.Intn(4)),
+		}
+	}
+	c, err := BuildClustered(NewBufferPool(NewMemFile(), 64), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ties := 0
+	for i := 1; i < len(recs); i++ {
+		if recs[i].To == recs[i-1].To && zOrder(recs[i].MBR.Center()) == zOrder(recs[i-1].MBR.Center()) {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no two records share a sort key: the order is recomputable and the test pins nothing")
+	}
+	whole := geom.MBR{MinX: -1, MinY: -1, MaxX: 2000, MaxY: 2000}
+	part := geom.MBR{MinX: 100, MinY: 300, MaxX: 520, MaxY: 610}
+	for _, region := range []geom.MBR{whole, part} {
+		for level := int32(-1); level <= 9; level++ {
+			var want []uint64
+			for _, r := range recs {
+				if r.From <= level && level < r.To && r.MBR.Intersects(region) {
+					want = append(want, r.ID)
+				}
+			}
+			var got []uint64
+			if err := c.Fetch(region, level, nil, func(r ClusterRecord) { got = append(got, r.ID) }); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("level %d: fetch yields %d records, the slice holds %d matches", level, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("level %d: record %d of the fetch is %d, of the slice %d", level, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestWarmTouchAllocatesNothing: a touch through a warm pool allocates
+// nothing.
+func TestWarmTouchAllocatesNothing(t *testing.T) {
 	c, _ := refStore(t, 4096)
 	region := geom.MBR{MinX: 100, MinY: 100, MaxX: 700, MaxY: 700}
-	var batch Batch
 	var acct IOAccount
-	if err := c.FetchBatch(region, 3, &acct, &batch); err != nil {
+	if err := c.Touch(region, 3, &acct); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if err := c.FetchBatch(region, 3, &acct, &batch); err != nil {
-			t.Fatal(err)
-		}
 		if err := c.Touch(region, 3, &acct); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("warm FetchBatch+Touch allocates %.1f times, want 0", n)
+		t.Fatalf("warm Touch allocates %.1f times, want 0", n)
 	}
 }

@@ -76,7 +76,7 @@ echo "== allocation budget =="
 # is a steady-state regression (a fresh closure, a map, an append past
 # capacity), not cold growth. The AllocsPerRun tests pin the same property
 # per query; this stage pins it on the benchmark workload CI already runs.
-alloc_out=$(go test -run '^$' -bench 'SequentialKNN$|DijkstraCSR$|LowerBoundChain|SharedSource|UpperBoundFilter' \
+alloc_out=$(go test -run '^$' -bench 'SequentialKNN$|DijkstraCSR$|LowerBoundChain|SharedSource|UpperBoundNet' \
     -benchtime=50x -benchmem . ./internal/core)
 printf '%s\n' "$alloc_out"
 bad=$(printf '%s\n' "$alloc_out" | awk '/allocs\/op/ && $(NF-1) != 0 {print $1, $(NF-1)}')
@@ -371,6 +371,7 @@ for spec in \
     internal/core:FuzzMR3Invariants \
     internal/core:FuzzDistanceRangeInvariants \
     internal/core:FuzzObjstoreEquivalence \
+    internal/core:FuzzUpperBoundOracle \
     internal/sdn:FuzzChainKernel \
     internal/pathnet:FuzzSharedSourceMatchesClipped \
     internal/sklang:FuzzParseRoundTrip; do
