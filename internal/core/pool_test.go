@@ -79,25 +79,31 @@ func TestPoolConcurrentCheckout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// one checks a session out, queries and compares. The result aliases the
+	// session's buffers, so the session goes back to the pool — where another
+	// goroutine's query overwrites them — only after the comparison.
+	one := func() bool {
+		s := db.AcquireSession()
+		defer db.Release(s)
+		res, err := s.MR3Ctx(bg, q, 4, S1, Options{})
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		for j := range want.Neighbors {
+			if res.Neighbors[j].Object.ID != want.Neighbors[j].Object.ID {
+				t.Errorf("pooled result %d differs", j)
+				return false
+			}
+		}
+		return true
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				s := db.AcquireSession()
-				res, err := s.MR3Ctx(bg, q, 4, S1, Options{})
-				db.Release(s)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for j := range want.Neighbors {
-					if res.Neighbors[j].Object.ID != want.Neighbors[j].Object.ID {
-						t.Errorf("pooled result %d differs", j)
-						return
-					}
-				}
+			for i := 0; i < 5 && one(); i++ {
 			}
 		}()
 	}

@@ -186,12 +186,9 @@ func dmtmRecords(tree *multires.Tree) []storage.ClusterRecord {
 }
 
 // storeDMTM persists the DMTM records and materialises the tree's level
-// networks in the order the store holds them. That order is read off the
-// record slice BuildClustered sorted — its sort is not stable, so the order
-// exists nowhere else — and is what makes a search over a level network
-// relax a vertex's edges in the order a paged fetch returned them. The
-// records (48 bytes an edge) die with this frame, before the SDN pass
-// allocates its own.
+// networks in storage order, read off the record slice BuildClustered sorted
+// (why: multires.Estimator.UpperBound). The records (48 bytes an edge) die
+// with this frame, before the SDN pass allocates its own.
 func (db *TerrainDB) storeDMTM() error {
 	recs := dmtmRecords(db.Tree)
 	var err error

@@ -28,13 +28,10 @@ type levelNet struct {
 // cursor array (off[v] is node v's cursor while filling, which leaves every
 // entry one node early; the last loop shifts them back).
 //
-// The order is the argument, not a recomputation: order lists the edge
-// records as storage.BuildClustered left them, and walking it here puts each
-// node's arcs in the order a fetch of any region at this level returned that
-// node's edges — storage order restricted to what was kept. That is the
-// per-vertex arc order the retired per-candidate CSR pack produced (it
-// walked the staged edges in batch order and emitted u→w, then w→u), so a
-// search that filters these arcs one by one relaxes the same subsequence.
+// Exactness (the argument is at Estimator.UpperBound) rests on one thing
+// here: the records are walked in t.order, the storage order read off the
+// slice BuildClustered sorted and never recomputed, emitting u→w then w→u,
+// which is each node's arc order in the retired per-candidate pack.
 //
 // build indexes by EdgeRec.U and EdgeRec.W unchecked: a tree from a
 // snapshot passes Tree.Validate (which bounds-checks both) before

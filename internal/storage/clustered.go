@@ -42,11 +42,10 @@ type Clustered struct {
 }
 
 // BuildClustered packs the records into pages through the pool and returns
-// the store. The input slice is reordered in place into storage order: the
-// order the pages hold the records in, and so the order a paged read of any
-// region and level yields its matches. The sort is not stable, so the slice
-// is the only record of that order; callers that mirror the payload in
-// memory (core's DMTM level networks) read it off the slice.
+// the store. The input slice is reordered in place into storage order, the
+// order a paged read yields its matches in. The sort is not stable, so the
+// slice is the only record of that order (core's DMTM level networks read it
+// off the slice).
 func BuildClustered(pool *BufferPool, recs []ClusterRecord) (*Clustered, error) {
 	sort.Slice(recs, func(i, j int) bool {
 		// Longevity first: records that survive to coarser resolutions are
