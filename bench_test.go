@@ -32,7 +32,6 @@ import (
 	"surfknn/internal/sdn"
 	"surfknn/internal/server"
 	"surfknn/internal/simplify"
-	"surfknn/internal/storage"
 	"surfknn/internal/workload"
 )
 
@@ -547,35 +546,6 @@ func BenchmarkRTreeKNN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = tr.KNNInto(geom.Vec2{X: 500, Y: 500}, 10, nil, nil, &sc, dst[:0])
-	}
-}
-
-func BenchmarkBTreeInsert(b *testing.B) {
-	pool := storage.NewBufferPool(storage.NewMemFile(), 1024)
-	tree, err := storage.NewBTree(pool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tree.Insert(uint64(i*2654435761), uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBTreeSearch(b *testing.B) {
-	pool := storage.NewBufferPool(storage.NewMemFile(), 1024)
-	tree, err := storage.NewBTree(pool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 100000; i++ {
-		tree.Insert(uint64(i), uint64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Search(uint64(i % 100000))
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"surfknn/internal/core"
+	"surfknn/internal/dem"
 	"surfknn/internal/geom"
 	"surfknn/internal/server/api"
 	"surfknn/internal/server/client"
@@ -131,6 +132,19 @@ func TestCLIFlagErrors(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "-snapshot") {
 		t.Errorf("skserve no-terrain error unhelpful:\n%s", out)
+	}
+
+	// A negative pool size is a one-line error from the library, not a panic.
+	demPath := filepath.Join(dir, "t.sdem")
+	if err := dem.Synthesize(dem.EP, 8, 100, 1).WriteFile(demPath); err != nil {
+		t.Fatal(err)
+	}
+	out, err = exec.Command(filepath.Join(dir, "skserve"), "-dem", demPath, "-pool-pages", "-1").CombinedOutput()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+		t.Errorf("skserve -pool-pages -1: %v, want exit status 1", err)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(out)), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "-1 pages") {
+		t.Errorf("skserve -pool-pages -1 output is not one line naming the size:\n%s", out)
 	}
 
 	// Likewise skcoord with no manifest.

@@ -93,10 +93,7 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 			}
 		} else {
 			tm := db.Tree.TimeForResolution(dmRes)
-			if err := s.touchDMTM(region, tm); err != nil {
-				s.endSpan(span)
-				return out, err
-			}
+			s.touchDMTM(region, tm)
 			est := s.est.UpperBound(db.Mesh, a, b, tm, region, nil)
 			pc.UpperBounds++
 			if est.UB < out.UB {
@@ -108,10 +105,7 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 			if m := geom.NewEllipse(a.XY(), b.XY(), out.UB).MBR(); !m.IsEmpty() {
 				region = m
 			}
-			if err := s.touchSDN(region, SDNLevel(sdnRes)); err != nil {
-				s.endSpan(span)
-				return out, err
-			}
+			s.touchSDN(region, SDNLevel(sdnRes))
 			// A closed range (the pathnet branch above has just set LB = UB)
 			// takes no estimation: any estimate would be clamped back to UB.
 			// The SDN pages above are still owed.

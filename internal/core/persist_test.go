@@ -424,6 +424,29 @@ func TestLoadWithoutObjects(t *testing.T) {
 	}
 }
 
+// TestNegativePoolPagesIsAnError: a negative buffer-pool size is a returned
+// error from both constructors, not a panic; zero still means the default.
+func TestNegativePoolPagesIsAnError(t *testing.T) {
+	m := meshFromGrid(dem.Synthesize(dem.EP, 8, 10, 5))
+	if _, err := BuildTerrainDB(m, Config{PoolPages: -1}); err == nil {
+		t.Error("BuildTerrainDB with PoolPages -1: no error")
+	}
+	db, err := BuildTerrainDB(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes()), Config{PoolPages: -7}); err == nil {
+		t.Error("Load with PoolPages -7: no error")
+	}
+	if _, err := Load(&buf, Config{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSnapshotEpochRoundTrip(t *testing.T) {
 	// A snapshot taken after updates resumes at the same epoch with the
 	// surviving object set.

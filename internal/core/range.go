@@ -74,11 +74,8 @@ func (s *Session) surfaceRange(q mesh.SurfacePoint, radius float64, sched Schedu
 		span := r.iterSpan(it, dmRes, sdnRes, len(targets))
 		// For range queries the dummy-lower-bound test is against the
 		// radius: it is the exclusion threshold.
-		err := r.iterate(targets, dmRes, sdnRes, radius)
+		r.iterate(targets, dmRes, sdnRes, radius)
 		s.endSpan(span)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	// Settlement for candidates whose range still straddles the radius.

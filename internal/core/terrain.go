@@ -23,7 +23,8 @@ type Config struct {
 	// SDNSpacing sets the cutting-plane interval; 0 means the mesh's
 	// average edge length (the paper's densest recommendation).
 	SDNSpacing float64
-	// PoolPages is the buffer-pool capacity in pages. Default 4096.
+	// PoolPages is the buffer-pool capacity in pages. Default 4096;
+	// negative is an error.
 	PoolPages int
 	// PageCost is the simulated I/O latency charged per page access when
 	// reporting total response time (CPU time excludes it). Default 1 ms,
@@ -31,7 +32,10 @@ type Config struct {
 	PageCost time.Duration
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) withDefaults() (Config, error) {
+	if c.PoolPages < 0 {
+		return c, fmt.Errorf("core: buffer pool of %d pages: the size must not be negative", c.PoolPages)
+	}
 	if c.SteinerPerEdge == 0 {
 		c.SteinerPerEdge = 1
 	}
@@ -41,7 +45,7 @@ func (c Config) withDefaults() Config {
 	if c.PageCost == 0 {
 		c.PageCost = time.Millisecond
 	}
-	return c
+	return c, nil
 }
 
 // TerrainDB bundles a terrain surface with every derived structure sk-NN
@@ -105,21 +109,24 @@ func (db *TerrainDB) Registry() *obs.Registry { return db.reg }
 // preprocessing step of the paper ("DMTM is pre-created ... Both DMTM and
 // MSDN data are stored in the Oracle database").
 func BuildTerrainDB(m *mesh.Mesh, cfg Config) (*TerrainDB, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	tree, err := multires.BuildFromMesh(m)
 	if err != nil {
 		return nil, fmt.Errorf("core: building DDM: %w", err)
 	}
-	return assembleTerrainDB(m, tree, sdn.BuildMSDN(m, cfg.SDNSpacing), nil, cfg)
+	return assembleTerrainDB(m, tree, sdn.BuildMSDN(m, cfg.SDNSpacing), nil, cfg), nil
 }
 
 // assembleTerrainDB wires the precomputed structures (freshly built or
 // loaded from a snapshot) into a queryable database, rebuilding the
 // derivable parts (locator, paged stores). path supplies a restored
 // pathnet (from a v4 snapshot's flat buffers); nil builds it from the mesh,
-// the Steiner subdivision being a deterministic derivation.
-func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pathnet.Pathnet, cfg Config) (*TerrainDB, error) {
-	cfg = cfg.withDefaults()
+// the Steiner subdivision being a deterministic derivation. cfg has its
+// defaults applied.
+func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pathnet.Pathnet, cfg Config) *TerrainDB {
 	if path == nil {
 		path = pathnet.Build(m, cfg.SteinerPerEdge)
 	}
@@ -136,9 +143,7 @@ func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pa
 
 		formatVersion: 4,
 	}
-	if err := db.storeDMTM(); err != nil {
-		return nil, err
-	}
+	db.storeDMTM()
 
 	// Materialise the SDN segments, one set per ladder level ("line segments
 	// with extra information to record their resolution level and to which
@@ -160,12 +165,8 @@ func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pa
 			})
 		})
 	}
-	var err error
-	db.sdnStore, err = storage.BuildClustered(db.Pool, srecs)
-	if err != nil {
-		return nil, fmt.Errorf("core: storing MSDN: %w", err)
-	}
-	return db, nil
+	db.sdnStore = storage.BuildClustered(db.Pool, srecs)
+	return db
 }
 
 // dmtmRecords returns the DMTM connectivity records: one per DDM edge, with
@@ -189,12 +190,9 @@ func dmtmRecords(tree *multires.Tree) []storage.ClusterRecord {
 // networks in storage order, read off the record slice BuildClustered sorted
 // (why: multires.Estimator.UpperBound). The records (48 bytes an edge) die
 // with this frame, before the SDN pass allocates its own.
-func (db *TerrainDB) storeDMTM() error {
+func (db *TerrainDB) storeDMTM() {
 	recs := dmtmRecords(db.Tree)
-	var err error
-	if db.dmtmStore, err = storage.BuildClustered(db.Pool, recs); err != nil {
-		return fmt.Errorf("core: storing DMTM: %w", err)
-	}
+	db.dmtmStore = storage.BuildClustered(db.Pool, recs)
 	order := make([]int32, len(recs))
 	for i, r := range recs {
 		order[i] = int32(r.ID)
@@ -204,7 +202,6 @@ func (db *TerrainDB) storeDMTM() error {
 		times[i] = db.Tree.TimeForResolution(res)
 	}
 	db.Tree.Materialize(order, times)
-	return nil
 }
 
 // SetObjects installs the object dataset at epoch 0: it replaces the whole

@@ -61,8 +61,8 @@ type Call struct {
 }
 
 // ResourceOp is one acquire or release of a pooled resource (an object
-// epoch pin, a pooled session, a buffer-pool frame), identified by the
-// resource spec table in rule_pinrelease.go.
+// epoch pin or a pooled session), identified by the resource spec table in
+// rule_pinrelease.go.
 type ResourceOp struct {
 	Pos      token.Pos
 	Resource string // spec name, e.g. "objstore-pin"

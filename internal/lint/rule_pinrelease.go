@@ -6,13 +6,12 @@ import (
 	"go/types"
 )
 
-// pinRelease proves resource pairing: every objstore.Store.Pin,
-// TerrainDB.AcquireSession and BufferPool.Get/Alloc must reach its
-// matching Release/Unpin on every path out of the acquiring function —
-// early returns and explicit panics included. An unreleased epoch pin
-// blocks reclamation forever (LiveEpochs grows without bound under
-// updates); an unreleased buffer-pool frame is never evictable and walks
-// the pool toward ErrPoolExhausted.
+// pinRelease proves resource pairing: every objstore.Store.Pin and
+// TerrainDB.AcquireSession must reach its matching Release on every path
+// out of the acquiring function — early returns and explicit panics
+// included. An unreleased epoch pin blocks reclamation forever (LiveEpochs
+// grows without bound under updates); an unreleased session never returns
+// to the pool.
 //
 // The analysis is intra-procedural over a path-sensitive walk of the
 // function body: acquired values are tracked per local variable, branches
@@ -41,7 +40,7 @@ type pinRelease struct{}
 
 func (pinRelease) Name() string { return "pin-release" }
 func (pinRelease) Doc() string {
-	return "acquired epochs/sessions/frames must be released on all paths; defer for panic safety"
+	return "acquired epochs/sessions must be released on all paths; defer for panic safety"
 }
 
 // resourceSpec describes one acquire/release pairing. Matching is by
@@ -57,15 +56,13 @@ type resourceSpec struct {
 	// onResult: the release is a method on the acquired value
 	// (Epoch.Release). Otherwise it is a method on the acquiring
 	// receiver's type taking the value as an argument
-	// (TerrainDB.Release(sess), BufferPool.Unpin(fr, dirty)).
+	// (TerrainDB.Release(sess)).
 	onResult bool
 }
 
 var resourceSpecs = []resourceSpec{
 	{name: "epoch pin", recvType: "Store", acquire: "Pin", resultType: "Epoch", release: "Release", onResult: true},
 	{name: "pooled session", recvType: "TerrainDB", acquire: "AcquireSession", resultType: "Session", release: "Release"},
-	{name: "buffer-pool frame", recvType: "BufferPool", acquire: "Get", resultType: "Frame", release: "Unpin"},
-	{name: "buffer-pool frame", recvType: "BufferPool", acquire: "Alloc", resultType: "Frame", release: "Unpin"},
 }
 
 func namedTypeName(t types.Type) string {
@@ -172,10 +169,9 @@ func (pinRelease) CheckModule(m *Module, report func(p *Package, pos token.Pos, 
 // heldRes is one tracked acquired resource.
 type heldRes struct {
 	spec     *resourceSpec
-	pos      token.Pos  // acquire site
-	errVar   *types.Var // err of `v, err := acquire()`: nothing is held where err != nil
-	deferred bool       // a deferred release covers it on every exit
-	reported bool       // leak already reported (dedupe across paths)
+	pos      token.Pos // acquire site
+	deferred bool      // a deferred release covers it on every exit
+	reported bool      // leak already reported (dedupe across paths)
 }
 
 // prState is the abstract state of the path walk: which locals hold an
@@ -289,20 +285,6 @@ func (a *prAnalyzer) stmt(s ast.Stmt, st *prState) bool {
 		a.expr(s.Cond, st)
 		thenSt := st.clone()
 		elseSt := st.clone()
-		// `v, err := acquire(); if err != nil { ... }`: on the failure
-		// branch the acquire returned nothing, so no resource is held
-		// there (and symmetrically for `err == nil`).
-		if condVar, nonNilBranch := a.nilCheckVar(s.Cond); condVar != nil {
-			failSt := thenSt
-			if !nonNilBranch {
-				failSt = elseSt
-			}
-			for hv, h := range failSt.held {
-				if h.errVar == condVar {
-					delete(failSt.held, hv)
-				}
-			}
-		}
 		thenDone := a.stmts(s.Body.List, thenSt)
 		elseDone := false
 		if s.Else != nil {
@@ -449,14 +431,8 @@ func (a *prAnalyzer) assign(s *ast.AssignStmt, st *prState) {
 						return
 					}
 					if v := a.localVar(id); v != nil {
-						h := &heldRes{spec: spec, pos: call.Pos()}
-						if len(s.Lhs) == 2 {
-							if ev := a.localVar(s.Lhs[1]); ev != nil && isErrorType(ev.Type()) {
-								h.errVar = ev
-							}
-						}
-						st.held[v] = h
-						// Remaining LHS (e.g. the err of Get) are plain writes.
+						st.held[v] = &heldRes{spec: spec, pos: call.Pos()}
+						// Any remaining LHS are plain writes.
 						for _, l := range s.Lhs[1:] {
 							a.lhs(l, st)
 						}
@@ -497,7 +473,7 @@ func (a *prAnalyzer) lhs(e ast.Expr, st *prState) {
 }
 
 func (a *prAnalyzer) deferStmt(s *ast.DeferStmt, st *prState) {
-	// defer v.Release() / defer pool.Unpin(fr, d): the matching release is
+	// defer v.Release() / defer db.Release(sess): the matching release is
 	// registered for every exit, panics included.
 	if v, ok := a.releaseTarget(s.Call, st); ok {
 		if h := st.held[v]; h != nil {
@@ -568,30 +544,6 @@ func (a *prAnalyzer) releaseTarget(call *ast.CallExpr, st *prState) (*types.Var,
 		}
 	}
 	return nil, false
-}
-
-// nilCheckVar decodes a `v != nil` / `nil != v` condition (nonNil=true)
-// or `v == nil` / `nil == v` (nonNil=false); v is nil for anything else.
-func (a *prAnalyzer) nilCheckVar(cond ast.Expr) (v *types.Var, nonNil bool) {
-	bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || (bin.Op != token.NEQ && bin.Op != token.EQL) {
-		return nil, false
-	}
-	isNil := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		_, isNilObj := a.p.Info.Uses[id].(*types.Nil)
-		return isNilObj
-	}
-	switch {
-	case isNil(bin.Y):
-		v = a.localVar(bin.X)
-	case isNil(bin.X):
-		v = a.localVar(bin.Y)
-	}
-	return v, bin.Op == token.NEQ
 }
 
 func (a *prAnalyzer) isPanicCall(call *ast.CallExpr) bool {
@@ -688,8 +640,8 @@ func (a *prAnalyzer) expr(e ast.Expr, st *prState) {
 func (a *prAnalyzer) call(call *ast.CallExpr, st *prState) {
 	if v, ok := a.releaseTarget(call, st); ok {
 		delete(st.held, v)
-		// Scan the remaining arguments (dirty flags etc.), skipping the
-		// released variable itself.
+		// Scan the remaining arguments, skipping the released variable
+		// itself.
 		for _, arg := range call.Args {
 			if a.localVar(arg) == v {
 				continue

@@ -11,7 +11,7 @@ import (
 // unwrappedError flags fmt.Errorf calls that embed an error operand
 // without the %w verb. Formatting an error with %v flattens it to text:
 // callers can no longer use errors.Is / errors.As to react to sentinel
-// conditions (storage.ErrCorrupt, dem.ErrBadFormat, ...), which is how the
+// conditions (core.ErrBadSnapshot, dem.ErrBadFormat, ...), which is how the
 // I/O layers signal recoverable-vs-fatal failures to the query engine.
 type unwrappedError struct{}
 

@@ -1,9 +1,9 @@
 // Package pinrelease is the pin-release fixture: every acquired epoch
-// pin, pooled session and buffer-pool frame must reach its matching
-// release on all paths out of the acquiring function. The local types
-// model the real objstore.Store / core.TerrainDB / storage.BufferPool
-// protocols — the rule matches by receiver type and method name, which is
-// what lets this fixture stay self-contained.
+// pin and pooled session must reach its matching release on all paths out
+// of the acquiring function. The local types model the real
+// objstore.Store / core.TerrainDB protocols — the rule matches by receiver
+// type and method name, which is what lets this fixture stay
+// self-contained.
 package pinrelease
 
 type Epoch struct{ refs int }
@@ -15,20 +15,12 @@ type Store struct{}
 
 func (s *Store) Pin() *Epoch { return &Epoch{} }
 
-type Session struct{}
+type Session struct{ Data []byte }
 
 type TerrainDB struct{}
 
 func (db *TerrainDB) AcquireSession() *Session { return &Session{} }
 func (db *TerrainDB) Release(s *Session)       {}
-
-type Frame struct{ Data []byte }
-
-type BufferPool struct{}
-
-func (bp *BufferPool) Get(id int) (*Frame, error)  { return &Frame{}, nil }
-func (bp *BufferPool) Alloc() (*Frame, error)      { return &Frame{}, nil }
-func (bp *BufferPool) Unpin(fr *Frame, dirty bool) {}
 
 // ---- findings ----
 
@@ -50,14 +42,10 @@ func leakSession(db *TerrainDB, n int) int {
 	return 0
 }
 
-func heldAcrossCallback(bp *BufferPool, fn func([]byte)) error {
-	fr, err := bp.Get(1)
-	if err != nil {
-		return err
-	}
-	fn(fr.Data) // a panicking fn leaks the pin: the Unpin below never runs
-	bp.Unpin(fr, false)
-	return nil
+func heldAcrossCallback(db *TerrainDB, fn func([]byte)) {
+	sess := db.AcquireSession()
+	fn(sess.Data) // a panicking fn leaks the session: the Release below never runs
+	db.Release(sess)
 }
 
 func discarded(s *Store) {
@@ -65,16 +53,14 @@ func discarded(s *Store) {
 	_ = s.Pin() // blank assignment is the same leak
 }
 
-func leakInLoop(bp *BufferPool, ids []int) error {
-	for _, id := range ids {
-		fr, err := bp.Get(id)
-		if err != nil {
-			return err
-		}
-		_ = fr.Data
-		// missing Unpin: the next iteration acquires a fresh frame
+func leakInLoop(s *Store, ids []int) int {
+	n := 0
+	for range ids {
+		e := s.Pin()
+		n += len(e.Table())
+		// missing Release: the next iteration pins a fresh epoch
 	}
-	return nil
+	return n
 }
 
 func leakAtPanic(s *Store, bad bool) {
@@ -93,17 +79,15 @@ func deferRelease(s *Store) []int {
 	return e.Table()
 }
 
-func releaseAllPaths(bp *BufferPool, cond bool) error {
-	fr, err := bp.Get(1)
-	if err != nil {
-		return err // failed acquire holds nothing
-	}
+func releaseAllPaths(db *TerrainDB, cond bool) int {
+	sess := db.AcquireSession()
 	if cond {
-		bp.Unpin(fr, false)
-		return nil
+		db.Release(sess)
+		return 0
 	}
-	bp.Unpin(fr, true)
-	return nil
+	n := len(sess.Data)
+	db.Release(sess)
+	return n
 }
 
 func ownershipReturn(s *Store) *Epoch {

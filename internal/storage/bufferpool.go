@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 
@@ -10,12 +9,11 @@ import (
 
 // Stats counts buffer-pool activity. Accesses is the paper's "number of
 // disk pages accessed" metric (logical page reads requested by queries);
-// Misses are the subset that had to hit the page file.
+// Misses are the subset that were not resident.
 type Stats struct {
 	Accesses  int64
 	Misses    int64
 	Evictions int64
-	Writes    int64
 }
 
 // IOAccount accumulates the logical page accesses performed on behalf of
@@ -29,33 +27,36 @@ type IOAccount struct {
 	Misses   int64
 }
 
-// Frame is a pinned page in the buffer pool. Data is valid until Unpin.
-// Pinned frames are never evicted, so concurrent readers may use Data
-// without holding any pool lock; the pin/dirty bookkeeping itself is
-// guarded by the pool's mutex.
-type Frame struct {
-	ID    PageID
-	Data  []byte
-	pins  int
-	dirty bool
-	elem  *list.Element
+// Frame is what Get returns. Pages carry no bytes, so it holds nothing; it
+// keeps the Get/Unpin spelling of a byte-carrying pool compiling.
+type Frame struct{}
+
+// noPage ends the LRU list.
+const noPage = -1
+
+// BufferPool is an LRU of page IDs: a resident set of at most capacity pages
+// with least-recently-used replacement, and the counters the paper's metric
+// is read from. Page IDs are dense, so the list is intrusive — prev/next
+// indexed by page ID, front = most recently used — and residency is one
+// flag per page. All methods are safe for concurrent use under one mutex.
+type BufferPool struct {
+	mu         sync.Mutex
+	file       *MemFile
+	capacity   int
+	resident   int
+	prev, next []int32
+	in         []bool
+	head, tail int32
+	stats      Stats
+	reg        *obs.Registry // process-wide counters; nil when uninstrumented
 }
 
-// BufferPool caches pages with LRU replacement. Pinned pages are never
-// evicted. All methods are safe for concurrent use: the frame table, LRU
-// list, pin counts and pool-wide stats are guarded by one mutex (page-file
-// reads on a miss happen under it too — the backing files are memory or
-// local disk, and hit-path readers touch pinned Data without any lock).
-// Per-query access accounting goes through the IOAccount passed to Get,
-// which needs no locking because each query owns its account.
-type BufferPool struct {
-	mu       sync.Mutex
-	file     PageFile
-	capacity int
-	frames   map[PageID]*Frame
-	lru      *list.List // front = most recently used; holds unpinned frames
-	stats    Stats
-	reg      *obs.Registry // process-wide counters; nil when uninstrumented
+// NewBufferPool returns an empty pool of the given capacity (pages) over file.
+func NewBufferPool(file *MemFile, capacity int) *BufferPool {
+	if capacity < 1 {
+		panic(fmt.Sprintf("storage: buffer pool capacity %d", capacity))
+	}
+	return &BufferPool{file: file, capacity: capacity, head: noPage, tail: noPage}
 }
 
 // Instrument mirrors the pool's hit/miss/eviction activity into the
@@ -65,19 +66,6 @@ func (bp *BufferPool) Instrument(reg *obs.Registry) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	bp.reg = reg
-}
-
-// NewBufferPool wraps file with a pool of the given capacity (pages).
-func NewBufferPool(file PageFile, capacity int) *BufferPool {
-	if capacity < 1 {
-		panic(fmt.Sprintf("storage: buffer pool capacity %d", capacity))
-	}
-	return &BufferPool{
-		file:     file,
-		capacity: capacity,
-		frames:   make(map[PageID]*Frame, capacity),
-		lru:      list.New(),
-	}
 }
 
 // Stats returns a copy of the pool-wide counters.
@@ -94,44 +82,54 @@ func (bp *BufferPool) ResetStats() {
 	bp.stats = Stats{}
 }
 
-// Alloc allocates a fresh page and returns it pinned.
-func (bp *BufferPool) Alloc() (*Frame, error) {
+// alloc allocates a page and makes it the most recently used one. Writing a
+// page is not an access, but the page it displaces counts as an eviction.
+func (bp *BufferPool) alloc() PageID {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	id, err := bp.file.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	fr, err := bp.admit(id)
-	if err != nil {
-		return nil, err
-	}
-	clear(fr.Data) // a reused buffer still holds the evicted page
-	fr.dirty = true
-	bp.frames[id] = fr
-	return fr, nil
+	id := PageID(bp.file.n)
+	bp.file.n++
+	bp.admit(id)
+	return id
 }
 
-// Get returns the page pinned, fetching it from the file on a miss. acct,
-// when non-nil, receives the per-query access accounting (the paper's
-// logical page-access metric); reads issued outside any query (index
-// construction, persistence) pass nil.
+// touch counts one access to page id, charged to acct when non-nil (the
+// per-query account; reads outside any query pass nil): a hit moves the page
+// to the front, a miss admits it there.
+func (bp *BufferPool) touch(id PageID, acct *IOAccount) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	bp.access(id, acct)
+}
+
+// Get is touch for callers written against a byte-carrying pool: it checks
+// that the page was allocated and returns an empty Frame.
 func (bp *BufferPool) Get(id PageID, acct *IOAccount) (*Frame, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	if int(id) >= bp.file.n {
+		return nil, fmt.Errorf("%w: %d of %d", ErrPageOutOfRange, id, bp.file.n)
+	}
+	bp.access(id, acct)
+	return &Frame{}, nil
+}
+
+// Unpin does nothing: no page is held between accesses.
+func (bp *BufferPool) Unpin(*Frame, bool) {}
+
+// access is touch with bp.mu held.
+func (bp *BufferPool) access(id PageID, acct *IOAccount) {
 	bp.stats.Accesses++
 	if acct != nil {
 		acct.Accesses++
 	}
-	if fr, ok := bp.frames[id]; ok {
+	if int(id) < len(bp.in) && bp.in[id] {
 		if bp.reg != nil {
 			bp.reg.PoolHits.Add(1)
 		}
-		// The frame keeps its LRU element while pinned (eviction skips
-		// pinned frames); re-pinning therefore never churns list elements,
-		// which keeps the warm hit path allocation-free.
-		fr.pins++
-		return fr, nil
+		bp.unlink(int32(id))
+		bp.pushFront(int32(id))
+		return
 	}
 	bp.stats.Misses++
 	if acct != nil {
@@ -140,108 +138,52 @@ func (bp *BufferPool) Get(id PageID, acct *IOAccount) (*Frame, error) {
 	if bp.reg != nil {
 		bp.reg.PoolMisses.Add(1)
 	}
-	fr, err := bp.admit(id)
-	if err != nil {
-		return nil, err
-	}
-	if err := bp.file.ReadPage(id, fr.Data); err != nil {
-		if fr.elem != nil {
-			// An evicted frame that got no page: it is in no table, so it
-			// must not stay in the LRU list either.
-			bp.lru.Remove(fr.elem)
-			fr.elem = nil
-		}
-		return nil, err
-	}
-	bp.frames[id] = fr
-	return fr, nil
+	bp.admit(id)
 }
 
-// Unpin releases one pin; dirty marks the page for write-back.
-func (bp *BufferPool) Unpin(fr *Frame, dirty bool) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if fr.pins <= 0 {
-		panic(fmt.Sprintf("storage: unpin of unpinned page %d", fr.ID))
+// admit makes the non-resident page id the most recently used, evicting the
+// least recently used page when the pool is full. Callers hold bp.mu.
+func (bp *BufferPool) admit(id PageID) {
+	for int(id) >= len(bp.in) {
+		bp.prev = append(bp.prev, noPage)
+		bp.next = append(bp.next, noPage)
+		bp.in = append(bp.in, false)
 	}
-	if dirty {
-		fr.dirty = true
-	}
-	fr.pins--
-	if fr.pins == 0 {
-		if fr.elem == nil {
-			fr.elem = bp.lru.PushFront(fr)
-		} else {
-			bp.lru.MoveToFront(fr.elem)
+	if bp.resident == bp.capacity {
+		victim := bp.tail
+		bp.unlink(victim)
+		bp.in[victim] = false
+		bp.resident--
+		bp.stats.Evictions++
+		if bp.reg != nil {
+			bp.reg.PoolEvictions.Add(1)
 		}
+	}
+	bp.pushFront(int32(id))
+	bp.in[id] = true
+	bp.resident++
+}
+
+func (bp *BufferPool) unlink(id int32) {
+	p, n := bp.prev[id], bp.next[id]
+	if p == noPage {
+		bp.head = n
+	} else {
+		bp.next[p] = n
+	}
+	if n == noPage {
+		bp.tail = p
+	} else {
+		bp.prev[n] = p
 	}
 }
 
-// admit returns a frame for page id, pinned once and not yet in the frame
-// table. Below capacity that is a new frame; at capacity the least recently
-// used unpinned frame is evicted and the frame itself — page buffer and LRU
-// element included — is handed to the new page, so a miss in a full pool
-// allocates nothing. The buffer still holds the evicted page's bytes.
-// Callers must hold bp.mu.
-func (bp *BufferPool) admit(id PageID) (*Frame, error) {
-	if len(bp.frames) < bp.capacity {
-		return &Frame{ID: id, Data: make([]byte, PageSize), pins: 1}, nil
+func (bp *BufferPool) pushFront(id int32) {
+	bp.prev[id], bp.next[id] = noPage, bp.head
+	if bp.head == noPage {
+		bp.tail = id
+	} else {
+		bp.prev[bp.head] = id
 	}
-	// Walk from the cold end, skipping frames that are pinned (they stay in
-	// the list across pin cycles) — the first unpinned frame is the least
-	// recently unpinned one.
-	var fr *Frame
-	for e := bp.lru.Back(); e != nil; e = e.Prev() {
-		if f := e.Value.(*Frame); f.pins == 0 {
-			fr = f
-			break
-		}
-	}
-	if fr == nil {
-		return nil, fmt.Errorf("%w: all %d pages pinned", ErrPoolExhausted, len(bp.frames))
-	}
-	if fr.dirty {
-		if err := bp.file.WritePage(fr.ID, fr.Data); err != nil {
-			return nil, err
-		}
-		bp.stats.Writes++
-	}
-	delete(bp.frames, fr.ID)
-	bp.stats.Evictions++
-	if bp.reg != nil {
-		bp.reg.PoolEvictions.Add(1)
-	}
-	// The frame keeps its LRU element: a pinned frame's position in the
-	// list is never consulted, and Unpin moves it to the front.
-	fr.ID, fr.pins, fr.dirty = id, 1, false
-	return fr, nil
-}
-
-// Flush writes every dirty cached page back to the file.
-func (bp *BufferPool) Flush() error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	for _, fr := range bp.frames {
-		if fr.dirty {
-			if err := bp.file.WritePage(fr.ID, fr.Data); err != nil {
-				return err
-			}
-			fr.dirty = false
-			bp.stats.Writes++
-		}
-	}
-	return nil
-}
-
-// PinnedCount reports how many frames are currently pinned (testing aid).
-func (bp *BufferPool) PinnedCount() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	n := 0
-	for _, fr := range bp.frames {
-		if fr.pins > 0 {
-			n++
-		}
-	}
-	return n
+	bp.head = id
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"math"
 	"sort"
 
@@ -19,8 +18,13 @@ type ClusterRecord struct {
 	From, To int32
 }
 
-const clusterRecSize = 8 + 4*8 + 4 + 4 // 48 bytes
-const recsPerPage = (PageSize - hdrSize) / clusterRecSize
+// A page holds as many records as a 4 KiB page with an 8-byte header would
+// at 48 bytes a record (ID, four coordinates, two bounds): 85.
+const (
+	pageHeader     = 8
+	clusterRecSize = 8 + 4*8 + 4 + 4
+	recsPerPage    = (PageSize - pageHeader) / clusterRecSize
+)
 
 // pageMeta is the in-memory directory entry for one data page.
 type pageMeta struct {
@@ -41,12 +45,12 @@ type Clustered struct {
 	n    int
 }
 
-// BuildClustered packs the records into pages through the pool and returns
-// the store. The input slice is reordered in place into storage order, the
-// order a paged read yields its matches in. The sort is not stable, so the
-// slice is the only record of that order (core's DMTM level networks read it
-// off the slice).
-func BuildClustered(pool *BufferPool, recs []ClusterRecord) (*Clustered, error) {
+// BuildClustered packs the records into pages allocated through the pool and
+// returns the store. The input slice is reordered in place into storage
+// order: page i holds recs[i*recsPerPage:(i+1)*recsPerPage]. The sort is not
+// stable, so the slice is the only record of that order (core's DMTM level
+// networks read it off the slice).
+func BuildClustered(pool *BufferPool, recs []ClusterRecord) *Clustered {
 	sort.Slice(recs, func(i, j int) bool {
 		// Longevity first: records that survive to coarser resolutions are
 		// clustered together at the front...
@@ -62,19 +66,13 @@ func BuildClustered(pool *BufferPool, recs []ClusterRecord) (*Clustered, error) 
 		if end > len(recs) {
 			end = len(recs)
 		}
-		fr, err := pool.Alloc()
-		if err != nil {
-			return nil, err
-		}
 		meta := pageMeta{
-			id:      fr.ID,
+			id:      pool.alloc(),
 			mbr:     geom.EmptyMBR(),
 			minFrom: math.MaxInt32,
 			maxTo:   math.MinInt32,
 		}
-		setCount(fr.Data, end-start)
 		for i := start; i < end; i++ {
-			writeClusterRec(fr.Data[hdrSize+(i-start)*clusterRecSize:], recs[i])
 			meta.mbr = meta.mbr.Union(recs[i].MBR)
 			if recs[i].From < meta.minFrom {
 				meta.minFrom = recs[i].From
@@ -83,10 +81,9 @@ func BuildClustered(pool *BufferPool, recs []ClusterRecord) (*Clustered, error) 
 				meta.maxTo = recs[i].To
 			}
 		}
-		pool.Unpin(fr, true)
 		c.dir = append(c.dir, meta)
 	}
-	return c, nil
+	return c
 }
 
 // Len returns the number of stored records.
@@ -111,34 +108,18 @@ func (c *Clustered) nextPage(i int, region geom.MBR, level int32) int {
 	return i
 }
 
-// Touch pins and unpins, in directory order, every page that may hold a
-// record valid at level (From <= level < To) inside region: each data page
-// touched counts as one access, charged to acct when non-nil — the per-query
-// account of the session issuing the read. No record is decoded. Both
-// stores' payloads mirror in-memory structures (the DMTM records the tree's
-// level networks and the pathnet, the SDN records the MSDN tables), which
-// the bounds read directly; the paged read exists to account the I/O the
-// paper measures. The store is immutable after BuildClustered, so concurrent
-// reads from different sessions are safe.
-func (c *Clustered) Touch(region geom.MBR, level int32, acct *IOAccount) error {
+// Touch accesses, in directory order, every page that may hold a record
+// valid at level (From <= level < To) inside region, each access charged to
+// acct when non-nil — the per-query account of the session issuing the
+// read. The records themselves live in in-memory structures the bounds read
+// directly (the DMTM's in the tree's level networks and the pathnet, the
+// SDN's in the MSDN tables); the paged read accounts the I/O the paper
+// measures. The store is immutable after BuildClustered, so concurrent reads
+// from different sessions are safe.
+func (c *Clustered) Touch(region geom.MBR, level int32, acct *IOAccount) {
 	for i := c.nextPage(0, region, level); i < len(c.dir); i = c.nextPage(i+1, region, level) {
-		fr, err := c.pool.Get(c.dir[i].id, acct)
-		if err != nil {
-			return err
-		}
-		c.pool.Unpin(fr, false)
+		c.pool.touch(c.dir[i].id, acct)
 	}
-	return nil
-}
-
-func writeClusterRec(p []byte, r ClusterRecord) {
-	binary.LittleEndian.PutUint64(p[0:], r.ID)
-	binary.LittleEndian.PutUint64(p[8:], math.Float64bits(r.MBR.MinX))
-	binary.LittleEndian.PutUint64(p[16:], math.Float64bits(r.MBR.MinY))
-	binary.LittleEndian.PutUint64(p[24:], math.Float64bits(r.MBR.MaxX))
-	binary.LittleEndian.PutUint64(p[32:], math.Float64bits(r.MBR.MaxY))
-	binary.LittleEndian.PutUint32(p[40:], uint32(r.From))
-	binary.LittleEndian.PutUint32(p[44:], uint32(r.To))
 }
 
 // zOrder interleaves the bits of the quantised coordinates, giving the

@@ -1,46 +1,36 @@
 package storage
 
 import (
-	"encoding/binary"
-	"math"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
 	"surfknn/internal/geom"
+	"surfknn/internal/obs"
 )
 
-// The decoding fetch the query path used before the bounds took their data
-// from in-memory mirrors of the records: one fully decoded ClusterRecord per
-// match, handed to caller code. It stays here as the reference the touch-only
-// walk is held to (pages, order, per-read accounting), as the read that pins
-// the storage order core builds its level networks in, and as the read the
-// older tests in this package are written against.
+// The fetch the query path used before the bounds took their data from
+// in-memory mirrors of the records: one ClusterRecord per match, handed to
+// caller code. It stays here as the reference the touch-only walk is held to
+// (pages, order, per-read accounting), as the read that pins the storage
+// order core builds its level networks in, and as the read the older tests in
+// this package are written against.
 
 // Fetch reads every record valid at level (From <= level < To) whose MBR
-// intersects region, page by page through the buffer pool.
-func (c *Clustered) Fetch(region geom.MBR, level int32, acct *IOAccount, fn func(ClusterRecord)) error {
+// intersects region, page by page through the buffer pool. recs is the slice
+// BuildClustered sorted; page i holds recs[i*recsPerPage:(i+1)*recsPerPage].
+func (c *Clustered) Fetch(recs []ClusterRecord, region geom.MBR, level int32, acct *IOAccount, fn func(ClusterRecord)) error {
 	for i := c.nextPage(0, region, level); i < len(c.dir); i = c.nextPage(i+1, region, level) {
-		if err := c.fetchPage(c.dir[i].id, region, level, acct, fn); err != nil {
+		fr, err := c.pool.Get(c.dir[i].id, acct)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// fetchPage pins one data page for the duration of the record scan. The
-// unpin is deferred: fn is caller code, and a panic there must not leak
-// the pin.
-func (c *Clustered) fetchPage(id PageID, region geom.MBR, level int32, acct *IOAccount, fn func(ClusterRecord)) error {
-	fr, err := c.pool.Get(id, acct)
-	if err != nil {
-		return err
-	}
-	defer c.pool.Unpin(fr, false)
-	n := count(fr.Data)
-	for i := 0; i < n; i++ {
-		rec := readClusterRec(fr.Data[hdrSize+i*clusterRecSize:])
-		if rec.From <= level && level < rec.To && rec.MBR.Intersects(region) {
-			fn(rec)
+		c.pool.Unpin(fr, false)
+		for _, rec := range recs[i*recsPerPage : min((i+1)*recsPerPage, len(recs))] {
+			if rec.From <= level && level < rec.To && rec.MBR.Intersects(region) {
+				fn(rec)
+			}
 		}
 	}
 	return nil
@@ -56,26 +46,12 @@ func (c *Clustered) PagesFor(region geom.MBR, level int32) int {
 	return n
 }
 
-func readClusterRec(p []byte) ClusterRecord {
-	return ClusterRecord{
-		ID: binary.LittleEndian.Uint64(p[0:]),
-		MBR: geom.MBR{
-			MinX: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
-			MinY: math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
-			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(p[24:])),
-			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(p[32:])),
-		},
-		From: int32(binary.LittleEndian.Uint32(p[40:])),
-		To:   int32(binary.LittleEndian.Uint32(p[44:])),
-	}
-}
-
 // refStore builds one clustered store of random rectangles with staggered
-// validity intervals over a pool of the given capacity. Equal arguments
-// give byte-identical stores and pools, so two of them replay one fetch
-// sequence through identical hit/miss/eviction histories.
-func refStore(t testing.TB, capacity int) (*Clustered, *BufferPool) {
-	t.Helper()
+// validity intervals over a pool of the given capacity, and returns it with
+// its records in storage order. Equal arguments give identical stores and
+// pools, so two of them replay one fetch sequence through identical
+// hit/miss/eviction histories.
+func refStore(capacity int) (*Clustered, []ClusterRecord, *BufferPool) {
 	rng := rand.New(rand.NewSource(14))
 	recs := make([]ClusterRecord, 6000)
 	for i := range recs {
@@ -89,12 +65,9 @@ func refStore(t testing.TB, capacity int) (*Clustered, *BufferPool) {
 		}
 	}
 	bp := NewBufferPool(NewMemFile(), capacity)
-	c, err := BuildClustered(bp, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := BuildClustered(bp, recs)
 	bp.ResetStats()
-	return c, bp
+	return c, recs, bp
 }
 
 // TestTouchMatchesReference replays one random read sequence twice over
@@ -104,8 +77,8 @@ func refStore(t testing.TB, capacity int) (*Clustered, *BufferPool) {
 // counters.
 func TestTouchMatchesReference(t *testing.T) {
 	const capacity = 16
-	ref, refPool := refStore(t, capacity)
-	tch, tchPool := refStore(t, capacity)
+	ref, refRecs, refPool := refStore(capacity)
+	tch, _, tchPool := refStore(capacity)
 	if ref.NumPages() < 4*capacity {
 		t.Fatalf("store has %d pages, too few to exercise eviction", ref.NumPages())
 	}
@@ -123,12 +96,10 @@ func TestTouchMatchesReference(t *testing.T) {
 		level := int32(rng.Intn(15) - 1)
 
 		var refAcct, tchAcct IOAccount
-		if err := ref.Fetch(region, level, &refAcct, func(ClusterRecord) { matched++ }); err != nil {
+		if err := ref.Fetch(refRecs, region, level, &refAcct, func(ClusterRecord) { matched++ }); err != nil {
 			t.Fatal(err)
 		}
-		if err := tch.Touch(region, level, &tchAcct); err != nil {
-			t.Fatal(err)
-		}
+		tch.Touch(region, level, &tchAcct)
 		if tchAcct != refAcct {
 			t.Fatalf("read %d: account deltas: reference %+v, touch %+v", f, refAcct, tchAcct)
 		}
@@ -144,11 +115,6 @@ func TestTouchMatchesReference(t *testing.T) {
 	}
 	if st := refPool.Stats(); st.Evictions == 0 {
 		t.Fatal("the read sequence never evicted")
-	}
-	for _, bp := range []*BufferPool{refPool, tchPool} {
-		if n := bp.PinnedCount(); n != 0 {
-			t.Fatalf("%d frames left pinned", n)
-		}
 	}
 }
 
@@ -172,10 +138,7 @@ func TestFetchIsStorageOrder(t *testing.T) {
 			To:   from + 1 + int32(rng.Intn(4)),
 		}
 	}
-	c, err := BuildClustered(NewBufferPool(NewMemFile(), 64), recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := BuildClustered(NewBufferPool(NewMemFile(), 64), recs)
 	ties := 0
 	for i := 1; i < len(recs); i++ {
 		if recs[i].To == recs[i-1].To && zOrder(recs[i].MBR.Center()) == zOrder(recs[i-1].MBR.Center()) {
@@ -196,7 +159,7 @@ func TestFetchIsStorageOrder(t *testing.T) {
 				}
 			}
 			var got []uint64
-			if err := c.Fetch(region, level, nil, func(r ClusterRecord) { got = append(got, r.ID) }); err != nil {
+			if err := c.Fetch(recs, region, level, nil, func(r ClusterRecord) { got = append(got, r.ID) }); err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
@@ -211,20 +174,142 @@ func TestFetchIsStorageOrder(t *testing.T) {
 	}
 }
 
-// TestWarmTouchAllocatesNothing: a touch through a warm pool allocates
-// nothing.
+// TestWarmTouchAllocatesNothing: a touch allocates nothing, through a warm
+// pool that holds every page and through one a quarter of the data, where
+// most accesses miss and evict.
 func TestWarmTouchAllocatesNothing(t *testing.T) {
-	c, _ := refStore(t, 4096)
-	region := geom.MBR{MinX: 100, MinY: 100, MaxX: 700, MaxY: 700}
-	var acct IOAccount
-	if err := c.Touch(region, 3, &acct); err != nil {
-		t.Fatal(err)
+	for _, capacity := range []int{4096, 16} {
+		c, _, bp := refStore(capacity)
+		region := geom.MBR{MinX: 100, MinY: 100, MaxX: 700, MaxY: 700}
+		var acct IOAccount
+		c.Touch(region, 3, &acct)
+		c.Touch(region, 4, &acct)
+		if n := testing.AllocsPerRun(20, func() {
+			c.Touch(region, 3, &acct)
+			c.Touch(region, 4, &acct)
+		}); n != 0 {
+			t.Fatalf("capacity %d: Touch allocates %.1f times, want 0", capacity, n)
+		}
+		if evicting := bp.Stats().Evictions > 0; evicting != (capacity < c.NumPages()) {
+			t.Fatalf("capacity %d of %d pages: %d evictions", capacity, c.NumPages(), bp.Stats().Evictions)
+		}
 	}
-	if n := testing.AllocsPerRun(20, func() {
-		if err := c.Touch(region, 3, &acct); err != nil {
+}
+
+// Property: Fetch returns exactly the records a brute-force filter selects,
+// for random regions and levels.
+func TestClusteredFetchAgainstBruteForce(t *testing.T) {
+	pool := NewBufferPool(NewMemFile(), 4096)
+	rng := rand.New(rand.NewSource(7))
+	var recs []ClusterRecord
+	for i := 0; i < 3000; i++ {
+		x := rng.Float64() * 100
+		y := rng.Float64() * 100
+		from := int32(rng.Intn(5))
+		recs = append(recs, ClusterRecord{
+			ID:   uint64(i),
+			MBR:  geom.MBR{MinX: x, MinY: y, MaxX: x + rng.Float64()*3, MaxY: y + rng.Float64()*3},
+			From: from,
+			To:   from + 1 + int32(rng.Intn(5)),
+		})
+	}
+	// Keep an un-reordered copy for the oracle.
+	oracle := append([]ClusterRecord(nil), recs...)
+	c := BuildClustered(pool, recs)
+	for trial := 0; trial < 20; trial++ {
+		x := rng.Float64() * 90
+		y := rng.Float64() * 90
+		region := geom.MBR{MinX: x, MinY: y, MaxX: x + 15, MaxY: y + 15}
+		level := int32(rng.Intn(8))
+		want := map[uint64]bool{}
+		for _, r := range oracle {
+			if r.From <= level && level < r.To && r.MBR.Intersects(region) {
+				want[r.ID] = true
+			}
+		}
+		got := map[uint64]bool{}
+		err := c.Fetch(recs, region, level, nil, func(r ClusterRecord) {
+			if got[r.ID] {
+				t.Fatalf("duplicate record %d", r.ID)
+			}
+			got[r.ID] = true
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("warm Touch allocates %.1f times, want 0", n)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: fetched %d records, want %d", trial, len(got), len(want))
+		}
+		for id := range want {
+			if !got[id] {
+				t.Fatalf("trial %d: missing record %d", trial, id)
+			}
+		}
+	}
+}
+
+// TestLRUMatchesFramePool pins the pool's replacement history to the
+// byte-carrying buffer pool (frames, pins, write-back) it replaced. One
+// seeded trace per capacity: a build phase that allocates 71 pages past the
+// capacity, then 900 steps mixing single Get+Unpin accesses of random pages
+// with random Touches. The hash covers each step's accesses, misses and the
+// running eviction count, then the final Stats and registry counters; the
+// literals were captured from the frame pool.
+func TestLRUMatchesFramePool(t *testing.T) {
+	type outcome struct {
+		accesses, misses, evictions, regHits int64
+		hash                                 uint64
+	}
+	want := map[int]outcome{
+		1:  {8486, 8467, 8537, 19, 0x986eadeb1b6d9faf},
+		7:  {8486, 8116, 8180, 370, 0x32a890c046c6a293},
+		32: {8486, 4737, 4776, 3749, 0x93fc01055d35bbf5},
+		72: {8486, 0, 0, 8486, 0x2bdcd07b00ffe872},
+	}
+	for _, capacity := range []int{1, 7, 32, 72} {
+		rng := rand.New(rand.NewSource(26))
+		recs := make([]ClusterRecord, 6000)
+		for i := range recs {
+			x, y := rng.Float64()*1000, rng.Float64()*1000
+			from := int32(rng.Intn(6))
+			recs[i] = ClusterRecord{
+				ID:   uint64(i),
+				MBR:  geom.MBR{MinX: x, MinY: y, MaxX: x + rng.Float64()*30, MaxY: y + rng.Float64()*30},
+				From: from,
+				To:   from + 1 + int32(rng.Intn(8)),
+			}
+		}
+		reg := obs.NewRegistry()
+		bp := NewBufferPool(NewMemFile(), capacity)
+		bp.Instrument(reg)
+		c := BuildClustered(bp, recs)
+		if c.NumPages() != 71 {
+			t.Fatalf("store has %d pages, the trace was captured over 71", c.NumPages())
+		}
+		h := fnv.New64a()
+		fmt.Fprintf(h, "build %+v|", bp.Stats().Evictions)
+		for step := 0; step < 900; step++ {
+			var acct IOAccount
+			if step%3 == 0 {
+				fr, err := bp.Get(PageID(rng.Intn(c.NumPages())), &acct)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bp.Unpin(fr, false)
+			} else {
+				x, y := rng.Float64()*1100-50, rng.Float64()*1100-50
+				region := geom.MBR{MinX: x, MinY: y, MaxX: x + rng.Float64()*300, MaxY: y + rng.Float64()*300}
+				c.Touch(region, int32(rng.Intn(15)-1), &acct)
+			}
+			fmt.Fprintf(h, "%d %d %d|", acct.Accesses, acct.Misses, bp.Stats().Evictions)
+		}
+		st := bp.Stats()
+		fmt.Fprintf(h, "%d %d %d|%d %d %d", st.Accesses, st.Misses, st.Evictions,
+			reg.PoolHits.Value(), reg.PoolMisses.Value(), reg.PoolEvictions.Value())
+		got := outcome{st.Accesses, st.Misses, st.Evictions, reg.PoolHits.Value(), h.Sum64()}
+		if got != want[capacity] || reg.PoolMisses.Value() != st.Misses || reg.PoolEvictions.Value() != st.Evictions {
+			t.Errorf("capacity %d: %+v (registry misses %d, evictions %d), frame pool %+v",
+				capacity, got, reg.PoolMisses.Value(), reg.PoolEvictions.Value(), want[capacity])
+		}
 	}
 }

@@ -1,148 +1,37 @@
-// Package storage provides the disk abstraction under the terrain
-// structures: fixed-size pages, a page file (memory- or file-backed), an
-// LRU buffer pool with pin/unpin semantics and access statistics, a
-// clustering B+-tree, and a spatially clustered record store. The paper
+// Package storage is the I/O model under the terrain structures. The paper
 // stores DMTM and MSDN in Oracle and reports "number of disk pages
-// accessed"; this package is the equivalent measurement instrument.
+// accessed"; reproducing that number needs only which page IDs a read
+// touches and the LRU hit/miss sequence over them. So pages here are
+// accounting, not bytes: a clustered store packs records into numbered
+// pages and keeps a directory of them, and the buffer pool is an LRU of page
+// IDs that counts accesses, misses and evictions. No page payload exists.
 package storage
 
-import (
-	"errors"
-	"fmt"
-	"os"
-)
+import "errors"
 
-// PageSize is the fixed page size in bytes (a common DBMS default).
+// PageSize is the page size in bytes (a common DBMS default). Only the
+// number of records a page holds derives from it.
 const PageSize = 4096
 
-// PageID identifies a page within a PageFile.
+// PageID identifies a page; IDs are dense, allocated from 0.
 type PageID uint32
 
-// InvalidPage is a sentinel for "no page".
-const InvalidPage PageID = ^PageID(0)
-
-// ErrPageOutOfRange is returned for reads/writes beyond the allocated file.
+// ErrPageOutOfRange is returned by Get for a page that was never allocated.
 var ErrPageOutOfRange = errors.New("storage: page out of range")
 
-// ErrPoolExhausted reports that the buffer pool cannot admit another page
-// because every frame is pinned. It signals a pin leak or an undersized
-// pool rather than an I/O failure.
-var ErrPoolExhausted = errors.New("storage: buffer pool exhausted")
+// MemFile is the "disk" the pool accounts against. It holds no bytes, only
+// the number of pages allocated so far.
+type MemFile struct{ n int }
 
-// ErrCorrupt marks a structural-invariant violation found in a persisted
-// structure (e.g. a B+-tree whose keys are out of order). Callers select it
-// with errors.Is to distinguish corruption from transient I/O errors.
-var ErrCorrupt = errors.New("storage: corrupt structure")
-
-// PageFile is the "disk": a growable array of fixed-size pages.
-type PageFile interface {
-	// Alloc appends a zeroed page and returns its id.
-	Alloc() (PageID, error)
-	// ReadPage copies the page into buf (len(buf) == PageSize).
-	ReadPage(id PageID, buf []byte) error
-	// WritePage copies buf into the page.
-	WritePage(id PageID, buf []byte) error
-	// NumPages returns the number of allocated pages.
-	NumPages() int
-	// Close releases resources.
-	Close() error
-}
-
-// MemFile is an in-memory PageFile, the default backend for experiments
-// (deterministic and fast while the buffer pool still counts every access).
-type MemFile struct {
-	pages [][]byte
-}
-
-// NewMemFile returns an empty in-memory page file.
+// NewMemFile returns an empty page file.
 func NewMemFile() *MemFile { return &MemFile{} }
 
-// Alloc implements PageFile.
+// Alloc appends a page and returns its ID. It cannot fail; the error result
+// keeps the signature of a file that could.
 func (f *MemFile) Alloc() (PageID, error) {
-	f.pages = append(f.pages, make([]byte, PageSize))
-	return PageID(len(f.pages) - 1), nil
+	f.n++
+	return PageID(f.n - 1), nil
 }
 
-// ReadPage implements PageFile.
-func (f *MemFile) ReadPage(id PageID, buf []byte) error {
-	if int(id) >= len(f.pages) {
-		return fmt.Errorf("%w: %d of %d", ErrPageOutOfRange, id, len(f.pages))
-	}
-	copy(buf, f.pages[id])
-	return nil
-}
-
-// WritePage implements PageFile.
-func (f *MemFile) WritePage(id PageID, buf []byte) error {
-	if int(id) >= len(f.pages) {
-		return fmt.Errorf("%w: %d of %d", ErrPageOutOfRange, id, len(f.pages))
-	}
-	copy(f.pages[id], buf)
-	return nil
-}
-
-// NumPages implements PageFile.
-func (f *MemFile) NumPages() int { return len(f.pages) }
-
-// Close implements PageFile.
-func (f *MemFile) Close() error { return nil }
-
-// DiskFile is a file-backed PageFile.
-type DiskFile struct {
-	f *os.File
-	n int
-}
-
-// OpenDiskFile creates or opens the named page file.
-func OpenDiskFile(path string) (*DiskFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	return &DiskFile{f: f, n: int(st.Size() / PageSize)}, nil
-}
-
-// Alloc implements PageFile.
-func (d *DiskFile) Alloc() (PageID, error) {
-	id := PageID(d.n)
-	zero := make([]byte, PageSize)
-	if _, err := d.f.WriteAt(zero, int64(d.n)*PageSize); err != nil {
-		return InvalidPage, fmt.Errorf("storage: alloc page %d: %w", id, err)
-	}
-	d.n++
-	return id, nil
-}
-
-// ReadPage implements PageFile.
-func (d *DiskFile) ReadPage(id PageID, buf []byte) error {
-	if int(id) >= d.n {
-		return fmt.Errorf("%w: %d of %d", ErrPageOutOfRange, id, d.n)
-	}
-	_, err := d.f.ReadAt(buf[:PageSize], int64(id)*PageSize)
-	if err != nil {
-		return fmt.Errorf("storage: read page %d: %w", id, err)
-	}
-	return nil
-}
-
-// WritePage implements PageFile.
-func (d *DiskFile) WritePage(id PageID, buf []byte) error {
-	if int(id) >= d.n {
-		return fmt.Errorf("%w: %d of %d", ErrPageOutOfRange, id, d.n)
-	}
-	if _, err := d.f.WriteAt(buf[:PageSize], int64(id)*PageSize); err != nil {
-		return fmt.Errorf("storage: write page %d: %w", id, err)
-	}
-	return nil
-}
-
-// NumPages implements PageFile.
-func (d *DiskFile) NumPages() int { return d.n }
-
-// Close implements PageFile.
-func (d *DiskFile) Close() error { return d.f.Close() }
+// NumPages returns the number of allocated pages.
+func (f *MemFile) NumPages() int { return f.n }
