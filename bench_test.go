@@ -264,6 +264,7 @@ func BenchmarkAblationSubdiv4(b *testing.B) { benchSubdiv(b, 4) }
 func benchSubdiv(b *testing.B, subdiv int) {
 	f := getFixture(b)
 	ms := sdn.BuildMSDNSubdiv(f.m, 0, subdiv)
+	ms.Materialize([]float64{1.0})
 	region := f.m.Extent()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -147,6 +147,16 @@ func TestCLIFlagErrors(t *testing.T) {
 		t.Errorf("skserve -pool-pages -1 output is not one line naming the size:\n%s", out)
 	}
 
+	// An unknown schedule is a one-line error locally too, as it is a 400
+	// from a server: never a silent fall back to S1.
+	out, err = exec.Command(filepath.Join(dir, "skquery"), "-dem", demPath, "-sched", "7").CombinedOutput()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+		t.Errorf("skquery -sched 7: %v, want exit status 1", err)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(out)), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "-sched 7") {
+		t.Errorf("skquery -sched 7 output is not one line naming the flag:\n%s", out)
+	}
+
 	// Likewise skcoord with no manifest.
 	out, err = exec.Command(filepath.Join(dir, "skcoord")).CombinedOutput()
 	if err == nil {

@@ -91,6 +91,10 @@ func main() {
 	if *qstmt != "" && *repl {
 		log.Fatal("-q and -repl are mutually exclusive")
 	}
+	s, ok := skexec.Schedule(*sched)
+	if !ok {
+		log.Fatalf("-sched %d: must be 1, 2 or 3", *sched)
+	}
 	if *server != "" {
 		if *snapPath != "" || *demPath != "" {
 			log.Fatal("-server and -snapshot/-dem are mutually exclusive")
@@ -196,14 +200,6 @@ func main() {
 		log.Fatalf("query point: %v", err)
 	}
 	fmt.Printf("query: (%.1f, %.1f, %.1f), k=%d, algo=%s\n", q.Pos.X, q.Pos.Y, q.Pos.Z, *k, *algo)
-
-	s := core.S1
-	switch *sched {
-	case 2:
-		s = core.S2
-	case 3:
-		s = core.S3
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {

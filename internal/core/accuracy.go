@@ -59,11 +59,11 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 		}
 		out.Iterations = it + 1
 		pc.Iterations++
-		dmRes, sdnRes := sched.At(it)
+		ri := sched.rung(it)
 		span := obs.NoSpan
 		if s.cost.trace != nil {
 			span = s.startSpan("iter", map[string]float64{
-				"i": float64(it), "dm_res": dmRes, "sdn_res": sdnRes,
+				"i": float64(it), "dm_res": rungs[ri].dmtm, "sdn_res": rungs[ri].msdn,
 			})
 		}
 		// Upper bound (running minimum).
@@ -74,7 +74,7 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 				region = m
 			}
 		}
-		if dmRes >= PathnetResolution {
+		if ri == pathnetRung {
 			ub = s.path.DistanceWithin(a, b, region)
 			if math.IsInf(ub, 1) {
 				// Region clipped every path; retry unclipped. The discarded
@@ -92,7 +92,7 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 				out.LB = out.UB
 			}
 		} else {
-			tm := db.Tree.TimeForResolution(dmRes)
+			tm := db.rungTime[ri]
 			s.touchDMTM(region, tm)
 			est := s.est.UpperBound(db.Mesh, a, b, tm, region, nil)
 			pc.UpperBounds++
@@ -105,12 +105,12 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 			if m := geom.NewEllipse(a.XY(), b.XY(), out.UB).MBR(); !m.IsEmpty() {
 				region = m
 			}
-			s.touchSDN(region, SDNLevel(sdnRes))
+			s.touchSDN(region, rungLevel[ri])
 			// A closed range (the pathnet branch above has just set LB = UB)
 			// takes no estimation: any estimate would be clamped back to UB.
 			// The SDN pages above are still owed.
 			if out.LB < out.UB {
-				est := db.MSDN.LowerBoundScratch(&s.sdnSc, a.Pos, b.Pos, region, sdnRes)
+				est := db.MSDN.LowerBoundScratch(&s.sdnSc, a.Pos, b.Pos, region, rungs[ri].msdn)
 				pc.LowerBounds++
 				if est.LB > out.LB {
 					out.LB = est.LB

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"surfknn/internal/dem"
+	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
 	"surfknn/internal/workload"
 )
@@ -79,17 +82,17 @@ func TestMR3MatchesBruteForce(t *testing.T) {
 			for qi, q := range qs {
 				res, err := db.NewSession().MR3Ctx(bg, q, k, sched, Options{})
 				if err != nil {
-					t.Fatalf("%s k=%d q%d: %v", sched.Name, k, qi, err)
+					t.Fatalf("s=%d k=%d q%d: %v", sched, k, qi, err)
 				}
 				if len(res.Neighbors) != k {
-					t.Fatalf("%s k=%d q%d: %d neighbours", sched.Name, k, qi, len(res.Neighbors))
+					t.Fatalf("s=%d k=%d q%d: %d neighbours", sched, k, qi, len(res.Neighbors))
 				}
 				sameKSet(t, db, q, res.Neighbors, k)
 				// Ranges must bracket the reference distance.
 				for _, n := range res.Neighbors {
 					d := db.ReferenceDistance(q, n.Object.Point)
 					if n.LB > d+1e-6*(1+d) || n.UB < d-1e-6*(1+d) {
-						t.Errorf("%s k=%d: range [%v,%v] misses reference %v", sched.Name, k, n.LB, n.UB, d)
+						t.Errorf("s=%d k=%d: range [%v,%v] misses reference %v", sched, k, n.LB, n.UB, d)
 					}
 				}
 			}
@@ -194,25 +197,73 @@ func TestDummyLBSameAnswer(t *testing.T) {
 	sameKSet(t, db, q, without.Neighbors, k)
 }
 
+// TestScheduleAccessors holds the rung table to the paper's three schedules
+// (§5.3) as lists of resolutions, each ladder clamped to its last entry, and
+// to the ladders assembly materialises.
 func TestScheduleAccessors(t *testing.T) {
-	if S1.Steps() != 6 || S2.Steps() != 4 || S3.Steps() != 3 {
-		t.Errorf("steps = %d,%d,%d", S1.Steps(), S2.Steps(), S3.Steps())
+	const net = PathnetResolution
+	for _, c := range []struct {
+		s          Schedule
+		dmtm, msdn []float64
+	}{
+		{S1, []float64{0.005, 0.25, 0.5, 0.75, 1.0, net}, []float64{0.25, 0.375, 0.5, 0.75, 1.0}},
+		{S2, []float64{0.005, 0.5, 1.0, net}, []float64{0.25, 0.5, 1.0}},
+		{S3, []float64{0.005, 1.0, net}, []float64{0.25, 1.0}},
+	} {
+		if c.s.Steps() != len(c.dmtm) {
+			t.Errorf("s=%d: %d steps, want %d", c.s, c.s.Steps(), len(c.dmtm))
+		}
+		for i := 0; i < len(c.dmtm)+2; i++ {
+			dm, ms := c.s.At(i)
+			if dm != c.dmtm[min(i, len(c.dmtm)-1)] || ms != c.msdn[min(i, len(c.msdn)-1)] {
+				t.Errorf("s=%d: At(%d) = %v, %v", c.s, i, dm, ms)
+			}
+		}
 	}
-	dm, ms := S1.At(0)
-	if dm != 0.005 || ms != 0.25 {
-		t.Errorf("S1.At(0) = %v,%v", dm, ms)
+	if !reflect.DeepEqual(DMTMLadder, []float64{0.005, 0.25, 0.5, 0.75, 1.0}) ||
+		!reflect.DeepEqual(SDNLadder, []float64{0.25, 0.375, 0.5, 0.75, 1.0}) {
+		t.Errorf("ladders DMTM %v, SDN %v", DMTMLadder, SDNLadder)
 	}
-	dm, ms = S1.At(5)
-	if dm != PathnetResolution || ms != 1.0 {
-		t.Errorf("S1.At(5) = %v,%v", dm, ms)
+	for _, s := range []Schedule{0, S3 + 1} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "core: ") {
+					t.Errorf("Schedule(%d).Steps(): panic %q, want a core: panic", s, msg)
+				}
+			}()
+			s.Steps()
+		}()
 	}
-	dm, ms = S3.At(10)
-	if dm != PathnetResolution || ms != 1.0 {
-		t.Errorf("S3.At(10) = %v,%v", dm, ms)
+}
+
+// TestUnmaterialisedLevelPanics pins the kernels' contract: neither bound
+// builds tables for a level assembly did not materialise (no schedule names
+// one), and a call at one panics with its package's prefix instead.
+func TestUnmaterialisedLevelPanics(t *testing.T) {
+	db := buildDB(t, dem.BH, 32, 2, 3)
+	ext := db.Extent
+	a, errA := db.SurfacePointAt(geom.Vec2{X: ext.MinX + 15, Y: ext.MinY + 25})
+	b, errB := db.SurfacePointAt(geom.Vec2{X: ext.MaxX - 35, Y: ext.MaxY - 5})
+	if errA != nil || errB != nil || a.Face == b.Face {
+		t.Fatalf("query points: %v, %v", errA, errB)
 	}
-	if SDNLevel(0.25) != 0 || SDNLevel(1.0) != 4 || SDNLevel(0.4) != 1 {
-		t.Error("SDNLevel mapping wrong")
+	tm := db.Tree.TimeForResolution(0.1)
+	for _, lt := range db.rungTime {
+		if lt == tm {
+			t.Fatalf("resolution 0.1 rounds to a ladder time (%d) here", tm)
+		}
 	}
+	panics := func(prefix string, call func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); !strings.HasPrefix(msg, prefix) {
+				t.Errorf("panic %q, want one prefixed %q", msg, prefix)
+			}
+		}()
+		call()
+	}
+	panics("sdn: ", func() { db.MSDN.LowerBound(a.Pos, b.Pos, ext, 0.6) })
+	panics("multires: ", func() { db.NewSession().est.UpperBound(db.Mesh, a, b, tm, ext, nil) })
 }
 
 func TestMR3ErrorsWithoutObjects(t *testing.T) {

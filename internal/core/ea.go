@@ -83,7 +83,7 @@ func (e *eaState) push(o workload.Object, d float64, k int) float64 {
 // eaDistFull computes one exact (full-resolution) surface distance for the
 // EA benchmark, fetching the full-LOD terrain pages of the search region
 // first.
-func (s *Session) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound float64, fullLevel int32) float64 {
+func (s *Session) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound float64) float64 {
 	db := s.db
 	region := db.Extent
 	if !math.IsInf(bound, 1) {
@@ -92,7 +92,7 @@ func (s *Session) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound float
 		}
 	}
 	s.touchDMTM(region, 0)
-	s.touchSDN(region, fullLevel)
+	s.touchSDN(region, rungLevel[pathnetRung])
 	s.curPhase().UpperBounds++
 	// If no path exists at all, the +Inf distance propagates to the bound
 	// check at the call site instead of masquerading as a finite bound.
@@ -135,7 +135,6 @@ func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 	if err := s.interrupted(); err != nil {
 		return nil, err
 	}
-	fullLevel := SDNLevel(1.0)
 	e := &s.eaSc
 	e.top = e.top[:0]
 
@@ -152,7 +151,7 @@ func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 	s.beginPhase(stats.PhaseRankC1)
 	kth := math.Inf(1)
 	for _, o := range s.objs {
-		kth = e.push(o, s.eaDistFull(q, o, kth, fullLevel), k)
+		kth = e.push(o, s.eaDistFull(q, o, kth), k)
 	}
 	if math.IsInf(kth, 1) {
 		//lint:ignore hotpath-alloc error path: allocates only when no k-th bound exists, never on a successful query
@@ -189,11 +188,11 @@ func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 		}
 		s.curPhase().LowerBounds++
 		lb := db.MSDN.LowerBoundScratch(&s.sdnSc, q.Pos, o.Point.Pos, region, 1.0)
-		s.touchSDN(region, fullLevel)
+		s.touchSDN(region, rungLevel[pathnetRung])
 		if lb.LB > kth {
 			continue // filtered: cannot beat the current k-th neighbour
 		}
-		kth = e.push(o, s.eaDistFull(q, o, kth, fullLevel), k)
+		kth = e.push(o, s.eaDistFull(q, o, kth), k)
 	}
 
 	out := s.rk.resultsBuf[:len(e.top)]

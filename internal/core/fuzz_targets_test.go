@@ -246,18 +246,16 @@ func getOracleTerrain(t testing.TB, preset, seed uint8) *oracleTerrain {
 // FuzzUpperBoundOracle checks the upper half of the paper's guarantee,
 // d_S <= ub, against ground truth: on generated rugged, smooth and flat
 // terrains, for fuzzer-chosen pairs of surface points, every finite DMTM
-// upper bound — at every ladder level and one off-ladder level, searched
-// over the whole extent, over the ellipse rectangle of the bound so far, and
-// as ranker.updateUB runs it (that rectangle narrowed to the descendants of
-// the previous path, widened on failure) — is at least the exact Chen–Han
-// surface distance, and the running minimum the ranker keeps never rises.
+// upper bound — at every ladder level, searched over the whole extent, over
+// the ellipse rectangle of the bound so far, and as ranker.updateUB runs it
+// (that rectangle narrowed to the descendants of the previous path, widened
+// on failure) — is at least the exact Chen–Han surface distance, and the
+// running minimum the ranker keeps never rises.
 func FuzzUpperBoundOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(0), 0.1, 0.2, 0.8, 0.9)
 	f.Add(uint8(1), uint8(1), 0.5, 0.5, 0.51, 0.62)
 	f.Add(uint8(2), uint8(0), 0.25, 0.25, 0.75, 0.75) // flat, along the cells' diagonal
 	f.Add(uint8(0), uint8(3), 0.02, 0.97, 0.98, 0.03)
-	levels := append(append([]float64{}, DMTMLadder[:3]...), 0.6)
-	levels = append(levels, DMTMLadder[3:]...)
 	f.Fuzz(func(t *testing.T, preset, seed uint8, ax, ay, bx, by float64) {
 		ot := getOracleTerrain(t, preset, seed)
 		db := ot.db
@@ -282,13 +280,13 @@ func FuzzUpperBoundOracle(f *testing.F) {
 		r.begin(s, a, 1, S1, Options{}.withDefaults(), false)
 		r.addCand(workload.Object{ID: 1, Point: b})
 		c := &r.cands[0]
-		for _, res := range levels {
-			tm := db.Tree.TimeForResolution(res)
+		for ri, res := range DMTMLadder {
+			tm := db.rungTime[ri]
 			region := r.regionOf(c)
 			sound("whole extent", res, s.est.UpperBound(db.Mesh, a, b, tm, db.Extent, nil).UB)
 			sound("ellipse region", res, s.est.UpperBound(db.Mesh, a, b, tm, region, nil).UB)
 			before := c.ub
-			r.updateUB(c, res, tm)
+			r.updateUB(c, ri)
 			if c.ub > before {
 				t.Fatalf("at %v %%: the ranker's bound rose from %v to %v", 100*res, before, c.ub)
 			}

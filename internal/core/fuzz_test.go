@@ -64,8 +64,8 @@ func TestMR3RandomisedRobustness(t *testing.T) {
 		sched := scheds[rng.Intn(len(scheds))]
 		res, err := db.NewSession().MR3Ctx(bg, q, k, sched, Options{})
 		if err != nil {
-			t.Fatalf("trial %d (%s size=%d n=%d k=%d %s): %v",
-				trial, preset.Name, size, nObj, k, sched.Name, err)
+			t.Fatalf("trial %d (%s size=%d n=%d k=%d s=%d): %v",
+				trial, preset.Name, size, nObj, k, sched, err)
 		}
 		if len(res.Neighbors) != k {
 			t.Fatalf("trial %d: %d neighbours, want %d", trial, len(res.Neighbors), k)

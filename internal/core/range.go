@@ -70,11 +70,11 @@ func (s *Session) surfaceRange(q mesh.SurfacePoint, radius float64, sched Schedu
 			break
 		}
 		r.pc.Iterations++
-		dmRes, sdnRes := sched.At(it)
-		span := r.iterSpan(it, dmRes, sdnRes, len(targets))
+		ri := sched.rung(it)
+		span := r.iterSpan(it, ri, len(targets))
 		// For range queries the dummy-lower-bound test is against the
 		// radius: it is the exclusion threshold.
-		r.iterate(targets, dmRes, sdnRes, radius)
+		r.iterate(targets, ri, radius)
 		s.endSpan(span)
 	}
 

@@ -210,9 +210,9 @@ func (r *ranker) run() error {
 			return nil
 		}
 		r.pc.Iterations++
-		dmRes, sdnRes := r.sched.At(it)
-		span := r.iterSpan(it, dmRes, sdnRes, len(targets))
-		r.iterate(targets, dmRes, sdnRes, r.kthSmallestUB())
+		ri := r.sched.rung(it)
+		span := r.iterSpan(it, ri, len(targets))
+		r.iterate(targets, ri, r.kthSmallestUB())
 		r.s.endSpan(span)
 	}
 	if r.classify() && !r.needTightening() {
@@ -241,18 +241,18 @@ func (r *ranker) run() error {
 }
 
 // iterSpan opens a trace span for one LOD refinement iteration, labelled
-// with the iteration index, the DMTM/SDN resolutions and the number of
-// refinement targets. Returns obs.NoSpan (and allocates nothing) when the
+// with the iteration index, the rung's DMTM/SDN resolutions and the number
+// of refinement targets. Returns obs.NoSpan (and allocates nothing) when the
 // query records no trace.
-func (r *ranker) iterSpan(it int, dmRes, sdnRes float64, targets int) obs.SpanID {
+func (r *ranker) iterSpan(it, ri int, targets int) obs.SpanID {
 	if r.s.cost.trace == nil {
 		return obs.NoSpan
 	}
 	//lint:ignore hotpath-alloc tracing only: the trace==nil guard above keeps untraced queries off this literal
 	return r.s.startSpan("iter", map[string]float64{
 		"i":       float64(it),
-		"dm_res":  dmRes,
-		"sdn_res": sdnRes,
+		"dm_res":  rungs[ri].dmtm,
+		"sdn_res": rungs[ri].msdn,
 		"targets": float64(targets),
 	})
 }
@@ -346,16 +346,12 @@ func (r *ranker) groupRegions(targets []*candidate) int {
 	return len(r.groupRegion)
 }
 
-// iterate performs one resolution iteration over the targets; exclude is
-// the bound a lower bound must exceed to rule its candidate out (the k-th
-// upper bound for k-NN, the radius for a range query).
-func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes, exclude float64) {
+// iterate performs one resolution iteration over the targets at rung ri;
+// exclude is the bound a lower bound must exceed to rule its candidate out
+// (the k-th upper bound for k-NN, the radius for a range query).
+func (r *ranker) iterate(targets []*candidate, ri int, exclude float64) {
 	numGroups := r.groupRegions(targets)
-	level := SDNLevel(sdnRes)
-	tm := int32(0) // the pathnet level owes the full-resolution pages
-	if dmRes < PathnetResolution {
-		tm = r.s.db.Tree.TimeForResolution(dmRes)
-	}
+	tm, level := r.s.db.rungTime[ri], rungLevel[ri]
 	for gi := 0; gi < numGroups; gi++ {
 		// One fetch per integrated I/O region: DMTM connectivity at this
 		// LOD plus the SDN segments of this level. Both are paid for page by
@@ -368,19 +364,19 @@ func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes, exclude float64) {
 			if r.groupOf[ti] != int32(gi) {
 				continue
 			}
-			r.updateUB(c, dmRes, tm)
-			r.updateLB(c, sdnRes, exclude)
+			r.updateUB(c, ri)
+			r.updateLB(c, rungs[ri].msdn, exclude)
 		}
 	}
 }
 
-// updateUB refines the candidate's upper bound at the given DMTM level
+// updateUB refines the candidate's upper bound at rung ri's DMTM level
 // (§4.2.1). The bound is kept as the running minimum, so a failed or looser
 // estimate never hurts correctness.
-func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32) {
+func (r *ranker) updateUB(c *candidate, ri int) {
 	r.pc.UpperBounds++
 	region := r.regionOf(c)
-	if dmRes >= PathnetResolution {
+	if ri == pathnetRung {
 		// No unclipped retry here: a region that clips every path leaves
 		// the bound as it is.
 		d := r.s.clippedDistance(r.q, c.obj.Point, c.ub, region)
@@ -397,6 +393,7 @@ func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32) {
 	}
 	// Refined search region: the descendants of the previous upper-bound
 	// path, represented by those nodes' subtree MBRs (Fig. 6(b)).
+	tm := r.s.db.rungTime[ri]
 	refined := r.refinedRegions(c)
 	est := r.tryUpperBound(c, tm, region, refined)
 	if math.IsInf(est.UB, 1) && len(refined) > 0 {

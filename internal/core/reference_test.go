@@ -147,7 +147,7 @@ func (e *refEngine) run(r *ranker) error {
 
 func (e *refEngine) iterate(r *ranker, targets []*candidate, dmRes, sdnRes, exclude float64) error {
 	numGroups := r.groupRegions(targets)
-	level := SDNLevel(sdnRes)
+	level := sdnLevelOf(sdnRes)
 	for gi := 0; gi < numGroups; gi++ {
 		tm := int32(0)
 		if dmRes < PathnetResolution {
@@ -238,6 +238,16 @@ func refEdgeFilter(tree *multires.Tree, region geom.MBR, refined []geom.MBR) fun
 		}
 		return len(refined) == 0
 	}
+}
+
+// sdnLevelOf is the SDN level materialised at exactly resolution res.
+func sdnLevelOf(res float64) int32 {
+	for i, r := range SDNLadder {
+		if r == res {
+			return int32(i)
+		}
+	}
+	panic(fmt.Sprintf("core: no SDN level at resolution %v", res))
 }
 
 // MR3 is Session.MR3Ctx over the reference path.
@@ -372,7 +382,7 @@ func (e *refEngine) EA(q mesh.SurfacePoint, k int) (Result, error) {
 	s.eaSc.ensure(k)
 	ns, err := func() ([]Neighbor, error) {
 		db := s.db
-		fullLevel := SDNLevel(1.0)
+		fullLevel := sdnLevelOf(1.0)
 		top := &s.eaSc
 		top.top = top.top[:0]
 
@@ -481,7 +491,7 @@ func (e *refEngine) DistanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float6
 				if m := geom.NewEllipse(a.XY(), b.XY(), out.UB).MBR(); !m.IsEmpty() {
 					region = m
 				}
-				s.touchSDN(region, SDNLevel(sdnRes))
+				s.touchSDN(region, sdnLevelOf(sdnRes))
 				if out.LB >= out.UB {
 					e.closed++
 				}
@@ -845,88 +855,6 @@ func TestDistanceQueryMatchesReference(t *testing.T) {
 			}
 			if closedTotal == 0 {
 				t.Fatal("no distance query reached its pathnet step: the skip is never taken")
-			}
-			if f.db.Pool.Stats() != f.ref.Pool.Stats() {
-				t.Fatalf("pool counters: engine %+v, reference %+v", f.db.Pool.Stats(), f.ref.Pool.Stats())
-			}
-		})
-	}
-}
-
-// TestDMTMLadderCoversSchedules ties DMTMLadder to the schedules it serves:
-// it is exactly the sub-pathnet DMTM resolutions of S1–S3, so a rung added to
-// a schedule cannot fall onto the estimator's one rebuilt-per-change table
-// unnoticed.
-func TestDMTMLadderCoversSchedules(t *testing.T) {
-	used := map[float64]bool{}
-	for _, sched := range []Schedule{S1, S2, S3} {
-		for _, res := range sched.DMTM {
-			if res < PathnetResolution {
-				used[res] = true
-			}
-		}
-	}
-	for _, res := range DMTMLadder {
-		if !used[res] {
-			t.Errorf("DMTMLadder materialises %v, which no schedule uses", res)
-		}
-		delete(used, res)
-	}
-	for res := range used {
-		t.Errorf("a schedule uses DMTM resolution %v, which DMTMLadder does not materialise", res)
-	}
-}
-
-// TestOffLadderScheduleMatchesReference runs MR3 and the distance query end
-// to end under a custom schedule whose sub-pathnet rungs are all off the
-// ladder, so every iteration of every query rebuilds the session's own level
-// table at a new time, and holds answers and I/O to the reference.
-func TestOffLadderScheduleMatchesReference(t *testing.T) {
-	sched := Schedule{
-		Name: "off-ladder",
-		DMTM: []float64{0.1, 0.3, 0.6, 0.9, PathnetResolution},
-		MSDN: S1.MSDN,
-	}
-	for _, f := range refFixtures(t) {
-		t.Run(f.name, func(t *testing.T) {
-			s := f.db.NewSession()
-			ref := newRefEngine(t, f.ref)
-			for _, res := range sched.DMTM[:4] {
-				if f.db.Tree.TimeForResolution(res) == f.db.Tree.TimeForResolution(1.0) {
-					continue // 90 % may round to the full mesh on a small terrain
-				}
-				for _, ladder := range DMTMLadder {
-					if f.db.Tree.TimeForResolution(res) == f.db.Tree.TimeForResolution(ladder) {
-						t.Fatalf("resolution %v rounds to the ladder time of %v: not an off-ladder rung here", res, ladder)
-					}
-				}
-			}
-			for qi, q := range f.qs {
-				what := fmt.Sprintf("q %d", qi)
-				got, err := s.MR3Ctx(bg, q, 5, sched, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.MR3(q, 5, sched, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, "MR3 "+what, got, want, ref.takeClosed())
-
-				o := f.db.Objects()[qi]
-				gotD, gotRes, err := s.DistanceWithAccuracyCtx(bg, q, o.Point, 0.9, sched)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantD, wantRes, err := ref.DistanceWithAccuracy(q, o.Point, 0.9, sched)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(gotD.LB) != math.Float64bits(wantD.LB) || math.Float64bits(gotD.UB) != math.Float64bits(wantD.UB) ||
-					gotD.Iterations != wantD.Iterations {
-					t.Fatalf("distance %s: %+v, reference %+v", what, gotD, wantD)
-				}
-				sameResult(t, "distance "+what, gotRes, wantRes, ref.takeClosed())
 			}
 			if f.db.Pool.Stats() != f.ref.Pool.Stats() {
 				t.Fatalf("pool counters: engine %+v, reference %+v", f.db.Pool.Stats(), f.ref.Pool.Stats())

@@ -7,86 +7,94 @@
 // internal/storage so that every experiment reports disk pages accessed.
 package core
 
-import "math"
-
-// SDNLadder lists the SDN resolutions materialised in storage; an SDN
-// "level" is an index into this ladder (§5.3 uses 25–100 %).
-var SDNLadder = []float64{0.25, 0.375, 0.5, 0.75, 1.0}
-
-// DMTMLadder lists the sub-pathnet DMTM resolutions whose level networks are
-// materialised at assembly (the paper's schedules use no other). A level is
-// keyed by its collapse time, Tree.TimeForResolution, so two rungs that
-// round to one time on a small terrain share a table; a custom Schedule may
-// name any other resolution, whose network the session builds on first use.
-var DMTMLadder = []float64{0.005, 0.25, 0.5, 0.75, 1.0}
-
 // PathnetResolution marks the DMTM ">100 %" level: the Steiner-refined
 // pathnet (the paper's "DMTM resolution 200%", where dN = dS by
 // definition).
 const PathnetResolution = 2.0
 
-// Schedule is a resolution step-length schedule (§5.3). Iteration i uses
-// DMTM[i] and MSDN[min(i, len-1)]; once a ladder is exhausted its last
-// entry keeps being used.
-type Schedule struct {
-	Name string
-	DMTM []float64
-	MSDN []float64
+// rungs is the one resolution table every schedule walks (§5.3), coarsest
+// first: rung i pairs a DMTM resolution with an MSDN resolution. S1 steps
+// through every rung, S2 and S3 skip some. The last rung is the pathnet.
+var rungs = [...]struct{ dmtm, msdn float64 }{
+	{0.005, 0.25},
+	{0.25, 0.375},
+	{0.5, 0.5},
+	{0.75, 0.75},
+	{1.0, 1.0},
+	{PathnetResolution, 1.0},
 }
 
-// The paper's three step-length schedules (§5.3).
-var (
-	// S1 (s=1): DMTM 0.5, 25, 50, 75, 100, 200 %; MSDN 25, 37.5, 50, 75, 100 %.
-	S1 = Schedule{
-		Name: "s=1",
-		DMTM: []float64{0.005, 0.25, 0.5, 0.75, 1.0, PathnetResolution},
-		MSDN: []float64{0.25, 0.375, 0.5, 0.75, 1.0},
+// pathnetRung is the index of the pathnet rung.
+const pathnetRung = len(rungs) - 1
+
+// The ladders derived from rungs, which must not be modified:
+//
+//   - DMTMLadder lists the sub-pathnet DMTM resolutions, whose level networks
+//     assembly materialises. A level is keyed by its collapse time, so two
+//     rungs that round to one time on a small terrain share a table.
+//   - SDNLadder lists the distinct MSDN resolutions, whose segments are
+//     materialised in storage. An SDN "level" is an index into it.
+//   - rungLevel is each rung's SDN level.
+var DMTMLadder, SDNLadder, rungLevel = ladders()
+
+func ladders() (dmtm, msdn []float64, level [len(rungs)]int32) {
+	for i, r := range rungs {
+		if i != pathnetRung {
+			dmtm = append(dmtm, r.dmtm)
+		}
+		if n := len(msdn); n == 0 || msdn[n-1] < r.msdn {
+			msdn = append(msdn, r.msdn)
+		}
+		level[i] = int32(len(msdn) - 1)
 	}
+	return dmtm, msdn, level
+}
+
+// Schedule is one of the paper's three resolution step-length schedules
+// (§5.3): S1, S2 or S3, the closed set the wire, SKQL and every caller
+// name. Each step of a schedule is a rung of one resolution table, so no
+// schedule asks for a resolution whose tables assembly did not materialise.
+// Any other Schedule value is a programming error, and a query given one
+// panics.
+type Schedule uint8
+
+const (
+	// S1 (s=1) takes every rung: DMTM 0.5, 25, 50, 75, 100, 200 %; MSDN 25,
+	// 37.5, 50, 75, 100 %.
+	S1 Schedule = iota + 1
 	// S2 (s=2): DMTM 0.5, 50, 100, 200 %; MSDN 25, 50, 100 %.
-	S2 = Schedule{
-		Name: "s=2",
-		DMTM: []float64{0.005, 0.5, 1.0, PathnetResolution},
-		MSDN: []float64{0.25, 0.5, 1.0},
-	}
+	S2
 	// S3 (s=3): DMTM 0.5, 100, 200 %; MSDN 25, 100 %.
-	S3 = Schedule{
-		Name: "s=3",
-		DMTM: []float64{0.005, 1.0, PathnetResolution},
-		MSDN: []float64{0.25, 1.0},
-	}
+	S3
 )
 
+// schedules lists each schedule's rungs, one per refinement iteration.
+var schedules = [...][]uint8{
+	S1: {0, 1, 2, 3, 4, 5},
+	S2: {0, 2, 4, 5},
+	S3: {0, 4, 5},
+}
+
+// walk returns the schedule's rungs.
+func (s Schedule) walk() []uint8 {
+	if s < S1 || s > S3 {
+		panic("core: a Schedule is S1, S2 or S3")
+	}
+	return schedules[s]
+}
+
 // Steps returns the number of refinement iterations in the schedule.
-func (s Schedule) Steps() int {
-	if len(s.DMTM) > len(s.MSDN) {
-		return len(s.DMTM)
-	}
-	return len(s.MSDN)
-}
+func (s Schedule) Steps() int { return len(s.walk()) }
 
-// At returns the (DMTM resolution, MSDN resolution) pair of iteration i,
-// clamping each ladder to its last entry.
+// At returns the (DMTM resolution, MSDN resolution) pair of iteration i;
+// past the last step the last step's pair keeps being used.
 func (s Schedule) At(i int) (dmtm, msdn float64) {
-	di := i
-	if di >= len(s.DMTM) {
-		di = len(s.DMTM) - 1
-	}
-	mi := i
-	if mi >= len(s.MSDN) {
-		mi = len(s.MSDN) - 1
-	}
-	return s.DMTM[di], s.MSDN[mi]
+	r := rungs[s.rung(i)]
+	return r.dmtm, r.msdn
 }
 
-// SDNLevel maps an MSDN resolution to its storage level (nearest ladder
-// entry).
-func SDNLevel(res float64) int32 {
-	best := 0
-	bestD := math.Inf(1)
-	for i, r := range SDNLadder {
-		if d := math.Abs(r - res); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return int32(best)
+// rung returns the rung of iteration i, the last step's past the end.
+func (s Schedule) rung(i int) int {
+	w := s.walk()
+	return int(w[min(i, len(w)-1)])
 }

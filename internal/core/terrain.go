@@ -78,6 +78,10 @@ type TerrainDB struct {
 	sdnStore      *storage.Clustered
 	store         *objstore.Store // versioned object table + Dxy; nil before SetObjects
 	formatVersion int             // snapshot format loaded from, or the current format when built fresh
+
+	// rungTime is each rung's DMTM collapse time, computed once at assembly;
+	// the pathnet rung's is 0, the full-resolution pages it owes.
+	rungTime [len(rungs)]int32
 }
 
 // FormatVersion reports the snapshot format version this database was loaded
@@ -186,10 +190,11 @@ func dmtmRecords(tree *multires.Tree) []storage.ClusterRecord {
 	return recs
 }
 
-// storeDMTM persists the DMTM records and materialises the tree's level
-// networks in storage order, read off the record slice BuildClustered sorted
-// (why: multires.Estimator.UpperBound). The records (48 bytes an edge) die
-// with this frame, before the SDN pass allocates its own.
+// storeDMTM persists the DMTM records, computes the rungs' collapse times
+// and materialises the tree's level network of each in storage order, read
+// off the record slice BuildClustered sorted (why:
+// multires.Estimator.UpperBound). The records (48 bytes an edge) die with
+// this frame, before the SDN pass allocates its own.
 func (db *TerrainDB) storeDMTM() {
 	recs := dmtmRecords(db.Tree)
 	db.dmtmStore = storage.BuildClustered(db.Pool, recs)
@@ -197,11 +202,10 @@ func (db *TerrainDB) storeDMTM() {
 	for i, r := range recs {
 		order[i] = int32(r.ID)
 	}
-	times := make([]int32, len(DMTMLadder))
-	for i, res := range DMTMLadder {
-		times[i] = db.Tree.TimeForResolution(res)
+	for i, r := range rungs[:pathnetRung] {
+		db.rungTime[i] = db.Tree.TimeForResolution(r.dmtm)
 	}
-	db.Tree.Materialize(order, times)
+	db.Tree.Materialize(order, db.rungTime[:pathnetRung])
 }
 
 // SetObjects installs the object dataset at epoch 0: it replaces the whole

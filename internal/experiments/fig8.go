@@ -40,7 +40,7 @@ func Fig8(p Params) (Figure, error) {
 		}
 		pairs = append(pairs, pair{a, b})
 	}
-	dmtmLadder := []float64{0.005, 0.25, 0.5, 0.75, 1.0, core.PathnetResolution}
+	dmtmLadder := append(append([]float64(nil), core.DMTMLadder...), core.PathnetResolution)
 	sdnResList := core.SDNLadder
 	// ubs[pi][di]: monotone upper bounds per pair per DMTM level.
 	ubs := make([][]float64, len(pairs))

@@ -28,10 +28,6 @@ type Estimator struct {
 	fr    graph.Frontier
 	path  []NodeID
 
-	// The network of the last off-ladder time asked for (a custom Schedule),
-	// from the ladder's builder, kept until the time changes.
-	own levelNet
-
 	// Work counters over every UpperBound call, read by tests and
 	// benchmarks: arcs looked at, arcs that passed the admission test (asked
 	// only of arcs that would relax), vertices settled.
@@ -62,16 +58,13 @@ func NewEstimator(t *Tree) *Estimator {
 	}
 }
 
-// level returns the network of time tm: the tree's when tm is a ladder
-// time, the estimator's own otherwise, (re)built when the time changed.
+// level returns the tree's materialised network of time tm. No caller asks
+// for a time Materialize was not given, so one it was not is a panic.
 func (e *Estimator) level(tm int32) *levelNet {
 	if ln := e.t.levelAt(tm); ln != nil {
 		return ln
 	}
-	if e.own.off == nil || e.own.time != tm {
-		e.own.build(e.t, tm)
-	}
-	return &e.own
+	panic("multires: upper bound at a time with no materialised level network")
 }
 
 // admission is the per-estimation edge filter: an edge is in the network iff
@@ -154,11 +147,11 @@ corners:
 }
 
 // UpperBound estimates an upper bound on the surface distance from a to b
-// over the DDM network of collapse time tm restricted to the edges whose
-// rectangle meets region and — when refined is not empty — one of the
-// refined rectangles (Fig. 6(b): the descendants of the previous path). UB
-// is +Inf when the restriction disconnects the points; the caller widens it.
-// The returned Path aliases the estimator.
+// over the DDM network of collapse time tm (a time Materialize was given)
+// restricted to the edges whose rectangle meets region and — when refined is
+// not empty — one of the refined rectangles (Fig. 6(b): the descendants of
+// the previous path). UB is +Inf when the restriction disconnects the points;
+// the caller widens it. The returned Path aliases the estimator.
 //
 // The result is the bits NetworkFromEdgeIDs(tm, fetched ids, that filter) →
 // Embed(a), Embed(b) → DijkstraTarget gave, fetch being the clustered
@@ -189,6 +182,7 @@ corners:
 //
 //sklint:hotpath
 func (e *Estimator) UpperBound(m *mesh.Mesh, a, b mesh.SurfacePoint, tm int32, region geom.MBR, refined []geom.MBR) UpperEstimate {
+	ln := e.level(tm)
 	// Same-face shortcut: the straight on-facet segment is a valid path.
 	if a.Face == b.Face {
 		return UpperEstimate{UB: a.Pos.Dist(b.Pos)}
@@ -205,7 +199,6 @@ func (e *Estimator) UpperBound(m *mesh.Mesh, a, b mesh.SurfacePoint, tm int32, r
 		ad.box.MinX, ad.box.MinY = math.Max(ad.box.MinX, u.MinX), math.Max(ad.box.MinY, u.MinY)
 		ad.box.MaxX, ad.box.MaxY = math.Min(ad.box.MaxX, u.MaxX), math.Min(ad.box.MaxY, u.MaxY)
 	}
-	ln := e.level(tm)
 	var src, dst embedding
 	okA := e.embed(&src, m, a, ln, &ad)
 	okB := e.embed(&dst, m, b, ln, &ad)

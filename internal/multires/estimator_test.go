@@ -69,8 +69,9 @@ func estimatorFixtures(t testing.TB) []estimatorFixture {
 	return out
 }
 
-// times returns the ladder's distinct collapse times and two off-ladder ones.
-func (f estimatorFixture) times() (ladder, off []int32) {
+// times returns the ladder's distinct collapse times.
+func (f estimatorFixture) times() []int32 {
+	var ladder []int32
 	seen := map[int32]bool{}
 	for _, res := range dmtmLadder {
 		if tm := f.tr.TimeForResolution(res); !seen[tm] {
@@ -78,13 +79,7 @@ func (f estimatorFixture) times() (ladder, off []int32) {
 			ladder = append(ladder, tm)
 		}
 	}
-	for _, res := range []float64{0.1, 0.6} {
-		if tm := f.tr.TimeForResolution(res); !seen[tm] {
-			seen[tm] = true
-			off = append(off, tm)
-		}
-	}
-	return ladder, off
+	return ladder
 }
 
 // facePoint returns a random point of face f.
@@ -141,10 +136,10 @@ func sameEstimate(t *testing.T, what string, got, want UpperEstimate) {
 }
 
 // TestEstimatorMatchesNetwork pins the Estimator's guarantee: on every
-// fixture, at every ladder time and two off-ladder times, over random point
-// pairs, regions and refined regions — and the named corner cases — its
-// upper bounds and node paths are bit-identical to NetworkFromEdgeIDs(ids
-// passing the filter, in storage order) → Embed → UpperBound.
+// fixture, at every ladder time, over random point pairs, regions and
+// refined regions — and the named corner cases — its upper bounds and node
+// paths are bit-identical to NetworkFromEdgeIDs(ids passing the filter, in
+// storage order) → Embed → UpperBound.
 func TestEstimatorMatchesNetwork(t *testing.T) {
 	inf := math.Inf(1)
 	everything := geom.MBR{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}
@@ -160,20 +155,11 @@ func TestEstimatorMatchesNetwork(t *testing.T) {
 			randomBox := func(frac float64) geom.MBR {
 				return box(geom.Vec2{X: ext.MinX + rng.Float64()*ext.Width(), Y: ext.MinY + rng.Float64()*ext.Height()}, frac)
 			}
-			ladder, off := f.times()
-			if f.name == "tiny" && len(ladder) >= len(dmtmLadder) {
-				t.Fatalf("ladder times %v: no two rungs share a collapse time", ladder)
+			times := f.times()
+			if f.name == "tiny" && len(times) >= len(dmtmLadder) {
+				t.Fatalf("ladder times %v: no two rungs share a collapse time", times)
 			}
 			finite, infinite, withPath := 0, 0, 0
-			// Off-ladder times alternate so that the estimator's own table is
-			// rebuilt, reused and rebuilt again.
-			var times []int32
-			for i, tm := range ladder {
-				times = append(times, tm)
-				if len(off) > 0 {
-					times = append(times, off[i%len(off)])
-				}
-			}
 			for _, tm := range times {
 				for trial := 0; trial < 48; trial++ {
 					a := facePoint(f.m, mesh.FaceID(rng.Intn(f.m.NumFaces())), rng)
@@ -254,9 +240,8 @@ func TestEstimatorMatchesNetwork(t *testing.T) {
 }
 
 // TestEstimatorReusableAcrossLevels: an estimation does not depend on what
-// the estimator ran before — other levels, other off-ladder times, failed
-// searches — and a warm estimator allocates nothing, also right after an
-// off-ladder time made it rebuild its own table.
+// the estimator ran before — other levels, failed searches — and a warm
+// estimator allocates nothing.
 func TestEstimatorReusableAcrossLevels(t *testing.T) {
 	f := estimatorFixtures(t)[1]
 	rng := rand.New(rand.NewSource(9))
@@ -264,15 +249,14 @@ func TestEstimatorReusableAcrossLevels(t *testing.T) {
 	a := facePoint(f.m, 3, rng)
 	b := facePoint(f.m, mesh.FaceID(f.m.NumFaces()-4), rng)
 	refined := []geom.MBR{ext}
-	ladder, off := f.times()
-	all := append(append([]int32{}, ladder...), off...)
+	ladder := f.times()
 
 	warm := NewEstimator(f.tr)
-	for _, tm := range all { // dirty the warm estimator, both off-ladder times included
+	for _, tm := range ladder { // dirty the warm estimator
 		warm.UpperBound(f.m, a, b, tm, ext, nil)
 		warm.UpperBound(f.m, b, a, tm, geom.EmptyMBR(), nil)
 	}
-	for _, tm := range all {
+	for _, tm := range ladder {
 		fresh := NewEstimator(f.tr).UpperBound(f.m, a, b, tm, ext, refined)
 		if math.IsInf(fresh.UB, 1) {
 			t.Fatalf("time %d: no estimate over the whole terrain", tm)
@@ -283,15 +267,11 @@ func TestEstimatorReusableAcrossLevels(t *testing.T) {
 	if raceEnabled {
 		return // allocation counts are unreliable under -race
 	}
-	for _, tm := range off {
-		warm.UpperBound(f.m, a, b, tm, ext, nil) // rebuilds the estimator's own table
-		if n := testing.AllocsPerRun(20, func() {
+	if n := testing.AllocsPerRun(20, func() {
+		for _, tm := range ladder {
 			warm.UpperBound(f.m, a, b, tm, ext, refined)
-			for _, lt := range ladder {
-				warm.UpperBound(f.m, a, b, lt, ext, refined)
-			}
-		}); n != 0 {
-			t.Fatalf("warm estimator allocates %.1f times after off-ladder time %d, want 0", n, tm)
 		}
+	}); n != 0 {
+		t.Fatalf("warm estimator allocates %.1f times, want 0", n)
 	}
 }

@@ -21,12 +21,11 @@ type levelNet struct {
 	arcs []levelArc
 }
 
-// build fills ln with the network alive at tm, reusing its slices when they
-// are large enough (the estimator's off-ladder table) and sizing them
-// exactly otherwise: one pass over the records counts each node's arcs, a
-// prefix sum places them, a second pass fills — no append growth, and no
-// cursor array (off[v] is node v's cursor while filling, which leaves every
-// entry one node early; the last loop shifts them back).
+// build fills the empty ln with the network alive at tm, sized exactly: one
+// pass over the records counts each node's arcs, a prefix sum places them, a
+// second pass fills — no append growth, and no cursor array (off[v] is node
+// v's cursor while filling, which leaves every entry one node early; the
+// last loop shifts them back).
 //
 // Exactness (the argument is at Estimator.UpperBound) rests on one thing
 // here: the records are walked in t.order, the storage order read off the
@@ -39,15 +38,8 @@ type levelNet struct {
 func (ln *levelNet) build(t *Tree, tm int32) {
 	n := len(t.Nodes)
 	ln.time = tm
-	if cap(ln.off) < n+1 {
-		//lint:ignore hotpath-alloc table build: at assembly, or when a custom schedule first names an off-ladder time — never on a warm query
-		ln.off = make([]int32, n+1)
-	}
-	ln.off = ln.off[:n+1]
+	ln.off = make([]int32, n+1)
 	off := ln.off
-	for i := range off {
-		off[i] = 0
-	}
 	for _, id := range t.order {
 		if e := &t.Edges[id]; e.Birth <= tm && tm < e.Death {
 			off[e.U+1]++
@@ -57,12 +49,7 @@ func (ln *levelNet) build(t *Tree, tm int32) {
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
-	if total := int(off[n]); cap(ln.arcs) < total {
-		//lint:ignore hotpath-alloc table build, as above
-		ln.arcs = make([]levelArc, total)
-	} else {
-		ln.arcs = ln.arcs[:total]
-	}
+	ln.arcs = make([]levelArc, off[n])
 	for _, id := range t.order {
 		if e := &t.Edges[id]; e.Birth <= tm && tm < e.Death {
 			ln.arcs[off[e.U]] = levelArc{to: e.W, w: e.D}

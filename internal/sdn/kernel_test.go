@@ -43,12 +43,12 @@ func sameBox(a, b geom.Box3) bool {
 		eq(a.Max.X, b.Max.X) && eq(a.Max.Y, b.Max.Y) && eq(a.Max.Z, b.Max.Z)
 }
 
-// kernelFixture is one terrain with a materialised MSDN (the served
-// configuration) and a bare one (every table built per call).
+// kernelFixture is one terrain with an MSDN materialised at the ladder, as
+// assembly serves it.
 type kernelFixture struct {
-	name       string
-	ext        geom.MBR
-	ms, bareMS *MSDN
+	name string
+	ext  geom.MBR
+	ms   *MSDN
 }
 
 var (
@@ -70,9 +70,7 @@ func kernelFixtures() []kernelFixture {
 			{"EP", mesh.FromGrid(dem.Synthesize(dem.EP, 16, 10, 6))},
 			{"flat", mesh.FromGrid(dem.NewGrid(17, 17, 10))},
 		} {
-			ms := BuildMSDN(f.m, 0)
-			ms.Materialize(testLadder)
-			kernelFixtureList = append(kernelFixtureList, kernelFixture{f.name, f.m.Extent(), ms, BuildMSDN(f.m, 0)})
+			kernelFixtureList = append(kernelFixtureList, kernelFixture{f.name, f.m.Extent(), ladderMSDN(f.m, 0)})
 		}
 	})
 	return kernelFixtureList
@@ -153,38 +151,13 @@ func TestChainKernelMatchesReference(t *testing.T) {
 					var prevPath []Segment
 					for _, res := range testLadder {
 						what := fmt.Sprintf("%s a=%v b=%v region#%d res=%v", f.name, a, b, ri, res)
-						full := checkPair(t, what+" tables", f.ms, &sc, a, b, region, res, prevPath)
-						checkPair(t, what+" per-call", f.bareMS, &sc, a, b, region, res, rebind(prevPath, f.ms, f.bareMS))
+						full := checkPair(t, what, f.ms, &sc, a, b, region, res, prevPath)
 						prevPath = append(prevPath[:0], full.Path...)
 					}
-					// Off the ladder: no shared table exists, both MSDNs build
-					// theirs into the scratch.
-					checkPair(t, f.name+" off-ladder", f.ms, &sc, a, b, region, 0.6, prevPath)
 				}
 			}
 		})
 	}
-}
-
-// rebind maps a path over one MSDN's lines onto the equal lines of another
-// built from the same mesh, so both sides of a comparison see the same
-// envelope (the boxes are what matters; Line only labels them).
-func rebind(path []Segment, from, to *MSDN) []Segment {
-	out := make([]Segment, len(path))
-	for i, s := range path {
-		out[i] = s
-		for li, cl := range from.XLines {
-			if cl == s.Line {
-				out[i].Line = to.XLines[li]
-			}
-		}
-		for li, cl := range from.YLines {
-			if cl == s.Line {
-				out[i].Line = to.YLines[li]
-			}
-		}
-	}
-	return out
 }
 
 // TestChainKernelPrunes pins that the pruning actually prunes: on a
@@ -206,14 +179,14 @@ func TestChainKernelPrunes(t *testing.T) {
 	}
 }
 
-// TestWarmChainAllocatesNothing pins the zero-alloc warm path for both table
-// sources: shared level tables and per-call tables in the scratch.
+// TestWarmChainAllocatesNothing pins the zero-alloc warm path over the shared
+// level tables.
 func TestWarmChainAllocatesNothing(t *testing.T) {
 	f := kernelFixtures()[0]
 	a := geom.Vec3{X: f.ext.MinX + 7, Y: f.ext.MinY + 11, Z: 3}
 	b := geom.Vec3{X: f.ext.MaxX - 5, Y: f.ext.MaxY - 9, Z: 8}
 	var sc Scratch
-	for _, res := range []float64{0.5, 0.6} {
+	for _, res := range testLadder {
 		full := f.ms.LowerBoundScratch(&sc, a, b, f.ext, res)
 		prev := append([]Segment(nil), full.Path...)
 		if n := testing.AllocsPerRun(20, func() {
@@ -230,7 +203,7 @@ func TestWarmChainAllocatesNothing(t *testing.T) {
 }
 
 // FuzzChainKernel drives the differential check from fuzzed endpoints,
-// region and resolution on all three fixtures.
+// region and ladder resolution on all three fixtures.
 //
 //	go test ./internal/sdn -run='^$' -fuzz=FuzzChainKernel -fuzztime=60s
 func FuzzChainKernel(f *testing.F) {
@@ -254,14 +227,9 @@ func FuzzChainKernel(f *testing.F) {
 		// that miss the terrain are inputs too.
 		r0, r1 := at(rx0, ry0, 0), at(rx1, ry1, 0)
 		region := geom.MBR{MinX: r0.X, MinY: r0.Y, MaxX: r1.X, MaxY: r1.Y}
-		// Ladder resolutions and, past its end, one the ladder does not hold.
-		res := 0.6
-		if i := int(resSel) % (len(testLadder) + 1); i < len(testLadder) {
-			res = testLadder[i]
-		}
+		res := testLadder[int(resSel)%len(testLadder)]
 		var sc Scratch
 		coarse := refLowerBound(fx.ms, a, b, region, testLadder[0], nil, 0)
-		checkPair(t, "fuzz tables", fx.ms, &sc, a, b, region, res, coarse.Path)
-		checkPair(t, "fuzz per-call", fx.bareMS, &sc, a, b, region, res, rebind(coarse.Path, fx.ms, fx.bareMS))
+		checkPair(t, "fuzz", fx.ms, &sc, a, b, region, res, coarse.Path)
 	})
 }

@@ -20,8 +20,8 @@ type LowerEstimate struct {
 }
 
 // layer is one crossing line's contribution to a chain: a contiguous run of
-// a segment table (shared on the MSDN, or built into the Scratch) and where
-// its dist/prev entries sit in the arena.
+// one of the MSDN's segment tables and where its dist/prev entries sit in the
+// arena.
 type layer struct {
 	line   *CrossLine
 	tab    *lineTable
@@ -37,15 +37,13 @@ type layer struct {
 // estimation allocates nothing. The layered chain DP runs over one arena:
 // every kept layer's run is appended to dist/prev (prev holds absolute arena
 // indices, -1 on the first layer). Segment geometry is not copied — layers
-// point into the MSDN's shared, immutable level tables; only a resolution
-// that was not materialised builds its tables here, in own. A Scratch is
-// owned by a single goroutine; zero value is ready to use.
+// point into the MSDN's shared, immutable level tables. A Scratch is owned
+// by a single goroutine; zero value is ready to use.
 type Scratch struct {
 	between   []int32    // indices into the chosen family's lines, a's side first
 	envBoxes  []geom.MBR // envelope boxes, margin on both axes
 	envNarrow []geom.MBR // the same boxes with the margin on the plane axis only
 	layers    []layer
-	own       []lineTable // per-call tables of an off-ladder resolution, one per plane
 	dist      []float64
 	prev      []int32
 	path      []Segment
@@ -63,7 +61,8 @@ func (sc *Scratch) Pairs() int64 { return sc.pairs }
 // b at the given SDN resolution, restricted to region (pass the search
 // ellipse's MBR; the bound is valid for any path staying inside region,
 // in particular for every path no longer than the current upper bound when
-// region is that upper bound's ellipse).
+// region is that upper bound's ellipse). The resolution must be one the
+// MSDN materialised (see Materialize); any other panics.
 //
 // The Euclidean distance is always a valid floor, so the result is never
 // below it.
@@ -181,6 +180,7 @@ type envelope struct {
 // The boolean is false only for a narrow envelope that emptied a layer its
 // wide form keeps (see EnvelopeExceeds); the estimate is then void.
 func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, env envelope) (LowerEstimate, bool) {
+	tabs := ms.tables(useX, resolution)
 	euclid := a.Dist(b)
 	// Axis roles for this family: "plane" is the coordinate the cutting
 	// planes fix, "free" the one their crossing lines run along.
@@ -224,12 +224,6 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 	if env.narrow {
 		boxes = sc.envNarrow
 	}
-	shared := ms.tables(useX, resolution)
-	if shared == nil && len(sc.own) < len(between) {
-		// Grown before any layer points into it: the per-call tables must not
-		// move while the chain runs.
-		sc.own = append(sc.own, make([]lineTable, len(between)-len(sc.own))...)
-	}
 
 	// Layered dynamic program: dist[k] = shortest chain from a to arena
 	// entry k. Each kept layer occupies a contiguous arena span; prev holds
@@ -237,15 +231,8 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 	est := LowerEstimate{}
 	sc.layers = sc.layers[:0]
 	end := 0 // arena length
-	for bi, li := range between {
-		cl := lines[li]
-		var tab *lineTable
-		if shared != nil {
-			tab = &shared[li]
-		} else {
-			tab = &sc.own[bi]
-			tab.build(cl, resolution)
-		}
+	for _, li := range between {
+		cl, tab := lines[li], &tabs[li]
 		lo, hi := tab.run(minF, maxF)
 		if lo == hi {
 			// The region cut this line entirely; a path could still cross

@@ -15,6 +15,14 @@ func rugged(size int, seed int64) *mesh.Mesh {
 	return mesh.FromGrid(dem.Synthesize(dem.BH, size, 10, seed))
 }
 
+// ladderMSDN builds m's MSDN with the ladder's tables materialised, as
+// assembly does.
+func ladderMSDN(m *mesh.Mesh, spacing float64) *MSDN {
+	ms := BuildMSDN(m, spacing)
+	ms.Materialize(testLadder)
+	return ms
+}
+
 func TestExtractCrossLineFlat(t *testing.T) {
 	t.Parallel()
 	m := mesh.FromGrid(dem.NewGrid(5, 5, 10)) // flat 40x40
@@ -122,7 +130,7 @@ func TestBuildMSDN(t *testing.T) {
 func TestLowerBoundFlat(t *testing.T) {
 	t.Parallel()
 	m := mesh.FromGrid(dem.NewGrid(9, 9, 10))
-	ms := BuildMSDN(m, 10)
+	ms := ladderMSDN(m, 10)
 	a := geom.Vec3{X: 5, Y: 40, Z: 0}
 	b := geom.Vec3{X: 75, Y: 42, Z: 0}
 	est := ms.LowerBound(a, b, m.Extent(), 1.0)
@@ -142,7 +150,7 @@ func TestLowerBoundBelowExact(t *testing.T) {
 	m := rugged(8, 11)
 	loc := mesh.NewLocator(m)
 	solver := geodesic.NewSolver(m)
-	ms := BuildMSDN(m, 0)
+	ms := ladderMSDN(m, 0)
 	ext := m.Extent()
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
@@ -172,7 +180,7 @@ func TestLowerBoundBelowExact(t *testing.T) {
 func TestLowerBoundMonotoneNested(t *testing.T) {
 	t.Parallel()
 	m := rugged(8, 17)
-	ms := BuildMSDN(m, 0)
+	ms := ladderMSDN(m, 0)
 	ext := m.Extent()
 	loc := mesh.NewLocator(m)
 	rng := rand.New(rand.NewSource(19))
@@ -201,7 +209,7 @@ func TestLowerBoundMonotoneNested(t *testing.T) {
 func TestLowerBoundEnvelope(t *testing.T) {
 	t.Parallel()
 	m := rugged(8, 23)
-	ms := BuildMSDN(m, 0)
+	ms := ladderMSDN(m, 0)
 	ext := m.Extent()
 	loc := mesh.NewLocator(m)
 	ap, errA := mesh.MakeSurfacePoint(m, loc, geom.Vec2{X: ext.MinX + 5, Y: ext.MinY + 8})
@@ -242,7 +250,7 @@ func TestLowerBoundEnvelope(t *testing.T) {
 func TestLowerBoundNoPlanesBetween(t *testing.T) {
 	t.Parallel()
 	m := rugged(8, 29)
-	ms := BuildMSDN(m, 0)
+	ms := ladderMSDN(m, 0)
 	a := geom.Vec3{X: 10, Y: 10, Z: 5}
 	b := geom.Vec3{X: 10.5, Y: 10.2, Z: 5}
 	est := ms.LowerBound(a, b, m.Extent(), 1.0)
@@ -275,7 +283,7 @@ func TestFamilyChoice(t *testing.T) {
 func TestLowerBoundBothNeverWorse(t *testing.T) {
 	t.Parallel()
 	m := rugged(8, 41)
-	ms := BuildMSDN(m, 0)
+	ms := ladderMSDN(m, 0)
 	ext := m.Extent()
 	loc := mesh.NewLocator(m)
 	solver := geodesic.NewSolver(m)

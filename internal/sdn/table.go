@@ -43,12 +43,11 @@ func keepCount(n int, resolution float64) int {
 	return keep
 }
 
-// build fills t with the line's segments at the given resolution, reusing
-// t's capacity. It is the one materialisation of an SDN level: the shared
-// tables on the MSDN and the per-call tables a Scratch builds for an
-// off-ladder resolution both come from here. Each box accumulates through
-// geom.Box3.ExtendPoint, so its bits equal those of a box built by scanning
-// the span's points.
+// build fills the empty table t with the line's segments at the given
+// resolution, sized exactly: one float64 slab cut into the six bound arrays.
+// It is the one materialisation of an SDN level (see MSDN.Materialize). Each
+// box accumulates through geom.Box3.ExtendPoint, so its bits equal those of
+// a box built by scanning the span's points.
 func (t *lineTable) build(cl *CrossLine, resolution float64) {
 	n := 0
 	keep := 0
@@ -56,7 +55,11 @@ func (t *lineTable) build(cl *CrossLine, resolution float64) {
 		keep = keepCount(len(cl.Pts), resolution)
 		n = keep - 1
 	}
-	t.resize(n)
+	slab := make([]float64, 6*n)
+	t.fLo, t.fHi = slab[0:n:n], slab[n:2*n:2*n]
+	t.pLo, t.pHi = slab[2*n:3*n:3*n], slab[3*n:4*n:4*n]
+	t.zLo, t.zHi = slab[4*n:5*n:5*n], slab[5*n:6*n:6*n]
+	t.span = make([]int32, n+1)
 	t.pMin, t.pMax = math.Inf(1), math.Inf(-1)
 	if n == 0 {
 		return
@@ -103,25 +106,6 @@ func (t *lineTable) box(k int, axis Axis) geom.Box3 {
 	}
 }
 
-// resize sets the table to n segments. A table that is too small is
-// reallocated exactly: one float64 slab cut into the six bound arrays, so a
-// shared table carries no slack and a Scratch table stops growing once it has
-// seen the longest line.
-func (t *lineTable) resize(n int) {
-	if n > cap(t.fLo) || n+1 > cap(t.span) {
-		slab := make([]float64, 6*n)
-		t.fLo, t.fHi = slab[0:n:n], slab[n:2*n:2*n]
-		t.pLo, t.pHi = slab[2*n:3*n:3*n], slab[3*n:4*n:4*n]
-		t.zLo, t.zHi = slab[4*n:5*n:5*n], slab[5*n:6*n:6*n]
-		t.span = make([]int32, n+1)
-		return
-	}
-	t.fLo, t.fHi = t.fLo[:n], t.fHi[:n]
-	t.pLo, t.pHi = t.pLo[:n], t.pHi[:n]
-	t.zLo, t.zHi = t.zLo[:n], t.zHi[:n]
-	t.span = t.span[:n+1]
-}
-
 // run returns the half-open range of segments whose free-axis interval meets
 // [minF, maxF] — two binary searches over the monotone bounds, in place of
 // testing every segment's box. A NaN bound selects nothing, as the box test
@@ -158,11 +142,10 @@ type level struct {
 }
 
 // Materialize builds the segment tables of every crossing line at each of
-// the given resolutions and keeps them on the MSDN. A lower bound asked at
-// one of these resolutions then reads the shared tables; any other
-// resolution builds its tables per call. It is a setup step: call it before
-// queries start — afterwards the tables are immutable and shared read-only
-// by every session.
+// the given resolutions and keeps them on the MSDN. A lower bound reads
+// these shared tables, and one asked at any other resolution panics. It is a
+// setup step: call it before queries start — afterwards the tables are
+// immutable and shared read-only by every session.
 func (ms *MSDN) Materialize(resolutions []float64) {
 	ms.levels = make([]level, len(resolutions))
 	for i, res := range resolutions {
@@ -193,10 +176,11 @@ func (ms *MSDN) Footprints(i int, visit func(geom.MBR)) {
 }
 
 // tables returns the shared per-line tables of one family at exactly this
-// resolution, or nil when it was not materialised.
+// resolution. No caller asks for a resolution that was not materialised, so
+// one that was not is a panic.
 func (ms *MSDN) tables(useX bool, resolution float64) []lineTable {
 	for i := range ms.levels {
-		//lint:ignore float-eq a level is keyed by the exact resolution it was built at; a near miss must build its own tables, not borrow a neighbour's
+		//lint:ignore float-eq a level is keyed by the exact resolution it was built at; a near miss must not borrow a neighbour's tables
 		if ms.levels[i].res == resolution {
 			if useX {
 				return ms.levels[i].x
@@ -204,5 +188,5 @@ func (ms *MSDN) tables(useX bool, resolution float64) []lineTable {
 			return ms.levels[i].y
 		}
 	}
-	return nil
+	panic("sdn: lower bound at a resolution the MSDN did not materialise")
 }

@@ -32,7 +32,7 @@ import (
 // engine's values.
 func tuning(sched int, o *api.Options) (core.Schedule, core.Options, error) {
 	if err := front.CheckTuning(sched, o); err != nil {
-		return core.Schedule{}, core.Options{}, err
+		return 0, core.Options{}, err
 	}
 	s, _ := skexec.Schedule(sched) // vetted above
 	opt, err := skexec.CoreOptions(o)

@@ -45,9 +45,10 @@ type Outcome struct {
 	Safe core.SafeRegion
 }
 
-// Schedule maps a plan's schedule number onto the paper's schedules
-// (default 1). The false return is unreachable for planner-built plans —
-// the planner validates s — but hand-built plans go through it too.
+// Schedule maps a schedule number onto the paper's schedules (0 selects the
+// default, 1): the one mapping of plans, wire requests and the skquery
+// -sched flag. The false return is unreachable for planner-built plans — the
+// planner validates s — but hand-built plans go through it too.
 func Schedule(n int) (core.Schedule, bool) {
 	switch n {
 	case 0, 1:
@@ -57,7 +58,7 @@ func Schedule(n int) (core.Schedule, bool) {
 	case 3:
 		return core.S3, true
 	}
-	return core.Schedule{}, false
+	return 0, false
 }
 
 // CoreOptions maps the wire options onto core.Options, validating

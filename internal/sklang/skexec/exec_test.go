@@ -286,7 +286,7 @@ func TestAnnotate(t *testing.T) {
 func TestSchedStepsPinned(t *testing.T) {
 	for n, sched := range map[int]core.Schedule{1: core.S1, 2: core.S2, 3: core.S3} {
 		if got := sklang.SchedSteps(n); got != sched.Steps() {
-			t.Errorf("sklang.SchedSteps(%d) = %d, want %d (core %s)", n, got, sched.Steps(), sched.Name)
+			t.Errorf("sklang.SchedSteps(%d) = %d, want %d", n, got, sched.Steps())
 		}
 	}
 }

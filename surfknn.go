@@ -98,7 +98,9 @@ type (
 	Options = core.Options
 	// Option is a functional Options setting (see NewOptions).
 	Option = core.Option
-	// Schedule is a resolution step-length schedule (§5.3).
+	// Schedule is one of the paper's step-length schedules (§5.3): S1, S2
+	// or S3, a closed set. Each step names a rung of one resolution table,
+	// so a custom schedule cannot be built.
 	Schedule = core.Schedule
 	// Result is a query result: the neighbours plus the structured Cost
 	// breakdown (and, when tracing, the phase Trace).
@@ -153,7 +155,7 @@ type (
 )
 
 // The paper's three step-length schedules.
-var (
+const (
 	// S1 walks every resolution level (most I/O, tightest refinement).
 	S1 = core.S1
 	// S2 skips every other level.
