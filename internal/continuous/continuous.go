@@ -312,17 +312,6 @@ func (m *Monitor) Unsubscribe(id uint64) bool {
 func (m *Monitor) onUpdate(ev objstore.UpdateEvent) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !ev.Regions || len(ev.IDs) != len(ev.Points) {
-		// No region information: everything is potentially affected.
-		m.stats.InvalidateAlls.Add(1)
-		for _, s := range m.subs {
-			if s.valid {
-				s.valid = false
-				m.stats.Invalidations.Add(1)
-			}
-		}
-		return
-	}
 	for _, s := range m.subs {
 		if !s.valid {
 			continue

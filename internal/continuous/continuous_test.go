@@ -11,7 +11,6 @@ import (
 	"surfknn/internal/dem"
 	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
-	"surfknn/internal/objstore"
 	"surfknn/internal/obs"
 	"surfknn/internal/workload"
 )
@@ -238,27 +237,6 @@ func TestEpochInvalidation(t *testing.T) {
 		t.Fatal("out-of-guard update destroyed a provably unaffected cache")
 	} else if got.Epoch != db.CurrentEpoch() {
 		t.Fatalf("re-stamped cache at epoch %d, store at %d", got.Epoch, db.CurrentEpoch())
-	}
-}
-
-// TestInvalidateAllOnRegionlessEvent: an update event without region
-// information must conservatively invalidate every subscription.
-func TestInvalidateAllOnRegionlessEvent(t *testing.T) {
-	db := newTestDB(t, 60, 31)
-	mon, err := New(db, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mon.Close()
-
-	id, _, sr := subscribeWithRadius(t, db, mon, 2)
-	cur := db.CurrentEpoch()
-	mon.onUpdate(objstore.UpdateEvent{Prev: cur, Epoch: cur + 1, Regions: false})
-	if _, _, ok := mon.TryMove(id, sr.Center); ok {
-		t.Fatal("subscription survived a regionless event")
-	}
-	if mon.Stats().InvalidateAlls.Value() != 1 {
-		t.Fatalf("InvalidateAlls = %d, want 1", mon.Stats().InvalidateAlls.Value())
 	}
 }
 

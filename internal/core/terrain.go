@@ -54,7 +54,7 @@ func (c Config) withDefaults() (Config, error) {
 // R-tree (the paper's Dxy), held in a versioned objstore.Store.
 //
 // After construction the terrain structures are immutable. The object set
-// is dynamic: Insert/Delete/Upsert on ObjectStore() publish new epochs
+// is dynamic: Upsert/Delete on ObjectStore() publish new epochs
 // while queries run — each query pins one epoch at beginQuery and sees that
 // single consistent version throughout (see internal/objstore). Queries
 // read everything through per-query Sessions (see NewSession), so any
@@ -213,7 +213,7 @@ func (db *TerrainDB) storeDMTM() {
 // Dxy R-tree is built over their (x,y) projections. It is a setup step, not
 // a query: call it before any session starts querying (it swaps the store
 // that concurrent queries pin without locks). Incremental changes under
-// live traffic go through ObjectStore().Insert/Delete/Upsert instead.
+// live traffic go through ObjectStore().Upsert/Delete instead.
 func (db *TerrainDB) SetObjects(objs []workload.Object) {
 	db.SetObjectsAt(objs, 0)
 }

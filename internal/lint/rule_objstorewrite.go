@@ -19,7 +19,7 @@ import (
 // mutates an immutable snapshot under concurrent readers: a data race
 // -race only catches when a reader happens to overlap, and a corruption
 // of epochs that share the base table even when it does not. The
-// sanctioned write path is objstore.Store (Insert/Upsert/Delete), which
+// sanctioned write path is objstore.Store (Upsert/Delete/ApplyAt), which
 // publishes a new epoch. Package objstore itself is exempt — building the
 // tables is its job.
 //

@@ -2,10 +2,13 @@
 // and its 2-D R-tree (the paper's Dxy), made updatable under live query
 // traffic without a rebuild or a stop-the-world.
 //
-// Visibility is epoch-based MVCC. Every Insert/Delete/Upsert publishes a new
-// immutable Epoch (a monotonically increasing uint64 version): a copy-on-
-// write delta layer — upserted objects plus a tombstone set over a bulk-
-// packed immutable base — with its own small R-tree overlay. Readers Pin the
+// Visibility is epoch-based MVCC. Upsert, Delete and ApplyAt (a
+// coordinator's replay) are one writer: each is a batch of deletions then
+// upserts that publishes a new immutable Epoch (a monotonically increasing
+// uint64 version): a copy-on-write delta layer — upserted objects plus a
+// tombstone set over a bulk-packed immutable base — with its own small
+// R-tree overlay. A local write that touches nothing publishes nothing; a
+// replay publishes exactly the epoch it names. Readers Pin the
 // current epoch once per query and see exactly that version for the whole
 // query, no matter how many updates commit meanwhile. When the delta grows
 // past the compaction threshold, the next update folds everything into a
@@ -50,8 +53,13 @@ type baseTable struct {
 	tree    *index.RTree
 }
 
-func newBaseTable(objs []workload.Object) *baseTable {
-	b := &baseTable{objects: objs, byID: make(map[int64]workload.Object, len(objs)), tree: BulkIndex(objs)}
+// newBaseTable wraps objs with its ID lookup and tree, bulk-packing the tree
+// when none is supplied.
+func newBaseTable(objs []workload.Object, tree *index.RTree) *baseTable {
+	if tree == nil {
+		tree = BulkIndex(objs)
+	}
+	b := &baseTable{objects: objs, byID: make(map[int64]workload.Object, len(objs)), tree: tree}
 	for _, o := range objs {
 		b.byID[o.ID] = o
 	}
@@ -244,23 +252,21 @@ func (e *Epoch) Release() {
 // is what lets a continuous-query monitor invalidate only the standing
 // queries whose search region the update could actually affect.
 //
-// IDs and Points are parallel. An insert contributes its new position; a
-// delete its old one; an upsert that moved an existing object contributes
-// BOTH positions (two entries, same ID) — an object leaving a search region
-// changes that region's answer just as surely as one entering it. When
-// Regions is false the positions are unavailable and a listener must treat
-// every standing query as potentially affected.
+// IDs and Points are parallel. An upsert of a new ID contributes its new
+// position; a delete its old one; an upsert that moved an existing object
+// contributes BOTH positions (two entries, same ID) — an object leaving a
+// search region changes that region's answer just as surely as one entering
+// it.
 type UpdateEvent struct {
-	Prev    uint64 // epoch superseded by this update
-	Epoch   uint64 // epoch published by this update
-	IDs     []int64
-	Points  []geom.Vec2
-	Regions bool
+	Prev   uint64 // epoch superseded by this update
+	Epoch  uint64 // epoch published by this update
+	IDs    []int64
+	Points []geom.Vec2
 }
 
 // Store is the versioned object store. Create with New or NewAt; one Store
 // serves any number of concurrent readers (Pin/Current) and writers
-// (Insert/Delete/Upsert). Writers serialise on an internal mutex; readers
+// (Upsert/Delete/ApplyAt). Writers serialise on an internal mutex; readers
 // only touch it for the pointer-sized pin/release critical sections.
 type Store struct {
 	mu      sync.Mutex
@@ -286,25 +292,17 @@ func New() *Store { return NewAt(nil, 0) }
 // NewAt returns a store whose initial version holds objs at the given epoch
 // number — how a snapshot restore resumes at the epoch it was saved at.
 func NewAt(objs []workload.Object, epoch uint64) *Store {
-	s := &Store{compact: DefaultCompactThreshold, live: 1}
-	e := &Epoch{store: s, seq: epoch, base: newBaseTable(objs)}
-	s.cur.Store(e)
-	return s
+	return NewAtWithIndex(objs, epoch, nil)
 }
 
 // NewAtWithIndex is NewAt with the base R-tree supplied pre-packed — the
 // snapshot-restore path: a v4 snapshot stores the packed tree verbatim
 // (index.FromFlat adopts it), so loading skips the STR bulk pack entirely.
-// The tree must index exactly objs (see Epoch.IndexFlat).
+// The tree must index exactly objs (see Epoch.IndexFlat); a nil tree is
+// bulk-packed, which is NewAt.
 func NewAtWithIndex(objs []workload.Object, epoch uint64, tree *index.RTree) *Store {
 	s := &Store{compact: DefaultCompactThreshold, live: 1}
-	b := &baseTable{objects: objs, byID: make(map[int64]workload.Object, len(objs))}
-	for _, o := range objs {
-		b.byID[o.ID] = o
-	}
-	b.tree = tree
-	e := &Epoch{store: s, seq: epoch, base: b}
-	s.cur.Store(e)
+	s.cur.Store(&Epoch{store: s, seq: epoch, base: newBaseTable(objs, tree)})
 	return s
 }
 
@@ -366,7 +364,7 @@ func (s *Store) LiveEpochs() int {
 // event describing what changed. fn runs on the writer's goroutine, after
 // the store mutex is released but while the writer sequence lock is held:
 // events arrive in strict epoch order, fn may pin and query the store, but
-// it must not call the store's writers (Upsert/Insert/Delete/ApplyAt) or it
+// it must not call the store's writers (Upsert/Delete/ApplyAt) or it
 // deadlocks. The returned cancel deregisters fn; after cancel returns, fn
 // is never called again.
 func (s *Store) Subscribe(fn func(UpdateEvent)) (cancel func()) {
@@ -411,123 +409,20 @@ func (ev *UpdateEvent) touch(cur *Epoch, o workload.Object) {
 	ev.Points = append(ev.Points, o.Point.XY())
 }
 
-// Upsert installs objs — inserting new IDs, replacing existing ones — and
-// publishes the new epoch, returning its number. An empty batch is a no-op
-// returning the current epoch.
+// Upsert installs objs — inserting new IDs, replacing existing ones, the
+// last occurrence of a repeated ID winning — and publishes the new epoch,
+// returning its number. An empty batch is a no-op returning the current
+// epoch.
 func (s *Store) Upsert(objs []workload.Object) uint64 {
-	if len(objs) == 0 {
-		return s.Epoch()
-	}
-	s.notifyMu.Lock()
-	defer s.notifyMu.Unlock()
-	s.mu.Lock()
-	cur := s.cur.Load()
-	ev := UpdateEvent{Prev: cur.seq, Regions: true}
-	delta, deltaByID, dead := copyLayers(cur)
-	for _, o := range objs {
-		ev.touch(cur, o)
-		if i, ok := deltaByID[o.ID]; ok {
-			delta[i] = o
-			continue
-		}
-		if _, inBase := cur.base.byID[o.ID]; inBase {
-			dead[o.ID] = struct{}{} // shadow the base entry
-		}
-		deltaByID[o.ID] = len(delta)
-		delta = append(delta, o)
-	}
-	seq := s.publishLocked(cur, cur.seq+1, delta, deltaByID, dead, len(objs))
-	s.mu.Unlock()
-	ev.Epoch = seq
-	s.notify(ev)
+	seq, _ := s.apply(objs, nil, 0)
 	return seq
-}
-
-// Insert is Upsert that refuses to replace: any ID already live fails the
-// whole batch without publishing an epoch.
-func (s *Store) Insert(objs []workload.Object) (uint64, error) {
-	if len(objs) == 0 {
-		return s.Epoch(), nil
-	}
-	s.notifyMu.Lock()
-	defer s.notifyMu.Unlock()
-	s.mu.Lock()
-	cur := s.cur.Load()
-	ev := UpdateEvent{Prev: cur.seq, Regions: true}
-	seen := make(map[int64]struct{}, len(objs))
-	for _, o := range objs {
-		if _, dup := seen[o.ID]; dup {
-			s.mu.Unlock()
-			return cur.seq, fmt.Errorf("objstore: duplicate ID %d in insert batch", o.ID)
-		}
-		seen[o.ID] = struct{}{}
-		if _, ok := cur.Object(o.ID); ok {
-			s.mu.Unlock()
-			return cur.seq, fmt.Errorf("objstore: object %d already exists (use Upsert to replace)", o.ID)
-		}
-	}
-	delta, deltaByID, dead := copyLayers(cur)
-	for _, o := range objs {
-		ev.IDs = append(ev.IDs, o.ID)
-		ev.Points = append(ev.Points, o.Point.XY())
-		deltaByID[o.ID] = len(delta)
-		delta = append(delta, o)
-	}
-	seq := s.publishLocked(cur, cur.seq+1, delta, deltaByID, dead, len(objs))
-	s.mu.Unlock()
-	ev.Epoch = seq
-	s.notify(ev)
-	return seq, nil
 }
 
 // Delete removes the given IDs, returning the resulting epoch and how many
 // were actually live. IDs not present are ignored (idempotent); if nothing
 // was removed no epoch is published.
 func (s *Store) Delete(ids []int64) (uint64, int) {
-	s.notifyMu.Lock()
-	defer s.notifyMu.Unlock()
-	s.mu.Lock()
-	cur := s.cur.Load()
-	ev := UpdateEvent{Prev: cur.seq, Regions: true}
-	delta, deltaByID, dead := copyLayers(cur)
-	removed := 0
-	for _, id := range ids {
-		if old, ok := cur.Object(id); ok {
-			ev.IDs = append(ev.IDs, id)
-			ev.Points = append(ev.Points, old.Point.XY())
-		}
-		if _, ok := deltaByID[id]; ok {
-			delete(deltaByID, id)
-			removed++
-			continue
-		}
-		if _, inBase := cur.base.byID[id]; inBase {
-			if _, gone := dead[id]; !gone {
-				dead[id] = struct{}{}
-				removed++
-			}
-		}
-	}
-	if removed == 0 {
-		s.mu.Unlock()
-		return cur.seq, 0
-	}
-	// Rebuild the delta without the deleted entries (deltaByID now holds
-	// exactly the survivors).
-	packed := make([]workload.Object, 0, len(deltaByID))
-	for _, o := range delta {
-		if i, ok := deltaByID[o.ID]; ok && delta[i].ID == o.ID {
-			packed = append(packed, o)
-		}
-	}
-	for i, o := range packed {
-		deltaByID[o.ID] = i
-	}
-	seq := s.publishLocked(cur, cur.seq+1, packed, deltaByID, dead, removed)
-	s.mu.Unlock()
-	ev.Epoch = seq
-	s.notify(ev)
-	return seq, removed
+	return s.apply(nil, ids, 0)
 }
 
 // ApplyAt applies one logical update — deletes first, then upserts — and
@@ -536,19 +431,33 @@ func (s *Store) Delete(ids []int64) (uint64, int) {
 // replays it to each shard, and because ApplyAt always publishes (even when
 // the shard owns none of the touched objects) every shard's epoch advances in
 // lockstep, so the merged X-Epoch equals the unsharded epoch. Replay is
-// idempotent: an update at or below the current epoch is a no-op returning
-// the current epoch number. Returns the published epoch and how many objects
-// the batch actually touched on this shard.
+// idempotent: an update at or below the current epoch (at == 0 included) is
+// a no-op returning the current epoch number. Returns the published epoch
+// and how many objects the batch actually touched on this shard.
 func (s *Store) ApplyAt(upserts []workload.Object, deleteIDs []int64, at uint64) (uint64, int) {
+	if at == 0 {
+		return s.Epoch(), 0
+	}
+	return s.apply(upserts, deleteIDs, at)
+}
+
+// apply is the store's one writer: it copies the delta layers of the
+// current epoch, applies deleteIDs and then upserts, and publishes the
+// result with an event describing every touched object. The publish rule:
+// a local write (at == 0) publishes the next epoch only if it touched
+// something; a replay (at > 0) publishes exactly epoch at, even when it
+// touched nothing, and is a no-op at or below the current epoch. Returns
+// the resulting epoch and how many objects the batch touched.
+func (s *Store) apply(upserts []workload.Object, deleteIDs []int64, at uint64) (uint64, int) {
 	s.notifyMu.Lock()
 	defer s.notifyMu.Unlock()
 	s.mu.Lock()
 	cur := s.cur.Load()
-	if at <= cur.seq {
+	if at != 0 && at <= cur.seq {
 		s.mu.Unlock()
 		return cur.seq, 0
 	}
-	ev := UpdateEvent{Prev: cur.seq, Regions: true}
+	ev := UpdateEvent{Prev: cur.seq}
 	delta, deltaByID, dead := copyLayers(cur)
 	applied := 0
 	for _, id := range deleteIDs {
@@ -569,7 +478,8 @@ func (s *Store) ApplyAt(upserts []workload.Object, deleteIDs []int64, at uint64)
 		}
 	}
 	if len(deltaByID) != len(delta) {
-		// Deletions removed delta entries: repack (same shape as Delete).
+		// Deletions removed delta entries: repack the survivors (deltaByID
+		// now holds exactly them) in their application order.
 		packed := make([]workload.Object, 0, len(deltaByID))
 		for _, o := range delta {
 			if i, ok := deltaByID[o.ID]; ok && delta[i].ID == o.ID {
@@ -594,7 +504,15 @@ func (s *Store) ApplyAt(upserts []workload.Object, deleteIDs []int64, at uint64)
 		}
 		applied++
 	}
-	seq := s.publishLocked(cur, at, delta, deltaByID, dead, applied)
+	seq := at
+	if at == 0 {
+		if applied == 0 {
+			s.mu.Unlock()
+			return cur.seq, 0
+		}
+		seq = cur.seq + 1
+	}
+	s.publishLocked(cur, seq, delta, deltaByID, dead, applied)
 	s.mu.Unlock()
 	ev.Epoch = seq
 	s.notify(ev)
@@ -617,9 +535,8 @@ func copyLayers(cur *Epoch) ([]workload.Object, map[int64]int, map[int64]struct{
 
 // publishLocked builds the next epoch from the prepared layers at the given
 // sequence number, compacting into a fresh base when the delta has outgrown
-// the threshold, publishes it and retires cur. Local updates pass cur.seq+1;
-// ApplyAt passes the coordinator-assigned epoch. Caller holds s.mu.
-func (s *Store) publishLocked(cur *Epoch, seq uint64, delta []workload.Object, deltaByID map[int64]int, dead map[int64]struct{}, applied int) uint64 {
+// the threshold, publishes it and retires cur. Caller holds s.mu.
+func (s *Store) publishLocked(cur *Epoch, seq uint64, delta []workload.Object, deltaByID map[int64]int, dead map[int64]struct{}, applied int) {
 	next := &Epoch{store: s, seq: seq}
 	if len(delta)+len(dead) >= s.compact {
 		// Fold everything into a new bulk-packed base: surviving base
@@ -631,7 +548,7 @@ func (s *Store) publishLocked(cur *Epoch, seq uint64, delta []workload.Object, d
 			}
 		}
 		merged = append(merged, delta...)
-		next.base = newBaseTable(merged)
+		next.base = newBaseTable(merged, nil)
 	} else {
 		next.base = cur.base
 		next.delta = delta
@@ -653,7 +570,6 @@ func (s *Store) publishLocked(cur *Epoch, seq uint64, delta []workload.Object, d
 		s.reg.Epoch.Set(int64(next.seq))
 		s.reg.UpdateBatch().Observe(int64(applied))
 	}
-	return next.seq
 }
 
 // reclaimLocked retires e from the live set. In Go the garbage collector

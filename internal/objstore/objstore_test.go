@@ -94,28 +94,6 @@ func TestUpsertDeleteVisibility(t *testing.T) {
 	}
 }
 
-func TestInsertRejectsDuplicates(t *testing.T) {
-	t.Parallel()
-	s := NewAt(grid(3), 0)
-	if _, err := s.Insert([]workload.Object{obj(1, 0, 0)}); err == nil {
-		t.Fatal("Insert of a live base ID should fail")
-	}
-	if _, err := s.Insert([]workload.Object{obj(9, 0, 0), obj(9, 1, 1)}); err == nil {
-		t.Fatal("Insert with an in-batch duplicate should fail")
-	}
-	if got := s.Epoch(); got != 0 {
-		t.Fatalf("failed inserts must not publish: epoch = %d, want 0", got)
-	}
-	if _, err := s.Insert([]workload.Object{obj(9, 0, 0)}); err != nil {
-		t.Fatalf("Insert of fresh ID failed: %v", err)
-	}
-	// After a delete the ID is insertable again.
-	s.Delete([]int64{9})
-	if _, err := s.Insert([]workload.Object{obj(9, 2, 2)}); err != nil {
-		t.Fatalf("re-Insert after delete failed: %v", err)
-	}
-}
-
 func TestPinSeesOneVersion(t *testing.T) {
 	t.Parallel()
 	s := NewAt(grid(4), 0)

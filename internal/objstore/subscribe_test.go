@@ -21,10 +21,8 @@ func TestSubscribeEvents(t *testing.T) {
 		events = append(events, ev)
 	})
 
-	// Insert of a new ID: one entry, the new position.
-	if _, err := s.Insert([]workload.Object{obj(3, 30, 30)}); err != nil {
-		t.Fatal(err)
-	}
+	// Upsert of a new ID: one entry, the new position.
+	s.Upsert([]workload.Object{obj(3, 30, 30)})
 	// Upsert moving an existing object: two entries (old and new position).
 	s.Upsert([]workload.Object{obj(1, 50, 50)})
 	// Delete: one entry, the position the object last held.
@@ -42,8 +40,8 @@ func TestSubscribeEvents(t *testing.T) {
 	check := func(i int, prev, epoch uint64, ids []int64, pts []geom.Vec2) {
 		t.Helper()
 		ev := events[i]
-		if ev.Prev != prev || ev.Epoch != epoch || !ev.Regions {
-			t.Fatalf("event %d: got prev=%d epoch=%d regions=%t, want %d→%d regions", i, ev.Prev, ev.Epoch, ev.Regions, prev, epoch)
+		if ev.Prev != prev || ev.Epoch != epoch {
+			t.Fatalf("event %d: got prev=%d epoch=%d, want %d→%d", i, ev.Prev, ev.Epoch, prev, epoch)
 		}
 		if len(ev.IDs) != len(ids) || len(ev.Points) != len(pts) {
 			t.Fatalf("event %d: got %d ids / %d points, want %d / %d", i, len(ev.IDs), len(ev.Points), len(ids), len(pts))

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"expvar"
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // ContinuousStats is the metric group of the continuous-query subsystem
 // (internal/continuous): the live subscription table, safe-region hit/miss
@@ -22,9 +18,8 @@ type ContinuousStats struct {
 	RegionMisses Counter // moves that re-evaluated through the engine
 
 	// Epoch invalidation.
-	Invalidations  Counter // subscriptions invalidated by an object update
-	Revalidations  Counter // subscriptions proven unaffected and re-stamped
-	InvalidateAlls Counter // events without region info: everything invalidated
+	Invalidations Counter // subscriptions invalidated by an object update
+	Revalidations Counter // subscriptions proven unaffected and re-stamped
 
 	// Stripe batcher.
 	Stripes       Counter // stripe executions (one session checkout each)
@@ -56,9 +51,8 @@ func (s *ContinuousStats) Snapshot() map[string]any {
 			"region_misses": s.RegionMisses.Value(),
 		},
 		"invalidation": map[string]any{
-			"invalidated":     s.Invalidations.Value(),
-			"revalidated":     s.Revalidations.Value(),
-			"invalidate_alls": s.InvalidateAlls.Value(),
+			"invalidated": s.Invalidations.Value(),
+			"revalidated": s.Revalidations.Value(),
 		},
 		"stripes": map[string]any{
 			"executed": s.Stripes.Value(),
@@ -71,13 +65,5 @@ func (s *ContinuousStats) Snapshot() map[string]any {
 // Publish exposes the group's Snapshot at /debug/vars under the given name
 // (skserve uses "surfknn_continuous"). Same contract as Registry.Publish.
 func (s *ContinuousStats) Publish(name string) error {
-	var err error
-	s.publishOnce.Do(func() {
-		if expvar.Get(name) != nil {
-			err = fmt.Errorf("obs: expvar name %q is already taken", name)
-			return
-		}
-		expvar.Publish(name, expvar.Func(func() any { return s.Snapshot() }))
-	})
-	return err
+	return publish(&s.publishOnce, name, s.Snapshot)
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"expvar"
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // CoordStats is the metric group of the scatter-gather coordinator
 // (internal/shard): how many public requests it answered, how its fan-out
@@ -66,13 +62,5 @@ func (s *CoordStats) Snapshot() map[string]any {
 // (skcoord uses "surfknn_coord"). Same contract as Registry.Publish:
 // republishing the same group is a no-op, a name collision is an error.
 func (s *CoordStats) Publish(name string) error {
-	var err error
-	s.publishOnce.Do(func() {
-		if expvar.Get(name) != nil {
-			err = fmt.Errorf("obs: expvar name %q is already taken", name)
-			return
-		}
-		expvar.Publish(name, expvar.Func(func() any { return s.Snapshot() }))
-	})
-	return err
+	return publish(&s.publishOnce, name, s.Snapshot)
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
+	"sync"
 )
 
 // Publish exposes the registry's Snapshot as one expvar variable, so it is
@@ -15,13 +16,20 @@ import (
 // under one name is a programming error (expvar would panic), so the second
 // caller gets an error instead.
 func (r *Registry) Publish(name string) error {
+	return publish(&r.publishOnce, name, r.Snapshot)
+}
+
+// publish is every metric group's Publish: the first call through once
+// exposes snapshot as the expvar variable name, a name already taken is an
+// error, and later calls are no-ops.
+func publish(once *sync.Once, name string, snapshot func() map[string]any) error {
 	var err error
-	r.publishOnce.Do(func() {
+	once.Do(func() {
 		if expvar.Get(name) != nil {
 			err = fmt.Errorf("obs: expvar name %q is already taken", name)
 			return
 		}
-		expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
+		expvar.Publish(name, expvar.Func(func() any { return snapshot() }))
 	})
 	return err
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"expvar"
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // ServerStats is the metric group of the HTTP serving layer
 // (internal/server): request lifecycle, admission-control outcomes, and the
@@ -74,13 +70,5 @@ func (s *ServerStats) Snapshot() map[string]any {
 // (skserve uses "surfknn_server"). Same contract as Registry.Publish:
 // republishing the same group is a no-op, a name collision is an error.
 func (s *ServerStats) Publish(name string) error {
-	var err error
-	s.publishOnce.Do(func() {
-		if expvar.Get(name) != nil {
-			err = fmt.Errorf("obs: expvar name %q is already taken", name)
-			return
-		}
-		expvar.Publish(name, expvar.Func(func() any { return s.Snapshot() }))
-	})
-	return err
+	return publish(&s.publishOnce, name, s.Snapshot)
 }

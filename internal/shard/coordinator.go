@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"surfknn/internal/geom"
@@ -591,48 +592,42 @@ func (c *Coordinator) distance(ctx context.Context, p *sklang.Plan, timeout api.
 	return api.DistanceResponse{}, 0, &DegradedError{Shards: errs}
 }
 
-// Upsert applies one object batch fleet-wide under the next epoch: each
-// object is routed to the tile that owns its new position, and its id is
-// broadcast as a delete to every other shard so an object moving across a
-// tile boundary never ends up live twice. All shards apply (and publish)
-// the same epoch; failure of any shard leaves the fleet degraded and is
-// reported as such — replaying the same objects is safe because ApplyAt is
-// idempotent and later epochs subsume earlier ones. The front has already
-// vetted the batch (non-empty, bounded, every object carrying an id).
+// Upsert applies one object batch fleet-wide under the next epoch: the last
+// occurrence of each id is routed to the tile that owns its new position,
+// and the id is broadcast as a delete to every other shard, so an object
+// moving across a tile boundary — or named twice in one batch, at positions
+// in two tiles — never ends up live twice. The front has already vetted the
+// batch (non-empty, bounded, every object carrying an id).
 func (c *Coordinator) Upsert(ctx context.Context, req api.UpsertRequest) (api.UpdateResponse, error) {
-	c.epochMu.Lock()
-	defer c.epochMu.Unlock()
-	epoch := c.epoch + 1
-	c.epoch = epoch
-
-	owned := make([][]api.UpsertObject, len(c.shards))
-	allIDs := make([]int64, len(req.Objects))
-	ownerOf := make(map[int64]int, len(req.Objects))
+	last := make(map[int64]int, len(req.Objects)) // id → index of its last occurrence
 	for i, o := range req.Objects {
+		last[*o.ID] = i
+	}
+	owned := make([][]api.UpsertObject, len(c.shards))
+	owner := make(map[int64]int, len(last))
+	ids := make([]int64, 0, len(last))
+	for i, o := range req.Objects {
+		if last[*o.ID] != i {
+			continue // a later occurrence of the id wins
+		}
 		ix, iy := c.tiling.TileOf(geom.Vec2{X: o.X, Y: o.Y})
 		s := iy*c.tiling.NX + ix
 		owned[s] = append(owned[s], o)
-		allIDs[i] = *o.ID
-		ownerOf[*o.ID] = s
+		owner[*o.ID] = s
+		ids = append(ids, *o.ID)
 	}
-	err := c.scatter(ctx, c.allShards(), func(ctx context.Context, i int, sc *shardConn) error {
+	epoch, _, err := c.broadcast(ctx, func(i int) api.ShardObjectsRequest {
 		var deletes []int64
-		for _, id := range allIDs {
-			if ownerOf[id] != i {
+		for _, id := range ids {
+			if owner[id] != i {
 				deletes = append(deletes, id)
 			}
 		}
-		_, _, err := sc.cli.ShardObjects(ctx, api.ShardObjectsRequest{
-			Epoch:     epoch,
-			Objects:   owned[i],
-			DeleteIDs: deletes,
-		})
-		return err
+		return api.ShardObjectsRequest{Objects: owned[i], DeleteIDs: deletes}
 	})
 	if err != nil {
 		return api.UpdateResponse{}, err
 	}
-	c.stats.Updates.Add(1)
 	return api.UpdateResponse{Epoch: epoch, Count: len(req.Objects)}, nil
 }
 
@@ -641,22 +636,8 @@ func (c *Coordinator) Upsert(ctx context.Context, req api.UpsertRequest) (api.Up
 // deleting an absent id is a no-op — and the per-shard applied counts sum
 // to the number of objects that were actually live.
 func (c *Coordinator) Delete(ctx context.Context, req api.DeleteRequest) (api.DeleteResponse, error) {
-	c.epochMu.Lock()
-	defer c.epochMu.Unlock()
-	epoch := c.epoch + 1
-	c.epoch = epoch
-
-	var deleted int64
-	var mu sync.Mutex
-	err := c.scatter(ctx, c.allShards(), func(ctx context.Context, i int, sc *shardConn) error {
-		res, _, err := sc.cli.ShardObjects(ctx, api.ShardObjectsRequest{Epoch: epoch, DeleteIDs: req.IDs})
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		deleted += int64(res.Applied)
-		mu.Unlock()
-		return nil
+	epoch, deleted, err := c.broadcast(ctx, func(int) api.ShardObjectsRequest {
+		return api.ShardObjectsRequest{DeleteIDs: req.IDs}
 	})
 	if err != nil {
 		return api.DeleteResponse{}, err
@@ -665,12 +646,41 @@ func (c *Coordinator) Delete(ctx context.Context, req api.DeleteRequest) (api.De
 	for _, id := range req.IDs {
 		distinct[id] = struct{}{}
 	}
-	c.stats.Updates.Add(1)
 	return api.DeleteResponse{
 		Epoch:   epoch,
-		Deleted: int(deleted),
-		Missing: len(distinct) - int(deleted),
+		Deleted: deleted,
+		Missing: len(distinct) - deleted,
 	}, nil
+}
+
+// broadcast is the fleet's one writer: it assigns one logical update the
+// next epoch and replays it to every shard, shard i applying part(i) at
+// that epoch. Every shard publishes the epoch, touched or not, so the fleet
+// advances in lockstep. Failure of any shard leaves the fleet degraded and
+// is reported as such — the epoch stays consumed, and replaying the update
+// is safe because ApplyAt is idempotent and later epochs subsume earlier
+// ones. Returns the epoch and the shards' summed applied counts.
+func (c *Coordinator) broadcast(ctx context.Context, part func(i int) api.ShardObjectsRequest) (uint64, int, error) {
+	c.epochMu.Lock()
+	defer c.epochMu.Unlock()
+	c.epoch++
+	epoch := c.epoch
+	var applied atomic.Int64
+	err := c.scatter(ctx, c.allShards(), func(ctx context.Context, i int, sc *shardConn) error {
+		req := part(i)
+		req.Epoch = epoch
+		res, _, err := sc.cli.ShardObjects(ctx, req)
+		if err != nil {
+			return err
+		}
+		applied.Add(int64(res.Applied))
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	c.stats.Updates.Add(1)
+	return epoch, int(applied.Load()), nil
 }
 
 // Healthz assembles the fleet's health: per-shard status lines, the summed

@@ -331,6 +331,61 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
+// TestUpsertRepeatedIDAcrossTiles: an upsert batch that names one ID twice,
+// at positions owned by two different tiles, leaves the object live once —
+// at its last position, on the tile owning that — exactly as the unsharded
+// store's last-occurrence-wins upsert does.
+func TestUpsertRepeatedIDAcrossTiles(t *testing.T) {
+	db := buildSourceDB(t)
+	f := startFleet(t, db, 2, 2)
+	ctx := context.Background()
+
+	id := int64(777)
+	req := api.UpsertRequest{Objects: []api.UpsertObject{
+		{ID: &id, X: 200, Y: 200},   // tile (0,0)
+		{ID: &id, X: 1300, Y: 1300}, // tile (1,1): this one wins
+	}}
+	res, err := f.coord.Upsert(ctx, req)
+	if err != nil {
+		t.Fatalf("upsert: %v", err)
+	}
+	batch := make([]workload.Object, len(req.Objects))
+	for i, o := range req.Objects {
+		p, err := db.SurfacePointAt(geom.Vec2{X: o.X, Y: o.Y})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = workload.Object{ID: *o.ID, Point: p}
+	}
+	db.ObjectStore().Upsert(batch)
+	if res.Epoch != db.CurrentEpoch() {
+		t.Errorf("fleet epoch %d, unsharded at %d", res.Epoch, db.CurrentEpoch())
+	}
+
+	hz, err := f.coord.Healthz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(db.Objects()); hz.Objects != want {
+		t.Errorf("fleet holds %d objects, unsharded store %d", hz.Objects, want)
+	}
+	for _, p := range []geom.Vec2{{X: 200, Y: 200}, {X: 1300, Y: 1300}} {
+		q, err := db.SurfacePointAt(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := db.NewSession().MR3Ctx(ctx, q, 5, core.S1, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := runStatement(ctx, f.coord, fmt.Sprintf("SELECT k=5 NEAREST (%g, %g)", p.X, p.Y))
+		if err != nil {
+			t.Fatalf("coordinator knn at %v: %v", p, err)
+		}
+		requireIdentical(t, fmt.Sprintf("knn at %v", p), got.Neighbors, wireNeighbors(direct))
+	}
+}
+
 // TestCoordinatorHTTP drives the public API through the coordinator's own
 // HTTP handler: the same bodies a standalone server accepts, the merged
 // epoch in X-Epoch, and typed envelopes on errors.

@@ -371,6 +371,7 @@ for spec in \
     internal/core:FuzzMR3Invariants \
     internal/core:FuzzDistanceRangeInvariants \
     internal/core:FuzzObjstoreEquivalence \
+    internal/objstore:FuzzStoreModel \
     internal/core:FuzzUpperBoundOracle \
     internal/sdn:FuzzChainKernel \
     internal/pathnet:FuzzSharedSourceMatchesClipped \

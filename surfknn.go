@@ -18,9 +18,9 @@
 // Every query runs through a Session — one per goroutine, reusable for any
 // number of consecutive queries — and takes the context that cancels or
 // deadlines that one query. The terrain itself is immutable once built, so
-// sessions always query concurrently. The object set is versioned: Insert,
-// Delete and Upsert on the TerrainDB's ObjectStore publish a new immutable
-// epoch while in-flight queries keep reading the epoch they pinned — no
+// sessions always query concurrently. The object set is versioned: Upsert
+// and Delete on the TerrainDB's ObjectStore publish a new immutable epoch
+// while in-flight queries keep reading the epoch they pinned — no
 // locks on the query path, no stop-the-world.
 //
 // This file is the public facade over the implementation packages in
@@ -146,8 +146,8 @@ type (
 // pinned (see DESIGN.md, "Dynamic objects & epochs").
 type (
 	// ObjectStore is the epoch-versioned object store behind a TerrainDB.
-	// Obtain it with (*TerrainDB).ObjectStore; Insert/Delete/Upsert each
-	// publish a new epoch visible to subsequent queries only.
+	// Obtain it with (*TerrainDB).ObjectStore; Upsert/Delete each publish
+	// a new epoch visible to subsequent queries only.
 	ObjectStore = objstore.Store
 	// ObjectEpoch is one immutable version of the object set. Pin returns
 	// one; Release it when done so its memory can be reclaimed.
