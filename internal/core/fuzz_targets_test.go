@@ -10,6 +10,7 @@ import (
 	"surfknn/internal/geodesic"
 	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
+	"surfknn/internal/sdn"
 	"surfknn/internal/stats"
 	"surfknn/internal/workload"
 )
@@ -294,6 +295,82 @@ func FuzzUpperBoundOracle(f *testing.F) {
 		}
 		if math.IsInf(c.ub, 1) {
 			t.Fatalf("no level bounded the pair (surface distance %v)", truth)
+		}
+		if _, err := s.endQuery(algoRank, 1, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzLowerBoundOracle checks the lower half of the paper's guarantee,
+// lb <= d_S, against ground truth on FuzzUpperBoundOracle's terrains: at
+// every SDNLadder level both the single-family and the both-family bound,
+// over the whole extent and over the ellipse rectangle of the upper bound
+// so far, stay at or below the exact Chen–Han surface distance. Walking the
+// sub-pathnet rungs as the ranker does (updateUB, then updateLB with the
+// candidate's own upper bound as the k-th), lb <= d_S <= ub holds after
+// every step. Bounds are compared across levels only where the plane step
+// is the same (0.75 and 1.0 both cross every plane): across steps the chain
+// need not be pointwise monotone, which is why the ranker keeps the maximum.
+func FuzzLowerBoundOracle(f *testing.F) {
+	f.Add(uint8(0), uint8(0), 0.1, 0.2, 0.8, 0.9)
+	f.Add(uint8(1), uint8(1), 0.5, 0.5, 0.51, 0.62)
+	f.Add(uint8(2), uint8(0), 0.25, 0.25, 0.75, 0.75) // flat: the bound can reach d_S
+	f.Add(uint8(0), uint8(3), 0.02, 0.97, 0.98, 0.03)
+	f.Add(uint8(2), uint8(2), 0.1, 0.5, 0.9, 0.5) // flat, along a grid line
+	f.Fuzz(func(t *testing.T, preset, seed uint8, ax, ay, bx, by float64) {
+		ot := getOracleTerrain(t, preset, seed)
+		db := ot.db
+		a, okA := fuzzQueryPoint(db, ax, ay)
+		b, okB := fuzzQueryPoint(db, bx, by)
+		if !okA || !okB {
+			t.Skip("degenerate positions")
+		}
+		truth := ot.solver.Distance(a, b)
+		sound := func(what string, res, lb float64) {
+			t.Helper()
+			if lb > truth*(1+1e-9) {
+				t.Fatalf("%s at %v %%: lower bound %v above the surface distance %v", what, 100*res, lb, truth)
+			}
+		}
+
+		s := db.NewSession()
+		s.beginQuery(nil, algoRank)
+		s.ensureScratch(1)
+		s.beginPhase(stats.PhaseRankC2)
+		r := &s.rk
+		r.begin(s, a, 1, S1, Options{}.withDefaults(), false)
+		r.addCand(workload.Object{ID: 1, Point: b})
+		c := &r.cands[0]
+		ms := db.MSDN
+		var sc sdn.Scratch
+		prevStep, prevOne, prevBoth := 0, 0.0, 0.0
+		for _, res := range SDNLadder {
+			region := r.regionOf(c)
+			one := ms.LowerBoundScratch(&sc, a.Pos, b.Pos, db.Extent, res).LB
+			both := ms.LowerBoundBothScratch(&sc, a.Pos, b.Pos, db.Extent, res).LB
+			sound("whole extent", res, one)
+			sound("both families", res, both)
+			sound("ellipse region", res, ms.LowerBoundScratch(&sc, a.Pos, b.Pos, region, res).LB)
+			sound("both families, ellipse region", res, ms.LowerBoundBothScratch(&sc, a.Pos, b.Pos, region, res).LB)
+			if both < one {
+				t.Fatalf("at %v %%: both-family bound %v below the single-family %v", 100*res, both, one)
+			}
+			step := 1
+			if res < 1 {
+				step = int(math.Round(1 / res))
+			}
+			if step == prevStep && (one < prevOne || both < prevBoth) {
+				t.Fatalf("at %v %%: bounds %v / %v fell from %v / %v at the same plane step", 100*res, one, both, prevOne, prevBoth)
+			}
+			prevStep, prevOne, prevBoth = step, one, both
+		}
+		for ri := range rungs[:pathnetRung] {
+			r.updateUB(c, ri)
+			r.updateLB(c, rungs[ri].msdn, c.ub)
+			if c.lb > truth*(1+1e-9) || c.ub < truth*(1-1e-9) {
+				t.Fatalf("rung %d: range [%v, %v] misses the surface distance %v", ri, c.lb, c.ub, truth)
+			}
 		}
 		if _, err := s.endQuery(algoRank, 1, nil, nil); err != nil {
 			t.Fatal(err)

@@ -19,12 +19,14 @@ import (
 //     fl(dist[j] + g) <= fl(dist[j] + sqrt(g² + …)) for any single axis gap g
 //     (squares of gaps below 1e-154 would underflow; coordinate differences
 //     are never that small without being zero).
-//   - The bound is always a value some source actually attains, so the
-//     minimum is at most the bound, and a source is skipped only when its
-//     lower bound is STRICTLY above it. Every source that attains the
-//     minimum therefore survives, survivors are evaluated in index order
-//     under the same strict <, and the first-index tie rule picks the same
-//     argmin as the all-pairs loop.
+//   - The bound starts at a value some source actually attains, or at the
+//     cut's limit when that is lower, so the minimum is at most the bound
+//     whenever the minimum is at most the limit — the only case in which the
+//     target survives the cut (see Scratch.solve). A source is skipped only
+//     when its lower bound is STRICTLY above the bound. Every source that
+//     attains the minimum therefore survives, survivors are evaluated in
+//     index order under the same strict <, and the first-index tie rule
+//     picks the same argmin as the all-pairs loop.
 
 // norm3 is the length of the gap vector, summed in (x, y, z) order as
 // geom.Box3.DistToBox and DistToPoint sum it.
@@ -68,11 +70,13 @@ func (sc *Scratch) first(l *layer, useX bool, a geom.Vec3) {
 
 // transition computes dist/prev of layer t from the previous kept layer s:
 // dist[p] = min over j of dist[j] + boxdist(j, p), prev[p] the first j
-// attaining it. See the note at the top of the file for why the pruning
-// below leaves that result unchanged.
+// attaining it, for every target whose minimum is at most lim; a target
+// over lim gets some value over lim, which the cut then drops. See the note
+// at the top of the file for why the pruning below leaves that result
+// unchanged.
 //
 //sklint:hotpath
-func (sc *Scratch) transition(s, t *layer, useX bool) {
+func (sc *Scratch) transition(s, t *layer, useX bool, lim float64) {
 	sn, tn := s.hi-s.lo, t.hi-t.lo
 	sdist := sc.dist[s.base : s.base+sn]
 	sfLo, sfHi := s.tab.fLo[s.lo:s.hi], s.tab.fHi[s.lo:s.hi]
@@ -86,15 +90,27 @@ func (sc *Scratch) transition(s, t *layer, useX bool) {
 
 	// The plane-axis gap between the two lines bounds every pair's from below.
 	planeGap := geom.RangeGap(s.tab.pMin, s.tab.pMax, t.tab.pMin, t.tab.pMax)
-	// The layer's smallest dist: the outward scan's stopping value, and the
-	// first target's seed.
+	// The prefix and suffix minima of dist stop the outward scans; the
+	// smallest dist seeds the first target.
+	pre, suf := sc.pre[:sn], sc.suf[:sn]
 	seed := 0
+	m := math.Inf(1)
 	for j, d := range sdist {
 		if d < sdist[seed] {
 			seed = j
 		}
+		if d < m {
+			m = d
+		}
+		pre[j] = m
 	}
-	minDist := sdist[seed]
+	m = math.Inf(1)
+	for j := sn - 1; j >= 0; j-- {
+		if sdist[j] < m {
+			m = sdist[j]
+		}
+		suf[j] = m
+	}
 
 	pairs := 0
 	for p := 0; p < tn; p++ {
@@ -114,15 +130,19 @@ func (sc *Scratch) transition(s, t *layer, useX bool) {
 			geom.RangeGap(szLo[seed], szHi[seed], zl, zh),
 			useX)
 		pairs++
+		if lim < bound {
+			bound = lim
+		}
 
 		// Window: free-axis gaps only grow away from the target and no dist
-		// is below minDist, so once minDist + gap passes the bound every
-		// source further out is out of reach.
+		// further out is below the prefix (suffix) minimum, so once that
+		// minimum + gap passes the bound every source further out is out of
+		// reach.
 		wlo, whi := seed, seed
-		for wlo > 0 && minDist+(fl-sfHi[wlo-1]) <= bound {
+		for wlo > 0 && pre[wlo-1]+(fl-sfHi[wlo-1]) <= bound {
 			wlo--
 		}
-		for whi+1 < sn && minDist+(sfLo[whi+1]-fh) <= bound {
+		for whi+1 < sn && suf[whi+1]+(sfLo[whi+1]-fh) <= bound {
 			whi++
 		}
 

@@ -99,6 +99,36 @@ func checkPair(t *testing.T, what string, ms *MSDN, sc *Scratch, a, b geom.Vec3,
 	sameEstimate(t, what+" both",
 		ms.LowerBoundBothScratch(sc, a, b, region, res),
 		refLowerBoundBoth(ms, a, b, region, res))
+
+	// The witness tier: the wide witness bounds the envelope DP, and at the
+	// witness length and one ulp to either side — where the tier is the one
+	// to answer — the decision is still the reference envelope's, with and
+	// without the Euclidean floor.
+	useX, step := prefersX(a, b), planeStepFor(res)
+	ms.collect(sc, useX, a, b, region, res, step, envelope{envPrev, margin, false})
+	w := sc.witness(useX, a, b)
+	if math.Max(w, a.Dist(b)) < wantEnv.LB {
+		t.Fatalf("%s: witness %v (floor %v) below the envelope DP %v", what, w, a.Dist(b), wantEnv.LB)
+	}
+	for _, floor := range []float64{0, a.Dist(b)} {
+		for _, thr := range []float64{math.Nextafter(w, 0), w, math.Nextafter(w, math.Inf(1))} {
+			if got := ms.EnvelopeExceeds(sc, a, b, region, res, envPrev, margin, floor, thr); got != (math.Max(floor, wantEnv.LB) > thr) {
+				t.Fatalf("%s: EnvelopeExceeds(floor %v, threshold %v at the witness %v) = %v, reference envelope %v",
+					what, floor, thr, w, got, wantEnv.LB)
+			}
+		}
+	}
+
+	// The tightest cut the solve argument allows, at the reference value
+	// itself, leaves the value and the path — the next level's envelope —
+	// as they are.
+	ms.collect(sc, useX, a, b, region, res, step, envelope{})
+	lb, bestK := sc.solve(useX, a, b, want.LB*(1+cutSlack))
+	cut := LowerEstimate{LB: lb, Segments: want.Segments}
+	if bestK >= 0 {
+		cut.Path = sc.tracePath(bestK)
+	}
+	sameEstimate(t, what+" cut at the reference value", cut, want)
 	return want
 }
 
@@ -157,6 +187,49 @@ func TestChainKernelMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWitnessKeepsToTheEnvelope gives the envelope a detour: prev's boxes
+// run along both far edges of the terrain, so the wide chain must climb to
+// one of them and back, while the straight line between a and b — through
+// the entries the envelope drops between the two edges, inside each
+// layer's run — is far shorter. A witness built from any dropped entry
+// would come out below the DP it must bound and certify a wrong "does not
+// exceed".
+func TestWitnessKeepsToTheEnvelope(t *testing.T) {
+	t.Parallel()
+	for _, f := range kernelFixtures() {
+		ms, ext := f.ms, f.ext
+		midY := (ext.MinY + ext.MaxY) / 2
+		a := geom.Vec3{X: ext.MinX + 5, Y: midY}
+		b := geom.Vec3{X: ext.MaxX - 5, Y: midY + 3}
+		var prev []Segment
+		for _, cl := range ms.XLines {
+			for _, y := range []float64{ext.MinY + 19, ext.MaxY - 20} {
+				prev = append(prev, Segment{Line: cl, Box: geom.Box3{
+					Min: geom.Vec3{X: cl.Coord, Y: y},
+					Max: geom.Vec3{X: cl.Coord, Y: y + 1},
+				}})
+			}
+		}
+		margin := ms.Spacing
+		var sc Scratch
+		for _, res := range testLadder {
+			what := fmt.Sprintf("%s res %v", f.name, res)
+			wide := refLowerBound(ms, a, b, ext, res, prev, margin)
+			if wide.LB < 1.25*a.Dist(b) {
+				t.Fatalf("%s: the detour envelope's bound %v is not a detour (|ab| %v)", what, wide.LB, a.Dist(b))
+			}
+			ms.collect(&sc, true, a, b, ext, res, planeStepFor(res), envelope{prev, margin, false})
+			if w := sc.witness(true, a, b); w < wide.LB {
+				t.Fatalf("%s: witness %v below the envelope DP %v", what, w, wide.LB)
+			}
+			thr := (a.Dist(b) + wide.LB) / 2
+			if !ms.EnvelopeExceeds(&sc, a, b, ext, res, prev, margin, 0, thr) {
+				t.Fatalf("%s: EnvelopeExceeds(threshold %v) = false, envelope bound %v", what, thr, wide.LB)
+			}
+		}
 	}
 }
 

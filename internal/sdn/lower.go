@@ -28,9 +28,12 @@ type layer struct {
 	lo, hi int // run [lo, hi) of tab
 	base   int // arena index of tab entry lo
 	// masked: some entries inside the run are not part of the layer (outside
-	// the region on the plane axis, or outside the envelope); their dist is
-	// +Inf, which no transition can select.
+	// the region on the plane axis, outside the envelope, or over the cut);
+	// their dist is +Inf, which no transition can select.
 	masked bool
+	// rem bounds from below the plane-axis travel every chain still has
+	// ahead of it from this layer to b (see solve).
+	rem float64
 }
 
 // Scratch holds the reusable buffers of the lower-bound estimator, so a warm
@@ -46,15 +49,17 @@ type Scratch struct {
 	layers    []layer
 	dist      []float64
 	prev      []int32
+	pre, suf  []float64 // prefix and suffix minima of a source layer's dist
 	path      []Segment
 	pathAlt   []Segment // parks the first family's path in LowerBoundBothScratch
 	pairs     int64
 }
 
-// Pairs returns the number of layer-transition pairs this scratch has fully
+// Pairs returns the number of box-to-box pairs this scratch has fully
 // evaluated (box distance and square root computed) since it was created —
 // the work the kernel's pruning leaves, against the all-pairs product of
-// consecutive layer sizes.
+// consecutive layer sizes — and those of the witness chains, one per kept
+// entry.
 func (sc *Scratch) Pairs() int64 { return sc.pairs }
 
 // LowerBound estimates a lower bound on the surface distance between a and
@@ -120,45 +125,63 @@ func prefersX(a, b geom.Vec3) bool {
 // an empty prev makes the envelope the whole SDN.
 //
 // The value is never returned because only the comparison is used, and the
-// comparison is usually settled before the envelope chain is worth running:
+// comparison is usually settled before the envelope chain is worth running.
+// Four tiers, cheapest first; each returns what max(floor, wide) > threshold
+// would, wide being the envelope chain's value with its Euclidean floor:
 //
-//   - floor > threshold decides "exceeds" with no chain at all.
-//   - Otherwise a chain over the NARROW envelope runs first: prev's boxes
-//     thickened by margin along the plane axis only (so the planes a finer
-//     step adds between prev's are still reached) and not at all along the
-//     free axis. Every narrow box lies inside its wide box, so each layer keeps
-//     a subset of the entries the wide envelope keeps. As long as every layer
-//     the wide envelope keeps is also non-empty under the narrow one, the two
-//     chains run over the same sequence of layers, and narrow's DP is a minimum
-//     over a subset of wide's chains: by induction over the layers
-//     dist_narrow[p] >= dist_wide[p] for every entry p narrow keeps — the first
-//     layer's values are the same point distances, and fl(dist[j] + d(j,p)) is
-//     monotone in dist[j] under round-to-nearest, the box distance d(j,p)
-//     being the same float in both runs — and the closing minimum and the
-//     Euclidean floor are monotone too. Hence narrow >= wide as floats, and
-//     narrow <= threshold certifies wide <= threshold: "does not exceed".
-//   - A layer that is empty under the narrow boxes is masked again with the
-//     wide ones. Empty under both, both chains skip it. If the wide boxes
-//     keep anything, the chains no longer share their layers — narrow would
-//     skip a plane wide must cross and could come out LOWER — so the
-//     certificate is abandoned and the narrow value discarded.
-//   - Only when the narrow chain was abandoned or came out above threshold
-//     does the wide chain run, and its value decides.
+//   - Floor: floor > threshold decides "exceeds" with no chain at all.
+//   - Witness: one greedy chain through the wide envelope's layers (witness),
+//     summed as the DP sums. The DP's value is at most any chain's, so
+//     max(witness, |ab|) <= threshold certifies "does not exceed". The
+//     Euclidean floor belongs to the value: without it a witness under
+//     threshold says nothing when |ab| is over it.
+//   - Narrow: a chain over the NARROW envelope: prev's boxes thickened by
+//     margin along the plane axis only (so the planes a finer step adds
+//     between prev's are still reached) and not at all along the free axis.
+//     Every narrow box lies inside its wide box, so each layer keeps a subset
+//     of the entries the wide envelope keeps. As long as every layer the wide
+//     envelope keeps is also non-empty under the narrow one, the two chains
+//     run over the same sequence of layers, and narrow's DP is a minimum over
+//     a subset of wide's chains: by induction over the layers
+//     dist_narrow[p] >= dist_wide[p] for every entry p narrow keeps — the
+//     first layer's values are the same point distances, and
+//     fl(dist[j] + d(j,p)) is monotone in dist[j] under round-to-nearest, the
+//     box distance d(j,p) being the same float in both runs — and the closing
+//     minimum and the Euclidean floor are monotone too. Hence narrow >= wide
+//     as floats, and narrow <= threshold certifies wide <= threshold: "does
+//     not exceed". A layer that is empty under the narrow boxes is masked
+//     again with the wide ones. Empty under both, both chains skip it. If the
+//     wide boxes keep anything, the chains no longer share their layers —
+//     narrow would skip a plane wide must cross and could come out LOWER — so
+//     the certificate is abandoned.
+//   - Wide: only when no tier above settled it does the wide chain run, and
+//     its value decides.
 //
-// Each branch returns what max(floor, wide) > threshold would, so the
-// decision is the one the value-returning dummy bound gave.
+// The narrow and the wide chain run under a cut at threshold (see solve):
+// they drop entries no chain of value <= threshold passes through, so their
+// value is exact whenever it is <= threshold and above threshold otherwise,
+// and a layer the cut empties answers "above" at once.
 func (ms *MSDN) EnvelopeExceeds(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64, prev []Segment, margin, floor, threshold float64) bool {
 	if floor > threshold {
 		return true
 	}
 	useX, step := prefersX(a, b), planeStepFor(resolution)
-	if len(prev) > 0 && margin >= 0 { // a negative margin would make the narrow boxes the larger ones
-		if narrow, ok := ms.chain(sc, useX, a, b, region, resolution, step, envelope{path: prev, margin: margin, narrow: true}); ok && narrow.LB <= threshold {
-			return false
-		}
+	wide := envelope{path: prev, margin: margin}
+	ms.collect(sc, useX, a, b, region, resolution, step, wide)
+	if math.Max(sc.witness(useX, a, b), a.Dist(b)) <= threshold {
+		return false
 	}
-	wide, _ := ms.chain(sc, useX, a, b, region, resolution, step, envelope{path: prev, margin: margin})
-	return wide.LB > threshold
+	cut := threshold * (1 + cutSlack)
+	if len(prev) > 0 && margin >= 0 { // a negative margin would make the narrow boxes the larger ones
+		if _, ok := ms.collect(sc, useX, a, b, region, resolution, step, envelope{path: prev, margin: margin, narrow: true}); ok {
+			if lb, _ := sc.solve(useX, a, b, cut); lb <= threshold {
+				return false
+			}
+		}
+		ms.collect(sc, useX, a, b, region, resolution, step, wide) // the narrow run reused the arena
+	}
+	lb, _ := sc.solve(useX, a, b, cut)
+	return lb > threshold
 }
 
 // envelope restricts a chain to the SDN entries near a previous bound's
@@ -171,17 +194,66 @@ type envelope struct {
 	narrow bool
 }
 
+// cutSlack widens every cut (a witness length or a threshold) by far more
+// than the rounding a chain of floating-point sums can accumulate; see solve.
+const cutSlack = 1e-9
+
 // chain runs the layered chain DP over one plane family with an explicit
-// plane-thinning step. For a FIXED step the bound is monotone in the point
-// resolution (boxes only shrink); across different steps the bound is still
-// always valid but need not be pointwise monotone, which is why MR3 keeps
-// the running maximum. All per-layer state lives in sc's arena buffers.
+// plane-thinning step and returns its value, a lower bound. For a FIXED step
+// the bound is monotone in the point resolution (boxes only shrink); across
+// different steps the bound is still always valid but need not be pointwise
+// monotone, which is why MR3 keeps the running maximum. All per-layer state
+// lives in sc's arena buffers. The DP runs under a cut at its own witness's
+// length (see solve), which leaves the bound, the path and the first-index
+// ties unchanged.
 //
 // The boolean is false only for a narrow envelope that emptied a layer its
 // wide form keeps (see EnvelopeExceeds); the estimate is then void.
 func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, env envelope) (LowerEstimate, bool) {
+	segments, ok := ms.collect(sc, useX, a, b, region, resolution, step, env)
+	if !ok {
+		return LowerEstimate{}, false
+	}
+	lb, bestK := sc.solve(useX, a, b, sc.witness(useX, a, b)*(1+cutSlack))
+	est := LowerEstimate{LB: lb, Segments: segments}
+	if bestK >= 0 {
+		est.Path = sc.tracePath(bestK)
+	}
+	return est, true
+}
+
+// tracePath reconstructs into sc.path the chain solve closed at arena entry
+// bestK, for the envelope optimisation: the prev chain walks one layer back
+// per step and ends at -1 on the first layer.
+func (sc *Scratch) tracePath(bestK int) []Segment {
+	sc.path = sc.path[:0]
+	for li, k := len(sc.layers)-1, bestK; k >= 0; li, k = li-1, int(sc.prev[k]) {
+		l := &sc.layers[li]
+		e := l.lo + k - l.base
+		sc.path = append(sc.path, Segment{
+			Line: l.line,
+			I:    int(l.tab.span[e]),
+			J:    int(l.tab.span[e+1]),
+			Box:  l.tab.box(e, l.line.Axis),
+		})
+	}
+	for i, j := 0, len(sc.path)-1; i < j; i, j = i+1, j-1 {
+		sc.path[i], sc.path[j] = sc.path[j], sc.path[i]
+	}
+	return sc.path
+}
+
+// collect lays out a chain's layers in sc: the lines strictly between a and
+// b on the family's axis, thinned by step and ordered from a's side, each
+// clipped to region and the envelope. A line the region or the envelope
+// cuts entirely is skipped (the chain then weakens but stays valid); every
+// other line becomes a layer whose arena span holds 0 for its kept entries
+// and +Inf for the rest, trimmed to the first and last kept entry. It
+// returns the number of entries kept over all layers, and false for a
+// narrow envelope that emptied a layer its wide form keeps.
+func (ms *MSDN) collect(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, env envelope) (segments int, ok bool) {
 	tabs := ms.tables(useX, resolution)
-	euclid := a.Dist(b)
+	sc.layers = sc.layers[:0]
 	// Axis roles for this family: "plane" is the coordinate the cutting
 	// planes fix, "free" the one their crossing lines run along.
 	lines := ms.YLines
@@ -196,7 +268,7 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 	between := sc.between
 	if len(between) == 0 || region.IsEmpty() {
 		// No plane separates the points, or the region cuts every line.
-		return LowerEstimate{LB: euclid}, true
+		return 0, true
 	}
 	// Order the planes from a's side to b's side.
 	if math.Abs(lines[between[0]].Coord-aPlane) > math.Abs(lines[between[len(between)-1]].Coord-aPlane) {
@@ -225,15 +297,10 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 		boxes = sc.envNarrow
 	}
 
-	// Layered dynamic program: dist[k] = shortest chain from a to arena
-	// entry k. Each kept layer occupies a contiguous arena span; prev holds
-	// absolute indices into the previous span (-1 on the first).
-	est := LowerEstimate{}
-	sc.layers = sc.layers[:0]
-	end := 0 // arena length
+	end, widest := 0, 0 // arena length, longest layer
 	for _, li := range between {
 		cl, tab := lines[li], &tabs[li]
-		lo, hi := tab.run(minF, maxF)
+		lo, hi := tab.run(0, tab.len(), minF, maxF)
 		if lo == hi {
 			// The region cut this line entirely; a path could still cross
 			// it outside the clipped area, so skip the layer (weakens but
@@ -250,7 +317,7 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 			kept, first, n = mask(sc.dist[end:end+n], &l, boxes, minP, maxP)
 			if kept == 0 && env.narrow {
 				if wide, _, _ := mask(sc.dist[end:end+hi-lo], &l, sc.envBoxes, minP, maxP); wide > 0 {
-					return LowerEstimate{}, false
+					return segments, false
 				}
 			}
 			// Trim the run to the span of kept entries; what is still
@@ -258,26 +325,88 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 			copy(sc.dist[end:end+n], sc.dist[end+first:])
 			l.lo, l.hi = lo+first, lo+first+n
 			l.masked = kept < n
+		} else {
+			clear(sc.dist[end : end+n])
 		}
-		est.Segments += kept
+		segments += kept
 		if kept == 0 {
 			continue
 		}
-		if len(sc.layers) == 0 {
-			sc.first(&l, useX, a)
-		} else {
-			sc.transition(&sc.layers[len(sc.layers)-1], &l, useX)
-		}
 		sc.layers = append(sc.layers, l)
 		end += n
+		widest = max(widest, n)
 	}
+	sc.pre = growF64(sc.pre, widest)
+	sc.suf = growF64(sc.suf, widest)
+
+	// The plane-axis travel ahead of each layer (see solve): the gap from
+	// its line to b, less the plane-axis widths of the lines after it, then
+	// less remSlack of both — more than the rounding of the sums, so rem is
+	// never above the exact difference.
+	sw := 0.0
+	for i := len(sc.layers) - 1; i >= 0; i-- {
+		t := sc.layers[i].tab
+		g := geom.RangeGap(t.pMin, t.pMax, bPlane, bPlane)
+		sc.layers[i].rem = math.Max(0, g-sw-remSlack*(g+sw))
+		sw += t.pMax - t.pMin
+	}
+	return segments, true
+}
+
+// remSlack is the relative amount by which a layer's remaining plane-axis
+// travel is rounded down: above (n+5)·2⁻⁵³ for any n < 10⁵ layers.
+const remSlack = 1e-10
+
+// solve runs the chain DP over the layers collect laid out, under a cut,
+// and returns max(best chain, |ab|) with the arena index of the closing
+// entry, or -1 when no layer was kept (the value is then |ab|).
+//
+// The cut. After each layer, every entry whose dist exceeds lim = cut - rem
+// is dropped (and the transition does not look for sources beyond lim).
+// rem bounds from below the cost any chain still pays from that layer on:
+// each remaining leg costs at least its plane-axis gap, the gaps from a box
+// on this line through boxes on the later lines to b sum to at least the gap
+// from this line to b less the later lines' plane widths (lines are
+// straight cuts, but extraction rounding leaves them slightly wide), and
+// remSlack covers the rounding of that difference. So an entry on a chain
+// of value v has dist + rem <= v·(1 + 2⁻⁵³·(4·layers + 5)), far below
+// v·(1 + cutSlack). Then, by induction along the reference DP's own path
+// (first-index argmin at every step):
+//
+//   - if that path's value is <= cut/(1+cutSlack), every entry on it
+//     survives: each has dist <= lim;
+//   - the argmin source of each of its entries survives, and every other
+//     surviving source has a dist no lower than the uncut DP's (a minimum
+//     over fewer chains, each summed with the same monotone fl steps), so
+//     the same first index attains the same minimum; likewise at the close.
+//
+// So the value, the path and the ties are the uncut DP's whenever its value
+// is <= cut/(1+cutSlack). The value chains (chain) cut at their witness's
+// length, which bounds the DP's value; the decision chains (EnvelopeExceeds)
+// cut at the threshold, where a value above the threshold may come out
+// larger still, or as +Inf when the cut empties a layer — the uncut value is
+// then above the threshold too.
+func (sc *Scratch) solve(useX bool, a, b geom.Vec3, cut float64) (lb float64, bestK int) {
+	euclid := a.Dist(b)
 	if len(sc.layers) == 0 {
-		return LowerEstimate{LB: euclid, Segments: est.Segments}, true
+		return euclid, -1
+	}
+	for i := range sc.layers {
+		l := &sc.layers[i]
+		lim := cut - l.rem
+		if i == 0 {
+			sc.first(l, useX, a)
+		} else {
+			sc.transition(&sc.layers[i-1], l, useX, lim)
+		}
+		if !sc.cut(l, lim) {
+			return math.Inf(1), -1
+		}
 	}
 	// Close the chain at b over the last kept layer.
 	last := &sc.layers[len(sc.layers)-1]
 	best := math.Inf(1)
-	bestK := -1
+	bestK = -1
 	for k := last.lo; k < last.hi; k++ {
 		if d := sc.dist[last.base+k-last.lo] + pointDist(last.tab, k, useX, b); d < best {
 			best = d
@@ -285,29 +414,38 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 		}
 	}
 	if bestK < 0 {
-		est.LB = euclid
-		return est, true
+		return euclid, -1
 	}
 	// The Euclidean distance is always a valid floor.
-	est.LB = math.Max(best, euclid)
-	// Reconstruct the path for the envelope optimisation: the prev chain
-	// walks one layer back per step and ends at -1 on the first layer.
-	sc.path = sc.path[:0]
-	for li, k := len(sc.layers)-1, bestK; k >= 0; li, k = li-1, int(sc.prev[k]) {
-		l := &sc.layers[li]
-		e := l.lo + k - l.base
-		sc.path = append(sc.path, Segment{
-			Line: l.line,
-			I:    int(l.tab.span[e]),
-			J:    int(l.tab.span[e+1]),
-			Box:  l.tab.box(e, l.line.Axis),
-		})
+	return math.Max(best, euclid), bestK
+}
+
+// cut drops the layer's entries that are over lim, or were never part of
+// it, and trims its run to the survivors' span. It reports whether any
+// survived. A NaN lim drops nothing.
+func (sc *Scratch) cut(l *layer, lim float64) bool {
+	dist := sc.dist[l.base : l.base+l.hi-l.lo]
+	first, last := -1, -1
+	kept := 0
+	for i, d := range dist {
+		if math.IsInf(d, 1) || d > lim {
+			dist[i] = math.Inf(1)
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		last = i
+		kept++
 	}
-	for i, j := 0, len(sc.path)-1; i < j; i, j = i+1, j-1 {
-		sc.path[i], sc.path[j] = sc.path[j], sc.path[i]
+	if kept == 0 {
+		return false
 	}
-	est.Path = sc.path
-	return est, true
+	l.base += first
+	l.lo += first
+	l.hi = l.lo + last + 1 - first
+	l.masked = kept < last+1-first
+	return true
 }
 
 // mask marks which entries of the layer's run belong to the layer — inside
@@ -315,19 +453,41 @@ func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, r
 // boxes — writing 0 into dist for those and +Inf for the rest. It returns
 // the number kept and the span (first index, length) from the first kept
 // entry to the last.
+//
+// A box's entries are found by binary search: the free-axis bounds are
+// monotone along the line, so the entries whose free-axis interval meets
+// the box's are one run (lineTable.run), and only those are tested on the
+// plane axis. The test is geom.MBR.Intersects of the box with the entry's
+// footprint, written out: an empty box meets nothing, and a NaN bound fails
+// every comparison.
 func mask(dist []float64, l *layer, env []geom.MBR, minP, maxP float64) (kept, first, span int) {
-	last := -1
+	t := l.tab
 	for i := range dist {
-		k := l.lo + i
-		ok := l.tab.pLo[k] <= maxP && minP <= l.tab.pHi[k]
-		if ok && len(env) > 0 {
-			ok = envIntersects(env, l.tab.box(k, l.line.Axis).XY())
+		dist[i] = math.Inf(1)
+		if k := l.lo + i; len(env) == 0 && t.pLo[k] <= maxP && minP <= t.pHi[k] {
+			dist[i] = 0
 		}
-		if !ok {
-			dist[i] = math.Inf(1)
+	}
+	for _, e := range env {
+		eMinF, eMaxF, eMinP, eMaxP := e.MinX, e.MaxX, e.MinY, e.MaxY
+		if l.line.Axis == XAxis {
+			eMinF, eMaxF, eMinP, eMaxP = eMinP, eMaxP, eMinF, eMaxF
+		}
+		if e.IsEmpty() || !(eMinP <= t.pMax && t.pMin <= eMaxP) {
+			continue // meets no entry of the line
+		}
+		lo, hi := t.run(l.lo, l.lo+len(dist), eMinF, eMaxF)
+		for k := lo; k < hi; k++ {
+			if eMinP <= t.pHi[k] && t.pLo[k] <= eMaxP && t.pLo[k] <= maxP && minP <= t.pHi[k] {
+				dist[k-l.lo] = 0
+			}
+		}
+	}
+	last := -1
+	for i, d := range dist {
+		if math.IsInf(d, 1) {
 			continue
 		}
-		dist[i] = 0
 		if kept == 0 {
 			first = i
 		}
@@ -335,18 +495,6 @@ func mask(dist []float64, l *layer, env []geom.MBR, minP, maxP float64) (kept, f
 		last = i
 	}
 	return kept, first, last + 1 - first
-}
-
-// envIntersects reports whether the footprint touches any envelope box. A
-// function rather than a closure: the chain DP calls it statically and
-// nothing escapes.
-func envIntersects(env []geom.MBR, xy geom.MBR) bool {
-	for _, e := range env {
-		if e.Intersects(xy) {
-			return true
-		}
-	}
-	return false
 }
 
 // growF64 resizes s to n entries, preserving the first len(s) values and

@@ -135,3 +135,13 @@ func refChain(ms *MSDN, useX bool, a, b geom.Vec3, region geom.MBR, resolution f
 	}
 	return est
 }
+
+// envIntersects reports whether the footprint touches any envelope box.
+func envIntersects(env []geom.MBR, xy geom.MBR) bool {
+	for _, e := range env {
+		if e.Intersects(xy) {
+			return true
+		}
+	}
+	return false
+}

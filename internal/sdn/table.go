@@ -106,14 +106,13 @@ func (t *lineTable) box(k int, axis Axis) geom.Box3 {
 	}
 }
 
-// run returns the half-open range of segments whose free-axis interval meets
-// [minF, maxF] — two binary searches over the monotone bounds, in place of
-// testing every segment's box. A NaN bound selects nothing, as the box test
-// it replaces did.
-func (t *lineTable) run(minF, maxF float64) (lo, hi int) {
-	n := t.len()
+// run returns the half-open range of segments in [from, to) whose free-axis
+// interval meets [minF, maxF] — two binary searches over the monotone
+// bounds, in place of testing every segment's box. A NaN bound selects
+// nothing, as the box test it replaces did.
+func (t *lineTable) run(from, to int, minF, maxF float64) (lo, hi int) {
 	// First segment with fHi >= minF.
-	lo, hi = 0, n
+	lo, hi = from, to
 	for lo < hi {
 		if mid := int(uint(lo+hi) >> 1); t.fHi[mid] >= minF {
 			hi = mid
@@ -123,7 +122,7 @@ func (t *lineTable) run(minF, maxF float64) (lo, hi int) {
 	}
 	first := lo
 	// First segment at or after it with fLo > maxF (or incomparable).
-	hi = n
+	hi = to
 	for lo < hi {
 		if mid := int(uint(lo+hi) >> 1); t.fLo[mid] <= maxF {
 			lo = mid + 1

@@ -373,6 +373,7 @@ for spec in \
     internal/core:FuzzObjstoreEquivalence \
     internal/objstore:FuzzStoreModel \
     internal/core:FuzzUpperBoundOracle \
+    internal/core:FuzzLowerBoundOracle \
     internal/sdn:FuzzChainKernel \
     internal/pathnet:FuzzSharedSourceMatchesClipped \
     internal/sklang:FuzzParseRoundTrip; do
