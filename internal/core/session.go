@@ -113,6 +113,9 @@ func (s *Session) beginQuery(ctx context.Context, algo string) {
 	s.dxyVisits = 0
 	s.step3Radius = 0
 	s.path.ForgetSource()
+	if s.est != nil {
+		s.est.ForgetSource()
+	}
 	s.releaseView() // defensive: a panicked query may have left a pin
 	if s.db.store != nil {
 		s.view = s.db.store.Pin()

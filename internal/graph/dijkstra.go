@@ -32,14 +32,6 @@ func DijkstraTarget(g *Graph, src, dst int) (float64, []int) {
 	return d, out
 }
 
-// DijkstraBounded computes shortest distances from src, abandoning any
-// vertex whose distance exceeds bound. Vertices beyond the bound report
-// Inf. This implements the search-region truncation MR3 relies on.
-func DijkstraBounded(g *Graph, src int, bound float64) []float64 {
-	w := NewWorkspace(g.NumVertices())
-	return w.DijkstraBounded(g, src, bound)
-}
-
 // DijkstraMultiTarget computes shortest distances from src to each target,
 // stopping once every target has been settled. The result is parallel to
 // targets; unreachable targets get Inf.

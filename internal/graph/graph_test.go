@@ -95,21 +95,6 @@ func TestDijkstraTargetPath(t *testing.T) {
 	}
 }
 
-func TestDijkstraBounded(t *testing.T) {
-	g := lineGraph(10)
-	d := DijkstraBounded(g, 0, 4.5)
-	for i := 0; i <= 4; i++ {
-		if d[i] != float64(i) {
-			t.Errorf("d[%d] = %v", i, d[i])
-		}
-	}
-	for i := 5; i < 10; i++ {
-		if !math.IsInf(d[i], 1) {
-			t.Errorf("d[%d] = %v, want Inf (beyond bound)", i, d[i])
-		}
-	}
-}
-
 func TestDijkstraMultiTarget(t *testing.T) {
 	g := lineGraph(10)
 	got := DijkstraMultiTarget(g, 3, []int{0, 7, 3, 7})

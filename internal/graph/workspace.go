@@ -11,9 +11,9 @@ import "math"
 // Instead of re-filling the distance array with +Inf before every run, each
 // run bumps an epoch counter and a distance entry is only meaningful when
 // its stamp matches the current epoch — an O(touched) logical clear. The
-// full-distance variants (Dijkstra, DijkstraBounded) materialise Inf into
-// untouched entries before returning, so callers see exactly the slice the
-// allocating API produced.
+// full-distance variant, Dijkstra, materialises Inf into untouched entries
+// before returning, so callers see exactly the slice the allocating API
+// produced.
 //
 // Returned slices alias the workspace and are valid until the next call on
 // it.
@@ -113,37 +113,6 @@ func (w *Workspace) Dijkstra(g *Graph, src int) []float64 {
 		for _, a := range g.arcsOf(it.v) {
 			nd := it.prio + a.W
 			if nd < w.distAt(a.To) {
-				w.setDist(a.To, nd)
-				w.h.push(a.To, nd)
-			}
-		}
-	}
-	return w.materialize(g)
-}
-
-// DijkstraBounded computes shortest distances from src, abandoning any
-// vertex whose distance exceeds bound. Vertices beyond the bound report
-// Inf — including the source itself when bound < 0, matching the
-// historical behaviour of the bound-truncated search.
-//
-//sklint:hotpath
-func (w *Workspace) DijkstraBounded(g *Graph, src int, bound float64) []float64 {
-	w.begin(g)
-	if bound < 0 {
-		// Even the zero-distance source misses a negative bound; the
-		// push-side filter below would never let anything settle.
-		return w.materialize(g)
-	}
-	w.setDist(int32(src), 0)
-	w.h.push(int32(src), 0)
-	for w.h.len() > 0 {
-		it := w.h.pop()
-		if it.prio > w.distAt(it.v) {
-			continue
-		}
-		for _, a := range g.arcsOf(it.v) {
-			nd := it.prio + a.W
-			if nd < w.distAt(a.To) && nd <= bound {
 				w.setDist(a.To, nd)
 				w.h.push(a.To, nd)
 			}

@@ -123,20 +123,6 @@ func TestWorkspaceVariantsMatchPackageAPI(t *testing.T) {
 		w.Ensure(g.NumVertices())
 		n := g.NumVertices()
 		src, dst := rng.Intn(n), rng.Intn(n)
-		bound := rng.Float64() * 5
-
-		wantB := refDijkstra(g, src)
-		for v, d := range wantB {
-			if d > bound {
-				wantB[v] = Inf
-			}
-		}
-		gotB := w.DijkstraBounded(g, src, bound)
-		for v := range wantB {
-			if math.Float64bits(wantB[v]) != math.Float64bits(gotB[v]) {
-				t.Fatalf("bounded: dist[%d] = %v want %v", v, gotB[v], wantB[v])
-			}
-		}
 
 		full := refDijkstra(g, src)
 		d, path := w.DijkstraTarget(g, src, dst)
@@ -175,30 +161,6 @@ func TestWorkspaceVariantsMatchPackageAPI(t *testing.T) {
 	}
 }
 
-func TestDijkstraBoundedNegativeBound(t *testing.T) {
-	// Regression for the historical dead branch: with bound < 0 nothing is
-	// reachable — not even the source, whose distance 0 exceeds the bound.
-	g := New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	for _, finalize := range []bool{false, true} {
-		if finalize {
-			g.Finalize()
-		}
-		dist := DijkstraBounded(g, 0, -1)
-		for v, d := range dist {
-			if !math.IsInf(d, 1) {
-				t.Fatalf("finalized=%v: dist[%d] = %v, want +Inf under negative bound", finalize, v, d)
-			}
-		}
-		// Zero bound keeps exactly the source.
-		dist = DijkstraBounded(g, 0, 0)
-		if dist[0] != 0 || !math.IsInf(dist[1], 1) {
-			t.Fatalf("finalized=%v: bound 0: got %v", finalize, dist)
-		}
-	}
-}
-
 func TestWorkspaceWarmRunsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
@@ -211,13 +173,11 @@ func TestWorkspaceWarmRunsDoNotAllocate(t *testing.T) {
 	out := make([]float64, len(targets))
 	// One warm-up pass lets the heap slab reach its high-water mark.
 	w.Dijkstra(g, 0)
-	w.DijkstraBounded(g, 1, 2.5)
 	_, _ = w.DijkstraTarget(g, 2, 400)
 	w.DijkstraMultiTarget(g, 3, targets, out)
 	src := 0
 	if n := testing.AllocsPerRun(50, func() {
 		w.Dijkstra(g, src)
-		w.DijkstraBounded(g, src, 2.5)
 		_, _ = w.DijkstraTarget(g, src, 400)
 		w.DijkstraMultiTarget(g, src, targets, out)
 		src = (src + 13) % g.NumVertices()

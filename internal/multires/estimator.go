@@ -14,7 +14,10 @@ import (
 // settles — a few hundred of a network of thousands — instead of filtering a
 // fetched batch and packing the survivors into a private graph first. Bounds
 // and paths are bit-identical to that pipeline (argument at UpperBound,
-// pinned by TestEstimatorMatchesNetwork).
+// pinned by TestEstimatorMatchesNetwork). Most estimations skip even that
+// search: one resumable, unrestricted search per level from the source
+// answers them when a certificate shows the bits and path are the same
+// (shared.go).
 //
 // An Estimator is owned by a single goroutine. Returned paths alias it and
 // are valid until its next UpperBound call.
@@ -28,10 +31,17 @@ type Estimator struct {
 	fr    graph.Frontier
 	path  []NodeID
 
+	// shared is one resumable unrestricted search per materialised level,
+	// parallel to the tree's levels (shared.go).
+	shared []sharedSearch
+
 	// Work counters over every UpperBound call, read by tests and
 	// benchmarks: arcs looked at, arcs that passed the admission test (asked
-	// only of arcs that would relax), vertices settled.
+	// only of arcs that would relax), vertices the restricted searches
+	// settled; estimations read off a shared search, vertices the shared
+	// searches settled.
 	Scanned, Admitted, Settled int64
+	Certified, SharedSettled   int64
 }
 
 // slot is one vertex's tentative distance and predecessor.
@@ -51,18 +61,26 @@ func NewEstimator(t *Tree) *Estimator {
 	if t.order == nil && len(t.Edges) > 0 {
 		panic("multires: NewEstimator before Tree.Materialize")
 	}
-	return &Estimator{
-		t:     t,
-		slots: make([]slot, len(t.Nodes)+1),
-		path:  make([]NodeID, 0, t.NumLeaves),
+	e := &Estimator{
+		t:      t,
+		slots:  make([]slot, len(t.Nodes)+1),
+		path:   make([]NodeID, 0, t.NumLeaves),
+		shared: make([]sharedSearch, len(t.levels)),
 	}
+	for i := range e.shared {
+		e.shared[i].slots = make([]slot, len(t.Nodes))
+	}
+	return e
 }
 
-// level returns the tree's materialised network of time tm. No caller asks
-// for a time Materialize was not given, so one it was not is a panic.
-func (e *Estimator) level(tm int32) *levelNet {
-	if ln := e.t.levelAt(tm); ln != nil {
-		return ln
+// level returns the tree's materialised network of time tm and its shared
+// search. No caller asks for a time Materialize was not given, so one it
+// was not is a panic.
+func (e *Estimator) level(tm int32) (*levelNet, *sharedSearch) {
+	for i := range e.t.levels {
+		if e.t.levels[i].time == tm {
+			return &e.t.levels[i], &e.shared[i]
+		}
 	}
 	panic("multires: upper bound at a time with no materialised level network")
 }
@@ -117,10 +135,10 @@ type embedding struct {
 }
 
 // embed fills em for sp. An ancestor is present iff one of its arcs is
-// admitted — the network's vertices were the endpoints of its kept edges.
+// admitted — the network's vertices were the endpoints of its kept edges; a
+// nil ad admits every arc (the shared search's unrestricted embedding).
 func (e *Estimator) embed(em *embedding, m *mesh.Mesh, sp mesh.SurfacePoint, ln *levelNet, ad *admission) bool {
 	em.n = 0
-	xy := e.t.xy
 corners:
 	for _, corner := range sp.Corners(m) {
 		anc := e.t.AncestorAt(NodeID(corner), ln.time)
@@ -132,15 +150,10 @@ corners:
 				continue corners
 			}
 		}
-		for _, a := range ln.arcs[ln.off[anc]:ln.off[anc+1]] {
-			e.Scanned++
-			if ad.admits(xy[anc], xy[a.to]) {
-				e.Admitted++
-				em.anc[em.n] = anc
-				em.w[em.n] = sp.Pos.Dist(m.Verts[corner]) + e.t.Nodes[anc].Gather
-				em.n++
-				break
-			}
+		if e.present(anc, ln, ad) {
+			em.anc[em.n] = anc
+			em.w[em.n] = sp.Pos.Dist(m.Verts[corner]) + e.t.Nodes[anc].Gather
+			em.n++
 		}
 	}
 	return em.n > 0
@@ -180,9 +193,37 @@ corners:
 //   - Path is the interior of the predecessor chain as NodeIDs, which is
 //     what NodePath mapped the graph path to.
 //
+// Most estimations do not run that restricted search: they read the bound
+// and path off the level's shared search, one unrestricted Dijkstra from a
+// resumed only until b's labels are final (fromShared), whenever a
+// certificate proves the restricted search would return the same bits and
+// the same path:
+//
+//   - The restricted network is a subgraph of the unrestricted one: its
+//     arcs are the admitted ones, its embed arcs those of the present
+//     ancestors with the same weights (the first corner's, whichever
+//     ancestors are present). fl(x + w) is monotone and non-decreasing in
+//     x, so every Dijkstra label is the minimum over paths of their
+//     left-to-right float sums: restricted labels are no lower.
+//   - If exactly one of b's ancestors attains the unrestricted best, and
+//     the arcs of its predecessor chain are admitted (a chain of one vertex
+//     needs an admitted arc at it, embed's presence test), the chain lies in
+//     the restricted network, so the restricted minimum at every chain
+//     vertex and at the target is the same float.
+//   - A different restricted predecessor of equal value would be an
+//     unrestricted one too, since its label can only be lower there; its
+//     label is at most the best, so the shared search settled it before
+//     stopping and its relaxation set the tie flag of the vertex it matched.
+//     A chain without tie flags therefore leaves the restricted search no
+//     other tie to break, and its predecessors are the same.
+//
+// Otherwise — several ancestors attain the best, a flag on the chain, an arc
+// off it refused — the restricted search runs as above. Key invariant 10 in
+// DESIGN.md; FuzzSharedUpperBound and TestEstimatorMatchesNetwork pin it.
+//
 //sklint:hotpath
 func (e *Estimator) UpperBound(m *mesh.Mesh, a, b mesh.SurfacePoint, tm int32, region geom.MBR, refined []geom.MBR) UpperEstimate {
-	ln := e.level(tm)
+	ln, sh := e.level(tm)
 	// Same-face shortcut: the straight on-facet segment is a valid path.
 	if a.Face == b.Face {
 		return UpperEstimate{UB: a.Pos.Dist(b.Pos)}
@@ -198,6 +239,9 @@ func (e *Estimator) UpperBound(m *mesh.Mesh, a, b mesh.SurfacePoint, tm int32, r
 		}
 		ad.box.MinX, ad.box.MinY = math.Max(ad.box.MinX, u.MinX), math.Max(ad.box.MinY, u.MinY)
 		ad.box.MaxX, ad.box.MaxY = math.Min(ad.box.MaxX, u.MaxX), math.Min(ad.box.MaxY, u.MaxY)
+	}
+	if est, ok := e.fromShared(sh, m, a, b, ln, &ad); ok {
+		return est
 	}
 	var src, dst embedding
 	okA := e.embed(&src, m, a, ln, &ad)

@@ -376,6 +376,7 @@ for spec in \
     internal/core:FuzzLowerBoundOracle \
     internal/sdn:FuzzChainKernel \
     internal/pathnet:FuzzSharedSourceMatchesClipped \
+    internal/multires:FuzzSharedUpperBound \
     internal/sklang:FuzzParseRoundTrip; do
     dir=${spec%:*}
     target=${spec#*:}
