@@ -476,7 +476,7 @@ func BenchmarkDijkstraMesh(b *testing.B) {
 
 // BenchmarkDijkstraCSR is BenchmarkDijkstraMesh on the flat layout: the
 // graph finalized to CSR and the traversal run through a reusable
-// Workspace (epoch-stamped dist/prev arrays, pooled heap). The delta
+// Workspace (epoch-stamped labels, pooled heap). The delta
 // against BenchmarkDijkstraMesh is what the SoA refactor buys one
 // shortest-path pass: no per-call dist allocation, no pointer-chasing
 // across adjacency slices.

@@ -5,37 +5,40 @@ import "math"
 // Inf is the distance reported for unreachable vertices.
 var Inf = math.Inf(1)
 
-// The package-level Dijkstra variants are the allocate-per-call
-// convenience API: each creates a throwaway Workspace sized to the graph
-// and delegates. Query loops that run warm should hold a Workspace (see
-// core.Session) and call its methods directly — those are the zero-alloc
-// hot paths.
+// The package-level Dijkstra variants allocate per call: each creates a
+// throwaway Workspace sized to the graph. A warm caller holds a Workspace
+// and writes its own settle loop over Begin, Relax, Min and Pop.
 
 // Dijkstra computes single-source shortest distances from src to every
 // vertex. Unreachable vertices get Inf.
 func Dijkstra(g *Graph, src int) []float64 {
-	w := NewWorkspace(g.NumVertices())
-	return w.Dijkstra(g, src)
+	return NewWorkspace(g.NumVertices()).Dijkstra(g, src)
 }
 
 // DijkstraTarget computes the shortest distance from src to dst, stopping as
-// soon as dst is settled, and returns the path (vertex sequence from src to
-// dst). dist is Inf and path nil when dst is unreachable.
+// soon as dst's distance is final, and returns the path (vertex sequence
+// from src to dst). dist is Inf and path nil when dst is unreachable.
 func DijkstraTarget(g *Graph, src, dst int) (float64, []int) {
 	w := NewWorkspace(g.NumVertices())
-	d, path := w.DijkstraTarget(g, src, dst)
-	if path == nil {
-		return d, nil
+	w.search(g, src)
+	w.settle(g, int32(dst))
+	d := w.Dist(int32(dst))
+	if math.IsInf(d, 1) {
+		return Inf, nil
 	}
-	out := make([]int, len(path))
-	copy(out, path)
-	return d, out
+	return d, Path[int](w, int32(dst), nil)
 }
 
 // DijkstraMultiTarget computes shortest distances from src to each target,
-// stopping once every target has been settled. The result is parallel to
+// stopping once every target's distance is final. The result is parallel to
 // targets; unreachable targets get Inf.
 func DijkstraMultiTarget(g *Graph, src int, targets []int) []float64 {
 	w := NewWorkspace(g.NumVertices())
-	return w.DijkstraMultiTarget(g, src, targets, make([]float64, len(targets)))
+	w.search(g, src)
+	out := make([]float64, len(targets))
+	for i, t := range targets {
+		w.settle(g, int32(t))
+		out[i] = w.Dist(int32(t))
+	}
+	return out
 }

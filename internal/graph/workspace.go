@@ -1,36 +1,39 @@
 package graph
 
-import "math"
-
-// Workspace is the reusable scratch state for Dijkstra runs: distance,
-// predecessor and visit-epoch arrays plus the binary heap, all retained
-// across calls so a warm run allocates nothing. A Workspace is owned by a
-// single goroutine (core.Session holds one per session); it is not safe
-// for concurrent use.
+// Workspace is the state of one Dijkstra search: a stamped label per vertex
+// and the frontier heap, kept across runs so a warm search allocates
+// nothing. Every shortest-path search of the engine runs on one — the
+// pathnet's point-to-point and shared-source searches, the DMTM
+// estimator's restricted and per-level shared searches, and the package
+// functions — each writing its own settle loop over these primitives:
+// Begin, Relax, Min, Pop, Dist/Prev/Tie and Path. A search is resumable:
+// stopping at any Min and settling on later leaves the same labels and pop
+// sequence as one uninterrupted run. A Workspace is owned by a single
+// goroutine; it is not safe for concurrent use.
 //
-// Instead of re-filling the distance array with +Inf before every run, each
-// run bumps an epoch counter and a distance entry is only meaningful when
-// its stamp matches the current epoch — an O(touched) logical clear. The
-// full-distance variant, Dijkstra, materialises Inf into untouched entries
-// before returning, so callers see exactly the slice the allocating API
-// produced.
-//
-// Returned slices alias the workspace and are valid until the next call on
-// it.
+// Instead of re-filling the labels before every run, Begin bumps an epoch
+// and a label is meaningful only while its stamp carries the current one —
+// an O(touched) logical clear; on wrap-around every stamp is zeroed once.
 type Workspace struct {
-	dist  []float64
-	prev  []int32
-	stamp []uint32 // visit epoch per vertex; == cur means dist/prev valid
-	cur   uint32
-
-	tstamp []uint32 // target-set epoch per vertex (DijkstraMultiTarget)
-	tcur   uint32
-
-	h    minHeap
-	path []int
+	labels []label
+	cur    uint32 // current epoch; even, so a stamp's low bit is free
+	h      minHeap
+	dist   []float64 // Dijkstra's result, grown on first use
 }
 
-// NewWorkspace returns a workspace able to run over graphs of up to n
+// label is one vertex's tentative distance and predecessor. The stamp is
+// epoch | tie: the label is current while stamp&^tieBit equals the
+// workspace's epoch, and the low bit flags a distance that a second
+// predecessor matched exactly.
+type label struct {
+	dist  float64
+	prev  int32
+	stamp uint32
+}
+
+const tieBit uint32 = 1
+
+// NewWorkspace returns a workspace able to search graphs of up to n
 // vertices.
 func NewWorkspace(n int) *Workspace {
 	w := &Workspace{}
@@ -39,199 +42,163 @@ func NewWorkspace(n int) *Workspace {
 }
 
 // Ensure grows the workspace to handle graphs of up to n vertices. It never
-// shrinks. Growth allocates; call it from setup code (session begin), not
-// from the query loop.
+// shrinks. Growth allocates and drops the current search; call it from
+// setup code, not from a query loop.
 func (w *Workspace) Ensure(n int) {
-	if n <= len(w.dist) {
-		return
+	if n > len(w.labels) {
+		w.labels = make([]label, n)
 	}
-	w.dist = make([]float64, n)
-	w.prev = make([]int32, n)
-	w.stamp = make([]uint32, n)
-	w.tstamp = make([]uint32, n)
-	w.path = make([]int, n)
 }
 
-// begin starts a new run: bumps the visit epoch (clearing the stamp array
-// on wrap-around) and resets the heap.
-func (w *Workspace) begin(g *Graph) {
-	if g.NumVertices() > len(w.dist) {
-		panic("graph: workspace too small for graph (call Ensure)")
-	}
-	w.cur++
-	if w.cur == 0 { // wrapped: every stale stamp would look current
-		for i := range w.stamp {
-			w.stamp[i] = 0
+// Begin starts a new search: every label reads +Inf, prev -1 and no tie,
+// and the frontier is empty.
+func (w *Workspace) Begin() {
+	w.cur += 2
+	if w.cur == 0 { // wrapped: old stamps would look current
+		for i := range w.labels {
+			w.labels[i].stamp = 0
 		}
-		w.cur = 1
+		w.cur = 2
 	}
 	w.h.reset()
 }
 
-// distAt reads the current run's distance of v (Inf when untouched).
-func (w *Workspace) distAt(v int32) float64 {
-	if w.stamp[v] == w.cur {
-		return w.dist[v]
+// Dist returns v's tentative distance, +Inf when this search has not
+// reached v.
+func (w *Workspace) Dist(v int32) float64 {
+	if l := &w.labels[v]; l.stamp&^tieBit == w.cur {
+		return l.dist
 	}
 	return Inf
 }
 
-// setDist stamps v with distance d (prev untouched).
-func (w *Workspace) setDist(v int32, d float64) {
-	w.dist[v] = d
-	w.prev[v] = -1
-	w.stamp[v] = w.cur
+// Prev returns the predecessor v was last relaxed from, -1 when this search
+// has not reached v. A seed's predecessor is whatever Relax was given.
+func (w *Workspace) Prev(v int32) int32 {
+	if l := &w.labels[v]; l.stamp&^tieBit == w.cur {
+		return l.prev
+	}
+	return -1
 }
 
-// materialize writes Inf into every entry the run did not touch and
-// returns the full distance slice for g.
-func (w *Workspace) materialize(g *Graph) []float64 {
-	n := g.NumVertices()
-	dist := w.dist[:n]
-	for i := range dist {
-		if w.stamp[i] != w.cur {
-			dist[i] = Inf
+// Tie reports whether, since v's distance was last lowered, a relaxation
+// from another predecessor matched it exactly.
+func (w *Workspace) Tie(v int32) bool {
+	return w.labels[v].stamp == w.cur|tieBit
+}
+
+// Relax offers v the distance d via from. A lower d replaces v's label and
+// queues v, and Relax reports true; an equal d from another predecessor
+// sets v's tie flag. Relax is too large to inline, so a hot loop calls it
+// only for d <= Dist(v): the longer offers it skips change nothing.
+//
+//sklint:hotpath
+func (w *Workspace) Relax(v, from int32, d float64) bool {
+	l := &w.labels[v]
+	old := Inf
+	if l.stamp&^tieBit == w.cur {
+		old = l.dist
+	}
+	if d < old {
+		*l = label{dist: d, prev: from, stamp: w.cur}
+		w.h.push(v, d)
+		return true
+	}
+	//lint:ignore float-eq an exact match from another predecessor is the tie the flag records
+	if d == old && l.prev != from {
+		l.stamp |= tieBit
+	}
+	return false
+}
+
+// Min drops stale entries off the frontier's top and returns the smallest
+// live priority — the next vertex Pop settles — or +Inf when none is left.
+//
+//sklint:hotpath
+func (w *Workspace) Min() float64 {
+	for len(w.h.items) > 0 {
+		if top := w.h.items[0]; top.prio <= w.Dist(top.v) {
+			return top.prio
+		}
+		w.h.pop()
+	}
+	return Inf
+}
+
+// Pop settles the frontier's smallest live entry and returns its vertex and
+// distance; -1 and +Inf when the frontier is exhausted.
+//
+//sklint:hotpath
+func (w *Workspace) Pop() (int32, float64) {
+	for len(w.h.items) > 0 {
+		if it := w.h.pop(); it.prio <= w.Dist(it.v) {
+			return it.v, it.prio
 		}
 	}
-	return dist
+	return -1, Inf
+}
+
+// Path writes v's predecessor chain into buf — the first vertex with a
+// negative predecessor first, v last — growing buf when it is too short,
+// and returns it.
+func Path[T ~int | ~int32](w *Workspace, v int32, buf []T) []T {
+	n := 0
+	for u := v; u >= 0; u = w.Prev(u) {
+		n++
+	}
+	if cap(buf) < n {
+		buf = make([]T, n)
+	}
+	buf = buf[:n]
+	for u, i := v, n-1; i >= 0; u, i = w.Prev(u), i-1 {
+		buf[i] = T(u)
+	}
+	return buf
+}
+
+// search restarts the workspace at src over g.
+func (w *Workspace) search(g *Graph, src int) {
+	if g.NumVertices() > len(w.labels) {
+		panic("graph: workspace too small for graph (call Ensure)")
+	}
+	w.Begin()
+	w.Relax(int32(src), -1, 0)
+}
+
+// settle resumes the search over g until the frontier is exhausted or its
+// minimum is no lower than dst's distance, which is then final; dst < 0
+// settles every reachable vertex.
+func (w *Workspace) settle(g *Graph, dst int32) {
+	for {
+		stop := Inf
+		if dst >= 0 {
+			stop = w.Dist(dst)
+		}
+		if !(w.Min() < stop) {
+			return
+		}
+		v, d := w.Pop()
+		for _, a := range g.arcsOf(v) {
+			if nd := d + a.W; nd <= w.Dist(a.To) {
+				w.Relax(a.To, v, nd)
+			}
+		}
+	}
 }
 
 // Dijkstra computes single-source shortest distances from src to every
 // vertex of g. Unreachable vertices get Inf. The result aliases the
-// workspace.
-//
-//sklint:hotpath
+// workspace until its next Dijkstra.
 func (w *Workspace) Dijkstra(g *Graph, src int) []float64 {
-	w.begin(g)
-	w.setDist(int32(src), 0)
-	w.h.push(int32(src), 0)
-	for w.h.len() > 0 {
-		it := w.h.pop()
-		if it.prio > w.distAt(it.v) {
-			continue // stale entry
-		}
-		for _, a := range g.arcsOf(it.v) {
-			nd := it.prio + a.W
-			if nd < w.distAt(a.To) {
-				w.setDist(a.To, nd)
-				w.h.push(a.To, nd)
-			}
-		}
+	w.search(g, src)
+	w.settle(g, -1)
+	n := g.NumVertices()
+	if cap(w.dist) < n {
+		w.dist = make([]float64, n)
 	}
-	return w.materialize(g)
-}
-
-// DijkstraTarget computes the shortest distance from src to dst, stopping
-// as soon as dst is settled, and returns the path (vertex sequence from src
-// to dst). dist is Inf and path nil when dst is unreachable. The path
-// aliases the workspace.
-//
-//sklint:hotpath
-func (w *Workspace) DijkstraTarget(g *Graph, src, dst int) (float64, []int) {
-	w.begin(g)
-	w.setDist(int32(src), 0)
-	w.h.push(int32(src), 0)
-	for w.h.len() > 0 {
-		it := w.h.pop()
-		if it.prio > w.distAt(it.v) {
-			continue
-		}
-		if int(it.v) == dst {
-			break
-		}
-		for _, a := range g.arcsOf(it.v) {
-			nd := it.prio + a.W
-			if nd < w.distAt(a.To) {
-				w.dist[a.To] = nd
-				w.prev[a.To] = it.v
-				w.stamp[a.To] = w.cur
-				w.h.push(a.To, nd)
-			}
-		}
+	dist := w.dist[:n]
+	for i := range dist {
+		dist[i] = w.Dist(int32(i))
 	}
-	d := w.distAt(int32(dst))
-	if math.IsInf(d, 1) {
-		return Inf, nil
-	}
-	return d, w.reconstruct(src, dst)
-}
-
-// DijkstraMultiTarget computes shortest distances from src to each target,
-// stopping once every target has been settled. out must be parallel to
-// targets (the legacy wrapper allocates it; warm callers pass a reused
-// buffer); unreachable targets get Inf.
-//
-// The historical implementation tracked the outstanding target set in a
-// per-call map[int32]int; the workspace replaces it with the tstamp
-// epoch-stamped slice.
-//
-//sklint:hotpath
-func (w *Workspace) DijkstraMultiTarget(g *Graph, src int, targets []int, out []float64) []float64 {
-	if len(out) != len(targets) {
-		panic("graph: out buffer not parallel to targets")
-	}
-	w.begin(g)
-	w.tcur++
-	if w.tcur == 0 {
-		for i := range w.tstamp {
-			w.tstamp[i] = 0
-		}
-		w.tcur = 1
-	}
-	remaining := 0
-	for _, t := range targets {
-		if w.tstamp[t] != w.tcur {
-			w.tstamp[t] = w.tcur
-			remaining++
-		}
-	}
-	w.setDist(int32(src), 0)
-	w.h.push(int32(src), 0)
-	for w.h.len() > 0 && remaining > 0 {
-		it := w.h.pop()
-		if it.prio > w.distAt(it.v) {
-			continue
-		}
-		if w.tstamp[it.v] == w.tcur {
-			w.tstamp[it.v] = w.tcur - 1 // settled: drop from the target set
-			remaining--
-		}
-		for _, a := range g.arcsOf(it.v) {
-			nd := it.prio + a.W
-			if nd < w.distAt(a.To) {
-				w.setDist(a.To, nd)
-				w.h.push(a.To, nd)
-			}
-		}
-	}
-	for i, t := range targets {
-		out[i] = w.distAt(int32(t))
-	}
-	return out
-}
-
-// reconstruct rebuilds the src→dst path from the prev chain into the
-// workspace path buffer: one counting walk to size it exactly, one filling
-// walk — no append growth.
-func (w *Workspace) reconstruct(src, dst int) []int {
-	n := 0
-	for v := int32(dst); v != -1; v = w.prevAt(v) {
-		n++
-		if int(v) == src {
-			break
-		}
-	}
-	path := w.path[:n]
-	for v, i := int32(dst), n-1; i >= 0; v, i = w.prevAt(v), i-1 {
-		path[i] = int(v)
-	}
-	return path
-}
-
-// prevAt reads the current run's predecessor of v (-1 when untouched).
-func (w *Workspace) prevAt(v int32) int32 {
-	if w.stamp[v] == w.cur {
-		return w.prev[v]
-	}
-	return -1
+	return dist
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -112,20 +113,18 @@ func TestWorkspaceDijkstraMatchesReference(t *testing.T) {
 	}
 }
 
-func TestWorkspaceVariantsMatchPackageAPI(t *testing.T) {
+func TestTargetVariantsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	w := NewWorkspace(0)
 	for trial := 0; trial < 20; trial++ {
 		g := randomGraph(rng, 40+rng.Intn(100), 200)
 		if trial%2 == 0 {
 			g.Finalize()
 		}
-		w.Ensure(g.NumVertices())
 		n := g.NumVertices()
 		src, dst := rng.Intn(n), rng.Intn(n)
 
 		full := refDijkstra(g, src)
-		d, path := w.DijkstraTarget(g, src, dst)
+		d, path := DijkstraTarget(g, src, dst)
 		if math.Float64bits(d) != math.Float64bits(full[dst]) {
 			t.Fatalf("target: dist = %v want %v", d, full[dst])
 		}
@@ -151,8 +150,7 @@ func TestWorkspaceVariantsMatchPackageAPI(t *testing.T) {
 			targets[i] = rng.Intn(n)
 		}
 		targets[3] = targets[1] // duplicate targets must both be reported
-		out := make([]float64, len(targets))
-		got := w.DijkstraMultiTarget(g, src, targets, out)
+		got := DijkstraMultiTarget(g, src, targets)
 		for i, tv := range targets {
 			if math.Float64bits(got[i]) != math.Float64bits(full[tv]) {
 				t.Fatalf("multi: out[%d] = %v want %v", i, got[i], full[tv])
@@ -169,19 +167,162 @@ func TestWorkspaceWarmRunsDoNotAllocate(t *testing.T) {
 	g := randomGraph(rng, 500, 1200)
 	g.Finalize()
 	w := NewWorkspace(g.NumVertices())
-	targets := []int{7, 99, 311, 42}
-	out := make([]float64, len(targets))
+	path := make([]int32, 0, g.NumVertices())
 	// One warm-up pass lets the heap slab reach its high-water mark.
 	w.Dijkstra(g, 0)
-	_, _ = w.DijkstraTarget(g, 2, 400)
-	w.DijkstraMultiTarget(g, 3, targets, out)
 	src := 0
 	if n := testing.AllocsPerRun(50, func() {
 		w.Dijkstra(g, src)
-		_, _ = w.DijkstraTarget(g, src, 400)
-		w.DijkstraMultiTarget(g, src, targets, out)
+		w.search(g, src)
+		w.settle(g, 400)
+		path = Path(w, 400, path)
 		src = (src + 13) % g.NumVertices()
 	}); n != 0 {
 		t.Fatalf("warm Workspace runs allocate %.1f times per run, want 0", n)
+	}
+}
+
+// gridGraph is a side×side grid with unit weights: every vertex off the
+// axes through the source is reached by many equal-length paths, so ties
+// are the norm.
+func gridGraph(side int) *Graph {
+	g := New(side * side)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			if c+1 < side {
+				g.AddEdge(r*side+c, r*side+c+1, 1)
+			}
+			if r+1 < side {
+				g.AddEdge(r*side+c, (r+1)*side+c, 1)
+			}
+		}
+	}
+	return g
+}
+
+// run seeds w at src and settles g in stages: until Min() reaches each
+// stop in turn, then dry. It returns the settled vertices in pop order.
+func run(w *Workspace, g *Graph, src int, stops []float64) []int32 {
+	w.Begin()
+	w.Relax(int32(src), -1, 0)
+	var pops []int32
+	for _, stop := range append(stops, Inf) {
+		for w.Min() < stop {
+			v, d := w.Pop()
+			pops = append(pops, v)
+			for _, a := range g.Arcs(int(v)) {
+				w.Relax(a.To, v, d+a.W)
+			}
+		}
+	}
+	return pops
+}
+
+// TestWorkspaceEpochWrap runs searches across the epoch counter's
+// wrap-around: labels stamped before it — by the first search of the
+// workspace's life, whose epoch the wrap reuses — must read as untouched,
+// and every search must still match the reference.
+func TestWorkspaceEpochWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, g := range []*Graph{randomGraph(rng, 300, 600), gridGraph(17)} {
+		n := g.NumVertices()
+		w := NewWorkspace(n)
+		run(w, g, 0, nil)
+		ties := 0
+		for v := int32(0); v < int32(n); v++ {
+			if w.Tie(v) {
+				ties++
+			}
+		}
+		w.cur = ^uint32(0) - 3 // the second Begin wraps, back to the first run's epoch
+		for i := 0; i < 6; i++ {
+			w.Begin()
+			for v := int32(0); v < int32(n); v++ {
+				if !math.IsInf(w.Dist(v), 1) || w.Prev(v) != -1 || w.Tie(v) {
+					t.Fatalf("run %d (epoch %#x): vertex %d reads dist %v prev %d tie %v after Begin",
+						i, w.cur, v, w.Dist(v), w.Prev(v), w.Tie(v))
+				}
+			}
+			src := rng.Intn(n)
+			run(w, g, src, nil)
+			want := refDijkstra(g, src)
+			for v := range want {
+				if math.Float64bits(w.Dist(int32(v))) != math.Float64bits(want[v]) {
+					t.Fatalf("run %d: dist[%d] = %v want %v", i, v, w.Dist(int32(v)), want[v])
+				}
+			}
+		}
+		if w.cur > 1<<8 {
+			t.Fatalf("epoch %#x: the counter never wrapped", w.cur)
+		}
+		if g.NumVertices() == 17*17 && ties == 0 {
+			t.Fatal("the grid search flagged no ties; the wrap test does not exercise the tie bit")
+		}
+	}
+}
+
+// TestWorkspaceResume pins the property the shared-source searches rely
+// on: a search advanced in stages, stopping whenever Min() reaches the next
+// stop, then run dry, leaves the same labels and pops in the same order as
+// one uninterrupted run.
+func TestWorkspaceResume(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	whole, staged := NewWorkspace(0), NewWorkspace(0)
+	for trial := 0; trial < 20; trial++ {
+		g := randomGraph(rng, 40+rng.Intn(200), 400)
+		if trial%2 == 1 {
+			g = gridGraph(5 + rng.Intn(12))
+		}
+		n := g.NumVertices()
+		whole.Ensure(n)
+		staged.Ensure(n)
+		src := rng.Intn(n)
+		want := run(whole, g, src, nil)
+		far := whole.Dist(want[len(want)-1])
+		stops := make([]float64, 1+rng.Intn(6))
+		for i := range stops {
+			stops[i] = rng.Float64() * far
+		}
+		stops[0] = whole.Dist(want[rng.Intn(len(want))]) // a stop on a settled distance
+		sort.Float64s(stops)
+		got := run(staged, g, src, stops)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: staged run popped %d vertices, whole run %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: pop %d is %d staged, %d whole (stops %v)", trial, i, got[i], want[i], stops)
+			}
+		}
+		for v := int32(0); v < int32(n); v++ {
+			if math.Float64bits(staged.Dist(v)) != math.Float64bits(whole.Dist(v)) ||
+				staged.Prev(v) != whole.Prev(v) || staged.Tie(v) != whole.Tie(v) {
+				t.Fatalf("trial %d: vertex %d label (%v, %d, %v) staged, (%v, %d, %v) whole", trial, v,
+					staged.Dist(v), staged.Prev(v), staged.Tie(v), whole.Dist(v), whole.Prev(v), whole.Tie(v))
+			}
+		}
+	}
+}
+
+// TestWorkspaceTieFlag pins the flag's two rules: an exact match from
+// another predecessor sets it, a lower distance clears it.
+func TestWorkspaceTieFlag(t *testing.T) {
+	g := New(5)
+	g.AddArc(0, 1, 1)
+	g.AddArc(0, 2, 1)
+	g.AddArc(0, 3, 3)
+	g.AddArc(1, 3, 2) // matches 0→3: a tie
+	g.AddArc(1, 4, 2)
+	g.AddArc(2, 3, 1) // lowers 3: the tie is gone
+	g.AddArc(2, 4, 2) // matches 1→4: a tie
+	w := NewWorkspace(g.NumVertices())
+	run(w, g, 0, nil)
+	for v, want := range []bool{false, false, false, false, true} {
+		if got := w.Tie(int32(v)); got != want {
+			t.Errorf("Tie(%d) = %v, want %v", v, got, want)
+		}
+	}
+	if w.Dist(3) != 2 || w.Prev(3) != 2 || w.Prev(4) != 1 {
+		t.Errorf("labels: dist(3) %v prev(3) %d prev(4) %d, want 2, 2, 1", w.Dist(3), w.Prev(3), w.Prev(4))
 	}
 }

@@ -24,12 +24,10 @@ import (
 type Estimator struct {
 	t *Tree
 
-	// Search state per tree node, the virtual target in the last slot; a
-	// slot is meaningful only while its stamp equals cur.
-	slots []slot
-	cur   uint32
-	fr    graph.Frontier
-	path  []NodeID
+	// The restricted search over tree nodes, the virtual target the last
+	// vertex, and its path buffer.
+	w    graph.Workspace
+	path []NodeID
 
 	// shared is one resumable unrestricted search per materialised level,
 	// parallel to the tree's levels (shared.go).
@@ -44,14 +42,7 @@ type Estimator struct {
 	Certified, SharedSettled   int64
 }
 
-// slot is one vertex's tentative distance and predecessor.
-type slot struct {
-	dist  float64
-	prev  NodeID
-	stamp uint32
-}
-
-// fromSource marks, in slot.prev, a vertex relaxed by the virtual source.
+// fromSource is the predecessor of a vertex relaxed by the virtual source.
 const fromSource NodeID = -2
 
 // NewEstimator returns an estimator over a materialised tree, every buffer
@@ -63,12 +54,12 @@ func NewEstimator(t *Tree) *Estimator {
 	}
 	e := &Estimator{
 		t:      t,
-		slots:  make([]slot, len(t.Nodes)+1),
 		path:   make([]NodeID, 0, t.NumLeaves),
 		shared: make([]sharedSearch, len(t.levels)),
 	}
+	e.w.Ensure(len(t.Nodes) + 1)
 	for i := range e.shared {
-		e.shared[i].slots = make([]slot, len(t.Nodes))
+		e.shared[i].w.Ensure(len(t.Nodes))
 	}
 	return e
 }
@@ -250,59 +241,32 @@ func (e *Estimator) UpperBound(m *mesh.Mesh, a, b mesh.SurfacePoint, tm int32, r
 		return UpperEstimate{UB: graph.Inf}
 	}
 
-	e.cur++
-	if e.cur == 0 { // the counter wrapped: old stamps would look current
-		for i := range e.slots {
-			e.slots[i].stamp = 0
-		}
-		e.cur = 1
-	}
-	cur, slots, xy, inf := e.cur, e.slots, e.t.xy, math.Inf(1)
-	target := NodeID(len(slots) - 1)
-	slots[target] = slot{dist: inf, stamp: cur}
-	e.fr.Reset()
+	w, xy := &e.w, e.t.xy
+	target := int32(len(e.t.Nodes))
+	w.Begin()
 	for i := 0; i < src.n; i++ {
-		// The ancestors are distinct, so each is relaxed from +Inf.
-		if w := src.w[i]; w < inf {
-			slots[src.anc[i]] = slot{dist: w, prev: fromSource, stamp: cur}
-			e.fr.Push(int32(src.anc[i]), w)
-		}
+		w.Relax(int32(src.anc[i]), int32(fromSource), src.w[i])
 	}
 	var scanned, admitted, settled int64
-	for e.fr.Len() > 0 {
-		vi, d := e.fr.Pop()
-		v := NodeID(vi)
-		if d > slots[v].dist {
-			continue // stale entry
-		}
-		if v == target {
+	for {
+		vi, d := w.Pop()
+		if vi < 0 || vi == target {
 			break
 		}
+		v := NodeID(vi)
 		settled++
 		pv := xy[v]
 		arcs := ln.arcs[ln.off[v]:ln.off[v+1]]
 		scanned += int64(len(arcs))
 		for _, arc := range arcs {
-			nd := d + arc.w
-			s := &slots[arc.to]
-			old := inf
-			if s.stamp == cur {
-				old = s.dist
+			if nd := d + arc.w; nd < w.Dist(int32(arc.to)) && ad.admits(pv, xy[arc.to]) {
+				admitted++
+				w.Relax(int32(arc.to), vi, nd)
 			}
-			if !(nd < old) || !ad.admits(pv, xy[arc.to]) {
-				continue
-			}
-			admitted++
-			*s = slot{dist: nd, prev: v, stamp: cur}
-			e.fr.Push(int32(arc.to), nd)
 		}
 		for i := 0; i < dst.n; i++ {
-			if dst.anc[i] != v {
-				continue
-			}
-			if nd := d + dst.w[i]; nd < slots[target].dist {
-				slots[target] = slot{dist: nd, prev: v, stamp: cur}
-				e.fr.Push(int32(target), nd)
+			if dst.anc[i] == v {
+				w.Relax(target, vi, d+dst.w[i])
 			}
 		}
 	}
@@ -310,17 +274,10 @@ func (e *Estimator) UpperBound(m *mesh.Mesh, a, b mesh.SurfacePoint, tm int32, r
 	e.Admitted += admitted
 	e.Settled += settled
 
-	ub := slots[target].dist
+	ub := w.Dist(target)
 	if math.IsInf(ub, 1) {
 		return UpperEstimate{UB: graph.Inf}
 	}
-	n := 0
-	for v := slots[target].prev; v != fromSource; v = slots[v].prev {
-		n++
-	}
-	e.path = e.path[:n]
-	for v, i := slots[target].prev, n-1; i >= 0; v, i = slots[v].prev, i-1 {
-		e.path[i] = v
-	}
+	e.path = graph.Path(w, w.Prev(target), e.path)
 	return UpperEstimate{UB: ub, Path: e.path}
 }

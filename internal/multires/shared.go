@@ -14,26 +14,9 @@ import (
 // candidate's bound off it when a certificate proves the restricted search
 // would return the same bits and path (the argument is at UpperBound).
 type sharedSearch struct {
-	// slots is one per tree node. The stamp is epoch<<1 | tie: a slot is
-	// meaningful only while stamp&^1 equals cur (which keeps its low bit
-	// clear), and the low bit flags a label that a second predecessor — the
-	// virtual source counts as one — matched exactly.
-	slots []slot
-	cur   uint32
-	fr    graph.Frontier
-	src   mesh.SurfacePoint
-	ok    bool // src is seeded
-}
-
-// tieBit is the tie flag's place in slot.stamp.
-const tieBit uint32 = 1
-
-// dist returns v's label, +Inf when v has none this epoch.
-func (sh *sharedSearch) dist(v NodeID) float64 {
-	if sh.slots[v].stamp&^tieBit != sh.cur {
-		return math.Inf(1)
-	}
-	return sh.slots[v].dist
+	w   graph.Workspace // one vertex per tree node
+	src mesh.SurfacePoint
+	ok  bool // src is seeded
 }
 
 // ForgetSource drops every level's shared search, so the next UpperBound
@@ -49,22 +32,12 @@ func (e *Estimator) ForgetSource() {
 // arc admitted, so each distinct corner ancestor with an arc at the level,
 // first corner winning, relaxed from the virtual source.
 func (e *Estimator) seed(sh *sharedSearch, m *mesh.Mesh, a mesh.SurfacePoint, ln *levelNet) {
-	sh.cur += 2
-	if sh.cur == 0 { // the epoch wrapped: old stamps would look current
-		for i := range sh.slots {
-			sh.slots[i].stamp = 0
-		}
-		sh.cur = 2
-	}
-	sh.fr.Reset()
+	sh.w.Begin()
 	sh.src, sh.ok = a, true
 	var src embedding
 	e.embed(&src, m, a, ln, nil)
 	for i := 0; i < src.n; i++ {
-		if w := src.w[i]; w < math.Inf(1) {
-			sh.slots[src.anc[i]] = slot{dist: w, prev: fromSource, stamp: sh.cur}
-			sh.fr.Push(int32(src.anc[i]), w)
-		}
+		sh.w.Relax(int32(src.anc[i]), int32(fromSource), src.w[i])
 	}
 }
 
@@ -84,7 +57,7 @@ func (e *Estimator) fromShared(sh *sharedSearch, m *mesh.Mesh, a, b mesh.Surface
 	e.embed(&dst, m, b, ln, nil)
 	best := math.Inf(1)
 	for i := 0; i < dst.n; i++ {
-		if c := sh.dist(dst.anc[i]) + dst.w[i]; c < best {
+		if c := sh.w.Dist(int32(dst.anc[i])) + dst.w[i]; c < best {
 			best = c
 		}
 	}
@@ -96,7 +69,7 @@ func (e *Estimator) fromShared(sh *sharedSearch, m *mesh.Mesh, a, b mesh.Surface
 	// can attain it.
 	best, attain := math.Inf(1), NoNode
 	for i := 0; i < dst.n; i++ {
-		c := sh.dist(dst.anc[i]) + dst.w[i]
+		c := sh.w.Dist(int32(dst.anc[i])) + dst.w[i]
 		switch {
 		case c < best:
 			best, attain = c, dst.anc[i]
@@ -114,30 +87,27 @@ func (e *Estimator) fromShared(sh *sharedSearch, m *mesh.Mesh, a, b mesh.Surface
 		return UpperEstimate{}, false
 	}
 	// (ii) and (iii), walking the chain back to the virtual source.
-	slots, xy := sh.slots, e.t.xy
+	w, xy := &sh.w, e.t.xy
 	n := 0
-	for v := attain; ; {
-		s := &slots[v]
-		if s.stamp&tieBit != 0 {
+	for v := int32(attain); ; {
+		if w.Tie(v) {
 			return UpperEstimate{}, false
 		}
 		n++
-		if s.prev == fromSource {
+		p := w.Prev(v)
+		if p == int32(fromSource) {
 			break
 		}
-		if !ad.admits(xy[s.prev], xy[v]) {
+		if !ad.admits(xy[p], xy[v]) {
 			return UpperEstimate{}, false
 		}
-		v = s.prev
+		v = p
 	}
 	if n == 1 && !e.present(attain, ln, ad) {
 		return UpperEstimate{}, false
 	}
 	e.Certified++
-	e.path = e.path[:n]
-	for v, i := attain, n-1; i >= 0; v, i = slots[v].prev, i-1 {
-		e.path[i] = v
-	}
+	e.path = graph.Path(w, int32(attain), e.path)
 	return UpperEstimate{UB: best, Path: e.path}, true
 }
 
@@ -148,29 +118,18 @@ func (e *Estimator) fromShared(sh *sharedSearch, m *mesh.Mesh, a, b mesh.Surface
 // exactly from another predecessor sets the vertex's tie flag, a lower one
 // clears it.
 func (e *Estimator) resume(sh *sharedSearch, ln *levelNet, dst *embedding, best float64) {
-	cur, slots, inf := sh.cur, sh.slots, math.Inf(1)
+	w := &sh.w
 	var settled int64
-	for sh.fr.Len() > 0 && sh.fr.MinPrio() <= best {
-		vi, d := sh.fr.Pop()
-		v := NodeID(vi)
-		if d > slots[v].dist {
-			continue // stale entry
+	for w.Min() <= best {
+		vi, d := w.Pop()
+		if vi < 0 { // exhausted with best still +Inf
+			break
 		}
+		v := NodeID(vi)
 		settled++
 		for _, arc := range ln.arcs[ln.off[v]:ln.off[v+1]] {
-			nd := d + arc.w
-			s := &slots[arc.to]
-			old := inf
-			if s.stamp&^tieBit == cur {
-				old = s.dist
-			}
-			switch {
-			case nd < old:
-				*s = slot{dist: nd, prev: v, stamp: cur}
-				sh.fr.Push(int32(arc.to), nd)
-			//lint:ignore float-eq an exact match from another predecessor is a tie the restricted search may break the other way
-			case nd == old && s.prev != v:
-				s.stamp |= tieBit
+			if nd := d + arc.w; nd <= w.Dist(int32(arc.to)) {
+				w.Relax(int32(arc.to), vi, nd)
 			}
 		}
 		for i := 0; i < dst.n; i++ {

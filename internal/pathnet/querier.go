@@ -18,16 +18,12 @@ import (
 // settled. Both formulations compute exactly the same float sums, so the
 // distances are bit-identical to the embedding approach.
 //
-// A Querier owns reusable scratch (distance/predecessor arrays stamped by
-// query epoch, and a frontier heap), so repeated queries allocate nothing.
-// It is NOT safe for concurrent use — one Querier per goroutine.
+// A Querier owns two reusable searches (graph.Workspace), so repeated
+// queries allocate nothing. It is NOT safe for concurrent use — one Querier
+// per goroutine.
 type Querier struct {
-	p     *Pathnet
-	dist  []float64
-	prev  []int32
-	stamp []uint32
-	cur   uint32
-	pq    *graph.Frontier
+	p  *Pathnet
+	pt graph.Workspace // the point-to-point searches
 	// relaxed counts successful arc relaxations across the querier's
 	// lifetime, the shared-source search's included; sessions difference it
 	// around a query to report the Dijkstra work that query performed.
@@ -35,14 +31,11 @@ type Querier struct {
 
 	// The shared-source search (FromSource): one unrestricted Dijkstra from
 	// src, advanced only as far as each target needs and kept — labels and
-	// frontier — for the next one. It has its own arrays because the
-	// point-to-point searches above run between its calls.
+	// frontier — for the next one. It has its own workspace because the
+	// point-to-point searches run between its calls.
 	src    mesh.SurfacePoint
 	srcOK  bool
-	sdist  []float64
-	sstamp []uint32
-	scur   uint32
-	sfront *graph.Frontier
+	shared graph.Workspace
 }
 
 // Relaxations returns the lifetime count of successful arc relaxations.
@@ -50,58 +43,14 @@ type Querier struct {
 // subtract.
 func (q *Querier) Relaxations() int64 { return q.relaxed }
 
-// NewQuerier returns a query context over the pathnet. The scratch arrays
-// are sized up front — the pathnet's vertex set is fixed after Build — so
-// the query path never grows them.
+// NewQuerier returns a query context over the pathnet. The searches are
+// sized up front — the pathnet's vertex set is fixed after Build — so the
+// query path never grows them.
 func (p *Pathnet) NewQuerier() *Querier {
-	n := len(p.Pos)
-	return &Querier{
-		p:      p,
-		dist:   make([]float64, n),
-		prev:   make([]int32, n),
-		stamp:  make([]uint32, n),
-		pq:     graph.NewFrontier(),
-		sdist:  make([]float64, n),
-		sstamp: make([]uint32, n),
-		sfront: graph.NewFrontier(),
-	}
-}
-
-// begin opens a new query epoch: entries stamped by earlier queries become
-// logically Inf without clearing the arrays.
-func (q *Querier) begin() {
-	q.cur = q.nextEpoch(q.stamp, q.cur)
-	q.pq.Reset()
-}
-
-// nextEpoch returns the epoch after cur for the given stamp array.
-func (q *Querier) nextEpoch(stamp []uint32, cur uint32) uint32 {
-	if len(stamp) < len(q.p.Pos) {
-		// Embed grew the pathnet after this querier was created; queriers
-		// are for the immutable shared network only.
-		panic("pathnet: querier older than the pathnet's last Embed")
-	}
-	cur++
-	if cur == 0 { // epoch counter wrapped: old stamps are ambiguous, clear
-		for i := range stamp {
-			stamp[i] = 0
-		}
-		cur = 1
-	}
-	return cur
-}
-
-func (q *Querier) distAt(v int32) float64 {
-	if q.stamp[v] != q.cur {
-		return graph.Inf
-	}
-	return q.dist[v]
-}
-
-func (q *Querier) setDist(v int32, d float64, from int32) {
-	q.stamp[v] = q.cur
-	q.dist[v] = d
-	q.prev[v] = from
+	q := &Querier{p: p}
+	q.pt.Ensure(len(p.Pos))
+	q.shared.Ensure(len(p.Pos))
+	return q
 }
 
 // Distance returns the pathnet approximation of the surface distance
@@ -115,14 +64,11 @@ func (q *Querier) Distance(a, b mesh.SurfacePoint) (float64, []geom.Vec3) {
 	if math.IsInf(best, 1) {
 		return graph.Inf, nil
 	}
-	var rev []int32
-	for v := bestEnd; v != -1; v = q.prev[v] {
-		rev = append(rev, v)
-	}
-	pts := make([]geom.Vec3, 0, len(rev)+2)
+	chain := graph.Path[int32](&q.pt, bestEnd, nil)
+	pts := make([]geom.Vec3, 0, len(chain)+2)
 	pts = append(pts, a.Pos)
-	for i := len(rev) - 1; i >= 0; i-- {
-		pts = append(pts, q.p.Pos[rev[i]])
+	for _, v := range chain {
+		pts = append(pts, q.p.Pos[v])
 	}
 	pts = append(pts, b.Pos)
 	return best, pts
@@ -154,56 +100,52 @@ func (q *Querier) DistanceWithin(a, b mesh.SurfacePoint, region geom.MBR) float6
 
 // search runs a Dijkstra between the virtual endpoints: distances are seeded
 // onto a's facet boundary points (source legs), and each settled boundary
-// point of b's facet proposes dist + target leg. Once the popped priority
-// reaches the best proposal no shorter path can appear (legs are
-// non-negative), matching the moment the old embedded target vertex would
-// have been settled. The endpoints cannot usefully act as transit vertices:
-// a facet's boundary points are pairwise linked, so by the triangle
-// inequality a detour through an embedded point never beats the direct
-// link. region, when non-nil, restricts the search to vertices inside it.
-// Returns the distance and the settled target-facet vertex realising it
-// (-1 when unreachable).
+// point of b's facet proposes dist + target leg (settle). Once the
+// frontier's minimum reaches the best proposal no shorter path can appear
+// (legs are non-negative), matching the moment the old embedded target
+// vertex would have been settled. The endpoints cannot usefully act as
+// transit vertices: a facet's boundary points are pairwise linked, so by
+// the triangle inequality a detour through an embedded point never beats
+// the direct link. region, when non-nil, restricts the search to vertices
+// inside it. Returns the distance and the settled target-facet vertex
+// realising it (-1 when unreachable).
 //
 //sklint:hotpath
 func (q *Querier) search(a, b mesh.SurfacePoint, region *geom.MBR) (float64, int32) {
-	q.begin()
-	p := q.p
-	for _, w := range p.FacePoints(a.Face) {
-		if !q.inside(w, region) {
-			continue
-		}
-		if d := a.Pos.Dist(p.Pos[w]); d < q.distAt(w) {
-			q.setDist(w, d, -1)
-			q.pq.Push(w, d)
+	w, p := &q.pt, q.p
+	w.Begin()
+	for _, v := range p.FacePoints(a.Face) {
+		if q.inside(v, region) {
+			w.Relax(v, -1, a.Pos.Dist(p.Pos[v]))
 		}
 	}
+	return q.settle(w, b, region, graph.Inf)
+}
+
+// settle resumes w until its frontier's minimum reaches best, each settled
+// boundary point of b's facet proposing its distance plus the in-face leg
+// to b; best starts as the caller's proposal. region, when non-nil, keeps
+// the search inside it. Returns the best proposal and the boundary point
+// realising it (-1 when the starting proposal stands).
+//
+//sklint:hotpath
+func (q *Querier) settle(w *graph.Workspace, b mesh.SurfacePoint, region *geom.MBR, best float64) (float64, int32) {
+	p := q.p
 	targets := p.FacePoints(b.Face)
-	best := graph.Inf
 	bestEnd := int32(-1)
-	for q.pq.Len() > 0 {
-		v, d := q.pq.Pop()
-		if d > q.distAt(v) {
-			continue // stale frontier entry
-		}
-		if d >= best {
-			break
-		}
-		for _, w := range targets {
-			if w == v {
-				if c := d + b.Pos.Dist(p.Pos[w]); c < best {
+	for w.Min() < best {
+		v, d := w.Pop()
+		for _, t := range targets {
+			if t == v {
+				if c := d + b.Pos.Dist(p.Pos[t]); c < best {
 					best, bestEnd = c, v
 				}
 				break
 			}
 		}
 		for _, arc := range p.G.Arcs(int(v)) {
-			if !q.inside(arc.To, region) {
-				continue
-			}
-			if nd := d + arc.W; nd < q.distAt(arc.To) {
+			if nd := d + arc.W; nd <= w.Dist(arc.To) && q.inside(arc.To, region) && w.Relax(arc.To, v, nd) {
 				q.relaxed++
-				q.setDist(arc.To, nd, v)
-				q.pq.Push(arc.To, nd)
 			}
 		}
 	}
@@ -242,58 +184,25 @@ func (q *Querier) FromSource(a, b mesh.SurfacePoint) float64 {
 	if a.Face == b.Face {
 		return a.Pos.Dist(b.Pos)
 	}
-	p := q.p
+	w, p := &q.shared, q.p
 	if !q.srcOK || q.src != a {
-		q.scur = q.nextEpoch(q.sstamp, q.scur)
-		q.sfront.Reset()
+		w.Begin()
 		q.src, q.srcOK = a, true
-		for _, w := range p.FacePoints(a.Face) {
-			if d := a.Pos.Dist(p.Pos[w]); d < q.srcDist(w) {
-				q.sstamp[w], q.sdist[w] = q.scur, d
-				q.sfront.Push(w, d)
-			}
+		for _, v := range p.FacePoints(a.Face) {
+			w.Relax(v, -1, a.Pos.Dist(p.Pos[v]))
 		}
 	}
 	// Labels are lengths of real paths even before they are settled, so the
-	// ones b's facet already carries give a valid first proposal; the loop
-	// below stops only once no unsettled label can undercut the best.
-	targets := p.FacePoints(b.Face)
+	// ones b's facet already carries give a valid first proposal; settle
+	// stops only once no unsettled label can undercut the best.
 	best := graph.Inf
-	for _, w := range targets {
-		if c := q.srcDist(w) + b.Pos.Dist(p.Pos[w]); c < best {
+	for _, v := range p.FacePoints(b.Face) {
+		if c := w.Dist(v) + b.Pos.Dist(p.Pos[v]); c < best {
 			best = c
 		}
 	}
-	for q.sfront.Len() > 0 && q.sfront.MinPrio() < best {
-		v, d := q.sfront.Pop()
-		if d > q.sdist[v] {
-			continue // stale frontier entry
-		}
-		for _, w := range targets {
-			if w == v {
-				if c := d + b.Pos.Dist(p.Pos[w]); c < best {
-					best = c
-				}
-				break
-			}
-		}
-		for _, arc := range p.G.Arcs(int(v)) {
-			if nd := d + arc.W; nd < q.srcDist(arc.To) {
-				q.relaxed++
-				q.sstamp[arc.To], q.sdist[arc.To] = q.scur, nd
-				q.sfront.Push(arc.To, nd)
-			}
-		}
-	}
+	best, _ = q.settle(w, b, nil, best)
 	return best
-}
-
-// srcDist is distAt for the shared-source search's labels.
-func (q *Querier) srcDist(v int32) float64 {
-	if q.sstamp[v] != q.scur {
-		return graph.Inf
-	}
-	return q.sdist[v]
 }
 
 // ForgetSource drops the shared-source search, so the next FromSource seeds

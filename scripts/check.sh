@@ -75,8 +75,9 @@ echo "== allocation budget =="
 # their session/workspace before ResetTimer, so any allocs/op they report
 # is a steady-state regression (a fresh closure, a map, an append past
 # capacity), not cold growth. The AllocsPerRun tests pin the same property
-# per query; this stage pins it on the benchmark workload CI already runs.
-alloc_out=$(go test -run '^$' -bench 'SequentialKNN$|DijkstraCSR$|LowerBoundChain|SharedSource|UpperBoundNet' \
+# per query; this stage pins it on the benchmark workload CI already runs,
+# and KNNUniformScale on the knn_uniform workload's own terrain and objects.
+alloc_out=$(go test -run '^$' -bench 'SequentialKNN$|DijkstraCSR$|LowerBoundChain|SharedSource|UpperBoundNet|KNNUniformScale' \
     -benchtime=50x -benchmem . ./internal/core)
 printf '%s\n' "$alloc_out"
 bad=$(printf '%s\n' "$alloc_out" | awk '/allocs\/op/ && $(NF-1) != 0 {print $1, $(NF-1)}')
