@@ -20,7 +20,8 @@
 // routed to the owning tile under fleet-wide lockstep epochs; when a shard
 // is down, queries that need it answer 503 shard_unavailable rather than a
 // silently partial result. Metrics are at /debug/vars under
-// "surfknn_coord".
+// "surfknn_coord"; with -debug-addr a second listener serves /debug/vars and
+// /debug/pprof/* for profiling.
 package main
 
 import (
@@ -53,6 +54,7 @@ func main() {
 		timeout  = fs.Duration("shard-timeout", 0, "per-shard call deadline (0 = 10s)")
 		retries  = fs.Int("retries", 2, "retries per saturated (429) shard call")
 		grace    = fs.Duration("grace", 30*time.Second, "shutdown drain deadline")
+		debug    = fs.String("debug-addr", "", "also serve /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:6060)")
 	)
 	fs.SetOutput(io.Discard)
 	fs.Usage = func() {}
@@ -103,6 +105,15 @@ func main() {
 		log.Fatalf("fleet verification failed: %v", err)
 	}
 	fmt.Printf("fleet: %dx%d tiles, %d shards verified\n", man.NX, man.NY, len(man.Shards))
+
+	if *debug != "" {
+		dbg, daddr, err := obs.StartDebugServer(*debug)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer dbg.Close()
+		fmt.Printf("# debug server listening on %s\n", daddr)
+	}
 
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", http.DefaultServeMux) // expvar registers there

@@ -12,7 +12,8 @@
 // Endpoints: POST /v1/knn, POST /v1/range, POST /v1/distance,
 // POST/DELETE /v1/objects (epoch-versioned object updates),
 // GET /v1/healthz, GET /debug/vars (the "surfknn" engine and
-// "surfknn_server" serving-layer metric groups).
+// "surfknn_server" serving-layer metric groups). With -debug-addr a second
+// listener serves /debug/vars and /debug/pprof/* for profiling.
 //
 // A snapshot taken after object updates carries its epoch: a restarted
 // skserve resumes the epoch sequence where the saved process left it (the
@@ -63,6 +64,7 @@ func main() {
 		shardID  = fs.String("shard-id", "", `shard identity when serving one tile of a sharded deployment (e.g. "tile-0-1"; see skgen -tiles)`)
 		access   = fs.String("access-log", "", `access-log destination: "stderr", a file path, or empty for off`)
 		slowlog  = fs.Duration("slowlog", -1, "log queries slower than this to stderr as JSON (0 = every query, negative = off)")
+		debug    = fs.String("debug-addr", "", "also serve /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:6060)")
 	)
 	fs.SetOutput(io.Discard) // parse errors are reported as one line below
 	fs.Usage = func() {}     // a parse error must not dump usage; see below
@@ -119,6 +121,15 @@ func main() {
 		Stats:           stats,
 		ContinuousStats: contStats,
 	})
+
+	if *debug != "" {
+		dbg, daddr, err := obs.StartDebugServer(*debug)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer dbg.Close()
+		fmt.Printf("# debug server listening on %s\n", daddr)
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -27,6 +27,11 @@ import (
 //     attains the minimum therefore survives, survivors are evaluated in
 //     index order under the same strict <, and the first-index tie rule
 //     picks the same argmin as the all-pairs loop.
+//
+// The cut limit is per entry: lim = cut − rem(e), rem(e) being the 3-D
+// travel e still has ahead of it to b, rounded down (layer.rem). first and
+// transition give an entry over its limit +Inf; solve holds the argument
+// that this leaves the value, the path and the ties unchanged.
 
 // norm3 is the length of the gap vector, summed in (x, y, z) order as
 // geom.Box3.DistToBox and DistToPoint sum it.
@@ -53,10 +58,12 @@ func pointDist(t *lineTable, k int, useX bool, p geom.Vec3) float64 {
 }
 
 // first seeds the chain: the distance from a to every entry of the first
-// kept layer.
+// kept layer, +Inf for an entry over the cut (see solve); bF and bZ are b's
+// free-axis and z coordinates.
 //
 //sklint:hotpath
-func (sc *Scratch) first(l *layer, useX bool, a geom.Vec3) {
+func (sc *Scratch) first(l *layer, useX bool, a geom.Vec3, bF, bZ, cut float64) {
+	t := l.tab
 	dist := sc.dist[l.base : l.base+l.hi-l.lo]
 	prev := sc.prev[l.base : l.base+l.hi-l.lo]
 	for i := range dist {
@@ -64,19 +71,24 @@ func (sc *Scratch) first(l *layer, useX bool, a geom.Vec3) {
 		if l.masked && math.IsInf(dist[i], 1) {
 			continue
 		}
-		dist[i] = pointDist(l.tab, l.lo+i, useX, a)
+		k := l.lo + i
+		d := pointDist(t, k, useX, a)
+		if d > cut-l.rem(geom.RangeGap(t.fLo[k], t.fHi[k], bF, bF), geom.RangeGap(t.zLo[k], t.zHi[k], bZ, bZ)) {
+			d = math.Inf(1)
+		}
+		dist[i] = d
 	}
 }
 
 // transition computes dist/prev of layer t from the previous kept layer s:
 // dist[p] = min over j of dist[j] + boxdist(j, p), prev[p] the first j
-// attaining it, for every target whose minimum is at most lim; a target
-// over lim gets some value over lim, which the cut then drops. See the note
-// at the top of the file for why the pruning below leaves that result
-// unchanged.
+// attaining it, for every target whose minimum is at most its cut limit
+// lim = cut - rem(p) (see solve); a target over lim gets +Inf. bF and bZ are
+// b's free-axis and z coordinates. See the note at the top of the file for
+// why the pruning below leaves that result unchanged.
 //
 //sklint:hotpath
-func (sc *Scratch) transition(s, t *layer, useX bool, lim float64) {
+func (sc *Scratch) transition(s, t *layer, useX bool, bF, bZ, cut float64) {
 	sn, tn := s.hi-s.lo, t.hi-t.lo
 	sdist := sc.dist[s.base : s.base+sn]
 	sfLo, sfHi := s.tab.fLo[s.lo:s.hi], s.tab.fHi[s.lo:s.hi]
@@ -104,6 +116,7 @@ func (sc *Scratch) transition(s, t *layer, useX bool, lim float64) {
 		}
 		pre[j] = m
 	}
+	dmin := m
 	m = math.Inf(1)
 	for j := sn - 1; j >= 0; j-- {
 		if sdist[j] < m {
@@ -121,6 +134,13 @@ func (sc *Scratch) transition(s, t *layer, useX bool, lim float64) {
 		fl, fh := tfLo[p], tfHi[p]
 		pl, ph := tpLo[p], tpHi[p]
 		zl, zh := tzLo[p], tzHi[p]
+		lim := cut - t.rem(geom.RangeGap(fl, fh, bF, bF), geom.RangeGap(zl, zh, bZ, bZ))
+		// Every pair costs at least the smallest dist plus the plane gap.
+		if dmin+planeGap > lim {
+			tdist[p] = math.Inf(1)
+			tprev[p] = -1
+			continue
+		}
 
 		// Seed the bound with an attained value: the pair with the previous
 		// target's argmin, which is almost always this target's too.
@@ -167,6 +187,9 @@ func (sc *Scratch) transition(s, t *layer, useX bool, lim float64) {
 					bound = d
 				}
 			}
+		}
+		if best > lim {
+			best = math.Inf(1)
 		}
 		tdist[p] = best
 		tprev[p] = int32(s.base + bestJ)

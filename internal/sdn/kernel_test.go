@@ -106,7 +106,7 @@ func checkPair(t *testing.T, what string, ms *MSDN, sc *Scratch, a, b geom.Vec3,
 	// without the Euclidean floor.
 	useX, step := prefersX(a, b), planeStepFor(res)
 	ms.collect(sc, useX, a, b, region, res, step, envelope{envPrev, margin, false})
-	w := sc.witness(useX, a, b)
+	w := sameWitness(t, what+" envelope witness", sc, useX, a, b)
 	if math.Max(w, a.Dist(b)) < wantEnv.LB {
 		t.Fatalf("%s: witness %v (floor %v) below the envelope DP %v", what, w, a.Dist(b), wantEnv.LB)
 	}
@@ -123,6 +123,7 @@ func checkPair(t *testing.T, what string, ms *MSDN, sc *Scratch, a, b geom.Vec3,
 	// itself, leaves the value and the path — the next level's envelope —
 	// as they are.
 	ms.collect(sc, useX, a, b, region, res, step, envelope{})
+	sameWitness(t, what+" full witness", sc, useX, a, b)
 	lb, bestK := sc.solve(useX, a, b, want.LB*(1+cutSlack))
 	cut := LowerEstimate{LB: lb, Segments: want.Segments}
 	if bestK >= 0 {
@@ -130,6 +131,29 @@ func checkPair(t *testing.T, what string, ms *MSDN, sc *Scratch, a, b geom.Vec3,
 	}
 	sameEstimate(t, what+" cut at the reference value", cut, want)
 	return want
+}
+
+// sameWitness fails the test unless the witness over the layers sc holds is
+// the exhaustive scan's (refWitness): the same pick on every layer, the
+// same first index on ties, and the same length bits. It returns the length.
+func sameWitness(t *testing.T, what string, sc *Scratch, useX bool, a, b geom.Vec3) float64 {
+	t.Helper()
+	want, picks, steps := refWitness(sc, useX, a, b)
+	var src *lineTable
+	sk := -1
+	for i, k := range picks {
+		l := &sc.layers[i]
+		gotK, gotStep := sc.pick(l, src, sk, useX, a, b)
+		if gotK != k || math.Float64bits(gotStep) != math.Float64bits(steps[i]) {
+			t.Fatalf("%s: layer %d picks entry %d (step %v), exhaustive scan entry %d (step %v)", what, i, gotK, gotStep, k, steps[i])
+		}
+		src, sk = l.tab, k
+	}
+	got := sc.witness(useX, a, b)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: witness %v (%#x), exhaustive scan %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	return got
 }
 
 func randomPoint(rng *rand.Rand, ext geom.MBR, flat bool) geom.Vec3 {

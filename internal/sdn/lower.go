@@ -31,9 +31,10 @@ type layer struct {
 	// the region on the plane axis, outside the envelope, or over the cut);
 	// their dist is +Inf, which no transition can select.
 	masked bool
-	// rem bounds from below the plane-axis travel every chain still has
-	// ahead of it from this layer to b (see solve).
-	rem float64
+	// plane, wF and wZ give the travel every chain still has ahead of it
+	// from this layer to b (see rem): the plane-axis travel, and the
+	// free-axis and z extents the later layers' boxes can absorb.
+	plane, wF, wZ float64
 }
 
 // Scratch holds the reusable buffers of the lower-bound estimator, so a warm
@@ -58,8 +59,8 @@ type Scratch struct {
 // Pairs returns the number of box-to-box pairs this scratch has fully
 // evaluated (box distance and square root computed) since it was created —
 // the work the kernel's pruning leaves, against the all-pairs product of
-// consecutive layer sizes — and those of the witness chains, one per kept
-// entry.
+// consecutive layer sizes — and those of the witness chains, one per entry
+// their outward scans score.
 func (sc *Scratch) Pairs() int64 { return sc.pairs }
 
 // LowerBound estimates a lower bound on the surface distance between a and
@@ -339,38 +340,70 @@ func (ms *MSDN) collect(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR,
 	sc.pre = growF64(sc.pre, widest)
 	sc.suf = growF64(sc.suf, widest)
 
-	// The plane-axis travel ahead of each layer (see solve): the gap from
-	// its line to b, less the plane-axis widths of the lines after it, then
-	// less remSlack of both — more than the rounding of the sums, so rem is
-	// never above the exact difference.
-	sw := 0.0
+	// The travel ahead of each layer (see rem): on the plane axis, the gap
+	// from its line to b less the plane-axis widths of the lines after it;
+	// on the free and z axes, the sums of the later lines' widest extents.
+	sp, sf, sz := 0.0, 0.0, 0.0
 	for i := len(sc.layers) - 1; i >= 0; i-- {
-		t := sc.layers[i].tab
-		g := geom.RangeGap(t.pMin, t.pMax, bPlane, bPlane)
-		sc.layers[i].rem = math.Max(0, g-sw-remSlack*(g+sw))
-		sw += t.pMax - t.pMin
+		l := &sc.layers[i]
+		t := l.tab
+		l.plane = ahead(geom.RangeGap(t.pMin, t.pMax, bPlane, bPlane), sp)
+		l.wF, l.wZ = sf, sz
+		sp += t.pMax - t.pMin
+		sf += t.wF
+		sz += t.wZ
 	}
 	return segments, true
 }
 
-// remSlack is the relative amount by which a layer's remaining plane-axis
-// travel is rounded down: above (n+5)·2⁻⁵³ for any n < 10⁵ layers.
+// rem bounds from below the travel every chain still has ahead of it from
+// an entry of layer l to b, given the entry's free-axis and z gaps to b:
+// √(P² + F² + Z²), P being the layer's plane-axis travel ahead (the gap from
+// its line to b less the later lines' plane widths: lines are straight
+// cuts, but extraction rounding leaves them slightly wide), F the free-axis
+// gap less the widest free-axis extents of the later lines (l.wF), Z the
+// same on the z axis. Each remaining leg costs at least the length of
+// its gap vector; by Minkowski's inequality the legs together cost at least
+// the length of the sum of those vectors, and on each axis the gaps from the
+// entry through one box per later line to b sum to at least the entry's
+// gap to b less the widths of those boxes (each box absorbs at most its own
+// width). P, F and Z are each rounded down by remSlack of their terms, the
+// root by remSlack of itself — more than the rounding of the sums and the
+// root, so rem is never above the exact travel (squares below 10⁻³⁰⁸ would
+// lose that, but gaps between coordinates are never that small without
+// being zero).
+//
+//sklint:hotpath
+func (l *layer) rem(gf, gz float64) float64 {
+	f, z := ahead(gf, l.wF), ahead(gz, l.wZ)
+	return math.Sqrt(l.plane*l.plane+f*f+z*z) * (1 - remSlack)
+}
+
+// ahead is the gap g less the widths w later boxes can absorb, rounded down
+// by remSlack of both and floored at zero.
+//
+//sklint:hotpath
+func ahead(g, w float64) float64 {
+	if d := g - w - remSlack*(g+w); !(d < 0) {
+		return d
+	}
+	return 0
+}
+
+// remSlack is the relative amount by which the travel ahead is rounded
+// down: above (n+5)·2⁻⁵³ for any n < 10⁵ layers.
 const remSlack = 1e-10
 
 // solve runs the chain DP over the layers collect laid out, under a cut,
 // and returns max(best chain, |ab|) with the arena index of the closing
 // entry, or -1 when no layer was kept (the value is then |ab|).
 //
-// The cut. After each layer, every entry whose dist exceeds lim = cut - rem
-// is dropped (and the transition does not look for sources beyond lim).
-// rem bounds from below the cost any chain still pays from that layer on:
-// each remaining leg costs at least its plane-axis gap, the gaps from a box
-// on this line through boxes on the later lines to b sum to at least the gap
-// from this line to b less the later lines' plane widths (lines are
-// straight cuts, but extraction rounding leaves them slightly wide), and
-// remSlack covers the rounding of that difference. So an entry on a chain
-// of value v has dist + rem <= v·(1 + 2⁻⁵³·(4·layers + 5)), far below
-// v·(1 + cutSlack). Then, by induction along the reference DP's own path
+// The cut. On each layer, every entry e whose dist exceeds lim = cut - rem(e)
+// is dropped (and the transition does not look for its sources beyond lim).
+// rem(e) bounds from below the cost any chain still pays from e on (see
+// layer.rem), so an entry on a chain of value v has
+// dist + rem <= v·(1 + 2⁻⁵³·(4·layers + 5)), far below v·(1 + cutSlack).
+// Then, by induction along the reference DP's own path
 // (first-index argmin at every step):
 //
 //   - if that path's value is <= cut/(1+cutSlack), every entry on it
@@ -391,15 +424,18 @@ func (sc *Scratch) solve(useX bool, a, b geom.Vec3, cut float64) (lb float64, be
 	if len(sc.layers) == 0 {
 		return euclid, -1
 	}
+	bF := b.X
+	if useX {
+		bF = b.Y
+	}
 	for i := range sc.layers {
 		l := &sc.layers[i]
-		lim := cut - l.rem
 		if i == 0 {
-			sc.first(l, useX, a)
+			sc.first(l, useX, a, bF, b.Z, cut)
 		} else {
-			sc.transition(&sc.layers[i-1], l, useX, lim)
+			sc.transition(&sc.layers[i-1], l, useX, bF, b.Z, cut)
 		}
-		if !sc.cut(l, lim) {
+		if !sc.trim(l) {
 			return math.Inf(1), -1
 		}
 	}
@@ -420,16 +456,15 @@ func (sc *Scratch) solve(useX bool, a, b geom.Vec3, cut float64) (lb float64, be
 	return math.Max(best, euclid), bestK
 }
 
-// cut drops the layer's entries that are over lim, or were never part of
-// it, and trims its run to the survivors' span. It reports whether any
-// survived. A NaN lim drops nothing.
-func (sc *Scratch) cut(l *layer, lim float64) bool {
+// trim trims the layer's run to the span of the entries the DP step kept
+// (first or transition drops the ones over the cut as +Inf). It reports
+// whether any survived.
+func (sc *Scratch) trim(l *layer) bool {
 	dist := sc.dist[l.base : l.base+l.hi-l.lo]
 	first, last := -1, -1
 	kept := 0
 	for i, d := range dist {
-		if math.IsInf(d, 1) || d > lim {
-			dist[i] = math.Inf(1)
+		if math.IsInf(d, 1) {
 			continue
 		}
 		if first < 0 {

@@ -26,6 +26,10 @@ type lineTable struct {
 	// kernel prunes with, and the shortcut that skips the per-entry plane-axis
 	// region test.
 	pMin, pMax float64
+	// wF and wZ are the widest free-axis and z extents of any entry: the most
+	// free-axis (height) travel a box of this line can absorb for a chain
+	// passing through it (see layer.rem).
+	wF, wZ float64
 }
 
 func (t *lineTable) len() int { return len(t.fLo) }
@@ -61,6 +65,7 @@ func (t *lineTable) build(cl *CrossLine, resolution float64) {
 	t.zLo, t.zHi = slab[4*n:5*n:5*n], slab[5*n:6*n:6*n]
 	t.span = make([]int32, n+1)
 	t.pMin, t.pMax = math.Inf(1), math.Inf(-1)
+	t.wF, t.wZ = 0, 0
 	if n == 0 {
 		return
 	}
@@ -90,6 +95,7 @@ func (t *lineTable) set(k int, axis Axis, b geom.Box3) {
 	}
 	t.zLo[k], t.zHi[k] = b.Min.Z, b.Max.Z
 	t.pMin, t.pMax = math.Min(t.pMin, t.pLo[k]), math.Max(t.pMax, t.pHi[k])
+	t.wF, t.wZ = math.Max(t.wF, t.fHi[k]-t.fLo[k]), math.Max(t.wZ, t.zHi[k]-t.zLo[k])
 }
 
 // box reassembles segment k's conservative box.

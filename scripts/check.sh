@@ -119,15 +119,40 @@ done
 kill "$skbench_pid" 2>/dev/null
 wait "$skbench_pid" 2>/dev/null || true
 trap - EXIT
+# skserve -debug-addr must serve the profiler index on its second listener.
+go build -o /tmp/skgen.check ./cmd/skgen
+go build -o /tmp/skserve.check ./cmd/skserve
+/tmp/skgen.check -preset EP -size 16 -o /tmp/skserve.check.sdem \
+    -db /tmp/skserve.check.skdb -db-objects 30 > /dev/null
+rm -f /tmp/skserve.check.out
+/tmp/skserve.check -snapshot /tmp/skserve.check.skdb -addr 127.0.0.1:0 \
+    -debug-addr 127.0.0.1:0 > /tmp/skserve.check.out &
+skserve_pid=$!
+trap 'kill "$skserve_pid" 2>/dev/null; wait "$skserve_pid" 2>/dev/null || true' EXIT
+addr=""
+for _ in $(seq 1 100); do
+    addr=$(sed -n 's/^# debug server listening on //p' /tmp/skserve.check.out | head -1)
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+if [ -z "$addr" ]; then
+    echo "skserve never announced its debug server" >&2
+    cat /tmp/skserve.check.out >&2
+    exit 1
+fi
+pprof=$(curl -fsS "http://$addr/debug/pprof/")
+if ! printf '%s' "$pprof" | grep -q 'goroutine'; then
+    echo "skserve -debug-addr does not serve /debug/pprof/" >&2
+    exit 1
+fi
+kill "$skserve_pid" 2>/dev/null
+wait "$skserve_pid" 2>/dev/null || true
+trap - EXIT
 
 echo "== server smoke =="
 # The full serving path end to end: skgen -db snapshots a query-ready
 # terrain, skserve loads it and answers over HTTP, and /debug/vars exposes
 # the surfknn_server metric group. SIGTERM must drain and exit zero.
-go build -o /tmp/skgen.check ./cmd/skgen
-go build -o /tmp/skserve.check ./cmd/skserve
-/tmp/skgen.check -preset EP -size 16 -o /tmp/skserve.check.sdem \
-    -db /tmp/skserve.check.skdb -db-objects 30 > /dev/null
 rm -f /tmp/skserve.check.out
 /tmp/skserve.check -snapshot /tmp/skserve.check.skdb \
     -addr 127.0.0.1:0 > /tmp/skserve.check.out &
