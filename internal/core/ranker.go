@@ -377,8 +377,13 @@ func (r *ranker) updateUB(c *candidate, ri int) {
 	r.pc.UpperBounds++
 	region := r.regionOf(c)
 	if ri == pathnetRung {
-		// No unclipped retry here: a region that clips every path leaves
-		// the bound as it is.
+		// Clipping only removes paths, so the clipped distance is never
+		// below the unclipped one: when that already reaches c.ub, no
+		// clipped search can lower the bound. No unclipped retry either: a
+		// region that clips every path leaves the bound as it is.
+		if r.s.path.FromSource(r.q, c.obj.Point) >= c.ub {
+			return
+		}
 		d := r.s.clippedDistance(r.q, c.obj.Point, c.ub, region)
 		if d < c.ub {
 			c.setUB(d)

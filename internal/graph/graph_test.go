@@ -136,6 +136,7 @@ func TestDijkstraRelaxationInvariant(t *testing.T) {
 func TestHeapOrdering(t *testing.T) {
 	var h minHeap
 	vals := []float64{5, 3, 8, 1, 9, 2, 7}
+	h.grow(len(vals))
 	for i, v := range vals {
 		h.push(int32(i), v)
 	}

@@ -1,42 +1,78 @@
 package graph
 
-// pqItem is a (vertex, priority) pair in the binary heap.
+// pqItem is a (vertex, priority) pair in the heap.
 type pqItem struct {
 	v    int32
 	prio float64
 }
 
-// minHeap is a specialised binary min-heap of pqItems. It is a lazy-deletion
-// heap: a vertex may appear multiple times; stale entries are skipped when
-// popped (cheaper in practice than decrease-key for sparse graphs).
+// minHeap is an indexed 4-ary min-heap of vertices: each queued vertex has
+// exactly one item, and pos records which slot holds it, so lowering a
+// queued vertex's priority moves its item up in place (decrease) instead of
+// queueing a duplicate that a later pop would have to skip.
 //
-// Both sifts move a hole instead of swapping: each level costs one item
-// move, and the moving item is written once where it stops. The
-// comparisons are those of the swap formulation (strict < picks a child,
-// the left one on ties; <= stops a rising item), so items end up in the
-// same slots and ties pop in the same order.
+// Items are ordered on priority alone. Both sifts move a hole instead of
+// swapping, and ties fall where the sequence of pushes, decreases and pops
+// puts them: a rising item stops below a parent of equal priority, a
+// sinking one stops above children of equal priority, and the first of
+// several equal smallest children is taken. Vertex IDs never enter a
+// comparison, so renumbering the vertices leaves the pop sequence as it is.
 type minHeap struct {
 	items []pqItem
+	// pos[v] is v's slot in items while v is queued and -1 once it is
+	// popped. A vertex never pushed since reset reads whatever an earlier
+	// run left; the Workspace consults pos only for vertices whose label
+	// this run has written.
+	pos []int32
+}
+
+// arity is the heap's branching factor: four children fill one 64-byte
+// cache line of pqItems, and the tree is half as deep as a binary one.
+const arity = 4
+
+// grow lets the heap index vertices below n.
+func (h *minHeap) grow(n int) {
+	if n > len(h.pos) {
+		h.pos = make([]int32, n)
+	}
 }
 
 func (h *minHeap) len() int { return len(h.items) }
 
+// push queues v, which must not be queued, at prio.
 func (h *minHeap) push(v int32, prio float64) {
-	h.items = append(h.items, pqItem{v, prio})
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.items[parent].prio <= prio {
-			break
-		}
-		h.items[i] = h.items[parent]
-		i = parent
-	}
-	h.items[i] = pqItem{v, prio}
+	h.items = append(h.items, pqItem{})
+	h.up(len(h.items)-1, pqItem{v, prio})
 }
 
+// decrease lowers the queued vertex v to prio, no higher than its current
+// priority.
+func (h *minHeap) decrease(v int32, prio float64) {
+	h.up(int(h.pos[v]), pqItem{v, prio})
+}
+
+// up moves the hole at slot i toward the root past every parent of higher
+// priority and writes x where it stops.
+func (h *minHeap) up(i int, x pqItem) {
+	for i > 0 {
+		parent := (i - 1) / arity
+		p := h.items[parent]
+		if p.prio <= x.prio {
+			break
+		}
+		h.items[i] = p
+		h.pos[p.v] = int32(i)
+		i = parent
+	}
+	h.items[i] = x
+	h.pos[x.v] = int32(i)
+}
+
+// pop removes and returns the item of lowest priority; the heap must not be
+// empty.
 func (h *minHeap) pop() pqItem {
 	top := h.items[0]
+	h.pos[top.v] = -1
 	last := len(h.items) - 1
 	x := h.items[last]
 	h.items = h.items[:last]
@@ -45,21 +81,25 @@ func (h *minHeap) pop() pqItem {
 	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		small, prio := i, x.prio
-		if l < last && h.items[l].prio < prio {
-			small, prio = l, h.items[l].prio
+		c := arity*i + 1
+		if c >= last {
+			break
 		}
-		if r < last && h.items[r].prio < prio {
-			small = r
+		small, prio := i, x.prio
+		for end := min(c+arity, last); c < end; c++ {
+			if h.items[c].prio < prio {
+				small, prio = c, h.items[c].prio
+			}
 		}
 		if small == i {
 			break
 		}
 		h.items[i] = h.items[small]
+		h.pos[h.items[i].v] = int32(i)
 		i = small
 	}
 	h.items[i] = x
+	h.pos[x.v] = int32(i)
 	return top
 }
 

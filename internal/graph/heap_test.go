@@ -6,13 +6,14 @@ import (
 	"testing"
 )
 
-// swapHeap is the swap formulation of minHeap's sifts, kept as the
-// reference the hole-moving heap must reproduce slot for slot.
-type swapHeap struct {
+// lazyHeap is the textbook lazy-deletion binary heap: a vertex is pushed
+// once per improvement and its stale copies are skipped by the caller. The
+// reference Dijkstra (refDijkstra) runs on it.
+type lazyHeap struct {
 	items []pqItem
 }
 
-func (h *swapHeap) push(v int32, prio float64) {
+func (h *lazyHeap) push(v int32, prio float64) {
 	h.items = append(h.items, pqItem{v, prio})
 	i := len(h.items) - 1
 	for i > 0 {
@@ -25,7 +26,7 @@ func (h *swapHeap) push(v int32, prio float64) {
 	}
 }
 
-func (h *swapHeap) pop() pqItem {
+func (h *lazyHeap) pop() pqItem {
 	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
@@ -49,82 +50,98 @@ func (h *swapHeap) pop() pqItem {
 	return top
 }
 
-// TestHeapMatchesSwapHeap replays random push/pop sequences with heavily
-// tied priorities (a handful of distinct values, ±0 among them) on both
-// heaps and requires the same popped item — vertex and priority bits — and
-// the same slot layout after every operation, so the search order of every
-// Dijkstra built on the heap is unchanged, ties included.
-func TestHeapMatchesSwapHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
-		var got minHeap
-		var want swapHeap
-		distinct := 1 + rng.Intn(6)
-		prios := make([]float64, distinct)
-		for i := range prios {
-			prios[i] = float64(rng.Intn(4))
-		}
-		prios[0] = math.Copysign(0, -1)
-		ops := 1 + rng.Intn(400)
-		for op := 0; op < ops; op++ {
-			if len(want.items) > 0 && rng.Intn(5) < 2 {
-				g, w := got.pop(), want.pop()
-				if g.v != w.v || math.Float64bits(g.prio) != math.Float64bits(w.prio) {
-					t.Fatalf("trial %d op %d: popped %+v, swap heap %+v", trial, op, g, w)
-				}
-			} else {
-				v, p := int32(rng.Intn(1000)), prios[rng.Intn(distinct)]
-				got.push(v, p)
-				want.push(v, p)
-			}
-			if got.len() != len(want.items) {
-				t.Fatalf("trial %d op %d: %d items, swap heap %d", trial, op, got.len(), len(want.items))
-			}
-			for i := range want.items {
-				g, w := got.items[i], want.items[i]
-				if g.v != w.v || math.Float64bits(g.prio) != math.Float64bits(w.prio) {
-					t.Fatalf("trial %d op %d: slot %d holds %+v, swap heap %+v", trial, op, i, g, w)
-				}
-			}
-		}
-	}
+// heapOp is one step of a replayed frontier sequence: a Relax of v from
+// from at d, or a Pop when v is negative.
+type heapOp struct {
+	v, from int32
+	d       float64
 }
 
-// BenchmarkHeap runs one Dijkstra-shaped workload — a heap growing to a few
-// thousand items, priorities rising, pops outnumbered by pushes two to one
-// until the drain — on the hole-moving heap and on the swap reference.
-func BenchmarkHeap(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	prios := make([]float64, 1<<14)
-	for i := range prios {
-		prios[i] = float64(i/4) + rng.Float64()*200
+// TestHeapOrderSpecification replays random Relax/Pop sequences with
+// heavily tied priorities (a handful of distinct values, ±0 among them) on
+// a Workspace and holds it to the heap's specification rather than to any
+// slot layout:
+//   - Min, after every step, and each Pop report the lowest priority still
+//     queued;
+//   - each Pop returns a queued vertex at its current label and unqueues it,
+//     so a vertex lowered while queued pops once, at its final label;
+//   - renumbering the vertices by a random permutation gives the same pop
+//     sequence, permuted: ties never depend on vertex IDs (DESIGN.md key
+//     invariant 9).
+func TestHeapOrderSpecification(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 200
+	w, wp := NewWorkspace(n), NewWorkspace(n)
+	for trial := 0; trial < 300; trial++ {
+		distinct := 1 + rng.Intn(8)
+		prios := make([]float64, distinct)
+		for i := range prios {
+			prios[i] = float64(rng.Intn(6))
+		}
+		prios[0] = math.Copysign(0, -1)
+		verts := 1 + rng.Intn(n)
+		ops := make([]heapOp, 1+rng.Intn(600))
+		for i := range ops {
+			ops[i] = heapOp{v: -1}
+			if rng.Intn(5) >= 2 {
+				ops[i] = heapOp{int32(rng.Intn(verts)), int32(rng.Intn(verts)), prios[rng.Intn(distinct)]}
+			}
+		}
+		perm := rng.Perm(n)
+		renum := func(v int32) int32 {
+			if v < 0 {
+				return v
+			}
+			return int32(perm[v])
+		}
+
+		w.Begin()
+		wp.Begin()
+		label := map[int32]float64{}
+		queued := map[int32]float64{}
+		lowest := func() float64 {
+			low := Inf
+			for _, p := range queued {
+				low = math.Min(low, p)
+			}
+			return low
+		}
+		for i, op := range ops {
+			if op.v < 0 {
+				low := lowest()
+				v, d := w.Pop()
+				pv, pd := wp.Pop()
+				if pv != renum(v) || math.Float64bits(pd) != math.Float64bits(d) {
+					t.Fatalf("trial %d op %d: popped (%d, %v), renumbered run (%d, %v), want (%d, %v)",
+						trial, i, v, d, pv, pd, renum(v), d)
+				}
+				q, ok := queued[v]
+				switch {
+				case len(queued) == 0 && v != -1:
+					t.Fatalf("trial %d op %d: popped %d from an empty frontier", trial, i, v)
+				case len(queued) > 0 && !ok:
+					t.Fatalf("trial %d op %d: popped %d, which is not queued", trial, i, v)
+				case ok && (math.Float64bits(d) != math.Float64bits(q) || d > low):
+					t.Fatalf("trial %d op %d: popped %d at %v, queued at %v, lowest queued %v", trial, i, v, d, q, low)
+				}
+				delete(queued, v)
+			} else {
+				old, ok := label[op.v]
+				if !ok {
+					old = Inf
+				}
+				want := op.d < old
+				if got := w.Relax(op.v, op.from, op.d); got != want {
+					t.Fatalf("trial %d op %d: Relax(%d, %v) = %v over label %v", trial, i, op.v, op.d, got, old)
+				}
+				wp.Relax(renum(op.v), renum(op.from), op.d)
+				if want {
+					label[op.v], queued[op.v] = op.d, op.d
+				}
+			}
+			if m, low := w.Min(), lowest(); m < low || m > low {
+				t.Fatalf("trial %d op %d: Min %v, lowest queued %v", trial, i, m, low)
+			}
+		}
 	}
-	b.Run("hole", func(b *testing.B) {
-		var h minHeap
-		for i := 0; i < b.N; i++ {
-			for j, p := range prios {
-				h.push(int32(j), p)
-				if j%2 == 1 {
-					h.pop()
-				}
-			}
-			for h.len() > 0 {
-				h.pop()
-			}
-		}
-	})
-	b.Run("swap", func(b *testing.B) {
-		var h swapHeap
-		for i := 0; i < b.N; i++ {
-			for j, p := range prios {
-				h.push(int32(j), p)
-				if j%2 == 1 {
-					h.pop()
-				}
-			}
-			for len(h.items) > 0 {
-				h.pop()
-			}
-		}
-	})
 }

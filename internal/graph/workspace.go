@@ -1,12 +1,14 @@
 package graph
 
 // Workspace is the state of one Dijkstra search: a stamped label per vertex
-// and the frontier heap, kept across runs so a warm search allocates
-// nothing. Every shortest-path search of the engine runs on one — the
-// pathnet's point-to-point and shared-source searches, the DMTM
-// estimator's restricted and per-level shared searches, and the package
-// functions — each writing its own settle loop over these primitives:
-// Begin, Relax, Min, Pop, Dist/Prev/Tie and Path. A search is resumable:
+// and the frontier, an indexed heap holding each queued vertex once, kept
+// across runs so a warm search allocates nothing. Every shortest-path
+// search of the engine runs on one — the pathnet's point-to-point and
+// shared-source searches, the DMTM estimator's restricted and per-level
+// shared searches, and the package functions — each writing its own settle
+// loop over these primitives: Begin, Relax, Min, Pop, Dist/Prev/Tie and
+// Path. Pops never depend on vertex IDs, only on the sequence of Relax and
+// Pop calls and their distances (see minHeap). A search is resumable:
 // stopping at any Min and settling on later leaves the same labels and pop
 // sequence as one uninterrupted run. A Workspace is owned by a single
 // goroutine; it is not safe for concurrent use.
@@ -48,6 +50,7 @@ func (w *Workspace) Ensure(n int) {
 	if n > len(w.labels) {
 		w.labels = make([]label, n)
 	}
+	w.h.grow(n)
 }
 
 // Begin starts a new search: every label reads +Inf, prev -1 and no tie,
@@ -88,20 +91,28 @@ func (w *Workspace) Tie(v int32) bool {
 }
 
 // Relax offers v the distance d via from. A lower d replaces v's label and
-// queues v, and Relax reports true; an equal d from another predecessor
-// sets v's tie flag. Relax is too large to inline, so a hot loop calls it
-// only for d <= Dist(v): the longer offers it skips change nothing.
+// queues v at d — lowering v in place when it is queued already — and Relax
+// reports true; an equal d from another predecessor sets v's tie flag.
+// Relax is too large to inline, so a hot loop calls it only for
+// d <= Dist(v): the longer offers it skips change nothing.
 //
 //sklint:hotpath
 func (w *Workspace) Relax(v, from int32, d float64) bool {
 	l := &w.labels[v]
+	reached := l.stamp&^tieBit == w.cur
 	old := Inf
-	if l.stamp&^tieBit == w.cur {
+	if reached {
 		old = l.dist
 	}
 	if d < old {
 		*l = label{dist: d, prev: from, stamp: w.cur}
-		w.h.push(v, d)
+		// A label this search wrote keeps v's heap slot current: v is
+		// queued unless it has been popped.
+		if reached && w.h.pos[v] >= 0 {
+			w.h.decrease(v, d)
+		} else {
+			w.h.push(v, d)
+		}
 		return true
 	}
 	//lint:ignore float-eq an exact match from another predecessor is the tie the flag records
@@ -111,31 +122,27 @@ func (w *Workspace) Relax(v, from int32, d float64) bool {
 	return false
 }
 
-// Min drops stale entries off the frontier's top and returns the smallest
-// live priority — the next vertex Pop settles — or +Inf when none is left.
+// Min returns the frontier's smallest priority — the distance of the next
+// vertex Pop settles — or +Inf when the frontier is empty.
 //
 //sklint:hotpath
 func (w *Workspace) Min() float64 {
-	for len(w.h.items) > 0 {
-		if top := w.h.items[0]; top.prio <= w.Dist(top.v) {
-			return top.prio
-		}
-		w.h.pop()
+	if w.h.len() == 0 {
+		return Inf
 	}
-	return Inf
+	return w.h.items[0].prio
 }
 
-// Pop settles the frontier's smallest live entry and returns its vertex and
+// Pop settles the frontier's smallest entry and returns its vertex and
 // distance; -1 and +Inf when the frontier is exhausted.
 //
 //sklint:hotpath
 func (w *Workspace) Pop() (int32, float64) {
-	for len(w.h.items) > 0 {
-		if it := w.h.pop(); it.prio <= w.Dist(it.v) {
-			return it.v, it.prio
-		}
+	if w.h.len() == 0 {
+		return -1, Inf
 	}
-	return -1, Inf
+	it := w.h.pop()
+	return it.v, it.prio
 }
 
 // Path writes v's predecessor chain into buf — the first vertex with a

@@ -8,17 +8,19 @@ import (
 )
 
 // refDijkstra is the straight textbook implementation the workspace must
-// match bit for bit: Inf-filled arrays allocated per call, identical heap
-// discipline.
+// match bit for bit: Inf-filled arrays allocated per call, a lazy-deletion
+// binary heap. A settled label is the minimum over all paths of their
+// left-to-right float sums whatever the pop order, so the heaps' different
+// tie orders leave the same bits.
 func refDijkstra(g *Graph, src int) []float64 {
 	dist := make([]float64, g.NumVertices())
 	for i := range dist {
 		dist[i] = Inf
 	}
-	var h minHeap
+	var h lazyHeap
 	dist[src] = 0
 	h.push(int32(src), 0)
-	for h.len() > 0 {
+	for len(h.items) > 0 {
 		it := h.pop()
 		if it.prio > dist[it.v] {
 			continue
@@ -324,5 +326,45 @@ func TestWorkspaceTieFlag(t *testing.T) {
 	}
 	if w.Dist(3) != 2 || w.Prev(3) != 2 || w.Prev(4) != 1 {
 		t.Errorf("labels: dist(3) %v prev(3) %d prev(4) %d, want 2, 2, 1", w.Dist(3), w.Prev(3), w.Prev(4))
+	}
+}
+
+// TestWorkspaceDecreaseKey lowers queued vertices in place: a vertex
+// lowered twice while queued pops once, at its last distance, and Min never
+// reports a superseded priority.
+func TestWorkspaceDecreaseKey(t *testing.T) {
+	const n = 40
+	w := NewWorkspace(n)
+	w.Begin()
+	for v := int32(0); v < n; v++ { // deep enough for sifts across levels
+		w.Relax(v, -1, float64(100+v))
+	}
+	for _, v := range []int32{37, 21, 37} {
+		d := w.Dist(v) - 90
+		if !w.Relax(v, 0, d) {
+			t.Fatalf("Relax(%d, %v) did not lower %v", v, d, w.Dist(v))
+		}
+		if m := w.Min(); m != d {
+			t.Fatalf("after lowering %d to %v, Min %v", v, d, m)
+		}
+	}
+	var pops []int32
+	last := math.Inf(-1)
+	for w.Min() < Inf {
+		m := w.Min()
+		v, d := w.Pop()
+		if d != m || d != w.Dist(v) || d < last {
+			t.Fatalf("pop %d: (%d, %v) with Min %v, label %v, previous pop at %v", len(pops), v, d, m, w.Dist(v), last)
+		}
+		pops, last = append(pops, v), d
+	}
+	if len(pops) != n {
+		t.Fatalf("%d pops for %d queued vertices", len(pops), n)
+	}
+	if pops[0] != 37 || pops[1] != 21 || w.Dist(37) != 137-180 {
+		t.Fatalf("first pops %v, dist(37) %v; want 37 at -43, then 21", pops[:2], w.Dist(37))
+	}
+	if v, d := w.Pop(); v != -1 || !math.IsInf(d, 1) {
+		t.Fatalf("Pop on an empty frontier = (%d, %v)", v, d)
 	}
 }

@@ -53,6 +53,7 @@ type Scratch struct {
 	pre, suf  []float64 // prefix and suffix minima of a source layer's dist
 	path      []Segment
 	pathAlt   []Segment // parks the first family's path in LowerBoundBothScratch
+	runs      []int32   // mask's per-box entry runs, [lo, hi) pairs
 	pairs     int64
 }
 
@@ -297,6 +298,7 @@ func (ms *MSDN) collect(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR,
 	if env.narrow {
 		boxes = sc.envNarrow
 	}
+	sc.runs = growI32(sc.runs, 2*len(boxes))
 
 	end, widest := 0, 0 // arena length, longest layer
 	for _, li := range between {
@@ -315,9 +317,9 @@ func (ms *MSDN) collect(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR,
 		kept := n
 		if len(boxes) > 0 || !(minP <= tab.pMin && tab.pMax <= maxP) {
 			var first int
-			kept, first, n = mask(sc.dist[end:end+n], &l, boxes, minP, maxP)
+			kept, first, n = sc.mask(sc.dist[end:end+n], &l, boxes, minP, maxP)
 			if kept == 0 && env.narrow {
-				if wide, _, _ := mask(sc.dist[end:end+hi-lo], &l, sc.envBoxes, minP, maxP); wide > 0 {
+				if wide, _, _ := sc.mask(sc.dist[end:end+hi-lo], &l, sc.envBoxes, minP, maxP); wide > 0 {
 					return segments, false
 				}
 			}
@@ -485,9 +487,15 @@ func (sc *Scratch) trim(l *layer) bool {
 
 // mask marks which entries of the layer's run belong to the layer — inside
 // the region on the plane axis and, with an envelope, touching one of its
-// boxes — writing 0 into dist for those and +Inf for the rest. It returns
-// the number kept and the span (first index, length) from the first kept
-// entry to the last.
+// boxes — writing 0 into dist for those and +Inf for the others it
+// examines. It returns the number kept and the span (first index, length)
+// from the first kept entry to the last.
+//
+// Without an envelope it examines the whole run. With one, an entry can be
+// kept only inside some box's run, so mask first finds every box's run and
+// then examines only the span from the first run's start to the last run's
+// end: the entries outside it keep whatever dist held, and collect reads
+// only the kept span.
 //
 // A box's entries are found by binary search: the free-axis bounds are
 // monotone along the line, so the entries whose free-axis interval meets
@@ -495,29 +503,63 @@ func (sc *Scratch) trim(l *layer) bool {
 // plane axis. The test is geom.MBR.Intersects of the box with the entry's
 // footprint, written out: an empty box meets nothing, and a NaN bound fails
 // every comparison.
-func mask(dist []float64, l *layer, env []geom.MBR, minP, maxP float64) (kept, first, span int) {
+func (sc *Scratch) mask(dist []float64, l *layer, env []geom.MBR, minP, maxP float64) (kept, first, span int) {
 	t := l.tab
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		if k := l.lo + i; len(env) == 0 && t.pLo[k] <= maxP && minP <= t.pHi[k] {
-			dist[i] = 0
+	if len(env) == 0 {
+		for i := range dist {
+			dist[i] = math.Inf(1)
+			if k := l.lo + i; t.pLo[k] <= maxP && minP <= t.pHi[k] {
+				dist[i] = 0
+			}
 		}
+		return keptSpan(dist)
 	}
-	for _, e := range env {
-		eMinF, eMaxF, eMinP, eMaxP := e.MinX, e.MaxX, e.MinY, e.MaxY
-		if l.line.Axis == XAxis {
-			eMinF, eMaxF, eMinP, eMaxP = eMinP, eMaxP, eMinF, eMaxF
+	runs := sc.runs[:2*len(env)]
+	from, to := l.lo+len(dist), l.lo
+	for i, e := range env {
+		eMinF, eMaxF, eMinP, eMaxP := l.line.Axis.freePlane(e)
+		lo, hi := 0, 0
+		if !e.IsEmpty() && eMinP <= t.pMax && t.pMin <= eMaxP { // else it meets no entry
+			lo, hi = t.run(l.lo, l.lo+len(dist), eMinF, eMaxF)
+			if lo < hi {
+				from, to = min(from, lo), max(to, hi)
+			}
 		}
-		if e.IsEmpty() || !(eMinP <= t.pMax && t.pMin <= eMaxP) {
-			continue // meets no entry of the line
-		}
-		lo, hi := t.run(l.lo, l.lo+len(dist), eMinF, eMaxF)
-		for k := lo; k < hi; k++ {
+		runs[2*i], runs[2*i+1] = int32(lo), int32(hi)
+	}
+	if from >= to {
+		return 0, 0, 0
+	}
+	examined := dist[from-l.lo : to-l.lo]
+	for i := range examined {
+		examined[i] = math.Inf(1)
+	}
+	for i, e := range env {
+		_, _, eMinP, eMaxP := l.line.Axis.freePlane(e)
+		for k := int(runs[2*i]); k < int(runs[2*i+1]); k++ {
 			if eMinP <= t.pHi[k] && t.pLo[k] <= eMaxP && t.pLo[k] <= maxP && minP <= t.pHi[k] {
 				dist[k-l.lo] = 0
 			}
 		}
 	}
+	if kept, first, span = keptSpan(examined); kept == 0 {
+		return 0, 0, 0
+	}
+	return kept, first + from - l.lo, span
+}
+
+// freePlane returns r's bounds on the free axis of the axis's crossing
+// lines (the one they run along), then on its plane axis.
+func (a Axis) freePlane(r geom.MBR) (minF, maxF, minP, maxP float64) {
+	if a == XAxis {
+		return r.MinY, r.MaxY, r.MinX, r.MaxX
+	}
+	return r.MinX, r.MaxX, r.MinY, r.MaxY
+}
+
+// keptSpan counts the finite entries of dist and returns that count with
+// the span (first index, length) from the first of them to the last.
+func keptSpan(dist []float64) (kept, first, span int) {
 	last := -1
 	for i, d := range dist {
 		if math.IsInf(d, 1) {

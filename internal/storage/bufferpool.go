@@ -87,9 +87,11 @@ func (bp *BufferPool) ResetStats() {
 func (bp *BufferPool) alloc() PageID {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	s0 := bp.stats
 	id := PageID(bp.file.n)
 	bp.file.n++
 	bp.admit(id)
+	bp.publish(s0)
 	return id
 }
 
@@ -99,7 +101,9 @@ func (bp *BufferPool) alloc() PageID {
 func (bp *BufferPool) touch(id PageID, acct *IOAccount) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	s0 := bp.stats
 	bp.access(id, acct)
+	bp.publish(s0)
 }
 
 // Get is touch for callers written against a byte-carrying pool: it checks
@@ -110,23 +114,23 @@ func (bp *BufferPool) Get(id PageID, acct *IOAccount) (*Frame, error) {
 	if int(id) >= bp.file.n {
 		return nil, fmt.Errorf("%w: %d of %d", ErrPageOutOfRange, id, bp.file.n)
 	}
+	s0 := bp.stats
 	bp.access(id, acct)
+	bp.publish(s0)
 	return &Frame{}, nil
 }
 
 // Unpin does nothing: no page is held between accesses.
 func (bp *BufferPool) Unpin(*Frame, bool) {}
 
-// access is touch with bp.mu held.
+// access is touch with bp.mu held, counted in the pool's stats only: the
+// caller publishes them to the registry.
 func (bp *BufferPool) access(id PageID, acct *IOAccount) {
 	bp.stats.Accesses++
 	if acct != nil {
 		acct.Accesses++
 	}
 	if int(id) < len(bp.in) && bp.in[id] {
-		if bp.reg != nil {
-			bp.reg.PoolHits.Add(1)
-		}
 		bp.unlink(int32(id))
 		bp.pushFront(int32(id))
 		return
@@ -135,10 +139,20 @@ func (bp *BufferPool) access(id PageID, acct *IOAccount) {
 	if acct != nil {
 		acct.Misses++
 	}
-	if bp.reg != nil {
-		bp.reg.PoolMisses.Add(1)
-	}
 	bp.admit(id)
+}
+
+// publish adds the pool's activity since the stats read s0 to the registry:
+// one atomic add per counter for however many pages the caller accessed
+// under one hold of bp.mu, which it still holds.
+func (bp *BufferPool) publish(s0 Stats) {
+	if bp.reg == nil {
+		return
+	}
+	misses := bp.stats.Misses - s0.Misses
+	bp.reg.PoolHits.Add(bp.stats.Accesses - s0.Accesses - misses)
+	bp.reg.PoolMisses.Add(misses)
+	bp.reg.PoolEvictions.Add(bp.stats.Evictions - s0.Evictions)
 }
 
 // admit makes the non-resident page id the most recently used, evicting the
@@ -155,9 +169,6 @@ func (bp *BufferPool) admit(id PageID) {
 		bp.in[victim] = false
 		bp.resident--
 		bp.stats.Evictions++
-		if bp.reg != nil {
-			bp.reg.PoolEvictions.Add(1)
-		}
 	}
 	bp.pushFront(int32(id))
 	bp.in[id] = true

@@ -115,11 +115,17 @@ func (c *Clustered) nextPage(i int, region geom.MBR, level int32) int {
 // directly (the DMTM's in the tree's level networks and the pathnet, the
 // SDN's in the MSDN tables); the paged read accounts the I/O the paper
 // measures. The store is immutable after BuildClustered, so concurrent reads
-// from different sessions are safe.
+// from different sessions are safe. The whole run of pages is accessed under
+// one hold of the pool's lock and published to its registry once.
 func (c *Clustered) Touch(region geom.MBR, level int32, acct *IOAccount) {
+	bp := c.pool
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	s0 := bp.stats
 	for i := c.nextPage(0, region, level); i < len(c.dir); i = c.nextPage(i+1, region, level) {
-		c.pool.touch(c.dir[i].id, acct)
+		bp.access(c.dir[i].id, acct)
 	}
+	bp.publish(s0)
 }
 
 // zOrder interleaves the bits of the quantised coordinates, giving the
