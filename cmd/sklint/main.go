@@ -5,17 +5,12 @@
 //	go run ./cmd/sklint ./...            # whole module (the CI gate)
 //	go run ./cmd/sklint ./internal/core
 //	go run ./cmd/sklint -rules           # list the rule set
-//	go run ./cmd/sklint -facts ./...     # dump phase-1 facts (debugging)
 //	go run ./cmd/sklint -json ./...      # machine-readable diagnostics
-//	go run ./cmd/sklint -write-baseline ./...  # accept current hotpath-alloc debt
 //
 // sklint exits 0 when the tree is clean and 1 when any diagnostic fires.
-// hotpath-alloc findings recorded in the committed baseline file
-// (lint.baseline.json at the module root) are suppressed; the baseline is
-// a one-way ratchet — growth fails, and -write-baseline regenerates the
-// file after debt is paid down. Suppress an individual finding with a
-// `//lint:ignore <rule>[,<rule>...] <reason>` comment on the offending
-// line or the line above; the reason is mandatory. See the "Static
+// Suppress an individual finding with a `//lint:ignore <rule>[,<rule>...]
+// <reason>` comment on the offending line or the line above; the reason is
+// mandatory. See the "Static
 // analysis & invariants" section of DESIGN.md for what each rule protects.
 package main
 
@@ -34,11 +29,6 @@ func main() {
 	only := flag.String("only", "", "run a single rule by name")
 	asJSON := flag.Bool("json", false, "emit diagnostics as JSON lines")
 	github := flag.Bool("github", false, "also emit GitHub ::error annotations")
-	facts := flag.Bool("facts", false, "dump phase-1 module facts and exit")
-	baselinePath := flag.String("baseline", "lint.baseline.json",
-		"hotpath-alloc baseline file, relative to the module root; 'none' disables")
-	writeBaseline := flag.Bool("write-baseline", false,
-		"rewrite the baseline to accept the current hotpath-alloc findings, then report the rest")
 	flag.Parse()
 
 	if *listRules {
@@ -69,30 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *facts {
-		fmt.Print(lint.BuildModule(pkgs).FactsDump())
-		return
-	}
-
 	diags := lint.Run(pkgs, rules)
-
-	if *writeBaseline {
-		path := filepath.Join(root, *baselinePath)
-		if err := lint.WriteBaseline(path, lint.CollectBaseline(diags)); err != nil {
-			fmt.Fprintln(os.Stderr, "sklint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "sklint: baseline written to %s\n", path)
-	}
-	if *baselinePath != "none" {
-		b, err := lint.LoadBaseline(filepath.Join(root, *baselinePath))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sklint:", err)
-			os.Exit(2)
-		}
-		diags, _ = lint.ApplyBaseline(b, diags)
-	}
-
 	for _, d := range diags {
 		// Print module-relative paths: stable across machines, clickable in CI.
 		if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil {
@@ -102,7 +69,7 @@ func main() {
 		case *asJSON:
 			enc, _ := json.Marshal(map[string]any{ //lint:ignore dropped-error marshaling strings and ints cannot fail
 				"file": d.Pos.Filename, "line": d.Pos.Line, "col": d.Pos.Column,
-				"rule": d.Rule, "message": d.Message, "key": d.Key,
+				"rule": d.Rule, "message": d.Message,
 			})
 			fmt.Println(string(enc))
 		default:

@@ -36,6 +36,32 @@ func TestWarmSessionKNNAllocFree(t *testing.T) {
 	}
 }
 
+// TestWarmSessionEAAllocFree is the same guard for the exact algorithm: EA
+// shares the session's ranker scratch with MR3 but runs its own candidate
+// and bound loop, which no other allocation test reaches.
+func TestWarmSessionEAAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	db := buildDB(t, dem.BH, 16, 60, 2006)
+	qs := queryPoints(t, db, 4, 77)
+	s := db.NewSession()
+	for _, q := range qs {
+		if _, err := s.EACtx(bg, q, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qi := 0
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := s.EACtx(bg, qs[qi%len(qs)], 5); err != nil {
+			t.Fatal(err)
+		}
+		qi++
+	}); n != 0 {
+		t.Fatalf("warm Session EA allocates %.1f times per query, want 0", n)
+	}
+}
+
 // TestWarmSessionRangeAllocFree is the same guard for the surface range
 // query, which shares the ranker and fetch scratch with MR3.
 func TestWarmSessionRangeAllocFree(t *testing.T) {

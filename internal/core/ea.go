@@ -128,8 +128,6 @@ func idIn(ids []int64, id int64) bool {
 
 // ea runs the benchmark's four steps, phased the same way as MR3 so cost
 // breakdowns of the two algorithms line up phase by phase.
-//
-//sklint:hotpath
 func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 	db := s.db
 	if err := s.interrupted(); err != nil {
@@ -154,7 +152,6 @@ func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 		kth = e.push(o, s.eaDistFull(q, o, kth), k)
 	}
 	if math.IsInf(kth, 1) {
-		//lint:ignore hotpath-alloc error path: allocates only when no k-th bound exists, never on a successful query
 		return nil, fmt.Errorf("core: could not bound the %d-th neighbour", k)
 	}
 

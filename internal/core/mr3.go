@@ -63,8 +63,6 @@ func (s *Session) MR3Ctx(ctx context.Context, q mesh.SurfacePoint, k int, sched 
 
 // mr3 runs the four MR3 steps, each under its own cost phase, reading
 // objects through the epoch pinned at beginQuery.
-//
-//sklint:hotpath
 func (s *Session) mr3(q mesh.SurfacePoint, k int, sched Schedule, opt Options) ([]Neighbor, error) {
 	if err := s.interrupted(); err != nil {
 		return nil, err
@@ -92,7 +90,6 @@ func (s *Session) mr3(q mesh.SurfacePoint, k int, sched Schedule, opt Options) (
 	radius := kthUB(ranked, k)
 	s.step3Radius = radius // recorded for the safe-region computation
 	if math.IsInf(radius, 1) {
-		//lint:ignore hotpath-alloc error path: allocates only when no k-th bound exists, never on a successful query
 		return nil, fmt.Errorf("core: could not bound the %d-th neighbour", k)
 	}
 

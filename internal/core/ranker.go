@@ -177,8 +177,6 @@ func (r *ranker) addCand(o workload.Object) {
 // failed, in which case the bounds are unreliable and the query must not
 // pretend to have an answer. The returned slice is session scratch, valid
 // until the session's next ranking pass.
-//
-//sklint:hotpath
 func (s *Session) rank(q mesh.SurfacePoint, objs []workload.Object, k int, sched Schedule, opt Options, tighten bool) ([]Neighbor, error) {
 	opt = opt.withDefaults()
 	if k > len(objs) {
@@ -248,7 +246,6 @@ func (r *ranker) iterSpan(it, ri int, targets int) obs.SpanID {
 	if r.s.cost.trace == nil {
 		return obs.NoSpan
 	}
-	//lint:ignore hotpath-alloc tracing only: the trace==nil guard above keeps untraced queries off this literal
 	return r.s.startSpan("iter", map[string]float64{
 		"i":       float64(it),
 		"dm_res":  rungs[ri].dmtm,

@@ -232,8 +232,6 @@ func (s *Session) pagesAccessed() int64 {
 }
 
 // interrupted surfaces context cancellation/deadline between units of work.
-//
-//lint:ignore hotpath-alloc interface call only: stdlib Context.Err implementations allocate nothing
 func (s *Session) interrupted() error { return s.ctx.Err() }
 
 // touchDMTM pays for the DDM edge records valid at collapse time tm inside

@@ -95,8 +95,6 @@ func (w *Workspace) Tie(v int32) bool {
 // reports true; an equal d from another predecessor sets v's tie flag.
 // Relax is too large to inline, so a hot loop calls it only for
 // d <= Dist(v): the longer offers it skips change nothing.
-//
-//sklint:hotpath
 func (w *Workspace) Relax(v, from int32, d float64) bool {
 	l := &w.labels[v]
 	reached := l.stamp&^tieBit == w.cur
@@ -124,8 +122,6 @@ func (w *Workspace) Relax(v, from int32, d float64) bool {
 
 // Min returns the frontier's smallest priority — the distance of the next
 // vertex Pop settles — or +Inf when the frontier is empty.
-//
-//sklint:hotpath
 func (w *Workspace) Min() float64 {
 	if w.h.len() == 0 {
 		return Inf
@@ -135,8 +131,6 @@ func (w *Workspace) Min() float64 {
 
 // Pop settles the frontier's smallest entry and returns its vertex and
 // distance; -1 and +Inf when the frontier is exhausted.
-//
-//sklint:hotpath
 func (w *Workspace) Pop() (int32, float64) {
 	if w.h.len() == 0 {
 		return -1, Inf

@@ -78,8 +78,6 @@ func khPop(h []knnEntry) ([]knnEntry, knnEntry) {
 // The search runs on caller-owned scratch: with sc and dst at their
 // high-water capacity it performs no allocation; a zero Scratch and a nil
 // dst is the allocating call.
-//
-//sklint:hotpath
 func (t *RTree) KNNInto(q geom.Vec2, k int, visits *int64, keep func(Item) bool, sc *Scratch, dst []Item) []Item {
 	if k <= 0 || len(t.items) == 0 {
 		return dst

@@ -156,8 +156,6 @@ func pushItem(dst []Item, it Item) []Item { return append(dst, it) }
 // dst, charging node visits to visits (nil to skip counting). Pass a reused
 // buffer to avoid allocation — the result may share dst's backing array —
 // or nil for a fresh slice.
-//
-//sklint:hotpath
 func (t *RTree) RangeInto(region geom.MBR, visits *int64, dst []Item) []Item {
 	return t.rangeScan(0, region, visits, dst)
 }
@@ -184,8 +182,6 @@ func (t *RTree) rangeScan(ni int32, region geom.MBR, visits *int64, dst []Item) 
 // WithinDistInto appends the items within Euclidean distance r of center —
 // the circular range query of MR3's step 3 — to dst, charging node visits
 // to visits.
-//
-//sklint:hotpath
 func (t *RTree) WithinDistInto(center geom.Vec2, r float64, visits *int64, dst []Item) []Item {
 	return t.within(0, center, r, visits, dst)
 }

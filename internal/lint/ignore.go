@@ -8,7 +8,7 @@ import (
 
 // ignoreDirective is one parsed `//lint:ignore <rules> <reason>` comment,
 // where <rules> is a single rule name, a comma-separated list
-// (`pin-release,hotpath-alloc`), or `*` for any rule. The reason is
+// (`pin-release,ctx-flow`), or `*` for any rule. The reason is
 // mandatory: a suppression without a recorded justification is itself a
 // finding.
 type ignoreDirective struct {

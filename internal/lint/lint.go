@@ -9,19 +9,15 @@
 // protect those invariants as machine-checked rules, run over the whole
 // module by scripts/check.sh and CI.
 //
-// Analysis runs in two phases. Phase 1 loads and type-checks every package
-// and exports per-function facts — may-allocate, accepts-context,
-// acquires/releases which pooled resource — keyed by types.Object, plus a
-// module-wide call graph resolved through the loader's package set (see
-// facts.go and callgraph.go). Phase 2 runs the rules: PackageRules inspect
-// one package at a time with purely local knowledge; ModuleRules consume
-// the phase-1 facts and can reason across package boundaries (transitive
-// allocation on //sklint:hotpath paths, resource pairing, context flow).
+// Analysis is one pass of package rules: the loader type-checks every
+// package (loader.go), then each rule inspects one package at a time with
+// the package's own syntax and type information. No rule needs another
+// package: each guards a property that one declaration, or one package's
+// unexported state, fully decides.
 //
 // The framework is stdlib-only (go/parser + go/types with the "source"
-// importer) per the repo charter. Rules implement PackageRule or
-// ModuleRule and are registered in rules.go; diagnostics are
-// position-keyed and can be suppressed with a
+// importer) per the repo charter. Rules implement Rule and are registered
+// in rules.go; diagnostics are position-keyed and can be suppressed with a
 // `//lint:ignore <rule>[,<rule>...] <reason>` comment on the same line or
 // the line directly above the offending code.
 package lint
@@ -34,14 +30,11 @@ import (
 	"sort"
 )
 
-// Diagnostic is one finding, keyed to a source position. Key, when
-// non-empty, is a position-independent identity used by the baseline
-// ratchet (currently only hotpath-alloc sets it).
+// Diagnostic is one finding, keyed to a source position.
 type Diagnostic struct {
 	Pos     token.Position
 	Rule    string
 	Message string
-	Key     string
 }
 
 func (d Diagnostic) String() string {
@@ -64,44 +57,23 @@ type Package struct {
 	TypeErrors []error
 }
 
-// Rule is the common identity of every analysis. Concrete rules implement
-// exactly one of PackageRule (phase-2, package-local) or ModuleRule
-// (phase-2, fact- and call-graph-driven).
+// Rule is one analysis pass over a single type-checked package.
 type Rule interface {
 	// Name is the short kebab-case identifier used in output and in
 	// //lint:ignore directives.
 	Name() string
 	// Doc is a one-line description shown by `sklint -rules`.
 	Doc() string
-}
-
-// PackageRule is one analysis pass over a single type-checked package.
-type PackageRule interface {
-	Rule
 	// Check inspects the package and reports findings.
 	Check(p *Package, report func(pos token.Pos, format string, args ...any))
 }
 
-// ModuleRule is one analysis pass over the whole module: it consumes the
-// phase-1 facts and call graph and may relate code across packages. The
-// reporter takes the package owning pos (for position resolution and
-// ignore matching) and an optional position-independent baseline key
-// ("" for rules without baseline support).
-type ModuleRule interface {
-	Rule
-	CheckModule(m *Module, report func(p *Package, pos token.Pos, key, format string, args ...any))
-}
-
 // Run applies every rule to the packages and returns the surviving
-// diagnostics (ignore directives applied), sorted by position. Module
-// rules see all packages at once; the module facts and call graph are
-// built exactly once, and only when some enabled rule needs them.
+// diagnostics (ignore directives applied), sorted by position.
 func Run(pkgs []*Package, rules []Rule) []Diagnostic {
 	var diags []Diagnostic
-	ignores := make(map[*Package]ignoreSet, len(pkgs))
 	for _, p := range pkgs {
-		set, bad := collectIgnores(p, knownRuleNames())
-		ignores[p] = set
+		ignores, bad := collectIgnores(p, knownRuleNames())
 		diags = append(diags, bad...)
 		for _, err := range p.TypeErrors {
 			diags = append(diags, Diagnostic{
@@ -110,15 +82,10 @@ func Run(pkgs []*Package, rules []Rule) []Diagnostic {
 				Message: err.Error(),
 			})
 		}
-		for _, r := range rules {
-			pr, ok := r.(PackageRule)
-			if !ok {
-				continue
-			}
-			rule := pr
+		for _, rule := range rules {
 			report := func(pos token.Pos, format string, args ...any) {
 				position := p.Fset.Position(pos)
-				if ignores[p].match(position, rule.Name()) {
+				if ignores.match(position, rule.Name()) {
 					return
 				}
 				diags = append(diags, Diagnostic{
@@ -130,32 +97,6 @@ func Run(pkgs []*Package, rules []Rule) []Diagnostic {
 			rule.Check(p, report)
 		}
 	}
-
-	var mod *Module
-	for _, r := range rules {
-		mr, ok := r.(ModuleRule)
-		if !ok {
-			continue
-		}
-		if mod == nil {
-			mod = BuildModule(pkgs)
-		}
-		rule := mr
-		report := func(p *Package, pos token.Pos, key, format string, args ...any) {
-			position := p.Fset.Position(pos)
-			if ignores[p].match(position, rule.Name()) {
-				return
-			}
-			diags = append(diags, Diagnostic{
-				Pos:     position,
-				Rule:    rule.Name(),
-				Message: fmt.Sprintf(format, args...),
-				Key:     key,
-			})
-		}
-		rule.CheckModule(mod, report)
-	}
-
 	SortDiagnostics(diags)
 	return diags
 }
@@ -192,6 +133,40 @@ func typeErrorPos(p *Package, err error) token.Position {
 		}
 	}
 	return token.Position{Filename: p.Dir}
+}
+
+// funcDecls calls fn for every function declaration of p that has a body,
+// with the function it declares.
+func funcDecls(p *Package, fn func(fd *ast.FuncDecl, obj *types.Func)) {
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+				fn(fd, obj)
+			}
+		}
+	}
+}
+
+// staticCallee resolves a call that names a function or method directly
+// (f(x), pkg.F(x), v.M(x)); nil for calls through function values,
+// conversions, builtins and anything else. An interface method resolves
+// to the interface's method object.
+func staticCallee(p *Package, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.Info.Uses[id].(*types.Func)
+	return fn
 }
 
 // errorIface is the method set of the universe error type, used by rules

@@ -90,15 +90,7 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; loader is missing the module", len(pkgs))
 	}
-	diags := Run(pkgs, AllRules())
-	// The committed baseline accepts the current hotpath-alloc debt — the
-	// same application cmd/sklint performs. Everything else must be clean.
-	baseline, err := LoadBaseline(filepath.Join(root, "lint.baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, _ := ApplyBaseline(baseline, diags)
-	for _, d := range kept {
+	for _, d := range Run(pkgs, AllRules()) {
 		t.Errorf("%s", d)
 	}
 }
@@ -115,7 +107,6 @@ func TestRuleRegistry(t *testing.T) {
 		"ctx-background",
 		"wire-types",
 		"objstore-write",
-		"hotpath-alloc",
 		"pin-release",
 		"ctx-flow",
 		"sub-unregister",
@@ -234,49 +225,5 @@ func TestTypeErrorPos(t *testing.T) {
 	pos = typeErrorPos(empty, fmt.Errorf("no files at all"))
 	if pos.Filename != "somewhere" {
 		t.Errorf("fileless fallback = %q, want the package dir", pos.Filename)
-	}
-}
-
-// TestBaselineRatchet covers the one-way ratchet semantics: covered
-// findings are suppressed count-by-count, growth surfaces exactly the
-// excess, and un-keyed diagnostics are never baselineable.
-func TestBaselineRatchet(t *testing.T) {
-	d := func(key string) Diagnostic {
-		return Diagnostic{Pos: position("f.go", 1), Rule: "hotpath-alloc", Key: key}
-	}
-	b := Baseline{"f\tmake": 2}
-	kept, suppressed := ApplyBaseline(b, []Diagnostic{d("f\tmake"), d("f\tmake"), d("f\tmake")})
-	if len(kept) != 1 || len(suppressed) != 2 {
-		t.Errorf("growth: kept %d suppressed %d, want 1/2", len(kept), len(suppressed))
-	}
-	kept, _ = ApplyBaseline(b, []Diagnostic{d("f\tmake")})
-	if len(kept) != 0 {
-		t.Errorf("shrink: kept %d, want 0", len(kept))
-	}
-	unkeyed := Diagnostic{Pos: position("f.go", 2), Rule: "pin-release"}
-	kept, _ = ApplyBaseline(Baseline{"\t": 5}, []Diagnostic{unkeyed})
-	if len(kept) != 1 {
-		t.Error("un-keyed diagnostics must pass through the baseline")
-	}
-}
-
-// TestBaselineRoundTrip checks the file format survives write → load and
-// that a missing file reads as an empty (strict) baseline.
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "b.json")
-	want := Baseline{"a\tmake": 2, "b\tappend": 1}
-	if err := WriteBaseline(path, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) || got["a\tmake"] != 2 || got["b\tappend"] != 1 {
-		t.Errorf("round trip: got %v, want %v", got, want)
-	}
-	missing, err := LoadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil || len(missing) != 0 {
-		t.Errorf("missing file: got %v, %v; want empty baseline, nil error", missing, err)
 	}
 }

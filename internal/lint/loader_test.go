@@ -62,36 +62,3 @@ func TestLoaderSkipsAdjacentTestFiles(t *testing.T) {
 		t.Error("_test.go file was loaded")
 	}
 }
-
-// TestFactsDeterministicAcrossLoadOrder builds module facts from the same
-// packages loaded in opposite orders and demands byte-identical dumps:
-// baseline keys and diagnostics are derived from the facts, so any map-
-// iteration nondeterminism here would churn committed files.
-func TestFactsDeterministicAcrossLoadOrder(t *testing.T) {
-	root, _ := loaderFixture(t, "tagged")
-	dirs := []string{"tagged", "orderb", "adjacent"}
-	dump := func(order []int) string {
-		loader := NewLoader()
-		var pkgs []*Package
-		for _, i := range order {
-			dir, err := filepath.Abs(filepath.Join("testdata", "loader", dirs[i]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := loader.LoadDir(root, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkgs = append(pkgs, p)
-		}
-		return BuildModule(pkgs).FactsDump()
-	}
-	forward := dump([]int{0, 1, 2})
-	reverse := dump([]int{2, 1, 0})
-	if forward != reverse {
-		t.Errorf("fact dump depends on load order\n--- forward ---\n%s--- reverse ---\n%s", forward, reverse)
-	}
-	if forward == "" {
-		t.Error("empty fact dump")
-	}
-}

@@ -29,25 +29,18 @@ func (astExhaustive) Doc() string {
 	return "a type switch over a sklang AST interface must cover every exported node type or default to returning a typed error"
 }
 
-func (astExhaustive) CheckModule(m *Module, report func(p *Package, pos token.Pos, key, format string, args ...any)) {
-	for _, p := range m.Pkgs {
-		if p.Pkg == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sw, ok := n.(*ast.TypeSwitchStmt)
-				if !ok {
-					return true
-				}
-				iface := switchedSklangIface(p, sw)
-				if iface == nil {
-					return true
-				}
-				checkSwitch(p, sw, iface, report)
+func (astExhaustive) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sw, ok := n.(*ast.TypeSwitchStmt)
+			if !ok {
 				return true
-			})
-		}
+			}
+			if iface := switchedSklangIface(p, sw); iface != nil {
+				checkSwitch(p, sw, iface, report)
+			}
+			return true
+		})
 	}
 }
 
@@ -92,7 +85,7 @@ func switchedSklangIface(p *Package, sw *ast.TypeSwitchStmt) *types.Named {
 // checkSwitch verifies one qualifying type switch: full coverage of the
 // exported implementing types, or a default clause that returns an
 // error-typed value.
-func checkSwitch(p *Package, sw *ast.TypeSwitchStmt, iface *types.Named, report func(p *Package, pos token.Pos, key, format string, args ...any)) {
+func checkSwitch(p *Package, sw *ast.TypeSwitchStmt, iface *types.Named, report func(pos token.Pos, format string, args ...any)) {
 	impls := exportedImplementers(iface)
 	covered := make(map[*types.TypeName]bool)
 	var deflt *ast.CaseClause
@@ -118,7 +111,7 @@ func checkSwitch(p *Package, sw *ast.TypeSwitchStmt, iface *types.Named, report 
 	}
 	if deflt != nil {
 		if !returnsError(p, deflt) {
-			report(p, deflt.Pos(), "",
+			report(deflt.Pos(),
 				"default clause of a switch over %s.%s does not return a typed error; an unknown node would be silently dropped",
 				iface.Obj().Pkg().Name(), iface.Obj().Name())
 		}
@@ -132,7 +125,7 @@ func checkSwitch(p *Package, sw *ast.TypeSwitchStmt, iface *types.Named, report 
 	}
 	if len(missing) > 0 {
 		sort.Strings(missing)
-		report(p, sw.Pos(), "",
+		report(sw.Pos(),
 			"type switch over %s.%s misses %s; cover every exported node type or add a default returning a typed error",
 			iface.Obj().Pkg().Name(), iface.Obj().Name(), strings.Join(missing, ", "))
 	}

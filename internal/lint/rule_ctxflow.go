@@ -18,8 +18,7 @@ import (
 //   - a literal nil passed where a callee declares a context.Context
 //     parameter — same detachment, one level down.
 //
-// It is a module rule only because which functions hold a ctx is a phase-1
-// fact; each function is checked on its own.
+// Each declaration is checked on its own, from its own signature.
 type ctxFlow struct{}
 
 func (ctxFlow) Name() string { return "ctx-flow" }
@@ -27,13 +26,16 @@ func (ctxFlow) Doc() string {
 	return "functions holding a ctx must thread it: no fresh Background/TODO, no nil ctx args"
 }
 
-func (ctxFlow) CheckModule(m *Module, report func(p *Package, pos token.Pos, key, format string, args ...any)) {
-	for _, ff := range m.SortedFuncs() {
-		if ff.CtxParam < 0 {
-			continue
+func (ctxFlow) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
+	funcDecls(p, func(fd *ast.FuncDecl, fn *types.Func) {
+		params := fn.Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			if isContextType(params.At(i).Type()) {
+				checkCtxFlow(p, fd, fn, report)
+				return
+			}
 		}
-		checkCtxFlow(ff, report)
-	}
+	})
 }
 
 // ctxParamVar returns the *types.Var of fd's context parameter, nil when
@@ -97,30 +99,23 @@ func inSpans(spans [][2]token.Pos, pos token.Pos) bool {
 	return false
 }
 
-func checkCtxFlow(ff *FuncFacts, report func(p *Package, pos token.Pos, key, format string, args ...any)) {
-	p := ff.Pkg
-	guards := nilGuardRanges(p, ff.Decl.Body, ctxParamVar(p, ff.Decl))
-	ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
+func checkCtxFlow(p *Package, fd *ast.FuncDecl, fn *types.Func, report func(pos token.Pos, format string, args ...any)) {
+	guards := nilGuardRanges(p, fd.Body, ctxParamVar(p, fd))
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		var callee *types.Func
-		if isSel {
-			callee, _ = p.Info.Uses[sel.Sel].(*types.Func)
-		} else if id, isIdent := ast.Unparen(call.Fun).(*ast.Ident); isIdent {
-			callee, _ = p.Info.Uses[id].(*types.Func)
-		}
+		callee := staticCallee(p, call)
 		if callee == nil {
 			return true
 		}
 		if pkg := callee.Pkg(); pkg != nil && pkg.Path() == "context" &&
 			(callee.Name() == "Background" || callee.Name() == "TODO") {
 			if !inSpans(guards, call.Pos()) {
-				report(p, call.Pos(),
-					"", "context.%s() called in %s, which already has a ctx parameter; thread the caller's ctx instead",
-					callee.Name(), FuncID(ff.Fn))
+				report(call.Pos(),
+					"context.%s() called in %s, which already has a ctx parameter; thread the caller's ctx instead",
+					callee.Name(), fn.FullName())
 			}
 			return true
 		}
@@ -137,9 +132,9 @@ func checkCtxFlow(ff *FuncFacts, report func(p *Package, pos token.Pos, key, for
 				}
 				if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 					if _, isNilObj := p.Info.Uses[id].(*types.Nil); isNilObj {
-						report(p, arg.Pos(),
-							"", "nil passed as the context argument of %s from ctx-holding %s; pass ctx",
-							callee.Name(), FuncID(ff.Fn))
+						report(arg.Pos(),
+							"nil passed as the context argument of %s from ctx-holding %s; pass ctx",
+							callee.Name(), fn.FullName())
 					}
 				}
 			}

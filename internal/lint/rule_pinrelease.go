@@ -108,62 +108,30 @@ func acquireSpec(p *Package, call *ast.CallExpr) (*resourceSpec, bool) {
 	return nil, false
 }
 
-// collectResourceOps exports the phase-1 acquire/release summary for one
-// function (the -facts view; the path analysis below re-walks the body
-// with full context).
-func collectResourceOps(p *Package, fd *ast.FuncDecl) []ResourceOp {
-	var ops []ResourceOp
+// acquiresResource reports whether fd's body acquires any tracked resource;
+// only those bodies are walked path by path.
+func acquiresResource(p *Package, fd *ast.FuncDecl) bool {
+	found := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			_, found = acquireSpec(p, call)
 		}
-		if spec, ok := acquireSpec(p, call); ok {
-			ops = append(ops, ResourceOp{Pos: call.Pos(), Resource: spec.name, Acquire: true})
-			return true
-		}
-		if fn, recv, ok := methodCallee(p, call); ok {
-			for i := range resourceSpecs {
-				s := &resourceSpecs[i]
-				target := s.recvType
-				if s.onResult {
-					target = s.resultType
-				}
-				if fn.Name() == s.release && recv == target {
-					ops = append(ops, ResourceOp{Pos: call.Pos(), Resource: s.name, Acquire: false})
-					break
-				}
-			}
-		}
-		return true
+		return !found
 	})
-	return ops
+	return found
 }
 
-func (pinRelease) CheckModule(m *Module, report func(p *Package, pos token.Pos, key, format string, args ...any)) {
-	for _, ff := range m.SortedFuncs() {
-		acquires := false
-		for _, op := range ff.Resources {
-			if op.Acquire {
-				acquires = true
-				break
-			}
+func (pinRelease) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
+	funcDecls(p, func(fd *ast.FuncDecl, _ *types.Func) {
+		if !acquiresResource(p, fd) {
+			return
 		}
-		if !acquires {
-			continue
-		}
-		a := &prAnalyzer{
-			p: ff.Pkg,
-			report: func(pos token.Pos, format string, args ...any) {
-				report(ff.Pkg, pos, "", format, args...)
-			},
-		}
+		a := &prAnalyzer{p: p, report: report}
 		st := newPRState()
-		terminated := a.stmts(ff.Decl.Body.List, st)
-		if !terminated {
-			a.leakCheck(st, ff.Decl.Body.End(), "function end")
+		if !a.stmts(fd.Body.List, st) {
+			a.leakCheck(st, fd.Body.End(), "function end")
 		}
-	}
+	})
 }
 
 // heldRes is one tracked acquired resource.

@@ -12,8 +12,8 @@ import (
 // objstore.Store keys update listeners. Every entry pins memory (and, for
 // the monitor, a cached result set) for as long as it stays in the table,
 // so each function that inserts must itself guarantee an exit path:
-// either it reaches — along the static call graph — a function deleting
-// from the same field (the bounded-table idiom, Monitor.evictLocked), or
+// either it reaches — along the package's static calls — a function
+// deleting from the same field (the bounded-table idiom, Monitor.evictLocked), or
 // the delete lives in a closure inside its own body (the cancel-closure
 // idiom of objstore.Store.Subscribe). An insert whose cleanup depends on
 // every caller remembering a later Unsubscribe is exactly the leak this
@@ -24,7 +24,9 @@ import (
 // field (the same *types.Var, so equally named fields on different types
 // stay distinct). Closure bodies count toward their enclosing declaration
 // on both sides, which is what lets the cancel-closure idiom pass — and a
-// local variable named subs is no table at all.
+// local variable named subs is no table at all. The rule only matches
+// unexported fields, so every insert and delete on a table is in the
+// package that declares it, and the walk never leaves that package.
 type subUnregister struct{}
 
 func (subUnregister) Name() string { return "sub-unregister" }
@@ -54,17 +56,18 @@ func subsMapField(p *Package, e ast.Expr) (*types.Var, string) {
 	return v, owner
 }
 
-func (subUnregister) CheckModule(m *Module, report func(p *Package, pos token.Pos, key, format string, args ...any)) {
+func (subUnregister) Check(p *Package, report func(pos token.Pos, format string, args ...any)) {
 	type insert struct {
-		ff    *FuncFacts
+		fn    *types.Func
 		pos   token.Pos
 		field *types.Var
 		owner string
 	}
 	var inserts []insert
 	deleters := make(map[*types.Var][]*types.Func)
-	for _, ff := range m.SortedFuncs() {
-		ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
+	calls := make(map[*types.Func][]*types.Func)
+	funcDecls(p, func(fd *ast.FuncDecl, fn *types.Func) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
@@ -72,45 +75,64 @@ func (subUnregister) CheckModule(m *Module, report func(p *Package, pos token.Po
 					if !ok {
 						continue
 					}
-					if f, owner := subsMapField(ff.Pkg, idx.X); f != nil {
-						inserts = append(inserts, insert{ff: ff, pos: lhs.Pos(), field: f, owner: owner})
+					if f, owner := subsMapField(p, idx.X); f != nil {
+						inserts = append(inserts, insert{fn: fn, pos: lhs.Pos(), field: f, owner: owner})
 					}
 				}
 			case *ast.CallExpr:
+				if callee := staticCallee(p, n); callee != nil {
+					calls[fn] = append(calls[fn], callee)
+					return true
+				}
 				id, ok := ast.Unparen(n.Fun).(*ast.Ident)
 				if !ok || len(n.Args) != 2 {
 					return true
 				}
-				if b, isBuiltin := ff.Pkg.Info.Uses[id].(*types.Builtin); !isBuiltin || b.Name() != "delete" {
+				if b, isBuiltin := p.Info.Uses[id].(*types.Builtin); !isBuiltin || b.Name() != "delete" {
 					return true
 				}
-				if f, _ := subsMapField(ff.Pkg, n.Args[0]); f != nil {
-					deleters[f] = append(deleters[f], ff.Fn)
+				if f, _ := subsMapField(p, n.Args[0]); f != nil {
+					deleters[f] = append(deleters[f], fn)
 				}
 			}
 			return true
 		})
-	}
+	})
 	for _, in := range inserts {
 		dels := deleters[in.field]
 		if len(dels) == 0 {
-			report(in.ff.Pkg, in.pos, "",
+			report(in.pos,
 				"subscription table %s.subs grows here but no function in the module ever deletes from it; bound it with eviction or return a cancel closure",
 				in.owner)
 			continue
 		}
-		reach, _ := m.Graph.ReachableFrom(in.ff.Fn)
-		reached := false
-		for _, fn := range dels {
-			if reach[fn] {
-				reached = true
-				break
-			}
-		}
-		if !reached {
-			report(in.ff.Pkg, in.pos, "",
+		if !reachesAny(calls, in.fn, dels) {
+			report(in.pos,
 				"subscription table %s.subs grows here and the insert path cannot reach any delete on it; cleanup is left to callers — evict here or hand back a cancel closure",
 				in.owner)
 		}
 	}
+}
+
+// reachesAny reports whether root is one of targets or calls one of them,
+// directly or through further calls recorded in calls.
+func reachesAny(calls map[*types.Func][]*types.Func, root *types.Func, targets []*types.Func) bool {
+	seen := map[*types.Func]bool{root: true}
+	stack := []*types.Func{root}
+	for len(stack) > 0 {
+		fn := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, t := range targets {
+			if fn == t {
+				return true
+			}
+		}
+		for _, c := range calls[fn] {
+			if !seen[c] {
+				seen[c] = true
+				stack = append(stack, c)
+			}
+		}
+	}
+	return false
 }

@@ -1,8 +1,6 @@
 package lint
 
-// AllRules returns the full rule set in a stable order. Package rules
-// first (each sees one package), then the module rules that consume
-// phase-1 facts and the call graph.
+// AllRules returns the full rule set in a stable order.
 func AllRules() []Rule {
 	return []Rule{
 		droppedError{},
@@ -13,7 +11,6 @@ func AllRules() []Rule {
 		ctxBackground{},
 		wireTypes{},
 		objstoreWrite{},
-		hotpathAlloc{},
 		pinRelease{},
 		ctxFlow{},
 		subUnregister{},

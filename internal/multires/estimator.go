@@ -211,8 +211,6 @@ corners:
 // Otherwise — several ancestors attain the best, a flag on the chain, an arc
 // off it refused — the restricted search runs as above. Key invariant 10 in
 // DESIGN.md; FuzzSharedUpperBound and TestEstimatorMatchesNetwork pin it.
-//
-//sklint:hotpath
 func (e *Estimator) UpperBound(m *mesh.Mesh, a, b mesh.SurfacePoint, tm int32, region geom.MBR, refined []geom.MBR) UpperEstimate {
 	ln, sh := e.level(tm)
 	// Same-face shortcut: the straight on-facet segment is a valid path.

@@ -109,8 +109,6 @@ func (q *Querier) DistanceWithin(a, b mesh.SurfacePoint, region geom.MBR) float6
 // the direct link. region, when non-nil, restricts the search to vertices
 // inside it. Returns the distance and the settled target-facet vertex
 // realising it (-1 when unreachable).
-//
-//sklint:hotpath
 func (q *Querier) search(a, b mesh.SurfacePoint, region *geom.MBR) (float64, int32) {
 	w, p := &q.pt, q.p
 	w.Begin()
@@ -127,8 +125,6 @@ func (q *Querier) search(a, b mesh.SurfacePoint, region *geom.MBR) (float64, int
 // to b; best starts as the caller's proposal. region, when non-nil, keeps
 // the search inside it. Returns the best proposal and the boundary point
 // realising it (-1 when the starting proposal stands).
-//
-//sklint:hotpath
 func (q *Querier) settle(w *graph.Workspace, b mesh.SurfacePoint, region *geom.MBR, best float64) (float64, int32) {
 	p := q.p
 	targets := p.FacePoints(b.Face)
@@ -178,8 +174,6 @@ func (q *Querier) inside(v int32, region *geom.MBR) bool {
 //
 // The shared search lives until the source changes or ForgetSource is
 // called; its relaxations count into Relaxations.
-//
-//sklint:hotpath
 func (q *Querier) FromSource(a, b mesh.SurfacePoint) float64 {
 	if a.Face == b.Face {
 		return a.Pos.Dist(b.Pos)

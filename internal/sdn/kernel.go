@@ -60,8 +60,6 @@ func pointDist(t *lineTable, k int, useX bool, p geom.Vec3) float64 {
 // first seeds the chain: the distance from a to every entry of the first
 // kept layer, +Inf for an entry over the cut (see solve); bF and bZ are b's
 // free-axis and z coordinates.
-//
-//sklint:hotpath
 func (sc *Scratch) first(l *layer, useX bool, a geom.Vec3, bF, bZ, cut float64) {
 	t := l.tab
 	dist := sc.dist[l.base : l.base+l.hi-l.lo]
@@ -86,8 +84,6 @@ func (sc *Scratch) first(l *layer, useX bool, a geom.Vec3, bF, bZ, cut float64) 
 // lim = cut - rem(p) (see solve); a target over lim gets +Inf. bF and bZ are
 // b's free-axis and z coordinates. See the note at the top of the file for
 // why the pruning below leaves that result unchanged.
-//
-//sklint:hotpath
 func (sc *Scratch) transition(s, t *layer, useX bool, bF, bZ, cut float64) {
 	sn, tn := s.hi-s.lo, t.hi-t.lo
 	sdist := sc.dist[s.base : s.base+sn]

@@ -374,8 +374,6 @@ func (ms *MSDN) collect(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR,
 // root, so rem is never above the exact travel (squares below 10⁻³⁰⁸ would
 // lose that, but gaps between coordinates are never that small without
 // being zero).
-//
-//sklint:hotpath
 func (l *layer) rem(gf, gz float64) float64 {
 	f, z := ahead(gf, l.wF), ahead(gz, l.wZ)
 	return math.Sqrt(l.plane*l.plane+f*f+z*z) * (1 - remSlack)
@@ -383,8 +381,6 @@ func (l *layer) rem(gf, gz float64) float64 {
 
 // ahead is the gap g less the widths w later boxes can absorb, rounded down
 // by remSlack of both and floored at zero.
-//
-//sklint:hotpath
 func ahead(g, w float64) float64 {
 	if d := g - w - remSlack*(g+w); !(d < 0) {
 		return d

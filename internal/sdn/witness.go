@@ -51,8 +51,6 @@ func (sc *Scratch) witness(useX bool, a, b geom.Vec3) float64 {
 // scan stops there. Every entry that attains the minimum is scored, and the
 // (score, index) order picks the same first index a scan in index order
 // does.
-//
-//sklint:hotpath
 func (sc *Scratch) pick(l *layer, src *lineTable, sk int, useX bool, a, b geom.Vec3) (int, float64) {
 	w := witnessScan{t: l.tab, useX: useX, best: -1, score: math.Inf(1)}
 	w.bF, w.bP = b.X, b.Y
@@ -104,8 +102,6 @@ type witnessScan struct {
 // offer scores entry k, whose arena dist is d (+Inf when not kept), and
 // reports whether its free-axis gap sum is within the best score — false
 // marks the entry where an outward scan may stop.
-//
-//sklint:hotpath
 func (w *witnessScan) offer(k int, d float64) bool {
 	t := w.t
 	gs := geom.RangeGap(w.sfLo, w.sfHi, t.fLo[k], t.fHi[k])

@@ -97,11 +97,17 @@ func (c *Clustered) NumPages() int { return len(c.dir) }
 // region, or len(c.dir) when none is left. It is the one directory walk
 // every paged read shares, so they all touch the same pages in the same
 // order. The directory itself is assumed cached (as a DBMS keeps index
-// upper levels hot) and is not counted as an access.
+// upper levels hot) and is not counted as an access. BuildClustered orders
+// records longest-lived first, so maxTo never increases along the
+// directory: the first entry whose records all expire by level ends the
+// walk.
 func (c *Clustered) nextPage(i int, region geom.MBR, level int32) int {
 	for ; i < len(c.dir); i++ {
 		meta := &c.dir[i]
-		if meta.minFrom <= level && level < meta.maxTo && meta.mbr.Intersects(region) {
+		if level >= meta.maxTo {
+			return len(c.dir)
+		}
+		if meta.minFrom <= level && meta.mbr.Intersects(region) {
 			break
 		}
 	}

@@ -118,6 +118,78 @@ func TestTouchMatchesReference(t *testing.T) {
 	}
 }
 
+// fullScan is the directory walk without the early exit: every entry whose
+// page may hold a record valid at level inside region, in directory order.
+func fullScan(c *Clustered, region geom.MBR, level int32) []PageID {
+	var ids []PageID
+	for _, meta := range c.dir {
+		if meta.minFrom <= level && level < meta.maxTo && meta.mbr.Intersects(region) {
+			ids = append(ids, meta.id)
+		}
+	}
+	return ids
+}
+
+// TestTouchMatchesFullScan holds the walk's stop at the first expired entry
+// to the full scan: over stores of random records with mixed validity
+// intervals, at every level and for several regions, Touch accesses exactly
+// the full scan's pages in the full scan's order. The pool holds every page,
+// so each access moves its page to the LRU front and the list read from the
+// front is the touch sequence reversed.
+func TestTouchMatchesFullScan(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		recs := make([]ClusterRecord, 2000+rng.Intn(4000))
+		maxTo := int32(0)
+		for i := range recs {
+			x, y := rng.Float64()*1000, rng.Float64()*1000
+			from := int32(rng.Intn(10))
+			to := from + 1 + int32(rng.Intn(3))
+			if rng.Intn(4) == 0 {
+				to = from + 1 + int32(rng.Intn(12)) // a few long-lived records
+			}
+			maxTo = max(maxTo, to)
+			recs[i] = ClusterRecord{
+				ID:   uint64(i),
+				MBR:  geom.MBR{MinX: x, MinY: y, MaxX: x + rng.Float64()*40, MaxY: y + rng.Float64()*40},
+				From: from,
+				To:   to,
+			}
+		}
+		bp := NewBufferPool(NewMemFile(), 1<<12)
+		c := BuildClustered(bp, recs)
+		regions := []geom.MBR{geom.EmptyMBR(), {MinX: -10, MinY: -10, MaxX: 1100, MaxY: 1100}}
+		for len(regions) < 8 {
+			x, y := rng.Float64()*1000, rng.Float64()*1000
+			regions = append(regions, geom.MBR{MinX: x, MinY: y, MaxX: x + rng.Float64()*500, MaxY: y + rng.Float64()*500})
+		}
+		tails := 0 // levels at which the last page has expired but not the first
+		for level := int32(-1); level <= maxTo+1; level++ {
+			if c.dir[len(c.dir)-1].maxTo <= level && level < c.dir[0].maxTo {
+				tails++
+			}
+			for r, region := range regions {
+				want := fullScan(c, region, level)
+				var acct IOAccount
+				c.Touch(region, level, &acct)
+				if acct.Accesses != int64(len(want)) || acct.Misses != 0 {
+					t.Fatalf("seed %d level %d region %d: touch %+v, full scan %d pages", seed, level, r, acct, len(want))
+				}
+				id := bp.head
+				for i := len(want) - 1; i >= 0; i-- {
+					if PageID(id) != want[i] {
+						t.Fatalf("seed %d level %d region %d: access %d is page %d, full scan's %d", seed, level, r, i, id, want[i])
+					}
+					id = bp.next[id]
+				}
+			}
+		}
+		if tails == 0 {
+			t.Fatalf("seed %d: no level leaves an expired tail for the walk to skip", seed)
+		}
+	}
+}
+
 // TestFetchIsStorageOrder pins the contract core's level-network builder
 // relies on: BuildClustered leaves recs in storage order, i.e. at every level
 // a paged fetch of the whole extent — and of a part of it — yields exactly

@@ -26,27 +26,13 @@ fi
 
 echo "== sklint =="
 # Machine-readable diagnostics; on GitHub CI each finding is also emitted
-# as a ::error annotation routed to the offending file and line. The
-# committed hotpath-alloc baseline (lint.baseline.json) is applied inside
-# sklint: recorded allocation debt passes, NEW debt fails — the ratchet
-# only turns toward zero. Pay debt down with
-#   go run ./cmd/sklint -write-baseline ./...
+# as a ::error annotation routed to the offending file and line. Any
+# finding fails the gate.
 sklint_flags=(-json)
 if [ -n "${GITHUB_ACTIONS:-}" ]; then
     sklint_flags+=(-github)
 fi
 go run ./cmd/sklint "${sklint_flags[@]}" ./...
-
-echo "== sklint baseline budget =="
-# The recorded hotpath-alloc debt must keep shrinking: after the SoA
-# flat-buffer refactor the budget is 10 findings. A higher total means new
-# debt was baselined instead of paid down.
-baseline_total=$(grep -o ': [0-9]*' lint.baseline.json | awk '{s+=$2} END{print s+0}')
-echo "baseline total: $baseline_total (budget 10)"
-if [ "$baseline_total" -gt 10 ]; then
-    echo "lint.baseline.json records $baseline_total findings, budget is 10" >&2
-    exit 1
-fi
 
 echo "== sklint self-test (negative fixtures must fail) =="
 # Each fixture package contains known findings; sklint exiting 0 on one
