@@ -51,11 +51,20 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// chunkSize is the buffer every flat section (vertices, faces, tree nodes
+// and edges, cross-line points, objects, the pathnet and R-tree slabs)
+// moves through: records are encoded into it, or decoded out of it, a chunk
+// at a time, so a section costs one write or read and one checksum update
+// per chunk instead of per field. The stream itself is never buffered
+// whole.
+const chunkSize = 32 << 10
+
 type persistWriter struct {
-	w   *bufio.Writer
-	crc uint32
-	err error
-	buf [8]byte
+	w     *bufio.Writer
+	crc   uint32
+	err   error
+	buf   [8]byte
+	chunk [chunkSize]byte
 }
 
 // write sends raw bytes and folds them into the running checksum.
@@ -70,37 +79,42 @@ func (p *persistWriter) write(b []byte) {
 	p.crc = crc32.Update(p.crc, crcTable, b)
 }
 
-func (p *persistWriter) u8(v uint8) {
-	p.buf[0] = v
-	p.write(p.buf[:1])
-}
 func (p *persistWriter) u32(v uint32) {
 	binary.LittleEndian.PutUint32(p.buf[:4], v)
 	p.write(p.buf[:4])
 }
-func (p *persistWriter) i32(v int32) { p.u32(uint32(v)) }
 func (p *persistWriter) u64(v uint64) {
 	binary.LittleEndian.PutUint64(p.buf[:8], v)
 	p.write(p.buf[:8])
 }
 func (p *persistWriter) f64(v float64) { p.u64(math.Float64bits(v)) }
-func (p *persistWriter) vec3(v geom.Vec3) {
-	p.f64(v.X)
-	p.f64(v.Y)
-	p.f64(v.Z)
+
+// slab writes n records of size bytes each, enc(b, i) encoding record i
+// into b, through the chunk.
+func (p *persistWriter) slab(n, size int, enc func(b []byte, i int)) {
+	per := chunkSize / size
+	for i := 0; i < n && p.err == nil; i += per {
+		k := min(per, n-i)
+		b := p.chunk[:k*size]
+		for j := range k {
+			enc(b[j*size:], i+j)
+		}
+		p.write(b)
+	}
 }
-func (p *persistWriter) mbr(m geom.MBR) {
-	p.f64(m.MinX)
-	p.f64(m.MinY)
-	p.f64(m.MaxX)
-	p.f64(m.MaxY)
+
+// int32s writes a count-prefixed int32 slab.
+func (p *persistWriter) int32s(v []int32) {
+	p.u32(uint32(len(v)))
+	p.slab(len(v), int32Size, func(b []byte, i int) { putI32(b, v[i]) })
 }
 
 type persistReader struct {
-	r   *bufio.Reader
-	crc uint32
-	err error
-	buf [8]byte
+	r     *bufio.Reader
+	crc   uint32
+	err   error
+	buf   [8]byte
+	chunk [chunkSize]byte
 }
 
 // read fills b and folds it into the running checksum; the final footer is
@@ -117,19 +131,12 @@ func (p *persistReader) read(b []byte) bool {
 	return true
 }
 
-func (p *persistReader) u8() uint8 {
-	if !p.read(p.buf[:1]) {
-		return 0
-	}
-	return p.buf[0]
-}
 func (p *persistReader) u32() uint32 {
 	if !p.read(p.buf[:4]) {
 		return 0
 	}
 	return binary.LittleEndian.Uint32(p.buf[:4])
 }
-func (p *persistReader) i32() int32 { return int32(p.u32()) }
 func (p *persistReader) u64() uint64 {
 	if !p.read(p.buf[:8]) {
 		return 0
@@ -137,12 +144,78 @@ func (p *persistReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(p.buf[:8])
 }
 func (p *persistReader) f64() float64 { return math.Float64frombits(p.u64()) }
-func (p *persistReader) vec3() geom.Vec3 {
-	return geom.Vec3{X: p.f64(), Y: p.f64(), Z: p.f64()}
+
+// slab reads n records of size bytes each through the chunk, handing each
+// record's bytes to dec in order. It stops at the first read error (left
+// in p.err), so a forged count costs at most one chunk past the data.
+func (p *persistReader) slab(n, size int, dec func(b []byte)) bool {
+	per := chunkSize / size
+	for i := 0; i < n; i += per {
+		k := min(per, n-i)
+		b := p.chunk[:k*size]
+		if !p.read(b) {
+			return false
+		}
+		for j := range k {
+			dec(b[j*size : (j+1)*size])
+		}
+	}
+	return true
 }
-func (p *persistReader) mbr() geom.MBR {
-	return geom.MBR{MinX: p.f64(), MinY: p.f64(), MaxX: p.f64(), MaxY: p.f64()}
+
+// readSlab reads a slab of n records of size bytes each, decoded by dec.
+// The slice starts at a bounded capacity (clampCap) and then doubles up to
+// exactly n, so it never holds more than twice the records actually read
+// and a complete section ends with no spare capacity.
+func readSlab[T any](p *persistReader, n, size int, dec func(b []byte) T) []T {
+	out := make([]T, 0, clampCap(n))
+	p.slab(n, size, func(b []byte) {
+		if len(out) == cap(out) {
+			out = append(make([]T, 0, min(n, 2*cap(out))), out...)
+		}
+		out = append(out, dec(b))
+	})
+	return out
 }
+
+// Little-endian field codecs over a record's bytes.
+
+func putI32(b []byte, v int32)   { binary.LittleEndian.PutUint32(b, uint32(v)) }
+func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+func putVec3(b []byte, v geom.Vec3) {
+	putF64(b, v.X)
+	putF64(b[8:], v.Y)
+	putF64(b[16:], v.Z)
+}
+func putMBR(b []byte, m geom.MBR) {
+	putF64(b, m.MinX)
+	putF64(b[8:], m.MinY)
+	putF64(b[16:], m.MaxX)
+	putF64(b[24:], m.MaxY)
+}
+
+func getI32(b []byte) int32   { return int32(binary.LittleEndian.Uint32(b)) }
+func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+func getVec3(b []byte) geom.Vec3 {
+	return geom.Vec3{X: getF64(b), Y: getF64(b[8:]), Z: getF64(b[16:])}
+}
+func getMBR(b []byte) geom.MBR {
+	return geom.MBR{MinX: getF64(b), MinY: getF64(b[8:]), MaxX: getF64(b[16:]), MaxY: getF64(b[24:])}
+}
+
+// Record sizes of the flat sections, in bytes.
+const (
+	vertSize      = 24                                   // x, y, z
+	faceSize      = 12                                   // three vertex IDs
+	nodeSize      = 3*4 + 8 + 4 + 24 + 24 + 8 + 2*4 + 32 // parent, left, right, error, rep, repPos, pos, gather, birth, death, MBR
+	edgeSize      = 2*4 + 8 + 2*4                        // u, w, d, birth, death
+	linePtSize    = 24 + 4                               // point, rank
+	objectSize    = 8 + 24 + 4                           // ID, position, face
+	arcSize       = 4 + 8                                // to, weight
+	int32Size     = 4                                    // CSR offsets, face points
+	indexNodeSize = 1 + 32 + 4 + 4                       // leaf flag, MBR, start, count
+	itemSize      = 8 + 8 + 8                            // x, y, ID
+)
 
 // clampCap bounds the initial capacity of count-prefixed slices read from
 // untrusted snapshots: the slice still grows to the true count via append,
@@ -195,41 +268,42 @@ func (db *TerrainDB) save(w io.Writer, objs []workload.Object, epoch uint64, dxy
 	// Mesh.
 	m := db.Mesh
 	pw.u32(uint32(m.NumVerts()))
-	for _, v := range m.Verts {
-		pw.vec3(v)
-	}
+	pw.slab(len(m.Verts), vertSize, func(b []byte, i int) { putVec3(b, m.Verts[i]) })
 	pw.u32(uint32(m.NumFaces()))
-	for _, f := range m.Faces {
-		pw.i32(int32(f[0]))
-		pw.i32(int32(f[1]))
-		pw.i32(int32(f[2]))
-	}
+	pw.slab(len(m.Faces), faceSize, func(b []byte, i int) {
+		f := m.Faces[i]
+		putI32(b, int32(f[0]))
+		putI32(b[4:], int32(f[1]))
+		putI32(b[8:], int32(f[2]))
+	})
 
 	// DDM tree.
 	t := db.Tree
 	pw.u32(uint32(t.NumLeaves))
 	pw.u32(uint32(len(t.Nodes)))
-	for _, n := range t.Nodes {
-		pw.i32(int32(n.Parent))
-		pw.i32(int32(n.Left))
-		pw.i32(int32(n.Right))
-		pw.f64(n.Error)
-		pw.i32(int32(n.Rep))
-		pw.vec3(n.RepPos)
-		pw.vec3(n.Pos)
-		pw.f64(n.Gather)
-		pw.i32(n.Birth)
-		pw.i32(n.Death)
-		pw.mbr(n.MBR)
-	}
+	pw.slab(len(t.Nodes), nodeSize, func(b []byte, i int) {
+		n := &t.Nodes[i]
+		putI32(b, int32(n.Parent))
+		putI32(b[4:], int32(n.Left))
+		putI32(b[8:], int32(n.Right))
+		putF64(b[12:], n.Error)
+		putI32(b[20:], int32(n.Rep))
+		putVec3(b[24:], n.RepPos)
+		putVec3(b[48:], n.Pos)
+		putF64(b[72:], n.Gather)
+		putI32(b[80:], n.Birth)
+		putI32(b[84:], n.Death)
+		putMBR(b[88:], n.MBR)
+	})
 	pw.u32(uint32(len(t.Edges)))
-	for _, e := range t.Edges {
-		pw.i32(int32(e.U))
-		pw.i32(int32(e.W))
-		pw.f64(e.D)
-		pw.i32(e.Birth)
-		pw.i32(e.Death)
-	}
+	pw.slab(len(t.Edges), edgeSize, func(b []byte, i int) {
+		e := &t.Edges[i]
+		putI32(b, int32(e.U))
+		putI32(b[4:], int32(e.W))
+		putF64(b[8:], e.D)
+		putI32(b[16:], e.Birth)
+		putI32(b[20:], e.Death)
+	})
 
 	// MSDN.
 	pw.f64(db.MSDN.Spacing)
@@ -239,10 +313,10 @@ func (db *TerrainDB) save(w io.Writer, objs []workload.Object, epoch uint64, dxy
 			pw.u32(uint32(cl.Axis))
 			pw.f64(cl.Coord)
 			pw.u32(uint32(len(cl.Pts)))
-			for i, pt := range cl.Pts {
-				pw.vec3(pt)
-				pw.u32(uint32(cl.Rank[i]))
-			}
+			pw.slab(len(cl.Pts), linePtSize, func(b []byte, i int) {
+				putVec3(b, cl.Pts[i])
+				putI32(b[24:], int32(cl.Rank[i]))
+			})
 		}
 	}
 
@@ -250,57 +324,47 @@ func (db *TerrainDB) save(w io.Writer, objs []workload.Object, epoch uint64, dxy
 	// (Save/SaveWithObjects); their Dxy index buffers follow the pathnet.
 	pw.u64(epoch)
 	pw.u32(uint32(len(objs)))
-	for _, o := range objs {
-		pw.u64(uint64(o.ID))
-		pw.vec3(o.Point.Pos)
-		pw.i32(int32(o.Point.Face))
-	}
+	pw.slab(len(objs), objectSize, func(b []byte, i int) {
+		o := &objs[i]
+		binary.LittleEndian.PutUint64(b, uint64(o.ID))
+		putVec3(b[8:], o.Point.Pos)
+		putI32(b[32:], int32(o.Point.Face))
+	})
 
 	// Pathnet flat buffers: CSR offsets and arcs, vertex positions, the
 	// Steiner level and the face→point CSR pair.
 	pf := db.Path.Flatten()
-	pw.u32(uint32(len(pf.Off)))
-	for _, v := range pf.Off {
-		pw.i32(v)
-	}
+	pw.int32s(pf.Off)
 	pw.u32(uint32(len(pf.Arcs)))
-	for _, a := range pf.Arcs {
-		pw.i32(a.To)
-		pw.f64(a.W)
-	}
+	pw.slab(len(pf.Arcs), arcSize, func(b []byte, i int) {
+		putI32(b, pf.Arcs[i].To)
+		putF64(b[4:], pf.Arcs[i].W)
+	})
 	pw.u32(uint32(len(pf.Pos)))
-	for _, v := range pf.Pos {
-		pw.vec3(v)
-	}
+	pw.slab(len(pf.Pos), vertSize, func(b []byte, i int) { putVec3(b, pf.Pos[i]) })
 	pw.u32(uint32(pf.Steiner))
-	pw.u32(uint32(len(pf.FaceOff)))
-	for _, v := range pf.FaceOff {
-		pw.i32(v)
-	}
-	pw.u32(uint32(len(pf.FacePts)))
-	for _, v := range pf.FacePts {
-		pw.i32(v)
-	}
+	pw.int32s(pf.FaceOff)
+	pw.int32s(pf.FacePts)
 
 	// Dxy R-tree flat buffers: the four node-parallel arrays interleaved
 	// per node, then the item slab. Empty when no objects are installed.
 	pw.u32(uint32(len(dxy.Leaf)))
-	for i := range dxy.Leaf {
-		var leaf uint8
+	pw.slab(len(dxy.Leaf), indexNodeSize, func(b []byte, i int) {
+		b[0] = 0
 		if dxy.Leaf[i] {
-			leaf = 1
+			b[0] = 1
 		}
-		pw.u8(leaf)
-		pw.mbr(dxy.MBR[i])
-		pw.i32(dxy.Start[i])
-		pw.i32(dxy.Count[i])
-	}
+		putMBR(b[1:], dxy.MBR[i])
+		putI32(b[33:], dxy.Start[i])
+		putI32(b[37:], dxy.Count[i])
+	})
 	pw.u32(uint32(len(dxy.Items)))
-	for _, it := range dxy.Items {
-		pw.f64(it.P.X)
-		pw.f64(it.P.Y)
-		pw.u64(uint64(it.ID))
-	}
+	pw.slab(len(dxy.Items), itemSize, func(b []byte, i int) {
+		it := &dxy.Items[i]
+		putF64(b, it.P.X)
+		putF64(b[8:], it.P.Y)
+		binary.LittleEndian.PutUint64(b[16:], uint64(it.ID))
+	})
 
 	if pw.err != nil {
 		return fmt.Errorf("core: save: %w", pw.err)
@@ -336,7 +400,7 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 	// Counts are read from untrusted input: validate them against
 	// plausibility caps, and grow slices incrementally with a bounded
 	// initial capacity so a forged header cannot demand a huge allocation
-	// before the stream runs dry (each loop bails on the first read error).
+	// before the stream runs dry (each slab stops at its first failed chunk).
 
 	// Mesh.
 	nv := int(pr.u32())
@@ -346,12 +410,9 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 	if nv < 3 || nv > 1<<28 {
 		return nil, fmt.Errorf("core: load: %w: implausible vertex count %d", ErrBadSnapshot, nv)
 	}
-	verts := make([]geom.Vec3, 0, clampCap(nv))
-	for i := 0; i < nv; i++ {
-		verts = append(verts, pr.vec3())
-		if pr.err != nil {
-			return nil, fmt.Errorf("core: load: vertices: %w", pr.err)
-		}
+	verts := readSlab(pr, nv, vertSize, getVec3)
+	if pr.err != nil {
+		return nil, fmt.Errorf("core: load: vertices: %w", pr.err)
 	}
 	nf := int(pr.u32())
 	if pr.err != nil {
@@ -360,14 +421,11 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 	if nf < 1 || nf > 1<<29 {
 		return nil, fmt.Errorf("core: load: %w: implausible face count %d", ErrBadSnapshot, nf)
 	}
-	faces := make([][3]mesh.VertexID, 0, clampCap(nf))
-	for i := 0; i < nf; i++ {
-		faces = append(faces, [3]mesh.VertexID{
-			mesh.VertexID(pr.i32()), mesh.VertexID(pr.i32()), mesh.VertexID(pr.i32()),
-		})
-		if pr.err != nil {
-			return nil, fmt.Errorf("core: load: faces: %w", pr.err)
-		}
+	faces := readSlab(pr, nf, faceSize, func(b []byte) [3]mesh.VertexID {
+		return [3]mesh.VertexID{mesh.VertexID(getI32(b)), mesh.VertexID(getI32(b[4:])), mesh.VertexID(getI32(b[8:]))}
+	})
+	if pr.err != nil {
+		return nil, fmt.Errorf("core: load: faces: %w", pr.err)
 	}
 	for _, f := range faces {
 		for _, v := range f {
@@ -387,24 +445,23 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 	if tree.NumLeaves < 1 || tree.NumLeaves > 1<<28 || nn != 2*tree.NumLeaves-1 {
 		return nil, fmt.Errorf("core: load: %w: node count %d for %d leaves", ErrBadSnapshot, nn, tree.NumLeaves)
 	}
-	tree.Nodes = make([]multires.Node, 0, clampCap(nn))
-	for i := 0; i < nn; i++ {
-		tree.Nodes = append(tree.Nodes, multires.Node{
-			Parent: multires.NodeID(pr.i32()),
-			Left:   multires.NodeID(pr.i32()),
-			Right:  multires.NodeID(pr.i32()),
-			Error:  pr.f64(),
-			Rep:    mesh.VertexID(pr.i32()),
-			RepPos: pr.vec3(),
-			Pos:    pr.vec3(),
-			Gather: pr.f64(),
-			Birth:  pr.i32(),
-			Death:  pr.i32(),
-			MBR:    pr.mbr(),
-		})
-		if pr.err != nil {
-			return nil, fmt.Errorf("core: load: tree nodes: %w", pr.err)
+	tree.Nodes = readSlab(pr, nn, nodeSize, func(b []byte) multires.Node {
+		return multires.Node{
+			Parent: multires.NodeID(getI32(b)),
+			Left:   multires.NodeID(getI32(b[4:])),
+			Right:  multires.NodeID(getI32(b[8:])),
+			Error:  getF64(b[12:]),
+			Rep:    mesh.VertexID(getI32(b[20:])),
+			RepPos: getVec3(b[24:]),
+			Pos:    getVec3(b[48:]),
+			Gather: getF64(b[72:]),
+			Birth:  getI32(b[80:]),
+			Death:  getI32(b[84:]),
+			MBR:    getMBR(b[88:]),
 		}
+	})
+	if pr.err != nil {
+		return nil, fmt.Errorf("core: load: tree nodes: %w", pr.err)
 	}
 	ne := int(pr.u32())
 	if pr.err != nil {
@@ -413,18 +470,17 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 	if ne < 0 || ne > 1<<29 {
 		return nil, fmt.Errorf("core: load: %w: implausible edge count %d", ErrBadSnapshot, ne)
 	}
-	tree.Edges = make([]multires.EdgeRec, 0, clampCap(ne))
-	for i := 0; i < ne; i++ {
-		tree.Edges = append(tree.Edges, multires.EdgeRec{
-			U:     multires.NodeID(pr.i32()),
-			W:     multires.NodeID(pr.i32()),
-			D:     pr.f64(),
-			Birth: pr.i32(),
-			Death: pr.i32(),
-		})
-		if pr.err != nil {
-			return nil, fmt.Errorf("core: load: tree edges: %w", pr.err)
+	tree.Edges = readSlab(pr, ne, edgeSize, func(b []byte) multires.EdgeRec {
+		return multires.EdgeRec{
+			U:     multires.NodeID(getI32(b)),
+			W:     multires.NodeID(getI32(b[4:])),
+			D:     getF64(b[8:]),
+			Birth: getI32(b[16:]),
+			Death: getI32(b[20:]),
 		}
+	})
+	if pr.err != nil {
+		return nil, fmt.Errorf("core: load: tree edges: %w", pr.err)
 	}
 	tree.SetMaxTime(int32(tree.NumLeaves - 1))
 	if err := tree.Validate(); err != nil {
@@ -456,12 +512,11 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 			}
 			cl.Pts = make([]geom.Vec3, 0, clampCap(np))
 			cl.Rank = make([]int, 0, clampCap(np))
-			for i := 0; i < np; i++ {
-				cl.Pts = append(cl.Pts, pr.vec3())
-				cl.Rank = append(cl.Rank, int(pr.u32()))
-				if pr.err != nil {
-					return nil, fmt.Errorf("core: load: cross-line points: %w", pr.err)
-				}
+			if !pr.slab(np, linePtSize, func(b []byte) {
+				cl.Pts = append(cl.Pts, getVec3(b))
+				cl.Rank = append(cl.Rank, int(binary.LittleEndian.Uint32(b[24:])))
+			}) {
+				return nil, fmt.Errorf("core: load: cross-line points: %w", pr.err)
 			}
 			lines = append(lines, cl)
 		}
@@ -484,19 +539,17 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 	if nObj < 0 || nObj > 1<<28 {
 		return nil, fmt.Errorf("core: load: %w: implausible object count %d", ErrBadSnapshot, nObj)
 	}
-	var objs []workload.Object
-	for i := 0; i < nObj; i++ {
-		objs = append(objs, workload.Object{
-			ID: int64(pr.u64()),
-			Point: mesh.SurfacePoint{
-				Pos:  pr.vec3(),
-				Face: mesh.FaceID(pr.i32()),
-			},
-		})
-		if pr.err != nil {
-			return nil, fmt.Errorf("core: load: objects: %w", pr.err)
+	objs := readSlab(pr, nObj, objectSize, func(b []byte) workload.Object {
+		return workload.Object{
+			ID:    int64(binary.LittleEndian.Uint64(b)),
+			Point: mesh.SurfacePoint{Pos: getVec3(b[8:]), Face: mesh.FaceID(getI32(b[32:]))},
 		}
-		if f := int(objs[i].Point.Face); f < 0 || f >= nf {
+	})
+	if pr.err != nil {
+		return nil, fmt.Errorf("core: load: objects: %w", pr.err)
+	}
+	for _, o := range objs {
+		if f := int(o.Point.Face); f < 0 || f >= nf {
 			return nil, fmt.Errorf("core: load: %w: object face %d outside [0,%d)", ErrBadSnapshot, f, nf)
 		}
 	}
@@ -530,7 +583,20 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 		return nil, fmt.Errorf("core: load: %w: checksum mismatch (stored %08x, computed %08x)", ErrBadSnapshot, got, want)
 	}
 
-	db := assembleTerrainDB(m, tree, ms, path, cfg)
+	// v3 carries no pathnet: the pathnet branch rebuilds it (the Steiner
+	// subdivision is a deterministic derivation).
+	db, err := assembleTerrainDB(m, cfg,
+		func() (*multires.Tree, error) { return tree, nil },
+		func() *sdn.MSDN { return ms },
+		func() *pathnet.Pathnet {
+			if path == nil {
+				return pathnet.Build(m, cfg.SteinerPerEdge)
+			}
+			return path
+		})
+	if err != nil {
+		return nil, err
+	}
 	if !v4 {
 		db.formatVersion = 3
 	}
@@ -564,12 +630,8 @@ func loadPathnetFlat(pr *persistReader, nf int) (pathnet.Flat, error) {
 	if nOff < 1 || nOff > 1<<28 {
 		return bad("implausible pathnet offset count %d", nOff)
 	}
-	pf.Off = make([]int32, 0, clampCap(nOff))
-	for i := 0; i < nOff; i++ {
-		pf.Off = append(pf.Off, pr.i32())
-		if pr.err != nil {
-			return pf, fmt.Errorf("core: load: pathnet offsets: %w", pr.err)
-		}
+	if pf.Off = readSlab(pr, nOff, int32Size, getI32); pr.err != nil {
+		return pf, fmt.Errorf("core: load: pathnet offsets: %w", pr.err)
 	}
 	nArcs := int(pr.u32())
 	if pr.err != nil {
@@ -578,12 +640,11 @@ func loadPathnetFlat(pr *persistReader, nf int) (pathnet.Flat, error) {
 	if nArcs < 0 || nArcs > 1<<30 {
 		return bad("implausible pathnet arc count %d", nArcs)
 	}
-	pf.Arcs = make([]graph.Arc, 0, clampCap(nArcs))
-	for i := 0; i < nArcs; i++ {
-		pf.Arcs = append(pf.Arcs, graph.Arc{To: pr.i32(), W: pr.f64()})
-		if pr.err != nil {
-			return pf, fmt.Errorf("core: load: pathnet arcs: %w", pr.err)
-		}
+	pf.Arcs = readSlab(pr, nArcs, arcSize, func(b []byte) graph.Arc {
+		return graph.Arc{To: getI32(b), W: getF64(b[4:])}
+	})
+	if pr.err != nil {
+		return pf, fmt.Errorf("core: load: pathnet arcs: %w", pr.err)
 	}
 	nPos := int(pr.u32())
 	if pr.err != nil {
@@ -592,12 +653,8 @@ func loadPathnetFlat(pr *persistReader, nf int) (pathnet.Flat, error) {
 	if nPos != nOff-1 {
 		return bad("pathnet has %d positions for %d offsets", nPos, nOff)
 	}
-	pf.Pos = make([]geom.Vec3, 0, clampCap(nPos))
-	for i := 0; i < nPos; i++ {
-		pf.Pos = append(pf.Pos, pr.vec3())
-		if pr.err != nil {
-			return pf, fmt.Errorf("core: load: pathnet positions: %w", pr.err)
-		}
+	if pf.Pos = readSlab(pr, nPos, vertSize, getVec3); pr.err != nil {
+		return pf, fmt.Errorf("core: load: pathnet positions: %w", pr.err)
 	}
 	pf.Steiner = int(pr.u32())
 
@@ -624,12 +681,8 @@ func loadPathnetFlat(pr *persistReader, nf int) (pathnet.Flat, error) {
 	if nFaceOff != nf+1 {
 		return bad("face-point offset count %d for %d faces", nFaceOff, nf)
 	}
-	pf.FaceOff = make([]int32, 0, clampCap(nFaceOff))
-	for i := 0; i < nFaceOff; i++ {
-		pf.FaceOff = append(pf.FaceOff, pr.i32())
-		if pr.err != nil {
-			return pf, fmt.Errorf("core: load: face-point offsets: %w", pr.err)
-		}
+	if pf.FaceOff = readSlab(pr, nFaceOff, int32Size, getI32); pr.err != nil {
+		return pf, fmt.Errorf("core: load: face-point offsets: %w", pr.err)
 	}
 	nFacePts := int(pr.u32())
 	if pr.err != nil {
@@ -638,12 +691,8 @@ func loadPathnetFlat(pr *persistReader, nf int) (pathnet.Flat, error) {
 	if nFacePts < 0 || nFacePts > 1<<30 {
 		return bad("implausible face-point count %d", nFacePts)
 	}
-	pf.FacePts = make([]int32, 0, clampCap(nFacePts))
-	for i := 0; i < nFacePts; i++ {
-		pf.FacePts = append(pf.FacePts, pr.i32())
-		if pr.err != nil {
-			return pf, fmt.Errorf("core: load: face points: %w", pr.err)
-		}
+	if pf.FacePts = readSlab(pr, nFacePts, int32Size, getI32); pr.err != nil {
+		return pf, fmt.Errorf("core: load: face points: %w", pr.err)
 	}
 	if int(pf.FaceOff[0]) != 0 || int(pf.FaceOff[nFaceOff-1]) != nFacePts {
 		return bad("face-point offsets do not cover %d points", nFacePts)
@@ -681,14 +730,13 @@ func loadIndexFlat(pr *persistReader, nObj int) (*index.RTree, error) {
 	f.MBR = make([]geom.MBR, 0, clampCap(nNodes))
 	f.Start = make([]int32, 0, clampCap(nNodes))
 	f.Count = make([]int32, 0, clampCap(nNodes))
-	for i := 0; i < nNodes; i++ {
-		f.Leaf = append(f.Leaf, pr.u8() != 0)
-		f.MBR = append(f.MBR, pr.mbr())
-		f.Start = append(f.Start, pr.i32())
-		f.Count = append(f.Count, pr.i32())
-		if pr.err != nil {
-			return nil, fmt.Errorf("core: load: index nodes: %w", pr.err)
-		}
+	if !pr.slab(nNodes, indexNodeSize, func(b []byte) {
+		f.Leaf = append(f.Leaf, b[0] != 0)
+		f.MBR = append(f.MBR, getMBR(b[1:]))
+		f.Start = append(f.Start, getI32(b[33:]))
+		f.Count = append(f.Count, getI32(b[37:]))
+	}) {
+		return nil, fmt.Errorf("core: load: index nodes: %w", pr.err)
 	}
 	nItems := int(pr.u32())
 	if pr.err != nil {
@@ -697,15 +745,11 @@ func loadIndexFlat(pr *persistReader, nObj int) (*index.RTree, error) {
 	if nItems != nObj {
 		return bad("index holds %d items for %d objects", nItems, nObj)
 	}
-	f.Items = make([]index.Item, 0, clampCap(nItems))
-	for i := 0; i < nItems; i++ {
-		f.Items = append(f.Items, index.Item{
-			P:  geom.Vec2{X: pr.f64(), Y: pr.f64()},
-			ID: int64(pr.u64()),
-		})
-		if pr.err != nil {
-			return nil, fmt.Errorf("core: load: index items: %w", pr.err)
-		}
+	f.Items = readSlab(pr, nItems, itemSize, func(b []byte) index.Item {
+		return index.Item{P: geom.Vec2{X: getF64(b), Y: getF64(b[8:])}, ID: int64(binary.LittleEndian.Uint64(b[16:]))}
+	})
+	if pr.err != nil {
+		return nil, fmt.Errorf("core: load: index items: %w", pr.err)
 	}
 	t, err := index.FromFlat(f)
 	if err != nil {

@@ -46,7 +46,7 @@ import (
 // cost phases) is the session's own code, so a difference in any answer,
 // bound or page count is a difference in one of those two paths. The fetch
 // pays its pages through the session's touchDMTM and takes its records from
-// recs, the record slice a twin BuildClustered left in storage order; that a
+// recs, the record slice a twin SortClustered left in storage order; that a
 // paged read yields exactly that subsequence, page for page what Touch
 // charges, is pinned in internal/storage (TestFetchIsStorageOrder,
 // TestTouchMatchesReference).
@@ -61,7 +61,7 @@ type refEngine struct {
 func newRefEngine(t testing.TB, db *TerrainDB) *refEngine {
 	t.Helper()
 	recs := dmtmRecords(db.Tree)
-	storage.BuildClustered(storage.NewBufferPool(storage.NewMemFile(), 64), recs)
+	storage.SortClustered(recs)
 	return &refEngine{s: db.NewSession(), recs: recs}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"surfknn/internal/geom"
@@ -111,66 +112,78 @@ func (db *TerrainDB) Registry() *obs.Registry { return db.reg }
 
 // BuildTerrainDB derives all structures from the mesh. This is the offline
 // preprocessing step of the paper ("DMTM is pre-created ... Both DMTM and
-// MSDN data are stored in the Oracle database").
+// MSDN data are stored in the Oracle database"). The three builds — DDM,
+// MSDN, pathnet — run concurrently (see assembleTerrainDB).
 func BuildTerrainDB(m *mesh.Mesh, cfg Config) (*TerrainDB, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	tree, err := multires.BuildFromMesh(m)
-	if err != nil {
-		return nil, fmt.Errorf("core: building DDM: %w", err)
-	}
-	return assembleTerrainDB(m, tree, sdn.BuildMSDN(m, cfg.SDNSpacing), nil, cfg), nil
+	return assembleTerrainDB(m, cfg,
+		func() (*multires.Tree, error) {
+			tree, err := multires.BuildFromMesh(m)
+			if err != nil {
+				return nil, fmt.Errorf("core: building DDM: %w", err)
+			}
+			return tree, nil
+		},
+		func() *sdn.MSDN { return sdn.BuildMSDN(m, cfg.SDNSpacing) },
+		func() *pathnet.Pathnet { return pathnet.Build(m, cfg.SteinerPerEdge) })
 }
 
-// assembleTerrainDB wires the precomputed structures (freshly built or
-// loaded from a snapshot) into a queryable database, rebuilding the
-// derivable parts (locator, paged stores). path supplies a restored
-// pathnet (from a v4 snapshot's flat buffers); nil builds it from the mesh,
-// the Steiner subdivision being a deterministic derivation. cfg has its
-// defaults applied.
-func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pathnet.Pathnet, cfg Config) *TerrainDB {
-	if path == nil {
-		path = pathnet.Build(m, cfg.SteinerPerEdge)
-	}
+// assembleTerrainDB obtains the three precomputed structures (freshly built
+// or loaded from a snapshot) from tree, ms and path and wires them into a
+// queryable database, deriving the rest (locator, level networks, SDN
+// tables, paged stores). cfg has its defaults applied.
+//
+// The stage graph is fixed: three branches run at once, joined by a
+// WaitGroup, and each reads only the mesh and writes only its own fields —
+//
+//   - DMTM: tree(), its records in storage order, the rungs' collapse
+//     times and the level networks (sortDMTM);
+//   - SDN: ms(), its segment tables and footprint records in storage order
+//     (sortSDN);
+//   - pathnet: path() and the face locator.
+//
+// Pages are allocated only after the join, in one fixed order — every DMTM
+// page, then every SDN page — so page IDs and directories do not depend on
+// which branch finished first. Under GOMAXPROCS=1 the branches simply run
+// one after another.
+func assembleTerrainDB(m *mesh.Mesh, cfg Config, tree func() (*multires.Tree, error), ms func() *sdn.MSDN, path func() *pathnet.Pathnet) (*TerrainDB, error) {
 	db := &TerrainDB{
-		Mesh: m,
-		Loc:  mesh.NewLocator(m),
-		Tree: tree,
-		Path: path,
-		MSDN: ms,
-		Pool: storage.NewBufferPool(storage.NewMemFile(), cfg.PoolPages),
-		cfg:  cfg,
-
+		Mesh:   m,
+		cfg:    cfg,
 		Extent: m.Extent(),
 
 		formatVersion: 4,
 	}
-	db.storeDMTM()
-
-	// Materialise the SDN segments, one set per ladder level ("line segments
-	// with extra information to record their resolution level and to which
-	// plane they belong to", §3.3). The one pass feeds both consumers: the
-	// tables stay on the MSDN for the lower-bound kernel, and each segment's
-	// footprint becomes a paged record.
-	db.MSDN.Materialize(SDNLadder)
-	var srecs []storage.ClusterRecord
-	for level := range SDNLadder {
-		db.MSDN.Footprints(level, func(box geom.MBR) {
-			if !box.Intersects(db.Extent) {
-				return
-			}
-			srecs = append(srecs, storage.ClusterRecord{
-				ID:   uint64(len(srecs)),
-				MBR:  box,
-				From: int32(level),
-				To:   int32(level) + 1,
-			})
-		})
+	var (
+		wg           sync.WaitGroup
+		treeErr      error
+		drecs, srecs []storage.ClusterRecord
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if db.Tree, treeErr = tree(); treeErr == nil {
+			drecs = db.sortDMTM()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		db.MSDN = ms()
+		srecs = db.sortSDN()
+	}()
+	db.Path = path()
+	db.Loc = mesh.NewLocator(m)
+	wg.Wait()
+	if treeErr != nil {
+		return nil, treeErr
 	}
-	db.sdnStore = storage.BuildClustered(db.Pool, srecs)
-	return db
+	db.Pool = storage.NewBufferPool(storage.NewMemFile(), cfg.PoolPages)
+	db.dmtmStore = storage.PackClustered(db.Pool, drecs)
+	db.sdnStore = storage.PackClustered(db.Pool, srecs)
+	return db, nil
 }
 
 // dmtmRecords returns the DMTM connectivity records: one per DDM edge, with
@@ -190,14 +203,13 @@ func dmtmRecords(tree *multires.Tree) []storage.ClusterRecord {
 	return recs
 }
 
-// storeDMTM persists the DMTM records, computes the rungs' collapse times
-// and materialises the tree's level network of each in storage order, read
-// off the record slice BuildClustered sorted (why:
-// multires.Estimator.UpperBound). The records (48 bytes an edge) die with
-// this frame, before the SDN pass allocates its own.
-func (db *TerrainDB) storeDMTM() {
+// sortDMTM puts the DMTM records in storage order, computes the rungs'
+// collapse times and materialises the tree's level network of each in
+// storage order, read off the sorted records (why:
+// multires.Estimator.UpperBound). It returns the records for the page pack.
+func (db *TerrainDB) sortDMTM() []storage.ClusterRecord {
 	recs := dmtmRecords(db.Tree)
-	db.dmtmStore = storage.BuildClustered(db.Pool, recs)
+	storage.SortClustered(recs)
 	order := make([]int32, len(recs))
 	for i, r := range recs {
 		order[i] = int32(r.ID)
@@ -206,6 +218,37 @@ func (db *TerrainDB) storeDMTM() {
 		db.rungTime[i] = db.Tree.TimeForResolution(r.dmtm)
 	}
 	db.Tree.Materialize(order, db.rungTime[:pathnetRung])
+	return recs
+}
+
+// sortSDN materialises the SDN segments, one set per ladder level ("line
+// segments with extra information to record their resolution level and to
+// which plane they belong to", §3.3), and returns their footprint records
+// in storage order. The one pass feeds both consumers: the tables stay on
+// the MSDN for the lower-bound kernel, and each segment's footprint becomes
+// a paged record.
+func (db *TerrainDB) sortSDN() []storage.ClusterRecord {
+	db.MSDN.Materialize(SDNLadder)
+	n := 0
+	for level := range SDNLadder {
+		n += db.MSDN.NumSegments(level)
+	}
+	recs := make([]storage.ClusterRecord, 0, n)
+	for level := range SDNLadder {
+		db.MSDN.Footprints(level, func(box geom.MBR) {
+			if !box.Intersects(db.Extent) {
+				return
+			}
+			recs = append(recs, storage.ClusterRecord{
+				ID:   uint64(len(recs)),
+				MBR:  box,
+				From: int32(level),
+				To:   int32(level) + 1,
+			})
+		})
+	}
+	storage.SortClustered(recs)
+	return recs
 }
 
 // SetObjects installs the object dataset at epoch 0: it replaces the whole

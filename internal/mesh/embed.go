@@ -3,6 +3,7 @@ package mesh
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"surfknn/internal/geom"
 )
@@ -48,7 +49,8 @@ func (m *Mesh) EmbedPoint(loc *Locator, p geom.Vec2) (VertexID, error) {
 	// Replace face f with (a,b,nv) and append (b,c,nv), (c,a,nv).
 	m.Faces[f] = [3]VertexID{a, b, nv}
 	m.Faces = append(m.Faces, [3]VertexID{b, c, nv}, [3]VertexID{c, a, nv})
-	m.dirty = true
+	m.adjOnce = sync.Once{} // the tables no longer match the faces: rebuild on next use
+	m.adj, m.vertFaces = nil, nil
 	return nv, nil
 }
 

@@ -7,6 +7,7 @@ package mesh
 
 import (
 	"fmt"
+	"sync"
 
 	"surfknn/internal/geom"
 )
@@ -29,14 +30,17 @@ type Mesh struct {
 	Verts []geom.Vec3
 	Faces [][3]VertexID
 
+	// The adjacency tables are built on first use, exactly once however
+	// many goroutines ask at the same time (the setup stages and sessions
+	// share one mesh); EmbedPoint, which changes the faces, resets the Once.
+	adjOnce   sync.Once
 	adj       [][3]FaceID // adj[f][i] = face sharing edge (Faces[f][i], Faces[f][(i+1)%3])
 	vertFaces [][]FaceID  // faces incident to each vertex
-	dirty     bool        // adjacency must be rebuilt
 }
 
 // New creates a mesh from vertex and face lists. Adjacency is built lazily.
 func New(verts []geom.Vec3, faces [][3]VertexID) *Mesh {
-	return &Mesh{Verts: verts, Faces: faces, dirty: true}
+	return &Mesh{Verts: verts, Faces: faces}
 }
 
 // NumVerts returns the vertex count.
@@ -54,12 +58,14 @@ func (m *Mesh) Triangle(f FaceID) geom.Triangle3 {
 	return geom.Triangle3{A: m.Verts[t[0]], B: m.Verts[t[1]], C: m.Verts[t[2]]}
 }
 
-// ensureAdjacency (re)builds the face-adjacency and vertex-incidence tables.
+// ensureAdjacency builds the face-adjacency and vertex-incidence tables on
+// first use. Every reader waits for the one build, so no caller sees a nil
+// or half-filled table.
 func (m *Mesh) ensureAdjacency() {
-	if !m.dirty {
-		return
-	}
-	m.dirty = false
+	m.adjOnce.Do(m.buildAdjacency)
+}
+
+func (m *Mesh) buildAdjacency() {
 	m.vertFaces = make([][]FaceID, len(m.Verts))
 	type halfEdge struct {
 		face FaceID

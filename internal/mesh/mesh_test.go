@@ -1,7 +1,10 @@
 package mesh
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"surfknn/internal/dem"
@@ -267,5 +270,90 @@ func TestClone(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Error("String should describe the mesh")
+	}
+}
+
+// TestAdjacencyConcurrentFirstUse has 8 goroutines make the first adjacency
+// calls on a fresh mesh at once — released together, half through
+// FacesOfVertex, half through AdjacentFace — and run under -race. Every
+// answer must match a mesh whose tables one goroutine built alone, whoever
+// triggers the build: no caller may see a nil or half-filled table.
+func TestAdjacencyConcurrentFirstUse(t *testing.T) {
+	g := dem.Synthesize(dem.BH, 64, 10, 7)
+	ref := FromGrid(g)
+	want := make([][]FaceID, ref.NumVerts())
+	for v := range want {
+		want[v] = ref.FacesOfVertex(VertexID(v))
+	}
+	wantAdj := make([][3]FaceID, ref.NumFaces())
+	for f := range wantAdj {
+		for side := 0; side < 3; side++ {
+			wantAdj[f][side] = ref.AdjacentFace(FaceID(f), side)
+		}
+	}
+
+	m := FromGrid(g)
+	const workers = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make([]string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			// Each worker starts at a different face and vertex, so the
+			// first call — the one that may trigger the build — differs.
+			for k := 0; k < m.NumFaces(); k++ {
+				f := (k + w*997) % m.NumFaces()
+				v := (k + w*331) % m.NumVerts()
+				if w%2 == 0 {
+					if got := m.FacesOfVertex(VertexID(v)); !slices.Equal(got, want[v]) {
+						errs[w] = fmt.Sprintf("FacesOfVertex(%d) = %v, want %v", v, got, want[v])
+						return
+					}
+				}
+				for side := 0; side < 3; side++ {
+					if got := m.AdjacentFace(FaceID(f), side); got != wantAdj[f][side] {
+						errs[w] = fmt.Sprintf("AdjacentFace(%d, %d) = %d, want %d", f, side, got, wantAdj[f][side])
+						return
+					}
+				}
+				if w%2 == 1 {
+					if got := m.FacesOfVertex(VertexID(v)); !slices.Equal(got, want[v]) {
+						errs[w] = fmt.Sprintf("FacesOfVertex(%d) = %v, want %v", v, got, want[v])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w, e := range errs {
+		if e != "" {
+			t.Errorf("worker %d: %s", w, e)
+		}
+	}
+}
+
+// TestAdjacencyAfterEmbed checks that EmbedPoint invalidates tables already
+// built: the split face's new neighbours are visible on the next call.
+func TestAdjacencyAfterEmbed(t *testing.T) {
+	m := twoTriangleMesh()
+	if got := m.AdjacentFace(0, 2); got != 1 {
+		t.Fatalf("AdjacentFace(0,2) = %d before embedding, want 1", got)
+	}
+	v, err := m.EmbedPoint(NewLocator(m), geom.Vec2{X: 0.75, Y: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Face 0 (0,1,2) became (0,1,v) plus (1,2,v) and (2,0,v); the last
+	// now holds the shared diagonal, whose neighbour is face 1.
+	if got := m.AdjacentFace(3, 0); got != 1 {
+		t.Errorf("AdjacentFace(3,0) = %d after embedding, want 1", got)
+	}
+	if got := len(m.FacesOfVertex(v)); got != 3 {
+		t.Errorf("embedded vertex has %d faces, want 3", got)
 	}
 }

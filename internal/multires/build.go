@@ -1,9 +1,10 @@
 package multires
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
@@ -41,20 +42,24 @@ func Build(m *mesh.Mesh, hist *simplify.History) (*Tree, error) {
 		}
 	}
 
-	// Live adjacency: for each active node, the edge-record index per
-	// neighbour, so records can be closed when an endpoint dies.
-	adj := make([]map[NodeID]int32, total)
-	for v := 0; v < n; v++ {
-		adj[v] = make(map[NodeID]int32, 8)
-	}
+	// Live adjacency: for each active node, its neighbours with the index
+	// of the edge record joining them, sorted by neighbour, so records can
+	// be closed when an endpoint dies.
+	adj := make([][]link, total)
 	addEdge := func(u, w NodeID, d float64, birth int32) {
 		idx := int32(len(t.Edges))
 		t.Edges = append(t.Edges, EdgeRec{U: u, W: w, D: d, Birth: birth, Death: deathless})
-		adj[u][w] = idx
-		adj[w][u] = idx
+		adj[u] = append(adj[u], link{w, idx})
+		adj[w] = append(adj[w], link{u, idx})
 	}
 	for _, e := range m.Edges() {
 		addEdge(NodeID(e.A), NodeID(e.B), m.EdgeLength(e), 0)
+	}
+	for _, l := range adj[:n] {
+		slices.SortFunc(l, func(x, y link) int { return cmp.Compare(x.w, y.w) })
+	}
+	unlink := func(w, gone NodeID) {
+		adj[w] = slices.DeleteFunc(adj[w], func(l link) bool { return l.w == gone })
 	}
 
 	for i, c := range hist.Collapses {
@@ -78,40 +83,50 @@ func Build(m *mesh.Mesh, hist *simplify.History) (*Tree, error) {
 		na.Parent, nb.Parent = parent, parent
 		na.Death, nb.Death = now, now
 
-		// Close all edge records incident to a or b and derive the
-		// parent's neighbour distances.
-		merged := make(map[NodeID]float64, len(adj[a])+len(adj[b]))
-		for w, idx := range adj[a] {
-			t.Edges[idx].Death = now
-			delete(adj[w], a)
-			if w != b {
-				merged[w] = t.Edges[idx].D
-			}
+		// Close all edge records incident to a or b (unlinking a from b's
+		// list too), then derive the parent's neighbour distances:
+		// d(c,w) = d(a,w) when w ∈ N(a), otherwise d(b,w) + d(a,b).
+		for _, l := range adj[a] {
+			t.Edges[l.idx].Death = now
+			unlink(l.w, a)
 		}
-		for w, idx := range adj[b] {
-			t.Edges[idx].Death = now
-			delete(adj[w], b)
-			if w == a {
-				continue
-			}
-			if _, ok := merged[w]; !ok {
-				merged[w] = t.Edges[idx].D + dAB
-			}
+		for _, l := range adj[b] {
+			t.Edges[l.idx].Death = now
+			unlink(l.w, b)
 		}
+		la, lb := adj[a], adj[b]
 		adj[a], adj[b] = nil, nil
-		adj[parent] = make(map[NodeID]int32, len(merged))
-		// Sorted iteration keeps edge-record order — and with it the
-		// on-disk clustering — deterministic run to run.
-		keys := make([]NodeID, 0, len(merged))
-		for w := range merged {
-			keys = append(keys, w)
-		}
-		sort.Slice(keys, func(x, y int) bool { return keys[x] < keys[y] })
-		for _, w := range keys {
-			addEdge(parent, w, merged[w], now)
+		// Both lists are sorted, so the union is one merge in ascending
+		// neighbour order, which keeps edge-record order — and with it the
+		// on-disk clustering — deterministic run to run. The parent has the
+		// largest ID yet, so appending it keeps every neighbour's list
+		// sorted.
+		adj[parent] = make([]link, 0, len(la)+len(lb))
+		x, y := 0, 0
+		for x < len(la) || y < len(lb) {
+			switch {
+			case y == len(lb) || (x < len(la) && la[x].w < lb[y].w):
+				if la[x].w != b {
+					addEdge(parent, la[x].w, t.Edges[la[x].idx].D, now)
+				}
+				x++
+			case x == len(la) || lb[y].w < la[x].w:
+				addEdge(parent, lb[y].w, t.Edges[lb[y].idx].D+dAB, now)
+				y++
+			default: // a neighbour of both: a's distance wins
+				addEdge(parent, la[x].w, t.Edges[la[x].idx].D, now)
+				x++
+				y++
+			}
 		}
 	}
 	return t, nil
+}
+
+// link is one live adjacency entry: the neighbour and the edge record.
+type link struct {
+	w   NodeID
+	idx int32
 }
 
 // BuildFromMesh simplifies the mesh and builds the tree in one call.

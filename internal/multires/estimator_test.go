@@ -15,8 +15,8 @@ import (
 // resolutions whose level networks assembly materialises.
 var dmtmLadder = []float64{0.005, 0.25, 0.5, 0.75, 1.0}
 
-// materialize does to tr what core's assembly does: it stores one record
-// per edge in a clustered store, reads the storage order off the sorted
+// materialize does to tr what core's assembly does: it sorts one record
+// per edge into clustered storage order, reads the order off the sorted
 // record slice and materialises the ladder's level networks in it.
 func materialize(t testing.TB, tr *Tree) {
 	t.Helper()
@@ -25,7 +25,7 @@ func materialize(t testing.TB, tr *Tree) {
 		minX, minY, maxX, maxY := tr.EdgeMBR(e)
 		recs[i] = storage.ClusterRecord{ID: uint64(i), MBR: geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}, From: e.Birth, To: e.Death}
 	}
-	storage.BuildClustered(storage.NewBufferPool(storage.NewMemFile(), 64), recs)
+	storage.SortClustered(recs)
 	order := make([]int32, len(recs))
 	for i, r := range recs {
 		order[i] = int32(r.ID)

@@ -29,12 +29,12 @@ type levelNet struct {
 //
 // Exactness (the argument is at Estimator.UpperBound) rests on one thing
 // here: the records are walked in t.order, the storage order read off the
-// slice BuildClustered sorted and never recomputed, emitting u→w then w→u,
+// slice storage.SortClustered sorted and never recomputed, emitting u→w then w→u,
 // which is each node's arc order in the retired per-candidate pack.
 //
 // build indexes by EdgeRec.U and EdgeRec.W unchecked: a tree from a
 // snapshot passes Tree.Validate (which bounds-checks both) before
-// core.assembleTerrainDB calls Materialize.
+// core's terrain assembly calls Materialize.
 func (ln *levelNet) build(t *Tree, tm int32) {
 	n := len(t.Nodes)
 	ln.time = tm

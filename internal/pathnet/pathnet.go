@@ -9,6 +9,7 @@ package pathnet
 
 import (
 	"fmt"
+	"slices"
 
 	"surfknn/internal/geom"
 	"surfknn/internal/graph"
@@ -47,104 +48,149 @@ func Build(m *mesh.Mesh, steinerPerEdge int) *Pathnet {
 // Mesh vertices keep their IDs (graph vertices 0..NumVerts-1) even when
 // excluded, so distances between vertex IDs remain meaningful; excluded
 // faces contribute no Steiner points and no links.
+//
+// Network vertices and arcs are numbered by first sight: each undirected
+// edge gets its Steiner points when a face of the list first names it, and
+// each vertex's arcs are its links in the order the face walk first adds
+// them. Both are built without maps, in flat arrays sized by one counting
+// pass: an edge is found in its lower endpoint's short list of higher
+// endpoints, a link in its lower endpoint's arcs so far.
 func BuildSubset(m *mesh.Mesh, steinerPerEdge int, faces []mesh.FaceID) *Pathnet {
 	if steinerPerEdge < 0 {
 		panic(fmt.Sprintf("pathnet: negative steiner count %d", steinerPerEdge))
 	}
 	n := m.NumVerts()
 	p := &Pathnet{m: m, steiner: steinerPerEdge}
-	var faceList []mesh.FaceID
+	faceList := faces
 	if faces == nil {
 		faceList = make([]mesh.FaceID, m.NumFaces())
 		for i := range faceList {
 			faceList[i] = mesh.FaceID(i)
 		}
-	} else {
-		faceList = faces
 	}
 	p.Pos = make([]geom.Vec3, n, n+steinerPerEdge*3*len(faceList)/2)
 	copy(p.Pos, m.Verts)
 
-	// Subdivide each undirected edge of an included face once; remember the
-	// point ids per edge.
-	edgePoints := make(map[mesh.Edge][]int32)
-	subdivide := func(ek mesh.Edge) []int32 {
-		if pts, ok := edgePoints[ek]; ok {
-			return pts
-		}
-		pts := make([]int32, steinerPerEdge)
-		a, b := m.Verts[ek.A], m.Verts[ek.B]
-		for i := 0; i < steinerPerEdge; i++ {
-			t := float64(i+1) / float64(steinerPerEdge+1)
-			pts[i] = int32(len(p.Pos))
-			p.Pos = append(p.Pos, a.Lerp(b, t))
-		}
-		edgePoints[ek] = pts
-		return pts
-	}
-
-	// First pass: create all Steiner points so the graph can be sized.
+	// Subdivide each undirected edge of an included face once, in
+	// first-seen order; side[3k+i] is the first Steiner point of face
+	// faceList[k]'s side i. Edge (a,b), a < b, is looked up among the
+	// higher endpoints recorded under a.
+	lo := make([]int32, n+1)
 	for _, f := range faceList {
 		face := m.Faces[f]
 		for i := 0; i < 3; i++ {
-			subdivide(normEdge(face[i], face[(i+1)%3]))
+			lo[min(face[i], face[(i+1)%3])+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		lo[v+1] += lo[v]
+	}
+	higher := make([]mesh.VertexID, lo[n])
+	first := make([]int32, lo[n])
+	seen := make([]int32, n)
+	side := make([]int32, 3*len(faceList))
+	for k, f := range faceList {
+		face := m.Faces[f]
+		for i := 0; i < 3; i++ {
+			a, b := face[i], face[(i+1)%3]
+			if a > b {
+				a, b = b, a
+			}
+			at := lo[a]
+			j := slices.Index(higher[at:at+seen[a]], b)
+			if j < 0 {
+				j = int(seen[a])
+				seen[a]++
+				higher[at+int32(j)] = b
+				first[at+int32(j)] = int32(len(p.Pos))
+				va, vb := m.Verts[a], m.Verts[b]
+				for t := 0; t < steinerPerEdge; t++ {
+					p.Pos = append(p.Pos, va.Lerp(vb, float64(t+1)/float64(steinerPerEdge+1)))
+				}
+			}
+			side[3*k+i] = first[at+int32(j)]
 		}
 	}
 
-	p.G = graph.New(len(p.Pos))
-	// Avoid duplicating the same link when two faces share an edge.
-	type link struct{ a, b int32 }
-	added := make(map[link]bool)
-	addEdge := func(a, b int32) {
+	// Each included face's boundary points: corner, its side's Steiner
+	// points (in the edge's order, lower endpoint first, whichever way the
+	// side runs), next corner, ... — packed straight into the face-point
+	// CSR pair.
+	perFace := 3 + 3*steinerPerEdge
+	p.faceOff = make([]int32, m.NumFaces()+1)
+	for _, f := range faceList {
+		p.faceOff[f+1] = int32(perFace)
+	}
+	for f := range m.NumFaces() {
+		p.faceOff[f+1] += p.faceOff[f]
+	}
+	p.facePts = make([]int32, p.faceOff[m.NumFaces()])
+	for k, f := range faceList {
+		pts := p.facePts[p.faceOff[f]:p.faceOff[f+1]]
+		face := m.Faces[f]
+		for i := 0; i < 3; i++ {
+			pts[i*(1+steinerPerEdge)] = int32(face[i])
+			for t := 0; t < steinerPerEdge; t++ {
+				pts[i*(1+steinerPerEdge)+1+t] = side[3*k+i] + int32(t)
+			}
+		}
+	}
+
+	// Link every pair of boundary points of each facet; the segment between
+	// any two of them lies on the (planar) facet, so the link length is a
+	// valid surface path length. A vertex has at most perFace-1 links per
+	// face listing it, which sizes its arc run; a link two faces share (on
+	// their common edge) is added once, by the first.
+	nv := len(p.Pos)
+	at := make([]int32, nv+1)
+	for _, f := range faceList {
+		for _, v := range p.FacePoints(f) {
+			at[v+1] += int32(perFace - 1)
+		}
+	}
+	for v := 0; v < nv; v++ {
+		at[v+1] += at[v]
+	}
+	slab := make([]graph.Arc, at[nv])
+	deg := make([]int32, nv)
+	links := 0
+	link := func(a, b int32) {
 		if a == b {
 			return
 		}
 		if a > b {
 			a, b = b, a
 		}
-		if added[link{a, b}] {
-			return
+		for _, arc := range slab[at[a] : at[a]+deg[a]] {
+			if arc.To == b {
+				return
+			}
 		}
-		added[link{a, b}] = true
-		p.G.AddEdge(int(a), int(b), p.Pos[a].Dist(p.Pos[b]))
+		w := p.Pos[a].Dist(p.Pos[b])
+		slab[at[a]+deg[a]] = graph.Arc{To: b, W: w}
+		slab[at[b]+deg[b]] = graph.Arc{To: a, W: w}
+		deg[a]++
+		deg[b]++
+		links++
 	}
-
-	perFace := make([][]int32, m.NumFaces())
 	for _, f := range faceList {
-		face := m.Faces[f]
-		pts := make([]int32, 0, 3+3*steinerPerEdge)
-		for i := 0; i < 3; i++ {
-			pts = append(pts, int32(face[i]))
-			pts = append(pts, edgePoints[normEdge(face[i], face[(i+1)%3])]...)
-		}
-		perFace[f] = pts
-		// Connect every pair of boundary points of the facet; the segment
-		// between any two of them lies on the (planar) facet, so the link
-		// length is a valid surface path length.
+		pts := p.FacePoints(f)
 		for i := 0; i < len(pts); i++ {
 			for j := i + 1; j < len(pts); j++ {
-				addEdge(pts[i], pts[j])
+				link(pts[i], pts[j])
 			}
 		}
 	}
-	p.packFacePoints(perFace)
-	p.G.Finalize()
+	off := make([]int32, nv+1)
+	for v := 0; v < nv; v++ {
+		off[v+1] = off[v] + deg[v]
+	}
+	arcs := make([]graph.Arc, off[nv])
+	for v := 0; v < nv; v++ {
+		copy(arcs[off[v]:off[v+1]], slab[at[v]:at[v]+deg[v]])
+	}
+	p.G = graph.FromCSR(off, arcs, links)
 	return p
-}
-
-// packFacePoints flattens the per-face point lists into the CSR pair.
-func (p *Pathnet) packFacePoints(perFace [][]int32) {
-	p.faceOff = make([]int32, len(perFace)+1)
-	total := 0
-	for f, pts := range perFace {
-		p.faceOff[f] = int32(total)
-		total += len(pts)
-	}
-	p.faceOff[len(perFace)] = int32(total)
-	p.facePts = make([]int32, total)
-	for f, pts := range perFace {
-		copy(p.facePts[p.faceOff[f]:], pts)
-	}
 }
 
 // FacePoints returns the network vertices on face f's boundary (empty for
@@ -152,13 +198,6 @@ func (p *Pathnet) packFacePoints(perFace [][]int32) {
 // not modify it.
 func (p *Pathnet) FacePoints(f mesh.FaceID) []int32 {
 	return p.facePts[p.faceOff[f]:p.faceOff[f+1]]
-}
-
-func normEdge(a, b mesh.VertexID) mesh.Edge {
-	if a > b {
-		a, b = b, a
-	}
-	return mesh.Edge{A: a, B: b}
 }
 
 // NumVertices returns the number of network vertices (mesh vertices plus

@@ -165,6 +165,18 @@ func (ms *MSDN) Materialize(resolutions []float64) {
 	}
 }
 
+// NumSegments returns the number of segments of the i-th materialised
+// resolution: how many boxes Footprints(i, ...) visits.
+func (ms *MSDN) NumSegments(i int) int {
+	n := 0
+	for _, fam := range [][]lineTable{ms.levels[i].x, ms.levels[i].y} {
+		for li := range fam {
+			n += fam[li].len()
+		}
+	}
+	return n
+}
+
 // Footprints calls visit with the (x,y) box of every segment of the i-th
 // materialised resolution: X-family lines first, then Y-family, each line's
 // segments in line order — the order the paged SDN records are written in.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -171,6 +174,51 @@ func TestTilingPartition(t *testing.T) {
 	}
 	if man.Epoch != db.CurrentEpoch() {
 		t.Errorf("manifest epoch %d, source at %d", man.Epoch, db.CurrentEpoch())
+	}
+}
+
+// TestCutWritesTilesConcurrently checks the concurrent tile writes: each
+// tile file is byte for byte the snapshot SaveWithObjects writes for that
+// tile's partition, and a tile whose file cannot be created fails the cut
+// with an error naming that file while the manifest order stays row-major.
+func TestCutWritesTilesConcurrently(t *testing.T) {
+	db := buildSourceDB(t)
+	dir := t.TempDir()
+	man, err := Cut(db, 3, 2, dir, "cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiling := man.Tiling()
+	for i, s := range man.Shards {
+		if s.IX != i%3 || s.IY != i/3 {
+			t.Fatalf("manifest entry %d is tile (%d,%d), want row-major (%d,%d)", i, s.IX, s.IY, i%3, i/3)
+		}
+		var own []workload.Object
+		for _, o := range db.Objects() {
+			if ix, iy := tiling.TileOf(o.Point.XY()); ix == s.IX && iy == s.IY {
+				own = append(own, o)
+			}
+		}
+		var want bytes.Buffer
+		if err := db.SaveWithObjects(&want, own, db.CurrentEpoch()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, s.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("tile %s: file differs from its SaveWithObjects snapshot", s.ID)
+		}
+	}
+
+	// A directory squatting on one tile's file name makes that write fail.
+	bad := t.TempDir()
+	if err := os.Mkdir(filepath.Join(bad, "cc-tile-1-0.skdb"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Cut(db, 2, 1, bad, "cc"); err == nil || !strings.Contains(err.Error(), "cc-tile-1-0.skdb") {
+		t.Fatalf("cut over an unwritable tile: err = %v, want one naming cc-tile-1-0.skdb", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"surfknn/internal/core"
 	"surfknn/internal/workload"
@@ -36,20 +37,34 @@ func Cut(db *core.TerrainDB, nx, ny int, dir, prefix string) (*Manifest, error) 
 		Epoch:         epoch,
 		Halo:          "full",
 	}
+	// One goroutine per tile: each writes its own file from the read-only
+	// database and its own object partition. The manifest lists the tiles
+	// in row-major order whatever order the writes finish in, and the first
+	// failing tile in that order names the error.
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
 	for iy := 0; iy < ny; iy++ {
 		for ix := 0; ix < nx; ix++ {
-			owned := parts[iy*nx+ix]
+			t := iy*nx + ix
 			file := fmt.Sprintf("%s-%s.skdb", prefix, TileID(ix, iy))
-			if err := saveShard(db, filepath.Join(dir, file), owned, epoch); err != nil {
-				return nil, err
-			}
 			man.Shards = append(man.Shards, ShardMeta{
 				ID:      TileID(ix, iy),
 				IX:      ix,
 				IY:      iy,
 				File:    file,
-				Objects: len(owned),
+				Objects: len(parts[t]),
 			})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[t] = saveShard(db, filepath.Join(dir, file), parts[t], epoch)
+			}()
+		}
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	if err := man.Validate(); err != nil {

@@ -1,9 +1,9 @@
 package simplify
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
@@ -39,18 +39,59 @@ type candidate struct {
 	pos    geom.Vec3
 }
 
-type candHeap []candidate
+// candHeap is a binary min-heap of candidates on err. It sifts 16-byte
+// (err, slot) entries; the candidates themselves stay put in an
+// append-only slab. push and pop replicate container/heap's sift loops
+// verbatim (strict-less comparisons, identical swap order): equal-error
+// candidates pop in an order set by these exact sift paths, and that order
+// decides the collapse history, hence the DDM tree every snapshot carries.
+type candHeap struct {
+	q     []heapEntry
+	cands []candidate
+}
 
-func (h candHeap) Len() int            { return len(h) }
-func (h candHeap) Less(i, j int) bool  { return h[i].err < h[j].err }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(candidate)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+type heapEntry struct {
+	err  float64
+	slot int32 // index into cands
+}
+
+func (h *candHeap) push(c candidate) {
+	h.cands = append(h.cands, c)
+	q := append(h.q, heapEntry{c.err, int32(len(h.cands) - 1)})
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2
+		if i == j || !(q[j].err < q[i].err) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	h.q = q
+}
+
+func (h *candHeap) pop() candidate {
+	q := h.q
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && q[j2].err < q[j1].err {
+			j = j2
+		}
+		if !(q[j].err < q[i].err) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	h.q = q[:n]
+	return h.cands[q[n].slot]
 }
 
 // Simplify collapses the mesh down to a single node and returns the full
@@ -75,12 +116,11 @@ func Simplify(m *mesh.Mesh) (*History, error) {
 	pos := make([]geom.Vec3, n, total)
 	alive := make([]bool, n, total)
 	version := make([]uint32, n, total)
-	neighbors := make([]map[int32]float64, n, total)
+	neighbors := make([][]neighbor, n, total)
 
 	for v := 0; v < n; v++ {
 		pos[v] = m.Verts[v]
 		alive[v] = true
-		neighbors[v] = make(map[int32]float64, 8)
 	}
 	// Initial quadrics: area-weighted face planes.
 	for f := 0; f < m.NumFaces(); f++ {
@@ -97,8 +137,11 @@ func Simplify(m *mesh.Mesh) (*History, error) {
 	// Initial connectivity with edge lengths as the recorded distances.
 	for _, e := range m.Edges() {
 		d := m.EdgeLength(e)
-		neighbors[e.A][int32(e.B)] = d
-		neighbors[e.B][int32(e.A)] = d
+		neighbors[e.A] = append(neighbors[e.A], neighbor{int32(e.B), d})
+		neighbors[e.B] = append(neighbors[e.B], neighbor{int32(e.A), d})
+	}
+	for _, nv := range neighbors {
+		slices.SortFunc(nv, func(x, y neighbor) int { return cmp.Compare(x.w, y.w) })
 	}
 
 	pq := &candHeap{}
@@ -119,12 +162,12 @@ func Simplify(m *mesh.Mesh) (*History, error) {
 				p, err = mid, q.Error(mid)
 			}
 		}
-		heap.Push(pq, candidate{a: a, b: b, va: version[a], vb: version[b], err: err, pos: p})
+		pq.push(candidate{a: a, b: b, va: version[a], vb: version[b], err: err, pos: p})
 	}
 	for a := int32(0); a < int32(n); a++ {
-		for _, b := range sortedKeys(neighbors[a]) {
-			if b > a {
-				pushCandidate(a, b)
+		for _, nb := range neighbors[a] {
+			if nb.w > a {
+				pushCandidate(a, nb.w)
 			}
 		}
 	}
@@ -132,18 +175,19 @@ func Simplify(m *mesh.Mesh) (*History, error) {
 	hist := &History{NumLeaves: n, Collapses: make([]Collapse, 0, n-1)}
 	lastErr := 0.0
 	for len(hist.Collapses) < n-1 {
-		if pq.Len() == 0 {
+		if len(pq.q) == 0 {
 			return nil, fmt.Errorf("simplify: mesh is disconnected (%d of %d collapses done)", len(hist.Collapses), n-1)
 		}
-		cand := heap.Pop(pq).(candidate)
+		cand := pq.pop()
 		a, b := cand.a, cand.b
 		if !alive[a] || !alive[b] || version[a] != cand.va || version[b] != cand.vb {
 			continue // stale
 		}
-		dAB, connected := neighbors[a][b]
+		ib, connected := slices.BinarySearchFunc(neighbors[a], b, func(x neighbor, w int32) int { return cmp.Compare(x.w, w) })
 		if !connected {
 			continue
 		}
+		dAB := neighbors[a][ib].d
 
 		parent := int32(len(pos))
 		// Monotone error: DM LOD intervals require child error <= parent
@@ -159,21 +203,9 @@ func Simplify(m *mesh.Mesh) (*History, error) {
 
 		// Create the parent node: N(c) = N(a) ∪ N(b) \ {a,b}; the recorded
 		// distance follows the paper's rule — d(c,w) = d(a,w) when w ∈ N(a),
-		// otherwise d(b,w) + d(a,b).
-		merged := make(map[int32]float64, len(neighbors[a])+len(neighbors[b]))
-		for w, d := range neighbors[a] {
-			if w != b {
-				merged[w] = d
-			}
-		}
-		for w, d := range neighbors[b] {
-			if w == a {
-				continue
-			}
-			if _, ok := merged[w]; !ok {
-				merged[w] = d + dAB
-			}
-		}
+		// otherwise d(b,w) + d(a,b). Both lists are sorted by w, so the
+		// union is one merge and comes out sorted.
+		merged := mergeNeighbors(neighbors[a], neighbors[b], a, b, dAB)
 		quadrics = append(quadrics, quadrics[a].Add(quadrics[b]))
 		pos = append(pos, cand.pos)
 		alive[a], alive[b] = false, false
@@ -182,15 +214,16 @@ func Simplify(m *mesh.Mesh) (*History, error) {
 		neighbors[a], neighbors[b] = nil, nil
 		neighbors = append(neighbors, merged)
 
-		// Rewire neighbours to point at the parent and refresh candidates.
-		// Iterate in sorted order so heap tie-breaking — and therefore the
-		// whole collapse history — is deterministic run to run.
-		for _, w := range sortedKeys(merged) {
-			d := merged[w]
-			nw := neighbors[w]
-			delete(nw, a)
-			delete(nw, b)
-			nw[parent] = d
+		// Rewire neighbours to point at the parent and refresh candidates,
+		// in ascending neighbour order so heap tie-breaking — and therefore
+		// the whole collapse history — is deterministic run to run. The
+		// parent has the largest ID yet, so appending it keeps w's list
+		// sorted.
+		for _, nb := range merged {
+			w := nb.w
+			neighbors[w] = append(slices.DeleteFunc(neighbors[w], func(x neighbor) bool {
+				return x.w == a || x.w == b
+			}), neighbor{parent, nb.d})
 			version[w]++
 			pushCandidate(parent, w)
 		}
@@ -198,12 +231,37 @@ func Simplify(m *mesh.Mesh) (*History, error) {
 	return hist, nil
 }
 
-// sortedKeys returns the map's keys in ascending order (determinism).
-func sortedKeys(m map[int32]float64) []int32 {
-	out := make([]int32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// neighbor is one entry of a node's adjacency: the neighbouring node and
+// the recorded network distance to it. Each node's list is sorted by w.
+type neighbor struct {
+	w int32
+	d float64
+}
+
+// mergeNeighbors returns N(a) ∪ N(b) \ {a,b} sorted by node, each entry
+// carrying d(a,w) when w ∈ N(a) and d(b,w) + dAB otherwise.
+func mergeNeighbors(na, nb []neighbor, a, b int32, dAB float64) []neighbor {
+	out := make([]neighbor, 0, len(na)+len(nb))
+	i, j := 0, 0
+	for i < len(na) || j < len(nb) {
+		switch {
+		case j == len(nb) || (i < len(na) && na[i].w < nb[j].w):
+			if na[i].w != b {
+				out = append(out, na[i])
+			}
+			i++
+		case i == len(na) || nb[j].w < na[i].w:
+			if nb[j].w != a {
+				out = append(out, neighbor{nb[j].w, nb[j].d + dAB})
+			}
+			j++
+		default: // in both: a's distance wins
+			if na[i].w != b {
+				out = append(out, na[i])
+			}
+			i++
+			j++
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

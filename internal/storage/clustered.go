@@ -1,8 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"surfknn/internal/geom"
 )
@@ -45,27 +46,71 @@ type Clustered struct {
 	n    int
 }
 
-// BuildClustered packs the records into pages allocated through the pool and
-// returns the store. The input slice is reordered in place into storage
-// order: page i holds recs[i*recsPerPage:(i+1)*recsPerPage]. The sort is not
-// stable, so the slice is the only record of that order (core's DMTM level
-// networks read it off the slice).
-func BuildClustered(pool *BufferPool, recs []ClusterRecord) *Clustered {
-	sort.Slice(recs, func(i, j int) bool {
-		// Longevity first: records that survive to coarser resolutions are
-		// clustered together at the front...
-		if recs[i].To != recs[j].To {
-			return recs[i].To > recs[j].To
+// sortKey is one record's storage-order key and its index before the sort.
+type sortKey struct {
+	z   uint64
+	to  int32
+	idx int32
+}
+
+// SortClustered reorders recs in place into storage order: longevity first
+// (records that survive to coarser resolutions are clustered at the
+// front, To descending), then spatially by the Z-order of the rectangle
+// centre. The sort is not stable, so the slice is the only record of that
+// order (core's DMTM level networks read it off the slice).
+//
+// Each key is computed once and the sort runs over 16-byte (key, index)
+// pairs; the records then move once, in place. The order of tied records
+// is whatever the unstable sort's swap sequence leaves, so it must not
+// change: slices.SortFunc runs the pdqsort template sort.Slice runs, and
+// its comparison outcomes are those of a sort.Slice comparator on the
+// records, so the permutation is that sort's, ties included
+// (TestKeyedSortMatchesComparator). SortClustered touches no pool: stores
+// can be sorted concurrently and packed afterwards in a fixed order.
+func SortClustered(recs []ClusterRecord) {
+	keys := make([]sortKey, len(recs))
+	for i := range recs {
+		keys[i] = sortKey{z: zOrder(recs[i].MBR.Center()), to: recs[i].To, idx: int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.to != b.to {
+			if a.to > b.to {
+				return -1
+			}
+			return 1
 		}
-		// ...then spatially by Z-order of the rectangle centre.
-		return zOrder(recs[i].MBR.Center()) < zOrder(recs[j].MBR.Center())
+		return cmp.Compare(a.z, b.z)
 	})
-	c := &Clustered{pool: pool, n: len(recs)}
-	for start := 0; start < len(recs); start += recsPerPage {
-		end := start + recsPerPage
-		if end > len(recs) {
-			end = len(recs)
+	// Apply the permutation in place, one cycle at a time: position j takes
+	// the record from position keys[j].idx, and a visited key is marked -1.
+	for i := range keys {
+		if keys[i].idx < 0 {
+			continue
 		}
+		first := recs[i]
+		j := i
+		for {
+			k := int(keys[j].idx)
+			keys[j].idx = -1
+			if k == i {
+				recs[j] = first
+				break
+			}
+			recs[j] = recs[k]
+			j = k
+		}
+	}
+}
+
+// PackClustered packs records already in storage order (SortClustered)
+// into pages allocated through the pool, page i holding
+// recs[i*recsPerPage:(i+1)*recsPerPage], and returns the store. Page IDs
+// are allocated in call order, so stores packed in the same order onto the
+// same pool get the same pages.
+func PackClustered(pool *BufferPool, recs []ClusterRecord) *Clustered {
+	c := &Clustered{pool: pool, n: len(recs), dir: make([]pageMeta, 0, (len(recs)+recsPerPage-1)/recsPerPage)}
+	for start := 0; start < len(recs); start += recsPerPage {
+		end := min(start+recsPerPage, len(recs))
 		meta := pageMeta{
 			id:      pool.alloc(),
 			mbr:     geom.EmptyMBR(),
@@ -74,12 +119,8 @@ func BuildClustered(pool *BufferPool, recs []ClusterRecord) *Clustered {
 		}
 		for i := start; i < end; i++ {
 			meta.mbr = meta.mbr.Union(recs[i].MBR)
-			if recs[i].From < meta.minFrom {
-				meta.minFrom = recs[i].From
-			}
-			if recs[i].To > meta.maxTo {
-				meta.maxTo = recs[i].To
-			}
+			meta.minFrom = min(meta.minFrom, recs[i].From)
+			meta.maxTo = max(meta.maxTo, recs[i].To)
 		}
 		c.dir = append(c.dir, meta)
 	}
@@ -97,7 +138,7 @@ func (c *Clustered) NumPages() int { return len(c.dir) }
 // region, or len(c.dir) when none is left. It is the one directory walk
 // every paged read shares, so they all touch the same pages in the same
 // order. The directory itself is assumed cached (as a DBMS keeps index
-// upper levels hot) and is not counted as an access. BuildClustered orders
+// upper levels hot) and is not counted as an access. SortClustered orders
 // records longest-lived first, so maxTo never increases along the
 // directory: the first entry whose records all expire by level ends the
 // walk.
@@ -120,7 +161,7 @@ func (c *Clustered) nextPage(i int, region geom.MBR, level int32) int {
 // read. The records themselves live in in-memory structures the bounds read
 // directly (the DMTM's in the tree's level networks and the pathnet, the
 // SDN's in the MSDN tables); the paged read accounts the I/O the paper
-// measures. The store is immutable after BuildClustered, so concurrent reads
+// measures. The store is immutable after PackClustered, so concurrent reads
 // from different sessions are safe. The whole run of pages is accessed under
 // one hold of the pool's lock and published to its registry once.
 func (c *Clustered) Touch(region geom.MBR, level int32, acct *IOAccount) {

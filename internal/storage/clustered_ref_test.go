@@ -3,7 +3,10 @@ package storage
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"surfknn/internal/geom"
@@ -19,7 +22,7 @@ import (
 
 // Fetch reads every record valid at level (From <= level < To) whose MBR
 // intersects region, page by page through the buffer pool. recs is the slice
-// BuildClustered sorted; page i holds recs[i*recsPerPage:(i+1)*recsPerPage].
+// SortClustered sorted; page i holds recs[i*recsPerPage:(i+1)*recsPerPage].
 func (c *Clustered) Fetch(recs []ClusterRecord, region geom.MBR, level int32, acct *IOAccount, fn func(ClusterRecord)) error {
 	for i := c.nextPage(0, region, level); i < len(c.dir); i = c.nextPage(i+1, region, level) {
 		fr, err := c.pool.Get(c.dir[i].id, acct)
@@ -65,7 +68,8 @@ func refStore(capacity int) (*Clustered, []ClusterRecord, *BufferPool) {
 		}
 	}
 	bp := NewBufferPool(NewMemFile(), capacity)
-	c := BuildClustered(bp, recs)
+	SortClustered(recs)
+	c := PackClustered(bp, recs)
 	bp.ResetStats()
 	return c, recs, bp
 }
@@ -157,7 +161,8 @@ func TestTouchMatchesFullScan(t *testing.T) {
 			}
 		}
 		bp := NewBufferPool(NewMemFile(), 1<<12)
-		c := BuildClustered(bp, recs)
+		SortClustered(recs)
+		c := PackClustered(bp, recs)
 		regions := []geom.MBR{geom.EmptyMBR(), {MinX: -10, MinY: -10, MaxX: 1100, MaxY: 1100}}
 		for len(regions) < 8 {
 			x, y := rng.Float64()*1000, rng.Float64()*1000
@@ -191,7 +196,7 @@ func TestTouchMatchesFullScan(t *testing.T) {
 }
 
 // TestFetchIsStorageOrder pins the contract core's level-network builder
-// relies on: BuildClustered leaves recs in storage order, i.e. at every level
+// relies on: SortClustered leaves recs in storage order, i.e. at every level
 // a paged fetch of the whole extent — and of a part of it — yields exactly
 // the slice's subsequence of matching records, in the slice's order. The
 // records carry many equal (To, Z-order) keys, so a stable and an unstable
@@ -210,7 +215,8 @@ func TestFetchIsStorageOrder(t *testing.T) {
 			To:   from + 1 + int32(rng.Intn(4)),
 		}
 	}
-	c := BuildClustered(NewBufferPool(NewMemFile(), 64), recs)
+	SortClustered(recs)
+	c := PackClustered(NewBufferPool(NewMemFile(), 64), recs)
 	ties := 0
 	for i := 1; i < len(recs); i++ {
 		if recs[i].To == recs[i-1].To && zOrder(recs[i].MBR.Center()) == zOrder(recs[i-1].MBR.Center()) {
@@ -287,7 +293,8 @@ func TestClusteredFetchAgainstBruteForce(t *testing.T) {
 	}
 	// Keep an un-reordered copy for the oracle.
 	oracle := append([]ClusterRecord(nil), recs...)
-	c := BuildClustered(pool, recs)
+	SortClustered(recs)
+	c := PackClustered(pool, recs)
 	for trial := 0; trial < 20; trial++ {
 		x := rng.Float64() * 90
 		y := rng.Float64() * 90
@@ -354,7 +361,8 @@ func TestLRUMatchesFramePool(t *testing.T) {
 		reg := obs.NewRegistry()
 		bp := NewBufferPool(NewMemFile(), capacity)
 		bp.Instrument(reg)
-		c := BuildClustered(bp, recs)
+		SortClustered(recs)
+		c := PackClustered(bp, recs)
 		if c.NumPages() != 71 {
 			t.Fatalf("store has %d pages, the trace was captured over 71", c.NumPages())
 		}
@@ -382,6 +390,100 @@ func TestLRUMatchesFramePool(t *testing.T) {
 		if got != want[capacity] || reg.PoolMisses.Value() != st.Misses || reg.PoolEvictions.Value() != st.Evictions {
 			t.Errorf("capacity %d: %+v (registry misses %d, evictions %d), frame pool %+v",
 				capacity, got, reg.PoolMisses.Value(), reg.PoolEvictions.Value(), want[capacity])
+		}
+	}
+}
+
+// refBuildClustered is the one-step build SortClustered and PackClustered
+// replaced: a sort.Slice whose comparator recomputes both Z-order keys on
+// every comparison, then the page pack. It stays as the reference the keyed
+// sort is held to.
+func refBuildClustered(pool *BufferPool, recs []ClusterRecord) *Clustered {
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].To != recs[j].To {
+			return recs[i].To > recs[j].To
+		}
+		return zOrder(recs[i].MBR.Center()) < zOrder(recs[j].MBR.Center())
+	})
+	c := &Clustered{pool: pool, n: len(recs)}
+	for start := 0; start < len(recs); start += recsPerPage {
+		end := start + recsPerPage
+		if end > len(recs) {
+			end = len(recs)
+		}
+		meta := pageMeta{
+			id:      pool.alloc(),
+			mbr:     geom.EmptyMBR(),
+			minFrom: math.MaxInt32,
+			maxTo:   math.MinInt32,
+		}
+		for i := start; i < end; i++ {
+			meta.mbr = meta.mbr.Union(recs[i].MBR)
+			if recs[i].From < meta.minFrom {
+				meta.minFrom = recs[i].From
+			}
+			if recs[i].To > meta.maxTo {
+				meta.maxTo = recs[i].To
+			}
+		}
+		c.dir = append(c.dir, meta)
+	}
+	return c
+}
+
+// TestKeyedSortMatchesComparator holds the keyed sort to the comparator
+// sort it replaced: on random record sets dense in equal To values and equal
+// Z-order keys (where an unstable sort's order is decided by its own swap
+// sequence, not by the keys), SortClustered must produce the reference's
+// permutation record for record, and packing two stores in the same order
+// onto one pool each must give the same directories and page IDs.
+func TestKeyedSortMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for trial, n := range []int{0, 1, 2, 11, 12, 13, 50, 85, 86, 1000, 4321, 20000} {
+		recs := make([]ClusterRecord, n)
+		for i := range recs {
+			// A coarse lattice: many records share a centre, hence a Z key,
+			// and a handful of To values.
+			x, y := float64(rng.Intn(9))*120, float64(rng.Intn(9))*120
+			from := int32(rng.Intn(4))
+			recs[i] = ClusterRecord{
+				ID:   uint64(i),
+				MBR:  geom.MBR{MinX: x, MinY: y, MaxX: x + float64(rng.Intn(3))*20, MaxY: y + 40},
+				From: from,
+				To:   from + 1 + int32(rng.Intn(3)),
+			}
+		}
+		ref := slices.Clone(recs)
+		refPool := NewBufferPool(NewMemFile(), 64)
+		pool := NewBufferPool(NewMemFile(), 64)
+		// A store packed before both, so page IDs do not start at 0.
+		refBuildClustered(refPool, slices.Clone(recs[:n/3]))
+		head := slices.Clone(recs[:n/3])
+		SortClustered(head)
+		PackClustered(pool, head)
+
+		refStore := refBuildClustered(refPool, ref)
+		SortClustered(recs)
+		store := PackClustered(pool, recs)
+
+		for i := range recs {
+			if recs[i].ID != ref[i].ID {
+				t.Fatalf("trial %d (n=%d): position %d holds record %d, reference %d", trial, n, i, recs[i].ID, ref[i].ID)
+			}
+		}
+		if store.n != refStore.n || !slices.Equal(store.dir, refStore.dir) {
+			t.Fatalf("trial %d (n=%d): directory differs from the reference's", trial, n)
+		}
+		if n >= 1000 {
+			ties := 0
+			for i := 1; i < n; i++ {
+				if recs[i].To == recs[i-1].To && zOrder(recs[i].MBR.Center()) == zOrder(recs[i-1].MBR.Center()) {
+					ties++
+				}
+			}
+			if ties < n/4 {
+				t.Fatalf("trial %d (n=%d): only %d tied neighbours; the records do not exercise ties", trial, n, ties)
+			}
 		}
 	}
 }

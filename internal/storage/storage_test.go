@@ -82,7 +82,8 @@ func TestClusteredFetch(t *testing.T) {
 			id++
 		}
 	}
-	c := BuildClustered(bp, recs)
+	SortClustered(recs)
+	c := PackClustered(bp, recs)
 	if c.Len() != 100 {
 		t.Errorf("Len = %d", c.Len())
 	}
@@ -138,7 +139,8 @@ func TestClusteredPageAccounting(t *testing.T) {
 			To:   int32(1 + (i%2)*9),
 		})
 	}
-	c := BuildClustered(bp, recs)
+	SortClustered(recs)
+	c := PackClustered(bp, recs)
 	bp.ResetStats()
 	full := geom.MBR{MinX: -1, MinY: -1, MaxX: 101, MaxY: 101}
 	c.Fetch(recs, full, 0, nil, func(ClusterRecord) {})

@@ -2,7 +2,8 @@
 # check.sh — the full verification gate, exactly what CI runs.
 #
 #   build → vet → benchmark record → sklint (self-hosted lint) → race tests → parallel-bench
-#   smoke → debug endpoint smoke → server smoke → fuzz smoke → line count
+#   smoke → debug endpoint smoke → server smoke → shard fleet smoke → snapshot
+#   determinism → fuzz smoke → line count
 #
 # Fail-fast: the first failing stage aborts the run with its exit code.
 set -euo pipefail
@@ -372,6 +373,28 @@ grep -q '# bye' /tmp/skcoord.check.out
 kill -TERM "$shard0_pid" "$shard1_pid"
 wait "$shard0_pid" "$shard1_pid"
 trap - EXIT
+
+echo "== snapshot determinism =="
+# skgen builds on every core: the DDM, MSDN and pathnet stages run
+# concurrently and the tile snapshots are written concurrently. None of it
+# may move a byte. The benchmark's terrain, cut into the fleet's 2x1 tiles,
+# is generated once on one core and once on two; every snapshot and the
+# manifest must compare equal.
+go build -o /tmp/skgen.check ./cmd/skgen
+rm -rf /tmp/skdet.check.1 /tmp/skdet.check.2
+for procs in 1 2; do
+    mkdir -p "/tmp/skdet.check.$procs"
+    GOMAXPROCS=$procs /tmp/skgen.check -preset BH -size 64 -cell 100 -seed 2006 \
+        -o "/tmp/skdet.check.$procs/bh.sdem" -db "/tmp/skdet.check.$procs/bh.skdb" \
+        -db-objects 160 -tiles 2x1 > /dev/null
+done
+for f in bh.skdb bh-tile-0-0.skdb bh-tile-1-0.skdb bh.manifest.json; do
+    if ! cmp "/tmp/skdet.check.1/$f" "/tmp/skdet.check.2/$f"; then
+        echo "$f differs between GOMAXPROCS=1 and GOMAXPROCS=2" >&2
+        exit 1
+    fi
+done
+rm -rf /tmp/skdet.check.1 /tmp/skdet.check.2
 
 echo "== fuzz smoke =="
 # A few seconds per target: enough to catch regressions in the seeds and
