@@ -86,35 +86,59 @@ func main() {
 			log.Fatal(err)
 		}
 		db.SetObjects(objs)
-		if err := db.SaveFile(*dbOut); err != nil {
+		man, manPath, err := saveSnapshots(db, *dbOut, *tiles)
+		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s: TerrainDB snapshot with %d objects at epoch %d\n",
 			*dbOut, len(objs), db.CurrentEpoch())
-		if *tiles != "" {
-			nx, ny, err := parseTiles(*tiles)
-			if err != nil {
-				log.Fatal(err)
-			}
-			dir := filepath.Dir(*dbOut)
-			prefix := strings.TrimSuffix(filepath.Base(*dbOut), ".skdb")
-			man, err := shard.Cut(db, nx, ny, dir, prefix)
-			if err != nil {
-				log.Fatal(err)
-			}
-			manPath := filepath.Join(dir, prefix+".manifest.json")
-			if err := shard.WriteManifest(man, manPath); err != nil {
-				log.Fatal(err)
-			}
+		if man != nil {
 			for _, s := range man.Shards {
 				fmt.Printf("wrote %s: shard %s with %d objects\n",
-					filepath.Join(dir, s.File), s.ID, s.Objects)
+					filepath.Join(filepath.Dir(*dbOut), s.File), s.ID, s.Objects)
 			}
 			fmt.Printf("wrote %s: %dx%d shard manifest at epoch %d (fill in shard addresses, then skcoord -manifest)\n",
-				manPath, nx, ny, man.Epoch)
+				manPath, man.NX, man.NY, man.Epoch)
 		}
 	}
 	os.Exit(0)
+}
+
+// saveSnapshots writes db's snapshot to dbOut and, when tiles is not
+// empty, cuts it into that shard grid beside it: the tile snapshots and
+// their manifest. The untiled snapshot is written while the tiles are cut —
+// every writer only reads the database — and both are finished before any
+// error is returned. The manifest is nil without tiles.
+func saveSnapshots(db *core.TerrainDB, dbOut, tiles string) (man *shard.Manifest, manPath string, err error) {
+	saved := make(chan error, 1)
+	go func() { saved <- db.SaveFile(dbOut) }()
+	if tiles != "" {
+		man, manPath, err = cutTiles(db, dbOut, tiles)
+	}
+	if serr := <-saved; serr != nil {
+		return nil, "", serr
+	}
+	return man, manPath, err
+}
+
+// cutTiles cuts db into the tiles grid beside dbOut and writes the
+// manifest.
+func cutTiles(db *core.TerrainDB, dbOut, tiles string) (*shard.Manifest, string, error) {
+	nx, ny, err := parseTiles(tiles)
+	if err != nil {
+		return nil, "", err
+	}
+	dir := filepath.Dir(dbOut)
+	prefix := strings.TrimSuffix(filepath.Base(dbOut), ".skdb")
+	man, err := shard.Cut(db, nx, ny, dir, prefix)
+	if err != nil {
+		return nil, "", err
+	}
+	manPath := filepath.Join(dir, prefix+".manifest.json")
+	if err := shard.WriteManifest(man, manPath); err != nil {
+		return nil, "", err
+	}
+	return man, manPath, nil
 }
 
 // parseTiles parses an "NxM" grid spec.

@@ -23,7 +23,7 @@ var (
 	scaleErr  error
 )
 
-func scaleFixture(b *testing.B) (*TerrainDB, []mesh.SurfacePoint) {
+func scaleFixture(tb testing.TB) (*TerrainDB, []mesh.SurfacePoint) {
 	scaleOnce.Do(func() {
 		m := mesh.FromGrid(dem.Synthesize(dem.BH, 64, 100, 2006))
 		db, err := BuildTerrainDB(m, Config{})
@@ -40,7 +40,7 @@ func scaleFixture(b *testing.B) (*TerrainDB, []mesh.SurfacePoint) {
 		scaleDB, scaleQs = db, r2Points(db, 1, 200)
 	})
 	if scaleErr != nil {
-		b.Fatal(scaleErr)
+		tb.Fatal(scaleErr)
 	}
 	return scaleDB, scaleQs
 }

@@ -1,5 +1,7 @@
 package graph
 
+import "math"
+
 // pqItem is a (vertex, priority) pair in the heap.
 type pqItem struct {
 	v    int32
@@ -70,6 +72,12 @@ func (h *minHeap) up(i int, x pqItem) {
 
 // pop removes and returns the item of lowest priority; the heap must not be
 // empty.
+//
+// A full family of four children is ranked by a tournament on integer keys
+// (see key), its three comparisons free of data-dependent branches: the
+// left entrant wins every tie, so the winner is the first of the smallest
+// children, the one a left-to-right scan takes. A partial last family is
+// scanned.
 func (h *minHeap) pop() pqItem {
 	top := h.items[0]
 	h.pos[top.v] = -1
@@ -79,28 +87,60 @@ func (h *minHeap) pop() pqItem {
 	if last == 0 {
 		return top
 	}
-	i := 0
+	i, kx := 0, key(x.prio)
 	for {
 		c := arity*i + 1
-		if c >= last {
+		if c+arity > last {
 			break
 		}
+		f := h.items[c : c+arity : c+arity]
+		k0, k1, k2, k3 := key(f[0].prio), key(f[1].prio), key(f[2].prio), key(f[3].prio)
+		l01, l23 := less(k1, k0), less(k3, k2)
+		k01, k23 := pick(k0, k1, l01), pick(k2, k3, l23)
+		l := less(k23, k01)
+		if pick(k01, k23, l) >= kx {
+			h.items[i] = x
+			h.pos[x.v] = int32(i)
+			return top
+		}
+		small := c + int(pick(l01, 2+l23, l))
+		h.items[i] = h.items[small]
+		h.pos[h.items[i].v] = int32(i)
+		i = small
+	}
+	if c := arity*i + 1; c < last {
 		small, prio := i, x.prio
-		for end := min(c+arity, last); c < end; c++ {
+		for ; c < last; c++ {
 			if h.items[c].prio < prio {
 				small, prio = c, h.items[c].prio
 			}
 		}
-		if small == i {
-			break
+		if small != i {
+			h.items[i] = h.items[small]
+			h.pos[h.items[i].v] = int32(i)
+			i = small
 		}
-		h.items[i] = h.items[small]
-		h.pos[h.items[i].v] = int32(i)
-		i = small
 	}
 	h.items[i] = x
 	h.pos[x.v] = int32(i)
 	return top
 }
+
+// key maps a priority to an integer of the same order: its bits with the
+// sign cleared. That is exact on the priorities a Dijkstra search queues —
+// non-negative floats and +Inf, with −0 keyed as +0, the value it compares
+// equal to — and wrong for negative ones, which no search queues (a NaN
+// never passes Relax's d < old).
+func key(p float64) uint64 { return math.Float64bits(p) &^ (1 << 63) }
+
+// less is 1 when key a < key b and 0 otherwise, without a branch: keys are
+// below 2^63, so a − b wraps into the top bit exactly when a < b.
+func less(a, b uint64) uint64 { return (a - b) >> 63 }
+
+// pick returns a when bit is 0 and b when it is 1, without a branch. The
+// compiler keeps a branch for an if that chooses a slot index, since the
+// index addresses a load; an arithmetic select is what makes the
+// tournament branch-free.
+func pick(a, b, bit uint64) uint64 { return a ^ (a^b)&-bit }
 
 func (h *minHeap) reset() { h.items = h.items[:0] }

@@ -145,3 +145,102 @@ func TestHeapOrderSpecification(t *testing.T) {
 		}
 	}
 }
+
+// scanPop is minHeap.pop as it was before the tournament: every family of
+// children scanned left to right for the first strictly smaller priority.
+// It is the reference TestTournamentPopMatchesScan holds pop to.
+func scanPop(h *minHeap) pqItem {
+	top := h.items[0]
+	h.pos[top.v] = -1
+	last := len(h.items) - 1
+	x := h.items[last]
+	h.items = h.items[:last]
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := arity*i + 1
+		if c >= last {
+			break
+		}
+		small, prio := i, x.prio
+		for end := min(c+arity, last); c < end; c++ {
+			if h.items[c].prio < prio {
+				small, prio = c, h.items[c].prio
+			}
+		}
+		if small == i {
+			break
+		}
+		h.items[i] = h.items[small]
+		h.pos[h.items[i].v] = int32(i)
+		i = small
+	}
+	h.items[i] = x
+	h.pos[x.v] = int32(i)
+	return top
+}
+
+// TestTournamentPopMatchesScan replays random push/decrease/pop sequences
+// on two heaps, one popping with the tournament and one with scanPop, and
+// requires the same vertex and priority bits from every pop and the same
+// slots after every step. Priorities come from a handful of values — ±0,
+// +Inf and a few finite ones — so most families hold ties, and the heap
+// sizes put both full and partial last families under the sinking item.
+func TestTournamentPopMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	const n = 300
+	values := []float64{math.Copysign(0, -1), 0, 0.5, 1, 1, 2, 7.25, math.Inf(1)}
+	var tour, scan minHeap
+	tour.grow(n)
+	scan.grow(n)
+	prio := make([]float64, n)
+	var fullLast, partialLast int
+	for trial := 0; trial < 400; trial++ {
+		tour.reset()
+		scan.reset()
+		for v := range tour.pos {
+			tour.pos[v], scan.pos[v] = -1, -1
+		}
+		distinct := 1 + rng.Intn(len(values))
+		pushes := 1 + rng.Intn(n)
+		for step := 0; step < 3*pushes; step++ {
+			if rng.Intn(3) == 0 && tour.len() > 0 {
+				// After the pop, last items remain; slot last-1 ends a
+				// full family when last ≡ 1 (mod arity).
+				if last := tour.len() - 1; last > 1 && last%arity == 1 {
+					fullLast++
+				} else if last > 1 {
+					partialLast++
+				}
+				a, b := tour.pop(), scanPop(&scan)
+				if a.v != b.v || math.Float64bits(a.prio) != math.Float64bits(b.prio) {
+					t.Fatalf("trial %d step %d: tournament popped (%d, %v), scan (%d, %v)", trial, step, a.v, a.prio, b.v, b.prio)
+				}
+			} else {
+				v := int32(rng.Intn(pushes))
+				d := values[rng.Intn(distinct)]
+				switch {
+				case tour.pos[v] < 0:
+					prio[v] = d
+					tour.push(v, d)
+					scan.push(v, d)
+				case d <= prio[v]:
+					prio[v] = d
+					tour.decrease(v, d)
+					scan.decrease(v, d)
+				}
+			}
+			for s := range tour.items {
+				a, b := tour.items[s], scan.items[s]
+				if a.v != b.v || math.Float64bits(a.prio) != math.Float64bits(b.prio) {
+					t.Fatalf("trial %d step %d: slot %d holds (%d, %v), scan's (%d, %v)", trial, step, s, a.v, a.prio, b.v, b.prio)
+				}
+			}
+		}
+	}
+	if fullLast == 0 || partialLast == 0 {
+		t.Fatalf("pops over a full last family %d, over a partial one %d: both must occur", fullLast, partialLast)
+	}
+}

@@ -88,18 +88,13 @@ type admission struct {
 }
 
 // admits tests the edge between nodes at p and q. The rectangle is
-// Tree.EdgeMBR's, the two RepPos ordered per axis. A coordinate that is NaN
-// fails every comparison it enters, so such an edge is dropped here as the
-// fetch dropped its empty rectangle.
+// Tree.EdgeMBR's, the two RepPos ordered per axis by min and max (−0 and
+// +0 may come out in either order; they compare equal). A NaN coordinate
+// makes both ends of its axis NaN, which fails every comparison it enters,
+// so such an edge is dropped here as the fetch dropped its empty rectangle.
 func (ad *admission) admits(p, q geom.Vec2) bool {
-	x0, x1 := p.X, q.X
-	if x0 > x1 {
-		x0, x1 = x1, x0
-	}
-	y0, y1 := p.Y, q.Y
-	if y0 > y1 {
-		y0, y1 = y1, y0
-	}
+	x0, x1 := min(p.X, q.X), max(p.X, q.X)
+	y0, y1 := min(p.Y, q.Y), max(p.Y, q.Y)
 	if !(x0 <= ad.box.MaxX && ad.box.MinX <= x1 && y0 <= ad.box.MaxY && ad.box.MinY <= y1) {
 		return false
 	}
@@ -132,10 +127,7 @@ func (e *Estimator) embed(em *embedding, m *mesh.Mesh, sp mesh.SurfacePoint, ln 
 	em.n = 0
 corners:
 	for _, corner := range sp.Corners(m) {
-		anc := e.t.AncestorAt(NodeID(corner), ln.time)
-		if anc == NoNode {
-			continue
-		}
+		anc := ln.anc[corner]
 		for i := 0; i < em.n; i++ {
 			if em.anc[i] == anc {
 				continue corners

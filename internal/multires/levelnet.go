@@ -19,6 +19,9 @@ type levelNet struct {
 	time int32
 	off  []int32
 	arcs []levelArc
+	// anc[leaf] is the leaf's active ancestor at time (Tree.AncestorAt),
+	// the node a surface point's corner embeds at.
+	anc []NodeID
 }
 
 // build fills the empty ln with the network alive at tm, sized exactly: one
@@ -62,14 +65,34 @@ func (ln *levelNet) build(t *Tree, tm int32) {
 	off[0] = 0
 }
 
+// ancestors fills ln.anc through scratch, one entry per node, in one pass
+// in descending NodeID order: a parent's ID is above its children's
+// (Tree.Validate), so a node dead at the time reads its parent's entry
+// already written, and a live one is its own ancestor.
+func (ln *levelNet) ancestors(t *Tree, scratch []NodeID) {
+	for v := len(t.Nodes) - 1; v >= 0; v-- {
+		nd := &t.Nodes[v]
+		switch {
+		case nd.Death > ln.time:
+			scratch[v] = NodeID(v)
+		case nd.Parent == NoNode:
+			scratch[v] = t.Root()
+		default:
+			scratch[v] = scratch[nd.Parent]
+		}
+	}
+	ln.anc = append([]NodeID(nil), scratch[:t.NumLeaves]...)
+}
+
 // Materialize derives the tables the upper-bound search reads, once, at
 // database assembly (on build and on load alike; nothing here is persisted):
 // the storage order of the edge records, the per-node RepPos (x,y) table the
 // search takes edge rectangles from (EdgeMBR's floats, 16 bytes a node
-// instead of a Node), and one level network per distinct time in times — two
-// ladder rungs that round to one collapse time on a small terrain share a
-// table. order must list every edge index once, in the order the DMTM
-// clustered store holds the records; the tree keeps the slice.
+// instead of a Node), and one level network with its leaf ancestor table per
+// distinct time in times — two ladder rungs that round to one collapse time
+// on a small terrain share a table. order must list every edge index once,
+// in the order the DMTM clustered store holds the records; the tree keeps
+// the slice.
 func (t *Tree) Materialize(order []int32, times []int32) {
 	if len(order) != len(t.Edges) {
 		panic("multires: Materialize: storage order does not list every edge record")
@@ -80,10 +103,12 @@ func (t *Tree) Materialize(order []int32, times []int32) {
 		t.xy[i] = t.Nodes[i].RepPos.XY()
 	}
 	t.levels = make([]levelNet, 0, len(times))
+	scratch := make([]NodeID, len(t.Nodes))
 	for _, tm := range times {
 		if t.levelAt(tm) == nil {
 			var ln levelNet
 			ln.build(t, tm)
+			ln.ancestors(t, scratch)
 			t.levels = append(t.levels, ln) // within capacity
 		}
 	}

@@ -45,6 +45,48 @@ func TestBuildValidates(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsMisorderedTree forges two trees a snapshot could
+// carry that every other check passes: an internal node renumbered above
+// its parent, and a root with a parent. The level networks' ancestor
+// tables are filled in descending NodeID order, each node reading its
+// parent's entry, so Validate must refuse both.
+func TestValidateRejectsMisorderedTree(t *testing.T) {
+	_, tr := buildTree(t, 4, dem.EP, 2)
+	// Swap the IDs of the first collapse's node and its parent, rewriting
+	// every reference to either.
+	child := NodeID(tr.NumLeaves)
+	parent := tr.Nodes[child].Parent
+	swapped := &Tree{Nodes: append([]Node(nil), tr.Nodes...), Edges: append([]EdgeRec(nil), tr.Edges...), NumLeaves: tr.NumLeaves}
+	swapped.SetMaxTime(tr.MaxTime())
+	renum := func(v NodeID) NodeID {
+		switch v {
+		case child:
+			return parent
+		case parent:
+			return child
+		}
+		return v
+	}
+	swapped.Nodes[child], swapped.Nodes[parent] = swapped.Nodes[parent], swapped.Nodes[child]
+	for i := range swapped.Nodes {
+		nd := &swapped.Nodes[i]
+		nd.Parent, nd.Left, nd.Right = renum(nd.Parent), renum(nd.Left), renum(nd.Right)
+	}
+	for i := range swapped.Edges {
+		e := &swapped.Edges[i]
+		e.U, e.W = renum(e.U), renum(e.W)
+	}
+	if err := swapped.Validate(); err == nil {
+		t.Errorf("node %d renumbered above its parent %d: Validate accepted the tree", parent, child)
+	}
+
+	rooted := &Tree{Nodes: append([]Node(nil), tr.Nodes...), Edges: tr.Edges, NumLeaves: tr.NumLeaves}
+	rooted.Nodes[rooted.Root()].Parent = 0
+	if err := rooted.Validate(); err == nil {
+		t.Error("a root with a parent: Validate accepted the tree")
+	}
+}
+
 func TestAncestorAt(t *testing.T) {
 	_, tr := buildTree(t, 4, dem.EP, 2)
 	n := tr.NumLeaves

@@ -208,6 +208,12 @@ func (t *Tree) Validate() error {
 		if nd.Death <= nd.Birth {
 			return fmt.Errorf("multires: node %d lifetime [%d,%d) empty", i, nd.Birth, nd.Death)
 		}
+		// A collapse creates its node after both children, so a parent's
+		// ID is above theirs (and the root, the last node, has none). The
+		// level networks' ancestor tables are filled in that order.
+		if nd.Parent != NoNode && (nd.Parent <= v || !t.validID(nd.Parent)) {
+			return fmt.Errorf("multires: node %d has parent %d, not a node above it", i, nd.Parent)
+		}
 	}
 	for i, e := range t.Edges {
 		if e.Death <= e.Birth {
