@@ -274,7 +274,7 @@ func FuzzUpperBoundOracle(f *testing.F) {
 		}
 
 		s := db.NewSession()
-		s.beginQuery(nil, algoRank)
+		s.beginQuery(nil, algoMR3)
 		s.ensureScratch(1)
 		s.beginPhase(stats.PhaseRankC2)
 		r := &s.rk
@@ -296,7 +296,7 @@ func FuzzUpperBoundOracle(f *testing.F) {
 		if math.IsInf(c.ub, 1) {
 			t.Fatalf("no level bounded the pair (surface distance %v)", truth)
 		}
-		if _, err := s.endQuery(algoRank, 1, nil, nil); err != nil {
+		if _, err := s.endQuery(algoMR3, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -335,7 +335,7 @@ func FuzzLowerBoundOracle(f *testing.F) {
 		}
 
 		s := db.NewSession()
-		s.beginQuery(nil, algoRank)
+		s.beginQuery(nil, algoMR3)
 		s.ensureScratch(1)
 		s.beginPhase(stats.PhaseRankC2)
 		r := &s.rk
@@ -372,7 +372,7 @@ func FuzzLowerBoundOracle(f *testing.F) {
 				t.Fatalf("rung %d: range [%v, %v] misses the surface distance %v", ri, c.lb, c.ub, truth)
 			}
 		}
-		if _, err := s.endQuery(algoRank, 1, nil, nil); err != nil {
+		if _, err := s.endQuery(algoMR3, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

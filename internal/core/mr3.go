@@ -57,17 +57,52 @@ func (s *Session) MR3Ctx(ctx context.Context, q mesh.SurfacePoint, k int, sched 
 		return Result{}, fmt.Errorf("core: k must be positive, got %d", k)
 	}
 	s.beginQuery(ctx, algoMR3)
-	ns, err := s.mr3(q, k, sched, opt)
+	ns, _, err := s.mr3(q, k, sched, opt, nil)
 	return s.endQuery(algoMR3, k, ns, err)
 }
 
 // mr3 runs the four MR3 steps, each under its own cost phase, reading
-// objects through the epoch pinned at beginQuery.
-func (s *Session) mr3(q mesh.SurfacePoint, k int, sched Schedule, opt Options) ([]Neighbor, error) {
+// objects through the epoch pinned at beginQuery. ship is nil on a single
+// node; a shard's k-NN call passes the other tiles' candidates (see
+// Shipped), and then mr3 may stop after step 2 with settled false, leaving
+// the step-3 radius in s.step3Radius.
+func (s *Session) mr3(q mesh.SurfacePoint, k int, sched Schedule, opt Options, ship *Shipped) (ns []Neighbor, settled bool, err error) {
 	if err := s.interrupted(); err != nil {
-		return nil, err
+		return nil, false, err
+	}
+	var radius float64
+	if ship != nil && ship.Resume {
+		radius = ship.Radius
+	} else if radius, err = s.mr3Bound(q, k, sched, opt, ship); err != nil {
+		return nil, false, err
+	}
+	s.step3Radius = radius // recorded for the safe-region computation
+	if ship != nil && !ship.Resume && !(radius < ship.Complete) {
+		return nil, false, nil // step 3 needs objects the shipped set may lack
 	}
 
+	// Step 3: 2-D range query with the bound as radius, again canonically
+	// ordered.
+	s.beginPhase(stats.PhaseRange2D)
+	s.items = s.view.WithinDistInto(q.XY(), radius, &s.dxyVisits, s.items[:0])
+	index.SortByDist(s.items, q.XY())
+	s.objs = s.viewObjectsInto(s.items, s.objs)
+	if ship != nil {
+		s.objs = s.mergeShipped(q.XY(), s.objs, ship.Objs, radius)
+	}
+
+	// Step 4: rank C2 until the k-set is determined.
+	s.beginPhase(stats.PhaseRankC2)
+	final, err := s.rank(q, s.objs, k, sched, opt, false)
+	if err != nil {
+		return nil, false, err
+	}
+	return final, true, nil
+}
+
+// mr3Bound runs MR3 steps 1 and 2 and returns the step-3 radius: the k-th
+// upper bound after ranking C1.
+func (s *Session) mr3Bound(q mesh.SurfacePoint, k int, sched Schedule, opt Options, ship *Shipped) (float64, error) {
 	// Step 1: 2-D k-NN on Dxy. The item and object buffers are session
 	// scratch; each step consumes its objects before the next refills them.
 	// Candidates enter the ranker in canonical order (ascending planar
@@ -80,33 +115,24 @@ func (s *Session) mr3(q mesh.SurfacePoint, k int, sched Schedule, opt Options) (
 	s.items = s.view.KNNInto(q.XY(), k, &s.dxyVisits, &s.knnSc, s.items[:0])
 	index.SortByDist(s.items, q.XY())
 	s.objs = s.viewObjectsInto(s.items, s.objs)
+	if ship != nil {
+		s.objs = s.mergeShipped(q.XY(), s.objs, ship.Objs, math.Inf(1))
+		if len(s.objs) > k {
+			s.objs = s.objs[:k]
+		}
+	}
 
 	// Step 2: rank C1, tightening the k-th neighbour's upper bound.
 	s.beginPhase(stats.PhaseRankC1)
 	ranked, err := s.rank(q, s.objs, k, sched, opt, true)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	radius := kthUB(ranked, k)
-	s.step3Radius = radius // recorded for the safe-region computation
 	if math.IsInf(radius, 1) {
-		return nil, fmt.Errorf("core: could not bound the %d-th neighbour", k)
+		return 0, fmt.Errorf("core: could not bound the %d-th neighbour", k)
 	}
-
-	// Step 3: 2-D range query with the bound as radius, again canonically
-	// ordered.
-	s.beginPhase(stats.PhaseRange2D)
-	s.items = s.view.WithinDistInto(q.XY(), radius, &s.dxyVisits, s.items[:0])
-	index.SortByDist(s.items, q.XY())
-	s.objs = s.viewObjectsInto(s.items, s.objs)
-
-	// Step 4: rank C2 until the k-set is determined.
-	s.beginPhase(stats.PhaseRankC2)
-	final, err := s.rank(q, s.objs, k, sched, opt, false)
-	if err != nil {
-		return nil, err
-	}
-	return final, nil
+	return radius, nil
 }
 
 // kthUB returns the k-th neighbour's upper bound from a ranked result.

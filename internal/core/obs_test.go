@@ -227,7 +227,8 @@ func TestTraceRecordsPhasesAndIterations(t *testing.T) {
 
 // TestSlowQueryLogCapturesTrace: with a slow log installed (threshold 0 =
 // everything is slow), each query writes a JSON line that includes its phase
-// trace even though the session never enabled tracing.
+// trace even though the session never enabled tracing, and the id of the
+// request whose context ran the query.
 func TestSlowQueryLogCapturesTrace(t *testing.T) {
 	db := buildDB(t, dem.BH, 16, 50, 7)
 	reg := obs.NewRegistry()
@@ -235,7 +236,7 @@ func TestSlowQueryLogCapturesTrace(t *testing.T) {
 	reg.SetSlowLog(obs.NewSlowQueryLog(&buf, 0))
 	db.Instrument(reg)
 	q := queryPoints(t, db, 1, 5)[0]
-	res, err := db.NewSession().MR3Ctx(bg, q, 3, S1, Options{})
+	res, err := db.NewSession().MR3Ctx(obs.WithRequestID(bg, "req-7"), q, 3, S1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +248,8 @@ func TestSlowQueryLogCapturesTrace(t *testing.T) {
 	if err := json.Unmarshal(sc.Bytes(), &entry); err != nil {
 		t.Fatalf("slow log line is not JSON: %v", err)
 	}
-	if entry.Algo != "mr3" || entry.K != 3 {
-		t.Errorf("entry = %+v, want algo mr3, k 3", entry)
+	if entry.Algo != "mr3" || entry.K != 3 || entry.RequestID != "req-7" {
+		t.Errorf("entry = %+v, want algo mr3, k 3, request id req-7", entry)
 	}
 	if entry.Pages != res.Cost.Pages() {
 		t.Errorf("logged pages %d != query pages %d", entry.Pages, res.Cost.Pages())

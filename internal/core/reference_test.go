@@ -293,18 +293,51 @@ func (e *refEngine) MR3Safe(q mesh.SurfacePoint, k int, sched Schedule, opt Opti
 	return res, sr, err
 }
 
-// RankCandidates is Session.RankCandidatesCtx over the reference path.
-func (e *refEngine) RankCandidates(q mesh.SurfacePoint, objs []workload.Object, k int, sched Schedule, opt Options, tighten bool) (Result, error) {
+// MR3Shipped is Session.MR3ShippedCtx over the reference path.
+func (e *refEngine) MR3Shipped(q mesh.SurfacePoint, k int, sched Schedule, opt Options, ship *Shipped) (Result, float64, bool, error) {
 	s := e.s
-	s.beginQuery(nil, algoRank)
-	s.ensureScratch(len(objs))
-	phase := stats.PhaseRankC2
-	if tighten {
-		phase = stats.PhaseRankC1
-	}
-	s.beginPhase(phase)
-	ns, err := e.rank(q, objs, k, sched, opt, tighten)
-	return s.endQuery(algoRank, k, ns, err)
+	s.beginQuery(nil, algoMR3)
+	s.ensureScratch(s.view.Len() + len(ship.Objs))
+	settled := false
+	ns, err := func() ([]Neighbor, error) {
+		radius := ship.Radius
+		if !ship.Resume {
+			s.beginPhase(stats.PhaseKNN2D)
+			s.items = s.view.KNNInto(q.XY(), k, &s.dxyVisits, &s.knnSc, s.items[:0])
+			index.SortByDist(s.items, q.XY())
+			s.objs = s.viewObjectsInto(s.items, s.objs)
+			s.objs = s.mergeShipped(q.XY(), s.objs, ship.Objs, math.Inf(1))
+			if len(s.objs) > k {
+				s.objs = s.objs[:k]
+			}
+
+			s.beginPhase(stats.PhaseRankC1)
+			ranked, err := e.rank(q, s.objs, k, sched, opt, true)
+			if err != nil {
+				return nil, err
+			}
+			radius = kthUB(ranked, k)
+			if math.IsInf(radius, 1) {
+				return nil, fmt.Errorf("core: could not bound the %d-th neighbour", k)
+			}
+		}
+		s.step3Radius = radius
+		if !ship.Resume && !(radius < ship.Complete) {
+			return nil, nil
+		}
+		settled = true
+
+		s.beginPhase(stats.PhaseRange2D)
+		s.items = s.view.WithinDistInto(q.XY(), radius, &s.dxyVisits, s.items[:0])
+		index.SortByDist(s.items, q.XY())
+		s.objs = s.viewObjectsInto(s.items, s.objs)
+		s.objs = s.mergeShipped(q.XY(), s.objs, ship.Objs, radius)
+
+		s.beginPhase(stats.PhaseRankC2)
+		return e.rank(q, s.objs, k, sched, opt, false)
+	}()
+	res, err := s.endQuery(algoMR3, k, ns, err)
+	return res, s.step3Radius, settled, err
 }
 
 // SurfaceRange is Session.SurfaceRangeCtx over the reference path.
@@ -723,7 +756,7 @@ var refOptions = []struct {
 
 // TestUpperBoundPathMatchesReference runs every query form that reaches the
 // upper-bound path or the ranker's lower-bound step — MR3, MR3SafeCtx,
-// RankCandidatesCtx, SurfaceRange, EA — through the engine and through the
+// MR3ShippedCtx, SurfaceRange, EA — through the engine and through the
 // reference paths above, on a rugged, a smooth and a flat terrain, under
 // every schedule, k in {1, 5, 10} and the lower-bound options on and off, one
 // warm session each, and requires identical answers and identical I/O phase
@@ -733,7 +766,15 @@ func TestUpperBoundPathMatchesReference(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			s := f.db.NewSession()
 			ref := newRefEngine(t, f.ref)
-			cands := f.db.Objects()
+			// Another tile's objects, as a coordinator ships them: their
+			// own positions, ids clear of the local ones.
+			foreign, err := workload.RandomObjects(f.db.Mesh, f.db.Loc, 30, 2011)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range foreign {
+				foreign[i].ID += 1 << 20
+			}
 			closedTotal := 0
 			same := func(what string, got, want Result) {
 				t.Helper()
@@ -769,16 +810,49 @@ func TestUpperBoundPathMatchesReference(t *testing.T) {
 								t.Fatalf("MR3Safe %s: safe region %+v, reference %+v", what, gotSR, wantSR)
 							}
 
-							for _, tighten := range []bool{true, false} {
-								got, err = s.RankCandidatesCtx(nil, q, cands[:30], k, sched, o.opt, tighten)
+							// The sharded entry point with another tile's
+							// objects injected: settled in one call, and
+							// resumed (steps 1–2, then 3–4 at the returned
+							// radius), which must agree bit for bit.
+							var settledAns []Neighbor
+							for _, arm := range []struct {
+								name     string
+								complete float64
+							}{{"settled", math.Inf(1)}, {"resumed", 0}} {
+								ship := &Shipped{Objs: foreign, Complete: arm.complete}
+								got, gotR, gotSettled, err := s.MR3ShippedCtx(bg, q, k, sched, o.opt, ship)
 								if err != nil {
 									t.Fatal(err)
 								}
-								want, err = ref.RankCandidates(q, cands[:30], k, sched, o.opt, tighten)
+								want, wantR, wantSettled, err := ref.MR3Shipped(q, k, sched, o.opt, ship)
 								if err != nil {
 									t.Fatal(err)
 								}
-								same(fmt.Sprintf("RankCandidates tighten=%v %s", tighten, what), got, want)
+								label := fmt.Sprintf("MR3Shipped %s %s", arm.name, what)
+								same(label, got, want)
+								if gotSettled != (arm.name == "settled") || wantSettled != gotSettled ||
+									math.Float64bits(gotR) != math.Float64bits(wantR) {
+									t.Fatalf("%s: settled %v radius %v, reference settled %v radius %v",
+										label, gotSettled, gotR, wantSettled, wantR)
+								}
+								if gotSettled {
+									settledAns = append([]Neighbor(nil), got.Neighbors...)
+									continue
+								}
+								resume := &Shipped{Objs: foreign, Resume: true, Radius: gotR}
+								got, _, gotSettled, err = s.MR3ShippedCtx(bg, q, k, sched, o.opt, resume)
+								if err != nil {
+									t.Fatal(err)
+								}
+								want, _, _, err = ref.MR3Shipped(q, k, sched, o.opt, resume)
+								if err != nil {
+									t.Fatal(err)
+								}
+								same(label+" resume", got, want)
+								if !gotSettled {
+									t.Fatalf("%s: a resumed call did not settle", label)
+								}
+								sameResult(t, label+" vs settled", got, Result{Neighbors: settledAns, Cost: got.Cost}, 0)
 							}
 						}
 					}

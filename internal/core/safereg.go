@@ -80,7 +80,7 @@ func (s *Session) MR3SafeCtx(ctx context.Context, q mesh.SurfacePoint, k int, sc
 		return Result{}, SafeRegion{}, fmt.Errorf("core: k must be positive, got %d", k)
 	}
 	s.beginQuery(ctx, algoMR3)
-	ns, err := s.mr3(q, k, sched, opt)
+	ns, _, err := s.mr3(q, k, sched, opt, nil)
 	var sr SafeRegion
 	if err == nil {
 		sr = s.safeRegion(q, ns)

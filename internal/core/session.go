@@ -72,6 +72,8 @@ type Session struct {
 	est   *multires.Estimator // upper-bound search over the level networks
 	sdnSc sdn.Scratch         // lower-bound chain DP scratch
 	eaSc  eaState             // EA benchmark top-k scratch
+
+	shipSeen map[int64]struct{} // mergeShipped's duplicate-id filter (shard calls only)
 }
 
 // NewSession creates a query context over the database.
@@ -211,12 +213,13 @@ func (s *Session) observe(algo string, k int, cost stats.Cost, err error) {
 		Phases:              phases,
 	})
 	sq := obs.SlowQuery{
-		Algo:    algo,
-		K:       k,
-		Elapsed: cost.Elapsed,
-		CPU:     cost.CPU,
-		Pages:   cost.Pages(),
-		Trace:   s.cost.trace,
+		RequestID: obs.RequestID(s.ctx),
+		Algo:      algo,
+		K:         k,
+		Elapsed:   cost.Elapsed,
+		CPU:       cost.CPU,
+		Pages:     cost.Pages(),
+		Trace:     s.cost.trace,
 	}
 	if err != nil {
 		sq.Err = err.Error()
@@ -313,7 +316,6 @@ const (
 	algoRange    = "range"
 	algoMasked   = "masked"
 	algoAccuracy = "accuracy"
-	algoRank     = "rank"
 )
 
 // costRecorder assembles a query's per-phase cost breakdown. It lives

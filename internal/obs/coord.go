@@ -25,6 +25,11 @@ type CoordStats struct {
 	PrunedShards Counter // shards skipped because the search region missed their tile
 	Degraded     Counter // answers refused because a required shard was down (HTTP 503)
 
+	// k-NN paths: answered by the query tile in one call, or resumed with
+	// a 2-D range round.
+	KNNSettled Counter
+	KNNResumed Counter
+
 	latency *Histogram // whole-request wall latency, fan-out included
 
 	publishOnce sync.Once
@@ -54,6 +59,10 @@ func (s *CoordStats) Snapshot() map[string]any {
 			"shard_calls":   s.ShardCalls.Value(),
 			"shard_errors":  s.ShardErrors.Value(),
 			"pruned_shards": s.PrunedShards.Value(),
+		},
+		"knn": map[string]any{
+			"settled": s.KNNSettled.Value(),
+			"resumed": s.KNNResumed.Value(),
 		},
 	}
 }

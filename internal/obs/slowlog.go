@@ -10,13 +10,15 @@ import (
 // SlowQuery is one slow-query log entry: the query's identity, its cost
 // summary, and (when the session recorded one) its phase trace.
 type SlowQuery struct {
-	Algo    string        `json:"algo"`
-	K       int           `json:"k,omitempty"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-	CPU     time.Duration `json:"cpu_ns"`
-	Pages   int64         `json:"pages"`
-	Err     string        `json:"err,omitempty"`
-	Trace   *Trace        `json:"trace,omitempty"`
+	// RequestID is the id of the HTTP request that ran the query, if any.
+	RequestID string        `json:"request_id,omitempty"`
+	Algo      string        `json:"algo"`
+	K         int           `json:"k,omitempty"`
+	Elapsed   time.Duration `json:"elapsed_ns"`
+	CPU       time.Duration `json:"cpu_ns"`
+	Pages     int64         `json:"pages"`
+	Err       string        `json:"err,omitempty"`
+	Trace     *Trace        `json:"trace,omitempty"`
 }
 
 // SlowQueryLog writes one JSON line per query whose elapsed time reaches

@@ -44,20 +44,33 @@ type CandidatesResponse struct {
 	Candidates []Candidate `json:"candidates" api:"v1"`
 }
 
-// ShardRankRequest is the body of POST /v1/shard/rank: MR3 step 2
-// (tighten=true, the C1 ranking) or step 4 (tighten=false, the C2 ranking)
-// over an injected candidate set gathered across shards. The shard ranks
-// against its local terrain, which in the default full-halo tiling is the
-// complete surface.
-type ShardRankRequest struct {
+// ShardKNNRequest is the body of POST /v1/shard/knn: one MR3 k-NN query
+// answered by the shard whose tile holds the query point, over its own
+// partition plus the other tiles' candidates the coordinator gathered. The
+// shard ranks against its local terrain, which in the default full-halo
+// tiling is the complete surface.
+//
+// The first call carries every other tile's step-1 candidates (its k
+// nearest by planar distance) and Complete. The shard answers when its
+// step-2 radius lies below Complete; otherwise it returns that radius, and
+// the coordinator calls again with Radius set and Candidates holding the
+// other tiles' objects within it: steps 3 and 4 only.
+type ShardKNNRequest struct {
 	X          float64     `json:"x" api:"v1"`
 	Y          float64     `json:"y" api:"v1"`
 	K          int         `json:"k" api:"v1"`
 	Sched      int         `json:"sched,omitempty" api:"v1"`
 	Options    *Options    `json:"options,omitempty" api:"v1"`
-	Tighten    bool        `json:"tighten" api:"v1"`
 	Candidates []Candidate `json:"candidates" api:"v1"`
-	Timeout    Duration    `json:"timeout,omitempty" api:"v1"`
+	// Complete is the planar radius below which Candidates hold every
+	// object of the other tiles: the smallest k-th planar distance among
+	// the tiles that returned k candidates, "+Inf" when none did. Zero (or
+	// absent) never settles in one call.
+	Complete Float `json:"complete" api:"v1"`
+	// Radius, when present, resumes an unsettled query at this step-3
+	// radius.
+	Radius  *float64 `json:"radius,omitempty" api:"v1"`
+	Timeout Duration `json:"timeout,omitempty" api:"v1"`
 }
 
 // ShardEARequest is the body of POST /v1/shard/ea: the Enhanced
@@ -90,6 +103,9 @@ type ShardResult struct {
 	Epoch     uint64     `json:"epoch" api:"v1"`
 	Neighbors []Neighbor `json:"neighbors" api:"v1"`
 	Cost      Cost       `json:"cost" api:"v1"`
+	// Radius is set only by a k-NN call that did not settle: its step-3
+	// radius, at which the coordinator resumes (see ShardKNNRequest).
+	Radius *float64 `json:"radius,omitempty" api:"v1"`
 }
 
 // ShardObjectsRequest is the body of POST /v1/shard/objects: one logical

@@ -5,7 +5,8 @@
 // end-to-end tests are all built on it.
 //
 // Every call takes a context (deadline and cancellation propagate to the
-// HTTP request), surfaces the response's X-Epoch and X-Cache headers in a
+// HTTP request, and so does a request id it carries, as X-Request-Id),
+// surfaces the response's X-Epoch and X-Cache headers in a
 // Meta, retries 429s honouring the server's Retry-After header, and turns
 // non-2xx envelopes into *APIError values the caller can switch on.
 package client
@@ -22,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"surfknn/internal/obs"
 	"surfknn/internal/server/api"
 )
 
@@ -200,10 +202,11 @@ func (c *Client) ShardRange2D(ctx context.Context, req api.ShardRange2DRequest) 
 	return res, meta, err
 }
 
-// ShardRank ranks an injected candidate set (MR3 step 2 or 4).
-func (c *Client) ShardRank(ctx context.Context, req api.ShardRankRequest) (api.ShardResult, Meta, error) {
+// ShardKNN answers an MR3 k-NN query on the query tile's shard, over its
+// partition plus the shipped candidates, or returns the radius to resume at.
+func (c *Client) ShardKNN(ctx context.Context, req api.ShardKNNRequest) (api.ShardResult, Meta, error) {
 	var res api.ShardResult
-	meta, err := c.do(ctx, http.MethodPost, "/v1/shard/rank", req, &res)
+	meta, err := c.do(ctx, http.MethodPost, "/v1/shard/knn", req, &res)
 	return res, meta, err
 }
 
@@ -269,6 +272,9 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if id := obs.RequestID(ctx); id != "" {
+		req.Header.Set(obs.RequestIDHeader, id)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

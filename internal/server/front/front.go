@@ -39,7 +39,7 @@ const (
 	// MaxBodyBytes bounds request bodies; every valid public request is a
 	// few hundred bytes.
 	MaxBodyBytes = 1 << 20
-	// MaxShardBodyBytes bounds POST /v1/shard/rank, whose body carries a
+	// MaxShardBodyBytes bounds POST /v1/shard/knn, whose body carries a
 	// candidate set gathered across shards.
 	MaxShardBodyBytes = 16 << 20
 	// MaxUpdateBatch bounds how many objects one update may carry: one
@@ -158,7 +158,7 @@ var Routes = []Route{
 	{Pattern: "DELETE /v1/subscribe/{id}", ServerOnly: true},
 	{Pattern: "POST /v1/shard/knn2d", ServerOnly: true},
 	{Pattern: "POST /v1/shard/range2d", ServerOnly: true},
-	{Pattern: "POST /v1/shard/rank", ServerOnly: true, MaxBody: MaxShardBodyBytes},
+	{Pattern: "POST /v1/shard/knn", ServerOnly: true, MaxBody: MaxShardBodyBytes},
 	{Pattern: "POST /v1/shard/ea", ServerOnly: true},
 	{Pattern: "POST /v1/shard/range", ServerOnly: true},
 	{Pattern: "POST /v1/shard/objects", ServerOnly: true},
@@ -204,7 +204,18 @@ func Handler(ex Executor, n Counters, own map[string]HandlerFunc) http.Handler {
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, NotFound("no such endpoint %s %s", r.Method, r.URL.Path))
 	})
-	return mux
+	// Every request carries an id: the client's X-Request-Id when it is a
+	// sane token, else a fresh one. It is echoed on the response (where
+	// the access log reads it) and rides the context to the slow-query
+	// log and to a coordinator's shard calls.
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := r.Header.Get(obs.RequestIDHeader)
+		if !obs.ValidRequestID(id) {
+			id = obs.NewRequestID()
+		}
+		w.Header().Set(obs.RequestIDHeader, id)
+		mux.ServeHTTP(w, r.WithContext(obs.WithRequestID(r.Context(), id)))
+	})
 }
 
 // adapt mounts one value-returning route on http: bound the body, run the

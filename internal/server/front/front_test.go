@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"surfknn/internal/obs"
 	"surfknn/internal/server/api"
 	"surfknn/internal/sklang"
 )
@@ -148,9 +149,56 @@ func TestRouteTable(t *testing.T) {
 		Handler(&fakeExec{}, Counters{}, own)
 	}
 	missing := serverRoutes()
-	delete(missing, "POST /v1/shard/rank")
+	delete(missing, "POST /v1/shard/knn")
 	mustPanic("a table row without a handler", missing)
 	extra := serverRoutes()
-	extra["POST /v1/nowhere"] = extra["POST /v1/shard/rank"]
+	extra["POST /v1/nowhere"] = extra["POST /v1/shard/knn"]
 	mustPanic("a handler without a table row", extra)
+}
+
+// TestRequestID pins the front's request ids: a sane client id is adopted
+// and echoed, reaches the back end through the context, and a missing or
+// unusable one is replaced by a fresh id, distinct per request.
+func TestRequestID(t *testing.T) {
+	var seen string
+	ex := &ctxExec{seen: &seen}
+	h := Handler(ex, Counters{}, nil)
+	send := func(id string) string {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/v1/knn", strings.NewReader(`{"x":800,"y":800,"k":3}`))
+		if id != "" {
+			r.Header.Set(obs.RequestIDHeader, id)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			t.Fatalf("knn: %d %s", w.Code, w.Body.String())
+		}
+		got := w.Header().Get(obs.RequestIDHeader)
+		if got != seen {
+			t.Fatalf("echoed id %q, back end saw %q", got, seen)
+		}
+		return got
+	}
+	if got := send("client-7"); got != "client-7" {
+		t.Errorf("client id replaced by %q", got)
+	}
+	a, b := send(""), send("has space")
+	if a == "" || b == "" || a == b || b == "has space" {
+		t.Errorf("generated ids %q, %q: want two distinct fresh ids", a, b)
+	}
+	if got := send(strings.Repeat("x", 129)); len(got) > 128 {
+		t.Errorf("an overlong client id was adopted")
+	}
+}
+
+// ctxExec is fakeExec recording the request id its context carries.
+type ctxExec struct {
+	fakeExec
+	seen *string
+}
+
+func (c *ctxExec) Execute(ctx context.Context, req Request) (Reply, error) {
+	*c.seen = obs.RequestID(ctx)
+	return c.fakeExec.Execute(ctx, req)
 }

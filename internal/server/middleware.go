@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"surfknn/internal/obs"
 	"surfknn/internal/server/front"
 )
 
@@ -41,15 +42,16 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // carrying JSON line for any query over the threshold; this log records
 // the HTTP-level view (status, cache disposition, whole-request latency).
 type accessEntry struct {
-	Time    string `json:"t"`
-	Method  string `json:"method"`
-	Path    string `json:"path"`
-	Status  int    `json:"status"`
-	Bytes   int    `json:"bytes"`
-	DurUs   int64  `json:"dur_us"`
-	Cache   string `json:"cache,omitempty"`
-	Remote  string `json:"remote,omitempty"`
-	Recover string `json:"panic,omitempty"`
+	Time      string `json:"t"`
+	RequestID string `json:"request_id,omitempty"`
+	Method    string `json:"method"`
+	Path      string `json:"path"`
+	Status    int    `json:"status"`
+	Bytes     int    `json:"bytes"`
+	DurUs     int64  `json:"dur_us"`
+	Cache     string `json:"cache,omitempty"`
+	Remote    string `json:"remote,omitempty"`
+	Recover   string `json:"panic,omitempty"`
 }
 
 // instrument is the outermost middleware: request counting, whole-request
@@ -118,15 +120,16 @@ func (s *Server) logAccess(r *http.Request, rec *statusRecorder, start time.Time
 		return
 	}
 	entry := accessEntry{
-		Time:    start.UTC().Format(time.RFC3339Nano),
-		Method:  r.Method,
-		Path:    r.URL.Path,
-		Status:  rec.status,
-		Bytes:   rec.bytes,
-		DurUs:   time.Since(start).Microseconds(),
-		Cache:   rec.Header().Get("X-Cache"),
-		Remote:  r.RemoteAddr,
-		Recover: recovered,
+		Time:      start.UTC().Format(time.RFC3339Nano),
+		RequestID: rec.Header().Get(obs.RequestIDHeader),
+		Method:    r.Method,
+		Path:      r.URL.Path,
+		Status:    rec.status,
+		Bytes:     rec.bytes,
+		DurUs:     time.Since(start).Microseconds(),
+		Cache:     rec.Header().Get("X-Cache"),
+		Remote:    r.RemoteAddr,
+		Recover:   recovered,
 	}
 	s.logMu.Lock()
 	defer s.logMu.Unlock()

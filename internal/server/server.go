@@ -184,7 +184,7 @@ func New(db *core.TerrainDB, cfg Config) *Server {
 			"DELETE /v1/subscribe/{id}":    s.handleUnsubscribe,
 			"POST /v1/shard/knn2d":         s.handleShardKNN2D,
 			"POST /v1/shard/range2d":       s.handleShardRange2D,
-			"POST /v1/shard/rank":          s.handleShardRank,
+			"POST /v1/shard/knn":           s.handleShardKNN,
 			"POST /v1/shard/ea":            s.handleShardEA,
 			"POST /v1/shard/range":         s.handleShardRange,
 			"POST /v1/shard/objects":       s.handleShardObjects,

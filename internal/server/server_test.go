@@ -19,6 +19,7 @@ import (
 	"surfknn/internal/dem"
 	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
+	"surfknn/internal/obs"
 	"surfknn/internal/server/api"
 	"surfknn/internal/workload"
 )
@@ -303,13 +304,16 @@ func TestHealthz(t *testing.T) {
 func TestAccessLog(t *testing.T) {
 	var buf bytes.Buffer
 	s := newTestServer(t, Config{AccessLog: &syncWriter{w: &buf}})
-	post(t, s, "/v1/knn", `{"x":800,"y":800,"k":3}`)
+	w := post(t, s, "/v1/knn", `{"x":800,"y":800,"k":3}`)
 	var entry accessEntry
 	if err := json.Unmarshal(buf.Bytes(), &entry); err != nil {
 		t.Fatalf("access log line is not JSON: %v\n%s", err, buf.String())
 	}
 	if entry.Method != "POST" || entry.Path != "/v1/knn" || entry.Status != http.StatusOK {
 		t.Errorf("access entry = %+v", entry)
+	}
+	if id := w.Header().Get(obs.RequestIDHeader); id == "" || entry.RequestID != id {
+		t.Errorf("access entry request id %q, response carries %q", entry.RequestID, id)
 	}
 }
 

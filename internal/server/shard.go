@@ -8,7 +8,7 @@ package server
 //
 // Admission: the 2-D primitives (knn2d, range2d) are cheap index reads and
 // bypass the admission semaphore like the object-update routes; the ranking
-// primitives (rank, ea, range) run the full multiresolution machinery and
+// primitives (knn, ea, range) run the full multiresolution machinery and
 // are admitted exactly like public queries. Shard responses are never
 // cached: the coordinator's public-facing responses are what benefit from
 // caching, and it caches per assembled answer, not per fragment.
@@ -78,24 +78,29 @@ func (s *Server) candidateObjects(cands []api.Candidate) ([]workload.Object, err
 // rankOnSession runs one ranking primitive under admission control on a
 // pooled session and maps its result onto the wire before the session (whose
 // scratch the result aliases) is released.
-func (s *Server) rankOnSession(r *http.Request, timeout api.Duration, run func(context.Context, *core.Session) (core.Result, error)) (front.Reply, error) {
+func (s *Server) rankOnSession(r *http.Request, timeout api.Duration, run func(context.Context, *core.Session) (core.Result, error)) (api.ShardResult, error) {
 	ctx, cancel := s.requestContext(r.Context(), time.Duration(timeout))
 	defer cancel()
 	if err := s.admit(ctx); err != nil {
-		return front.Reply{}, err
+		return api.ShardResult{}, err
 	}
 	defer s.adm.release()
 	sess := s.db.AcquireSession()
 	defer s.db.Release(sess)
 	res, err := run(ctx, sess)
 	if err != nil {
-		return front.Reply{}, err
+		return api.ShardResult{}, err
 	}
 	wire := toResponse(res)
-	return front.Reply{
-		Value: api.ShardResult{Epoch: res.Epoch, Neighbors: wire.Neighbors, Cost: wire.Cost},
-		Epoch: res.Epoch,
-	}, nil
+	return api.ShardResult{Epoch: res.Epoch, Neighbors: wire.Neighbors, Cost: wire.Cost}, nil
+}
+
+// shardReply is a ranking primitive's reply.
+func shardReply(res api.ShardResult, err error) (front.Reply, error) {
+	if err != nil {
+		return front.Reply{}, err
+	}
+	return front.Reply{Value: res, Epoch: res.Epoch}, nil
 }
 
 // --- POST /v1/shard/knn2d ---
@@ -127,10 +132,10 @@ func (s *Server) handleShardRange2D(r *http.Request) (front.Reply, error) {
 	return candidatesReply(s.db.Range2D(geom.Vec2{X: req.X, Y: req.Y}, req.Radius)), nil
 }
 
-// --- POST /v1/shard/rank ---
+// --- POST /v1/shard/knn ---
 
-func (s *Server) handleShardRank(r *http.Request) (front.Reply, error) {
-	var req api.ShardRankRequest
+func (s *Server) handleShardKNN(r *http.Request) (front.Reply, error) {
+	var req api.ShardKNNRequest
 	if err := front.Decode(r, &req); err != nil {
 		return front.Reply{}, err
 	}
@@ -149,9 +154,24 @@ func (s *Server) handleShardRank(r *http.Request) (front.Reply, error) {
 	if err != nil {
 		return front.Reply{}, err
 	}
-	return s.rankOnSession(r, req.Timeout, func(ctx context.Context, sess *core.Session) (core.Result, error) {
-		return sess.RankCandidatesCtx(ctx, q, objs, req.K, sched, opt, req.Tighten)
+	ship := core.Shipped{Objs: objs, Complete: float64(req.Complete)}
+	if req.Radius != nil {
+		// Zero is legal, as on range2d: a query point on an object.
+		if !(*req.Radius >= 0) || math.IsInf(*req.Radius, 1) {
+			return front.Reply{}, front.BadRequest("radius must be a non-negative finite distance, got %g", *req.Radius)
+		}
+		ship.Resume, ship.Radius = true, *req.Radius
+	}
+	var resume *float64
+	out, err := s.rankOnSession(r, req.Timeout, func(ctx context.Context, sess *core.Session) (core.Result, error) {
+		res, radius, settled, err := sess.MR3ShippedCtx(ctx, q, req.K, sched, opt, &ship)
+		if !settled {
+			resume = &radius
+		}
+		return res, err
 	})
+	out.Radius = resume
+	return shardReply(out, err)
 }
 
 // --- POST /v1/shard/ea ---
@@ -179,9 +199,9 @@ func (s *Server) handleShardEA(r *http.Request) (front.Reply, error) {
 		epoch := s.db.CurrentEpoch()
 		return front.Reply{Value: api.ShardResult{Epoch: epoch, Neighbors: []api.Neighbor{}}, Epoch: epoch}, nil
 	}
-	return s.rankOnSession(r, req.Timeout, func(ctx context.Context, sess *core.Session) (core.Result, error) {
+	return shardReply(s.rankOnSession(r, req.Timeout, func(ctx context.Context, sess *core.Session) (core.Result, error) {
 		return sess.EACtx(ctx, q, k)
-	})
+	}))
 }
 
 // --- POST /v1/shard/range ---
@@ -202,9 +222,9 @@ func (s *Server) handleShardRange(r *http.Request) (front.Reply, error) {
 	if err != nil {
 		return front.Reply{}, err
 	}
-	return s.rankOnSession(r, req.Timeout, func(ctx context.Context, sess *core.Session) (core.Result, error) {
+	return shardReply(s.rankOnSession(r, req.Timeout, func(ctx context.Context, sess *core.Session) (core.Result, error) {
 		return sess.SurfaceRangeCtx(ctx, q, req.Radius, sched, opt)
-	})
+	}))
 }
 
 // --- POST /v1/shard/objects ---

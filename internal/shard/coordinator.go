@@ -229,42 +229,60 @@ func refusal(err error) *front.Error {
 }
 
 // scatter fans call out to the given shards concurrently, each under its
-// own ShardTimeout slice of ctx. A shard's refusal of the request is
-// relayed as is; any other failures are gathered into a *DegradedError.
+// own ShardTimeout slice of ctx; a lone target runs on the calling
+// goroutine. A shard's refusal of the request is relayed as is; any other
+// failures are gathered into a *DegradedError.
 func (c *Coordinator) scatter(ctx context.Context, targets []int, call func(ctx context.Context, i int, sc *shardConn) error) error {
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		errs    []api.ShardError
-		refused *front.Error
-	)
-	for _, i := range targets {
+	if len(targets) == 1 {
+		if err := c.callShard(ctx, targets[0], call); err != nil {
+			return c.failure(targets, []error{err})
+		}
+		return nil
+	}
+	errs := make([]error, len(targets))
+	var wg sync.WaitGroup
+	for j, i := range targets {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			c.stats.ShardCalls.Add(1)
-			callCtx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
-			defer cancel()
-			if err := call(callCtx, i, &c.shards[i]); err != nil {
-				c.stats.ShardErrors.Add(1)
-				mu.Lock()
-				if ref := refusal(err); ref != nil {
-					refused = ref
-				}
-				errs = append(errs, api.ShardError{Shard: c.shards[i].meta.ID, Error: err.Error()})
-				mu.Unlock()
-			}
-		}(i)
+			errs[j] = c.callShard(ctx, i, call)
+		}()
 	}
 	wg.Wait()
-	if refused != nil {
-		return refused
+	return c.failure(targets, errs)
+}
+
+// callShard runs one shard call under its ShardTimeout, counted.
+func (c *Coordinator) callShard(ctx context.Context, i int, call func(ctx context.Context, i int, sc *shardConn) error) error {
+	c.stats.ShardCalls.Add(1)
+	callCtx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
+	defer cancel()
+	err := call(callCtx, i, &c.shards[i])
+	if err != nil {
+		c.stats.ShardErrors.Add(1)
 	}
-	if len(errs) > 0 {
-		sort.Slice(errs, func(a, b int) bool { return errs[a].Shard < errs[b].Shard })
-		return &DegradedError{Shards: errs}
+	return err
+}
+
+// failure is a scatter's outcome from errs[j], the error of the call to
+// targets[j]: nil when every call succeeded, a refusal as is, else a
+// *DegradedError naming the failed shards.
+func (c *Coordinator) failure(targets []int, errs []error) error {
+	var failed []api.ShardError
+	for j, err := range errs {
+		if err == nil {
+			continue
+		}
+		if ref := refusal(err); ref != nil {
+			return ref
+		}
+		failed = append(failed, api.ShardError{Shard: c.shards[targets[j]].meta.ID, Error: err.Error()})
 	}
-	return nil
+	if len(failed) == 0 {
+		return nil
+	}
+	sort.Slice(failed, func(a, b int) bool { return failed[a].Shard < failed[b].Shard })
+	return &DegradedError{Shards: failed}
 }
 
 // epochs tracks the min and max store epoch observed across one query's
@@ -309,68 +327,41 @@ func (c *costs) add(v api.Cost) {
 	c.mu.Unlock()
 }
 
-// mergeCandidates canonically orders a gathered candidate union: ascending
-// planar distance to q, object id as the tiebreak, duplicates (an object
-// caught mid-move across an epoch-skewed fleet) keeping the nearest copy.
-// The unsharded engine feeds candidates to the ranker in 2-D index order —
-// ascending planar distance for step 1 — and the ranker's bounds are
-// order-independent, so this canonical order reproduces its values bit for
-// bit (exact distance ties aside, which have measure zero on real
-// workloads).
-func mergeCandidates(q geom.Vec2, lists [][]api.Candidate) []api.Candidate {
-	var all []api.Candidate
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	d2 := func(cd api.Candidate) float64 {
-		dx, dy := cd.X-q.X, cd.Y-q.Y
-		return dx*dx + dy*dy
-	}
-	sort.Slice(all, func(a, b int) bool {
-		da, db := d2(all[a]), d2(all[b])
-		//lint:ignore float-eq canonical order is defined on exact float bits, mirroring index.SortByDist
-		if da != db {
-			return da < db
-		}
-		return all[a].ID < all[b].ID
-	})
-	out := all[:0]
-	seen := make(map[int64]bool, len(all))
-	for _, cd := range all {
-		if seen[cd.ID] {
-			continue
-		}
-		seen[cd.ID] = true
-		out = append(out, cd)
-	}
-	return out
-}
-
-// rankShard picks the shard that runs the ranking steps: the one whose
-// tile contains the query point. Any shard would do — each holds the full
-// terrain — but the containing tile is deterministic and keeps a workload's
-// ranking load spread across the fleet.
+// rankShard picks the shard that answers a k-NN query: the one whose tile
+// contains the query point. Any shard would do — each holds the full
+// terrain — but the containing tile holds the nearest objects, so its own
+// partition supplies most of the candidates, and the choice is
+// deterministic and spreads a workload's ranking load across the fleet.
 func (c *Coordinator) rankShard(q geom.Vec2) int {
 	ix, iy := c.tiling.TileOf(q)
 	return iy*c.tiling.NX + ix
 }
 
 // knn answers an MR3 plan over the fleet, bit-identical to the unsharded
-// engine: scatter step 1, rank the gathered C1 on one shard to obtain the
-// k-th upper bound, scatter step 3 to the shards within that radius, rank
-// the gathered C2. Returns the result and the merged epoch; tr records the
-// execution for EXPLAIN (nil records nothing).
+// engine. Every other tile returns its k nearest objects by planar distance
+// (step 1 abroad), and the query tile's shard runs all four steps over its
+// own partition plus those candidates. That settles the query whenever the
+// step-2 radius r lies below the shipped set's completeness radius; else
+// the shard returns r, the reachable tiles whose shipped set does not cover
+// r answer a 2-D range query (step 3 abroad), and the query tile's shard
+// is called again for steps 3 and 4 at r. Returns the result and the merged
+// epoch; tr records the execution for EXPLAIN (nil records nothing).
 func (c *Coordinator) knn(ctx context.Context, p *sklang.Plan, timeout api.Duration, tr *queryTrace) (api.Result, uint64, error) {
 	q := geom.Vec2{X: p.X, Y: p.Y}
+	home := c.rankShard(q)
 	var (
-		ep    epochs
-		cost  costs
-		lists = make([][]api.Candidate, len(c.shards))
+		ep      epochs
+		cost    costs
+		lists   = make([][]api.Candidate, len(c.shards))
+		foreign = make([]int, 0, len(c.shards)-1)
 	)
-	// Step 1: every shard contributes its k nearest by planar distance; no
-	// bound exists yet to prune with.
-	tr.touch(traceStep1, c.tileIDs(c.allShards()))
-	err := c.scatter(ctx, c.allShards(), func(ctx context.Context, i int, sc *shardConn) error {
+	for i := range c.shards {
+		if i != home {
+			foreign = append(foreign, i)
+		}
+	}
+	tr.touch(traceStep1, c.tileIDs(foreign))
+	err := c.scatter(ctx, foreign, func(ctx context.Context, i int, sc *shardConn) error {
 		res, _, err := sc.cli.ShardKNN2D(ctx, api.ShardKNN2DRequest{X: p.X, Y: p.Y, K: p.K})
 		if err != nil {
 			return err
@@ -382,23 +373,30 @@ func (c *Coordinator) knn(ctx context.Context, p *sklang.Plan, timeout api.Durat
 	if err != nil {
 		return api.Result{}, 0, err
 	}
-	c1 := mergeCandidates(q, lists)
-	if len(c1) > p.K {
-		c1 = c1[:p.K]
+	// covers[i] is the planar radius below which tile i's list holds every
+	// object of the tile: its k-th distance, or +Inf for a short list.
+	covers := make([]float64, len(c.shards))
+	complete := math.Inf(1)
+	var shipped []api.Candidate
+	for _, i := range foreign {
+		shipped = append(shipped, lists[i]...)
+		covers[i] = math.Inf(1)
+		if len(lists[i]) >= p.K {
+			covers[i] = 0
+			for _, cd := range lists[i] {
+				covers[i] = math.Max(covers[i], geom.Vec2{X: cd.X, Y: cd.Y}.Dist(q))
+			}
+			complete = math.Min(complete, covers[i])
+		}
 	}
 
-	// Steps 2 and 4 rank a gathered candidate set on the query tile's shard.
-	rank := c.rankShard(q)
-	rankOn := func(step string, tighten bool, cands []api.Candidate) (api.ShardResult, error) {
-		tr.touch(step, c.tileIDs([]int{rank}))
+	// The query tile's shard answers, or asks to resume at a radius.
+	onHome := func(step string, req api.ShardKNNRequest) (api.ShardResult, error) {
+		tr.touch(step, c.tileIDs([]int{home}))
 		var out api.ShardResult
-		err := c.scatter(ctx, []int{rank}, func(ctx context.Context, _ int, sc *shardConn) error {
+		err := c.scatter(ctx, []int{home}, func(ctx context.Context, _ int, sc *shardConn) error {
 			var err error
-			out, _, err = sc.cli.ShardRank(ctx, api.ShardRankRequest{
-				X: p.X, Y: p.Y, K: p.K,
-				Sched: p.Sched, Options: p.Options, Timeout: timeout,
-				Tighten: tighten, Candidates: cands,
-			})
+			out, _, err = sc.cli.ShardKNN(ctx, req)
 			return err
 		})
 		if err == nil {
@@ -408,31 +406,39 @@ func (c *Coordinator) knn(ctx context.Context, p *sklang.Plan, timeout api.Durat
 		}
 		return out, err
 	}
-
-	// Step 2: rank C1 with tightening, for the k-th upper bound.
-	ranked, err := rankOn(traceRankC1, true, c1)
+	req := api.ShardKNNRequest{
+		X: p.X, Y: p.Y, K: p.K,
+		Sched: p.Sched, Options: p.Options, Timeout: timeout,
+		Candidates: shipped, Complete: api.Float(complete),
+	}
+	out, err := onHome(traceMR3, req)
 	if err != nil {
 		return api.Result{}, 0, err
 	}
-	if len(ranked.Neighbors) == 0 {
-		return api.Result{}, 0, errors.New("shard: no candidate objects on the fleet")
+	if out.Radius == nil {
+		c.stats.KNNSettled.Add(1)
+		return api.Result{Neighbors: out.Neighbors, Cost: cost.sum}, ep.merged(), nil
 	}
-	kth := len(ranked.Neighbors)
-	if p.K < kth {
-		kth = p.K
-	}
-	radius := float64(ranked.Neighbors[kth-1].UB)
-	if math.IsInf(radius, 1) {
-		return api.Result{}, 0, errors.New("shard: could not bound the k-th neighbour (disconnected surface?)")
-	}
+	c.stats.KNNResumed.Add(1)
+	radius := *out.Radius
+	tr.resume(radius)
 
-	// Step 3: gather every object within the radius, from the shards whose
-	// tile the radius reaches.
-	lists = make([][]api.Candidate, len(c.shards))
-	reach := c.reachableShards(q, radius)
-	tr.touch(traceStep3, c.tileIDs(reach))
-	tr.bound(radius)
-	err = c.scatter(ctx, reach, func(ctx context.Context, i int, sc *shardConn) error {
+	// Step 3 abroad: a reachable tile whose shipped list covers the radius
+	// contributes that list (the query tile's shard applies the range
+	// predicate); the rest answer the 2-D range query.
+	var ship2 []api.Candidate
+	var gather []int
+	for _, i := range c.reachableShards(q, radius) {
+		switch {
+		case i == home:
+		case radius < covers[i]:
+			ship2 = append(ship2, lists[i]...)
+		default:
+			gather = append(gather, i)
+		}
+	}
+	tr.touch(traceStep3, c.tileIDs(gather))
+	err = c.scatter(ctx, gather, func(ctx context.Context, i int, sc *shardConn) error {
 		res, _, err := sc.cli.ShardRange2D(ctx, api.ShardRange2DRequest{X: p.X, Y: p.Y, Radius: radius})
 		if err != nil {
 			return err
@@ -444,10 +450,13 @@ func (c *Coordinator) knn(ctx context.Context, p *sklang.Plan, timeout api.Durat
 	if err != nil {
 		return api.Result{}, 0, err
 	}
-	c2 := mergeCandidates(q, lists)
+	for _, i := range gather {
+		ship2 = append(ship2, lists[i]...)
+	}
 
-	// Step 4: settle the k-set over C2.
-	final, err := rankOn(traceRankC2, false, c2)
+	// Steps 3 and 4 on the query tile, at the radius.
+	req.Candidates, req.Complete, req.Radius = ship2, 0, &radius
+	final, err := onHome(traceRankC2, req)
 	if err != nil {
 		return api.Result{}, 0, err
 	}

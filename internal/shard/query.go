@@ -22,10 +22,10 @@ import (
 // Trace step names — the keys the scatter paths record under and the plan
 // rewriter reads back.
 const (
-	traceStep1   = "knn2d"   // k-NN step 1: scatter ShardKNN2D to every tile
-	traceRankC1  = "rank-c1" // k-NN step 2: tightening rank on the query tile
-	traceStep3   = "range2d" // k-NN step 3: scatter ShardRange2D within the bound
-	traceRankC2  = "rank-c2" // k-NN step 4: settling rank on the query tile
+	traceStep1   = "knn2d"   // k-NN step 1 abroad: ShardKNN2D to every other tile
+	traceMR3     = "mr3"     // k-NN on the query tile over the shipped candidates
+	traceStep3   = "range2d" // resumed k-NN, step 3 abroad: ShardRange2D within the bound
+	traceRankC2  = "rank-c2" // resumed k-NN, steps 3 and 4 on the query tile
 	traceScatter = "scatter" // single-scatter algorithms (range, ea, distance)
 )
 
@@ -33,10 +33,11 @@ const (
 // costs the shards reported, for EXPLAIN. All methods are nil-safe (a nil
 // trace records nothing) and safe under scatter concurrency.
 type queryTrace struct {
-	mu     sync.Mutex
-	tiles  map[string][]string
-	costs  map[string]api.Cost
-	radius float64 // the k-th upper bound step 3 pruned with (0 until known)
+	mu      sync.Mutex
+	tiles   map[string][]string
+	costs   map[string]api.Cost
+	resumed bool    // the k-NN query did not settle in one call
+	radius  float64 // the step-3 radius it resumed at
 }
 
 func (t *queryTrace) touch(step string, tiles []string) {
@@ -67,12 +68,12 @@ func (t *queryTrace) charge(step string, c api.Cost) {
 	t.costs[step] = sum
 }
 
-func (t *queryTrace) bound(r float64) {
+func (t *queryTrace) resume(r float64) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.radius = r
+	t.resumed, t.radius = true, r
 	t.mu.Unlock()
 }
 
@@ -185,11 +186,20 @@ func coordPlanNode(plan *sklang.Plan, tr *queryTrace) api.PlanNode {
 	}
 	switch plan.Algo {
 	case sklang.AlgoMR3:
+		// A settled query ran every phase in the one query-tile call.
+		mr3Est := phaseEst["phase:rank-c1"]
+		if !tr.resumed {
+			mr3Est += phaseEst["phase:range2d"] + phaseEst["phase:rank-c2"]
+		}
 		root.Children = []api.PlanNode{
-			step("scatter:knn2d", traceStep1, "k nearest by planar distance, every tile", phaseEst["phase:knn2d"]),
-			step("rank:rank-c1", traceRankC1, "tighten C1 on the query tile", phaseEst["phase:rank-c1"]),
-			step("scatter:range2d", traceStep3, fmtRadius(tr), phaseEst["phase:range2d"]),
-			step("rank:rank-c2", traceRankC2, "settle the k-set on the query tile", phaseEst["phase:rank-c2"]),
+			step("scatter:knn2d", traceStep1, "k nearest by planar distance, every other tile", phaseEst["phase:knn2d"]),
+			step("rank:mr3", traceMR3, "MR3 on the query tile over its objects and the shipped candidates", mr3Est),
+		}
+		if tr.resumed {
+			root.Children = append(root.Children,
+				step("scatter:range2d", traceStep3, fmtRadius(tr), phaseEst["phase:range2d"]),
+				step("rank:rank-c2", traceRankC2, "steps 3 and 4 on the query tile", phaseEst["phase:rank-c2"]),
+			)
 		}
 	case sklang.AlgoEA, sklang.AlgoRange:
 		root.Children = []api.PlanNode{
@@ -219,8 +229,6 @@ func coordPlanNode(plan *sklang.Plan, tr *queryTrace) api.PlanNode {
 }
 
 func fmtRadius(tr *queryTrace) string {
-	if tr == nil || tr.radius == 0 {
-		return "gather within the k-th upper bound"
-	}
-	return "gather within the k-th upper bound r=" + strconv.FormatFloat(tr.radius, 'g', -1, 64)
+	return "gather within the k-th upper bound r=" + strconv.FormatFloat(tr.radius, 'g', -1, 64) +
+		", tiles the shipped candidates do not cover"
 }

@@ -54,8 +54,8 @@ type fleet struct {
 
 // startFleet cuts db into nx×ny shard snapshots, loads each into its own
 // server.Server behind httptest, and wires a verified coordinator over
-// them.
-func startFleet(t *testing.T, db *core.TerrainDB, nx, ny int) *fleet {
+// them. tune, if given, adjusts shard i's server config.
+func startFleet(t *testing.T, db *core.TerrainDB, nx, ny int, tune ...func(i int, cfg *server.Config)) *fleet {
 	t.Helper()
 	dir := t.TempDir()
 	man, err := Cut(db, nx, ny, dir, "golden")
@@ -68,7 +68,11 @@ func startFleet(t *testing.T, db *core.TerrainDB, nx, ny int) *fleet {
 		if err != nil {
 			t.Fatalf("loading shard %s: %v", man.Shards[i].ID, err)
 		}
-		srv := server.New(sdb, server.Config{ShardID: man.Shards[i].ID, CacheEntries: -1})
+		cfg := server.Config{ShardID: man.Shards[i].ID, CacheEntries: -1}
+		for _, fn := range tune {
+			fn(i, &cfg)
+		}
+		srv := server.New(sdb, cfg)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		f.servers = append(f.servers, ts)

@@ -23,14 +23,24 @@
 // # Query decomposition
 //
 // MR3's per-candidate distance bounds depend only on the query point, the
-// candidate and the terrain, never on the other candidates, so the four
-// steps decompose: the 2-D filters (steps 1 and 3) scatter over the shards'
-// object partitions, and the rankings (steps 2 and 4) run on one shard over
-// the gathered union (internal/core.RankCandidatesCtx). Step 3 only visits
-// shards whose tile rectangle lies within the step-2 radius of the query
-// point — the planar distance lower-bounds the surface distance, so a
-// pruned shard can contribute nothing. Range queries decompose per shard
-// outright; EA merges per-shard top-k lists.
+// candidate and the terrain, never on the other candidates, so one shard
+// can rank candidates gathered from every tile. A k-NN query goes to the
+// shard whose tile holds the query point (the query tile), and every other
+// tile first sends its k nearest objects by planar distance. The query
+// tile's shard runs all four steps over its own partition plus those
+// candidates (internal/core.Session.MR3ShippedCtx). Steps 1 and 3 merge
+// local and shipped objects in one canonical order, so C1 and C2 are the
+// sets the unsharded engine reads.
+//
+// Step 3 is exact without another round whenever the step-2 radius r is
+// below the shipped set's completeness radius: a tile that sent k objects
+// holds none it did not send closer than its k-th, and a tile that sent
+// fewer sent all it has. Planar distance lower-bounds surface distance, so
+// every object step 3 can need is then already on the query tile's shard.
+// Otherwise that shard returns r; the tiles within r whose shipped set
+// does not cover it answer a 2-D range query, and the query tile's shard
+// is called again for steps 3 and 4 at r. Range queries decompose per
+// shard outright; EA merges per-shard top-k lists.
 //
 // # Updates
 //

@@ -264,8 +264,9 @@ echo "== shard fleet smoke =="
 # Sharded serving end to end: skgen -tiles cuts the snapshot into a 2x1
 # shard grid plus a manifest, two skserve processes each load one tile
 # with their shard identity, and skcoord scatters queries across them.
-# The coordinator must answer kNN, route an upsert to the owning tile
-# while advancing one fleet-wide epoch (X-Epoch), and drain on SIGTERM.
+# The coordinator must answer kNN exactly as one skserve over the uncut
+# snapshot does, route an upsert to the owning tile while advancing one
+# fleet-wide epoch (X-Epoch), and drain on SIGTERM.
 go build -o /tmp/skcoord.check ./cmd/skcoord
 /tmp/skgen.check -preset EP -size 16 -o /tmp/skfleet.check.sdem \
     -db /tmp/skfleet.check.skdb -db-objects 30 -tiles 2x1 > /dev/null
@@ -346,10 +347,44 @@ if ! printf '%s' "$explain" | grep -q '"plan":{"op":"mr3"'; then
     echo "coordinator /v1/explain plan root does not name the algorithm: $explain" >&2
     exit 1
 fi
-if ! printf '%s' "$explain" | grep -q '"tiles":\["tile-0-0","tile-1-0"\]'; then
-    echo "coordinator /v1/explain scatter node is missing the tile IDs: $explain" >&2
+# (800, 800) lies on the tile edge, in tile-1-0: the other tile answers
+# knn2d and the query tile runs MR3 over its objects and the shipped ones.
+if ! printf '%s' "$explain" | grep -q '"op":"scatter:knn2d"[^}]*"tiles":\["tile-0-0"\]' ||
+    ! printf '%s' "$explain" | grep -q '"op":"rank:mr3"[^}]*"tiles":\["tile-1-0"\]'; then
+    echo "coordinator /v1/explain k-NN nodes are missing their tile IDs: $explain" >&2
     exit 1
 fi
+# Bit-identity end to end: a standalone skserve over the uncut snapshot
+# must answer the same neighbour ids, positions and bounds as the
+# coordinator, at a point inside a tile and at one 10 m from the tile edge.
+rm -f /tmp/skfleet.check.whole.out
+/tmp/skserve.check -snapshot /tmp/skfleet.check.skdb -addr 127.0.0.1:0 \
+    > /tmp/skfleet.check.whole.out &
+whole_pid=$!
+trap 'kill "$shard0_pid" "$shard1_pid" "$whole_pid" $coord_pid 2>/dev/null; wait 2>/dev/null || true' EXIT
+whole_addr=""
+for _ in $(seq 1 100); do
+    whole_addr=$(sed -n 's/^# skserve listening on //p' /tmp/skfleet.check.whole.out | head -1)
+    [ -n "$whole_addr" ] && break
+    sleep 0.1
+done
+if [ -z "$whole_addr" ]; then
+    echo "the uncut skserve never announced its address" >&2
+    cat /tmp/skfleet.check.whole.out >&2
+    exit 1
+fi
+for body in '{"x":1200,"y":600,"k":5}' '{"x":790,"y":900,"k":5}'; do
+    want=$(curl -fsS -X POST "http://$whole_addr/v1/knn" -d "$body" | grep -o '"neighbors":\[[^]]*\]')
+    got=$(curl -fsS -X POST "http://$coord_addr/v1/knn" -d "$body" | grep -o '"neighbors":\[[^]]*\]')
+    if [ -z "$want" ] || [ "$got" != "$want" ]; then
+        echo "coordinator /v1/knn $body differs from the uncut server:" >&2
+        echo "  uncut:       $want" >&2
+        echo "  coordinator: $got" >&2
+        exit 1
+    fi
+done
+kill -TERM "$whole_pid"
+wait "$whole_pid"
 epoch0=$(printf '%s' "$knn" | tr -d '\r' | sed -n 's/^X-Epoch: //p')
 curl -fsS -X POST "http://$coord_addr/v1/objects" \
     -d '{"objects":[{"id":9001,"x":800,"y":800}]}' | grep -q '"epoch":1'
