@@ -569,17 +569,6 @@ func BenchmarkSurfaceRange(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationBothFamiliesOff(b *testing.B) { benchMR3(b, core.S1, 10) }
-func BenchmarkAblationBothFamiliesOn(b *testing.B) {
-	f := getFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.db.NewSession().MR3Ctx(context.Background(), f.q, 10, core.S1, core.Options{BothFamilyLB: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Serving layer: HTTP overhead over the same engine ---
 
 // benchServer drives one already-marshalled k-NN request through the full

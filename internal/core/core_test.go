@@ -299,14 +299,3 @@ func TestKLargerThanObjects(t *testing.T) {
 
 // meshFromGrid is a tiny helper shared by persistence tests.
 func meshFromGrid(g *dem.Grid) *mesh.Mesh { return mesh.FromGrid(g) }
-
-func TestBothFamilyLBSameAnswer(t *testing.T) {
-	db := buildDB(t, dem.BH, 16, 50, 1414)
-	q := queryPoints(t, db, 1, 65)[0]
-	k := 5
-	res, err := db.NewSession().MR3Ctx(bg, q, k, S2, Options{BothFamilyLB: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameKSet(t, db, q, res.Neighbors, k)
-}

@@ -319,8 +319,8 @@ func TestOptionConstructors(t *testing.T) {
 	if od := o.withDefaults(); od.Step2Accuracy != 0.8 || od.OverlapThreshold != 0.8 {
 		t.Errorf("constructor default resolved to %+v, want paper defaults", od)
 	}
-	o = NewOptions(WithIOIntegration(false), WithDummyLB(false), WithBothFamilyLB(true))
-	if !o.DisableIOIntegration || !o.DisableDummyLB || !o.BothFamilyLB {
+	o = NewOptions(WithIOIntegration(false), WithDummyLB(false))
+	if !o.DisableIOIntegration || !o.DisableDummyLB {
 		t.Errorf("boolean options = %+v", o)
 	}
 	// Constructor form answers identically to the sentinel struct form.

@@ -47,12 +47,6 @@ func WithDummyLB(on bool) Option {
 	return func(o *Options) { o.DisableDummyLB = !on }
 }
 
-// WithBothFamilyLB enables estimating lower bounds with both cutting-plane
-// families, keeping the larger (see Options.BothFamilyLB).
-func WithBothFamilyLB(on bool) Option {
-	return func(o *Options) { o.BothFamilyLB = on }
-}
-
 // literalFraction maps a literal fraction onto the struct encoding, where 0
 // is the unset marker and negative values mean a literal 0.
 func literalFraction(v float64) float64 {

@@ -31,10 +31,6 @@ type Options struct {
 	// over 80%"); to request a literal 0 — merge any intersecting regions —
 	// pass a negative value.
 	OverlapThreshold float64
-	// BothFamilyLB estimates lower bounds with both cutting-plane families
-	// and keeps the larger — a strictly tighter bound at roughly twice the
-	// lower-bound CPU (an extension over the paper's 45° heuristic).
-	BothFamilyLB bool
 }
 
 func (o Options) withDefaults() Options {
@@ -384,9 +380,13 @@ func (r *ranker) updateUB(c *candidate, ri int) {
 		d := r.s.clippedDistance(r.q, c.obj.Point, c.ub, region)
 		if d < c.ub {
 			c.setUB(d)
-			// At the pathnet level the network distance IS the reference
-			// surface distance (dN = dS at DMTM 200%, §5.3), so the lower
-			// bound may be raised to it as well.
+			// At the pathnet rung d is d_N, the pathnet distance at
+			// Config.SteinerPerEdge points per edge, and MR3 answers the
+			// exact k-NN under d_N. d_N >= d_S, so raising lb to d_N does
+			// not bound d_S: it follows the paper's convention of taking
+			// DMTM 200% as the surface distance (§5.3). ROADMAP.md item 12
+			// measures the consequence: BH recall@10 0.948 against exact
+			// d_S.
 			if d > c.lb {
 				c.lb = d
 			}
@@ -475,15 +475,7 @@ func (r *ranker) updateLB(c *candidate, sdnRes float64, kthUB float64) {
 			return
 		}
 	}
-	r.applyLB(c, r.fullLB(q3, o3, region, sdnRes))
-}
-
-// fullLB runs the configured full lower-bound estimation.
-func (r *ranker) fullLB(q3, o3 geom.Vec3, region geom.MBR, sdnRes float64) sdn.LowerEstimate {
-	if r.opt.BothFamilyLB {
-		return r.s.db.MSDN.LowerBoundBothScratch(&r.s.sdnSc, q3, o3, region, sdnRes)
-	}
-	return r.s.db.MSDN.LowerBoundScratch(&r.s.sdnSc, q3, o3, region, sdnRes)
+	r.applyLB(c, r.s.db.MSDN.LowerBoundScratch(&r.s.sdnSc, q3, o3, region, sdnRes))
 }
 
 func (r *ranker) applyLB(c *candidate, est sdn.LowerEstimate) {

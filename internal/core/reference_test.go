@@ -213,7 +213,7 @@ func (e *refEngine) updateLB(r *ranker, c *candidate, sdnRes, kthUB float64) {
 			return
 		}
 	}
-	r.applyLB(c, r.fullLB(q3, o3, region, sdnRes))
+	r.applyLB(c, r.s.db.MSDN.LowerBoundScratch(&r.s.sdnSc, q3, o3, region, sdnRes))
 }
 
 func (e *refEngine) tryUpperBound(r *ranker, c *candidate, tm int32, edgeIDs []int32, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
@@ -742,23 +742,21 @@ func sameResult(t *testing.T, what string, got, want Result, closed int) {
 	}
 }
 
-// refOptions crosses the two lower-bound switches; every other option is the
-// ranker's default.
+// refOptions turns the dummy lower bound on and off; every other option is
+// the ranker's default.
 var refOptions = []struct {
 	name string
 	opt  Options
 }{
 	{"default", Options{}},
 	{"no-dummy", Options{DisableDummyLB: true}},
-	{"both", Options{BothFamilyLB: true}},
-	{"no-dummy both", Options{DisableDummyLB: true, BothFamilyLB: true}},
 }
 
 // TestUpperBoundPathMatchesReference runs every query form that reaches the
 // upper-bound path or the ranker's lower-bound step — MR3, MR3SafeCtx,
 // MR3ShippedCtx, SurfaceRange, EA — through the engine and through the
 // reference paths above, on a rugged, a smooth and a flat terrain, under
-// every schedule, k in {1, 5, 10} and the lower-bound options on and off, one
+// every schedule, k in {1, 5, 10} and the dummy lower bound on and off, one
 // warm session each, and requires identical answers and identical I/O phase
 // by phase.
 func TestUpperBoundPathMatchesReference(t *testing.T) {

@@ -8,8 +8,9 @@
 package core
 
 // PathnetResolution marks the DMTM ">100 %" level: the Steiner-refined
-// pathnet (the paper's "DMTM resolution 200%", where dN = dS by
-// definition).
+// pathnet (the paper's "DMTM resolution 200%"). Its distance d_N, at
+// Config.SteinerPerEdge points per edge, is what MR3 answers exactly; the
+// paper takes it as the surface distance, but d_N >= d_S.
 const PathnetResolution = 2.0
 
 // rungs is the one resolution table every schedule walks (§5.3), coarsest

@@ -8,10 +8,9 @@ import (
 )
 
 // Ablation measures the design choices DESIGN.md calls out, at one fixed
-// setting (BH, o = 4, k = 10, schedule s = 1): integrated I/O regions,
-// dummy lower bounds, and both-plane-family lower bounds — each toggled
-// individually against the all-defaults baseline. Series report total time,
-// CPU time and pages per variant.
+// setting (BH, o = 4, k = 10, schedule s = 1): integrated I/O regions and
+// dummy lower bounds, each toggled individually against the all-defaults
+// baseline. Series report total time, CPU time and pages per variant.
 func Ablation(p Params) (Figure, error) {
 	p = p.WithDefaults()
 	db, qs, err := p.buildDB(dem.BH, p.Density)
@@ -29,7 +28,6 @@ func Ablation(p Params) (Figure, error) {
 		{"baseline", core.Options{}},
 		{"no I/O integration", core.Options{DisableIOIntegration: true}},
 		{"no dummy lb", core.Options{DisableDummyLB: true}},
-		{"both-family lb", core.Options{BothFamilyLB: true}},
 	}
 	total := stats.Series{Label: "total ms"}
 	cpu := stats.Series{Label: "cpu ms"}
@@ -55,7 +53,7 @@ func Ablation(p Params) (Figure, error) {
 	}
 	return Figure{
 		ID:     "ablation",
-		Title:  "design-choice ablations (BH, o=4, k=10, s=1; x: 0=baseline, 1=no I/O integration, 2=no dummy lb, 3=both-family lb)",
+		Title:  "design-choice ablations (BH, o=4, k=10, s=1; x: 0=baseline, 1=no I/O integration, 2=no dummy lb)",
 		XLabel: "variant",
 		Series: []stats.Series{total, cpu, pages, lbs},
 	}, nil

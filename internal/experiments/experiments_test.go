@@ -185,7 +185,7 @@ func TestAblationTiny(t *testing.T) {
 		t.Fatalf("series = %d", len(f.Series))
 	}
 	pages := f.Series[2]
-	if len(pages.Y) != 4 {
+	if len(pages.Y) != 3 {
 		t.Fatalf("variants = %d", len(pages.Y))
 	}
 	// Disabling I/O integration can only increase pages.

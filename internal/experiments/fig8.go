@@ -104,7 +104,7 @@ func Fig8(p Params) (Figure, error) {
 		Title:  "distance range accuracy ε = lb/ub (%) by DMTM resolution",
 		XLabel: "DMTM %",
 		Series: series,
-		Notes:  "200% = pathnet level (dN = dS); paper: Euclidean plateaus ≈78%, SDN 100% reaches ≈97%",
+		Notes:  "200% = pathnet level (d_N, taken as d_S by the paper's convention; d_N >= d_S); paper: Euclidean plateaus ≈78%, SDN 100% reaches ≈97%",
 	}, nil
 }
 

@@ -44,11 +44,11 @@ func bad(r *registry) {
 }
 
 func good(r *registry, sp *span) {
-	r.started.Add(1)       // the sanctioned write path
-	r.gauge.Store(9)       // likewise for bare atomics
-	r.name = "queries"     // label, not a counter
-	r.phases["knn2d"] = 1  // map writes go to separate (guarded) storage
-	sp.dur = 42            // no atomics in span: plain writes are fine
+	r.started.Add(1)      // the sanctioned write path
+	r.gauge.Store(9)      // likewise for bare atomics
+	r.name = "queries"    // label, not a counter
+	r.phases["knn2d"] = 1 // map writes go to separate (guarded) storage
+	sp.dur = 42           // no atomics in span: plain writes are fine
 	sp.name = "iter"
 	_ = r.started.Value()
 	_ = r.counts

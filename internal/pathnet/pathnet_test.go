@@ -1,9 +1,9 @@
 package pathnet
 
 import (
-	"sync"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"surfknn/internal/dem"

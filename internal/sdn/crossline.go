@@ -8,10 +8,10 @@
 // paper's modification of line generalisation — makes the bound valid at
 // every resolution and monotonically non-decreasing as resolution grows.
 //
-// Two forms reach a caller: the bound itself (LowerBound, LowerBoundScratch,
-// LowerBoundBothScratch) and the decision MR3 takes with the §4.2.2 dummy
-// bound (EnvelopeExceeds), which returns no value because only a comparison
-// is used and the comparison is usually settled by a far cheaper chain. The
+// Two forms reach a caller: the bound itself (LowerBound, LowerBoundScratch)
+// and the decision MR3 takes with the §4.2.2 dummy bound (EnvelopeExceeds),
+// which returns no value because only a comparison is used and the
+// comparison is usually settled by a far cheaper chain. The
 // rule on both sides of the package boundary is that an estimation is skipped
 // only when its result is determined; the arguments are written where the
 // code is (EnvelopeExceeds in lower.go, the pruning in kernel.go).

@@ -77,10 +77,10 @@ func kernelFixtures() []kernelFixture {
 }
 
 // checkPair compares kernel and reference for one pair and region at one
-// resolution in all three estimation modes, and the envelope decision with
-// the decision the reference envelope's value gives. envPrev is the path the
-// envelope run thickens (the previous level's reference path, as MR3 does);
-// sc is reused across calls so stale scratch state would show.
+// resolution in both estimation modes (full and envelope), and the envelope
+// decision with the decision the reference envelope's value gives. envPrev is
+// the path the envelope run thickens (the previous level's reference path, as
+// MR3 does); sc is reused across calls so stale scratch state would show.
 func checkPair(t *testing.T, what string, ms *MSDN, sc *Scratch, a, b geom.Vec3, region geom.MBR, res float64, envPrev []Segment) LowerEstimate {
 	t.Helper()
 	want := refLowerBound(ms, a, b, region, res, nil, 0)
@@ -96,9 +96,6 @@ func checkPair(t *testing.T, what string, ms *MSDN, sc *Scratch, a, b geom.Vec3,
 			t.Fatalf("%s: EnvelopeExceeds(threshold %v) = %v, reference envelope %v", what, thr, got, wantEnv.LB)
 		}
 	}
-	sameEstimate(t, what+" both",
-		ms.LowerBoundBothScratch(sc, a, b, region, res),
-		refLowerBoundBoth(ms, a, b, region, res))
 
 	// The witness tier: the wide witness bounds the envelope DP, and at the
 	// witness length and one ulp to either side — where the tier is the one
@@ -292,7 +289,6 @@ func TestWarmChainAllocatesNothing(t *testing.T) {
 			// floor): the narrow chain cannot, and the wide one runs too.
 			f.ms.EnvelopeExceeds(&sc, a, b, f.ext, res, prev, 2*f.ms.Spacing, 0, math.Inf(1))
 			f.ms.EnvelopeExceeds(&sc, a, b, f.ext, res, prev, 2*f.ms.Spacing, 0, 0)
-			f.ms.LowerBoundBothScratch(&sc, a, b, f.ext, res)
 		}); n != 0 {
 			t.Errorf("res %v: warm lower bound allocates %v times per run", res, n)
 		}

@@ -52,8 +52,7 @@ type Scratch struct {
 	prev      []int32
 	pre, suf  []float64 // prefix and suffix minima of a source layer's dist
 	path      []Segment
-	pathAlt   []Segment // parks the first family's path in LowerBoundBothScratch
-	runs      []int32   // mask's per-box entry runs, [lo, hi) pairs
+	runs      []int32 // mask's per-box entry runs, [lo, hi) pairs
 	pairs     int64
 }
 
@@ -83,29 +82,6 @@ func (ms *MSDN) LowerBound(a, b geom.Vec3, region geom.MBR, resolution float64) 
 func (ms *MSDN) LowerBoundScratch(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64) LowerEstimate {
 	est, _ := ms.chain(sc, prefersX(a, b), a, b, region, resolution, planeStepFor(resolution), envelope{})
 	return est
-}
-
-// LowerBoundBothScratch estimates with BOTH plane families and returns the
-// larger bound. The paper's 45° heuristic picks a single family; since each
-// family's chain is independently valid, their maximum is a strictly
-// tighter (never worse) bound at roughly twice the cost. Offered as an
-// extension; see the BenchmarkAblationBothFamilies targets.
-func (ms *MSDN) LowerBoundBothScratch(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64) LowerEstimate {
-	useX := prefersX(a, b)
-	step := planeStepFor(resolution)
-	first, _ := ms.chain(sc, useX, a, b, region, resolution, step, envelope{})
-	if len(first.Path) > 0 {
-		// The second run rebuilds sc.path; park the first family's path.
-		sc.pathAlt = append(sc.pathAlt[:0], first.Path...)
-		first.Path = sc.pathAlt
-	}
-	other, _ := ms.chain(sc, !useX, a, b, region, resolution, step, envelope{})
-	if other.LB > first.LB {
-		other.Segments += first.Segments
-		return other
-	}
-	first.Segments += other.Segments
-	return first
 }
 
 // prefersX applies the paper's heuristic: when the (x,y) direction between

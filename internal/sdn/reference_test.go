@@ -35,18 +35,6 @@ func refLowerBound(ms *MSDN, a, b geom.Vec3, region geom.MBR, resolution float64
 	return refChain(ms, prefersX(a, b), a, b, region, resolution, envelope, margin)
 }
 
-// refLowerBoundBoth mirrors MSDN.LowerBoundBothScratch.
-func refLowerBoundBoth(ms *MSDN, a, b geom.Vec3, region geom.MBR, resolution float64) LowerEstimate {
-	first := refChain(ms, prefersX(a, b), a, b, region, resolution, nil, 0)
-	other := refChain(ms, !prefersX(a, b), a, b, region, resolution, nil, 0)
-	if other.LB > first.LB {
-		other.Segments += first.Segments
-		return other
-	}
-	first.Segments += other.Segments
-	return first
-}
-
 func refChain(ms *MSDN, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, envelope []Segment, margin float64) LowerEstimate {
 	euclid := a.Dist(b)
 	lines, lo, hi := ms.YLines, math.Min(a.Y, b.Y), math.Max(a.Y, b.Y)

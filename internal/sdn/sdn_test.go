@@ -280,36 +280,6 @@ func TestFamilyChoice(t *testing.T) {
 	}
 }
 
-func TestLowerBoundBothNeverWorse(t *testing.T) {
-	t.Parallel()
-	m := rugged(8, 41)
-	ms := ladderMSDN(m, 0)
-	ext := m.Extent()
-	loc := mesh.NewLocator(m)
-	solver := geodesic.NewSolver(m)
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 10; trial++ {
-		pa := geom.Vec2{X: ext.MinX + rng.Float64()*ext.Width(), Y: ext.MinY + rng.Float64()*ext.Height()}
-		pb := geom.Vec2{X: ext.MinX + rng.Float64()*ext.Width(), Y: ext.MinY + rng.Float64()*ext.Height()}
-		a, errA := mesh.MakeSurfacePoint(m, loc, pa)
-		b, errB := mesh.MakeSurfacePoint(m, loc, pb)
-		if errA != nil || errB != nil {
-			continue
-		}
-		single := ms.LowerBound(a.Pos, b.Pos, ext, 1.0)
-		var sc Scratch
-		both := ms.LowerBoundBothScratch(&sc, a.Pos, b.Pos, ext, 1.0)
-		if both.LB < single.LB-1e-9 {
-			t.Fatalf("both-families lb %v below single-family %v", both.LB, single.LB)
-		}
-		// Still a valid lower bound.
-		exact := solver.Distance(a, b)
-		if both.LB > exact+1e-6 {
-			t.Fatalf("both-families lb %v exceeds exact %v", both.LB, exact)
-		}
-	}
-}
-
 func TestValidate(t *testing.T) {
 	t.Parallel()
 	build := func() *MSDN { return BuildMSDN(rugged(8, 7), 0) }

@@ -108,7 +108,6 @@ type Options struct {
 	OverlapThreshold *float64 `json:"overlap_threshold,omitempty" api:"v1"`
 	IOIntegration    *bool    `json:"io_integration,omitempty" api:"v1"`
 	DummyLB          *bool    `json:"dummy_lb,omitempty" api:"v1"`
-	BothFamilyLB     *bool    `json:"both_family_lb,omitempty" api:"v1"`
 }
 
 // Neighbor is one result object. LB/UB are the exact float64 surface

@@ -73,8 +73,8 @@ func TestTypedRoutesBuildTheSKQLPlan(t *testing.T) {
 		{"knn", "/v1/knn", `{"x":800,"y":810.5,"k":5}`,
 			`SELECT k=5 NEAREST (800, 810.5)`, sklang.AlgoMR3},
 		{"knn sched+options", "/v1/knn",
-			`{"x":800,"y":800,"k":5,"sched":2,"options":{"step2_accuracy":0.5,"overlap_threshold":0.25,"io_integration":false,"dummy_lb":true,"both_family_lb":true}}`,
-			`SELECT k=5 NEAREST (800, 800) USING s=2, step2=0.5, overlap=0.25, io=off, dummy_lb=on, both_lb=on`, sklang.AlgoMR3},
+			`{"x":800,"y":800,"k":5,"sched":2,"options":{"step2_accuracy":0.5,"overlap_threshold":0.25,"io_integration":false,"dummy_lb":true}}`,
+			`SELECT k=5 NEAREST (800, 800) USING s=2, step2=0.5, overlap=0.25, io=off, dummy_lb=on`, sklang.AlgoMR3},
 		// An explicit step2_accuracy of 1 is a tuning value, not a demand
 		// for exactness: only ACCURACY 1 selects EA.
 		{"knn step2=1 stays mr3", "/v1/knn", `{"x":800,"y":800,"k":3,"options":{"step2_accuracy":1}}`,

@@ -157,7 +157,6 @@ func using(sched int, o *api.Options) []sklang.Option {
 	}
 	flag("io", o.IOIntegration)
 	flag("dummy_lb", o.DummyLB)
-	flag("both_lb", o.BothFamilyLB)
 	return u
 }
 

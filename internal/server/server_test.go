@@ -91,6 +91,7 @@ func TestValidation(t *testing.T) {
 		{"unknown field", "/v1/knn", `{"x":800,"y":800,"k":3,"radius":5}`, http.StatusBadRequest, "bad_request"},
 		{"trailing data", "/v1/knn", `{"x":800,"y":800,"k":3}{"again":1}`, http.StatusBadRequest, "bad_request"},
 		{"bad option fraction", "/v1/knn", `{"x":800,"y":800,"k":3,"options":{"step2_accuracy":1.5}}`, http.StatusBadRequest, "bad_request"},
+		{"retired option", "/v1/knn", `{"x":800,"y":800,"k":3,"options":{"both_family_lb":true}}`, http.StatusBadRequest, "bad_request"},
 		{"numeric timeout", "/v1/knn", `{"x":800,"y":800,"k":3,"timeout":5}`, http.StatusBadRequest, "bad_request"},
 		{"off-terrain point", "/v1/knn", `{"x":-1e6,"y":0,"k":3}`, http.StatusNotFound, "not_found"},
 		{"bad radius", "/v1/range", `{"x":800,"y":800,"radius":-5}`, http.StatusBadRequest, "bad_request"},

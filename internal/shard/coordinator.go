@@ -161,15 +161,6 @@ func (c *Coordinator) Verify(ctx context.Context) error {
 	return nil
 }
 
-// tileIDs maps shard indexes to their manifest tile ids.
-func (c *Coordinator) tileIDs(idx []int) []string {
-	ids := make([]string, len(idx))
-	for i, s := range idx {
-		ids[i] = c.shards[s].meta.ID
-	}
-	return ids
-}
-
 // DegradedError reports a scatter that could not assemble a complete
 // answer: which shards failed and why.
 type DegradedError struct {
@@ -360,7 +351,7 @@ func (c *Coordinator) knn(ctx context.Context, p *sklang.Plan, timeout api.Durat
 			foreign = append(foreign, i)
 		}
 	}
-	tr.touch(traceStep1, c.tileIDs(foreign))
+	tr.touch(traceStep1, foreign...)
 	err := c.scatter(ctx, foreign, func(ctx context.Context, i int, sc *shardConn) error {
 		res, _, err := sc.cli.ShardKNN2D(ctx, api.ShardKNN2DRequest{X: p.X, Y: p.Y, K: p.K})
 		if err != nil {
@@ -392,7 +383,7 @@ func (c *Coordinator) knn(ctx context.Context, p *sklang.Plan, timeout api.Durat
 
 	// The query tile's shard answers, or asks to resume at a radius.
 	onHome := func(step string, req api.ShardKNNRequest) (api.ShardResult, error) {
-		tr.touch(step, c.tileIDs([]int{home}))
+		tr.touch(step, home)
 		var out api.ShardResult
 		err := c.scatter(ctx, []int{home}, func(ctx context.Context, _ int, sc *shardConn) error {
 			var err error
@@ -437,7 +428,7 @@ func (c *Coordinator) knn(ctx context.Context, p *sklang.Plan, timeout api.Durat
 			gather = append(gather, i)
 		}
 	}
-	tr.touch(traceStep3, c.tileIDs(gather))
+	tr.touch(traceStep3, gather...)
 	err = c.scatter(ctx, gather, func(ctx context.Context, i int, sc *shardConn) error {
 		res, _, err := sc.cli.ShardRange2D(ctx, api.ShardRange2DRequest{X: p.X, Y: p.Y, Radius: radius})
 		if err != nil {
@@ -475,7 +466,7 @@ func (c *Coordinator) rangeQuery(ctx context.Context, p *sklang.Plan, timeout ap
 		lists = make([][]api.Neighbor, len(c.shards))
 	)
 	reach := c.reachableShards(q, p.Radius)
-	tr.touch(traceScatter, c.tileIDs(reach))
+	tr.touch(traceScatter, reach...)
 	err := c.scatter(ctx, reach, func(ctx context.Context, i int, sc *shardConn) error {
 		res, _, err := sc.cli.ShardRange(ctx, api.ShardRangeRequest{
 			X: p.X, Y: p.Y, Radius: p.Radius,
@@ -514,8 +505,9 @@ func (c *Coordinator) ea(ctx context.Context, p *sklang.Plan, timeout api.Durati
 		cost  costs
 		lists = make([][]api.Neighbor, len(c.shards))
 	)
-	tr.touch(traceScatter, c.tileIDs(c.allShards()))
-	err := c.scatter(ctx, c.allShards(), func(ctx context.Context, i int, sc *shardConn) error {
+	all := c.allShards()
+	tr.touch(traceScatter, all...)
+	err := c.scatter(ctx, all, func(ctx context.Context, i int, sc *shardConn) error {
 		res, _, err := sc.cli.ShardEA(ctx, api.ShardEARequest{X: p.X, Y: p.Y, K: p.K, Timeout: timeout})
 		if err != nil {
 			return err
@@ -589,7 +581,7 @@ func (c *Coordinator) distance(ctx context.Context, p *sklang.Plan, timeout api.
 		res, meta, err := sc.cli.Distance(callCtx, req)
 		cancel()
 		if err == nil {
-			tr.touch(traceScatter, c.tileIDs([]int{i}))
+			tr.touch(traceScatter, i)
 			return res, meta.Epoch, nil
 		}
 		c.stats.ShardErrors.Add(1)

@@ -31,8 +31,10 @@ const (
 
 // queryTrace records which tiles each distributed step touched and the
 // costs the shards reported, for EXPLAIN. All methods are nil-safe (a nil
-// trace records nothing) and safe under scatter concurrency.
+// trace records nothing, so a query without EXPLAIN builds no tile lists)
+// and safe under scatter concurrency.
 type queryTrace struct {
+	c       *Coordinator // maps shard indexes to manifest tile ids
 	mu      sync.Mutex
 	tiles   map[string][]string
 	costs   map[string]api.Cost
@@ -40,7 +42,8 @@ type queryTrace struct {
 	radius  float64 // the step-3 radius it resumed at
 }
 
-func (t *queryTrace) touch(step string, tiles []string) {
+// touch records the tiles of the shards idx as the ones step touched.
+func (t *queryTrace) touch(step string, idx ...int) {
 	if t == nil {
 		return
 	}
@@ -49,7 +52,11 @@ func (t *queryTrace) touch(step string, tiles []string) {
 	if t.tiles == nil {
 		t.tiles = make(map[string][]string)
 	}
-	t.tiles[step] = tiles
+	ids := make([]string, len(idx))
+	for i, s := range idx {
+		ids[i] = t.c.shards[s].meta.ID
+	}
+	t.tiles[step] = ids
 }
 
 func (t *queryTrace) charge(step string, c api.Cost) {
@@ -102,7 +109,7 @@ func (c *Coordinator) Execute(ctx context.Context, req front.Request) (front.Rep
 	plan, timeout := req.Plan, api.Duration(req.Timeout)
 	var tr *queryTrace
 	if req.Explain {
-		tr = &queryTrace{}
+		tr = &queryTrace{c: c}
 	}
 	var (
 		ans front.Answer

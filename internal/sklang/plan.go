@@ -339,7 +339,7 @@ func applyUsing(p *Plan, using []Option, engineOpts bool) *Error {
 			}
 			v := o.Num
 			optionsOf(p).OverlapThreshold = &v
-		case "io", "dummy_lb", "both_lb":
+		case "io", "dummy_lb":
 			if !engineOpts {
 				return errf(o.KeyP, o.Key, "option %q does not apply to this query form", o.Key)
 			}
@@ -347,16 +347,13 @@ func applyUsing(p *Plan, using []Option, engineOpts bool) *Error {
 			if !ok {
 				return errf(o.ValueP, o.String(), "%s must be on, off, true or false", o.Key)
 			}
-			switch o.Key {
-			case "io":
+			if o.Key == "io" {
 				optionsOf(p).IOIntegration = &b
-			case "dummy_lb":
+			} else {
 				optionsOf(p).DummyLB = &b
-			default:
-				optionsOf(p).BothFamilyLB = &b
 			}
 		default:
-			return errf(o.KeyP, o.Key, "unknown option %q (known: s, step2, overlap, io, dummy_lb, both_lb)", o.Key)
+			return errf(o.KeyP, o.Key, "unknown option %q (known: s, step2, overlap, io, dummy_lb)", o.Key)
 		}
 	}
 	if p.Sched == 0 {

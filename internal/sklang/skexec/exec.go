@@ -88,9 +88,6 @@ func CoreOptions(o *api.Options) (core.Options, error) {
 	if o.DummyLB != nil {
 		fns = append(fns, core.WithDummyLB(*o.DummyLB))
 	}
-	if o.BothFamilyLB != nil {
-		fns = append(fns, core.WithBothFamilyLB(*o.BothFamilyLB))
-	}
 	return core.NewOptions(fns...), nil
 }
 

@@ -201,6 +201,7 @@ func TestPlanPushdown(t *testing.T) {
 func TestPlanErrors(t *testing.T) {
 	cases := []struct{ in, wantMsg string }{
 		{"SELECT k=5 NEAREST (1, 2) USING zoom=4", "unknown option"},
+		{"SELECT k=5 NEAREST (1, 2) USING both_lb=on", "unknown option"},
 		{"SELECT k=5 NEAREST (1, 2) USING s=4", "s must be 1, 2 or 3"},
 		{"SELECT k=5 NEAREST (1, 2) USING s=2, s=3", "duplicate option"},
 		{"SELECT k=5 NEAREST (1, 2) USING io=maybe", "io must be on, off"},

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # check.sh — the full verification gate, exactly what CI runs.
 #
-#   build → vet → benchmark record → sklint (self-hosted lint) → race tests → parallel-bench
+#   build → vet → gofmt → benchmark record → sklint (self-hosted lint) → race tests → parallel-bench
 #   smoke → debug endpoint smoke → server smoke → shard fleet smoke → snapshot
 #   determinism → fuzz smoke → line count
 #
@@ -15,6 +15,15 @@ go build ./...
 
 echo "== vet =="
 go vet ./...
+
+echo "== gofmt =="
+# Every Go file, testdata fixtures included, must be gofmt-clean.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists unformatted files:" >&2
+    printf '%s\n' "$unformatted" >&2
+    exit 1
+fi
 
 echo "== benchmark record =="
 # The ROADMAP ordering rule: every PR commits its benchmark record. The

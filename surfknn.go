@@ -181,7 +181,6 @@ var (
 	WithOverlapThreshold = core.WithOverlapThreshold
 	WithIOIntegration    = core.WithIOIntegration
 	WithDummyLB          = core.WithDummyLB
-	WithBothFamilyLB     = core.WithBothFamilyLB
 )
 
 // Observability. Instrument a TerrainDB with a Registry to feed the
