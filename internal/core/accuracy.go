@@ -94,10 +94,9 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 		} else {
 			tm := db.rungTime[ri]
 			s.touchDMTM(region, tm)
-			est := s.est.UpperBound(db.Mesh, a, b, tm, region, nil)
 			pc.UpperBounds++
-			if est.UB < out.UB {
-				out.UB = est.UB
+			if ub = s.est.UpperBound(db.Mesh, a, b, tm); ub < out.UB {
+				out.UB = ub
 			}
 		}
 		// Lower bound within the refreshed ellipse (running maximum).

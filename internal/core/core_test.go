@@ -74,25 +74,40 @@ func sameKSet(t *testing.T, db *TerrainDB, q mesh.SurfacePoint, got []Neighbor, 
 	}
 }
 
+// TestMR3MatchesBruteForce holds MR3's answer to the brute-force k-set on a
+// small BH terrain and on BH and EP 32² under every schedule, from k = 1 to
+// k = 50: bounds decided early are where a wrong bound would show.
 func TestMR3MatchesBruteForce(t *testing.T) {
-	db := buildDB(t, dem.BH, 16, 60, 101)
-	qs := queryPoints(t, db, 4, 55)
-	for _, sched := range []Schedule{S1, S2, S3} {
-		for _, k := range []int{1, 3, 8} {
-			for qi, q := range qs {
-				res, err := db.NewSession().MR3Ctx(bg, q, k, sched, Options{})
-				if err != nil {
-					t.Fatalf("s=%d k=%d q%d: %v", sched, k, qi, err)
-				}
-				if len(res.Neighbors) != k {
-					t.Fatalf("s=%d k=%d q%d: %d neighbours", sched, k, qi, len(res.Neighbors))
-				}
-				sameKSet(t, db, q, res.Neighbors, k)
-				// Ranges must bracket the reference distance.
-				for _, n := range res.Neighbors {
-					d := db.ReferenceDistance(q, n.Object.Point)
-					if n.LB > d+1e-6*(1+d) || n.UB < d-1e-6*(1+d) {
-						t.Errorf("s=%d k=%d: range [%v,%v] misses reference %v", sched, k, n.LB, n.UB, d)
+	cases := []struct {
+		name string
+		db   *TerrainDB
+		qs   int
+		ks   []int
+	}{
+		{"BH16", buildDB(t, dem.BH, 16, 60, 101), 4, []int{1, 3, 8}},
+		{"BH32", buildDB(t, dem.BH, 32, 120, 102), 2, []int{1, 10, 50}},
+		{"EP32", buildDB(t, dem.EP, 32, 120, 103), 2, []int{1, 10, 50}},
+	}
+	for _, c := range cases {
+		db := c.db
+		qs := queryPoints(t, db, c.qs, 55)
+		for _, sched := range []Schedule{S1, S2, S3} {
+			for _, k := range c.ks {
+				for qi, q := range qs {
+					res, err := db.NewSession().MR3Ctx(bg, q, k, sched, Options{})
+					if err != nil {
+						t.Fatalf("%s s=%d k=%d q%d: %v", c.name, sched, k, qi, err)
+					}
+					if len(res.Neighbors) != k {
+						t.Fatalf("%s s=%d k=%d q%d: %d neighbours", c.name, sched, k, qi, len(res.Neighbors))
+					}
+					sameKSet(t, db, q, res.Neighbors, k)
+					// Ranges must bracket the reference distance.
+					for _, n := range res.Neighbors {
+						d := db.ReferenceDistance(q, n.Object.Point)
+						if n.LB > d+1e-6*(1+d) || n.UB < d-1e-6*(1+d) {
+							t.Errorf("%s s=%d k=%d: range [%v,%v] misses reference %v", c.name, sched, k, n.LB, n.UB, d)
+						}
 					}
 				}
 			}
@@ -263,7 +278,7 @@ func TestUnmaterialisedLevelPanics(t *testing.T) {
 		call()
 	}
 	panics("sdn: ", func() { db.MSDN.LowerBound(a.Pos, b.Pos, ext, 0.6) })
-	panics("multires: ", func() { db.NewSession().est.UpperBound(db.Mesh, a, b, tm, ext, nil) })
+	panics("multires: ", func() { db.NewSession().est.UpperBound(db.Mesh, a, b, tm) })
 }
 
 func TestMR3ErrorsWithoutObjects(t *testing.T) {

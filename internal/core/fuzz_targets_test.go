@@ -247,11 +247,9 @@ func getOracleTerrain(t testing.TB, preset, seed uint8) *oracleTerrain {
 // FuzzUpperBoundOracle checks the upper half of the paper's guarantee,
 // d_S <= ub, against ground truth: on generated rugged, smooth and flat
 // terrains, for fuzzer-chosen pairs of surface points, every finite DMTM
-// upper bound — at every ladder level, searched over the whole extent, over
-// the ellipse rectangle of the bound so far, and as ranker.updateUB runs it
-// (that rectangle narrowed to the descendants of the previous path, widened
-// on failure) — is at least the exact Chen–Han surface distance, and the
-// running minimum the ranker keeps never rises.
+// upper bound — at every ladder level, the estimator's level-network
+// distance and the running minimum ranker.updateUB keeps — is at least the
+// exact Chen–Han surface distance, and that running minimum never rises.
 func FuzzUpperBoundOracle(f *testing.F) {
 	f.Add(uint8(0), uint8(0), 0.1, 0.2, 0.8, 0.9)
 	f.Add(uint8(1), uint8(1), 0.5, 0.5, 0.51, 0.62)
@@ -283,9 +281,7 @@ func FuzzUpperBoundOracle(f *testing.F) {
 		c := &r.cands[0]
 		for ri, res := range DMTMLadder {
 			tm := db.rungTime[ri]
-			region := r.regionOf(c)
-			sound("whole extent", res, s.est.UpperBound(db.Mesh, a, b, tm, db.Extent, nil).UB)
-			sound("ellipse region", res, s.est.UpperBound(db.Mesh, a, b, tm, region, nil).UB)
+			sound("level network", res, s.est.UpperBound(db.Mesh, a, b, tm))
 			before := c.ub
 			r.updateUB(c, ri)
 			if c.ub > before {

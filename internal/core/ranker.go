@@ -5,7 +5,6 @@ import (
 
 	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
-	"surfknn/internal/multires"
 	"surfknn/internal/obs"
 	"surfknn/internal/sdn"
 	"surfknn/internal/stats"
@@ -70,10 +69,9 @@ const (
 type candidate struct {
 	obj    workload.Object
 	lb, ub float64
-	// ubPath/lbPath are per-slot copies of the last refinement paths. The
-	// estimators return paths aliasing their own scratch, so they are copied
-	// here; the buffers are retained across queries by the candidate slab.
-	ubPath []multires.NodeID
+	// lbPath is a per-slot copy of the last lower-bound path. The estimator
+	// returns paths aliasing its own scratch, so it is copied here; the
+	// buffer is retained across queries by the candidate slab.
 	lbPath []sdn.Segment
 	state  candState
 	// Cached I/O region (the ellipse MBR of regionOf). It depends only on
@@ -110,7 +108,6 @@ type ranker struct {
 	alive       []*candidate // aliveCands output; sorted in place
 	groupRegion []geom.MBR   // running merged region per I/O group
 	groupOf     []int32      // group index per target (parallel to targets)
-	refined     []geom.MBR   // refined-region scratch, sized to the longest path
 	resultsBuf  []Neighbor   // results() output; aliased by Result.Neighbors
 
 	// tighten keeps refining even after the k-set is determined, until the
@@ -152,7 +149,7 @@ func (r *ranker) begin(s *Session, q mesh.SurfacePoint, k int, sched Schedule, o
 }
 
 // addCand appends one candidate to the slab, reusing the slot's retained
-// path buffers. Capacity is ensured at query open, so the slab never
+// path buffer. Capacity is ensured at query open, so the slab never
 // reallocates here and candidate pointers stay valid.
 func (r *ranker) addCand(o workload.Object) {
 	n := len(r.cands)
@@ -161,7 +158,6 @@ func (r *ranker) addCand(o workload.Object) {
 	c.obj = o
 	c.lb = r.q.Pos.Dist(o.Point.Pos) // Euclidean floor (§4.2)
 	c.ub = math.Inf(1)
-	c.ubPath = c.ubPath[:0]
 	c.lbPath = c.lbPath[:0]
 	c.state = candActive
 	c.regionOK = false
@@ -368,7 +364,6 @@ func (r *ranker) iterate(targets []*candidate, ri int, exclude float64) {
 // estimate never hurts correctness.
 func (r *ranker) updateUB(c *candidate, ri int) {
 	r.pc.UpperBounds++
-	region := r.regionOf(c)
 	if ri == pathnetRung {
 		// Clipping only removes paths, so the clipped distance is never
 		// below the unclipped one: when that already reaches c.ub, no
@@ -377,7 +372,7 @@ func (r *ranker) updateUB(c *candidate, ri int) {
 		if r.s.path.FromSource(r.q, c.obj.Point) >= c.ub {
 			return
 		}
-		d := r.s.clippedDistance(r.q, c.obj.Point, c.ub, region)
+		d := r.s.clippedDistance(r.q, c.obj.Point, c.ub, r.regionOf(c))
 		if d < c.ub {
 			c.setUB(d)
 			// At the pathnet rung d is d_N, the pathnet distance at
@@ -393,49 +388,13 @@ func (r *ranker) updateUB(c *candidate, ri int) {
 		}
 		return
 	}
-	// Refined search region: the descendants of the previous upper-bound
-	// path, represented by those nodes' subtree MBRs (Fig. 6(b)).
-	tm := r.s.db.rungTime[ri]
-	refined := r.refinedRegions(c)
-	est := r.tryUpperBound(c, tm, region, refined)
-	if math.IsInf(est.UB, 1) && len(refined) > 0 {
-		// "If it is too narrow to compute the shortest network path, its
-		// area will be expanded by double each vertex's MBR."
-		for i := range refined {
-			refined[i] = refined[i].Expand(math.Max(refined[i].Width(), refined[i].Height()) / 2)
-		}
-		est = r.tryUpperBound(c, tm, region, refined)
-		if math.IsInf(est.UB, 1) {
-			est = r.tryUpperBound(c, tm, region, nil)
-		}
+	// The whole level network's distance, off the shared search: never
+	// looser than a search restricted to the region, and when it lowers
+	// c.ub every node p of its path has |qp| + |po| <= its length < c.ub,
+	// so the path lies inside the ellipse whose pages iterate touched.
+	if ub := r.s.est.UpperBound(r.s.db.Mesh, r.q, c.obj.Point, r.s.db.rungTime[ri]); ub < c.ub {
+		c.setUB(ub)
 	}
-	if est.UB < c.ub {
-		c.setUB(est.UB)
-		// est.Path aliases the estimator's scratch: copy it into the slot's
-		// retained buffer before the next estimation overwrites it.
-		c.ubPath = append(c.ubPath[:0], est.Path...)
-	}
-}
-
-// tryUpperBound runs one upper-bound estimation in place on the level
-// network of time tm, under the candidate's search region and refined
-// regions.
-func (r *ranker) tryUpperBound(c *candidate, tm int32, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
-	return r.s.est.UpperBound(r.s.db.Mesh, r.q, c.obj.Point, tm, region, refined)
-}
-
-// refinedRegions converts the previous upper-bound path into its
-// search-region MBRs, filling the ranker's refined scratch (sized to the
-// DDM tree's leaf count, which bounds any path length: see NewSession).
-func (r *ranker) refinedRegions(c *candidate) []geom.MBR {
-	if len(c.ubPath) == 0 {
-		return nil
-	}
-	out := r.refined[:len(c.ubPath)]
-	for i, v := range c.ubPath {
-		out[i] = r.s.db.Tree.Nodes[v].MBR
-	}
-	return out
 }
 
 // updateLB refines the candidate's lower bound at the given SDN resolution

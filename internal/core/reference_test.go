@@ -11,25 +11,21 @@ import (
 	"surfknn/internal/mesh"
 	"surfknn/internal/multires"
 	"surfknn/internal/stats"
-	"surfknn/internal/storage"
 	"surfknn/internal/workload"
 )
 
-// The upper-bound path as it ran before the level networks, the resolved
-// edge batch and the shared-source search, kept as the reference the query
-// engine is held to:
+// The upper-bound path as it ran before the level networks and the
+// shared-source searches, kept as the reference the query engine is held to:
 //
-//   - every refinement step below the pathnet level fetches the DMTM records
-//     of its group region — the records valid at the level whose rectangle
-//     meets the region, in storage order — and every upper-bound estimation
-//     re-derives each fetched edge's rectangle through Tree.EdgeMBR, filters
-//     it with MBR.Intersects, and materialises the survivors as a private
-//     network (NetworkFromEdgeIDs → Embed → DijkstraTarget: map-backed
-//     numbering in first-seen order, adjacency lists in edge order);
+//   - every upper-bound estimation below the pathnet level extracts the whole
+//     level network as a private graph and searches it from scratch
+//     (Tree.UpperBound with IncludeAll: ExtractNetwork → Embed →
+//     DijkstraTarget, map-backed numbering in first-seen order, adjacency
+//     lists in edge order), with no refined region and no retry;
 //   - every pathnet distance is its own clipped DistanceWithin from the
 //     query point, retried unclipped with DistanceValue where the settle
 //     steps did so;
-//   - the pathnet-level iteration and EA fetch their DMTM records like any
+//   - the pathnet-level iteration and EA touch their DMTM pages like any
 //     other step.
 //
 // and the lower-bound side as it ran before the ranker asked whether an
@@ -43,26 +39,18 @@ import (
 // decision is the envelope value's is pinned in internal/sdn.
 //
 // Everything the two paths share (classification, grouping, the 2-D filters,
-// cost phases) is the session's own code, so a difference in any answer,
-// bound or page count is a difference in one of those two paths. The fetch
-// pays its pages through the session's touchDMTM and takes its records from
-// recs, the record slice a twin SortClustered left in storage order; that a
-// paged read yields exactly that subsequence, page for page what Touch
-// charges, is pinned in internal/storage (TestFetchIsStorageOrder,
-// TestTouchMatchesReference).
+// cost phases, the page touches) is the session's own code, so a difference
+// in any answer, bound or page count is a difference in one of those two
+// paths.
 type refEngine struct {
 	s      *Session
-	recs   []storage.ClusterRecord
-	ids    []int32
 	closed int // lower-bound estimations run on a closed range
 }
 
 // newRefEngine returns the reference engine over a session of db.
 func newRefEngine(t testing.TB, db *TerrainDB) *refEngine {
 	t.Helper()
-	recs := dmtmRecords(db.Tree)
-	storage.SortClustered(recs)
-	return &refEngine{s: db.NewSession(), recs: recs}
+	return &refEngine{s: db.NewSession()}
 }
 
 // takeClosed returns the closed-range estimations since the last call.
@@ -70,17 +58,6 @@ func (e *refEngine) takeClosed() int {
 	n := e.closed
 	e.closed = 0
 	return n
-}
-
-func (e *refEngine) fetchDMTM(region geom.MBR, tm int32) ([]int32, error) {
-	e.s.touchDMTM(region, tm)
-	e.ids = e.ids[:0]
-	for _, r := range e.recs {
-		if r.From <= tm && tm < r.To && r.MBR.Intersects(region) {
-			e.ids = append(e.ids, int32(r.ID))
-		}
-	}
-	return e.ids, nil
 }
 
 // settle is the settle steps' "clipped distance, retry unclipped on +Inf".
@@ -153,27 +130,23 @@ func (e *refEngine) iterate(r *ranker, targets []*candidate, dmRes, sdnRes, excl
 		if dmRes < PathnetResolution {
 			tm = r.s.db.Tree.TimeForResolution(dmRes)
 		}
-		edgeIDs, err := e.fetchDMTM(r.groupRegion[gi], tm)
-		if err != nil {
-			return err
-		}
+		e.s.touchDMTM(r.groupRegion[gi], tm)
 		e.s.touchSDN(r.groupRegion[gi], level)
 		for ti, c := range targets {
 			if r.groupOf[ti] != int32(gi) {
 				continue
 			}
-			e.updateUB(r, c, dmRes, tm, edgeIDs)
+			e.updateUB(r, c, dmRes, tm)
 			e.updateLB(r, c, sdnRes, exclude)
 		}
 	}
 	return nil
 }
 
-func (e *refEngine) updateUB(r *ranker, c *candidate, dmRes float64, tm int32, edgeIDs []int32) {
+func (e *refEngine) updateUB(r *ranker, c *candidate, dmRes float64, tm int32) {
 	r.pc.UpperBounds++
-	region := r.regionOf(c)
 	if dmRes >= PathnetResolution {
-		d := r.s.path.DistanceWithin(r.q, c.obj.Point, region)
+		d := r.s.path.DistanceWithin(r.q, c.obj.Point, r.regionOf(c))
 		if d < c.ub {
 			c.setUB(d)
 			if d > c.lb {
@@ -182,20 +155,8 @@ func (e *refEngine) updateUB(r *ranker, c *candidate, dmRes float64, tm int32, e
 		}
 		return
 	}
-	refined := r.refinedRegions(c)
-	est := e.tryUpperBound(r, c, tm, edgeIDs, region, refined)
-	if math.IsInf(est.UB, 1) && len(refined) > 0 {
-		for i := range refined {
-			refined[i] = refined[i].Expand(math.Max(refined[i].Width(), refined[i].Height()) / 2)
-		}
-		est = e.tryUpperBound(r, c, tm, edgeIDs, region, refined)
-		if math.IsInf(est.UB, 1) {
-			est = e.tryUpperBound(r, c, tm, edgeIDs, region, nil)
-		}
-	}
-	if est.UB < c.ub {
-		c.setUB(est.UB)
-		c.ubPath = append(c.ubPath[:0], est.Path...)
+	if ub := r.s.db.Tree.UpperBound(r.s.db.Mesh, r.q, c.obj.Point, tm, multires.IncludeAll).UB; ub < c.ub {
+		c.setUB(ub)
 	}
 }
 
@@ -214,30 +175,6 @@ func (e *refEngine) updateLB(r *ranker, c *candidate, sdnRes, kthUB float64) {
 		}
 	}
 	r.applyLB(c, r.s.db.MSDN.LowerBoundScratch(&r.s.sdnSc, q3, o3, region, sdnRes))
-}
-
-func (e *refEngine) tryUpperBound(r *ranker, c *candidate, tm int32, edgeIDs []int32, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
-	tree := r.s.db.Tree
-	nw := tree.NetworkFromEdgeIDs(tm, edgeIDs, refEdgeFilter(tree, region, refined))
-	return nw.UpperBound(r.s.db.Mesh, r.q, c.obj.Point)
-}
-
-// refEdgeFilter is the edge filter of the reference path: every edge's
-// rectangle re-derived from the tree, then MBR.Intersects.
-func refEdgeFilter(tree *multires.Tree, region geom.MBR, refined []geom.MBR) func(multires.EdgeRec) bool {
-	return func(ed multires.EdgeRec) bool {
-		minX, minY, maxX, maxY := tree.EdgeMBR(ed)
-		em := geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
-		if !em.Intersects(region) {
-			return false
-		}
-		for _, m := range refined {
-			if m.Intersects(em) {
-				return true
-			}
-		}
-		return len(refined) == 0
-	}
 }
 
 // sdnLevelOf is the SDN level materialised at exactly resolution res.
@@ -400,9 +337,7 @@ func (e *refEngine) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound flo
 			region = m
 		}
 	}
-	if _, err := e.fetchDMTM(region, 0); err != nil {
-		return 0, err
-	}
+	s.touchDMTM(region, 0)
 	s.touchSDN(region, fullLevel)
 	s.curPhase().UpperBounds++
 	return e.settle(q, o.Point, region), nil
@@ -511,12 +446,9 @@ func (e *refEngine) DistanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float6
 				}
 			} else {
 				tm := db.Tree.TimeForResolution(dmRes)
-				ids, err := e.fetchDMTM(region, tm)
-				if err != nil {
-					return out, err
-				}
+				s.touchDMTM(region, tm)
 				pc.UpperBounds++
-				if ub := db.Tree.NetworkFromEdgeIDs(tm, ids, nil).UpperBound(db.Mesh, a, b).UB; ub < out.UB {
+				if ub := db.Tree.UpperBound(db.Mesh, a, b, tm, multires.IncludeAll).UB; ub < out.UB {
 					out.UB = ub
 				}
 			}
@@ -935,13 +867,10 @@ func TestDistanceQueryMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkUpperBoundNet times one upper-bound estimation as a refinement
-// step runs it, in place on the level network: a 25 % estimate over the
-// whole terrain gives the pair's bound and path, and the 50 % and 100 %
-// estimations search under that bound's ellipse rectangle — alone, and
-// narrowed to the path's refined regions. arcs/op and settled/op are the
-// estimator's work counters: arcs looked at and vertices settled per
-// estimation.
+// BenchmarkUpperBoundNet times one upper-bound estimation from a fresh
+// source, in place on the level network at 50 % and 100 %: the level's
+// shared search seeded at the query and run until the candidate's bound is
+// decided. settled/op is the vertices that search settles.
 func BenchmarkUpperBoundNet(b *testing.B) {
 	m := mesh.FromGrid(dem.Synthesize(dem.BH, 32, 50, 2006))
 	db, err := BuildTerrainDB(m, Config{})
@@ -952,38 +881,23 @@ func BenchmarkUpperBoundNet(b *testing.B) {
 	q, _ := db.SurfacePointAt(ext.Center())
 	o, _ := db.SurfacePointAt(geom.Vec2{X: ext.MaxX - 90, Y: ext.MaxY - 110})
 	est := db.NewSession().est
-
-	coarse := est.UpperBound(db.Mesh, q, o, db.Tree.TimeForResolution(0.25), ext, nil)
-	if math.IsInf(coarse.UB, 1) || len(coarse.Path) == 0 {
-		b.Fatal("no coarse estimate to refine")
-	}
-	region := geom.NewEllipse(q.XY(), o.XY(), coarse.UB).MBR()
-	refined := make([]geom.MBR, len(coarse.Path))
-	for i, v := range coarse.Path {
-		refined[i] = db.Tree.Nodes[v].MBR
-	}
 	for _, level := range []struct {
 		name string
 		res  float64
 	}{{"50", 0.5}, {"100", 1.0}} {
 		tm := db.Tree.TimeForResolution(level.res)
-		for _, sub := range []struct {
-			name    string
-			refined []geom.MBR
-		}{{"region", nil}, {"refined", refined}} {
-			b.Run(level.name+"/"+sub.name, func(b *testing.B) {
-				if math.IsInf(est.UpperBound(db.Mesh, q, o, tm, region, sub.refined).UB, 1) {
-					b.Fatal("the restriction disconnects the pair")
-				}
-				est.Scanned, est.Settled = 0, 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					est.UpperBound(db.Mesh, q, o, tm, region, sub.refined)
-				}
-				b.ReportMetric(float64(est.Scanned)/float64(b.N), "arcs/op")
-				b.ReportMetric(float64(est.Settled)/float64(b.N), "settled/op")
-			})
-		}
+		b.Run(level.name, func(b *testing.B) {
+			if math.IsInf(est.UpperBound(db.Mesh, q, o, tm), 1) {
+				b.Fatal("the level network does not connect the pair")
+			}
+			settled0 := est.SharedSettled
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				est.ForgetSource()
+				est.UpperBound(db.Mesh, q, o, tm)
+			}
+			b.ReportMetric(float64(est.SharedSettled-settled0)/float64(b.N), "settled/op")
+		})
 	}
 }

@@ -74,9 +74,8 @@ func r2Points(db *TerrainDB, seed int64, n int) []mesh.SurfacePoint {
 // 80 objects, k = 5) is too small to show where the engine's time goes.
 // Besides ns/op and allocs/op (0 once warm) it reports per query the SDN
 // kernel pairs evaluated (pairs/op), the lower-bound estimations run
-// (lb/op), the upper-bound estimations read off a shared search (ub_cert/op),
-// the level-network vertices the upper-bound searches settled, restricted
-// plus shared (ub_settled/op), and the pages accessed (pages/op).
+// (lb/op), the level-network vertices the shared upper-bound searches
+// settled (ub_settled/op), and the pages accessed (pages/op).
 //
 //	go test ./internal/core -run '^$' -bench KNNUniformScale -cpuprofile cpu.out
 func BenchmarkKNNUniformScale(b *testing.B) {
@@ -88,7 +87,7 @@ func BenchmarkKNNUniformScale(b *testing.B) {
 		}
 	}
 	pairs0 := s.sdnSc.Pairs()
-	cert0, settled0 := s.est.Certified, s.est.Settled+s.est.SharedSettled
+	settled0 := s.est.SharedSettled
 	var lbs, pages int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -104,7 +103,6 @@ func BenchmarkKNNUniformScale(b *testing.B) {
 	n := float64(b.N)
 	b.ReportMetric(float64(s.sdnSc.Pairs()-pairs0)/n, "pairs/op")
 	b.ReportMetric(float64(lbs)/n, "lb/op")
-	b.ReportMetric(float64(s.est.Certified-cert0)/n, "ub_cert/op")
-	b.ReportMetric(float64(s.est.Settled+s.est.SharedSettled-settled0)/n, "ub_settled/op")
+	b.ReportMetric(float64(s.est.SharedSettled-settled0)/n, "ub_settled/op")
 	b.ReportMetric(float64(pages)/n, "pages/op")
 }

@@ -18,8 +18,8 @@ import (
 // Under the race detector the queries run ten times slower, so a fixed
 // subset (the first 20 points) is pinned with its own sum.
 const (
-	pinnedScaleSHA256     = "270aa81c88cdb16e4dd567fa1a881daecc2758d01e0d78a5253277727d5bb5a4"
-	pinnedScaleRaceSHA256 = "185e46f18dbcc5e9d5296a8e5746ab2f54ac56455dd04bac5f24859be79f5020"
+	pinnedScaleSHA256     = "02f664cee175c6170fa1e2cce5dac6f26f84b515b7a6fb2ce8ed5a7807e4466c"
+	pinnedScaleRaceSHA256 = "a420bce204b823baa3221e4d6b9b84e63f915c66e194e88406fbeb50756985c5"
 )
 
 // scalePinSum runs the first n points of the scale fixture under every

@@ -81,11 +81,6 @@ func (db *TerrainDB) NewSession() *Session {
 	s := &Session{db: db, path: db.Path.NewQuerier()}
 	if db.Tree != nil {
 		s.est = multires.NewEstimator(db.Tree)
-		// One refined rectangle per node of the previous upper-bound path. A
-		// path visits an active node at most once and the finest level has
-		// the most, one per leaf of the (immutable) DDM tree, so the buffer
-		// is sized once here.
-		s.rk.refined = make([]geom.MBR, db.Tree.NumLeaves)
 	}
 	return s
 }

@@ -4,36 +4,32 @@ package graph
 // and the frontier, an indexed heap holding each queued vertex once, kept
 // across runs so a warm search allocates nothing. Every shortest-path
 // search of the engine runs on one — the pathnet's point-to-point and
-// shared-source searches, the DMTM estimator's restricted and per-level
-// shared searches, and the package functions — each writing its own settle
-// loop over these primitives: Begin, Relax, Min, Pop, Dist/Prev/Tie and
-// Path. Pops never depend on vertex IDs, only on the sequence of Relax and
-// Pop calls and their distances (see minHeap). A search is resumable:
-// stopping at any Min and settling on later leaves the same labels and pop
-// sequence as one uninterrupted run. A Workspace is owned by a single
-// goroutine; it is not safe for concurrent use.
+// shared-source searches, the DMTM estimator's per-level shared searches,
+// and the package functions — each writing its own settle loop over these
+// primitives: Begin, Relax, Min, Pop, Dist/Prev and Path. Pops never depend
+// on vertex IDs, only on the sequence of Relax and Pop calls and their
+// distances (see minHeap). A search is resumable: stopping at any Min and
+// settling on later leaves the same labels and pop sequence as one
+// uninterrupted run. A Workspace is owned by a single goroutine; it is not
+// safe for concurrent use.
 //
 // Instead of re-filling the labels before every run, Begin bumps an epoch
 // and a label is meaningful only while its stamp carries the current one —
 // an O(touched) logical clear; on wrap-around every stamp is zeroed once.
 type Workspace struct {
 	labels []label
-	cur    uint32 // current epoch; even, so a stamp's low bit is free
+	cur    uint32 // current epoch; 0 is never current
 	h      minHeap
 	dist   []float64 // Dijkstra's result, grown on first use
 }
 
-// label is one vertex's tentative distance and predecessor. The stamp is
-// epoch | tie: the label is current while stamp&^tieBit equals the
-// workspace's epoch, and the low bit flags a distance that a second
-// predecessor matched exactly.
+// label is one vertex's tentative distance and predecessor, current while
+// its stamp equals the workspace's epoch.
 type label struct {
 	dist  float64
 	prev  int32
 	stamp uint32
 }
-
-const tieBit uint32 = 1
 
 // NewWorkspace returns a workspace able to search graphs of up to n
 // vertices.
@@ -53,15 +49,15 @@ func (w *Workspace) Ensure(n int) {
 	w.h.grow(n)
 }
 
-// Begin starts a new search: every label reads +Inf, prev -1 and no tie,
-// and the frontier is empty.
+// Begin starts a new search: every label reads +Inf and prev -1, and the
+// frontier is empty.
 func (w *Workspace) Begin() {
-	w.cur += 2
+	w.cur++
 	if w.cur == 0 { // wrapped: old stamps would look current
 		for i := range w.labels {
 			w.labels[i].stamp = 0
 		}
-		w.cur = 2
+		w.cur = 1
 	}
 	w.h.reset()
 }
@@ -69,7 +65,7 @@ func (w *Workspace) Begin() {
 // Dist returns v's tentative distance, +Inf when this search has not
 // reached v.
 func (w *Workspace) Dist(v int32) float64 {
-	if l := &w.labels[v]; l.stamp&^tieBit == w.cur {
+	if l := &w.labels[v]; l.stamp == w.cur {
 		return l.dist
 	}
 	return Inf
@@ -78,26 +74,19 @@ func (w *Workspace) Dist(v int32) float64 {
 // Prev returns the predecessor v was last relaxed from, -1 when this search
 // has not reached v. A seed's predecessor is whatever Relax was given.
 func (w *Workspace) Prev(v int32) int32 {
-	if l := &w.labels[v]; l.stamp&^tieBit == w.cur {
+	if l := &w.labels[v]; l.stamp == w.cur {
 		return l.prev
 	}
 	return -1
 }
 
-// Tie reports whether, since v's distance was last lowered, a relaxation
-// from another predecessor matched it exactly.
-func (w *Workspace) Tie(v int32) bool {
-	return w.labels[v].stamp == w.cur|tieBit
-}
-
 // Relax offers v the distance d via from. A lower d replaces v's label and
 // queues v at d — lowering v in place when it is queued already — and Relax
-// reports true; an equal d from another predecessor sets v's tie flag.
-// Relax is too large to inline, so a hot loop calls it only for
-// d <= Dist(v): the longer offers it skips change nothing.
+// reports true; an equal or longer d changes nothing. Relax is too large to
+// inline, so a hot loop calls it only for d < Dist(v).
 func (w *Workspace) Relax(v, from int32, d float64) bool {
 	l := &w.labels[v]
-	reached := l.stamp&^tieBit == w.cur
+	reached := l.stamp == w.cur
 	old := Inf
 	if reached {
 		old = l.dist
@@ -112,10 +101,6 @@ func (w *Workspace) Relax(v, from int32, d float64) bool {
 			w.h.push(v, d)
 		}
 		return true
-	}
-	//lint:ignore float-eq an exact match from another predecessor is the tie the flag records
-	if d == old && l.prev != from {
-		l.stamp |= tieBit
 	}
 	return false
 }
@@ -180,7 +165,7 @@ func (w *Workspace) settle(g *Graph, dst int32) {
 		}
 		v, d := w.Pop()
 		for _, a := range g.arcsOf(v) {
-			if nd := d + a.W; nd <= w.Dist(a.To) {
+			if nd := d + a.W; nd < w.Dist(a.To) {
 				w.Relax(a.To, v, nd)
 			}
 		}

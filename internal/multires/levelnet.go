@@ -1,7 +1,5 @@
 package multires
 
-import "surfknn/internal/geom"
-
 // levelArc is one directed arc of a level network: the neighbour and the
 // recorded representative-path distance of the DDM edge it came from.
 type levelArc struct {
@@ -30,10 +28,10 @@ type levelNet struct {
 // v's cursor while filling, which leaves every entry one node early; the
 // last loop shifts them back).
 //
-// Exactness (the argument is at Estimator.UpperBound) rests on one thing
-// here: the records are walked in t.order, the storage order read off the
-// slice storage.SortClustered sorted and never recomputed, emitting u→w then w→u,
-// which is each node's arc order in the retired per-candidate pack.
+// The records are walked in t.order, the storage order read off the slice
+// storage.SortClustered sorted and never recomputed, emitting u→w then w→u.
+// Arc order cannot change a bound (Estimator.UpperBound), but it fixes the
+// search's pop sequence, so its work is a function of the storage layout.
 //
 // build indexes by EdgeRec.U and EdgeRec.W unchecked: a tree from a
 // snapshot passes Tree.Validate (which bounds-checks both) before
@@ -86,22 +84,16 @@ func (ln *levelNet) ancestors(t *Tree, scratch []NodeID) {
 
 // Materialize derives the tables the upper-bound search reads, once, at
 // database assembly (on build and on load alike; nothing here is persisted):
-// the storage order of the edge records, the per-node RepPos (x,y) table the
-// search takes edge rectangles from (EdgeMBR's floats, 16 bytes a node
-// instead of a Node), and one level network with its leaf ancestor table per
-// distinct time in times — two ladder rungs that round to one collapse time
-// on a small terrain share a table. order must list every edge index once,
-// in the order the DMTM clustered store holds the records; the tree keeps
-// the slice.
+// the storage order of the edge records and one level network with its leaf
+// ancestor table per distinct time in times — two ladder rungs that round to
+// one collapse time on a small terrain share a table. order must list every
+// edge index once, in the order the DMTM clustered store holds the records;
+// the tree keeps the slice.
 func (t *Tree) Materialize(order []int32, times []int32) {
 	if len(order) != len(t.Edges) {
 		panic("multires: Materialize: storage order does not list every edge record")
 	}
 	t.order = order
-	t.xy = make([]geom.Vec2, len(t.Nodes))
-	for i := range t.Nodes {
-		t.xy[i] = t.Nodes[i].RepPos.XY()
-	}
 	t.levels = make([]levelNet, 0, len(times))
 	scratch := make([]NodeID, len(t.Nodes))
 	for _, tm := range times {

@@ -41,8 +41,7 @@ type Node struct {
 	// Birth/Death delimit the node's active lifetime in collapse time:
 	// node v is part of the resolution-t cut iff Birth <= t < Death.
 	Birth, Death int32
-	// MBR bounds the (x,y) extent of all descendant leaves — the building
-	// block of MR3's refined search regions.
+	// MBR bounds the (x,y) extent of all descendant leaves.
 	MBR geom.MBR
 }
 
@@ -64,9 +63,8 @@ type Tree struct {
 
 	// Derived by Materialize for the upper-bound search (see levelnet.go);
 	// immutable afterwards, never persisted.
-	order  []int32     // edge indices in DMTM storage order
-	xy     []geom.Vec2 // RepPos (x,y) per node
-	levels []levelNet  // one network per distinct ladder time
+	order  []int32    // edge indices in DMTM storage order
+	levels []levelNet // one network per distinct ladder time
 }
 
 // Root returns the root node id.

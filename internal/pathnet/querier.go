@@ -140,7 +140,7 @@ func (q *Querier) settle(w *graph.Workspace, b mesh.SurfacePoint, region *geom.M
 			}
 		}
 		for _, arc := range p.G.Arcs(int(v)) {
-			if nd := d + arc.W; nd <= w.Dist(arc.To) && q.inside(arc.To, region) && w.Relax(arc.To, v, nd) {
+			if nd := d + arc.W; nd < w.Dist(arc.To) && q.inside(arc.To, region) && w.Relax(arc.To, v, nd) {
 				q.relaxed++
 			}
 		}
