@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"surfknn/internal/obs"
+	"surfknn/internal/server/front"
 	"surfknn/internal/shard"
 )
 
@@ -54,6 +55,7 @@ func main() {
 		timeout  = fs.Duration("shard-timeout", 0, "per-shard call deadline (0 = 10s)")
 		retries  = fs.Int("retries", 2, "retries per saturated (429) shard call")
 		grace    = fs.Duration("grace", 30*time.Second, "shutdown drain deadline")
+		access   = fs.String("access-log", "", `access-log destination: "stderr", a file path, or empty for off`)
 		debug    = fs.String("debug-addr", "", "also serve /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:6060)")
 	)
 	fs.SetOutput(io.Discard)
@@ -85,6 +87,10 @@ func main() {
 		}
 	}
 
+	accessW, err := front.OpenAccessLog(*access)
+	if err != nil {
+		log.Fatal(err)
+	}
 	stats := obs.NewCoordStats()
 	if err := stats.Publish("surfknn_coord"); err != nil {
 		log.Fatal(err)
@@ -94,6 +100,7 @@ func main() {
 		ShardTimeout: *timeout,
 		Retries:      *retries,
 		Stats:        stats,
+		AccessLog:    accessW,
 	})
 	if err != nil {
 		log.Fatal(err)

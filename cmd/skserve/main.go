@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -40,6 +39,7 @@ import (
 	"surfknn/internal/mesh"
 	"surfknn/internal/obs"
 	"surfknn/internal/server"
+	"surfknn/internal/server/front"
 	"surfknn/internal/workload"
 )
 
@@ -105,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	accessW, err := accessWriter(*access)
+	accessW, err := front.OpenAccessLog(*access)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -195,21 +195,5 @@ func loadDatabase(snapshot, demPath string, objects int, seed int64, cfg core.Co
 		return db, nil
 	default:
 		return nil, errors.New("no terrain given: pass -snapshot file.skdb (from skgen -db) or -dem file.sdem")
-	}
-}
-
-// accessWriter resolves the -access-log flag.
-func accessWriter(dest string) (io.Writer, error) {
-	switch strings.ToLower(dest) {
-	case "":
-		return nil, nil
-	case "stderr":
-		return os.Stderr, nil
-	default:
-		f, err := os.OpenFile(dest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("access log: %w", err)
-		}
-		return f, nil
 	}
 }

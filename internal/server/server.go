@@ -142,7 +142,7 @@ type Server struct {
 
 	handler http.Handler
 
-	logMu sync.Mutex // serialises access-log lines
+	access *front.AccessLog // nil when Config.AccessLog is
 
 	mu   sync.Mutex
 	http *http.Server // live listener-facing server; nil before Serve
@@ -158,6 +158,7 @@ func New(db *core.TerrainDB, cfg Config) *Server {
 		db:      db,
 		cfg:     cfg,
 		stats:   cfg.Stats,
+		access:  front.NewAccessLog(cfg.AccessLog),
 		terrain: sklang.Catalog{Faces: db.Mesh.NumFaces(), Area: db.Mesh.Extent().Area()},
 	}
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.QueueWait, s.stats)

@@ -21,6 +21,7 @@ import (
 	"surfknn/internal/mesh"
 	"surfknn/internal/obs"
 	"surfknn/internal/server/api"
+	"surfknn/internal/server/front"
 	"surfknn/internal/workload"
 )
 
@@ -306,7 +307,7 @@ func TestAccessLog(t *testing.T) {
 	var buf bytes.Buffer
 	s := newTestServer(t, Config{AccessLog: &syncWriter{w: &buf}})
 	w := post(t, s, "/v1/knn", `{"x":800,"y":800,"k":3}`)
-	var entry accessEntry
+	var entry front.AccessEntry
 	if err := json.Unmarshal(buf.Bytes(), &entry); err != nil {
 		t.Fatalf("access log line is not JSON: %v\n%s", err, buf.String())
 	}

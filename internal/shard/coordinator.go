@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -37,6 +38,9 @@ type Config struct {
 	// HTTPClient overrides the transport of every shard client (tests
 	// inject httptest transports); nil uses the default.
 	HTTPClient *http.Client
+	// AccessLog receives one JSON line per public request when non-nil,
+	// in skserve's format (front.AccessLog).
+	AccessLog io.Writer
 }
 
 // shardConn is one shard the coordinator talks to.
@@ -56,6 +60,7 @@ type Coordinator struct {
 	shards []shardConn // indexed iy*NX+ix
 	cfg    Config
 	stats  *obs.CoordStats
+	access *front.AccessLog
 
 	// epochMu serialises logical updates: the coordinator assigns each one
 	// the next epoch number and must finish replaying it before the next
@@ -93,6 +98,7 @@ func New(cfg Config) (*Coordinator, error) {
 		shards: make([]shardConn, tiling.NumTiles()),
 		cfg:    cfg,
 		stats:  cfg.Stats,
+		access: front.NewAccessLog(cfg.AccessLog),
 		epoch:  cfg.Manifest.Epoch,
 	}
 	opts := []client.Option{client.WithRetries(cfg.Retries)}

@@ -17,6 +17,7 @@ import (
 	"surfknn/internal/obs"
 	"surfknn/internal/server"
 	"surfknn/internal/server/api"
+	"surfknn/internal/server/front"
 	"surfknn/internal/workload"
 )
 
@@ -192,6 +193,8 @@ func TestRequestIDReachesShardLogs(t *testing.T) {
 	db := buildSourceDB(t)
 	logs := []*syncBuffer{{}, {}}
 	f := startFleet(t, db, 2, 1, func(i int, cfg *server.Config) { cfg.AccessLog = logs[i] })
+	coordLog := &syncBuffer{}
+	f.coord.access = front.NewAccessLog(coordLog)
 	ts := httptest.NewServer(f.coord.Handler())
 	t.Cleanup(ts.Close)
 
@@ -242,6 +245,9 @@ func TestRequestIDReachesShardLogs(t *testing.T) {
 		}
 		if !logged(logs[0], "/v1/shard/knn2d", id) {
 			t.Errorf("request id %q not on the other tile's /v1/shard/knn2d access-log line:\n%s", id, logs[0].String())
+		}
+		if !logged(coordLog, "/v1/knn", id) {
+			t.Errorf("request id %q not on the coordinator's own /v1/knn access-log line:\n%s", id, coordLog.String())
 		}
 	}
 }

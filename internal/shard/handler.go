@@ -26,8 +26,13 @@ func (c *Coordinator) Handler() http.Handler {
 	}, nil)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		rec := &front.StatusRecorder{ResponseWriter: w}
 		c.stats.Requests.Add(1)
-		next.ServeHTTP(w, r)
+		next.ServeHTTP(rec, r)
+		if rec.Status == 0 {
+			rec.Status = http.StatusOK
+		}
 		c.stats.RequestLatency().Observe(time.Since(start))
+		c.access.Log(r, rec, start, "")
 	})
 }
