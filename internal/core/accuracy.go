@@ -109,7 +109,7 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 			// takes no estimation: any estimate would be clamped back to UB.
 			// The SDN pages above are still owed.
 			if out.LB < out.UB {
-				est := db.MSDN.LowerBoundScratch(&s.sdnSc, a.Pos, b.Pos, region, rungs[ri].msdn)
+				est := db.MSDN.LowerBoundScratch(&s.sdnSc, a.Pos, b.Pos, region, rungs[ri].msdn, math.Inf(1))
 				pc.LowerBounds++
 				if est.LB > out.LB {
 					out.LB = est.LB

@@ -184,7 +184,7 @@ func (s *Session) ea(q mesh.SurfacePoint, k int) ([]Neighbor, error) {
 			region = m
 		}
 		s.curPhase().LowerBounds++
-		lb := db.MSDN.LowerBoundScratch(&s.sdnSc, q.Pos, o.Point.Pos, region, 1.0)
+		lb := db.MSDN.LowerBoundScratch(&s.sdnSc, q.Pos, o.Point.Pos, region, 1.0, math.Inf(1))
 		s.touchSDN(region, rungLevel[pathnetRung])
 		if lb.LB > kth {
 			continue // filtered: cannot beat the current k-th neighbour

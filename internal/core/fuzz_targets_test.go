@@ -343,9 +343,9 @@ func FuzzLowerBoundOracle(f *testing.F) {
 		prevStep, prevOne := 0, 0.0
 		for _, res := range SDNLadder {
 			region := r.regionOf(c)
-			one := ms.LowerBoundScratch(&sc, a.Pos, b.Pos, db.Extent, res).LB
+			one := ms.LowerBoundScratch(&sc, a.Pos, b.Pos, db.Extent, res, math.Inf(1)).LB
 			sound("whole extent", res, one)
-			sound("ellipse region", res, ms.LowerBoundScratch(&sc, a.Pos, b.Pos, region, res).LB)
+			sound("ellipse region", res, ms.LowerBoundScratch(&sc, a.Pos, b.Pos, region, res, math.Inf(1)).LB)
 			step := 1
 			if res < 1 {
 				step = int(math.Round(1 / res))

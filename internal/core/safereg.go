@@ -97,8 +97,11 @@ func slack(ub float64) float64 { return 1e-9 * (1 + math.Abs(ub)) }
 
 // safeRegion derives the answer's safe region from the final ranker state
 // (ns aliases the ranker's results buffer; s.rk.cands still holds every
-// candidate with its final bounds and state). Runs between mr3 and
-// endQuery, while the query's epoch is still pinned.
+// candidate with its final bounds and state). It is the one reader of an
+// excluded candidate's lower bound, so it completes the candidates the
+// ranking capped (ranker.complete) — the bits MR3 would have computed for
+// them, at the cost it would have paid. Runs between mr3 and endQuery,
+// while the query's epoch is still pinned.
 func (s *Session) safeRegion(q mesh.SurfacePoint, ns []Neighbor) SafeRegion {
 	sr := SafeRegion{Center: q.XY(), Guard: s.step3Radius}
 	if len(ns) == 0 {
@@ -144,6 +147,7 @@ func (s *Session) safeRegion(q mesh.SurfacePoint, ns []Neighbor) SafeRegion {
 	// k is small, the candidate count is bounded by the step-3 enumeration.
 	for i := range s.rk.cands {
 		c := &s.rk.cands[i]
+		s.rk.complete(c)
 		inResult := false
 		for j := range ns {
 			if ns[j].Object.ID == c.obj.ID {

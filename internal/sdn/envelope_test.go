@@ -21,9 +21,9 @@ var ladderTransitions = [][2]float64{
 // EnvelopeExceeds does.
 func envelopeChains(ms *MSDN, sc *Scratch, a, b geom.Vec3, region geom.MBR, res float64, prev []Segment, margin float64) (narrow LowerEstimate, certified bool, wide LowerEstimate) {
 	useX, step := prefersX(a, b), planeStepFor(res)
-	narrow, certified = ms.chain(sc, useX, a, b, region, res, step, envelope{prev, margin, true})
+	narrow, certified = ms.chain(sc, useX, a, b, region, res, step, envelope{prev, margin, true}, math.Inf(1))
 	narrow.Path = nil // aliases sc; the wide run overwrites it
-	wide, _ = ms.chain(sc, useX, a, b, region, res, step, envelope{prev, margin, false})
+	wide, _ = ms.chain(sc, useX, a, b, region, res, step, envelope{prev, margin, false}, math.Inf(1))
 	return narrow, certified, wide
 }
 
@@ -89,7 +89,7 @@ func TestEnvelopeCertificate(t *testing.T) {
 					for _, tr := range ladderTransitions {
 						// As in MR3 the previous bound saw an earlier, no smaller
 						// region.
-						prev := append([]Segment(nil), f.ms.LowerBoundScratch(&sc, a, b, regions[ri/2], tr[0]).Path...)
+						prev := append([]Segment(nil), f.ms.LowerBoundScratch(&sc, a, b, regions[ri/2], tr[0], math.Inf(1)).Path...)
 						what := fmt.Sprintf("%s a=%v b=%v region#%d %v->%v", f.name, a, b, ri, tr[0], tr[1])
 						narrow, certified, wide := envelopeChains(f.ms, &sc, a, b, region, tr[1], prev, margin)
 						if certified {
@@ -165,7 +165,7 @@ func TestEnvelopeCertificateAbandoned(t *testing.T) {
 		// A short previous path — only its first box — leaves the far layers
 		// empty under both envelopes: both chains skip them, the certificate
 		// stands, and the decision is still the wide value's.
-		full := append([]Segment(nil), ms.LowerBoundScratch(&sc, a, b, ext, 0.25).Path...)
+		full := append([]Segment(nil), ms.LowerBoundScratch(&sc, a, b, ext, 0.25, math.Inf(1)).Path...)
 		narrow, certified, wide := envelopeChains(ms, &sc, a, b, ext, 0.5, full[:1], margin)
 		if !certified || narrow.LB < wide.LB {
 			t.Fatalf("%s short path: certified %v, narrow %v, wide %v", f.name, certified, narrow.LB, wide.LB)
@@ -183,7 +183,7 @@ func TestWarmEnvelopeDecisionAllocatesNothing(t *testing.T) {
 	var sc Scratch
 	margin := 2 * f.ms.Spacing
 	for _, tr := range ladderTransitions {
-		prev := append([]Segment(nil), f.ms.LowerBoundScratch(&sc, a, b, f.ext, tr[0]).Path...)
+		prev := append([]Segment(nil), f.ms.LowerBoundScratch(&sc, a, b, f.ext, tr[0], math.Inf(1)).Path...)
 		_, _, wide := envelopeChains(f.ms, &sc, a, b, f.ext, tr[1], prev, margin)
 		if n := testing.AllocsPerRun(20, func() {
 			f.ms.EnvelopeExceeds(&sc, a, b, f.ext, tr[1], prev, margin, 2*wide.LB, wide.LB) // floor

@@ -84,10 +84,10 @@ func kernelFixtures() []kernelFixture {
 func checkPair(t *testing.T, what string, ms *MSDN, sc *Scratch, a, b geom.Vec3, region geom.MBR, res float64, envPrev []Segment) LowerEstimate {
 	t.Helper()
 	want := refLowerBound(ms, a, b, region, res, nil, 0)
-	sameEstimate(t, what+" full", ms.LowerBoundScratch(sc, a, b, region, res), want)
+	sameEstimate(t, what+" full", ms.LowerBoundScratch(sc, a, b, region, res, math.Inf(1)), want)
 	margin := 2 * ms.Spacing
 	wantEnv := refLowerBound(ms, a, b, region, res, envPrev, margin)
-	gotEnv, _ := ms.chain(sc, prefersX(a, b), a, b, region, res, planeStepFor(res), envelope{envPrev, margin, false})
+	gotEnv, _ := ms.chain(sc, prefersX(a, b), a, b, region, res, planeStepFor(res), envelope{envPrev, margin, false}, math.Inf(1))
 	sameEstimate(t, what+" envelope", gotEnv, wantEnv)
 	// The threshold on the reference value and one ulp to either side: the
 	// only places the narrow certificate could flip the decision.
@@ -263,7 +263,7 @@ func TestChainKernelPrunes(t *testing.T) {
 	a := geom.Vec3{X: f.ext.MinX + 7, Y: f.ext.MinY + 11, Z: 3}
 	b := geom.Vec3{X: f.ext.MaxX - 5, Y: f.ext.MaxY - 9, Z: 8}
 	var sc Scratch
-	f.ms.LowerBoundScratch(&sc, a, b, f.ext, 1.0)
+	f.ms.LowerBoundScratch(&sc, a, b, f.ext, 1.0, math.Inf(1))
 	allPairs := int64(0)
 	for i := 1; i < len(sc.layers); i++ {
 		allPairs += int64(sc.layers[i-1].hi-sc.layers[i-1].lo) * int64(sc.layers[i].hi-sc.layers[i].lo)
@@ -281,10 +281,10 @@ func TestWarmChainAllocatesNothing(t *testing.T) {
 	b := geom.Vec3{X: f.ext.MaxX - 5, Y: f.ext.MaxY - 9, Z: 8}
 	var sc Scratch
 	for _, res := range testLadder {
-		full := f.ms.LowerBoundScratch(&sc, a, b, f.ext, res)
+		full := f.ms.LowerBoundScratch(&sc, a, b, f.ext, res, math.Inf(1))
 		prev := append([]Segment(nil), full.Path...)
 		if n := testing.AllocsPerRun(20, func() {
-			f.ms.LowerBoundScratch(&sc, a, b, f.ext, res)
+			f.ms.LowerBoundScratch(&sc, a, b, f.ext, res, math.Inf(1))
 			// Never exceeded: the narrow chain certifies. Always exceeded (past
 			// floor): the narrow chain cannot, and the wide one runs too.
 			f.ms.EnvelopeExceeds(&sc, a, b, f.ext, res, prev, 2*f.ms.Spacing, 0, math.Inf(1))

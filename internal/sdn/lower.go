@@ -52,8 +52,10 @@ type Scratch struct {
 	prev      []int32
 	pre, suf  []float64 // prefix and suffix minima of a source layer's dist
 	path      []Segment
-	runs      []int32 // mask's per-box entry runs, [lo, hi) pairs
+	runs      []int32    // mask's per-box entry runs, [lo, hi) pairs
+	near      []geom.MBR // the straight-line chain's boxes meeting one line
 	pairs     int64
+	decided   [NumTiers]int64
 }
 
 // Pairs returns the number of box-to-box pairs this scratch has fully
@@ -62,6 +64,23 @@ type Scratch struct {
 // consecutive layer sizes — and those of the witness chains, one per entry
 // their outward scans score.
 func (sc *Scratch) Pairs() int64 { return sc.pairs }
+
+// Tier names the step of EnvelopeExceeds that settled a decision.
+type Tier uint8
+
+// The tiers, cheapest first (see EnvelopeExceeds).
+const (
+	TierFloor Tier = iota
+	TierLine
+	TierWitness
+	TierNarrow
+	TierWide
+	NumTiers
+)
+
+// Decided returns the number of EnvelopeExceeds decisions each tier has
+// settled on this scratch since it was created, indexed by Tier.
+func (sc *Scratch) Decided() [NumTiers]int64 { return sc.decided }
 
 // LowerBound estimates a lower bound on the surface distance between a and
 // b at the given SDN resolution, restricted to region (pass the search
@@ -74,13 +93,17 @@ func (sc *Scratch) Pairs() int64 { return sc.pairs }
 // below it.
 func (ms *MSDN) LowerBound(a, b geom.Vec3, region geom.MBR, resolution float64) LowerEstimate {
 	var sc Scratch
-	return ms.LowerBoundScratch(&sc, a, b, region, resolution)
+	return ms.LowerBoundScratch(&sc, a, b, region, resolution, math.Inf(1))
 }
 
-// LowerBoundScratch is LowerBound running over reusable scratch. The
-// returned Path aliases sc.
-func (ms *MSDN) LowerBoundScratch(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64) LowerEstimate {
-	est, _ := ms.chain(sc, prefersX(a, b), a, b, region, resolution, planeStepFor(resolution), envelope{})
+// LowerBoundScratch is LowerBound running over reusable scratch, computed
+// only as exactly as a caller comparing it with limit needs: a bound at or
+// below limit is the exact one — value, Path and ties — while one above it
+// says only that the exact bound is above limit too (LB is then above limit,
+// possibly +Inf, and Path is nil). limit = +Inf gives the exact bound
+// always. The returned Path aliases sc.
+func (ms *MSDN) LowerBoundScratch(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution, limit float64) LowerEstimate {
+	est, _ := ms.chain(sc, prefersX(a, b), a, b, region, resolution, planeStepFor(resolution), envelope{}, limit)
 	return est
 }
 
@@ -104,10 +127,19 @@ func prefersX(a, b geom.Vec3) bool {
 //
 // The value is never returned because only the comparison is used, and the
 // comparison is usually settled before the envelope chain is worth running.
-// Four tiers, cheapest first; each returns what max(floor, wide) > threshold
+// Five tiers, cheapest first; each returns what max(floor, wide) > threshold
 // would, wide being the envelope chain's value with its Euclidean floor:
 //
 //   - Floor: floor > threshold decides "exceeds" with no chain at all.
+//   - Line: one chain along the straight line from a to b, built without
+//     laying the layers out (straight): on each line collect would lay out
+//     for the wide envelope — the same lines, step, order and region run —
+//     the kept entry nearest to where the planar segment a→b crosses it,
+//     kept meaning what mask keeps (lineTable.keeps), a line with no kept
+//     entry skipped exactly as collect skips it. It visits the DP's layers
+//     and kept entries only, summed in the DP's order, so witness's proof
+//     carries over: the DP's value is at most its length, and
+//     max(line, |ab|) <= threshold certifies "does not exceed".
 //   - Witness: one greedy chain through the wide envelope's layers (witness),
 //     summed as the DP sums. The DP's value is at most any chain's, so
 //     max(witness, |ab|) <= threshold certifies "does not exceed". The
@@ -141,23 +173,32 @@ func prefersX(a, b geom.Vec3) bool {
 // and a layer the cut empties answers "above" at once.
 func (ms *MSDN) EnvelopeExceeds(sc *Scratch, a, b geom.Vec3, region geom.MBR, resolution float64, prev []Segment, margin, floor, threshold float64) bool {
 	if floor > threshold {
+		sc.decided[TierFloor]++
 		return true
 	}
 	useX, step := prefersX(a, b), planeStepFor(resolution)
 	wide := envelope{path: prev, margin: margin}
+	euclid := a.Dist(b)
+	if math.Max(ms.straight(sc, useX, a, b, region, resolution, step, wide), euclid) <= threshold {
+		sc.decided[TierLine]++
+		return false
+	}
 	ms.collect(sc, useX, a, b, region, resolution, step, wide)
-	if math.Max(sc.witness(useX, a, b), a.Dist(b)) <= threshold {
+	if math.Max(sc.witness(useX, a, b), euclid) <= threshold {
+		sc.decided[TierWitness]++
 		return false
 	}
 	cut := threshold * (1 + cutSlack)
 	if len(prev) > 0 && margin >= 0 { // a negative margin would make the narrow boxes the larger ones
 		if _, ok := ms.collect(sc, useX, a, b, region, resolution, step, envelope{path: prev, margin: margin, narrow: true}); ok {
 			if lb, _ := sc.solve(useX, a, b, cut); lb <= threshold {
+				sc.decided[TierNarrow]++
 				return false
 			}
 		}
 		ms.collect(sc, useX, a, b, region, resolution, step, wide) // the narrow run reused the arena
 	}
+	sc.decided[TierWide]++
 	lb, _ := sc.solve(useX, a, b, cut)
 	return lb > threshold
 }
@@ -181,20 +222,22 @@ const cutSlack = 1e-9
 // the bound is monotone in the point resolution (boxes only shrink); across
 // different steps the bound is still always valid but need not be pointwise
 // monotone, which is why MR3 keeps the running maximum. All per-layer state
-// lives in sc's arena buffers. The DP runs under a cut at its own witness's
-// length (see solve), which leaves the bound, the path and the first-index
-// ties unchanged.
+// lives in sc's arena buffers. The DP runs under a cut at the smaller of its
+// own witness's length and limit (see solve): the bound, the path and the
+// first-index ties are the uncut DP's whenever the bound is at most limit
+// (the witness bounds it anyway), and a bound above limit comes out above
+// limit too, or as +Inf — then no path is returned.
 //
 // The boolean is false only for a narrow envelope that emptied a layer its
 // wide form keeps (see EnvelopeExceeds); the estimate is then void.
-func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, env envelope) (LowerEstimate, bool) {
+func (ms *MSDN) chain(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, env envelope, limit float64) (LowerEstimate, bool) {
 	segments, ok := ms.collect(sc, useX, a, b, region, resolution, step, env)
 	if !ok {
 		return LowerEstimate{}, false
 	}
-	lb, bestK := sc.solve(useX, a, b, sc.witness(useX, a, b)*(1+cutSlack))
+	lb, bestK := sc.solve(useX, a, b, math.Min(sc.witness(useX, a, b), limit)*(1+cutSlack))
 	est := LowerEstimate{LB: lb, Segments: segments}
-	if bestK >= 0 {
+	if bestK >= 0 && lb <= limit {
 		est.Path = sc.tracePath(bestK)
 	}
 	return est, true
@@ -221,40 +264,51 @@ func (sc *Scratch) tracePath(bestK int) []Segment {
 	return sc.path
 }
 
-// collect lays out a chain's layers in sc: the lines strictly between a and
-// b on the family's axis, thinned by step and ordered from a's side, each
-// clipped to region and the envelope. A line the region or the envelope
-// cuts entirely is skipped (the chain then weakens but stays valid); every
-// other line becomes a layer whose arena span holds 0 for its kept entries
-// and +Inf for the rest, trimmed to the first and last kept entry. It
-// returns the number of entries kept over all layers, and false for a
-// narrow envelope that emptied a layer its wide form keeps.
-func (ms *MSDN) collect(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, env envelope) (segments int, ok bool) {
-	tabs := ms.tables(useX, resolution)
-	sc.layers = sc.layers[:0]
-	// Axis roles for this family: "plane" is the coordinate the cutting
-	// planes fix, "free" the one their crossing lines run along.
-	lines := ms.YLines
-	aPlane, bPlane := a.Y, b.Y
-	minF, maxF, minP, maxP := region.MinX, region.MaxX, region.MinY, region.MaxY
-	if useX {
-		lines = ms.XLines
-		aPlane, bPlane = a.X, b.X
-		minF, maxF, minP, maxP = minP, maxP, minF, maxF
+// frame is one chain's view of the query in its family's axes: the lines
+// and tables of the family, a's and b's plane coordinates, and the region's
+// bounds on the free axis (the one the lines run along) and on the plane
+// axis (the one the cutting planes fix).
+type frame struct {
+	lines                  []*CrossLine
+	tabs                   []lineTable
+	aPlane, bPlane         float64
+	minF, maxF, minP, maxP float64
+}
+
+// frame sets up a chain's frame and fills sc.between with the lines strictly
+// between a and b on the family's axis, thinned by step and ordered from
+// a's side. It reports false when no line can become a layer: none lies
+// between the points, or the region is empty.
+func (ms *MSDN) frame(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int) (frame, bool) {
+	f := frame{
+		lines: ms.YLines, tabs: ms.tables(useX, resolution),
+		aPlane: a.Y, bPlane: b.Y,
+		minF: region.MinX, maxF: region.MaxX, minP: region.MinY, maxP: region.MaxY,
 	}
-	sc.between = linesBetweenInto(lines, math.Min(aPlane, bPlane), math.Max(aPlane, bPlane), step, sc.between)
+	if useX {
+		f.lines = ms.XLines
+		f.aPlane, f.bPlane = a.X, b.X
+		f.minF, f.maxF, f.minP, f.maxP = f.minP, f.maxP, f.minF, f.maxF
+	}
+	sc.between = linesBetweenInto(f.lines, math.Min(f.aPlane, f.bPlane), math.Max(f.aPlane, f.bPlane), step, sc.between)
 	between := sc.between
 	if len(between) == 0 || region.IsEmpty() {
-		// No plane separates the points, or the region cuts every line.
-		return 0, true
+		return f, false
 	}
 	// Order the planes from a's side to b's side.
-	if math.Abs(lines[between[0]].Coord-aPlane) > math.Abs(lines[between[len(between)-1]].Coord-aPlane) {
+	if math.Abs(f.lines[between[0]].Coord-f.aPlane) > math.Abs(f.lines[between[len(between)-1]].Coord-f.aPlane) {
 		for i, j := 0, len(between)-1; i < j; i, j = i+1, j-1 {
 			between[i], between[j] = between[j], between[i]
 		}
 	}
+	return f, true
+}
 
+// envelopeBoxes fills sc's envelope buffers with env's boxes — each path
+// box thickened by env.margin on both axes, and with env.narrow the same
+// box thickened on the family's plane axis only — and returns the ones env
+// restricts to (none for the zero envelope).
+func (sc *Scratch) envelopeBoxes(env envelope, useX bool) []geom.MBR {
 	sc.envBoxes, sc.envNarrow = sc.envBoxes[:0], sc.envNarrow[:0]
 	for _, s := range env.path {
 		m := s.Box.XY()
@@ -270,15 +324,33 @@ func (ms *MSDN) collect(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR,
 		}
 		sc.envNarrow = append(sc.envNarrow, m)
 	}
-	boxes := sc.envBoxes
 	if env.narrow {
-		boxes = sc.envNarrow
+		return sc.envNarrow
 	}
+	return sc.envBoxes
+}
+
+// collect lays out a chain's layers in sc: the lines of frame, each clipped
+// to region and the envelope. A line the region or the envelope cuts
+// entirely is skipped (the chain then weakens but stays valid); every other
+// line becomes a layer whose arena span holds 0 for its kept entries and
+// +Inf for the rest, trimmed to the first and last kept entry. It returns
+// the number of entries kept over all layers, and false for a narrow
+// envelope that emptied a layer its wide form keeps.
+func (ms *MSDN) collect(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, env envelope) (segments int, ok bool) {
+	sc.layers = sc.layers[:0]
+	f, laid := ms.frame(sc, useX, a, b, region, resolution, step)
+	if !laid {
+		// No plane separates the points, or the region cuts every line.
+		return 0, true
+	}
+	minF, maxF, minP, maxP := f.minF, f.maxF, f.minP, f.maxP
+	boxes := sc.envelopeBoxes(env, useX)
 	sc.runs = growI32(sc.runs, 2*len(boxes))
 
 	end, widest := 0, 0 // arena length, longest layer
-	for _, li := range between {
-		cl, tab := lines[li], &tabs[li]
+	for _, li := range sc.between {
+		cl, tab := f.lines[li], &f.tabs[li]
 		lo, hi := tab.run(0, tab.len(), minF, maxF)
 		if lo == hi {
 			// The region cut this line entirely; a path could still cross
@@ -325,7 +397,7 @@ func (ms *MSDN) collect(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR,
 	for i := len(sc.layers) - 1; i >= 0; i-- {
 		l := &sc.layers[i]
 		t := l.tab
-		l.plane = ahead(geom.RangeGap(t.pMin, t.pMax, bPlane, bPlane), sp)
+		l.plane = ahead(geom.RangeGap(t.pMin, t.pMax, f.bPlane, f.bPlane), sp)
 		l.wF, l.wZ = sf, sz
 		sp += t.pMax - t.pMin
 		sf += t.wF
@@ -473,14 +545,14 @@ func (sc *Scratch) trim(l *layer) bool {
 // monotone along the line, so the entries whose free-axis interval meets
 // the box's are one run (lineTable.run), and only those are tested on the
 // plane axis. The test is geom.MBR.Intersects of the box with the entry's
-// footprint, written out: an empty box meets nothing, and a NaN bound fails
-// every comparison.
+// footprint (lineTable.keeps, split at the run): an empty box meets
+// nothing, and a NaN bound fails every comparison.
 func (sc *Scratch) mask(dist []float64, l *layer, env []geom.MBR, minP, maxP float64) (kept, first, span int) {
 	t := l.tab
 	if len(env) == 0 {
 		for i := range dist {
 			dist[i] = math.Inf(1)
-			if k := l.lo + i; t.pLo[k] <= maxP && minP <= t.pHi[k] {
+			if t.meets(l.lo+i, minP, maxP) {
 				dist[i] = 0
 			}
 		}
@@ -509,7 +581,7 @@ func (sc *Scratch) mask(dist []float64, l *layer, env []geom.MBR, minP, maxP flo
 	for i, e := range env {
 		_, _, eMinP, eMaxP := l.line.Axis.freePlane(e)
 		for k := int(runs[2*i]); k < int(runs[2*i+1]); k++ {
-			if eMinP <= t.pHi[k] && t.pLo[k] <= eMaxP && t.pLo[k] <= maxP && minP <= t.pHi[k] {
+			if t.meets(k, eMinP, eMaxP) && t.meets(k, minP, maxP) {
 				dist[k-l.lo] = 0
 			}
 		}

@@ -124,7 +124,7 @@ func TestMaskMatchesFullRun(t *testing.T) {
 				useX := prefersX(a, b)
 				for ri, region := range regions {
 					for _, tr := range ladderTransitions {
-						prev := append([]Segment(nil), f.ms.LowerBoundScratch(&sc, a, b, regions[ri/2], tr[0]).Path...)
+						prev := append([]Segment(nil), f.ms.LowerBoundScratch(&sc, a, b, regions[ri/2], tr[0], math.Inf(1)).Path...)
 						for _, env := range []envelope{{}, {prev, margin, false}, {prev, margin, true}} {
 							what := fmt.Sprintf("%s a=%v b=%v region#%d %v->%v envelope %d narrow %v",
 								f.name, a, b, ri, tr[0], tr[1], len(env.path), env.narrow)

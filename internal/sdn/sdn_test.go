@@ -197,7 +197,7 @@ func TestLowerBoundMonotoneNested(t *testing.T) {
 		prev := 0.0
 		var sc Scratch
 		for _, res := range ladder {
-			est, _ := ms.chain(&sc, prefersX(a.Pos, b.Pos), a.Pos, b.Pos, ext, res, 1, envelope{})
+			est, _ := ms.chain(&sc, prefersX(a.Pos, b.Pos), a.Pos, b.Pos, ext, res, 1, envelope{}, math.Inf(1))
 			if est.LB < prev-1e-9 {
 				t.Fatalf("lb not monotone at res %v: %v < %v", res, est.LB, prev)
 			}
@@ -236,7 +236,7 @@ func TestLowerBoundEnvelope(t *testing.T) {
 	if ms.EnvelopeExceeds(&sc, a, b, ext, 0.5, prev, ms.Spacing, 0, math.Inf(1)) {
 		t.Error("envelope bound exceeds +Inf")
 	}
-	env, _ := ms.chain(&sc, prefersX(a, b), a, b, ext, 0.5, planeStepFor(0.5), envelope{prev, ms.Spacing, false})
+	env, _ := ms.chain(&sc, prefersX(a, b), a, b, ext, 0.5, planeStepFor(0.5), envelope{prev, ms.Spacing, false}, math.Inf(1))
 	if env.Segments > full.Segments {
 		t.Errorf("envelope examined more segments (%d) than full (%d)", env.Segments, full.Segments)
 	}

@@ -139,6 +139,35 @@ func (t *lineTable) run(from, to int, minF, maxF float64) (lo, hi int) {
 	return first, lo
 }
 
+// meets reports whether entry k's plane-axis interval meets [lo, hi]: the
+// plane-axis half of a footprint-box intersection test, false on a NaN.
+func (t *lineTable) meets(k int, lo, hi float64) bool {
+	return lo <= t.pHi[k] && t.pLo[k] <= hi
+}
+
+// keeps reports whether entry k belongs to a layer clipped to the plane-axis
+// band [minP, maxP] of a region whose free-axis run contains k and, when env
+// is not empty, to the envelope env of the line's axis: its footprint meets
+// a non-empty box of env. It is what mask keeps — mask finds each box's
+// free-axis run by binary search, which selects exactly the entries whose
+// free-axis interval meets the box's, the bounds being monotone along the
+// line.
+func (t *lineTable) keeps(k int, axis Axis, env []geom.MBR, minP, maxP float64) bool {
+	if !t.meets(k, minP, maxP) {
+		return false
+	}
+	if len(env) == 0 {
+		return true
+	}
+	for _, e := range env {
+		eMinF, eMaxF, eMinP, eMaxP := axis.freePlane(e)
+		if !e.IsEmpty() && eMinF <= t.fHi[k] && t.fLo[k] <= eMaxF && t.meets(k, eMinP, eMaxP) {
+			return true
+		}
+	}
+	return false
+}
+
 // level is one materialised resolution: a table per crossing line, parallel
 // to MSDN.XLines and MSDN.YLines.
 type level struct {

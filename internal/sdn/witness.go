@@ -127,3 +127,98 @@ func (w *witnessScan) offer(k int, d float64) bool {
 	}
 	return true
 }
+
+// straight returns the length of the Line tier's chain (see EnvelopeExceeds)
+// through the layers collect would lay out for env, without laying them
+// out: on each of frame's lines whose region run keeps an entry, the kept
+// entry nearest on the free axis to where the planar segment a→b crosses
+// the line, the lower index on a tie. The length is summed as witness sums
+// it, and is 0 when no line keeps an entry (the DP's value is then |ab|).
+//
+// The nearest entry is found by scanning outward from the crossing: the
+// free-axis gap to it only grows going outward (the bounds are monotone
+// along the line), so the two sides merge in gap order and the first kept
+// entry met is the nearest. Only the boxes of env that reach the line's
+// plane-axis extent can keep one of its entries; the others are left out of
+// the test up front, as mask leaves them out of its runs.
+func (ms *MSDN) straight(sc *Scratch, useX bool, a, b geom.Vec3, region geom.MBR, resolution float64, step int, env envelope) float64 {
+	f, laid := ms.frame(sc, useX, a, b, region, resolution, step)
+	if !laid {
+		return 0
+	}
+	boxes := sc.envelopeBoxes(env, useX)
+	aF, bF := a.X, b.X
+	if useX {
+		aF, bF = a.Y, b.Y
+	}
+	var src *lineTable
+	sk := -1 // previous pick
+	acc := 0.0
+	for _, li := range sc.between {
+		cl, t := f.lines[li], &f.tabs[li]
+		lo, hi := t.run(0, t.len(), f.minF, f.maxF)
+		if lo == hi {
+			continue
+		}
+		near := sc.near[:0]
+		for _, e := range boxes {
+			if _, _, eMinP, eMaxP := cl.Axis.freePlane(e); !e.IsEmpty() && eMinP <= t.pMax && t.pMin <= eMaxP {
+				near = append(near, e)
+			}
+		}
+		sc.near = near
+		if len(boxes) > 0 && len(near) == 0 {
+			continue // no box reaches the line: mask keeps nothing
+		}
+		// With no envelope near is empty too, and keeps tests the band alone.
+		cross := aF + (cl.Coord-f.aPlane)/(f.bPlane-f.aPlane)*(bF-aF)
+		k := t.nearestKept(lo, hi, cross, cl.Axis, near, f.minP, f.maxP)
+		if k < 0 {
+			continue
+		}
+		if src == nil {
+			acc = pointDist(t, k, useX, a)
+		} else {
+			acc += norm3(
+				geom.RangeGap(src.fLo[sk], src.fHi[sk], t.fLo[k], t.fHi[k]),
+				geom.RangeGap(src.pLo[sk], src.pHi[sk], t.pLo[k], t.pHi[k]),
+				geom.RangeGap(src.zLo[sk], src.zHi[sk], t.zLo[k], t.zHi[k]),
+				useX)
+			sc.pairs++
+		}
+		src, sk = t, k
+	}
+	if src == nil {
+		return 0
+	}
+	return acc + pointDist(src, sk, useX, b)
+}
+
+// nearestKept returns the entry of [lo, hi) that keeps holds for and whose
+// free-axis interval is nearest to cross, the lower index on a tie; -1 when
+// none is kept.
+func (t *lineTable) nearestKept(lo, hi int, cross float64, axis Axis, env []geom.MBR, minP, maxP float64) int {
+	r, _ := t.run(lo, hi, cross, cross) // first entry reaching cross
+	l := r - 1
+	for l >= lo || r < hi {
+		gl, gr := math.Inf(1), math.Inf(1)
+		if l >= lo {
+			gl = geom.RangeGap(t.fLo[l], t.fHi[l], cross, cross)
+		}
+		if r < hi {
+			gr = geom.RangeGap(t.fLo[r], t.fHi[r], cross, cross)
+		}
+		if l >= lo && gl <= gr {
+			if t.keeps(l, axis, env, minP, maxP) {
+				return l
+			}
+			l--
+			continue
+		}
+		if t.keeps(r, axis, env, minP, maxP) {
+			return r
+		}
+		r++
+	}
+	return -1
+}
