@@ -117,19 +117,19 @@ func (q *Querier) search(a, b mesh.SurfacePoint, region *geom.MBR) (float64, int
 			w.Relax(v, -1, a.Pos.Dist(p.Pos[v]))
 		}
 	}
-	return q.settle(w, b, region, graph.Inf)
+	return q.settle(w, b, region, graph.Inf, graph.Inf)
 }
 
-// settle resumes w until its frontier's minimum reaches best, each settled
-// boundary point of b's facet proposing its distance plus the in-face leg
-// to b; best starts as the caller's proposal. region, when non-nil, keeps
-// the search inside it. Returns the best proposal and the boundary point
-// realising it (-1 when the starting proposal stands).
-func (q *Querier) settle(w *graph.Workspace, b mesh.SurfacePoint, region *geom.MBR, best float64) (float64, int32) {
+// settle resumes w until its frontier's minimum reaches best or passes
+// limit, each settled boundary point of b's facet proposing its distance
+// plus the in-face leg to b; best starts as the caller's proposal. region,
+// when non-nil, keeps the search inside it. Returns the best proposal and
+// the boundary point realising it (-1 when the starting proposal stands).
+func (q *Querier) settle(w *graph.Workspace, b mesh.SurfacePoint, region *geom.MBR, best, limit float64) (float64, int32) {
 	p := q.p
 	targets := p.FacePoints(b.Face)
 	bestEnd := int32(-1)
-	for w.Min() < best {
+	for m := w.Min(); m < best && m <= limit; m = w.Min() {
 		v, d := w.Pop()
 		for _, t := range targets {
 			if t == v {
@@ -162,6 +162,14 @@ func (q *Querier) inside(v int32, region *geom.MBR) bool {
 // targets against one query point this way costs one propagation out to the
 // farthest target instead of one search per target.
 //
+// The distance is decided only as far as a caller comparing it with limit
+// needs: when it is at most limit the result is exact; otherwise the search
+// stops once its frontier passes limit and returns the frontier's minimum,
+// a value above limit and at most the distance: the best proposal is above
+// it, and any path not yet proposed runs through an unsettled label, no
+// smaller than it. A later call, capped or not, resumes
+// from there. limit = +Inf gives the exact distance always.
+//
 // The value is the same because a Dijkstra label, once settled, is the
 // minimum over all paths of their left-to-right float sums — float addition
 // of a non-negative weight is monotone and non-decreasing, which is all the
@@ -174,7 +182,7 @@ func (q *Querier) inside(v int32, region *geom.MBR) bool {
 //
 // The shared search lives until the source changes or ForgetSource is
 // called; its relaxations count into Relaxations.
-func (q *Querier) FromSource(a, b mesh.SurfacePoint) float64 {
+func (q *Querier) FromSource(a, b mesh.SurfacePoint, limit float64) float64 {
 	if a.Face == b.Face {
 		return a.Pos.Dist(b.Pos)
 	}
@@ -195,8 +203,8 @@ func (q *Querier) FromSource(a, b mesh.SurfacePoint) float64 {
 			best = c
 		}
 	}
-	best, _ = q.settle(w, b, nil, best)
-	return best
+	best, _ = q.settle(w, b, nil, best, limit)
+	return math.Min(best, w.Min())
 }
 
 // ForgetSource drops the shared-source search, so the next FromSource seeds
