@@ -54,6 +54,9 @@ func TestInstrumentedConcurrentSessions(t *testing.T) {
 				sum.UpperBounds += tot.UpperBounds
 				sum.LowerBounds += tot.LowerBounds
 				sum.Iterations += tot.Iterations
+				sum.Envelope.Line += tot.Envelope.Line
+				sum.Envelope.Wide += tot.Envelope.Wide
+				sum.CappedBounds += tot.CappedBounds
 			}
 		}(w)
 	}
@@ -67,6 +70,9 @@ func TestInstrumentedConcurrentSessions(t *testing.T) {
 		want.UpperBounds += t2.UpperBounds
 		want.LowerBounds += t2.LowerBounds
 		want.Iterations += t2.Iterations
+		want.Envelope.Line += t2.Envelope.Line
+		want.Envelope.Wide += t2.Envelope.Wide
+		want.CappedBounds += t2.CappedBounds
 	}
 	queries := int64(workers * len(qs))
 	if got := reg.QueriesStarted.Value(); got != queries {
@@ -92,6 +98,21 @@ func TestInstrumentedConcurrentSessions(t *testing.T) {
 	}
 	if got := reg.Iterations.Value(); got != int64(want.Iterations) {
 		t.Errorf("Iterations = %d, want %d", got, want.Iterations)
+	}
+	if got := reg.EnvelopeLine.Value(); got != int64(want.Envelope.Line) || got == 0 {
+		t.Errorf("EnvelopeLine = %d, want %d (and > 0)", got, want.Envelope.Line)
+	}
+	if got := reg.EnvelopeWide.Value(); got != int64(want.Envelope.Wide) {
+		t.Errorf("EnvelopeWide = %d, want %d", got, want.Envelope.Wide)
+	}
+	if got := reg.CappedBounds.Value(); got != int64(want.CappedBounds) {
+		t.Errorf("CappedBounds = %d, want %d", got, want.CappedBounds)
+	}
+	work := reg.Snapshot()["work"].(map[string]any)
+	for _, key := range []string{"envelope_floor", "envelope_line", "envelope_witness", "envelope_narrow", "envelope_wide", "capped_bounds"} {
+		if _, ok := work[key]; !ok {
+			t.Errorf("the registry's work block has no %q", key)
+		}
 	}
 	if got := reg.QueryLatency().Count(); got != queries {
 		t.Errorf("latency histogram count = %d, want %d", got, queries)

@@ -74,8 +74,10 @@ func r2Points(db *TerrainDB, seed int64, n int) []mesh.SurfacePoint {
 // 80 objects, k = 5) is too small to show where the engine's time goes.
 // Besides ns/op and allocs/op (0 once warm) it reports per query the SDN
 // kernel pairs evaluated (pairs/op), the lower-bound estimations run
-// (lb/op), the level-network vertices the shared upper-bound searches
-// settled (ub_settled/op), and the pages accessed (pages/op).
+// (lb/op), the dummy-lower-bound decisions the straight-line chain settled
+// (line/op), the bounds left capped at the exclusion bound (capped/op), the
+// level-network vertices the shared upper-bound searches settled
+// (ub_settled/op), and the pages accessed (pages/op).
 //
 //	go test ./internal/core -run '^$' -bench KNNUniformScale -cpuprofile cpu.out
 func BenchmarkKNNUniformScale(b *testing.B) {
@@ -88,7 +90,7 @@ func BenchmarkKNNUniformScale(b *testing.B) {
 	}
 	pairs0 := s.sdnSc.Pairs()
 	settled0 := s.est.SharedSettled
-	var lbs, pages int64
+	var lbs, lines, capped, pages int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -96,13 +98,18 @@ func BenchmarkKNNUniformScale(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lbs += int64(res.Cost.Total().LowerBounds)
+		tot := res.Cost.Total()
+		lbs += int64(tot.LowerBounds)
+		lines += int64(tot.Envelope.Line)
+		capped += int64(tot.CappedBounds)
 		pages += res.Cost.Pages()
 	}
 	b.StopTimer()
 	n := float64(b.N)
 	b.ReportMetric(float64(s.sdnSc.Pairs()-pairs0)/n, "pairs/op")
 	b.ReportMetric(float64(lbs)/n, "lb/op")
+	b.ReportMetric(float64(lines)/n, "line/op")
+	b.ReportMetric(float64(capped)/n, "capped/op")
 	b.ReportMetric(float64(s.est.SharedSettled-settled0)/n, "ub_settled/op")
 	b.ReportMetric(float64(pages)/n, "pages/op")
 }

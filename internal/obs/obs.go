@@ -51,6 +51,10 @@ type Registry struct {
 	UpperBounds         Counter // upper-bound estimations
 	LowerBounds         Counter // lower-bound estimations run (closed ranges skip theirs)
 	Iterations          Counter // LOD refinement iterations
+	// Dummy-lower-bound decisions by the tier that settled them, and the
+	// bounds a ranking stopped at the exclusion bound.
+	EnvelopeFloor, EnvelopeLine, EnvelopeWitness, EnvelopeNarrow, EnvelopeWide Counter
+	CappedBounds                                                               Counter
 
 	// Dynamic object-store activity (fed by objstore.Store when
 	// instrumented).
@@ -154,6 +158,12 @@ func (r *Registry) Snapshot() map[string]any {
 			"upper_bounds":         r.UpperBounds.Value(),
 			"lower_bounds":         r.LowerBounds.Value(),
 			"iterations":           r.Iterations.Value(),
+			"envelope_floor":       r.EnvelopeFloor.Value(),
+			"envelope_line":        r.EnvelopeLine.Value(),
+			"envelope_witness":     r.EnvelopeWitness.Value(),
+			"envelope_narrow":      r.EnvelopeNarrow.Value(),
+			"envelope_wide":        r.EnvelopeWide.Value(),
+			"capped_bounds":        r.CappedBounds.Value(),
 		},
 		"objects": map[string]any{
 			"epoch":            r.Epoch.Value(),
@@ -186,6 +196,12 @@ func (r *Registry) ObserveQuery(q QueryObservation) {
 	r.UpperBounds.Add(q.UpperBounds)
 	r.LowerBounds.Add(q.LowerBounds)
 	r.Iterations.Add(q.Iterations)
+	r.EnvelopeFloor.Add(q.EnvelopeFloor)
+	r.EnvelopeLine.Add(q.EnvelopeLine)
+	r.EnvelopeWitness.Add(q.EnvelopeWitness)
+	r.EnvelopeNarrow.Add(q.EnvelopeNarrow)
+	r.EnvelopeWide.Add(q.EnvelopeWide)
+	r.CappedBounds.Add(q.CappedBounds)
 	r.latency.Observe(q.CPU)
 	for _, p := range q.Phases {
 		r.Phase(p.Name).Observe(p.Wall)
@@ -201,7 +217,11 @@ type QueryObservation struct {
 	UpperBounds         int64
 	LowerBounds         int64
 	Iterations          int64
-	Phases              []PhaseObservation
+	// Envelope decisions by settling tier, and capped bounds (see
+	// stats.PhaseCost).
+	EnvelopeFloor, EnvelopeLine, EnvelopeWitness, EnvelopeNarrow, EnvelopeWide int64
+	CappedBounds                                                               int64
+	Phases                                                                     []PhaseObservation
 }
 
 // PhaseObservation is one phase's contribution to the latency histograms.

@@ -42,6 +42,23 @@ type PhaseCost struct {
 	LowerBounds int `json:"lower_bounds"`
 	Iterations  int `json:"iterations"`
 	Candidates  int `json:"candidates"`
+
+	// Envelope counts the dummy-lower-bound decisions by the tier that
+	// settled them, and CappedBounds the bounds the ranking stopped at the
+	// exclusion bound instead of computing their value (a safe-region query
+	// completes them afterwards; see core.ranker.exclusionCap).
+	Envelope     EnvelopeTiers `json:"envelope"`
+	CappedBounds int           `json:"capped_bounds"`
+}
+
+// EnvelopeTiers counts dummy-lower-bound decisions (sdn.MSDN.EnvelopeExceeds)
+// by the tier that settled them, cheapest first.
+type EnvelopeTiers struct {
+	Floor   int `json:"floor"`
+	Line    int `json:"line"`
+	Witness int `json:"witness"`
+	Narrow  int `json:"narrow"`
+	Wide    int `json:"wide"`
 }
 
 // Pages is the phase's combined page-access count — the paper's "disk
@@ -59,6 +76,12 @@ func (p *PhaseCost) add(o PhaseCost) {
 	p.LowerBounds += o.LowerBounds
 	p.Iterations += o.Iterations
 	p.Candidates += o.Candidates
+	p.Envelope.Floor += o.Envelope.Floor
+	p.Envelope.Line += o.Envelope.Line
+	p.Envelope.Witness += o.Envelope.Witness
+	p.Envelope.Narrow += o.Envelope.Narrow
+	p.Envelope.Wide += o.Envelope.Wide
+	p.CappedBounds += o.CappedBounds
 }
 
 // Cost is the structured cost of one query: the per-phase breakdown plus
