@@ -34,21 +34,6 @@ func (t *Tree) ExtractNetwork(tm int32, include func(NodeID) bool) *Network {
 	return b.finish()
 }
 
-// NetworkFromEdgeIDs materialises a network from an explicit list of edge
-// indices (typically the records fetched from the clustered store for an
-// I/O region), further restricted by an optional per-edge filter (MR3's
-// per-candidate refined search region). Edges not alive at tm are skipped,
-// so passing a superset is safe.
-func (t *Tree) NetworkFromEdgeIDs(tm int32, ids []int32, filter func(EdgeRec) bool) *Network {
-	b := networkBuilder{nw: t.newNetwork(tm)}
-	for _, id := range ids {
-		if e := &t.Edges[id]; e.Birth <= tm && tm < e.Death && (filter == nil || filter(*e)) {
-			b.add(e)
-		}
-	}
-	return b.finish()
-}
-
 func (t *Tree) newNetwork(tm int32) *Network {
 	return &Network{Time: tm, IdxOf: make(map[NodeID]int32), tree: t}
 }
