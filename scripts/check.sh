@@ -454,7 +454,9 @@ for spec in \
     internal/core:FuzzUpperBoundOracle \
     internal/core:FuzzLowerBoundOracle \
     internal/sdn:FuzzChainKernel \
+    internal/sdn:FuzzEnvelopeDecision \
     internal/pathnet:FuzzSharedSourceMatchesClipped \
+    internal/pathnet:FuzzCappedSourceMatchesExact \
     internal/multires:FuzzSharedUpperBound \
     internal/sklang:FuzzParseRoundTrip; do
     dir=${spec%:*}
