@@ -8,8 +8,9 @@
 // paper's modification of line generalisation — makes the bound valid at
 // every resolution and monotonically non-decreasing as resolution grows.
 //
-// Two forms reach a caller: the bound itself (LowerBound, LowerBoundScratch)
-// and the decision MR3 takes with the §4.2.2 dummy bound (EnvelopeExceeds),
+// Two forms reach a caller: the bound itself (LowerBound, LowerBoundScratch,
+// the latter exact only up to the limit its caller compares it with) and
+// the decision MR3 takes with the §4.2.2 dummy bound (EnvelopeExceeds),
 // which returns no value because only a comparison is used and the
 // comparison is usually settled by a far cheaper chain. The
 // rule on both sides of the package boundary is that an estimation is skipped
